@@ -12,9 +12,11 @@ orbit becomes an integral over the polytope itself:
 where u is the symplectic potential.  The torus volume (2 pi)^m and the 1/V
 of the level-k inner product are dropped uniformly in alpha; a uniform
 rescaling of all Q shifts every derived potential by a constant that the
-error norms are insensitive to.  The quadrature is tensor Gauss-Legendre
-with 8k panels per axis, validated by panel doubling; everything involving
-Q lives in the log domain and sums are accumulated with log-sum-exp.
+error norms are insensitive to.  The quadrature is tensor Gauss-Legendre,
+validated by panel doubling.  The integrand is Laplace-localized at width
+about 1/sqrt(k), so the panel count per axis starts at about 2 sqrt(k) and
+doubles until the validation passes, capped at 8k; everything involving Q
+lives in the log domain and sums are accumulated with log-sum-exp.
 
 The normalized monomial and its peak value are
 
@@ -38,6 +40,7 @@ lambda_alpha(y), and the approximating potential on the open orbit is
 from __future__ import annotations
 
 import csv
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -122,8 +125,17 @@ class NormingTable:
             raise KeyError(f"alpha={key} not in level-{self.level} table") from None
 
 
-def _gauss_panels(a: float, b: float, n_panels: int, order: int = GAUSS_ORDER):
+@functools.lru_cache(maxsize=8)
+def _legendre_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only Gauss-Legendre nodes and weights on [-1, 1], built once per order."""
     x0, w0 = roots_legendre(order)
+    x0.setflags(write=False)
+    w0.setflags(write=False)
+    return x0, w0
+
+
+def _gauss_panels(a: float, b: float, n_panels: int, order: int = GAUSS_ORDER):
+    x0, w0 = _legendre_rule(order)
     edges = np.linspace(a, b, n_panels + 1)
     mid = 0.5 * (edges[:-1] + edges[1:])
     half = 0.5 * (edges[1:] - edges[:-1])
@@ -171,9 +183,15 @@ def norming_constants(u: SymplecticPotential, k: int, alphas=None,
     """Norming constants of the level-k toric monomials for the metric of u.
 
     Integrates the moment-map pushforward of |z^alpha|^2 e^{-k phi} over the
-    polytope with tensor Gauss-Legendre panels (8k per axis by default) and
-    validates every entry by panel doubling; entries that move more than
-    `check_tol` raise QuadratureError, listing the offending alphas.
+    polytope with tensor Gauss-Legendre panels and validates every entry by
+    panel doubling: n panels per axis pass when no entry moves by more than
+    `check_tol` on 2n panels, and the 2n-panel values are returned.
+
+    The integrand peaks at width about 1/sqrt(k), so by default n starts at
+    max(4, ceil(2 sqrt(k))) and doubles until the validation passes, up to
+    the cap max(8, 8k), which is always tried last.  An explicit `n_panels`
+    is the only count tried.  Failing the last try raises QuadratureError,
+    listing the offending alphas and the panel count.
     """
     if k < 1:
         raise ValueError("level k must be >= 1")
@@ -182,19 +200,29 @@ def norming_constants(u: SymplecticPotential, k: int, alphas=None,
     else:
         alphas = np.asarray(alphas, dtype=np.int64).reshape(-1, u.polytope.dim)
     if n_panels is None:
-        n_panels = max(8, 8 * k)
-    coarse = _log_q_quadrature(u, k, alphas, n_panels, order)
-    fine = _log_q_quadrature(u, k, alphas, 2 * n_panels, order)
-    err = np.abs(fine - coarse)
-    if np.any(err > check_tol):
-        bad = [(tuple(a), float(e)) for a, e in zip(alphas[err > check_tol].tolist(),
-                                                    err[err > check_tol])]
-        raise QuadratureError(
-            f"panel doubling moved {len(bad)} norming constant(s) by more than "
-            f"{check_tol:g}: {bad[:8]}{'...' if len(bad) > 8 else ''}")
-    return NormingTable(level=k, alphas=alphas, log_q=fine,
-                        provenance=provenance or
-                        f"quadrature panels={n_panels}x2 order={order}")
+        cap = max(8, 8 * k)
+        tries = [max(4, math.ceil(2.0 * math.sqrt(k)))]
+        while tries[-1] < cap:
+            tries.append(min(2 * tries[-1], cap))
+    else:
+        tries = [n_panels]
+    coarse_panels, coarse = None, None
+    for n in tries:
+        if coarse_panels != n:
+            coarse = _log_q_quadrature(u, k, alphas, n, order)
+        fine = _log_q_quadrature(u, k, alphas, 2 * n, order)
+        err = np.abs(fine - coarse)
+        if not np.any(err > check_tol):
+            return NormingTable(level=k, alphas=alphas, log_q=fine,
+                                provenance=provenance or
+                                f"quadrature panels={n}x2 order={order}")
+        # this try's doubled rule is the next try's coarse rule
+        coarse_panels, coarse = 2 * n, fine
+    bad = [(tuple(a), float(e)) for a, e in zip(alphas[err > check_tol].tolist(),
+                                                err[err > check_tol])]
+    raise QuadratureError(
+        f"panel doubling {n} -> {2 * n} panels moved {len(bad)} norming constant(s) "
+        f"by more than {check_tol:g}: {bad[:8]}{'...' if len(bad) > 8 else ''}")
 
 
 def log_normalized_monomial(table: NormingTable, phi: KahlerPotential, alpha, rho):

@@ -28,6 +28,7 @@ the default 256 angles.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -99,6 +100,16 @@ class DiscDomain:
     @property
     def shape(self):
         return (self.radii.size, self.angles.size)
+
+    @cached_property
+    def poisson_weights(self) -> np.ndarray:
+        """Read-only trapezoid Poisson weights of the interior rings, built once.
+
+        Shape (n_radii-1, n_angles, n_angles); see `_disc_weight_matrix`.
+        """
+        weights = _disc_weight_matrix(self)
+        weights.setflags(write=False)
+        return weights
 
 
 @dataclass(frozen=True)
@@ -234,8 +245,7 @@ def harmonic_extend(domain, g: BoundaryData) -> HarmonicField:
     if isinstance(domain, DiscDomain):
         if v.shape != (domain.angles.size,):
             raise ValueError("disc boundary data must match the angular grid")
-        W = _disc_weight_matrix(domain)
-        interior = np.einsum("ilj,j->il", W, v)
+        interior = np.einsum("ilj,j->il", domain.poisson_weights, v)
         field = HarmonicField(domain, np.vstack([interior, v[None, :]]))
         slack = 2.0 * domain.radii[-2] ** domain.angles.size
         _check_max_principle(field, v, slack + 1e-12)

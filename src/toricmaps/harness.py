@@ -6,7 +6,8 @@ convergence.
 The solver pipeline is: sample the boundary family of symplectic potentials
 on a polytope grid, extend the smooth parts harmonically over the parameter
 domain N (one linear Dirichlet solve per fiber node), then invert the
-Legendre transform slice by slice to get the potential family Phi(y, rho).
+Legendre transform of every slice, all slices in one Newton solve, to get the
+potential family Phi(y, rho).
 Positivity of the extension kernel makes every interior slice convex; this
 is asserted, never assumed.
 
@@ -35,10 +36,11 @@ from .dirichlet import (BoundaryData, DiscDomain, IntervalDomain,
                         RectangleDomain, harmonic_extend, make_disc,
                         make_interval, n_boundary_nodes)
 from .polytope import DelzantPolytope, preset_polytope, polytope_from_json
-from .potentials import (ConvexityError, PolytopeGrid, SymplecticPotential,
-                         _canonical_inverse_guess, _invert_monotone_1d,
-                         _product_ell_closed, _x_bracket, default_margin,
-                         guillemin_hessian, make_polytope_grid,
+from .potentials import (ConvexityError, NewtonError, PolytopeGrid,
+                         SymplecticPotential, _canonical_inverse_guess,
+                         _invert_monotone_1d, _product_ell_closed, _x_bracket,
+                         default_margin, guillemin_gradient, guillemin_hessian,
+                         guillemin_potential, make_polytope_grid,
                          preset_symplectic)
 
 __all__ = [
@@ -169,8 +171,7 @@ def solve_harmonic_map(domain, xgrid: PolytopeGrid, boundary_potentials,
         t = (domain.nodes - domain.nodes[0]) / (domain.nodes[-1] - domain.nodes[0])
         f = (1.0 - t)[:, None] * F[0][None, :] + t[:, None] * F[1][None, :]
     elif isinstance(domain, DiscDomain):
-        from .dirichlet import _disc_weight_matrix
-        W = _disc_weight_matrix(domain)                   # (nr-1, ng, ng)
+        W = domain.poisson_weights                        # (nr-1, ng, ng)
         interior = W.reshape(-1, W.shape[-1]) @ F         # (nr-1 * ng, nx)
         interior = interior.reshape(W.shape[0], W.shape[1], F.shape[1])
         f = np.concatenate([interior, F[None, :, :]], axis=0)  # ring keeps its data
@@ -209,30 +210,55 @@ class KahlerFamilyField:
 
 
 def kahler_field(family: HarmonicPotentialFamily, rho_axis: np.ndarray) -> KahlerFamilyField:
-    """Invert the Legendre transform slice by slice over the whole family."""
+    """Invert the Legendre transform over the whole family in one Newton solve.
+
+    The targets form a (nodes x rho) array.  The analytic u0 part of grad u
+    and hess u is evaluated once per iteration over all of it, the smooth
+    part row by row with each node's own evaluator (built once).  The Newton
+    iteration works element by element, so every slice gets exactly the
+    iterates a separate solve would give it.
+    """
     rho_axis = np.asarray(rho_axis, dtype=float)
     shape = family.domain.shape
-    values = np.empty(shape + rho_axis.shape)
-    moment = np.empty_like(values)
+    P = family.xgrid.polytope
+    nodes = family.node_indices()
+    pots = [family.potential_at(idx) for idx in nodes]
     # one x-bracket serves every slice: widen the target range by a uniform
     # bound on |f'| so the u0 log-divergence dominates at both ends
     x_nodes = family.xgrid.axes[0]
     h = x_nodes[1] - x_nodes[0]
     fgrad_bound = float(np.max(np.abs(np.gradient(family.f, h, axis=-1)))) + 1.0
-    first = next(iter(np.ndindex(shape)))
-    a, b = _x_bracket(family.potential_at(first),
+    a, b = _x_bracket(pots[0],
                       float(rho_axis.min()) - 2 * fgrad_bound,
                       float(rho_axis.max()) + 2 * fgrad_bound)
-    guess = np.clip(_canonical_inverse_guess(family.xgrid.polytope, rho_axis),
-                    a, b)
-    for idx in np.ndindex(shape):
-        pot = family.potential_at(idx)
-        x = _invert_monotone_1d(pot.grad, pot.hess, rho_axis, a, b,
+    guess = np.clip(_canonical_inverse_guess(P, rho_axis), a, b)
+
+    def smooth(method, x):
+        # row by row into one array: only one row's temporaries live at a time
+        out = np.empty_like(x)
+        for pot, row, out_row in zip(pots, x, out):
+            out_row[...] = getattr(pot, method)(row)
+        return out
+
+    def grad(x):
+        return guillemin_gradient(P, x[..., None])[..., 0] + smooth("f_grad", x)
+
+    def hess(x):
+        return guillemin_hessian(P, x[..., None])[..., 0, 0] + smooth("f_hess", x)
+
+    targets = np.broadcast_to(rho_axis, (len(nodes),) + rho_axis.shape)
+    try:
+        x = _invert_monotone_1d(grad, hess, targets, a, b,
                                 what="symplectic gradient", s0=guess)
-        values[idx] = x * rho_axis - np.asarray(pot.value(x))
-        moment[idx] = x
+    except NewtonError as exc:
+        node, *rho_index = exc.index
+        raise NewtonError(f"{exc} at domain node {nodes[node]}, "
+                          f"rho = {rho_axis[tuple(rho_index)]:.6g}",
+                          index=nodes[node] + tuple(rho_index)) from exc
+    values = x * rho_axis - (guillemin_potential(P, x[..., None]) + smooth("f_value", x))
     return KahlerFamilyField(domain=family.domain, rho_axis=rho_axis,
-                             values=values, moment=moment)
+                             values=values.reshape(shape + rho_axis.shape),
+                             moment=x.reshape(shape + rho_axis.shape))
 
 
 # -- preset experiment families ---------------------------------------------------

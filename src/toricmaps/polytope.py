@@ -118,6 +118,11 @@ def _det_exact(rows: list[list[int]]) -> Fraction:
     return det
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
 @dataclass(frozen=True)
 class DelzantPolytope:
     """Bounded Delzant polytope cut out by facet inequalities ell_r >= 0."""
@@ -143,6 +148,11 @@ class DelzantPolytope:
                            np.array([f.normal for f in facets], dtype=float))
         object.__setattr__(self, "_offsets_f",
                            np.array([float(f.offset) for f in facets]))
+        v = self.vertex_array()
+        object.__setattr__(self, "_bbox", (_read_only(v.min(axis=0)),
+                                           _read_only(v.max(axis=0))))
+        # level k -> LatticeSet, filled by lattice_points on first use
+        object.__setattr__(self, "_lattices", {})
 
     # -- validation -------------------------------------------------------
 
@@ -207,14 +217,21 @@ class DelzantPolytope:
         x = np.asarray(x, dtype=float)
         if self.dim == 1 and (x.ndim == 0 or x.shape[-1] != 1):
             x = x[..., None]
-        return x @ self._normals_f.T + self._offsets_f
+        # accumulate facet-major, so every numpy loop runs over all points;
+        # the result is a facet-last view
+        per_facet = (slice(None),) + (None,) * (x.ndim - 1)
+        ell = self._normals_f[:, 0][per_facet] * x[..., 0]
+        for i in range(1, self.dim):
+            ell += self._normals_f[:, i][per_facet] * x[..., i]
+        ell += self._offsets_f[per_facet]
+        return ell.transpose(*range(1, ell.ndim), 0)
 
     def contains(self, x, tol: float = 0.0) -> bool:
         return bool(np.all(self.ell(x) >= -tol))
 
     def bounding_box(self) -> tuple[np.ndarray, np.ndarray]:
-        v = np.array([[float(c) for c in vert] for vert in self.vertices])
-        return v.min(axis=0), v.max(axis=0)
+        """Read-only (lo, hi) corners of the axis-aligned bounding box."""
+        return self._bbox
 
     def vertex_array(self) -> np.ndarray:
         return np.array([[float(c) for c in vert] for vert in self.vertices])
@@ -251,9 +268,18 @@ def facet_value(P: DelzantPolytope, r: int, x) -> float:
 
 
 def lattice_points(P: DelzantPolytope, k: int) -> LatticeSet:
-    """Enumerate kP ∩ Z^m by a bounding-box scan with exact membership tests."""
+    """kP ∩ Z^m, enumerated once per polytope and level; the points are read-only."""
     if k < 1:
         raise ValueError(f"level k must be >= 1, got {k}")
+    cached = P._lattices.get(k)
+    if cached is None:
+        cached = LatticeSet(level=k, points=_read_only(_enumerate_lattice(P, k)))
+        P._lattices[k] = cached
+    return cached
+
+
+def _enumerate_lattice(P: DelzantPolytope, k: int) -> np.ndarray:
+    """Bounding-box scan of kP with exact membership tests; sorted (n, m) int64."""
     lo, hi = P.bounding_box()
     lo_i = [math.floor(k * l - 1e-9) for l in lo]
     hi_i = [math.ceil(k * h + 1e-9) for h in hi]
@@ -269,7 +295,7 @@ def lattice_points(P: DelzantPolytope, k: int) -> LatticeSet:
         if ok:
             pts.append(alpha)
     pts.sort()
-    return LatticeSet(level=k, points=np.array(pts, dtype=np.int64).reshape(len(pts), P.dim))
+    return np.array(pts, dtype=np.int64).reshape(len(pts), P.dim)
 
 
 def near_facets(P: DelzantPolytope, x, delta: float, tol: float = 1e-9):

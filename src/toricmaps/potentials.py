@@ -40,6 +40,7 @@ from __future__ import annotations
 import io
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -81,7 +82,14 @@ class ConvexityError(ValueError):
 
 
 class NewtonError(RuntimeError):
-    """Safeguarded Newton inversion failed to converge."""
+    """Safeguarded Newton inversion failed to converge.
+
+    `index` is the multi-index of the worst unconverged target, when known.
+    """
+
+    def __init__(self, message: str, index: tuple[int, ...] | None = None):
+        super().__init__(message)
+        self.index = index
 
 
 def default_margin(k_max: int) -> float:
@@ -160,10 +168,13 @@ class PolytopeGrid:
         mesh = np.meshgrid(*self.axes, indexing="ij")
         return np.stack(mesh, axis=-1)
 
-    @property
+    @cached_property
     def mask(self) -> np.ndarray:
+        """Read-only; computed once per grid."""
         ell = self.polytope.ell(self.nodes())
-        return ell.min(axis=-1) >= self.margin * (1.0 - 1e-9)
+        mask = ell.min(axis=-1) >= self.margin * (1.0 - 1e-9)
+        mask.setflags(write=False)
+        return mask
 
     @property
     def boundary_adjacent(self) -> np.ndarray:
@@ -205,7 +216,9 @@ def guillemin_gradient(P: DelzantPolytope, x) -> np.ndarray:
     ell = P.ell(x)
     if np.any(ell <= 0):
         raise ValueError("guillemin_gradient requires a strictly interior point")
-    return (np.log(ell) + 1.0) @ P._normals_f
+    log_ell = np.log(ell)
+    log_ell += 1.0
+    return log_ell @ P._normals_f
 
 
 def guillemin_hessian(P: DelzantPolytope, x) -> np.ndarray:
@@ -415,7 +428,7 @@ class SymplecticPotential:
         self.f_values = np.asarray(f_values, dtype=float).reshape(grid.shape)
         self.rho_values = None if rho_values is None else \
             np.asarray(rho_values, dtype=float).reshape(grid.shape + (grid.dim,))
-        self._f_spline = None
+        self._f_splines = None
         if not np.all(np.isfinite(self.f_values[grid.mask])):
             raise ValueError("smooth part f must be finite on the grid")
         if check:
@@ -442,14 +455,16 @@ class SymplecticPotential:
 
     # smooth part -------------------------------------------------------------
 
-    def _spline(self):
-        if self._f_spline is None:
+    def _spline(self, order: int = 0):
+        """The spline of f (order 0) or its derivative, each built once."""
+        if self._f_splines is None:
             if self.dim != 1:
                 raise NotImplementedError(
                     "sampled evaluation of f is implemented for dim 1; "
                     "use a closed form in higher dimensions")
-            self._f_spline = CubicSpline(self.grid.axes[0], self.f_values)
-        return self._f_spline
+            spline = CubicSpline(self.grid.axes[0], self.f_values)
+            self._f_splines = (spline, spline.derivative(), spline.derivative(2))
+        return self._f_splines[order]
 
     def f_value(self, x):
         if self.f_closed is not None:
@@ -466,7 +481,7 @@ class SymplecticPotential:
                 return (np.asarray(self.f_closed.value(t + h))
                         - np.asarray(self.f_closed.value(t - h))) / (2 * h)
             raise NotImplementedError("closed form without gradient in dim >= 2")
-        return self._spline().derivative()(np.asarray(x, dtype=float))
+        return self._spline(1)(np.asarray(x, dtype=float))
 
     def f_hess(self, x):
         if self.f_closed is not None and self.f_closed.hess is not None:
@@ -479,7 +494,7 @@ class SymplecticPotential:
                         - 2 * np.asarray(self.f_closed.value(t))
                         + np.asarray(self.f_closed.value(t - h))) / h**2
             return fd_hessian(self.f_closed.value, x)
-        return self._spline().derivative(2)(np.asarray(x, dtype=float))
+        return self._spline(2)(np.asarray(x, dtype=float))
 
     # full potential u = u0 + f -------------------------------------------------
 
@@ -557,14 +572,18 @@ def _invert_monotone_1d(grad_fn, hess_fn, targets, lo: float, hi: float,
             fallback = 0.5 * (a + b)
         bad = ~np.isfinite(s_new) | (s_new <= a) | (s_new >= b)
         s = np.where(done, s, np.where(bad, fallback, s_new))
+        # free the step's temporaries first: on a batched solve each is as
+        # large as the targets, and the gradient evaluation is the memory peak
+        del h, s_new, w, fallback, bad
         err = np.where(done, err, np.asarray(grad_fn(s)) - t)
     if not done.all():
         nbad = int(np.sum(~done))
-        worst = int(np.argmax(np.where(done, 0.0, np.abs(err))))
+        worst = tuple(int(i) for i in np.unravel_index(
+            np.argmax(np.where(done, 0.0, np.abs(err))), t.shape))
         raise NewtonError(
             f"{what} inversion did not converge at {nbad} node(s); "
-            f"worst |residual| = {np.abs(err).flat[worst]:.3g} "
-            f"at target = {t.flat[worst]:.6g}")
+            f"worst |residual| = {np.abs(err)[worst]:.3g} "
+            f"at target = {t[worst]:.6g} (target index {worst})", index=worst)
     return s
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from toricmaps import bergman
 from toricmaps.bergman import (NormingTable, QuadratureError, bargmann_fock_peak,
                                bergman_potential, harmonic_norming, delta_k,
                                load_norming_table, localization_gap,
@@ -71,6 +72,34 @@ def test_quadrature_validation_reports_alpha():
     u = preset_symplectic("perturbed(0.1)", P, XG)
     with pytest.raises(QuadratureError, match="panel"):
         norming_constants(u, 32, n_panels=1, check_tol=1e-13)
+
+
+@pytest.mark.parametrize("k", [8, 16, 32, 64, 128, 256])
+@pytest.mark.parametrize("name", ["guillemin", "perturbed(0.1)", "perturbed(0.3)"])
+def test_right_sized_panels_match_the_8k_rule(name, k):
+    u = preset_symplectic(name, P, XG)
+    table = norming_constants(u, k)
+    reference = norming_constants(u, k, n_panels=8 * k)
+    np.testing.assert_allclose(table.log_q, reference.log_q, rtol=0, atol=1e-12)
+    # the sqrt(k)-sized start already passes the doubling validation
+    start = max(4, math.ceil(2 * math.sqrt(k)))
+    assert f"panels={start}x2 " in table.provenance
+
+
+def test_right_sizing_doubles_to_the_cap_then_raises(monkeypatch):
+    panels = []
+    quadrature = bergman._log_q_quadrature
+
+    def counted(u, k, alphas, n_panels, order):
+        panels.append(n_panels)
+        return quadrature(u, k, alphas, n_panels, order)
+
+    monkeypatch.setattr(bergman, "_log_q_quadrature", counted)
+    u = preset_symplectic("perturbed(0.1)", P, XG)
+    with pytest.raises(QuadratureError, match=r"64 -> 128 panels.*\(\(\d+,\)"):
+        norming_constants(u, 8, check_tol=1e-16)
+    # start 6, doubling (each doubled rule reused as the next coarse one), cap 64
+    assert panels == [6, 12, 24, 48, 96, 64, 128]
 
 
 def test_normalized_monomial_value(table_k2):

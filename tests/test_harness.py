@@ -1,18 +1,24 @@
+import functools
 import json
 import math
 
 import numpy as np
 import pytest
 
+from toricmaps import harness
 from toricmaps.dirichlet import make_interval
 from toricmaps.harness import (ERROR_COLUMNS, ExperimentConfig,
-                               build_approximants, error_norms, error_report,
-                               geodesic_family, kahler_field, loop_family,
-                               rate_fit, solve_harmonic_map, window_rho_bounds,
+                               HarmonicPotentialFamily, build_approximants,
+                               error_norms, error_report, geodesic_family,
+                               kahler_field, loop_family, rate_fit,
+                               solve_harmonic_map, window_rho_bounds,
                                write_error_csv, write_error_dat)
 from toricmaps.polytope import preset_polytope
-from toricmaps.potentials import (ConvexityError, guillemin_potential,
-                                  make_polytope_grid, preset_symplectic)
+from toricmaps.potentials import (ConvexityError, NewtonError,
+                                  _canonical_inverse_guess,
+                                  _invert_monotone_1d, _x_bracket,
+                                  guillemin_potential, make_polytope_grid,
+                                  preset_symplectic)
 
 P = preset_polytope("interval")
 
@@ -185,3 +191,64 @@ def test_equal_endpoints_give_constant_family():
     rho = np.linspace(-2, 2, 51)
     field = kahler_field(fam, rho)
     assert np.max(np.abs(field.values - field.values[:1])) < 1e-11
+
+
+# -- the batched Legendre inversion ----------------------------------------------
+
+def per_node_field(family, rho):
+    """Reference: one safeguarded Newton solve per domain node, as kahler_field
+    did before it batched the nodes; same bracket, seed and evaluators."""
+    x_nodes = family.xgrid.axes[0]
+    h = x_nodes[1] - x_nodes[0]
+    fgrad_bound = float(np.max(np.abs(np.gradient(family.f, h, axis=-1)))) + 1.0
+    nodes = family.node_indices()
+    a, b = _x_bracket(family.potential_at(nodes[0]), float(rho.min()) - 2 * fgrad_bound,
+                      float(rho.max()) + 2 * fgrad_bound)
+    guess = np.clip(_canonical_inverse_guess(family.xgrid.polytope, rho), a, b)
+    values = np.empty(family.domain.shape + rho.shape)
+    moment = np.empty_like(values)
+    for idx in nodes:
+        pot = family.potential_at(idx)
+        x = _invert_monotone_1d(pot.grad, pot.hess, rho, a, b,
+                                what="symplectic gradient", s0=guess)
+        values[idx] = x * rho - np.asarray(pot.value(x))
+        moment[idx] = x
+    return values, moment
+
+
+def sampled_interval_family():
+    """Interval family without a closed form (spline evaluators), built like the
+    flow-duality check's snapshots."""
+    domain = make_interval(9)
+    xgrid = make_polytope_grid(P, 201, 1e-3)
+    t = domain.nodes
+    x = xgrid.axes[0]
+    f = (0.1 * t + 0.2 * t * (1.0 - t))[:, None] * (x * (1.0 - x))[None, :]
+    return HarmonicPotentialFamily(domain=domain, xgrid=xgrid,
+                                   boundary_potentials=(), f=f)
+
+
+@pytest.mark.parametrize("make_family", [
+    lambda: loop_family(a=0.05, n_radii=4, n_angles=64, n_x=201, k_max=8),
+    sampled_interval_family,
+], ids=["disc-closed-form", "interval-spline"])
+def test_kahler_field_is_bitwise_the_per_node_solve(make_family):
+    family = make_family()
+    rho = np.linspace(-4.0, 4.0, 121)
+    field = kahler_field(family, rho)
+    values, moment = per_node_field(family, rho)
+    assert np.array_equal(field.values, values)
+    assert np.array_equal(field.moment, moment)
+
+
+def test_kahler_field_failure_names_node_and_rho(monkeypatch):
+    family = loop_family(a=0.05, n_radii=4, n_angles=64, n_x=201, k_max=8)
+    rho = np.linspace(-4.0, 4.0, 31)
+    monkeypatch.setattr(harness, "_invert_monotone_1d",
+                        functools.partial(_invert_monotone_1d, max_iter=1))
+    with pytest.raises(NewtonError) as info:
+        kahler_field(family, rho)
+    flat, j = info.value.__cause__.index
+    node = family.node_indices()[flat]
+    assert info.value.index == node + (j,)
+    assert f"at domain node {node}, rho = {rho[j]:.6g}" in str(info.value)

@@ -5,7 +5,8 @@ import pytest
 
 from toricmaps.polytope import preset_polytope
 from toricmaps.potentials import (ClosedForm, ConvexityError, KahlerPotential,
-                                  SymplecticPotential, abreu_delta,
+                                  NewtonError, SymplecticPotential,
+                                  _invert_monotone_1d, abreu_delta,
                                   default_margin, fd_hessian,
                                   guillemin_potential, load_potential,
                                   make_polytope_grid, make_radial_grid,
@@ -229,6 +230,7 @@ def test_polytope_grid_margin_and_flags():
     assert np.all(ell.min(axis=-1)[g.mask] >= 0.02 * (1 - 1e-9))
     # boundary-adjacent nodes are valid nodes next to the outside
     assert np.all(g.mask[g.boundary_adjacent])
+    assert g.mask is g.mask and not g.mask.flags.writeable
     assert default_margin(64) == pytest.approx(1.0 / 256.0)
 
 
@@ -259,3 +261,15 @@ def test_abreu_delta_reports_convexity_failure():
     bad = SymplecticPotential(P, xg, f_values=-5.0 * xg.axes[0] ** 2, check=False)
     with pytest.raises(ConvexityError):
         abreu_delta(bad, 0.5)
+
+
+def test_newton_failure_names_the_worst_target():
+    # max_iter=1 leaves most of a 2-D target array unconverged
+    u = preset_symplectic("perturbed(0.1)", P, make_polytope_grid(P, 201, 1e-3))
+    targets = np.linspace(-3.0, 3.0, 12).reshape(3, 4)
+    with pytest.raises(NewtonError) as info:
+        _invert_monotone_1d(u.grad, u.hess, targets, 1e-3, 1.0 - 1e-3, max_iter=1)
+    index = info.value.index
+    assert len(index) == 2 and 0 <= index[0] < 3 and 0 <= index[1] < 4
+    assert f"target index {index}" in str(info.value)
+    assert f"at target = {targets[index]:.6g}" in str(info.value)

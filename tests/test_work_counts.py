@@ -1,0 +1,79 @@
+"""Work counts of the fiber kernels: each structural result is computed once,
+and the Legendre inversion of a family is one solve.  Counts, not wall time,
+so a per-node loop that comes back fails here on any machine.
+"""
+
+import numpy as np
+import pytest
+
+from toricmaps import bergman, dirichlet, harness, polytope
+from toricmaps.bergman import harmonic_norming, norming_constants
+from toricmaps.dirichlet import BoundaryData, harmonic_extend, make_disc
+from toricmaps.harness import (build_approximants, geodesic_family,
+                               kahler_field, loop_family)
+
+
+def counting(monkeypatch, module, name):
+    """Replace module.name by a wrapper that counts its calls."""
+    calls = []
+    original = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+def test_kahler_field_is_one_newton_solve(monkeypatch):
+    family = loop_family(a=0.05, n_radii=4, n_angles=64, n_x=201, k_max=8)
+    calls = counting(monkeypatch, harness, "_invert_monotone_1d")
+    kahler_field(family, np.linspace(-3.0, 3.0, 41))
+    assert len(calls) == 1
+    assert calls[0][2].shape == (int(np.prod(family.domain.shape)), 41)
+
+
+def test_lattice_enumerated_once_per_polytope_and_level(monkeypatch):
+    calls = counting(monkeypatch, polytope, "_enumerate_lattice")
+    family = geodesic_family(a=0.1, n_t=5, n_x=201, k_max=8)
+    P = family.xgrid.polytope
+    for _ in range(3):
+        build_approximants(family, (4, 8))
+    assert [k for _, k in calls] == [4, 8]
+    points = polytope.lattice_points(P, 8).points
+    assert points is polytope.lattice_points(P, 8).points
+    assert not points.flags.writeable
+    # another polytope object with the same facets keeps its own cache
+    polytope.lattice_points(polytope.preset_polytope("interval"), 8)
+    assert [k for _, k in calls] == [4, 8, 8]
+
+
+def test_disc_weights_built_once_per_domain(monkeypatch):
+    calls = counting(monkeypatch, dirichlet, "_disc_weight_matrix")
+    family = loop_family(a=0.05, n_radii=4, n_angles=64, n_x=201, k_max=8)
+    domain = family.domain
+    table = norming_constants(family.boundary_potentials[0], 4)
+    harmonic_norming(domain, [table] * domain.angles.size)
+    for _ in range(3):
+        harmonic_extend(domain, BoundaryData(np.cos(domain.angles)))
+    assert len(calls) == 1
+    assert not domain.poisson_weights.flags.writeable
+    harmonic_extend(make_disc(4, 64), BoundaryData(np.cos(domain.angles)))
+    assert len(calls) == 2
+
+
+def test_legendre_rule_built_once_per_order(monkeypatch):
+    bergman._legendre_rule.cache_clear()
+    calls = counting(monkeypatch, bergman, "roots_legendre")
+    family = geodesic_family(a=0.1, n_t=5, n_x=201, k_max=8)
+    for order in (12, 12, 10):
+        norming_constants(family.boundary_potentials[1], 8, order=order)
+    assert [order for (order,) in calls] == [12, 10]
+
+
+def test_bounding_box_is_read_only():
+    lo, hi = polytope.preset_polytope("interval").bounding_box()
+    with pytest.raises(ValueError):
+        lo[0] = 1.0
+    assert (lo[0], hi[0]) == (0.0, 1.0)

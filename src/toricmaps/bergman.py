@@ -47,8 +47,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import gammaln, roots_legendre
 
-from .dirichlet import (BoundaryData, HarmonicField, boundary_weights,
-                        harmonic_extend, n_boundary_nodes)
+from .dirichlet import (BoundaryData, HarmonicField, MaxPrincipleError,
+                        boundary_weights, harmonic_extend)
 from .polytope import lattice_points, near_facets
 from .potentials import KahlerPotential, SymplecticPotential, abreu_delta
 
@@ -348,12 +348,13 @@ def harmonic_norming(domain, boundary_tables, k: int | None = None) -> HarmonicN
 
     `boundary_tables` lists one NormingTable per boundary node in the
     domain's canonical boundary order; all tables must share the level and
-    the lattice set.  One Dirichlet solve per alpha.
+    the lattice set.  All alphas go through one harmonic extension; a
+    maximum-principle failure names its alpha and the level.
     """
     tables = list(boundary_tables)
-    if len(tables) != n_boundary_nodes(domain):
+    if len(tables) != domain.n_boundary:
         raise ValueError(
-            f"expected {n_boundary_nodes(domain)} boundary tables, got {len(tables)}")
+            f"expected {domain.n_boundary} boundary tables, got {len(tables)}")
     t0 = tables[0]
     if k is None:
         k = t0.level
@@ -363,9 +364,13 @@ def harmonic_norming(domain, boundary_tables, k: int | None = None) -> HarmonicN
         if t.alphas.shape != t0.alphas.shape or np.any(t.alphas != t0.alphas):
             raise ValueError("boundary tables carry different lattice sets")
     G = np.stack([t.log_q for t in tables], axis=0)   # (n_boundary, n_alpha)
-    lam = np.stack(
-        [harmonic_extend(domain, BoundaryData(G[:, a])).values
-         for a in range(t0.count)], axis=0)
+    try:
+        values = harmonic_extend(domain, BoundaryData(G)).values
+    except MaxPrincipleError as exc:
+        alpha = tuple(t0.alphas[exc.index[0]].tolist())
+        raise MaxPrincipleError(f"{exc} for alpha = {alpha} at level k = {k}",
+                                index=exc.index) from exc
+    lam = np.ascontiguousarray(np.moveaxis(values, -1, 0))
     return HarmonicNorming(level=k, alphas=t0.alphas, domain=domain, lam=lam)
 
 

@@ -39,9 +39,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dirichlet import DiscDomain, IntervalDomain, RectangleDomain
+from .dirichlet import DiscDomain, IntervalDomain, RectangleDomain, _d1, _d2
 from .potentials import (ConvexityError, PolytopeGrid, SymplecticPotential,
-                         guillemin_hessian)
+                         _convex_slices)
 
 __all__ = [
     "FlowState",
@@ -102,20 +102,6 @@ class FlowState:
         return _convex_slices(self.xgrid, self.f)
 
 
-def _convex_slices(xgrid: PolytopeGrid, f: np.ndarray) -> np.ndarray:
-    if xgrid.dim != 1:
-        raise NotImplementedError("flow fibers are one-dimensional")
-    x = xgrid.axes[0]
-    h = x[1] - x[0]
-    u0pp = guillemin_hessian(xgrid.polytope, x[:, None])[:, 0, 0]
-    fpp = (f[..., 2:] - 2.0 * f[..., 1:-1] + f[..., :-2]) / h**2
-    upp = u0pp[1:-1] + fpp
-    # one-sided continuation at fiber edges
-    edge_lo = u0pp[0] + fpp[..., 0]
-    edge_hi = u0pp[-1] + fpp[..., -1]
-    return (upp.min(axis=-1) > 0) & (edge_lo > 0) & (edge_hi > 0)
-
-
 def make_flow_state(domain, xgrid: PolytopeGrid, f: np.ndarray,
                     tau: float = 0.0) -> FlowState:
     state = FlowState(domain=domain, xgrid=xgrid, tau=tau, f=f)
@@ -123,21 +109,6 @@ def make_flow_state(domain, xgrid: PolytopeGrid, f: np.ndarray,
         bad = np.argwhere(~state.convexity_flags())
         raise ConvexityError(f"initial flow data is not convex at y-nodes {bad[:5].tolist()}")
     return state
-
-
-def _cfl_limit(domain) -> float:
-    if isinstance(domain, IntervalDomain):
-        h = np.diff(domain.nodes)
-        if not np.allclose(h, h[0], rtol=1e-12):
-            raise ValueError("heat flow needs a uniform interval grid")
-        return float(h[0] ** 2 / 2.0)
-    if isinstance(domain, RectangleDomain):
-        hx = domain.x_nodes[1] - domain.x_nodes[0]
-        hy = domain.y_nodes[1] - domain.y_nodes[0]
-        return float(min(hx, hy) ** 2 / 4.0)
-    raise NotImplementedError(
-        f"heat flow is implemented for interval and rectangle domains, "
-        f"not {type(domain).__name__}")
 
 
 def heat_evolve(state: FlowState, dtau: float, steps: int) -> FlowState:
@@ -149,45 +120,31 @@ def heat_evolve(state: FlowState, dtau: float, steps: int) -> FlowState:
     """
     if steps < 0:
         raise ValueError("steps must be nonnegative")
-    limit = _cfl_limit(state.domain)
+    limit = state.domain.cfl_limit
     if dtau > limit * (1 + 1e-12):
         raise ValueError(f"dtau = {dtau:g} violates the explicit CFL limit {limit:g}")
     f = state.f.copy()
     violations = list(state.convexity_violations)
     tau = state.tau
-    if isinstance(state.domain, IntervalDomain):
-        h = state.domain.nodes[1] - state.domain.nodes[0]
-        for _ in range(steps):
-            lap = (f[2:] - 2.0 * f[1:-1] + f[:-2]) / h**2
-            f[1:-1] += dtau * lap
-            tau += dtau
-            flags = _convex_slices(state.xgrid, f)
-            if not flags.all():
-                violations.extend((tau, (int(i),)) for i in np.nonzero(~flags)[0])
-    else:
-        hx = state.domain.x_nodes[1] - state.domain.x_nodes[0]
-        hy = state.domain.y_nodes[1] - state.domain.y_nodes[0]
-        for _ in range(steps):
-            lap = ((f[2:, 1:-1] - 2.0 * f[1:-1, 1:-1] + f[:-2, 1:-1]) / hx**2
-                   + (f[1:-1, 2:] - 2.0 * f[1:-1, 1:-1] + f[1:-1, :-2]) / hy**2)
-            f[1:-1, 1:-1] += dtau * lap
-            tau += dtau
-            flags = _convex_slices(state.xgrid, f)
-            if not flags.all():
-                violations.extend((tau, tuple(int(v) for v in i))
-                                  for i in np.argwhere(~flags))
+    spacings = tuple(state.domain.spacings.values())
+    inner = (slice(1, -1),) * len(spacings)
+
+    def shifted(axis, s):          # the interior block moved s = +-1 cells along axis
+        return inner[:axis] + (slice(1 + s, (s - 1) or None),) + inner[axis + 1:]
+
+    for _ in range(steps):
+        lap = sum((f[shifted(a, 1)] - 2.0 * f[inner] + f[shifted(a, -1)]) / h**2
+                  for a, h in enumerate(spacings))
+        f[inner] += dtau * lap
+        tau += dtau
+        flags = _convex_slices(state.xgrid, f)
+        if not flags.all():
+            violations.extend((tau, tuple(int(v) for v in i))
+                              for i in np.argwhere(~flags))
     return replace(state, tau=tau, f=f, convexity_violations=tuple(violations))
 
 
 # -- derivative stencils -------------------------------------------------------
-
-def _d1(v: np.ndarray, h: float, axis: int) -> np.ndarray:
-    return (np.roll(v, -1, axis=axis) - np.roll(v, 1, axis=axis)) / (2.0 * h)
-
-
-def _d2(v: np.ndarray, h: float, axis: int) -> np.ndarray:
-    return (np.roll(v, -1, axis=axis) - 2.0 * v + np.roll(v, 1, axis=axis)) / h**2
-
 
 def _trim(shape, margins):
     """Slices keeping margins[i] cells off both ends of axis i (0 = keep all)."""
@@ -246,16 +203,7 @@ def eells_sampson_residual(phi: np.ndarray, domain, rho_axis: np.ndarray,
     h_rho = rho_axis[1] - rho_axis[0]
     phi = np.asarray(phi, dtype=float)
     phi_rr = _d2(phi, h_rho, phi.ndim - 1)
-    spac = {"h_rho": float(h_rho)}
-    if isinstance(domain, IntervalDomain):
-        spac["h_y"] = float(domain.nodes[1] - domain.nodes[0])
-    elif isinstance(domain, RectangleDomain):
-        spac["h_x"] = float(domain.x_nodes[1] - domain.x_nodes[0])
-        spac["h_y"] = float(domain.y_nodes[1] - domain.y_nodes[0])
-    elif isinstance(domain, DiscDomain):
-        spac["h_r"] = float(domain.radii[1] - domain.radii[0])
-        spac["h_gamma"] = float(2 * np.pi / domain.angles.size)
-    return _report(field[keep], phi_rr[keep], spac)
+    return _report(field[keep], phi_rr[keep], {"h_rho": float(h_rho), **domain.spacings})
 
 
 def _polar_pieces(phi: np.ndarray, domain: DiscDomain, h_rho: float, margin: int):
@@ -326,10 +274,7 @@ def hcma_residual(phi: np.ndarray, domain: DiscDomain, rho_axis: np.ndarray,
     rho_axis = np.asarray(rho_axis, dtype=float)
     h_rho = rho_axis[1] - rho_axis[0]
     phi_rr = _d2(phi, h_rho, phi.ndim - 1)
-    return _report(field[keep], phi_rr[keep],
-                   {"h_r": float(domain.radii[1] - domain.radii[0]),
-                    "h_gamma": float(2 * np.pi / domain.angles.size),
-                    "h_rho": float(h_rho)})
+    return _report(field[keep], phi_rr[keep], {**domain.spacings, "h_rho": float(h_rho)})
 
 
 # -- snapshot export -------------------------------------------------------------

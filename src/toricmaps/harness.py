@@ -5,9 +5,9 @@ convergence.
 
 The solver pipeline is: sample the boundary family of symplectic potentials
 on a polytope grid, extend the smooth parts harmonically over the parameter
-domain N (one linear Dirichlet solve per fiber node), then invert the
-Legendre transform of every slice, all slices in one Newton solve, to get the
-potential family Phi(y, rho).
+domain N (the domain's boundary -> node operator applied once to all fiber
+nodes), then invert the Legendre transform of every slice, all slices in one
+Newton solve, to get the potential family Phi(y, rho).
 Positivity of the extension kernel makes every interior slice convex; this
 is asserted, never assumed.
 
@@ -33,13 +33,14 @@ import numpy as np
 
 from .bergman import BergmanFamily, harmonic_norming, norming_constants
 from .dirichlet import (BoundaryData, DiscDomain, IntervalDomain,
-                        RectangleDomain, harmonic_extend, make_disc,
-                        make_interval, n_boundary_nodes)
+                        MaxPrincipleError, RectangleDomain, _d1, _d2,
+                        harmonic_extend, make_disc, make_interval)
 from .polytope import DelzantPolytope, preset_polytope, polytope_from_json
 from .potentials import (ConvexityError, NewtonError, PolytopeGrid,
                          SymplecticPotential, _canonical_inverse_guess,
-                         _invert_monotone_1d, _product_ell_closed, _x_bracket,
-                         default_margin, guillemin_gradient, guillemin_hessian,
+                         _convex_slices, _invert_monotone_1d,
+                         _product_ell_closed, _x_bracket, default_margin,
+                         guillemin_gradient, guillemin_hessian,
                          guillemin_potential, make_polytope_grid,
                          preset_symplectic)
 
@@ -155,31 +156,25 @@ def solve_harmonic_map(domain, xgrid: PolytopeGrid, boundary_potentials,
 
     `boundary_potentials` lists one SymplecticPotential per boundary node of
     the domain (canonical order), all sampled on `xgrid`.  The smooth parts
-    are extended fiberwise; convexity of every interior slice is verified and
-    a ConvexityError names the offending node if it fails.
+    of all fiber nodes are extended in one call; a maximum-principle failure
+    names its fiber node, and a ConvexityError names the domain nodes whose
+    slice lost convexity.
     """
     bps = tuple(boundary_potentials)
-    if len(bps) != n_boundary_nodes(domain):
+    if len(bps) != domain.n_boundary:
         raise ValueError(
-            f"expected {n_boundary_nodes(domain)} boundary potentials, got {len(bps)}")
+            f"expected {domain.n_boundary} boundary potentials, got {len(bps)}")
     for bp in bps:
         if bp.grid.shape != xgrid.shape or not all(
                 np.array_equal(a, b) for a, b in zip(bp.grid.axes, xgrid.axes)):
             raise ValueError("boundary potentials must be sampled on the common grid")
-    F = np.stack([bp.f_values for bp in bps], axis=0)     # (nb, nx)
-    if isinstance(domain, IntervalDomain):
-        t = (domain.nodes - domain.nodes[0]) / (domain.nodes[-1] - domain.nodes[0])
-        f = (1.0 - t)[:, None] * F[0][None, :] + t[:, None] * F[1][None, :]
-    elif isinstance(domain, DiscDomain):
-        W = domain.poisson_weights                        # (nr-1, ng, ng)
-        interior = W.reshape(-1, W.shape[-1]) @ F         # (nr-1 * ng, nx)
-        interior = interior.reshape(W.shape[0], W.shape[1], F.shape[1])
-        f = np.concatenate([interior, F[None, :, :]], axis=0)  # ring keeps its data
-    else:
-        # generic path: one Dirichlet solve per fiber node
-        cols = [harmonic_extend(domain, BoundaryData(F[:, j])).values
-                for j in range(F.shape[1])]
-        f = np.stack(cols, axis=-1)
+    F = np.stack([bp.f_values for bp in bps], axis=0)     # (n_boundary, *xgrid.shape)
+    try:
+        f = harmonic_extend(domain, BoundaryData(F)).values
+    except MaxPrincipleError as exc:
+        x = ", ".join(f"{axis[i]:.6g}" for axis, i in zip(xgrid.axes, exc.index))
+        raise MaxPrincipleError(f"{exc} at fiber node {exc.index}, x = {x}",
+                                index=exc.index) from exc
     family = HarmonicPotentialFamily(domain=domain, xgrid=xgrid,
                                      boundary_potentials=bps, f=f,
                                      closed_family=closed_family)
@@ -188,12 +183,7 @@ def solve_harmonic_map(domain, xgrid: PolytopeGrid, boundary_potentials,
 
 
 def _assert_family_convexity(family: HarmonicPotentialFamily):
-    x = family.xgrid.axes[0]
-    h = x[1] - x[0]
-    u0pp = guillemin_hessian(family.xgrid.polytope, x[:, None])[:, 0, 0]
-    fpp = (family.f[..., 2:] - 2.0 * family.f[..., 1:-1] + family.f[..., :-2]) / h**2
-    upp = u0pp[1:-1] + fpp
-    bad = upp.min(axis=-1) <= 0
+    bad = ~_convex_slices(family.xgrid, family.f)
     if np.any(bad):
         raise ConvexityError(
             f"harmonic extension lost convexity at domain nodes {np.argwhere(bad)[:5].tolist()}")
@@ -341,14 +331,6 @@ def _rho_window_mask(rho_axis: np.ndarray, bounds, guard_cells: int = 2) -> np.n
     return mask
 
 
-def _d1(v, h, axis):
-    return (np.roll(v, -1, axis=axis) - np.roll(v, 1, axis=axis)) / (2.0 * h)
-
-
-def _d2(v, h, axis):
-    return (np.roll(v, -1, axis=axis) - 2.0 * v + np.roll(v, 1, axis=axis)) / h**2
-
-
 def error_norms(E: np.ndarray, domain, rho_axis: np.ndarray,
                 rho_mask: np.ndarray, ref_y_index) -> dict[str, float]:
     """Mean-adjusted C0 and FD C1/C2 sup norms of an error field E(y, rho)."""
@@ -438,7 +420,7 @@ def error_report(family: HarmonicPotentialFamily, phi_field: KahlerFamilyField,
     if not rho_mask.any():
         raise ValueError("the rho grid does not meet the interior window")
     if ref_y_index is None:
-        ref_y_index = _default_reference_node(family.domain)
+        ref_y_index = family.domain.reference_node
     levels = tuple(sorted(approximants))
     cols = {name: [] for name in ERROR_COLUMNS}
     for k in levels:
@@ -451,16 +433,6 @@ def error_report(family: HarmonicPotentialFamily, phi_field: KahlerFamilyField,
                        meta={"window": window, "rho_bounds": bounds,
                              "ref_y_index": ref_y_index,
                              "n_rho_window": int(rho_mask.sum())})
-
-
-def _default_reference_node(domain):
-    if isinstance(domain, IntervalDomain):
-        return (0,)
-    if isinstance(domain, DiscDomain):
-        return (domain.radii.size - 1, 0)      # a boundary-ring node
-    if isinstance(domain, RectangleDomain):
-        return (0, 0)
-    raise TypeError(f"unsupported domain {type(domain).__name__}")
 
 
 # -- rate fitting -----------------------------------------------------------------

@@ -231,6 +231,21 @@ def guillemin_hessian(P: DelzantPolytope, x) -> np.ndarray:
     return np.einsum("...r,rij->...ij", 1.0 / ell, vv)
 
 
+def _convex_slices(xgrid: PolytopeGrid, f: np.ndarray) -> np.ndarray:
+    """True where the slice u0 + f[idx] of a family f (*shape, nx) is discretely
+    strictly convex, at interior fiber nodes and, one-sidedly, at both edges."""
+    if xgrid.dim != 1:
+        raise NotImplementedError("family fibers are one-dimensional")
+    x = xgrid.axes[0]
+    h = x[1] - x[0]
+    u0pp = guillemin_hessian(xgrid.polytope, x[:, None])[:, 0, 0]
+    fpp = (f[..., 2:] - 2.0 * f[..., 1:-1] + f[..., :-2]) / h**2
+    upp = u0pp[1:-1] + fpp
+    edge_lo = u0pp[0] + fpp[..., 0]
+    edge_hi = u0pp[-1] + fpp[..., -1]
+    return (upp.min(axis=-1) > 0) & (edge_lo > 0) & (edge_hi > 0)
+
+
 # -- evaluator plumbing --------------------------------------------------------
 
 @dataclass(frozen=True)

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from toricmaps.dirichlet import (BoundaryData, DiscDomain, boundary_weights,
+from toricmaps.dirichlet import (BoundaryData, DiscDomain, IntervalDomain,
+                                 MaxPrincipleError, RectangleDomain, boundary_weights,
                                  harmonic_extend, harmonic_extend_disc_fourier,
                                  laplace_residual, make_disc, make_interval,
                                  make_rectangle, poisson_kernel)
@@ -134,6 +135,37 @@ def test_boundary_weights_match_extension():
     np.testing.assert_allclose(w, [0.5, 0.5])
 
 
+def test_rectangle_boundary_weights_are_the_discrete_harmonic_measure():
+    dom = make_rectangle(9, 7)
+    g = np.cos(np.arange(dom.n_boundary)) + 2.0
+    f = harmonic_extend(dom, BoundaryData(g))
+    for where in ((4, 3), (1, 1), (7, 5), (0, 2)):
+        w = boundary_weights(dom, where)
+        assert w.min() >= 0
+        assert w.sum() == pytest.approx(1.0, abs=1e-14)
+        assert w @ g == pytest.approx(f.values[where], abs=1e-14)
+
+
+@pytest.mark.parametrize("dom", [make_interval(7), make_disc(5, 64), make_rectangle(9, 7)],
+                         ids=["interval", "disc", "rectangle"])
+def test_stacked_extension_is_the_column_by_column_one(dom):
+    rng = np.random.default_rng(3)
+    g = rng.uniform(-1.0, 2.0, size=(dom.n_boundary, 4, 3))
+    stacked = harmonic_extend(dom, BoundaryData(g))
+    assert stacked.values.shape == dom.shape + (4, 3)
+    residuals = []
+    for j in np.ndindex(4, 3):
+        column = harmonic_extend(dom, BoundaryData(g[(slice(None),) + j]))
+        residuals.append(laplace_residual(dom, column))
+        if isinstance(dom, RectangleDomain):
+            np.testing.assert_allclose(stacked.values[(...,) + j], column.values,
+                                       rtol=0, atol=1e-14)
+        else:
+            # interval: the two-term form; disc: einsum sums each column alone
+            np.testing.assert_array_equal(stacked.values[(...,) + j], column.values)
+    assert laplace_residual(dom, stacked) == pytest.approx(max(residuals), rel=1e-12)
+
+
 def test_domain_validation():
     with pytest.raises(ValueError):
         make_disc(5, 63)          # odd angular count
@@ -153,3 +185,51 @@ def test_rejects_mismatched_boundary_data():
     iv = make_interval(5)
     with pytest.raises(ValueError):
         harmonic_extend(iv, BoundaryData(np.zeros(3)))
+
+
+def _forge_violation(monkeypatch, columns, node=2):
+    """Make IntervalDomain.extend overshoot the boundary range at one node of
+    each listed column, the later columns by more."""
+    extend = IntervalDomain.extend
+
+    def forged(self, values):
+        out = extend(self, values)
+        for i, column in enumerate(columns):
+            out[(node,) + column] += (1 + i) * (1.0 + np.abs(values).max())
+        return out
+
+    monkeypatch.setattr(IntervalDomain, "extend", forged)
+
+
+def test_max_principle_failure_names_the_worst_column(monkeypatch):
+    dom = make_interval(5)
+    g = np.arange(8.0).reshape(2, 4)
+    harmonic_extend(dom, BoundaryData(g))
+    _forge_violation(monkeypatch, [(0,), (2,)])
+    with pytest.raises(MaxPrincipleError,
+                       match=r"column \(2,\): .*excess 14 \(slack 1.1e-11\)") as exc:
+        harmonic_extend(dom, BoundaryData(g))
+    assert exc.value.index == (2,)
+    monkeypatch.undo()
+    _forge_violation(monkeypatch, [()])
+    with pytest.raises(MaxPrincipleError, match=r"column \(\)"):
+        harmonic_extend(dom, BoundaryData(g[:, 2]))
+
+
+def test_max_principle_failure_names_alpha_level_and_fiber_node(monkeypatch):
+    from toricmaps.bergman import NormingTable, harmonic_norming
+    from toricmaps.harness import solve_harmonic_map
+    from toricmaps.polytope import preset_polytope
+    from toricmaps.potentials import make_polytope_grid, preset_symplectic
+    dom = make_interval(5)
+    table = NormingTable(level=4, alphas=np.arange(5)[:, None], log_q=-np.arange(5.0))
+    P = preset_polytope("interval")
+    xg = make_polytope_grid(P, 21, 1e-2)
+    u = preset_symplectic("guillemin", P, xg)
+    _forge_violation(monkeypatch, [(3,)])
+    with pytest.raises(MaxPrincipleError,
+                       match=r"column \(3,\).* alpha = \(3,\) at level k = 4"):
+        harmonic_norming(dom, [table, table])
+    with pytest.raises(MaxPrincipleError,
+                       match=r"column \(3,\).* at fiber node \(3,\), x = 0.157$"):
+        solve_harmonic_map(dom, xg, [u, u])

@@ -17,8 +17,8 @@ from toricmaps.polytope import preset_polytope
 from toricmaps.potentials import (ConvexityError, NewtonError,
                                   _canonical_inverse_guess,
                                   _invert_monotone_1d, _x_bracket,
-                                  guillemin_potential, make_polytope_grid,
-                                  preset_symplectic)
+                                  default_margin, guillemin_potential,
+                                  make_polytope_grid, preset_symplectic)
 
 P = preset_polytope("interval")
 
@@ -52,6 +52,30 @@ def test_disc_family_closed_form():
     g = dom.angles[None, :, None]
     direct = 0.05 * (1.0 + r * np.cos(g)) * (x * (1 - x))[None, None, :]
     assert np.max(np.abs(family.f - direct)) < 1e-9
+
+
+def test_rectangle_family_end_to_end():
+    # a q(y) prod ell with q harmonic and quadratic: the 5-point Laplacian is
+    # exact on it, so the solve reproduces the closed form to rounding
+    from toricmaps.dirichlet import make_rectangle
+    from toricmaps.potentials import SymplecticPotential, _product_ell_closed
+    dom = make_rectangle(9, 9)
+    y1, y2 = np.meshgrid(dom.x_nodes, dom.y_nodes, indexing="ij")
+    coeff = 0.1 * (0.8 + 0.3 * y1 - 0.2 * y2 + 0.4 * (y1 * y1 - y2 * y2) - 0.3 * y1 * y2)
+    xg = make_polytope_grid(P, 201, default_margin(8))
+    bps = [SymplecticPotential(P, xg, f_closed=_product_ell_closed(P, float(c)))
+           for c in coeff[dom.boundary_mask()]]
+    family = solve_harmonic_map(dom, xg, bps,
+                                lambda idx: _product_ell_closed(P, float(coeff[idx])))
+    x = xg.axes[0]
+    assert np.max(np.abs(family.f - coeff[..., None] * x * (1.0 - x))) < 1e-13
+    rho = np.linspace(-3.0, 3.0, 201)
+    field = kahler_field(family, rho)
+    approx = build_approximants(family, (4, 8))
+    report = error_report(family, field, approx, window=0.1)
+    assert report.meta["ref_y_index"] == (0, 0)
+    assert np.all(np.isfinite([report.column(c) for c in ERROR_COLUMNS]))
+    assert np.all(np.diff(report.column("C0")) < 0)
 
 
 def test_solve_harmonic_map_validation():

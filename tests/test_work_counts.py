@@ -5,10 +5,12 @@ so a per-node loop that comes back fails here on any machine.
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 from toricmaps import bergman, dirichlet, harness, polytope
 from toricmaps.bergman import harmonic_norming, norming_constants
-from toricmaps.dirichlet import BoundaryData, harmonic_extend, make_disc
+from toricmaps.dirichlet import (BoundaryData, boundary_weights,
+                                 harmonic_extend, make_disc, make_rectangle)
 from toricmaps.harness import (build_approximants, geodesic_family,
                                kahler_field, loop_family)
 
@@ -77,3 +79,29 @@ def test_bounding_box_is_read_only():
     with pytest.raises(ValueError):
         lo[0] = 1.0
     assert (lo[0], hi[0]) == (0.0, 1.0)
+
+
+def test_rectangle_factorized_once_per_domain(monkeypatch):
+    calls = counting(monkeypatch, spla, "splu")
+    domain = make_rectangle(9, 7)
+    g = np.ones(domain.n_boundary)
+    for _ in range(3):
+        harmonic_extend(domain, BoundaryData(g))
+    harmonic_extend(domain, BoundaryData(np.ones((domain.n_boundary, 5))))
+    boundary_weights(domain, (4, 3))
+    assert len(calls) == 1
+    harmonic_extend(make_rectangle(9, 7), BoundaryData(g))
+    assert len(calls) == 2
+
+
+def test_one_harmonic_extension_per_solve_and_per_level(monkeypatch):
+    solves = counting(monkeypatch, harness, "harmonic_extend")
+    levels = counting(monkeypatch, bergman, "harmonic_extend")
+    for make, kwargs in ((geodesic_family, {"n_t": 5}),
+                         (loop_family, {"n_radii": 4, "n_angles": 64})):
+        family = make(n_x=201, k_max=8, **kwargs)
+        assert len(solves) == 1
+        build_approximants(family, (4, 8))
+        assert len(levels) == 2
+        solves.clear()
+        levels.clear()

@@ -33,6 +33,16 @@ canonical order of `BoundaryData`), `reference_node` (a boundary node),
 `spacings` (axis name -> grid spacing, in axis order), `cfl_limit` (largest
 stable explicit heat step; the disc raises) and `max_principle_slack` (the
 relative tolerance of the discrete maximum principle).
+
+Every domain also owns its derivative stencils (centered `_d1`/`_d2` on the
+domain axes of a (*domain.shape, *trailing) field, on uniform grids only):
+`gradient(v)` yields the orthonormal-frame components of the y-gradient
+(disc: d_r, d_gamma / r), `hessian(v)` the distinct frame components of the
+y-Hessian (disc: d_rr, d_gammagamma / r^2 + d_r / r, d_rgamma / r - d_gamma / r^2),
+`laplacian(v)` the Laplacian, and `interior(m)` the slices of nodes m cells
+inside the uniform block and off every edge (the disc's block is
+radii[:-1], less the centre; its Laplacian takes three-point weights on the
+ring next to r = 1, so `interior(0)` covers rings 1 .. n_r - 2).
 """
 
 from __future__ import annotations
@@ -62,9 +72,20 @@ __all__ = [
 ]
 
 
+def _uniform_axis(values, name: str) -> np.ndarray:
+    """`values` as floats; raises unless >= 3 strictly increasing, uniformly spaced nodes."""
+    a = np.asarray(values, dtype=float)
+    if a.ndim != 1 or a.size < 3 or np.any(np.diff(a) <= 0):
+        raise ValueError(f"{name} must be strictly increasing (>= 3 nodes)")
+    h = np.diff(a)
+    if not np.allclose(h, h[0], rtol=1e-12):
+        raise ValueError(f"{name} must be uniformly spaced")
+    return a
+
+
 @dataclass(frozen=True)
 class IntervalDomain:
-    """Parameter interval [t0, t1] with strictly increasing nodes."""
+    """Parameter interval [t0, t1] with uniformly spaced nodes."""
 
     nodes: np.ndarray
 
@@ -73,10 +94,7 @@ class IntervalDomain:
     max_principle_slack = 1e-12
 
     def __post_init__(self):
-        nodes = np.asarray(self.nodes, dtype=float)
-        if nodes.ndim != 1 or nodes.size < 3 or np.any(np.diff(nodes) <= 0):
-            raise ValueError("interval nodes must be strictly increasing (>= 3 nodes)")
-        object.__setattr__(self, "nodes", nodes)
+        object.__setattr__(self, "nodes", _uniform_axis(self.nodes, "interval nodes"))
 
     @property
     def shape(self):
@@ -88,23 +106,32 @@ class IntervalDomain:
 
     @property
     def cfl_limit(self) -> float:
-        h = np.diff(self.nodes)
-        if not np.allclose(h, h[0], rtol=1e-12):
-            raise ValueError("heat flow needs a uniform interval grid")
-        return float(h[0] ** 2 / 2.0)
+        return float(self.spacings["h_y"] ** 2 / 2.0)
 
     def extend(self, values: np.ndarray) -> np.ndarray:
         t = (self.nodes - self.nodes[0]) / (self.nodes[-1] - self.nodes[0])
         t = t.reshape(t.shape + (1,) * (values.ndim - 1))
         return (1.0 - t) * values[0] + t * values[1]
 
+    def interior(self, margin: int) -> tuple:
+        return (slice(max(margin, 1), self.nodes.size - max(margin, 1)),)
+
+    def gradient(self, v: np.ndarray):
+        yield _d1(v, self.spacings["h_y"], 0)
+
+    def hessian(self, v: np.ndarray):
+        yield self.laplacian(v)
+
+    def laplacian(self, v: np.ndarray) -> np.ndarray:
+        return _d2(v, self.spacings["h_y"], 0)
+
 
 @dataclass(frozen=True)
 class DiscDomain:
     """Polar grid on the closed unit disc.
 
-    `radii` is strictly increasing with last entry exactly 1.0 (the boundary
-    ring); `angles` is the uniform angular grid, which doubles as the
+    `radii` is uniformly spaced (>= 3 interior radii) up to a last entry of
+    exactly 1.0 (the boundary ring, at its own spacing); `angles` is the uniform angular grid, which doubles as the
     boundary quadrature rule (trapezoid), with an even count >= 64.
     """
 
@@ -118,6 +145,7 @@ class DiscDomain:
             raise ValueError("radii must be strictly increasing")
         if radii[0] < 0 or radii[-1] != 1.0:
             raise ValueError("radii must lie in [0, 1] with the last ring at r = 1")
+        _uniform_axis(radii[:-1], "interior radii radii[:-1]")
         n = angles.size
         if n < 64 or n % 2 != 0:
             raise ValueError("disc angular quadrature needs an even node count >= 64")
@@ -171,6 +199,40 @@ class DiscDomain:
         interior = np.einsum("ilj,j...->il...", self.poisson_weights, values)
         return np.concatenate([interior, values[None]], axis=0)   # ring keeps its data
 
+    def interior(self, margin: int) -> tuple:
+        # the uniform radial block radii[:-1], less the centre; every angle
+        return (slice(max(margin, 1), self.radii.size - 1 - margin), slice(None))
+
+    def _r(self, ndim: int) -> np.ndarray:
+        # radii as a column; NaN at the centre, where the polar frame is undefined
+        r = np.where(self.radii > 0, self.radii, np.nan)
+        return r.reshape(r.shape + (1,) * (ndim - 1))
+
+    def gradient(self, v: np.ndarray):
+        h_r, h_g = self.spacings.values()
+        yield _d1(v, h_r, 0)
+        yield _d1(v, h_g, 1) / self._r(v.ndim)
+
+    def hessian(self, v: np.ndarray):
+        h_r, h_g = self.spacings.values()
+        r = self._r(v.ndim)
+        d_r = _d1(v, h_r, 0)
+        yield _d2(v, h_r, 0)
+        yield _d2(v, h_g, 1) / r**2 + d_r / r
+        yield _d1(d_r, h_g, 1) / r - _d1(v, h_g, 1) / r**2
+
+    def laplacian(self, v: np.ndarray) -> np.ndarray:
+        h_r, h_g = self.spacings.values()
+        d_r, d_rr = _d1(v, h_r, 0), _d2(v, h_r, 0)
+        # the ring next to r = 1 has unequal neighbours: three-point weights there
+        i = self.radii.size - 2
+        hm, hp = self.radii[i] - self.radii[i - 1], self.radii[i + 1] - self.radii[i]
+        d_rr[i] = 2.0 * (hp * v[i - 1] - (hm + hp) * v[i] + hm * v[i + 1]) / (hm * hp * (hm + hp))
+        d_r[i] = (-hp / (hm * (hm + hp)) * v[i - 1] + (hp - hm) / (hm * hp) * v[i]
+                  + hm / (hp * (hm + hp)) * v[i + 1])
+        r = self._r(v.ndim)
+        return d_rr + d_r / r + _d2(v, h_g, 1) / r**2
+
 
 @dataclass(frozen=True)
 class RectangleDomain:
@@ -184,13 +246,7 @@ class RectangleDomain:
 
     def __post_init__(self):
         for name in ("x_nodes", "y_nodes"):
-            a = np.asarray(getattr(self, name), dtype=float)
-            if a.ndim != 1 or a.size < 3 or np.any(np.diff(a) <= 0):
-                raise ValueError(f"{name} must be strictly increasing (>= 3 nodes)")
-            h = np.diff(a)
-            if not np.allclose(h, h[0], rtol=1e-12):
-                raise ValueError(f"{name} must be uniformly spaced")
-            object.__setattr__(self, name, a)
+            object.__setattr__(self, name, _uniform_axis(getattr(self, name), name))
 
     @property
     def shape(self):
@@ -239,6 +295,24 @@ class RectangleDomain:
         out[on_boundary] = columns
         out[~on_boundary] = lu.solve(-(coupling @ columns))
         return out.reshape(self.shape + values.shape[1:])
+
+    def interior(self, margin: int) -> tuple:
+        return tuple(slice(max(margin, 1), n - max(margin, 1)) for n in self.shape)
+
+    def gradient(self, v: np.ndarray):
+        h_x, h_y = self.spacings.values()
+        yield _d1(v, h_x, 0)
+        yield _d1(v, h_y, 1)
+
+    def hessian(self, v: np.ndarray):
+        h_x, h_y = self.spacings.values()
+        yield _d2(v, h_x, 0)
+        yield _d2(v, h_y, 1)
+        yield _d1(_d1(v, h_x, 0), h_y, 1)
+
+    def laplacian(self, v: np.ndarray) -> np.ndarray:
+        h_x, h_y = self.spacings.values()
+        return _d2(v, h_x, 0) + _d2(v, h_y, 1)
 
 
 def make_interval(n: int, t0: float = 0.0, t1: float = 1.0) -> IntervalDomain:
@@ -389,48 +463,10 @@ def harmonic_extend_disc_fourier(domain: DiscDomain, g: BoundaryData) -> Harmoni
 
 
 def laplace_residual(domain, field: HarmonicField) -> float:
-    """Sup over interior nodes of the discrete Laplacian magnitude."""
+    """Sup over the interior nodes (`domain.interior(0)`) of the discrete Laplacian magnitude."""
     if field.domain is not domain and field.domain.shape != domain.shape:
         raise ValueError("field does not match the domain")
-    v = field.values
-    if isinstance(domain, IntervalDomain):
-        t = domain.nodes
-        lap = _second_derivative_nonuniform(t, v)
-        return float(np.max(np.abs(lap))) if lap.size else 0.0
-    if isinstance(domain, DiscDomain):
-        r = domain.radii
-        n = domain.angles.size
-        h_th = 2.0 * np.pi / n
-        lap_sup = 0.0
-        for i in range(1, r.size - 1):
-            if r[i] <= 0:
-                continue
-            hm = r[i] - r[i - 1]
-            hp = r[i + 1] - r[i]
-            w_mm = 2.0 / (hm * (hm + hp))
-            w_pp = 2.0 / (hp * (hm + hp))
-            u_rr = w_mm * v[i - 1] - (w_mm + w_pp) * v[i] + w_pp * v[i + 1]
-            u_r = (-hp / (hm * (hm + hp)) * v[i - 1]
-                   + (hp - hm) / (hm * hp) * v[i]
-                   + hm / (hp * (hm + hp)) * v[i + 1])
-            u_tt = (np.roll(v[i], 1, axis=0) - 2.0 * v[i] + np.roll(v[i], -1, axis=0)) / h_th**2
-            lap = u_rr + u_r / r[i] + u_tt / r[i] ** 2
-            lap_sup = max(lap_sup, float(np.max(np.abs(lap))))
-        return lap_sup
-    if isinstance(domain, RectangleDomain):
-        hx = domain.x_nodes[1] - domain.x_nodes[0]
-        hy = domain.y_nodes[1] - domain.y_nodes[0]
-        lap = ((v[2:, 1:-1] - 2 * v[1:-1, 1:-1] + v[:-2, 1:-1]) / hx**2
-               + (v[1:-1, 2:] - 2 * v[1:-1, 1:-1] + v[1:-1, :-2]) / hy**2)
-        return float(np.max(np.abs(lap)))
-    raise TypeError(f"unsupported domain {type(domain).__name__}")
-
-
-def _second_derivative_nonuniform(t: np.ndarray, v: np.ndarray) -> np.ndarray:
-    t = t.reshape(t.shape + (1,) * (v.ndim - 1))
-    hm = t[1:-1] - t[:-2]
-    hp = t[2:] - t[1:-1]
-    return 2.0 * (hp * v[:-2] - (hm + hp) * v[1:-1] + hm * v[2:]) / (hm * hp * (hm + hp))
+    return float(np.max(np.abs(domain.laplacian(field.values)[domain.interior(0)])))
 
 
 def boundary_weights(domain, where) -> np.ndarray:

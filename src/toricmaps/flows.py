@@ -27,10 +27,13 @@ combinations are Phi_qq + Phi_ss = Lap_polar Phi and Phi_qrho^2 + Phi_srho^2
 = Phi_rrho^2 + Phi_gammarho^2 / r^2.  The two residuals differ pointwise by
 the positive factor Phi_rhorho.
 
-All derivatives are centered second-order differences; residual reports
-exclude a 2-cell margin at every non-periodic grid edge, and on the disc
-they are restricted to the uniform interior radial block (the exact
-boundary ring at r = 1 has its own spacing).
+All derivatives are centered second-order differences, and both residuals
+come from one path for every domain: the domain's Laplacian, the frame
+components of its gradient and its `interior(margin)` window (see
+`dirichlet`).  Residual reports exclude a `margin`-cell band (default 2) at
+every non-periodic grid edge.  On the disc the window lies in the uniform
+radial block radii[:-1], radii max(margin, 1) .. n_r - 2 - margin: the exact
+boundary ring at r = 1 has its own spacing, and the centre is excluded.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dirichlet import DiscDomain, IntervalDomain, RectangleDomain, _d1, _d2
+from .dirichlet import DiscDomain, _d1, _d2
 from .potentials import (ConvexityError, PolytopeGrid, SymplecticPotential,
                          _convex_slices)
 
@@ -144,11 +147,33 @@ def heat_evolve(state: FlowState, dtau: float, steps: int) -> FlowState:
     return replace(state, tau=tau, f=f, convexity_violations=tuple(violations))
 
 
-# -- derivative stencils -------------------------------------------------------
+# -- residual operators ---------------------------------------------------------
 
-def _trim(shape, margins):
-    """Slices keeping margins[i] cells off both ends of axis i (0 = keep all)."""
-    return tuple(slice(m, s - m if m else None) for s, m in zip(shape, margins))
+def _fiber_terms(phi: np.ndarray, domain, rho_axis: np.ndarray, margin: int):
+    """Lap_N phi, |grad_y phi_rho|^2 and phi_rhorho on the full grid (garbage near
+    edges), and the slices `keep` of the admissible interior nodes."""
+    phi = np.asarray(phi, dtype=float)
+    rho_axis = np.asarray(rho_axis, dtype=float)
+    h_rho = rho_axis[1] - rho_axis[0]
+    rho_ax = phi.ndim - 1
+    cross = sum(_d1(g, h_rho, rho_ax) ** 2 for g in domain.gradient(phi))
+    keep = domain.interior(margin) + (slice(margin, phi.shape[-1] - margin),)
+    return domain.laplacian(phi), cross, _d2(phi, h_rho, rho_ax), keep
+
+
+def _eells_sampson(phi, domain, rho_axis, margin):
+    """(field, keep, phi_rhorho); raises ConvexityError naming the worst node."""
+    lap, cross, phi_rr, keep = _fiber_terms(phi, domain, rho_axis, margin)
+    window = phi_rr[keep]
+    if np.min(window) <= 0:
+        worst = np.unravel_index(np.argmin(window), window.shape)
+        index = tuple(int(s.indices(n)[0] + i) for s, n, i in zip(keep, phi_rr.shape, worst))
+        raise ConvexityError(
+            f"fiber Hessian is not positive on the residual window: phi_rhorho = "
+            f"{window[worst]:.3g} at domain node {index[:-1]}, "
+            f"rho = {np.asarray(rho_axis)[index[-1]]:.6g}")
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return lap - cross / phi_rr, keep, phi_rr
 
 
 def eells_sampson_operator(phi: np.ndarray, domain, rho_axis: np.ndarray,
@@ -160,35 +185,7 @@ def eells_sampson_operator(phi: np.ndarray, domain, rho_axis: np.ndarray,
     Raises ConvexityError when the fiber Hessian is not strictly positive on
     the admissible window.
     """
-    phi = np.asarray(phi, dtype=float)
-    rho_axis = np.asarray(rho_axis, dtype=float)
-    h_rho = rho_axis[1] - rho_axis[0]
-    rho_ax = phi.ndim - 1
-    phi_rr = _d2(phi, h_rho, rho_ax)
-    if isinstance(domain, IntervalDomain):
-        h_t = domain.nodes[1] - domain.nodes[0]
-        lap = _d2(phi, h_t, 0)
-        cross = [_d1(_d1(phi, h_t, 0), h_rho, rho_ax)]
-        weights = [1.0]
-        keep = _trim(phi.shape, (margin, margin))
-    elif isinstance(domain, RectangleDomain):
-        hx = domain.x_nodes[1] - domain.x_nodes[0]
-        hy = domain.y_nodes[1] - domain.y_nodes[0]
-        lap = _d2(phi, hx, 0) + _d2(phi, hy, 1)
-        cross = [_d1(_d1(phi, hx, 0), h_rho, rho_ax),
-                 _d1(_d1(phi, hy, 1), h_rho, rho_ax)]
-        weights = [1.0, 1.0]
-        keep = _trim(phi.shape, (margin, margin, margin))
-    elif isinstance(domain, DiscDomain):
-        lap, cross, weights, keep = _polar_pieces(phi, domain, h_rho, margin)
-    else:
-        raise TypeError(f"unsupported domain {type(domain).__name__}")
-    if np.min(phi_rr[keep]) <= 0:
-        raise ConvexityError("fiber Hessian is not positive on the residual window")
-    with np.errstate(divide="ignore", invalid="ignore"):
-        nl = sum(w * c**2 for c, w in zip(cross, weights))
-        field = lap - nl / phi_rr
-    return field, keep
+    return _eells_sampson(phi, domain, rho_axis, margin)[:2]
 
 
 def eells_sampson_residual(phi: np.ndarray, domain, rho_axis: np.ndarray,
@@ -198,38 +195,9 @@ def eells_sampson_residual(phi: np.ndarray, domain, rho_axis: np.ndarray,
     phi has shape (*domain.shape, n_rho).  Flat parameter domains only, so no
     Christoffel correction enters.
     """
-    field, keep = eells_sampson_operator(phi, domain, rho_axis, margin)
-    rho_axis = np.asarray(rho_axis, dtype=float)
-    h_rho = rho_axis[1] - rho_axis[0]
-    phi = np.asarray(phi, dtype=float)
-    phi_rr = _d2(phi, h_rho, phi.ndim - 1)
-    return _report(field[keep], phi_rr[keep], {"h_rho": float(h_rho), **domain.spacings})
-
-
-def _polar_pieces(phi: np.ndarray, domain: DiscDomain, h_rho: float, margin: int):
-    """Polar Laplacian and frame components of the mixed derivative.
-
-    Restricted to the uniform interior radial block (the boundary ring at
-    r = 1 has its own spacing and only feeds one-sided neighbors, which the
-    margin removes).
-    """
-    r = domain.radii
-    nr_uniform = r.size - 1
-    h_r = r[1] - r[0]
-    h_g = 2.0 * np.pi / domain.angles.size
-    rho_ax = phi.ndim - 1
-    d_r = _d1(phi, h_r, 0)
-    d_rr = _d2(phi, h_r, 0)
-    d_gg = _d2(phi, h_g, 1)
-    rcol = r[:, None, None]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        lap = d_rr + d_r / rcol + d_gg / rcol**2
-        cross_r = _d1(d_r, h_rho, rho_ax)
-        cross_g = _d1(_d1(phi, h_g, 1), h_rho, rho_ax)
-        w_g = 1.0 / rcol**2
-    lo = max(margin, 1)
-    keep = (slice(lo, nr_uniform - margin), slice(None), slice(margin, phi.shape[-1] - margin))
-    return lap, [cross_r, cross_g], [1.0, w_g], keep
+    field, keep, phi_rr = _eells_sampson(phi, domain, rho_axis, margin)
+    h_rho = float(rho_axis[1] - rho_axis[0])
+    return _report(field[keep], phi_rr[keep], {"h_rho": h_rho, **domain.spacings})
 
 
 def _report(res: np.ndarray, hess: np.ndarray, spac: dict) -> ResidualReport:
@@ -237,6 +205,15 @@ def _report(res: np.ndarray, hess: np.ndarray, spac: dict) -> ResidualReport:
                           mean=float(np.mean(np.abs(res))),
                           spacings=spac, count=int(res.size),
                           fiber_hessian_min=float(np.min(hess)))
+
+
+def _hcma(phi, domain, rho_axis, margin):
+    """(field, keep, phi_rhorho) of the complex-Hessian operator on the disc."""
+    if not isinstance(domain, DiscDomain):
+        raise TypeError("hcma_operator expects a disc parameter domain")
+    lap, cross, phi_rr, keep = _fiber_terms(phi, domain, rho_axis, margin)
+    with np.errstate(invalid="ignore"):
+        return lap * phi_rr - cross, keep, phi_rr
 
 
 def hcma_operator(phi: np.ndarray, domain: DiscDomain, rho_axis: np.ndarray,
@@ -247,17 +224,7 @@ def hcma_operator(phi: np.ndarray, domain: DiscDomain, rho_axis: np.ndarray,
     Hessian, i.e. the (1+1)-complex-Hessian determinant of the full potential
     up to a positive conformal factor.
     """
-    if not isinstance(domain, DiscDomain):
-        raise TypeError("hcma_operator expects a disc parameter domain")
-    phi = np.asarray(phi, dtype=float)
-    rho_axis = np.asarray(rho_axis, dtype=float)
-    h_rho = rho_axis[1] - rho_axis[0]
-    lap, cross, weights, keep = _polar_pieces(phi, domain, h_rho, margin)
-    phi_rr = _d2(phi, h_rho, phi.ndim - 1)
-    with np.errstate(invalid="ignore"):
-        nl = sum(w * c**2 for c, w in zip(cross, weights))
-        field = lap * phi_rr - nl
-    return field, keep
+    return _hcma(phi, domain, rho_axis, margin)[:2]
 
 
 def hcma_residual(phi: np.ndarray, domain: DiscDomain, rho_axis: np.ndarray,
@@ -269,12 +236,9 @@ def hcma_residual(phi: np.ndarray, domain: DiscDomain, rho_axis: np.ndarray,
     nonpositive minimum signals a fiberwise-positivity violation (reported,
     not raised, so the caller can see both numbers).
     """
-    field, keep = hcma_operator(phi, domain, rho_axis, margin)
-    phi = np.asarray(phi, dtype=float)
-    rho_axis = np.asarray(rho_axis, dtype=float)
-    h_rho = rho_axis[1] - rho_axis[0]
-    phi_rr = _d2(phi, h_rho, phi.ndim - 1)
-    return _report(field[keep], phi_rr[keep], {**domain.spacings, "h_rho": float(h_rho)})
+    field, keep, phi_rr = _hcma(phi, domain, rho_axis, margin)
+    h_rho = float(rho_axis[1] - rho_axis[0])
+    return _report(field[keep], phi_rr[keep], {**domain.spacings, "h_rho": h_rho})
 
 
 # -- snapshot export -------------------------------------------------------------

@@ -32,8 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bergman import BergmanFamily, harmonic_norming, norming_constants
-from .dirichlet import (BoundaryData, DiscDomain, IntervalDomain,
-                        MaxPrincipleError, RectangleDomain, _d1, _d2,
+from .dirichlet import (BoundaryData, MaxPrincipleError, _d1, _d2,
                         harmonic_extend, make_disc, make_interval)
 from .polytope import DelzantPolytope, preset_polytope, polytope_from_json
 from .potentials import (ConvexityError, NewtonError, PolytopeGrid,
@@ -333,81 +332,36 @@ def _rho_window_mask(rho_axis: np.ndarray, bounds, guard_cells: int = 2) -> np.n
 
 def error_norms(E: np.ndarray, domain, rho_axis: np.ndarray,
                 rho_mask: np.ndarray, ref_y_index) -> dict[str, float]:
-    """Mean-adjusted C0 and FD C1/C2 sup norms of an error field E(y, rho)."""
+    """Mean-adjusted C0 and FD C1/C2 sup norms of an error field E(y, rho).
+
+    y-derivatives are the domain's orthonormal-frame components: C1_y is the
+    largest gradient magnitude, C2_yrho the largest |d_rho g_i| and C2_yy the
+    largest |H_ij|, over `domain.interior(1)` (first derivatives) and
+    `interior(2)` (second).  Each component is reduced to its window before
+    the next one is built.
+    """
     E = np.asarray(E, dtype=float)
     h_rho = rho_axis[1] - rho_axis[0]
+    rho_ax = E.ndim - 1
     ref = E[(ref_y_index if isinstance(ref_y_index, tuple) else (ref_y_index,))]
     adjust = float(np.mean(ref[rho_mask]))
-    c0 = float(np.max(np.abs(E[..., rho_mask] - adjust)))
-    d_rho = _d1(E, h_rho, E.ndim - 1)
-    d_rhorho = _d2(E, h_rho, E.ndim - 1)
-    if isinstance(domain, IntervalDomain):
-        h_t = domain.nodes[1] - domain.nodes[0]
-        d_y = _d1(E, h_t, 0)
-        d_yy = _d2(E, h_t, 0)
-        d_yrho = _d1(d_y, h_rho, E.ndim - 1)
-        ti = slice(1, -1)
-        tii = slice(2, -2)
-        return {
-            "C0": c0,
-            "C1_y": float(np.max(np.abs(d_y[ti][:, rho_mask]))),
-            "C1_rho": float(np.max(np.abs(d_rho[..., rho_mask]))),
-            "C2_rhorho": float(np.max(np.abs(d_rhorho[..., rho_mask]))),
-            "C2_yrho": float(np.max(np.abs(d_yrho[ti][:, rho_mask]))),
-            "C2_yy": float(np.max(np.abs(d_yy[tii][:, rho_mask]))),
-        }
-    if isinstance(domain, DiscDomain):
-        r = domain.radii
-        h_r = r[1] - r[0]
-        h_g = 2.0 * np.pi / domain.angles.size
-        nr_uniform = r.size - 1                      # exclude the boundary ring
-        d_r = _d1(E, h_r, 0)
-        d_g = _d1(E, h_g, 1)
-        d_rr = _d2(E, h_r, 0)
-        d_gg = _d2(E, h_g, 1)
-        d_rg = _d1(d_r, h_g, 1)
-        d_rrho = _d1(d_r, h_rho, E.ndim - 1)
-        d_grho = _d1(d_g, h_rho, E.ndim - 1)
-        ri = slice(1, nr_uniform - 1)
-        rii = slice(2, nr_uniform - 2)
-        rcol = r[:, None, None]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            grad_mag = np.sqrt(d_r**2 + (d_g / rcol) ** 2)
-            h_tangent = d_gg / rcol**2 + d_r / rcol
-            h_mixed_frame = d_rg / rcol - d_g / rcol**2
-            mix_mag = np.maximum(np.abs(d_rrho), np.abs(d_grho / rcol))
-            hess_mag = np.maximum.reduce(
-                [np.abs(d_rr), np.abs(h_tangent), np.abs(h_mixed_frame)])
-        return {
-            "C0": c0,
-            "C1_y": float(np.max(grad_mag[ri][..., rho_mask])),
-            "C1_rho": float(np.max(np.abs(d_rho[..., rho_mask]))),
-            "C2_rhorho": float(np.max(np.abs(d_rhorho[..., rho_mask]))),
-            "C2_yrho": float(np.max(mix_mag[ri][..., rho_mask])),
-            "C2_yy": float(np.max(hess_mag[rii][..., rho_mask])),
-        }
-    if isinstance(domain, RectangleDomain):
-        hx = domain.x_nodes[1] - domain.x_nodes[0]
-        hy = domain.y_nodes[1] - domain.y_nodes[0]
-        d_x = _d1(E, hx, 0)
-        d_y = _d1(E, hy, 1)
-        d_xx = _d2(E, hx, 0)
-        d_yy = _d2(E, hy, 1)
-        d_xy = _d1(d_x, hy, 1)
-        mix = np.maximum(np.abs(_d1(d_x, h_rho, E.ndim - 1)),
-                         np.abs(_d1(d_y, h_rho, E.ndim - 1)))
-        hess_mag = np.maximum.reduce([np.abs(d_xx), np.abs(d_yy), np.abs(d_xy)])
-        i1 = (slice(1, -1), slice(1, -1))
-        i2 = (slice(2, -2), slice(2, -2))
-        return {
-            "C0": c0,
-            "C1_y": float(np.max(np.hypot(d_x, d_y)[i1][..., rho_mask])),
-            "C1_rho": float(np.max(np.abs(d_rho[..., rho_mask]))),
-            "C2_rhorho": float(np.max(np.abs(d_rhorho[..., rho_mask]))),
-            "C2_yrho": float(np.max(mix[i1][..., rho_mask])),
-            "C2_yy": float(np.max(hess_mag[i2][..., rho_mask])),
-        }
-    raise TypeError(f"unsupported domain {type(domain).__name__}")
+
+    def sup(a):
+        return float(np.max(np.abs(a[..., rho_mask])))
+
+    grad_mag, mixed = 0.0, []
+    for g in domain.gradient(E):
+        g = g[domain.interior(1)]
+        grad_mag = np.hypot(grad_mag, g[..., rho_mask])
+        mixed.append(sup(_d1(g, h_rho, rho_ax)))
+    return {
+        "C0": float(np.max(np.abs(E[..., rho_mask] - adjust))),
+        "C1_y": float(np.max(grad_mag)),
+        "C1_rho": sup(_d1(E, h_rho, rho_ax)),
+        "C2_rhorho": sup(_d2(E, h_rho, rho_ax)),
+        "C2_yrho": float(np.max(mixed)),
+        "C2_yy": float(np.max([sup(h[domain.interior(2)]) for h in domain.hessian(E)])),
+    }
 
 
 def error_report(family: HarmonicPotentialFamily, phi_field: KahlerFamilyField,

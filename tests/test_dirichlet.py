@@ -178,6 +178,18 @@ def test_domain_validation():
         BoundaryData(np.array([1.0, np.inf]))
 
 
+def test_domains_reject_grids_their_stencils_cannot_honour():
+    with pytest.raises(ValueError, match="interval nodes must be uniformly spaced"):
+        IntervalDomain(np.array([0.0, 0.1, 0.3, 1.0]))
+    angles = 2 * np.pi * np.arange(64) / 64
+    with pytest.raises(ValueError, match=r"radii\[:-1\] must be uniformly spaced"):
+        DiscDomain(radii=np.array([0.0, 0.2, 0.3, 0.9, 1.0]), angles=angles)
+    with pytest.raises(ValueError, match="y_nodes must be uniformly spaced"):
+        RectangleDomain(np.linspace(0, 1, 5), np.array([0.0, 0.1, 0.5, 1.0]))
+    # the boundary ring keeps its own spacing
+    DiscDomain(radii=np.array([0.0, 0.3, 0.6, 0.9, 1.0]), angles=angles)
+
+
 def test_rejects_mismatched_boundary_data():
     dom = make_disc(5, 64)
     with pytest.raises(ValueError):

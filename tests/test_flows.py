@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 from scipy.interpolate import CubicSpline
 
-from toricmaps.dirichlet import BoundaryData, harmonic_extend, make_disc, make_interval
-from toricmaps.flows import (ResidualReport, eells_sampson_residual,
-                             hcma_residual, heat_evolve, load_snapshot,
+from toricmaps.dirichlet import (BoundaryData, harmonic_extend, make_disc, make_interval,
+                                 make_rectangle)
+from toricmaps.flows import (ResidualReport, eells_sampson_operator,
+                             eells_sampson_residual, hcma_residual, heat_evolve, load_snapshot,
                              make_flow_state, save_snapshot)
 from toricmaps.harness import (HarmonicPotentialFamily, kahler_field,
                                loop_family, solve_harmonic_map)
@@ -240,3 +241,31 @@ def test_eells_sampson_reports_bad_fiber_hessian():
     concave = np.tile(-(rho ** 2), (9, 1))
     with pytest.raises(ConvexityError):
         eells_sampson_residual(concave, dom, rho)
+
+
+def test_eells_sampson_convexity_error_names_the_worst_node():
+    # a dent at one (node, rho) makes phi_rhorho = 2 - 2 * 0.05 / 0.1^2 = -8 there
+    rho = np.linspace(-1, 1, 21)
+    for dom, node in ((make_interval(9), (4,)), (make_disc(9, 64), (3, 5))):
+        phi = np.broadcast_to(rho**2, dom.shape + rho.shape).copy()
+        phi[node + (13,)] += 0.05
+        with pytest.raises(ConvexityError, match=(
+                r"phi_rhorho = -8 at domain node \(" + ", ".join(map(str, node))
+                + r",?\), rho = 0.3$")):
+            eells_sampson_residual(phi, dom, rho)
+
+
+@pytest.mark.parametrize("margin", [2, 4])
+def test_residual_window_slices(margin):
+    m = margin
+    rho = np.linspace(-2, 2, 41)
+    fiber = np.logaddexp(0, rho)
+    expected = [
+        (make_interval(17), (slice(m, 17 - m), slice(m, 41 - m))),
+        (make_rectangle(13, 11), (slice(m, 13 - m), slice(m, 11 - m), slice(m, 41 - m))),
+        # the uniform radial block stops one ring short of r = 1
+        (make_disc(12, 64), (slice(m, 13 - 1 - m), slice(None), slice(m, 41 - m))),
+    ]
+    for dom, keep in expected:
+        phi = np.broadcast_to(fiber, dom.shape + rho.shape)
+        assert eells_sampson_operator(phi, dom, rho, margin=margin)[1] == keep

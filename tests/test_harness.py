@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from toricmaps import harness
-from toricmaps.dirichlet import make_interval
+from toricmaps.dirichlet import make_disc, make_interval, make_rectangle
 from toricmaps.harness import (ERROR_COLUMNS, ExperimentConfig,
                                HarmonicPotentialFamily, build_approximants,
                                error_norms, error_report, geodesic_family,
@@ -116,6 +116,44 @@ def test_error_norms_zero_and_constant_shift(geo):
                         mask, (0,))
     assert const["C0"] == 0.0
     assert const["C1_y"] == 0.0 and const["C2_rhorho"] == 0.0
+
+
+def _linear_field(domain, b, c, swap=False):
+    """L = 0.3 + b y1 + c y2 in Cartesian coordinates of N (the interval: 0.3 + b t)."""
+    if hasattr(domain, "radii"):
+        r, g = domain.radii[:, None], domain.angles[None, :]
+        y1, y2 = r * np.cos(g), r * np.sin(g)
+        if swap:
+            y1, y2 = y2, y1
+        return 0.3 + b * y1 + c * y2, math.hypot(b, c)
+    if hasattr(domain, "x_nodes"):
+        y1, y2 = np.meshgrid(domain.x_nodes, domain.y_nodes, indexing="ij")
+        return 0.3 + b * y1 + c * y2, math.hypot(b, c)
+    return 0.3 + b * domain.nodes, abs(b)
+
+
+@pytest.mark.parametrize("domain", [make_interval(17), make_rectangle(13, 11),
+                                    make_disc(9, 64)],
+                         ids=["interval", "rectangle", "disc"])
+def test_error_norms_of_a_linear_field_use_the_orthonormal_frame(domain):
+    # E = L(y) psi(rho) with L linear in Cartesian coordinates: |grad_y E| =
+    # |grad L| |psi| at every node and the y-Hessian vanishes, both up to the
+    # O(h^2) angular truncation on the disc
+    rho = np.linspace(-2.0, 2.0, 81)
+    mask = np.abs(rho) <= 1.5
+    psi = 1.0 + 0.5 * np.sin(rho)
+    h2 = max(domain.spacings.values()) ** 2
+    c1 = []
+    for swap in (False, True):
+        L, grad_norm = _linear_field(domain, 0.7, -0.4, swap)
+        scale = grad_norm * np.max(psi[mask])
+        norms = error_norms(L[..., None] * psi, domain, rho, mask, domain.reference_node)
+        assert norms["C1_y"] == pytest.approx(scale, rel=h2)
+        assert norms["C2_yy"] <= h2 * scale
+        magnitude = np.sqrt(sum(g**2 for g in domain.gradient(L)))
+        np.testing.assert_allclose(magnitude[domain.interior(1)], grad_norm, rtol=h2)
+        c1.append(norms["C1_y"])
+    assert c1[1] == pytest.approx(c1[0], rel=h2)
 
 
 def test_error_report_monotone_window(geo):

@@ -12,11 +12,12 @@ orbit becomes an integral over the polytope itself:
 where u is the symplectic potential.  The torus volume (2 pi)^m and the 1/V
 of the level-k inner product are dropped uniformly in alpha; a uniform
 rescaling of all Q shifts every derived potential by a constant that the
-error norms are insensitive to.  The quadrature is tensor Gauss-Legendre,
-validated by panel doubling.  The integrand is Laplace-localized at width
-about 1/sqrt(k), so the panel count per axis starts at about 2 sqrt(k) and
-doubles until the validation passes, capped at 8k; everything involving Q
-lives in the log domain and sums are accumulated with log-sum-exp.
+error norms are insensitive to.  The quadrature is tensor Gauss-Legendre
+(each panel rule built once), validated by panel doubling.  The integrand is
+Laplace-localized at width about 1/sqrt(k), so the panel count per axis
+starts at about 2 sqrt(k) and doubles until the validation passes, capped at
+8k; everything involving Q lives in the log domain and sums are accumulated
+with log-sum-exp.
 
 The normalized monomial and its peak value are
 
@@ -34,7 +35,10 @@ Approximant construction: per alpha, the boundary values log Q at the
 boundary of the parameter domain N are extended harmonically to
 lambda_alpha(y), and the approximating potential on the open orbit is
 
-    Phi_k(y, rho) = (1/k) log sum_alpha exp( <alpha, rho> - lambda_alpha(y) ).
+    Phi_k(y, rho) = (1/k) log sum_alpha exp( <alpha, rho> - lambda_alpha(y) ),
+
+evaluated over the domain nodes in cache-sized blocks, in place, bitwise
+equal to this direct formula.
 """
 
 from __future__ import annotations
@@ -76,6 +80,9 @@ __all__ = [
 ]
 
 GAUSS_ORDER = 12
+# Doubles in one block of the log-sum-exp exponent array (512 KB): it stays
+# in a core's L2 cache through the passes `_log_sum_exp` makes over it.
+LSE_BLOCK = 2 ** 16
 
 
 class QuadratureError(RuntimeError):
@@ -134,13 +141,17 @@ def _legendre_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
     return x0, w0
 
 
+@functools.lru_cache(maxsize=64)
 def _gauss_panels(a: float, b: float, n_panels: int, order: int = GAUSS_ORDER):
+    """Read-only composite Gauss rule on [a, b], built once per (a, b, n_panels, order)."""
     x0, w0 = _legendre_rule(order)
     edges = np.linspace(a, b, n_panels + 1)
     mid = 0.5 * (edges[:-1] + edges[1:])
     half = 0.5 * (edges[1:] - edges[:-1])
     pts = (mid[:, None] + half[:, None] * x0[None, :]).reshape(-1)
     wts = (half[:, None] * w0[None, :]).reshape(-1)
+    pts.setflags(write=False)
+    wts.setflags(write=False)
     return pts, wts
 
 
@@ -227,14 +238,9 @@ def norming_constants(u: SymplecticPotential, k: int, alphas=None,
 
 def log_normalized_monomial(table: NormingTable, phi: KahlerPotential, alpha, rho):
     """log P(alpha, rho) = <alpha, rho> - k phi(rho) - log Q(alpha)."""
-    k = table.level
-    lq = table.log_q_of(alpha)
-    a = np.atleast_1d(np.asarray(alpha, dtype=float))
-    if phi.dim == 1:
-        r = np.asarray(rho, dtype=float)
-        return a[0] * r - k * np.asarray(phi.value(r)) - lq
     r = np.asarray(rho, dtype=float)
-    return r @ a - k * np.asarray(phi.value(r)) - lq
+    lin = _pairing(np.atleast_2d(alpha), r)[0]
+    return lin - table.level * np.asarray(phi.value(r)) - table.log_q_of(alpha)
 
 
 def normalized_monomial(table: NormingTable, phi: KahlerPotential, alpha, rho):
@@ -276,19 +282,19 @@ def bargmann_fock_peak(k: int, alpha) -> np.ndarray | float:
     return float(out) if np.ndim(out) == 0 else out
 
 
+def _pairing(alphas: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """<alpha, rho> per alpha: (n_alpha, *shape(rho)), less rho's last axis if m > 1."""
+    a = alphas.astype(float)
+    if a.shape[1] == 1:
+        return np.multiply.outer(a[:, 0], rho)
+    return np.tensordot(a, np.moveaxis(rho, -1, 0), axes=(1, 0))
+
+
 def _log_monomial_matrix(table: NormingTable, phi: KahlerPotential, rho):
     """log P(alpha, rho) for all alphas; shape (n_alpha, *shape(rho))."""
-    k = table.level
-    if phi.dim == 1:
-        r = np.asarray(rho, dtype=float)
-        a = table.alphas[:, 0].astype(float)
-        expo = np.multiply.outer(a, r) - k * np.asarray(phi.value(r))[None, ...]
-        return expo - table.log_q[(slice(None),) + (None,) * r.ndim]
     r = np.asarray(rho, dtype=float)
-    a = table.alphas.astype(float)
-    expo = np.tensordot(a, np.moveaxis(r, -1, 0), axes=(1, 0)) \
-        - k * np.asarray(phi.value(r))[None, ...]
-    return expo - table.log_q[(slice(None),) + (None,) * (r.ndim - 1)]
+    expo = _pairing(table.alphas, r) - table.level * np.asarray(phi.value(r))[None, ...]
+    return expo - table.log_q[(slice(None),) + (None,) * (expo.ndim - 1)]
 
 
 def szego_sum(table: NormingTable, phi: KahlerPotential, rho):
@@ -388,43 +394,51 @@ class BergmanFamily:
         return self.norming.level
 
     def potential(self, y_index, rho):
-        """Phi_k at one domain node; rho scalar or array."""
+        """Phi_k at one domain node; rho scalar or array (a float for scalar rho)."""
         lam_y = self.norming.lam[(slice(None),) + _as_index(y_index)]
-        return _lse_potential(self.norming.alphas, lam_y, rho, self.level)
+        val = _log_sum_exp(self.norming.alphas, lam_y[:, None], rho, self.level)[0]
+        return float(val) if np.ndim(val) == 0 else val
 
     def field(self, rho) -> np.ndarray:
         """Phi_k over all domain nodes; shape (*domain.shape, n_rho)."""
         lam = self.norming.lam
-        n = lam.shape[0]
-        flat = lam.reshape(n, -1)
-        rho = np.asarray(rho, dtype=float)
-        out = np.empty(flat.shape[1:] + rho.shape)
-        chunk = max(1, 2_000_000 // max(1, n * max(1, rho.size)))
-        for start in range(0, flat.shape[1], chunk):
-            lam_c = flat[:, start:start + chunk]
-            out[start:start + chunk] = _lse_potential(
-                self.norming.alphas, lam_c, rho, self.level, batched=True)
-        return out.reshape(self.norming.domain.shape + rho.shape)
+        val = _log_sum_exp(self.norming.alphas, lam.reshape(lam.shape[0], -1),
+                           rho, self.level)
+        return val.reshape(self.norming.domain.shape + val.shape[1:])
 
 
 def _as_index(y_index):
     return y_index if isinstance(y_index, tuple) else (y_index,)
 
 
-def _lse_potential(alphas: np.ndarray, lam, rho, k: int, batched: bool = False):
-    a = alphas.astype(float)
-    rho = np.asarray(rho, dtype=float)
-    if a.shape[1] == 1:
-        lin = np.multiply.outer(a[:, 0], rho)      # (n_alpha, *rho)
-    else:
-        lin = np.tensordot(a, np.moveaxis(rho, -1, 0), axes=(1, 0))
-    if batched:
-        expo = lin[:, None, ...] - np.asarray(lam)[(...,) + (None,) * (lin.ndim - 1)]
-    else:
-        expo = lin - np.asarray(lam)[(slice(None),) + (None,) * (lin.ndim - 1)]
-    peak = np.max(expo, axis=0)
-    val = (peak + np.log(np.sum(np.exp(expo - peak[None, ...]), axis=0))) / k
-    return float(val) if np.ndim(val) == 0 else val
+def _log_sum_exp(alphas: np.ndarray, lam: np.ndarray, rho, k: int) -> np.ndarray:
+    """(1/k) log sum_alpha exp(<alpha, rho> - lam[alpha, node]) at every node.
+
+    `lam` is (n_alpha, n_nodes); the result is (n_nodes, *_pairing shape less
+    alpha).  The nodes go in blocks of at most LSE_BLOCK exponents (one node
+    at least) through one reused buffer, every pass in place, the last ones
+    in the output rows.  The passes and the order of the reduction over alpha
+    are the direct formula's, so the bits are its too.
+    """
+    lin = _pairing(alphas, np.asarray(rho, dtype=float))
+    n_alpha, n_nodes = lam.shape
+    lin_rows = lin.reshape(n_alpha, 1, -1)
+    step = max(1, LSE_BLOCK // lin.size)
+    block = np.empty((n_alpha + 1) * lin_rows.shape[-1] * min(step, n_nodes))
+    out = np.empty((n_nodes, lin_rows.shape[-1]))
+    for start in range(0, n_nodes, step):
+        rows = out[start:start + step]
+        buf = block[:(n_alpha + 1) * rows.size].reshape((n_alpha + 1,) + rows.shape)
+        expo, peak = buf[:-1], buf[-1]          # exponents, and their peak over alpha
+        np.subtract(lin_rows, lam[:, start:start + step, None], out=expo)
+        np.max(expo, axis=0, out=peak)
+        np.subtract(expo, peak, out=expo)
+        np.exp(expo, out=expo)
+        np.sum(expo, axis=0, out=rows)
+        np.log(rows, out=rows)
+        rows += peak
+        rows /= k
+    return out.reshape((n_nodes,) + lin.shape[1:])
 
 
 def bergman_potential(norming: HarmonicNorming, y_index, rho):

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bergman import BergmanFamily, harmonic_norming, norming_constants
+from .bergman import BergmanFamily, QuadratureError, harmonic_norming, norming_constants
 from .dirichlet import (BoundaryData, MaxPrincipleError, _d1, _d2,
                         harmonic_extend, make_disc, make_interval)
 from .polytope import DelzantPolytope, preset_polytope, polytope_from_json
@@ -291,11 +291,19 @@ def loop_family(a: float = 0.05, n_radii: int = 9, n_angles: int = 256,
 
 def build_approximants(family: HarmonicPotentialFamily, levels,
                        n_panels: int | None = None) -> dict[int, BergmanFamily]:
-    """Boundary norming tables -> harmonic norming -> Phi_k, for each level."""
+    """Boundary norming tables -> harmonic norming -> Phi_k, for each level.
+
+    A QuadratureError from a boundary table names its boundary node and level.
+    """
     out = {}
     for k in levels:
-        tables = [norming_constants(bp, k, n_panels=n_panels)
-                  for bp in family.boundary_potentials]
+        tables = []
+        for i, bp in enumerate(family.boundary_potentials):
+            try:
+                tables.append(norming_constants(bp, k, n_panels=n_panels))
+            except QuadratureError as exc:
+                raise QuadratureError(
+                    f"{exc} for boundary node {i} at level k = {k}") from exc
         norming = harmonic_norming(family.domain, tables, k)
         out[k] = BergmanFamily(norming)
     return out
@@ -378,7 +386,8 @@ def error_report(family: HarmonicPotentialFamily, phi_field: KahlerFamilyField,
     levels = tuple(sorted(approximants))
     cols = {name: [] for name in ERROR_COLUMNS}
     for k in levels:
-        E = approximants[k].field(rho_axis) - phi_field.values
+        E = approximants[k].field(rho_axis)
+        E -= phi_field.values
         norms = error_norms(E, family.domain, rho_axis, rho_mask, ref_y_index)
         for name in ERROR_COLUMNS:
             cols[name].append(norms[name])

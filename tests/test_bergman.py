@@ -5,14 +5,15 @@ import pytest
 from scipy.integrate import quad
 
 from toricmaps import bergman
-from toricmaps.bergman import (NormingTable, QuadratureError, bargmann_fock_peak,
-                               bergman_potential, harmonic_norming, delta_k,
+from toricmaps.bergman import (BergmanFamily, NormingTable, QuadratureError,
+                               bargmann_fock_peak, bergman_potential,
+                               harmonic_norming, delta_k,
                                load_norming_table, localization_gap,
                                log_normalized_monomial, normalized_monomial,
                                norming_constants, peak_asymptotics_check,
                                peak_value, ratio_report, save_norming_table,
                                szego_sum)
-from toricmaps.dirichlet import make_disc, make_interval
+from toricmaps.dirichlet import make_disc, make_interval, make_rectangle
 from toricmaps.polytope import lattice_points, preset_polytope
 from toricmaps.potentials import (default_margin, make_polytope_grid,
                                   make_radial_grid, preset_kahler,
@@ -278,6 +279,49 @@ def test_bergman_convexity_in_rho(table_k2):
     rho = np.linspace(-3, 3, 101)
     vals = np.asarray(bergman_potential(hn, (2,), rho))
     assert np.min(np.diff(vals, 2)) > -1e-12
+
+
+def direct_lse(norming, rho):
+    """The unblocked log-sum-exp `field` evaluated before blocking: the reference."""
+    lin = np.multiply.outer(norming.alphas[:, 0].astype(float), rho)
+    lam = norming.lam.reshape(norming.count, -1)
+    expo = lin[:, None, ...] - lam[(...,) + (None,) * (lin.ndim - 1)]
+    peak = np.max(expo, axis=0)
+    val = (peak + np.log(np.sum(np.exp(expo - peak[None, ...]), axis=0))) / norming.level
+    return val.reshape(norming.domain.shape + rho.shape)
+
+
+def beta_table(k, bump):
+    """Guillemin (Beta-function) table of level k with log Q moved by bump * sin(alpha)."""
+    a = np.arange(k + 1)
+    log_q = np.array([math.lgamma(i + 1) + math.lgamma(k - i + 1) for i in a]) \
+        - math.lgamma(k + 2) + bump * np.sin(a)
+    return NormingTable(level=k, alphas=a[:, None], log_q=log_q)
+
+
+@pytest.mark.parametrize("domain,k,n_rho", [
+    # one node's exponent array, 257 x 801, is larger than the block
+    (make_interval(5), 256, 801),
+    # 5 x 64 nodes in blocks of 65536 // (9 * 801) = 9 nodes: a partial last block
+    (make_disc(4, 64), 8, 801),
+    (make_rectangle(9, 7), 8, 301),
+])
+def test_field_is_bitwise_the_direct_log_sum_exp(domain, k, n_rho):
+    assert bergman.LSE_BLOCK == 2 ** 16
+    tables = [beta_table(k, 0.3 * math.cos(i)) for i in range(domain.n_boundary)]
+    norming = harmonic_norming(domain, tables)
+    fam = BergmanFamily(norming)
+    rho = np.linspace(-4.0, 4.0, n_rho)
+    field = fam.field(rho)
+    assert field.shape == domain.shape + (n_rho,)
+    np.testing.assert_array_equal(field, direct_lse(norming, rho))
+    for idx in (np.unravel_index(i, domain.shape) for i in (0, field[..., 0].size // 2)):
+        np.testing.assert_array_equal(fam.potential(idx, rho), field[idx])
+        value = fam.potential(idx, rho[n_rho // 3])
+        assert isinstance(value, float)
+        # a scalar rho reduces over alpha by numpy's pairwise sum, a rho array
+        # in alpha order: the two agree to rounding
+        assert value == pytest.approx(field[idx][n_rho // 3], rel=0, abs=1e-14)
 
 
 def test_ratio_report_boundary_and_constant(table_k2):

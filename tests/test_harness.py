@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from toricmaps import harness
+from toricmaps.bergman import QuadratureError
 from toricmaps.dirichlet import make_disc, make_interval, make_rectangle
 from toricmaps.harness import (ERROR_COLUMNS, ExperimentConfig,
                                HarmonicPotentialFamily, build_approximants,
@@ -314,3 +315,14 @@ def test_kahler_field_failure_names_node_and_rho(monkeypatch):
     node = family.node_indices()[flat]
     assert info.value.index == node + (j,)
     assert f"at domain node {node}, rho = {rho[j]:.6g}" in str(info.value)
+
+
+def test_boundary_quadrature_failure_names_node_and_level():
+    # one Gauss panel resolves k = 16 but not the narrower peaks of k = 32
+    family = geodesic_family(a=0.1, n_t=5, n_x=201, k_max=32)
+    build_approximants(family, (16,), n_panels=1)
+    with pytest.raises(QuadratureError) as info:
+        build_approximants(family, (16, 32), n_panels=1)
+    assert str(info.value).endswith("for boundary node 0 at level k = 32")
+    assert isinstance(info.value.__cause__, QuadratureError)
+    assert str(info.value).startswith(str(info.value.__cause__))

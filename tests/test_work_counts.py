@@ -3,6 +3,8 @@ and the Legendre inversion of a family is one solve.  Counts, not wall time,
 so a per-node loop that comes back fails here on any machine.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
@@ -66,12 +68,42 @@ def test_disc_weights_built_once_per_domain(monkeypatch):
 
 
 def test_legendre_rule_built_once_per_order(monkeypatch):
+    bergman._gauss_panels.cache_clear()
     bergman._legendre_rule.cache_clear()
     calls = counting(monkeypatch, bergman, "roots_legendre")
     family = geodesic_family(a=0.1, n_t=5, n_x=201, k_max=8)
     for order in (12, 12, 10):
         norming_constants(family.boundary_potentials[1], 8, order=order)
     assert [order for (order,) in calls] == [12, 10]
+
+
+def test_gauss_panel_rule_built_once_per_key(monkeypatch):
+    family = loop_family(a=0.05, n_radii=4, n_angles=64, n_x=201, k_max=8)
+    bergman._gauss_panels.cache_clear()
+    built = counting(monkeypatch, bergman, "_legendre_rule")
+    rules = counting(monkeypatch, bergman, "_gauss_panels")
+    build_approximants(family, (8,))
+    # 64 boundary tables, each a coarse and a doubled rule at least
+    assert len(rules) >= 2 * 64
+    assert len(built) == len(set(rules))
+    for pts, wts in (bergman._gauss_panels(*key) for key in set(rules)):
+        assert not pts.flags.writeable and not wts.flags.writeable
+
+
+def test_field_peak_memory_is_the_output_plus_a_block():
+    family = loop_family(a=0.05, n_radii=4, n_angles=64, n_x=201, k_max=8)
+    fam = build_approximants(family, (8,))[8]
+    rho = np.linspace(-4.0, 4.0, 801)
+    tracemalloc.start()
+    try:
+        field = fam.field(rho)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the output, the block buffer (with its peak row) and small change: the
+    # 320 x 9 x 801 exponents are never held at once
+    block_bytes = 8 * bergman.LSE_BLOCK
+    assert peak <= field.nbytes + 2 * block_bytes + 256 * 1024
 
 
 def test_bounding_box_is_read_only():

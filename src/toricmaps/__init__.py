@@ -23,24 +23,24 @@ from .polytope import (DelzantPolytope, Facet, LatticeSet, facet_value,
 from .potentials import (ClosedForm, ConvexityError, KahlerPotential,
                          NewtonError, PolytopeGrid, RadialGrid, abreu_delta,
                          default_margin, guillemin_potential, load_potential,
-                         make_polytope_grid, make_radial_grid, moment_map,
-                         preset_kahler, preset_symplectic, save_potential,
+                         make_polytope_grid, make_radial_grid, preset_kahler,
+                         preset_symplectic, save_potential,
                          SymplecticPotential, to_kahler, to_symplectic)
 from .dirichlet import (BoundaryData, DiscDomain, HarmonicField,
                         IntervalDomain, RectangleDomain, harmonic_extend,
                         laplace_residual, make_disc, make_interval,
                         make_rectangle, poisson_kernel)
 from .bergman import (BergmanFamily, HarmonicNorming, NormingTable,
-                      QuadratureError, bargmann_fock_peak, bergman_potential,
-                      harmonic_norming, load_norming_table, localization_gap,
+                      QuadratureError, bargmann_fock_peak, harmonic_norming,
+                      load_norming_table, localization_gap,
                       normalized_monomial, norming_constants,
                       peak_asymptotics_check, peak_value, ratio_report,
                       save_norming_table, szego_sum)
 from .flows import (FlowState, ResidualReport, eells_sampson_residual,
                     hcma_residual, heat_evolve, make_flow_state)
-from .harness import (ErrorReport, ExperimentConfig, HarmonicPotentialFamily,
-                      RateFit, build_approximants, error_report,
-                      geodesic_family, kahler_field, loop_family, rate_fit,
-                      solve_harmonic_map)
+from .harness import (ErrorReport, ExperimentConfig, ExperimentResult,
+                      HarmonicPotentialFamily, RateFit, build_approximants,
+                      error_report, geodesic_family, kahler_field, loop_family,
+                      rate_fit, run_experiment, solve_harmonic_map)
 
 __version__ = "0.1.0"

@@ -6,8 +6,9 @@ and returns a CheckResult with the measured numbers in `detail`.  The pytest
 acceptance module and the command-line interface both consume these, so the
 shell exit code and the test suite can never disagree.
 
-Heavy pipeline objects (the interval family and its approximants) are cached
-per process and shared between checks.
+The two convergence experiments are `run_experiment` at the module configs
+GEODESIC and DISC.  The interval run is cached per process and shared
+between checks (and with `toricmaps geodesic --out`).
 """
 
 from __future__ import annotations
@@ -20,17 +21,19 @@ import numpy as np
 
 from .bergman import (NormingTable, localization_gap, norming_constants,
                       peak_asymptotics_check, ratio_report, szego_sum)
-from .dirichlet import BoundaryData, harmonic_extend, harmonic_extend_disc_fourier
+from .dirichlet import (BoundaryData, harmonic_extend, harmonic_extend_disc_fourier,
+                        make_interval)
 from .flows import eells_sampson_operator, heat_evolve, hcma_residual, make_flow_state
-from .harness import (ERROR_COLUMNS, build_approximants, error_report,
-                      geodesic_family, kahler_field, loop_family, rate_fit,
+from .harness import (ERROR_COLUMNS, ExperimentConfig, HarmonicPotentialFamily,
+                      kahler_field, loop_family, rate_fit, run_experiment,
                       window_rho_bounds)
 from .polytope import preset_polytope
 from .potentials import (default_margin, make_polytope_grid, make_radial_grid,
                          preset_kahler, preset_symplectic, to_kahler,
                          to_symplectic)
 
-__all__ = ["CheckResult", "ALL_CHECKS", "run_checks",
+__all__ = ["CheckResult", "ALL_CHECKS", "run_checks", "GEODESIC", "DISC",
+           "geodesic_run", "flow_start",
            "check_legendre_involution", "check_gradient_hessian_duality",
            "check_norming_oracle", "check_duality_identity",
            "check_szego_normalization", "C0Gate", "c0_gate", "check_geodesic_c0",
@@ -52,21 +55,19 @@ class CheckResult:
 
 _CACHE: dict = {}
 
+# the geodesic suite: a = 0.1, 17 x 801 nodes, levels 8..64, 801 rho nodes on [-4, 4]
+GEODESIC = ExperimentConfig()
+# the disc suite: a = 0.05, 9 x 256 nodes, levels 8..32, 601 rho nodes on [-4, 4]
+DISC = ExperimentConfig(domain="disc", boundary_family="loop(0.05)",
+                        levels=(8, 16, 32), n_rho=601)
 
-def _interval_context():
-    """Shared interval pipeline: family, potential field, approximants."""
+
+def geodesic_run():
+    """run_experiment(GEODESIC) and its wall time, run once per process."""
     if "interval" not in _CACHE:
-        levels = (8, 16, 32, 64)
         t0 = time.perf_counter()
-        family = geodesic_family(a=0.1, n_t=17, n_x=801, k_max=max(levels))
-        rho = np.linspace(-4.0, 4.0, 801)
-        phi_field = kahler_field(family, rho)
-        approx = build_approximants(family, levels)
-        report = error_report(family, phi_field, approx, window=0.1)
-        elapsed = time.perf_counter() - t0
-        _CACHE["interval"] = dict(levels=levels, family=family, rho=rho,
-                                  phi_field=phi_field, approx=approx,
-                                  report=report, elapsed=elapsed)
+        result = run_experiment(GEODESIC)
+        _CACHE["interval"] = result, time.perf_counter() - t0
     return _CACHE["interval"]
 
 
@@ -238,12 +239,12 @@ def check_geodesic_c0() -> CheckResult:
     `eps*k/log k` is reported as a diagnostic only: it stays flat on an error
     that still carries the removed normalization, so it cannot gate.
     """
-    ctx = _interval_context()
-    levels = ctx["levels"]
-    c0 = ctx["report"].column("C0")
+    result, elapsed = geodesic_run()
+    levels = GEODESIC.levels
+    c0 = result.report.column("C0")
     gate = c0_gate(levels, c0)
     fit = rate_fit(levels, c0)
-    timed = ctx["elapsed"] < 60.0
+    timed = elapsed < 60.0
     passed = gate.passed and timed
 
     def fmt(vals):
@@ -257,13 +258,12 @@ def check_geodesic_c0() -> CheckResult:
                        f"[{', '.join(f'{r:.3f}' for r in gate.ratios)}] "
                        f"(need <= k/k' = {bounds}); "
                        f"diagnostic eps*k/log k = [{fmt(fit.statistic)}]; "
-                       f"pipeline {ctx['elapsed']:.1f}s (limit 60s)")
+                       f"pipeline {elapsed:.1f}s (limit 60s)")
 
 
 def check_geodesic_c1_c2() -> CheckResult:
     """All derivative sup norms strictly decreasing with doubling ratio <= 0.9."""
-    ctx = _interval_context()
-    report = ctx["report"]
+    report = geodesic_run()[0].report
     failures = []
     details = []
     for col in ERROR_COLUMNS[1:]:
@@ -280,20 +280,15 @@ def check_geodesic_c1_c2() -> CheckResult:
 
 def check_disc_c0_crosscheck() -> CheckResult:
     """Disc experiment: C0 decreasing and the two boundary-integral paths agree."""
-    levels = (8, 16, 32)
-    family = loop_family(a=0.05, n_radii=9, n_angles=256, n_x=801, k_max=max(levels))
-    rho = np.linspace(-4.0, 4.0, 601)
-    phi_field = kahler_field(family, rho)
-    approx = build_approximants(family, levels)
-    report = error_report(family, phi_field, approx, window=0.1)
-    c0 = report.column("C0")
+    result = run_experiment(DISC)
+    c0 = result.report.column("C0")
     decreasing = bool(np.all(np.diff(c0) < 0))
     # two independent quadrature paths for the harmonic norming exponents:
     # Poisson-integral weights vs Fourier damping, from identical boundary data
-    norming = approx[max(levels)].norming
+    norming = result.approximants[max(DISC.levels)].norming
     data = BoundaryData(norming.lam[:, -1, :].T)   # boundary-ring values = log Q, all alphas
-    poisson = harmonic_extend(family.domain, data).values
-    fourier = harmonic_extend_disc_fourier(family.domain, data).values
+    poisson = harmonic_extend(result.family.domain, data).values
+    fourier = harmonic_extend_disc_fourier(result.family.domain, data).values
     cross = float(np.max(np.abs(poisson - fourier)))
     passed = decreasing and cross < 1e-8
     seq = ", ".join(f"{v:.3e}" for v in c0)
@@ -335,25 +330,28 @@ def check_flow_duality() -> CheckResult:
                        f"(h halved, dtau quartered), ratio {ratio:.2f} (need >= 3)")
 
 
-def _flow_residual(n_t: int, n_x: int, n_rho: int, refine: int) -> float:
-    from .dirichlet import make_interval
-    P = preset_polytope("interval")
-    xgrid = make_polytope_grid(P, n_x, 1e-3)
+def flow_start(n_t: int, n_x: int):
+    """Flow start data f0 = (0.1 t + 0.2 t(1-t)) x(1-x) on an n_t-node interval
+    domain over an n_x-node grid of [0, 1], and the step dtau = h^2/4."""
+    xgrid = make_polytope_grid(preset_polytope("interval"), n_x, 1e-3)
     domain = make_interval(n_t)
     t = domain.nodes
     x = xgrid.axes[0]
     coeff = 0.1 * t + 0.2 * t * (1.0 - t)
     f0 = coeff[:, None] * (x * (1.0 - x))[None, :]
-    state = make_flow_state(domain, xgrid, f0)
     h_t = t[1] - t[0]
-    dtau = h_t**2 / 4.0
+    return make_flow_state(domain, xgrid, f0), h_t**2 / 4.0
+
+
+def _flow_residual(n_t: int, n_x: int, n_rho: int, refine: int) -> float:
+    state, dtau = flow_start(n_t, n_x)
+    domain, xgrid = state.domain, state.xgrid
     steps = 40 * refine
     state = heat_evolve(state, dtau, steps)
     stepped = heat_evolve(state, dtau, 1)
     rho = np.linspace(-4.0, 4.0, n_rho)
 
     def field(s):
-        from .harness import HarmonicPotentialFamily, kahler_field
         fam = HarmonicPotentialFamily(domain=domain, xgrid=xgrid,
                                       boundary_potentials=(), f=s.f)
         return kahler_field(fam, rho)
@@ -362,27 +360,23 @@ def _flow_residual(n_t: int, n_x: int, n_rho: int, refine: int) -> float:
     phi2 = field(stepped)
     d_tau = (phi2.values - phi1.values) / dtau
     op, keep = eells_sampson_operator(phi1.values, domain, rho)
-    mask = _window_mask_for_flow(rho)
+    mask = (rho >= -2.0) & (rho <= 2.0)
     res = np.abs((d_tau - op)[keep][..., mask[keep[-1]]])
     return float(np.max(res))
-
-
-def _window_mask_for_flow(rho: np.ndarray) -> np.ndarray:
-    return (rho >= -2.0) & (rho <= 2.0)
 
 
 # -- asymptotic diagnostics ------------------------------------------------------------
 
 def check_ratio_bounds() -> CheckResult:
     """R_k within stable two-sided bounds; max |R_k - R_inf| strictly decreasing."""
-    ctx = _interval_context()
-    family = ctx["family"]
-    levels = ctx["levels"]
+    result = geodesic_run()[0]
+    family = result.family
+    levels = GEODESIC.levels
     y_nodes = [4, 8, 12]                     # t = 0.25, 0.5, 0.75 on the 17-node grid
     bound_c = {}
     gaps = {}
     for k in levels:
-        norming = ctx["approx"][k].norming
+        norming = result.approximants[k].norming
         c_k = 1.0
         gap = 0.0
         for iy in y_nodes:

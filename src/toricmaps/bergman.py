@@ -69,7 +69,6 @@ __all__ = [
     "szego_sum",
     "localization_gap",
     "harmonic_norming",
-    "bergman_potential",
     "RatioReport",
     "ratio_report",
     "PeakAsymptotics",
@@ -439,11 +438,6 @@ def _log_sum_exp(alphas: np.ndarray, lam: np.ndarray, rho, k: int) -> np.ndarray
         rows += peak
         rows /= k
     return out.reshape((n_nodes,) + lin.shape[1:])
-
-
-def bergman_potential(norming: HarmonicNorming, y_index, rho):
-    """Phi_k(y, rho) for a single domain node y (see BergmanFamily)."""
-    return BergmanFamily(norming).potential(y_index, rho)
 
 
 # -- metric-ratio diagnostics -------------------------------------------------------

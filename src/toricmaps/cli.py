@@ -7,9 +7,14 @@ nonzero exactly when one of the invoked assertions fails.
     toricmaps legendre-check             transform round-trip and duality
     toricmaps geodesic [--out DIR]       interval convergence experiment
     toricmaps disc                       disc convergence + kernel cross-check
-    toricmaps flow-duality               heat-flow / harmonic-map-flow duality
+    toricmaps flow-duality [--out DIR --snapshot-every N]
+                                         heat-flow / harmonic-map-flow duality
     toricmaps diagnostics                norming oracle, szego, localization,
                                          peak asymptotics, ratio bounds
+    toricmaps all                        every suite
+
+A suite takes only the flags it reads (see _SUITE_FLAGS); the experiment
+flags shape the files written under --out, so they need --out.
 """
 
 from __future__ import annotations
@@ -20,8 +25,7 @@ import sys
 from pathlib import Path
 
 from . import acceptance
-from .harness import (ExperimentConfig, build_approximants, error_report,
-                      geodesic_family, kahler_field, rate_fit,
+from .harness import (ExperimentConfig, rate_fit, run_experiment,
                       write_error_csv, write_error_dat)
 
 _SUITES = {
@@ -40,90 +44,89 @@ _SUITES = {
                     acceptance.check_localization),
 }
 
+_FLAGS = {
+    "--config": dict(type=Path,
+                     help="JSON experiment config (see ExperimentConfig fields)"),
+    "--levels": dict(type=str, help="comma-separated level list, e.g. 8,16,32,64"),
+    "--resolution": dict(type=str,
+                         help="comma-separated overrides, e.g. n_x=801,n_rho=801,n_y=17"),
+    "--window": dict(type=float,
+                     help="interior window threshold on the facet functions"),
+    "--out": dict(type=Path, help="directory for the written files"),
+    "--snapshot-every": dict(type=int, help="heat steps between flow snapshots"),
+}
 
-def _add_common(p: argparse.ArgumentParser):
-    p.add_argument("--config", type=Path, default=None,
-                   help="JSON experiment config (see ExperimentConfig fields)")
-    p.add_argument("--out", type=Path, default=None,
-                   help="directory for CSV/.dat outputs")
-    p.add_argument("--levels", type=str, default=None,
-                   help="comma-separated level list, e.g. 8,16,32,64")
-    p.add_argument("--resolution", type=str, default=None,
-                   help="comma-separated overrides, e.g. n_x=801,n_rho=801,n_y=17")
-    p.add_argument("--window", type=float, default=None,
-                   help="interior window threshold on the facet functions")
-    p.add_argument("--snapshot-every", type=int, default=None,
-                   help="flow snapshot cadence in steps (0 = never)")
+# the flags each suite reads; the other suites and `all` take none
+_SUITE_FLAGS = {
+    "geodesic": ("--config", "--levels", "--resolution", "--window", "--out"),
+    "flow-duality": ("--config", "--resolution", "--out", "--snapshot-every"),
+}
 
 
 def _load_config(args) -> ExperimentConfig:
     doc = {}
     if args.config is not None:
         doc = json.loads(Path(args.config).read_text())
-    if args.levels:
+    if getattr(args, "levels", None):
         doc["levels"] = [int(v) for v in args.levels.split(",")]
     if args.resolution:
         for pair in args.resolution.split(","):
             key, val = pair.split("=")
             doc[key.strip()] = int(val)
-    if args.window is not None:
+    if getattr(args, "window", None) is not None:
         doc["window"] = args.window
-    if args.snapshot_every is not None:
-        doc["snapshot_every"] = args.snapshot_every
-    if args.out is not None:
-        doc["out_dir"] = str(args.out)
-    return ExperimentConfig.from_json(json.dumps(doc))
+    cfg = ExperimentConfig.from_json(doc)
+    if cfg.domain != "interval":
+        raise ValueError(f"domain {cfg.domain!r}: the {args.command} suite "
+                         "runs on the interval domain")
+    cfg.family_spec()                  # raises on a config no family can run
+    return cfg
 
 
-def _run_suite(name: str, args) -> int:
-    results = acceptance.run_checks(_SUITES[name], verbose=True)
-    if name == "geodesic" and args.out is not None:
-        _write_geodesic_outputs(_load_config(args))
-    if name == "flow-duality" and args.out is not None:
-        _write_flow_snapshots(_load_config(args))
-    return 0 if all(r.passed for r in results) else 1
+def _checked_config(p: argparse.ArgumentParser, args) -> ExperimentConfig | None:
+    """The config of a suite's output files, or None without --out; exits
+    through `p.error` on a flag that would have no effect."""
+    given = [f for f in _SUITE_FLAGS.get(args.command, ())
+             if f != "--out" and getattr(args, f[2:].replace("-", "_")) is not None]
+    if args.command not in _SUITE_FLAGS or args.out is None:
+        if given:
+            p.error(f"{', '.join(given)} given without --out")
+        return None
+    if args.command == "flow-duality":
+        if args.snapshot_every is None:
+            p.error("--out given without --snapshot-every")
+        if args.snapshot_every <= 0:
+            p.error("--snapshot-every must be positive")
+    try:
+        return _load_config(args)
+    except (OSError, ValueError) as exc:
+        p.error(str(exc))
 
 
-def _write_flow_snapshots(cfg: ExperimentConfig):
-    if cfg.snapshot_every <= 0:
-        return
-    import numpy as np
-    from .dirichlet import make_interval
-    from .flows import heat_evolve, make_flow_state, save_snapshot
-    from .potentials import make_polytope_grid
-    P = cfg.build_polytope()
-    xgrid = make_polytope_grid(P, cfg.n_x, 1e-3)
-    domain = make_interval(cfg.n_y)
-    t = domain.nodes
-    x = xgrid.axes[0]
-    f0 = (0.1 * t + 0.2 * t * (1 - t))[:, None] * (x * (1 - x))[None, :]
-    state = make_flow_state(domain, xgrid, f0)
-    h = t[1] - t[0]
-    dtau = h**2 / 4.0
-    out = Path(cfg.out_dir)
+def _write_flow_snapshots(cfg: ExperimentConfig, out: Path, every: int):
+    from .flows import heat_evolve, save_snapshot
+    state, dtau = acceptance.flow_start(cfg.n_y, cfg.n_x)
     out.mkdir(parents=True, exist_ok=True)
-    total = 10 * cfg.snapshot_every
-    for step in range(0, total, cfg.snapshot_every):
+    for _ in range(10):
         save_snapshot(state, out / f"flow_{state.tau:.6f}.txt")
-        state = heat_evolve(state, dtau, cfg.snapshot_every)
+        state = heat_evolve(state, dtau, every)
     save_snapshot(state, out / f"flow_{state.tau:.6f}.txt")
-    print(f"wrote {total // cfg.snapshot_every + 1} snapshots to {out}")
+    print(f"wrote 11 snapshots to {out}")
 
 
-def _write_geodesic_outputs(cfg: ExperimentConfig):
-    import numpy as np
-    family = geodesic_family(n_t=cfg.n_y, n_x=cfg.n_x, k_max=max(cfg.levels))
-    rho = np.linspace(-cfg.rho_span, cfg.rho_span, cfg.n_rho)
-    phi_field = kahler_field(family, rho)
-    approx = build_approximants(family, cfg.levels)
-    report = error_report(family, phi_field, approx, window=cfg.window)
-    out = Path(cfg.out_dir)
+def _write_geodesic_outputs(cfg: ExperimentConfig, out: Path):
+    # the geodesic checks have just run acceptance.GEODESIC: reuse that run
+    result = (acceptance.geodesic_run()[0] if cfg == acceptance.GEODESIC
+              else run_experiment(cfg))
+    report = result.report
     out.mkdir(parents=True, exist_ok=True)
     write_error_csv(report, out / "geodesic_errors.csv")
     write_error_dat(report, out / "geodesic_errors.dat")
-    fit = rate_fit(report.levels, report.column("C0"))
-    print(f"wrote {out / 'geodesic_errors.csv'} "
-          f"(C0 log-log slope {fit.slope:.3f})")
+    msg = f"wrote {out / 'geodesic_errors.csv'}"
+    if len(report.levels) >= 4:
+        fit = rate_fit(report.levels, report.column("C0"))
+        msg += f" (C0 log-log slope {fit.slope:.3f})"
+    print(msg)
 
 
 def main(argv=None) -> int:
@@ -132,16 +135,20 @@ def main(argv=None) -> int:
         description="harmonic maps into toric Kahler metrics: "
                     "experiments and self-checks")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in _SUITES:
-        p = sub.add_parser(name, help=f"run the {name} suite")
-        _add_common(p)
-    p_all = sub.add_parser("all", help="run every suite")
-    _add_common(p_all)
+    subparsers = {}
+    for name in (*_SUITES, "all"):
+        p = subparsers[name] = sub.add_parser(
+            name, help="run every suite" if name == "all" else f"run the {name} suite")
+        for flag in _SUITE_FLAGS.get(name, ()):
+            p.add_argument(flag, default=None, **_FLAGS[flag])
     args = parser.parse_args(argv)
-    if args.command == "all":
-        results = acceptance.run_checks(verbose=True)
-        return 0 if all(r.passed for r in results) else 1
-    return _run_suite(args.command, args)
+    cfg = _checked_config(subparsers[args.command], args)
+    results = acceptance.run_checks(_SUITES.get(args.command), verbose=True)
+    if cfg is not None and args.command == "geodesic":
+        _write_geodesic_outputs(cfg, args.out)
+    if cfg is not None and args.command == "flow-duality":
+        _write_flow_snapshots(cfg, args.out, args.snapshot_every)
+    return 0 if all(r.passed for r in results) else 1
 
 
 if __name__ == "__main__":

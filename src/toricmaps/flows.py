@@ -44,7 +44,7 @@ import numpy as np
 
 from .dirichlet import DiscDomain, _d1, _d2
 from .potentials import (ConvexityError, PolytopeGrid, SymplecticPotential,
-                         _convex_slices)
+                         _convex_slices, _read_text, _write_text)
 
 __all__ = [
     "FlowState",
@@ -244,39 +244,14 @@ def hcma_residual(phi: np.ndarray, domain: DiscDomain, rho_axis: np.ndarray,
 # -- snapshot export -------------------------------------------------------------
 
 def save_snapshot(state: FlowState, path):
-    """Write a flow snapshot in the potentials text format with a tau header."""
-    from .polytope import polytope_to_json
-    with open(path, "w") as fh:
-        fh.write(f"flow tau {repr(float(state.tau))}\n")
-        fh.write(f"domain_shape {' '.join(str(s) for s in state.domain.shape)}\n")
-        fh.write("polytope " + polytope_to_json(state.xgrid.polytope) + "\n")
-        fh.write(f"margin {repr(float(state.xgrid.margin))}\n")
-        fh.write("axis 0 " + " ".join(repr(float(v)) for v in state.xgrid.axes[0]) + "\n")
-        fh.write("values shape " + " ".join(str(s) for s in state.f.shape) + "\n")
-        for v in state.f.reshape(-1):
-            fh.write(repr(float(v)) + "\n")
+    """Write a flow snapshot: the potentials text format of f on the state's
+    grid, after a `flow tau` and a `domain_shape` line."""
+    _write_text(path, [f"flow tau {repr(float(state.tau))}",
+                       "domain_shape " + " ".join(str(s) for s in state.domain.shape)],
+                state.xgrid, {"values": state.f})
 
 
 def load_snapshot(path, domain) -> FlowState:
-    from .polytope import polytope_from_json
-    from .potentials import PolytopeGrid
-    with open(path) as fh:
-        lines = fh.read().splitlines()
-    tau = float(lines[0].split()[2])
-    polytope = None
-    margin = None
-    axis = None
-    i = 1
-    while not lines[i].startswith("values"):
-        if lines[i].startswith("polytope"):
-            polytope = polytope_from_json(lines[i].split(None, 1)[1])
-        elif lines[i].startswith("margin"):
-            margin = float(lines[i].split()[1])
-        elif lines[i].startswith("axis"):
-            axis = np.array([float(v) for v in lines[i].split()[2:]])
-        i += 1
-    shape = tuple(int(s) for s in lines[i].split()[2:])
-    n = int(np.prod(shape))
-    f = np.array([float(v) for v in lines[i + 1: i + 1 + n]]).reshape(shape)
-    grid = PolytopeGrid(polytope=polytope, axes=(axis,), margin=margin)
-    return FlowState(domain=domain, xgrid=grid, tau=tau, f=f)
+    (tau_line, _), grid, blocks = _read_text(path, 2)
+    return FlowState(domain=domain, xgrid=grid, tau=float(tau_line.split()[2]),
+                     f=blocks["values"])

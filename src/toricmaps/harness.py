@@ -20,13 +20,16 @@ norm is mean-adjusted: the spatial mean of Phi_k - Phi over the window at a
 fixed reference boundary node is subtracted first, which removes the
 y-independent constant coming from the dropped volume normalizations of the
 norming integrals.  Derivative norms need no adjustment.
+
+`run_experiment` runs the whole chain, family -> Kahler field ->
+approximants -> error report, for one `ExperimentConfig`.
 """
 
 from __future__ import annotations
 
-import io
 import json
 import math
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -45,10 +48,12 @@ from .potentials import (ConvexityError, NewtonError, PolytopeGrid,
 
 __all__ = [
     "ExperimentConfig",
+    "ExperimentResult",
     "HarmonicPotentialFamily",
     "KahlerFamilyField",
     "ErrorReport",
     "RateFit",
+    "run_experiment",
     "solve_harmonic_map",
     "kahler_field",
     "build_approximants",
@@ -68,10 +73,11 @@ ERROR_COLUMNS = ("C0", "C1_y", "C1_rho", "C2_rhorho", "C2_yrho", "C2_yy")
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Knobs of one experiment; defaults reproduce the standard suites."""
+    """Knobs of one experiment (see `run_experiment`); defaults reproduce the
+    geodesic suite."""
 
     polytope: object = "interval"
-    domain: str = "interval"
+    domain: str = "interval"      # "interval" (geodesic family) or "disc" (loop family)
     boundary_family: str = "geodesic(0.1)"
     levels: tuple[int, ...] = (8, 16, 32, 64)
     n_y: int = 17                 # interval nodes
@@ -81,8 +87,6 @@ class ExperimentConfig:
     n_rho: int = 801              # rho-grid nodes
     rho_span: float = 4.0         # rho-grid on [-span, span]
     window: float = 0.1           # interior window {ell_r >= window}
-    out_dir: str | None = None
-    snapshot_every: int = 0
 
     def __post_init__(self):
         ks = tuple(int(k) for k in self.levels)
@@ -104,14 +108,14 @@ class ExperimentConfig:
         if "resolution" in doc:
             res = doc.pop("resolution")
             domain = doc.get("domain", "interval")
-            if domain == "interval":
-                (doc["n_y"],) = res
-            elif domain == "disc":
-                doc["n_radii"], doc["n_angles"] = res
-            elif domain == "rectangle":
-                doc["n_y"], doc["n_angles"] = res   # nx, ny of the rectangle grid
-            else:
-                raise ValueError(f"unknown domain {domain!r}")
+            keys = _RESOLUTION_KEYS.get(domain)
+            if keys is None:
+                raise ValueError(f"resolution: no experiment family runs on domain "
+                                 f"{domain!r} (expected one of {sorted(_RESOLUTION_KEYS)})")
+            if len(res) != len(keys):
+                raise ValueError(f"resolution {res} for domain {domain!r} needs "
+                                 f"{len(keys)} value(s): {', '.join(keys)}")
+            doc.update(zip(keys, res))
         known = {f for f in cls.__dataclass_fields__}
         unknown = set(doc) - known
         if unknown:
@@ -124,6 +128,30 @@ class ExperimentConfig:
         if isinstance(self.polytope, str):
             return preset_polytope(self.polytope)
         return polytope_from_json(json.dumps(self.polytope))
+
+    def family_spec(self) -> tuple[str, float]:
+        """("geodesic" or "loop", its amplitude a) from `boundary_family`.
+
+        Raises a ValueError naming the field when no experiment family can
+        honour the config: both families live on the interval polytope, the
+        geodesic one on the interval domain and the loop one on the disc.
+        """
+        wanted = _FAMILY_OF_DOMAIN.get(self.domain)
+        if wanted is None:
+            raise ValueError(f"domain: no experiment family runs on {self.domain!r} "
+                             f"(expected one of {sorted(_FAMILY_OF_DOMAIN)})")
+        m = re.fullmatch(r"(\w+)\(([-+0-9.eE]+)\)", self.boundary_family)
+        if m is None or m.group(1) != wanted:
+            raise ValueError(f"boundary_family {self.boundary_family!r} does not run "
+                             f"on domain {self.domain!r} (expected '{wanted}(a)')")
+        if self.build_polytope() != preset_polytope("interval"):
+            raise ValueError(f"polytope {self.polytope!r}: the experiment families "
+                             "run on the interval [0, 1] only")
+        return wanted, float(m.group(2))
+
+
+_RESOLUTION_KEYS = {"interval": ("n_y",), "disc": ("n_radii", "n_angles")}
+_FAMILY_OF_DOMAIN = {"interval": "geodesic", "disc": "loop"}
 
 
 # -- the harmonic-map solver ----------------------------------------------------
@@ -398,6 +426,39 @@ def error_report(family: HarmonicPotentialFamily, phi_field: KahlerFamilyField,
                              "n_rho_window": int(rho_mask.sum())})
 
 
+# -- the experiment runner ---------------------------------------------------------
+
+@dataclass(frozen=True)
+class ExperimentResult:
+    """One run of `run_experiment`."""
+
+    family: HarmonicPotentialFamily
+    field: KahlerFamilyField
+    approximants: dict[int, BergmanFamily]
+    report: ErrorReport
+
+
+def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
+    """family -> kahler_field -> build_approximants -> error_report for one config.
+
+    `cfg.domain` picks the family (see `ExperimentConfig.family_spec`):
+    "interval" runs `geodesic_family` on `n_y` nodes, "disc" runs
+    `loop_family` on `n_radii` x `n_angles`.
+    """
+    name, a = cfg.family_spec()
+    k_max = max(cfg.levels)
+    if name == "geodesic":
+        family = geodesic_family(a, n_t=cfg.n_y, n_x=cfg.n_x, k_max=k_max)
+    else:
+        family = loop_family(a, n_radii=cfg.n_radii, n_angles=cfg.n_angles,
+                             n_x=cfg.n_x, k_max=k_max)
+    rho = np.linspace(-cfg.rho_span, cfg.rho_span, cfg.n_rho)
+    phi_field = kahler_field(family, rho)
+    approx = build_approximants(family, cfg.levels)
+    report = error_report(family, phi_field, approx, window=cfg.window)
+    return ExperimentResult(family, phi_field, approx, report)
+
+
 # -- rate fitting -----------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -452,19 +513,17 @@ def rate_fit(levels, errors) -> RateFit:
 # -- output files ---------------------------------------------------------------------
 
 def write_error_csv(report: ErrorReport, path):
-    buf = io.StringIO()
-    buf.write("k," + ",".join(ERROR_COLUMNS) + "\n")
-    for i, k in enumerate(report.levels):
-        row = [str(k)] + [repr(float(report.norms[c][i])) for c in ERROR_COLUMNS]
-        buf.write(",".join(row) + "\n")
-    with open(path, "w", newline="") as fh:
-        fh.write(buf.getvalue())
+    _write_error_table(report, path, ",", "")
 
 
 def write_error_dat(report: ErrorReport, path):
     """gnuplot-friendly twin of the CSV (space-separated, # header)."""
-    with open(path, "w") as fh:
-        fh.write("# k " + " ".join(ERROR_COLUMNS) + "\n")
+    _write_error_table(report, path, " ", "# ")
+
+
+def _write_error_table(report: ErrorReport, path, sep: str, comment: str):
+    with open(path, "w", newline="") as fh:
+        fh.write(comment + sep.join(("k",) + ERROR_COLUMNS) + "\n")
         for i, k in enumerate(report.levels):
             row = [str(k)] + [repr(float(report.norms[c][i])) for c in ERROR_COLUMNS]
-            fh.write(" ".join(row) + "\n")
+            fh.write(sep.join(row) + "\n")

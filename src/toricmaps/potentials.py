@@ -61,9 +61,7 @@ __all__ = [
     "guillemin_hessian",
     "to_symplectic",
     "to_kahler",
-    "moment_map",
     "abreu_delta",
-    "fd_hessian",
     "default_margin",
     "make_radial_grid",
     "make_polytope_grid",
@@ -250,28 +248,11 @@ def _convex_slices(xgrid: PolytopeGrid, f: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ClosedForm:
-    """Closed-form evaluator; grad/hess optional (finite differences otherwise)."""
+    """Closed-form evaluator: value, gradient and Hessian."""
 
     value: Callable
-    grad: Callable | None = None
-    hess: Callable | None = None
-
-
-def fd_hessian(fn: Callable, x, h: float = 1e-4) -> np.ndarray:
-    """Centered-difference Hessian of a scalar function of points (..., m)."""
-    x = np.asarray(x, dtype=float)
-    m = x.shape[-1]
-    H = np.empty(x.shape[:-1] + (m, m))
-    eye = np.eye(m)
-    for i in range(m):
-        for j in range(i, m):
-            if i == j:
-                H[..., i, i] = (fn(x + h * eye[i]) - 2.0 * fn(x) + fn(x - h * eye[i])) / h**2
-            else:
-                val = (fn(x + h * (eye[i] + eye[j])) - fn(x + h * (eye[i] - eye[j]))
-                       - fn(x + h * (eye[j] - eye[i])) + fn(x - h * (eye[i] + eye[j])))
-                H[..., i, j] = H[..., j, i] = val / (4.0 * h**2)
-    return H
+    grad: Callable
+    hess: Callable
 
 
 def _grid_hessians(values: np.ndarray, axes) -> np.ndarray:
@@ -382,30 +363,12 @@ class KahlerPotential:
 
     def grad(self, rho):
         if self.closed is not None:
-            if self.closed.grad is not None:
-                return np.asarray(self.closed.grad(rho), dtype=float)
-            if self.dim == 1:
-                r = np.asarray(rho, dtype=float)
-                h = 1e-6
-                return (np.asarray(self.closed.value(r + h))
-                        - np.asarray(self.closed.value(r - h))) / (2 * h)
-            raise NotImplementedError("closed form without gradient in dim >= 2")
+            return np.asarray(self.closed.grad(rho), dtype=float)
         return self._gspline()(np.asarray(rho, dtype=float))
 
     def hess(self, rho):
         if self.closed is not None:
-            if self.closed.hess is not None:
-                return np.asarray(self.closed.hess(rho), dtype=float)
-            if self.dim == 1:
-                r = np.asarray(rho, dtype=float)
-                h = 1e-4
-                if self.closed.grad is not None:
-                    return (np.asarray(self.closed.grad(r + h))
-                            - np.asarray(self.closed.grad(r - h))) / (2 * h)
-                return (np.asarray(self.closed.value(r + h))
-                        - 2 * np.asarray(self.closed.value(r))
-                        + np.asarray(self.closed.value(r - h))) / h**2
-            return fd_hessian(self.closed.value, rho)
+            return np.asarray(self.closed.hess(rho), dtype=float)
         return self._gspline().derivative()(np.asarray(rho, dtype=float))
 
     def shift(self, c: float) -> "KahlerPotential":
@@ -487,28 +450,13 @@ class SymplecticPotential:
         return self._spline()(np.asarray(x, dtype=float))
 
     def f_grad(self, x):
-        if self.f_closed is not None and self.f_closed.grad is not None:
-            return np.asarray(self.f_closed.grad(x), dtype=float)
         if self.f_closed is not None:
-            if self.dim == 1:
-                t = np.asarray(x, dtype=float)
-                h = 1e-6
-                return (np.asarray(self.f_closed.value(t + h))
-                        - np.asarray(self.f_closed.value(t - h))) / (2 * h)
-            raise NotImplementedError("closed form without gradient in dim >= 2")
+            return np.asarray(self.f_closed.grad(x), dtype=float)
         return self._spline(1)(np.asarray(x, dtype=float))
 
     def f_hess(self, x):
-        if self.f_closed is not None and self.f_closed.hess is not None:
-            return np.asarray(self.f_closed.hess(x), dtype=float)
         if self.f_closed is not None:
-            if self.dim == 1:
-                t = np.asarray(x, dtype=float)
-                h = 1e-4
-                return (np.asarray(self.f_closed.value(t + h))
-                        - 2 * np.asarray(self.f_closed.value(t))
-                        + np.asarray(self.f_closed.value(t - h))) / h**2
-            return fd_hessian(self.f_closed.value, x)
+            return np.asarray(self.f_closed.hess(x), dtype=float)
         return self._spline(2)(np.asarray(x, dtype=float))
 
     # full potential u = u0 + f -------------------------------------------------
@@ -665,9 +613,8 @@ def to_symplectic(phi: KahlerPotential, P: DelzantPolytope,
         u = x * rho - np.asarray(phi.value(rho))
         f = u - guillemin_potential(P, nodes)
         return SymplecticPotential(P, grid, f_values=f, rho_values=rho[..., None])
-    if phi.closed is None or phi.closed.grad is None or phi.closed.hess is None:
-        raise NotImplementedError(
-            "to_symplectic in dim >= 2 needs a closed-form gradient and Hessian")
+    if phi.closed is None:
+        raise NotImplementedError("to_symplectic in dim >= 2 needs a closed form")
     rho = _invert_gradient_nd(phi.closed.grad, phi.closed.hess, nodes,
                               np.zeros_like(nodes), what="moment map")
     u = np.einsum("...i,...i->...", nodes, rho) - np.asarray(phi.value(rho))
@@ -757,11 +704,6 @@ def _x_bracket(u: SymplecticPotential, rho_min: float, rho_max: float):
     else:
         raise NewtonError(f"could not bracket rho = {rho_max} from above")
     return a, b
-
-
-def moment_map(phi: KahlerPotential, rho):
-    """grad phi(rho); lands in the polytope up to evaluator tolerance."""
-    return phi.grad(rho)
 
 
 def abreu_delta(u: SymplecticPotential, x) -> np.ndarray | float:
@@ -876,41 +818,51 @@ def save_potential(obj, path):
     Closed-form evaluators are not serialized; a reloaded potential falls
     back to sampled (spline) evaluation.
     """
-    buf = io.StringIO()
     if isinstance(obj, KahlerPotential):
-        buf.write(f"kahler dim {obj.dim}\n")
-        for i, ax in enumerate(obj.grid.axes):
-            buf.write(f"axis {i} " + " ".join(repr(float(v)) for v in ax) + "\n")
-        _write_block(buf, "values", obj.values)
-        if obj.grad_values is not None:
-            _write_block(buf, "grad", obj.grad_values)
+        _write_text(path, [f"kahler dim {obj.dim}"], obj.grid,
+                   {"values": obj.values, "grad": obj.grad_values})
     elif isinstance(obj, SymplecticPotential):
-        buf.write(f"symplectic dim {obj.dim}\n")
-        buf.write("polytope " + polytope_to_json(obj.polytope) + "\n")
-        buf.write(f"margin {repr(float(obj.grid.margin))}\n")
-        for i, ax in enumerate(obj.grid.axes):
-            buf.write(f"axis {i} " + " ".join(repr(float(v)) for v in ax) + "\n")
-        _write_block(buf, "values", obj.f_values)
-        if obj.rho_values is not None:
-            _write_block(buf, "grad", obj.rho_values)
+        _write_text(path, [f"symplectic dim {obj.dim}"], obj.grid,
+                   {"values": obj.f_values, "grad": obj.rho_values})
     else:
         raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+
+def load_potential(path):
+    (head,), grid, blocks = _read_text(path, 1)
+    if head.split()[0] == "kahler":
+        return KahlerPotential(grid, blocks["values"], blocks.get("grad"))
+    return SymplecticPotential(grid.polytope, grid, blocks["values"], blocks.get("grad"))
+
+
+def _write_text(path, header, grid, blocks):
+    """The text format: `header` lines, the grid (polytope and margin of a
+    PolytopeGrid, then every axis), then each block that is not None as a
+    `<tag> shape ...` line followed by one value per line."""
+    buf = io.StringIO()
+    for line in header:
+        buf.write(line + "\n")
+    if isinstance(grid, PolytopeGrid):
+        buf.write("polytope " + polytope_to_json(grid.polytope) + "\n")
+        buf.write(f"margin {repr(float(grid.margin))}\n")
+    for i, ax in enumerate(grid.axes):
+        buf.write(f"axis {i} " + " ".join(repr(float(v)) for v in ax) + "\n")
+    for tag, arr in blocks.items():
+        if arr is None:
+            continue
+        arr = np.asarray(arr)
+        buf.write(f"{tag} shape " + " ".join(str(s) for s in arr.shape) + "\n")
+        for v in arr.reshape(-1):
+            buf.write(repr(float(v)) + "\n")
     with open(path, "w") as fh:
         fh.write(buf.getvalue())
 
 
-def _write_block(buf, tag, arr):
-    arr = np.asarray(arr)
-    buf.write(f"{tag} shape " + " ".join(str(s) for s in arr.shape) + "\n")
-    for v in arr.reshape(-1):
-        buf.write(repr(float(v)) + "\n")
-
-
-def load_potential(path):
+def _read_text(path, n_header: int):
+    """Inverse of `_write_text`: (header lines, grid, {tag: array})."""
     with open(path) as fh:
         lines = fh.read().splitlines()
-    kind = lines[0].split()[0]
-    i = 1
+    i = n_header
     polytope = None
     margin = None
     axes = []
@@ -927,7 +879,7 @@ def load_potential(path):
             _, _, rest = lines[i].split(None, 2)
             axes.append(np.array([float(v) for v in rest.split()]))
             i += 1
-        elif head in ("values", "grad"):
+        elif lines[i].split()[1:2] == ["shape"]:
             shape = tuple(int(s) for s in lines[i].split()[2:])
             n = int(np.prod(shape))
             blocks[head] = np.array(
@@ -935,8 +887,8 @@ def load_potential(path):
             i += 1 + n
         else:
             raise ValueError(f"unrecognized line in potential file: {lines[i]!r}")
-    if kind == "kahler":
+    if polytope is None:
         grid = RadialGrid(tuple(axes))
-        return KahlerPotential(grid, blocks["values"], blocks.get("grad"))
-    grid = PolytopeGrid(polytope=polytope, axes=tuple(axes), margin=margin)
-    return SymplecticPotential(polytope, grid, blocks["values"], blocks.get("grad"))
+    else:
+        grid = PolytopeGrid(polytope=polytope, axes=tuple(axes), margin=margin)
+    return lines[:n_header], grid, blocks

@@ -6,8 +6,7 @@ from scipy.integrate import quad
 
 from toricmaps import bergman
 from toricmaps.bergman import (BergmanFamily, NormingTable, QuadratureError,
-                               bargmann_fock_peak, bergman_potential,
-                               harmonic_norming, delta_k,
+                               bargmann_fock_peak, harmonic_norming, delta_k,
                                load_norming_table, localization_gap,
                                log_normalized_monomial, normalized_monomial,
                                norming_constants, peak_asymptotics_check,
@@ -247,16 +246,16 @@ def test_bergman_potential_values(table_k2):
     dom = make_interval(9)
     hn = harmonic_norming(dom, [table_k2, table_k2])
     # log-sum-exp of the Beta values at rho = 0: (1/2) log(3 + 6 + 3)
-    val = bergman_potential(hn, (0,), np.asarray(0.0))
+    val = BergmanFamily(hn).potential((0,), np.asarray(0.0))
     assert val == pytest.approx(0.5 * math.log(12.0), abs=1e-12)
     # equal endpoint tables: independent of t
-    v_mid = bergman_potential(hn, (4,), np.asarray(0.0))
+    v_mid = BergmanFamily(hn).potential((4,), np.asarray(0.0))
     assert v_mid == val
     # boundary consistency: identical floating-point expression
     rho = np.linspace(-2, 2, 17)
     direct = np.max(np.stack([t2a * rho - lq for t2a, lq in
                               zip(table_k2.alphas[:, 0], table_k2.log_q)]), axis=0)
-    lse = bergman_potential(hn, (0,), rho)
+    lse = BergmanFamily(hn).potential((0,), rho)
     terms = np.stack([a * rho - lq for a, lq in
                       zip(table_k2.alphas[:, 0].astype(float), table_k2.log_q)])
     peak = terms.max(axis=0)
@@ -269,7 +268,7 @@ def test_bergman_potential_single_alpha_affine():
     t = NormingTable(level=3, alphas=np.array([[2]]), log_q=np.array([0.7]))
     hn = harmonic_norming(dom, [t, t])
     rho = np.linspace(-1, 1, 9)
-    vals = np.asarray(bergman_potential(hn, (2,), rho))
+    vals = np.asarray(BergmanFamily(hn).potential((2,), rho))
     np.testing.assert_allclose(vals, (2 * rho - 0.7) / 3, atol=1e-14)
 
 
@@ -277,7 +276,7 @@ def test_bergman_convexity_in_rho(table_k2):
     dom = make_interval(5)
     hn = harmonic_norming(dom, [table_k2, table_k2])
     rho = np.linspace(-3, 3, 101)
-    vals = np.asarray(bergman_potential(hn, (2,), rho))
+    vals = np.asarray(BergmanFamily(hn).potential((2,), rho))
     assert np.min(np.diff(vals, 2)) > -1e-12
 
 

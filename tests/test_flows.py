@@ -228,6 +228,11 @@ def test_snapshot_round_trip(tmp_path):
     back = load_snapshot(path, out.domain)
     assert back.tau == out.tau
     np.testing.assert_array_equal(back.f, out.f)
+    assert back.xgrid.polytope == out.xgrid.polytope
+    assert back.xgrid.margin == out.xgrid.margin
+    assert len(back.xgrid.axes) == len(out.xgrid.axes)
+    for a, b in zip(back.xgrid.axes, out.xgrid.axes):
+        np.testing.assert_array_equal(a, b)
 
 
 def test_residual_report_rejects_negative():

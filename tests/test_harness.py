@@ -12,7 +12,8 @@ from toricmaps.harness import (ERROR_COLUMNS, ExperimentConfig,
                                HarmonicPotentialFamily, build_approximants,
                                error_norms, error_report, geodesic_family,
                                kahler_field, loop_family, rate_fit,
-                               solve_harmonic_map, window_rho_bounds,
+                               run_experiment, solve_harmonic_map,
+                               window_rho_bounds,
                                write_error_csv, write_error_dat)
 from toricmaps.polytope import preset_polytope
 from toricmaps.potentials import (ConvexityError, NewtonError,
@@ -235,6 +236,51 @@ def test_config_parsing():
         {"polytope": {"dim": 1, "facets": [{"normal": [1], "offset": 0},
                                            {"normal": [-1], "offset": 2}]}}))
     assert cfg2.build_polytope().bounding_box()[1][0] == 2.0
+
+
+def test_config_rejects_a_resolution_no_family_runs():
+    with pytest.raises(ValueError, match="'rectangle'"):
+        ExperimentConfig.from_json({"domain": "rectangle", "resolution": [9, 9]})
+
+
+def test_config_rejects_a_resolution_of_the_wrong_length():
+    with pytest.raises(ValueError, match="'disc' needs 2 value"):
+        ExperimentConfig.from_json({"domain": "disc", "resolution": [9]})
+    with pytest.raises(ValueError, match="'interval' needs 1 value"):
+        ExperimentConfig.from_json({"resolution": [17, 256]})
+    cfg = ExperimentConfig.from_json({"domain": "disc", "resolution": [5, 64]})
+    assert (cfg.n_radii, cfg.n_angles) == (5, 64)
+
+
+def test_run_experiment_rejects_what_no_family_runs():
+    for cfg, field in ((ExperimentConfig(domain="disc"), "boundary_family"),
+                       (ExperimentConfig(boundary_family="loop(0.05)"), "boundary_family"),
+                       (ExperimentConfig(boundary_family="geodesic"), "boundary_family"),
+                       (ExperimentConfig(domain="rectangle"), "domain"),
+                       (ExperimentConfig(polytope="square"), "polytope")):
+        with pytest.raises(ValueError, match=f"^{field}"):
+            run_experiment(cfg)
+
+
+def test_run_experiment_is_the_hand_built_pipeline(geo):
+    family, rho, field, approx = geo
+    res = run_experiment(ExperimentConfig(levels=(4, 8, 16, 32), n_y=9, n_x=401,
+                                          n_rho=401, rho_span=3.0))
+    assert np.array_equal(res.field.values, field.values)
+    assert sorted(res.approximants) == [4, 8, 16, 32]
+    rep = error_report(family, field, approx, window=0.1)
+    for col in ERROR_COLUMNS:
+        assert np.array_equal(res.report.column(col), rep.column(col))
+
+
+def test_run_experiment_builds_the_disc_family_of_its_config():
+    cfg = ExperimentConfig(domain="disc", boundary_family="loop(0.03)", levels=(4, 8),
+                           n_radii=5, n_angles=64, n_x=201, n_rho=121)
+    res = run_experiment(cfg)
+    family = loop_family(a=0.03, n_radii=5, n_angles=64, n_x=201, k_max=8)
+    assert res.family.domain.shape == family.domain.shape
+    assert np.array_equal(res.family.f, family.f)
+    assert res.report.levels == (4, 8)
 
 
 def test_window_rho_bounds():

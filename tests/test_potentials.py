@@ -7,11 +7,11 @@ from toricmaps.polytope import preset_polytope
 from toricmaps.potentials import (ClosedForm, ConvexityError, KahlerPotential,
                                   NewtonError, SymplecticPotential,
                                   _invert_monotone_1d, abreu_delta,
-                                  default_margin, fd_hessian,
-                                  guillemin_potential, load_potential,
-                                  make_polytope_grid, make_radial_grid,
-                                  moment_map, preset_kahler, preset_symplectic,
-                                  save_potential, to_kahler, to_symplectic)
+                                  default_margin, guillemin_potential,
+                                  load_potential, make_polytope_grid,
+                                  make_radial_grid, preset_kahler,
+                                  preset_symplectic, save_potential, to_kahler,
+                                  to_symplectic)
 
 P = preset_polytope("interval")
 
@@ -139,10 +139,10 @@ def test_involution_perturbed_round_trip():
 
 def test_moment_map():
     phi = preset_kahler("fubini-study")
-    assert float(moment_map(phi, np.asarray(0.0))) == pytest.approx(0.5, abs=1e-14)
-    assert float(moment_map(phi, np.asarray(-20.0))) < 1e-8
+    assert float(phi.grad(np.asarray(0.0))) == pytest.approx(0.5, abs=1e-14)
+    assert float(phi.grad(np.asarray(-20.0))) < 1e-8
     phi_q = quad_phi()
-    assert float(moment_map(phi_q, np.asarray(0.7))) == pytest.approx(0.7, abs=1e-14)
+    assert float(phi_q.grad(np.asarray(0.7))) == pytest.approx(0.7, abs=1e-14)
 
 
 def test_gradient_and_hessian_duality_at_nodes():
@@ -248,11 +248,6 @@ def test_serialization_round_trip(tmp_path):
     back2 = load_potential(path2)
     assert np.array_equal(back2.values, phi.values)
     assert np.array_equal(back2.grad_values, phi.grad_values)
-
-
-def test_fd_hessian_quadratic():
-    H = fd_hessian(lambda p: p[..., 0] ** 2 + 3 * p[..., 0] * p[..., 1], np.array([0.3, 0.4]))
-    np.testing.assert_allclose(H, [[2.0, 3.0], [3.0, 0.0]], atol=1e-7)
 
 
 def test_abreu_delta_reports_convexity_failure():

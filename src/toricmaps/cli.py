@@ -13,8 +13,9 @@ nonzero exactly when one of the invoked assertions fails.
                                          peak asymptotics, ratio bounds
     toricmaps all                        every suite
 
-A suite takes only the flags it reads (see _SUITE_FLAGS); the experiment
-flags shape the files written under --out, so they need --out.
+A suite takes only the flags (_SUITE_FLAGS) and config keys (_SUITE_KEYS)
+it reads; the experiment flags shape the files written under --out, so they
+need --out.
 """
 
 from __future__ import annotations
@@ -63,7 +64,18 @@ _SUITE_FLAGS = {
 }
 
 
-def _load_config(args) -> ExperimentConfig:
+# the config keys each suite's output files read; any other key is a usage
+# error.  The flow's start data is fixed (acceptance.flow_start): it reads
+# only its grid, and `domain` to expand a `resolution`.
+_SUITE_KEYS = {
+    "geodesic": ("polytope", "domain", "boundary_family", "levels", "n_y", "n_x",
+                 "n_rho", "rho_span", "window"),
+    "flow-duality": ("domain", "n_y", "n_x"),
+}
+
+
+def _load_config(args):
+    """The geodesic suite's ExperimentConfig, or the flow's (n_y, n_x)."""
     doc = {}
     if args.config is not None:
         doc = json.loads(Path(args.config).read_text())
@@ -75,17 +87,24 @@ def _load_config(args) -> ExperimentConfig:
             doc[key.strip()] = int(val)
     if getattr(args, "window", None) is not None:
         doc["window"] = args.window
-    cfg = ExperimentConfig.from_json(doc)
-    if cfg.domain != "interval":
-        raise ValueError(f"domain {cfg.domain!r}: the {args.command} suite "
+    doc = ExperimentConfig.json_fields(doc)
+    unread = sorted(set(doc) - set(_SUITE_KEYS[args.command]))
+    if unread:
+        raise ValueError(f"{', '.join(unread)}: not read by the {args.command} suite")
+    domain = doc.get("domain", "interval")
+    if domain != "interval":
+        raise ValueError(f"domain {domain!r}: the {args.command} suite "
                          "runs on the interval domain")
+    if args.command == "flow-duality":
+        return doc.get("n_y", ExperimentConfig.n_y), doc.get("n_x", ExperimentConfig.n_x)
+    cfg = ExperimentConfig(**doc)
     cfg.family_spec()                  # raises on a config no family can run
     return cfg
 
 
-def _checked_config(p: argparse.ArgumentParser, args) -> ExperimentConfig | None:
-    """The config of a suite's output files, or None without --out; exits
-    through `p.error` on a flag that would have no effect."""
+def _checked_config(p: argparse.ArgumentParser, args):
+    """What shapes a suite's output files (see `_load_config`), or None without
+    --out; exits through `p.error` on a flag or key that would have no effect."""
     given = [f for f in _SUITE_FLAGS.get(args.command, ())
              if f != "--out" and getattr(args, f[2:].replace("-", "_")) is not None]
     if args.command not in _SUITE_FLAGS or args.out is None:
@@ -103,9 +122,9 @@ def _checked_config(p: argparse.ArgumentParser, args) -> ExperimentConfig | None
         p.error(str(exc))
 
 
-def _write_flow_snapshots(cfg: ExperimentConfig, out: Path, every: int):
+def _write_flow_snapshots(grid: tuple[int, int], out: Path, every: int):
     from .flows import heat_evolve, save_snapshot
-    state, dtau = acceptance.flow_start(cfg.n_y, cfg.n_x)
+    state, dtau = acceptance.flow_start(*grid)
     out.mkdir(parents=True, exist_ok=True)
     for _ in range(10):
         save_snapshot(state, out / f"flow_{state.tau:.6f}.txt")

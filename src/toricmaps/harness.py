@@ -15,7 +15,9 @@ The approximants are built per level k: boundary norming tables -> harmonic
 norming constants -> log-sum-exp potential Phi_k(y, rho).
 
 Error norms compare Phi_k with Phi on an interior window (the moment-map
-preimage of {ell_r >= window} under the reference boundary metric).  The C0
+preimage of {ell_r >= window} under the reference boundary metric).  Phi_k
+is evaluated only on the window's rho columns plus one stencil column on
+each side, the columns its finite differences reach.  The C0
 norm is mean-adjusted: the spatial mean of Phi_k - Phi over the window at a
 fixed reference boundary node is subtracted first, which removes the
 y-independent constant coming from the dropped volume normalizations of the
@@ -98,9 +100,20 @@ class ExperimentConfig:
             raise ValueError(
                 f"n_x = {self.n_x} too coarse for k_max = {max(ks)} "
                 "(need at least 2 nodes per 1/k cell)")
+        # C2_yy is read two nodes inside the boundary (interior(2) not empty)
+        size = _RESOLUTION_KEYS.get(self.domain, (None,))[0]
+        if size is not None and getattr(self, size) < 5:
+            raise ValueError(f"{size} = {getattr(self, size)} on domain {self.domain!r}: "
+                             "C2_yy needs at least 5, else interior(2) is empty")
 
     @classmethod
     def from_json(cls, doc) -> "ExperimentConfig":
+        return cls(**cls.json_fields(doc))
+
+    @classmethod
+    def json_fields(cls, doc) -> dict:
+        """The field values a JSON config sets, its `resolution` expanded;
+        unknown keys are a ValueError."""
         if isinstance(doc, (str, bytes)):
             doc = json.loads(doc)
         doc = dict(doc)
@@ -120,9 +133,7 @@ class ExperimentConfig:
         unknown = set(doc) - known
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        if "levels" in doc:
-            doc = dict(doc, levels=tuple(doc["levels"]))
-        return cls(**doc)
+        return doc
 
     def build_polytope(self) -> DelzantPolytope:
         if isinstance(self.polytope, str):
@@ -366,18 +377,25 @@ def _rho_window_mask(rho_axis: np.ndarray, bounds, guard_cells: int = 2) -> np.n
     return mask
 
 
-def error_norms(E: np.ndarray, domain, rho_axis: np.ndarray,
+def _require_c2_nodes(domain):
+    if not np.zeros(domain.shape, dtype=bool)[domain.interior(2)].size:
+        raise ValueError(f"{type(domain).__name__} of shape {domain.shape}: interior(2) = "
+                         f"{domain.interior(2)} is empty, so C2_yy has no nodes")
+
+
+def error_norms(E: np.ndarray, domain, h_rho: float,
                 rho_mask: np.ndarray, ref_y_index) -> dict[str, float]:
     """Mean-adjusted C0 and FD C1/C2 sup norms of an error field E(y, rho).
 
-    y-derivatives are the domain's orthonormal-frame components: C1_y is the
-    largest gradient magnitude, C2_yrho the largest |d_rho g_i| and C2_yy the
-    largest |H_ij|, over `domain.interior(1)` (first derivatives) and
-    `interior(2)` (second).  Each component is reduced to its window before
-    the next one is built.
+    `h_rho` is the rho step of E's last axis.  y-derivatives are the
+    domain's orthonormal-frame components: C1_y is the largest gradient
+    magnitude, C2_yrho the largest |d_rho g_i| and C2_yy the largest |H_ij|,
+    over `domain.interior(1)` (first derivatives) and `interior(2)`
+    (second).  Each component is reduced to its window before the next one
+    is built.  Raises a ValueError when `interior(2)` is empty.
     """
+    _require_c2_nodes(domain)
     E = np.asarray(E, dtype=float)
-    h_rho = rho_axis[1] - rho_axis[0]
     rho_ax = E.ndim - 1
     ref = E[(ref_y_index if isinstance(ref_y_index, tuple) else (ref_y_index,))]
     adjust = float(np.mean(ref[rho_mask]))
@@ -403,7 +421,12 @@ def error_norms(E: np.ndarray, domain, rho_axis: np.ndarray,
 def error_report(family: HarmonicPotentialFamily, phi_field: KahlerFamilyField,
                  approximants: dict[int, BergmanFamily],
                  window: float = 0.1, ref_y_index=None) -> ErrorReport:
-    """Per-level error norms of Phi_k - Phi over the interior window."""
+    """Per-level error norms of Phi_k - Phi over the interior window.
+
+    Phi_k is evaluated on the window's columns plus one stencil column on
+    each side, which is every column the rho differences at the window read.
+    """
+    _require_c2_nodes(family.domain)
     rho_axis = phi_field.rho_axis
     bounds = window_rho_bounds(family.boundary_potentials[0], window)
     rho_mask = _rho_window_mask(rho_axis, bounds)
@@ -411,19 +434,27 @@ def error_report(family: HarmonicPotentialFamily, phi_field: KahlerFamilyField,
         raise ValueError("the rho grid does not meet the interior window")
     if ref_y_index is None:
         ref_y_index = family.domain.reference_node
+    on = np.flatnonzero(rho_mask)
+    span = slice(on[0] - 1, on[-1] + 2)       # inside the guard cells of the mask
+    rho, mask, phi = rho_axis[span], rho_mask[span], phi_field.values[..., span]
+    # the full axis's step: the span's own first gap can differ in the last bit
+    h_rho = rho_axis[1] - rho_axis[0]
     levels = tuple(sorted(approximants))
     cols = {name: [] for name in ERROR_COLUMNS}
     for k in levels:
-        E = approximants[k].field(rho_axis)
-        E -= phi_field.values
-        norms = error_norms(E, family.domain, rho_axis, rho_mask, ref_y_index)
+        E = approximants[k].field(rho)
+        E -= phi
+        norms = error_norms(E, family.domain, h_rho, mask, ref_y_index)
         for name in ERROR_COLUMNS:
             cols[name].append(norms[name])
     return ErrorReport(levels=levels,
                        norms={name: np.array(vals) for name, vals in cols.items()},
                        meta={"window": window, "rho_bounds": bounds,
                              "ref_y_index": ref_y_index,
-                             "n_rho_window": int(rho_mask.sum())})
+                             "n_rho_window": on.size,
+                             "rho_eval_bounds": (float(rho[0]), float(rho[-1])),
+                             "rho_eval_start": int(span.start),
+                             "n_rho_eval": rho.size})
 
 
 # -- the experiment runner ---------------------------------------------------------

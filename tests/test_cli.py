@@ -54,6 +54,37 @@ def test_config_file_round_trip(tmp_path, capsys):
     assert load_snapshot(snaps[-1], make_interval(9)).f.shape == (9, 161)
 
 
+def test_flow_config_is_not_held_to_the_levels(tmp_path, capsys):
+    # n_x = 41 is too coarse for the default levels, which the flow never uses
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"n_x": 41}))
+    out = tmp_path / "snaps"
+    assert main(["flow-duality", "--config", str(path), "--resolution", "n_y=5",
+                 "--out", str(out), "--snapshot-every", "1"]) == 0
+    snaps = sorted(out.glob("flow_*.txt"))
+    assert load_snapshot(snaps[-1], make_interval(5)).f.shape == (5, 41)
+
+
+FLOW = ["flow-duality", "--snapshot-every", "2"]
+
+
+@pytest.mark.parametrize("argv,doc,key", [
+    (FLOW, {"levels": [4, 8]}, "levels"),
+    (FLOW, {"n_rho": 401}, "n_rho"),
+    (FLOW, {"rho_span": 3.0}, "rho_span"),
+    (FLOW, {"window": 0.2}, "window"),
+    (FLOW, {"domain": "disc", "resolution": [9, 64]}, "n_angles, n_radii"),
+    (FLOW, {"boundary_family": "geodesic(0.3)"}, "boundary_family"),
+    (FLOW + ["--resolution", "n_y=9,n_rho=401"], {}, "n_rho"),
+    (["geodesic"], {"n_angles": 64}, "n_angles"),
+])
+def test_suites_reject_config_keys_they_do_not_read(tmp_path, capsys, argv, doc, key):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc))
+    err = usage_error(argv + ["--config", str(path), "--out", str(tmp_path)], capsys)
+    assert f"{key}: not read by the {argv[0]} suite" in err
+
+
 def test_suites_reject_flags_they_do_not_read(capsys):
     assert "--levels" in usage_error(["disc", "--levels", "8"], capsys)
     assert "--window" in usage_error(["all", "--window", "0.3"], capsys)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from toricmaps import harness
-from toricmaps.bergman import QuadratureError
+from toricmaps.bergman import BergmanFamily, QuadratureError
 from toricmaps.dirichlet import make_disc, make_interval, make_rectangle
 from toricmaps.harness import (ERROR_COLUMNS, ExperimentConfig,
                                HarmonicPotentialFamily, build_approximants,
@@ -56,10 +56,9 @@ def test_disc_family_closed_form():
     assert np.max(np.abs(family.f - direct)) < 1e-9
 
 
-def test_rectangle_family_end_to_end():
-    # a q(y) prod ell with q harmonic and quadratic: the 5-point Laplacian is
-    # exact on it, so the solve reproduces the closed form to rounding
-    from toricmaps.dirichlet import make_rectangle
+def rectangle_family():
+    """The 9 x 9 rectangle family u0 + q(y) prod ell, q harmonic and quadratic;
+    returns the family and q at the nodes."""
     from toricmaps.potentials import SymplecticPotential, _product_ell_closed
     dom = make_rectangle(9, 9)
     y1, y2 = np.meshgrid(dom.x_nodes, dom.y_nodes, indexing="ij")
@@ -69,7 +68,14 @@ def test_rectangle_family_end_to_end():
            for c in coeff[dom.boundary_mask()]]
     family = solve_harmonic_map(dom, xg, bps,
                                 lambda idx: _product_ell_closed(P, float(coeff[idx])))
-    x = xg.axes[0]
+    return family, coeff
+
+
+def test_rectangle_family_end_to_end():
+    # the 5-point Laplacian is exact on q, so the solve reproduces the closed
+    # form to rounding
+    family, coeff = rectangle_family()
+    x = family.xgrid.axes[0]
     assert np.max(np.abs(family.f - coeff[..., None] * x * (1.0 - x))) < 1e-13
     rho = np.linspace(-3.0, 3.0, 201)
     field = kahler_field(family, rho)
@@ -78,6 +84,12 @@ def test_rectangle_family_end_to_end():
     assert report.meta["ref_y_index"] == (0, 0)
     assert np.all(np.isfinite([report.column(c) for c in ERROR_COLUMNS]))
     assert np.all(np.diff(report.column("C0")) < 0)
+    # Phi_k was evaluated on the window and one stencil column on each side
+    on = np.flatnonzero(harness._rho_window_mask(rho, report.meta["rho_bounds"]))
+    assert report.meta["n_rho_window"] == on.size
+    assert report.meta["rho_eval_start"] == on[0] - 1
+    assert report.meta["n_rho_eval"] == on.size + 2
+    assert report.meta["rho_eval_bounds"] == (rho[on[0] - 1], rho[on[-1] + 1])
 
 
 def test_solve_harmonic_map_validation():
@@ -112,9 +124,10 @@ def test_error_norms_zero_and_constant_shift(geo):
     family, rho, field, _ = geo
     bounds = window_rho_bounds(family.boundary_potentials[0], 0.1)
     mask = (rho >= bounds[0]) & (rho <= bounds[1])
-    zeros = error_norms(np.zeros_like(field.values), family.domain, rho, mask, (0,))
+    h_rho = rho[1] - rho[0]
+    zeros = error_norms(np.zeros_like(field.values), family.domain, h_rho, mask, (0,))
     assert all(v == 0.0 for v in zeros.values())
-    const = error_norms(np.full_like(field.values, 1.5), family.domain, rho,
+    const = error_norms(np.full_like(field.values, 1.5), family.domain, h_rho,
                         mask, (0,))
     assert const["C0"] == 0.0
     assert const["C1_y"] == 0.0 and const["C2_rhorho"] == 0.0
@@ -149,13 +162,40 @@ def test_error_norms_of_a_linear_field_use_the_orthonormal_frame(domain):
     for swap in (False, True):
         L, grad_norm = _linear_field(domain, 0.7, -0.4, swap)
         scale = grad_norm * np.max(psi[mask])
-        norms = error_norms(L[..., None] * psi, domain, rho, mask, domain.reference_node)
+        norms = error_norms(L[..., None] * psi, domain, rho[1] - rho[0], mask,
+                            domain.reference_node)
         assert norms["C1_y"] == pytest.approx(scale, rel=h2)
         assert norms["C2_yy"] <= h2 * scale
         magnitude = np.sqrt(sum(g**2 for g in domain.gradient(L)))
         np.testing.assert_allclose(magnitude[domain.interior(1)], grad_norm, rtol=h2)
         c1.append(norms["C1_y"])
     assert c1[1] == pytest.approx(c1[0], rel=h2)
+
+
+def test_empty_c2_interior_fails_before_any_phi_k(monkeypatch):
+    # 4 radii and the boundary ring leave no node two steps inside the disc
+    family = loop_family(a=0.05, n_radii=4, n_angles=64, n_x=201, k_max=8)
+    rho = np.linspace(-3.0, 3.0, 61)
+    field = kahler_field(family, rho)
+    approx = build_approximants(family, (4, 8))
+    message = r"^DiscDomain of shape \(5, 64\): interior\(2\) = .* is empty"
+    with pytest.raises(ValueError, match=message):
+        error_norms(field.values, family.domain, rho[1] - rho[0],
+                    np.ones(rho.shape, dtype=bool), family.domain.reference_node)
+    evaluated = []
+    monkeypatch.setattr(BergmanFamily, "field", lambda self, r: evaluated.append(r))
+    with pytest.raises(ValueError, match=message):
+        error_report(family, field, approx, window=0.1)
+    assert evaluated == []
+
+
+def test_config_rejects_a_domain_without_c2_nodes():
+    with pytest.raises(ValueError, match="^n_radii = 4 on domain 'disc'"):
+        ExperimentConfig(domain="disc", boundary_family="loop(0.03)", levels=(4, 8),
+                         n_radii=4, n_angles=64, n_x=201, n_rho=121)
+    with pytest.raises(ValueError, match="^n_y = 4 on domain 'interval'"):
+        ExperimentConfig.from_json({"resolution": [4]})
+    assert ExperimentConfig(n_y=5).n_y == 5
 
 
 def test_error_report_monotone_window(geo):
@@ -348,6 +388,54 @@ def test_kahler_field_is_bitwise_the_per_node_solve(make_family):
     values, moment = per_node_field(family, rho)
     assert np.array_equal(field.values, values)
     assert np.array_equal(field.moment, moment)
+
+
+# -- the error report on the window span ---------------------------------------
+
+def full_axis_norms(family, phi_field, approximants, window):
+    """Reference: every level's norms with Phi_k and each rho stencil over the
+    whole rho axis, as error_report computed them before it sliced the axis."""
+    rho = phi_field.rho_axis
+    mask = harness._rho_window_mask(
+        rho, window_rho_bounds(family.boundary_potentials[0], window))
+    return {k: error_norms(approximants[k].field(rho) - phi_field.values, family.domain,
+                           rho[1] - rho[0], mask, family.domain.reference_node)
+            for k in approximants}
+
+
+def assert_report_is_the_full_axis_one(family, rho, levels, window=0.1):
+    phi_field = kahler_field(family, rho)
+    approx = build_approximants(family, levels)
+    report = error_report(family, phi_field, approx, window=window)
+    reference = full_axis_norms(family, phi_field, approx, window)
+    assert report.levels == levels
+    for i, k in enumerate(levels):
+        for col in ERROR_COLUMNS:
+            assert report.column(col)[i] == reference[k][col], (k, col)
+    return report
+
+
+@pytest.mark.parametrize("make_family,levels,rho", [
+    (lambda: geodesic_family(a=0.1, n_t=9, n_x=201, k_max=16), (4, 8, 16),
+     np.linspace(-4.0, 4.0, 801)),
+    (lambda: loop_family(a=0.05, n_radii=9, n_angles=64, n_x=201, k_max=8), (4, 8),
+     np.linspace(-4.0, 4.0, 401)),
+    (lambda: rectangle_family()[0], (4, 8), np.linspace(-3.0, 3.0, 201)),
+], ids=["interval", "disc", "rectangle"])
+def test_error_report_is_bitwise_the_full_axis_report(make_family, levels, rho):
+    report = assert_report_is_the_full_axis_one(make_family(), rho, levels)
+    assert report.meta["n_rho_eval"] < rho.size
+
+
+def test_error_report_span_starts_at_column_one_when_the_window_covers_the_axis():
+    # the window bounds (-log 9, log 9) contain the whole axis, so the first
+    # masked column is the guard column 2
+    rho = np.linspace(-2.0, 2.0, 161)
+    family = geodesic_family(a=0.1, n_t=5, n_x=201, k_max=8)
+    report = assert_report_is_the_full_axis_one(family, rho, (4, 8))
+    assert report.meta["rho_eval_start"] == 1
+    assert report.meta["n_rho_eval"] == rho.size - 2
+    assert report.meta["rho_eval_bounds"] == (rho[1], rho[-2])
 
 
 def test_kahler_field_failure_names_node_and_rho(monkeypatch):

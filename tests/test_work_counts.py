@@ -13,8 +13,8 @@ from toricmaps import bergman, dirichlet, harness, polytope
 from toricmaps.bergman import harmonic_norming, norming_constants
 from toricmaps.dirichlet import (BoundaryData, boundary_weights,
                                  harmonic_extend, make_disc, make_rectangle)
-from toricmaps.harness import (build_approximants, geodesic_family,
-                               kahler_field, loop_family)
+from toricmaps.harness import (build_approximants, error_report,
+                               geodesic_family, kahler_field, loop_family)
 
 
 def counting(monkeypatch, module, name):
@@ -36,6 +36,18 @@ def test_kahler_field_is_one_newton_solve(monkeypatch):
     kahler_field(family, np.linspace(-3.0, 3.0, 41))
     assert len(calls) == 1
     assert calls[0][2].shape == (int(np.prod(family.domain.shape)), 41)
+
+
+def test_error_report_evaluates_phi_k_on_the_window_and_two_stencil_columns(monkeypatch):
+    family = geodesic_family(a=0.1, n_t=5, n_x=201, k_max=8)
+    rho = np.linspace(-4.0, 4.0, 161)
+    field = kahler_field(family, rho)
+    approx = build_approximants(family, (4, 8))
+    calls = counting(monkeypatch, bergman.BergmanFamily, "field")
+    report = error_report(family, field, approx, window=0.1)
+    n_window = report.meta["n_rho_window"]
+    assert [np.size(r) for _, r in calls] == [n_window + 2] * 2
+    assert n_window + 2 < rho.size
 
 
 def test_lattice_enumerated_once_per_polytope_and_level(monkeypatch):

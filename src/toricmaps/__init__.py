@@ -21,10 +21,10 @@ from .polytope import (DelzantPolytope, Facet, LatticeSet, facet_value,
                        lattice_points, near_facets, polytope_from_json,
                        polytope_to_json, preset_polytope)
 from .potentials import (ClosedForm, ConvexityError, KahlerPotential,
-                         NewtonError, PolytopeGrid, RadialGrid, abreu_delta,
-                         default_margin, guillemin_potential, load_potential,
-                         make_polytope_grid, make_radial_grid, preset_kahler,
-                         preset_symplectic, save_potential,
+                         NewtonError, PolytopeGrid, PotentialFamily, RadialGrid,
+                         abreu_delta, default_margin, guillemin_potential,
+                         load_potential, make_polytope_grid, make_radial_grid,
+                         preset_kahler, preset_symplectic, save_potential,
                          SymplecticPotential, to_kahler, to_symplectic)
 from .dirichlet import (BoundaryData, DiscDomain, HarmonicField,
                         IntervalDomain, RectangleDomain, harmonic_extend,
@@ -36,11 +36,11 @@ from .bergman import (BergmanFamily, HarmonicNorming, NormingTable,
                       normalized_monomial, norming_constants,
                       peak_asymptotics_check, peak_value, ratio_report,
                       save_norming_table, szego_sum)
-from .flows import (FlowState, ResidualReport, eells_sampson_residual,
-                    hcma_residual, heat_evolve, make_flow_state)
-from .harness import (ErrorReport, ExperimentConfig, ExperimentResult,
-                      HarmonicPotentialFamily, RateFit, build_approximants,
-                      error_report, geodesic_family, kahler_field, loop_family,
-                      rate_fit, run_experiment, solve_harmonic_map)
+from .flows import (ResidualReport, eells_sampson_residual, hcma_residual,
+                    heat_evolve, make_flow_state)
+from .harness import (ErrorReport, ExperimentConfig, ExperimentResult, RateFit,
+                      build_approximants, error_report, geodesic_family,
+                      kahler_field, loop_family, rate_fit, run_experiment,
+                      solve_harmonic_map)
 
 __version__ = "0.1.0"

@@ -24,9 +24,8 @@ from .bergman import (NormingTable, localization_gap, norming_constants,
 from .dirichlet import (BoundaryData, harmonic_extend, harmonic_extend_disc_fourier,
                         make_interval)
 from .flows import eells_sampson_operator, heat_evolve, hcma_residual, make_flow_state
-from .harness import (ERROR_COLUMNS, ExperimentConfig, HarmonicPotentialFamily,
-                      kahler_field, loop_family, rate_fit, run_experiment,
-                      window_rho_bounds)
+from .harness import (ERROR_COLUMNS, ExperimentConfig, kahler_field,
+                      loop_family, rate_fit, run_experiment, window_rho_bounds)
 from .polytope import preset_polytope
 from .potentials import (default_margin, make_polytope_grid, make_radial_grid,
                          preset_kahler, preset_symplectic, to_kahler,
@@ -37,6 +36,7 @@ __all__ = ["CheckResult", "ALL_CHECKS", "run_checks", "GEODESIC", "DISC",
            "check_legendre_involution", "check_gradient_hessian_duality",
            "check_norming_oracle", "check_duality_identity",
            "check_szego_normalization", "C0Gate", "c0_gate", "check_geodesic_c0",
+           "C1C2Gate", "c1_c2_gate",
            "check_geodesic_c1_c2", "check_disc_c0_crosscheck",
            "check_hcma_residual", "check_flow_duality",
            "check_ratio_bounds", "check_peak_asymptotics",
@@ -261,21 +261,40 @@ def check_geodesic_c0() -> CheckResult:
                        f"pipeline {elapsed:.1f}s (limit 60s)")
 
 
-def check_geodesic_c1_c2() -> CheckResult:
-    """All derivative sup norms strictly decreasing with doubling ratio <= 0.9."""
-    report = geodesic_run()[0].report
-    failures = []
-    details = []
+@dataclass(frozen=True)
+class C1C2Gate:
+    """Verdict of the C1/C2 gate on the derivative columns of an error report."""
+
+    ratios: dict                        # column -> eps_k' / eps_k between levels
+    failing: tuple[str, ...]            # columns not strictly decreasing or above 0.9
+
+    @property
+    def passed(self) -> bool:
+        return not self.failing
+
+
+def c1_c2_gate(levels, report) -> C1C2Gate:
+    """Gate every derivative column (C1 and C2) of an ErrorReport at `levels`:
+    it must decrease strictly, with every doubling ratio eps_k' / eps_k <= 0.9."""
+    if len(levels) < 2 or report.levels != tuple(levels):
+        raise ValueError(f"the report's levels {report.levels} are not the gated "
+                         f"levels {tuple(levels)}, or fewer than two")
+    ratios, failing = {}, []
     for col in ERROR_COLUMNS[1:]:
         e = report.column(col)
-        ratios = e[1:] / e[:-1]
-        ok = bool(np.all(np.diff(e) < 0) and np.all(ratios <= 0.9))
-        details.append(f"{col}: max ratio {ratios.max():.3f}")
-        if not ok:
-            failures.append(col)
-    passed = not failures
-    msg = "; ".join(details) + (f"; failing: {failures}" if failures else "")
-    return CheckResult("geodesic C1/C2 convergence", passed, msg)
+        ratios[col] = e[1:] / e[:-1]
+        if not (np.all(np.diff(e) < 0) and np.all(ratios[col] <= 0.9)):
+            failing.append(col)
+    return C1C2Gate(ratios=ratios, failing=tuple(failing))
+
+
+def check_geodesic_c1_c2() -> CheckResult:
+    """All derivative sup norms strictly decreasing with doubling ratio <= 0.9."""
+    gate = c1_c2_gate(GEODESIC.levels, geodesic_run()[0].report)
+    msg = "; ".join(f"{col}: max ratio {r.max():.3f}" for col, r in gate.ratios.items())
+    if gate.failing:
+        msg += f"; failing: {list(gate.failing)}"
+    return CheckResult("geodesic C1/C2 convergence", gate.passed, msg)
 
 
 def check_disc_c0_crosscheck() -> CheckResult:
@@ -345,21 +364,14 @@ def flow_start(n_t: int, n_x: int):
 
 def _flow_residual(n_t: int, n_x: int, n_rho: int, refine: int) -> float:
     state, dtau = flow_start(n_t, n_x)
-    domain, xgrid = state.domain, state.xgrid
     steps = 40 * refine
     state = heat_evolve(state, dtau, steps)
     stepped = heat_evolve(state, dtau, 1)
     rho = np.linspace(-4.0, 4.0, n_rho)
-
-    def field(s):
-        fam = HarmonicPotentialFamily(domain=domain, xgrid=xgrid,
-                                      boundary_potentials=(), f=s.f)
-        return kahler_field(fam, rho)
-
-    phi1 = field(state)
-    phi2 = field(stepped)
+    phi1 = kahler_field(state, rho)
+    phi2 = kahler_field(stepped, rho)
     d_tau = (phi2.values - phi1.values) / dtau
-    op, keep = eells_sampson_operator(phi1.values, domain, rho)
+    op, keep = eells_sampson_operator(phi1.values, state.domain, rho)
     mask = (rho >= -2.0) & (rho <= 2.0)
     res = np.abs((d_tau - op)[keep][..., mask[keep[-1]]])
     return float(np.max(res))

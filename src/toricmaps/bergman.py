@@ -189,7 +189,7 @@ def _log_q_quadrature(u: SymplecticPotential, k: int, alphas: np.ndarray,
 
 def norming_constants(u: SymplecticPotential, k: int, alphas=None,
                       n_panels: int | None = None, order: int = GAUSS_ORDER,
-                      check_tol: float = 1e-9, provenance: str = "") -> NormingTable:
+                      check_tol: float = 1e-9) -> NormingTable:
     """Norming constants of the level-k toric monomials for the metric of u.
 
     Integrates the moment-map pushforward of |z^alpha|^2 e^{-k phi} over the
@@ -224,8 +224,7 @@ def norming_constants(u: SymplecticPotential, k: int, alphas=None,
         err = np.abs(fine - coarse)
         if not np.any(err > check_tol):
             return NormingTable(level=k, alphas=alphas, log_q=fine,
-                                provenance=provenance or
-                                f"quadrature panels={n}x2 order={order}")
+                                provenance=f"quadrature panels={n}x2 order={order}")
         # this try's doubled rule is the next try's coarse rule
         coarse_panels, coarse = 2 * n, fine
     bad = [(tuple(a), float(e)) for a, e in zip(alphas[err > check_tol].tolist(),
@@ -348,21 +347,20 @@ class HarmonicNorming:
         return HarmonicField(self.domain, self.lam[i])
 
 
-def harmonic_norming(domain, boundary_tables, k: int | None = None) -> HarmonicNorming:
+def harmonic_norming(domain, boundary_tables) -> HarmonicNorming:
     """Extend per-alpha boundary values log Q harmonically over the domain.
 
     `boundary_tables` lists one NormingTable per boundary node in the
-    domain's canonical boundary order; all tables must share the level and
-    the lattice set.  All alphas go through one harmonic extension; a
-    maximum-principle failure names its alpha and the level.
+    domain's canonical boundary order; all tables must share the level (the
+    result's level) and the lattice set.  All alphas go through one harmonic
+    extension; a maximum-principle failure names its alpha and the level.
     """
     tables = list(boundary_tables)
     if len(tables) != domain.n_boundary:
         raise ValueError(
             f"expected {domain.n_boundary} boundary tables, got {len(tables)}")
     t0 = tables[0]
-    if k is None:
-        k = t0.level
+    k = t0.level
     for t in tables:
         if t.level != k:
             raise ValueError("boundary tables disagree on the level k")

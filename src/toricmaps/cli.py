@@ -81,10 +81,19 @@ def _load_config(args):
         doc = json.loads(Path(args.config).read_text())
     if getattr(args, "levels", None):
         doc["levels"] = [int(v) for v in args.levels.split(",")]
-    if args.resolution:
-        for pair in args.resolution.split(","):
-            key, val = pair.split("=")
-            doc[key.strip()] = int(val)
+    for pair in args.resolution.split(",") if args.resolution else ():
+        # each value parsed as the type of its ExperimentConfig field
+        key, sep, val = (part.strip() for part in pair.partition("="))
+        field = ExperimentConfig.__dataclass_fields__.get(key)
+        kind = type(field.default) if field and sep else None
+        if kind not in (int, float, str):
+            raise ValueError(f"--resolution: {pair!r} is not a key=value pair "
+                             "of a scalar config field")
+        try:
+            doc[key] = kind(val)
+        except ValueError:
+            raise ValueError(f"--resolution: {key}={val} is not "
+                             f"a valid {kind.__name__}") from None
     if getattr(args, "window", None) is not None:
         doc["window"] = args.window
     doc = ExperimentConfig.json_fields(doc)

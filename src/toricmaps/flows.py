@@ -16,6 +16,9 @@ common gradient image produces exactly this form, and it is the form that is
 Legendre-dual to Lap_N u = 0.  (Metric conventions that halve the nonlinear
 term rescale the whole residual and nothing else.)
 
+A flow state is a `potentials.PotentialFamily` at flow time tau, as a solved
+harmonic map is: snapshots go into `harness.kahler_field` as they are.
+
 For a disc parameter domain with a one-dimensional fiber, the degenerate
 complex Monge-Ampere equation for the full potential Phi(q, s, rho) reduces
 to the vanishing of
@@ -43,11 +46,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .dirichlet import DiscDomain, _d1, _d2
-from .potentials import (ConvexityError, PolytopeGrid, SymplecticPotential,
+from .potentials import (ConvexityError, PolytopeGrid, PotentialFamily,
                          _convex_slices, _read_text, _write_text)
 
 __all__ = [
-    "FlowState",
     "ResidualReport",
     "make_flow_state",
     "heat_evolve",
@@ -73,53 +75,21 @@ class ResidualReport:
             raise ValueError("residual norms are nonnegative by construction")
 
 
-@dataclass(frozen=True)
-class FlowState:
-    """Family u(y, .) = u0 + f(y, .) over DomainN x PolytopeGrid at flow time tau.
-
-    Boundary slices (in y) are Dirichlet data and stay frozen under the flow.
-    `convexity_violations` lists (tau, y_index) pairs where a slice lost
-    discrete convexity; slices are flagged, never altered.
-    """
-
-    domain: object
-    xgrid: PolytopeGrid
-    tau: float
-    f: np.ndarray                        # (*domain.shape, nx)
-    convexity_violations: tuple = ()
-
-    def __post_init__(self):
-        f = np.asarray(self.f, dtype=float)
-        expected = self.domain.shape + self.xgrid.shape
-        if f.shape != expected:
-            raise ValueError(f"flow field shape {f.shape}, expected {expected}")
-        object.__setattr__(self, "f", f)
-
-    def potential_at(self, y_index) -> SymplecticPotential:
-        idx = y_index if isinstance(y_index, tuple) else (y_index,)
-        return SymplecticPotential(self.xgrid.polytope, self.xgrid,
-                                   f_values=self.f[idx], check=False)
-
-    def convexity_flags(self) -> np.ndarray:
-        """True where the slice u(y, .) is discretely strictly convex."""
-        return _convex_slices(self.xgrid, self.f)
-
-
 def make_flow_state(domain, xgrid: PolytopeGrid, f: np.ndarray,
-                    tau: float = 0.0) -> FlowState:
-    state = FlowState(domain=domain, xgrid=xgrid, tau=tau, f=f)
-    if not np.all(state.convexity_flags()):
-        bad = np.argwhere(~state.convexity_flags())
-        raise ConvexityError(f"initial flow data is not convex at y-nodes {bad[:5].tolist()}")
+                    tau: float = 0.0) -> PotentialFamily:
+    """The flow's start data; a ConvexityError names its non-convex slices."""
+    state = PotentialFamily(domain=domain, xgrid=xgrid, f=f, tau=tau)
+    state.check_convexity("initial flow data")
     return state
 
 
-def heat_evolve(state: FlowState, dtau: float, steps: int) -> FlowState:
+def heat_evolve(state: PotentialFamily, dtau: float, steps: int) -> PotentialFamily:
     """Advance the family by `steps` explicit-Euler heat steps of size dtau.
 
     Rejects time steps above the explicit CFL limit h^2/(2 n).  Convexity of
     every slice is rechecked after each step; violations are recorded as
-    (tau, y_index) pairs on the returned state.
+    (tau, y_index) pairs on the returned state.  The returned state has no
+    `closed_family`: closed forms describe the start data, not the flowed f.
     """
     if steps < 0:
         raise ValueError("steps must be nonnegative")
@@ -144,7 +114,8 @@ def heat_evolve(state: FlowState, dtau: float, steps: int) -> FlowState:
         if not flags.all():
             violations.extend((tau, tuple(int(v) for v in i))
                               for i in np.argwhere(~flags))
-    return replace(state, tau=tau, f=f, convexity_violations=tuple(violations))
+    return replace(state, tau=tau, f=f, closed_family=None,
+                   convexity_violations=tuple(violations))
 
 
 # -- residual operators ---------------------------------------------------------
@@ -243,7 +214,7 @@ def hcma_residual(phi: np.ndarray, domain: DiscDomain, rho_axis: np.ndarray,
 
 # -- snapshot export -------------------------------------------------------------
 
-def save_snapshot(state: FlowState, path):
+def save_snapshot(state: PotentialFamily, path):
     """Write a flow snapshot: the potentials text format of f on the state's
     grid, after a `flow tau` and a `domain_shape` line."""
     _write_text(path, [f"flow tau {repr(float(state.tau))}",
@@ -251,7 +222,7 @@ def save_snapshot(state: FlowState, path):
                 state.xgrid, {"values": state.f})
 
 
-def load_snapshot(path, domain) -> FlowState:
+def load_snapshot(path, domain) -> PotentialFamily:
     (tau_line, _), grid, blocks = _read_text(path, 2)
-    return FlowState(domain=domain, xgrid=grid, tau=float(tau_line.split()[2]),
-                     f=blocks["values"])
+    return PotentialFamily(domain=domain, xgrid=grid, f=blocks["values"],
+                           tau=float(tau_line.split()[2]))

@@ -9,7 +9,9 @@ domain N (the domain's boundary -> node operator applied once to all fiber
 nodes), then invert the Legendre transform of every slice, all slices in one
 Newton solve, to get the potential family Phi(y, rho).
 Positivity of the extension kernel makes every interior slice convex; this
-is asserted, never assumed.
+is asserted, never assumed.  The solved family is a
+`potentials.PotentialFamily`, the record a heat-flow snapshot (`flows`) is
+too, so `kahler_field` transforms either and `heat_evolve` flows either.
 
 The approximants are built per level k: boundary norming tables -> harmonic
 norming constants -> log-sum-exp potential Phi_k(y, rho).
@@ -40,18 +42,16 @@ from .bergman import BergmanFamily, QuadratureError, harmonic_norming, norming_c
 from .dirichlet import (BoundaryData, MaxPrincipleError, _d1, _d2,
                         harmonic_extend, make_disc, make_interval)
 from .polytope import DelzantPolytope, preset_polytope, polytope_from_json
-from .potentials import (ConvexityError, NewtonError, PolytopeGrid,
+from .potentials import (NewtonError, PolytopeGrid, PotentialFamily,
                          SymplecticPotential, _canonical_inverse_guess,
-                         _convex_slices, _invert_monotone_1d,
-                         _product_ell_closed, _x_bracket, default_margin,
-                         guillemin_gradient, guillemin_hessian,
+                         _invert_monotone_1d, _product_ell_closed, _x_bracket,
+                         default_margin, guillemin_gradient, guillemin_hessian,
                          guillemin_potential, make_polytope_grid,
                          preset_symplectic)
 
 __all__ = [
     "ExperimentConfig",
     "ExperimentResult",
-    "HarmonicPotentialFamily",
     "KahlerFamilyField",
     "ErrorReport",
     "RateFit",
@@ -167,29 +167,8 @@ _FAMILY_OF_DOMAIN = {"interval": "geodesic", "disc": "loop"}
 
 # -- the harmonic-map solver ----------------------------------------------------
 
-@dataclass(frozen=True)
-class HarmonicPotentialFamily:
-    """u(y, .) = u0 + f(y, .), with f the harmonic extension of boundary data."""
-
-    domain: object
-    xgrid: PolytopeGrid
-    boundary_potentials: tuple[SymplecticPotential, ...]
-    f: np.ndarray                                    # (*domain.shape, nx)
-    closed_family: object = None                     # optional y_index -> ClosedForm
-
-    def potential_at(self, y_index) -> SymplecticPotential:
-        idx = y_index if isinstance(y_index, tuple) else (y_index,)
-        closed = self.closed_family(idx) if self.closed_family is not None else None
-        return SymplecticPotential(self.xgrid.polytope, self.xgrid,
-                                   f_values=self.f[idx], f_closed=closed,
-                                   check=False)
-
-    def node_indices(self):
-        return list(np.ndindex(self.domain.shape))
-
-
 def solve_harmonic_map(domain, xgrid: PolytopeGrid, boundary_potentials,
-                       closed_family=None) -> HarmonicPotentialFamily:
+                       closed_family=None) -> PotentialFamily:
     """Extend the boundary family of symplectic potentials harmonically over N.
 
     `boundary_potentials` lists one SymplecticPotential per boundary node of
@@ -213,18 +192,10 @@ def solve_harmonic_map(domain, xgrid: PolytopeGrid, boundary_potentials,
         x = ", ".join(f"{axis[i]:.6g}" for axis, i in zip(xgrid.axes, exc.index))
         raise MaxPrincipleError(f"{exc} at fiber node {exc.index}, x = {x}",
                                 index=exc.index) from exc
-    family = HarmonicPotentialFamily(domain=domain, xgrid=xgrid,
-                                     boundary_potentials=bps, f=f,
-                                     closed_family=closed_family)
-    _assert_family_convexity(family)
+    family = PotentialFamily(domain=domain, xgrid=xgrid, f=f,
+                             boundary_potentials=bps, closed_family=closed_family)
+    family.check_convexity("harmonic extension")
     return family
-
-
-def _assert_family_convexity(family: HarmonicPotentialFamily):
-    bad = ~_convex_slices(family.xgrid, family.f)
-    if np.any(bad):
-        raise ConvexityError(
-            f"harmonic extension lost convexity at domain nodes {np.argwhere(bad)[:5].tolist()}")
 
 
 @dataclass(frozen=True)
@@ -237,7 +208,7 @@ class KahlerFamilyField:
     moment: np.ndarray        # (*domain.shape, n_rho)
 
 
-def kahler_field(family: HarmonicPotentialFamily, rho_axis: np.ndarray) -> KahlerFamilyField:
+def kahler_field(family: PotentialFamily, rho_axis: np.ndarray) -> KahlerFamilyField:
     """Invert the Legendre transform over the whole family in one Newton solve.
 
     The targets form a (nodes x rho) array.  The analytic u0 part of grad u
@@ -328,7 +299,7 @@ def loop_family(a: float = 0.05, n_radii: int = 9, n_angles: int = 256,
 
 # -- approximants ------------------------------------------------------------------
 
-def build_approximants(family: HarmonicPotentialFamily, levels,
+def build_approximants(family: PotentialFamily, levels,
                        n_panels: int | None = None) -> dict[int, BergmanFamily]:
     """Boundary norming tables -> harmonic norming -> Phi_k, for each level.
 
@@ -343,7 +314,7 @@ def build_approximants(family: HarmonicPotentialFamily, levels,
             except QuadratureError as exc:
                 raise QuadratureError(
                     f"{exc} for boundary node {i} at level k = {k}") from exc
-        norming = harmonic_norming(family.domain, tables, k)
+        norming = harmonic_norming(family.domain, tables)
         out[k] = BergmanFamily(norming)
     return out
 
@@ -418,7 +389,7 @@ def error_norms(E: np.ndarray, domain, h_rho: float,
     }
 
 
-def error_report(family: HarmonicPotentialFamily, phi_field: KahlerFamilyField,
+def error_report(family: PotentialFamily, phi_field: KahlerFamilyField,
                  approximants: dict[int, BergmanFamily],
                  window: float = 0.1, ref_y_index=None) -> ErrorReport:
     """Per-level error norms of Phi_k - Phi over the interior window.
@@ -463,7 +434,7 @@ def error_report(family: HarmonicPotentialFamily, phi_field: KahlerFamilyField,
 class ExperimentResult:
     """One run of `run_experiment`."""
 
-    family: HarmonicPotentialFamily
+    family: PotentialFamily
     field: KahlerFamilyField
     approximants: dict[int, BergmanFamily]
     report: ErrorReport

@@ -226,9 +226,6 @@ class DelzantPolytope:
         ell += self._offsets_f[per_facet]
         return ell.transpose(*range(1, ell.ndim), 0)
 
-    def contains(self, x, tol: float = 0.0) -> bool:
-        return bool(np.all(self.ell(x) >= -tol))
-
     def bounding_box(self) -> tuple[np.ndarray, np.ndarray]:
         """Read-only (lo, hi) corners of the axis-aligned bounding box."""
         return self._bbox
@@ -251,13 +248,6 @@ class LatticeSet:
     @property
     def count(self) -> int:
         return self.points.shape[0]
-
-    def index_of(self, alpha) -> int:
-        alpha = tuple(int(a) for a in np.atleast_1d(alpha))
-        matches = np.nonzero((self.points == alpha).all(axis=1))[0]
-        if matches.size == 0:
-            raise KeyError(f"lattice point {alpha} not in level-{self.level} set")
-        return int(matches[0])
 
 
 def facet_value(P: DelzantPolytope, r: int, x) -> float:

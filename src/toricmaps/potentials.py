@@ -54,6 +54,7 @@ __all__ = [
     "ClosedForm",
     "KahlerPotential",
     "SymplecticPotential",
+    "PotentialFamily",
     "ConvexityError",
     "NewtonError",
     "guillemin_potential",
@@ -488,6 +489,52 @@ class SymplecticPotential:
                                 grad=base.grad, hess=base.hess)
         return SymplecticPotential(self.polytope, self.grid, self.f_values + c,
                                    self.rho_values, closed, check=False)
+
+
+@dataclass(frozen=True)
+class PotentialFamily:
+    """Family u(y, .) = u0 + f(y, .) over a parameter domain N x PolytopeGrid:
+    a solved harmonic map (Dirichlet data `boundary_potentials`, optional
+    closed forms `closed_family(idx)` of the nodes' smooth parts) or a heat-flow
+    snapshot at time `tau`, flagging in `convexity_violations` the (tau, y_index)
+    pairs where a slice lost discrete convexity (slices are never altered).
+    """
+
+    domain: object
+    xgrid: PolytopeGrid
+    f: np.ndarray                        # (*domain.shape, nx)
+    boundary_potentials: tuple = ()
+    closed_family: object = None         # optional y_index -> ClosedForm
+    tau: float = 0.0
+    convexity_violations: tuple = ()
+
+    def __post_init__(self):
+        f = np.asarray(self.f, dtype=float)
+        expected = self.domain.shape + self.xgrid.shape
+        if f.shape != expected:
+            raise ValueError(f"family field shape {f.shape}, expected {expected}")
+        object.__setattr__(self, "f", f)
+
+    def potential_at(self, y_index) -> SymplecticPotential:
+        idx = y_index if isinstance(y_index, tuple) else (y_index,)
+        closed = self.closed_family(idx) if self.closed_family is not None else None
+        return SymplecticPotential(self.xgrid.polytope, self.xgrid,
+                                   f_values=self.f[idx], f_closed=closed,
+                                   check=False)
+
+    def node_indices(self):
+        return list(np.ndindex(self.domain.shape))
+
+    def convexity_flags(self) -> np.ndarray:
+        """True where the slice u(y, .) is discretely strictly convex."""
+        return _convex_slices(self.xgrid, self.f)
+
+    def check_convexity(self, what: str):
+        """Raise a ConvexityError naming `what` and its first non-convex nodes."""
+        bad = ~self.convexity_flags()
+        if np.any(bad):
+            raise ConvexityError(
+                f"{what} is not convex at domain nodes {np.argwhere(bad)[:5].tolist()}")
 
 
 # -- safeguarded Newton inversion ----------------------------------------------

@@ -6,9 +6,11 @@ Run with `pytest tests/test_acceptance.py -v -s` to see every line, or via
 the CLI (`toricmaps all`), which executes the same checks.
 """
 
+import numpy as np
 import pytest
 
 from toricmaps import acceptance
+from toricmaps.harness import ERROR_COLUMNS, ErrorReport
 
 
 def _run(check):
@@ -65,6 +67,25 @@ def test_c0_gate_bites():
 
 def test_geodesic_c1_c2_convergence():
     _run(acceptance.check_geodesic_c1_c2)
+
+
+def test_c1_c2_gate_bites():
+    ks = (8, 16, 32, 64)
+    assert acceptance.c1_c2_gate(ks, acceptance.geodesic_run()[0].report).passed
+    fast = [1e-2 * 0.3**i for i in range(4)]
+
+    def report(**columns):
+        return ErrorReport(levels=ks, norms={c: np.array(columns.get(c, fast))
+                                             for c in ERROR_COLUMNS})
+
+    assert acceptance.c1_c2_gate(ks, report()).passed
+    slow = acceptance.c1_c2_gate(ks, report(C2_yy=[1e-2 * 0.95**i for i in range(4)]))
+    assert slow.failing == ("C2_yy",) and not slow.passed
+    assert max(slow.ratios["C2_yy"]) == pytest.approx(0.95)
+    stalled = acceptance.c1_c2_gate(ks, report(C1_rho=[1e-2, 3e-3, 9e-4, 9e-4]))
+    assert stalled.failing == ("C1_rho",) and not stalled.passed
+    with pytest.raises(ValueError):
+        acceptance.c1_c2_gate((8, 16, 32), report())
 
 
 def test_disc_c0_and_kernel_crosscheck():

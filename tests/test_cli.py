@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import toricmaps
-from toricmaps import acceptance, harness
+from toricmaps import acceptance, cli, harness
 from toricmaps.cli import main
 from toricmaps.dirichlet import make_interval
 from toricmaps.flows import load_snapshot
@@ -147,3 +147,27 @@ def test_geodesic_out_runs_the_interval_family_once(tmp_path, monkeypatch, capsy
     monkeypatch.setattr(harness, "kahler_field", counted)
     assert main(["geodesic", "--out", str(tmp_path)]) == 0
     assert shapes == [(17,)]
+
+
+def test_resolution_values_take_their_field_types(tmp_path, monkeypatch, capsys):
+    configs = []
+
+    def recorded(cfg):
+        configs.append(cfg)
+        return harness.run_experiment(cfg)
+
+    monkeypatch.setattr(cli, "run_experiment", recorded)
+    assert main(["geodesic", "--levels", "4,8,16,32", "--resolution",
+                 "n_y=9,n_x=401,n_rho=401,rho_span=3.5", "--out", str(tmp_path)]) == 0
+    assert [(c.n_y, c.n_x, c.n_rho, c.rho_span) for c in configs] == [(9, 401, 401, 3.5)]
+
+
+@pytest.mark.parametrize("pair,message", [
+    ("n_x", "--resolution: 'n_x' is not a key=value pair of a scalar config field"),
+    ("n_x=801.5", "--resolution: n_x=801.5 is not a valid int"),
+    ("levels=8", "--resolution: 'levels=8' is not a key=value pair of a scalar"),
+    ("n_q=9", "--resolution: 'n_q=9' is not a key=value pair of a scalar"),
+], ids=["no-equals", "non-integer", "tuple-field", "unknown-key"])
+def test_resolution_rejects_a_malformed_pair(tmp_path, capsys, pair, message):
+    err = usage_error(["geodesic", "--resolution", pair, "--out", str(tmp_path)], capsys)
+    assert message in err

@@ -9,10 +9,10 @@ from toricmaps.dirichlet import (BoundaryData, harmonic_extend, make_disc, make_
 from toricmaps.flows import (ResidualReport, eells_sampson_operator,
                              eells_sampson_residual, hcma_residual, heat_evolve, load_snapshot,
                              make_flow_state, save_snapshot)
-from toricmaps.harness import (HarmonicPotentialFamily, kahler_field,
-                               loop_family, solve_harmonic_map)
+from toricmaps.harness import kahler_field, loop_family, solve_harmonic_map
 from toricmaps.polytope import preset_polytope
-from toricmaps.potentials import ConvexityError, make_polytope_grid, preset_symplectic
+from toricmaps.potentials import (ConvexityError, _product_ell_closed, make_polytope_grid,
+                                  preset_symplectic)
 
 P = preset_polytope("interval")
 
@@ -95,6 +95,23 @@ def test_heat_flow_preserves_convexity():
     out = heat_evolve(state, h**2 / 2.0, 500)
     assert not out.convexity_violations
     assert np.all(out.convexity_flags())
+
+
+def test_heat_evolve_drops_the_closed_forms_of_a_solved_family():
+    # closed forms describe the start data, so the flowed family's potential_at
+    # must read the flowed f; a closed form that disagrees with f (a zero
+    # smooth part) shows which of the two it reads
+    dom = make_interval(9)
+    xg = make_polytope_grid(P, 41, 1e-3)
+    ends = [preset_symplectic(name, P, xg) for name in ("guillemin", "perturbed(0.1)")]
+    fam = solve_harmonic_map(dom, xg, ends, lambda idx: _product_ell_closed(P, 0.0))
+    h = dom.nodes[1] - dom.nodes[0]
+    out = heat_evolve(fam, h**2 / 4.0, 3)
+    assert fam.closed_family is not None and out.closed_family is None
+    pot = out.potential_at((4,))
+    assert pot.f_closed is None
+    assert np.max(np.abs(out.f[4])) > 1e-2
+    np.testing.assert_allclose(pot.f_value(xg.axes[0]), out.f[4], rtol=1e-12, atol=0)
 
 
 def test_boundary_slices_frozen():
@@ -201,17 +218,13 @@ def test_flow_duality_sign_relation():
     s1 = heat_evolve(state, dtau, 40)
     s2 = heat_evolve(s1, dtau, 1)
     rho = np.linspace(-3.0, 3.0, 401)
-    fam1 = HarmonicPotentialFamily(domain=s1.domain, xgrid=s1.xgrid,
-                                   boundary_potentials=(), f=s1.f)
-    fam2 = HarmonicPotentialFamily(domain=s2.domain, xgrid=s2.xgrid,
-                                   boundary_potentials=(), f=s2.f)
-    phi1 = kahler_field(fam1, rho)
-    phi2 = kahler_field(fam2, rho)
+    phi1 = kahler_field(s1, rho)
+    phi2 = kahler_field(s2, rho)
     du = (s2.f - s1.f) / dtau            # u0 cancels in the difference
     worst = 0.0
     x_nodes = s1.xgrid.axes[0][100:-100:25]
     for iy in range(1, 32, 6):
-        pot = fam1.potential_at((iy,))
+        pot = s1.potential_at((iy,))
         rho_of_x = np.asarray(pot.grad(x_nodes))
         dphi = (CubicSpline(rho, phi2.values[iy]) (rho_of_x)
                 - CubicSpline(rho, phi1.values[iy])(rho_of_x)) / dtau

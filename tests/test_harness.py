@@ -1,17 +1,19 @@
 import functools
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from toricmaps import harness
+from toricmaps.acceptance import flow_start
 from toricmaps.bergman import BergmanFamily, QuadratureError
 from toricmaps.dirichlet import make_disc, make_interval, make_rectangle
+from toricmaps.flows import heat_evolve
 from toricmaps.harness import (ERROR_COLUMNS, ExperimentConfig,
-                               HarmonicPotentialFamily, build_approximants,
-                               error_norms, error_report, geodesic_family,
-                               kahler_field, loop_family, rate_fit,
+                               build_approximants, error_norms, error_report,
+                               geodesic_family, kahler_field, loop_family, rate_fit,
                                run_experiment, solve_harmonic_map,
                                window_rho_bounds,
                                write_error_csv, write_error_dat)
@@ -110,14 +112,16 @@ def test_extension_convexity_guard():
     xg = make_polytope_grid(P, 101, 1e-2)
     u = preset_symplectic("guillemin", P, xg)
     fam = solve_harmonic_map(dom, xg, [u, u])
-    from toricmaps.harness import HarmonicPotentialFamily, _assert_family_convexity
     bad_f = fam.f.copy()
     bad_f[2] = -5.0 * xg.axes[0] ** 2
-    bad = HarmonicPotentialFamily(domain=dom, xgrid=xg,
-                                  boundary_potentials=fam.boundary_potentials,
-                                  f=bad_f)
-    with pytest.raises(ConvexityError):
-        _assert_family_convexity(bad)
+    with pytest.raises(ConvexityError, match=r"domain nodes \[\[2\]\]$"):
+        replace(fam, f=bad_f).check_convexity("harmonic extension")
+
+
+def test_solved_family_rejects_a_wrongly_shaped_f():
+    fam = geodesic_family(a=0.1, n_t=5, n_x=101, k_max=8)
+    with pytest.raises(ValueError, match=r"shape \(5, 100\), expected \(5, 101\)"):
+        replace(fam, f=fam.f[:, 1:])
 
 
 def test_error_norms_zero_and_constant_shift(geo):
@@ -365,22 +369,18 @@ def per_node_field(family, rho):
     return values, moment
 
 
-def sampled_interval_family():
-    """Interval family without a closed form (spline evaluators), built like the
-    flow-duality check's snapshots."""
-    domain = make_interval(9)
-    xgrid = make_polytope_grid(P, 201, 1e-3)
-    t = domain.nodes
-    x = xgrid.axes[0]
-    f = (0.1 * t + 0.2 * t * (1.0 - t))[:, None] * (x * (1.0 - x))[None, :]
-    return HarmonicPotentialFamily(domain=domain, xgrid=xgrid,
-                                   boundary_potentials=(), f=f)
+def sampled_interval_family(steps=0):
+    """Interval family without a closed form (spline evaluators): the
+    flow-duality check's start data after `steps` heat steps."""
+    state, dtau = flow_start(9, 201)
+    return heat_evolve(state, dtau, steps)
 
 
 @pytest.mark.parametrize("make_family", [
     lambda: loop_family(a=0.05, n_radii=4, n_angles=64, n_x=201, k_max=8),
     sampled_interval_family,
-], ids=["disc-closed-form", "interval-spline"])
+    lambda: sampled_interval_family(steps=20),
+], ids=["disc-closed-form", "interval-spline", "interval-heat-flow"])
 def test_kahler_field_is_bitwise_the_per_node_solve(make_family):
     family = make_family()
     rho = np.linspace(-4.0, 4.0, 121)

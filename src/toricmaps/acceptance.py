@@ -58,8 +58,7 @@ _CACHE: dict = {}
 # the geodesic suite: a = 0.1, 17 x 801 nodes, levels 8..64, 801 rho nodes on [-4, 4]
 GEODESIC = ExperimentConfig()
 # the disc suite: a = 0.05, 9 x 256 nodes, levels 8..32, 601 rho nodes on [-4, 4]
-DISC = ExperimentConfig(domain="disc", boundary_family="loop(0.05)",
-                        levels=(8, 16, 32), n_rho=601)
+DISC = ExperimentConfig(domain="disc", a=0.05, levels=(8, 16, 32), n_rho=601)
 
 
 def geodesic_run():
@@ -467,11 +466,11 @@ ALL_CHECKS = (
 )
 
 
-def run_checks(checks=None, verbose: bool = True) -> list[CheckResult]:
+def run_checks(checks=None) -> list[CheckResult]:
+    """Run `checks` (default: ALL_CHECKS), printing each result's line."""
     results = []
     for fn in (checks or ALL_CHECKS):
         res = fn()
         results.append(res)
-        if verbose:
-            print(res.line())
+        print(res.line())
     return results

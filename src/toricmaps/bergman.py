@@ -460,9 +460,10 @@ class RatioReport:
 
 
 def ratio_report(norming: HarmonicNorming, table_at_y: NormingTable,
-                 u_at_y: SymplecticPotential, boundary_potentials, y_index,
-                 alphas=None) -> RatioReport:
-    """R_k and its limit R_inf at one interior domain node.
+                 u_at_y: SymplecticPotential, boundary_potentials,
+                 y_index) -> RatioReport:
+    """R_k and its limit R_inf at one interior domain node, over every
+    strictly interior lattice point of the level.
 
     In the log domain,
 
@@ -481,12 +482,8 @@ def ratio_report(norming: HarmonicNorming, table_at_y: NormingTable,
     at boundary y both are identically 1.)
     """
     k = norming.level
-    if alphas is None:
-        sel = [i for i, a in enumerate(norming.alphas)
-               if np.all(u_at_y.polytope.ell(a.astype(float) / k) > 0)]
-    else:
-        wanted = {tuple(int(v) for v in np.atleast_1d(a)) for a in alphas}
-        sel = [i for i, a in enumerate(norming.alphas.tolist()) if tuple(a) in wanted]
+    sel = [i for i, a in enumerate(norming.alphas)
+           if np.all(u_at_y.polytope.ell(a.astype(float) / k) > 0)]
     if not sel:
         raise ValueError("no strictly interior lattice points selected")
     idx = np.array(sel)
@@ -524,9 +521,9 @@ class PeakAsymptotics:
         return float(np.std(self.constants) / np.mean(self.constants))
 
 
-def peak_asymptotics_check(table: NormingTable, u: SymplecticPotential,
-                           alphas=None) -> PeakAsymptotics:
-    """Fit the undetermined constant of the interior peak-value law.
+def peak_asymptotics_check(table: NormingTable, u: SymplecticPotential) -> PeakAsymptotics:
+    """Fit the undetermined constant of the interior peak-value law at every
+    lattice point of the table.
 
     Only lattice points with no facet closer than delta_k = 1/(sqrt(k) log k)
     are admitted (the flat-model crossover region is excluded); for those,
@@ -534,13 +531,10 @@ def peak_asymptotics_check(table: NormingTable, u: SymplecticPotential,
     alpha up to the expansion remainder.
     """
     k = table.level
-    if alphas is None:
-        alphas = table.alphas
-    alphas = np.asarray(alphas, dtype=np.int64).reshape(-1, table.dim)
     dk = delta_k(k)
     consts = []
     kept = []
-    for a in alphas:
+    for a in table.alphas:
         x = a.astype(float) / k
         _, n_near = near_facets(u.polytope, x, dk)
         if n_near > 0:

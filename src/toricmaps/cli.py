@@ -15,7 +15,9 @@ nonzero exactly when one of the invoked assertions fails.
 
 A suite takes only the flags (_SUITE_FLAGS) and config keys (_SUITE_KEYS)
 it reads; the experiment flags shape the files written under --out, so they
-need --out.
+need --out.  A config key is an `ExperimentConfig` field; its value, from
+the JSON file or from --resolution, must have the field's type.  Any other
+key or type is a usage error naming the key, raised before a check runs.
 """
 
 from __future__ import annotations
@@ -65,12 +67,11 @@ _SUITE_FLAGS = {
 
 
 # the config keys each suite's output files read; any other key is a usage
-# error.  The flow's start data is fixed (acceptance.flow_start): it reads
-# only its grid, and `domain` to expand a `resolution`.
+# error.  Both suites run on the interval domain; the flow's start data is
+# fixed (acceptance.flow_start), so it reads only its grid.
 _SUITE_KEYS = {
-    "geodesic": ("polytope", "domain", "boundary_family", "levels", "n_y", "n_x",
-                 "n_rho", "rho_span", "window"),
-    "flow-duality": ("domain", "n_y", "n_x"),
+    "geodesic": ("a", "levels", "n_y", "n_x", "n_rho", "rho_span", "window"),
+    "flow-duality": ("n_y", "n_x"),
 }
 
 
@@ -100,15 +101,10 @@ def _load_config(args):
     unread = sorted(set(doc) - set(_SUITE_KEYS[args.command]))
     if unread:
         raise ValueError(f"{', '.join(unread)}: not read by the {args.command} suite")
-    domain = doc.get("domain", "interval")
-    if domain != "interval":
-        raise ValueError(f"domain {domain!r}: the {args.command} suite "
-                         "runs on the interval domain")
     if args.command == "flow-duality":
+        ExperimentConfig.check_types(doc)      # no config: the flow has no levels
         return doc.get("n_y", ExperimentConfig.n_y), doc.get("n_x", ExperimentConfig.n_x)
-    cfg = ExperimentConfig(**doc)
-    cfg.family_spec()                  # raises on a config no family can run
-    return cfg
+    return ExperimentConfig(**doc)
 
 
 def _checked_config(p: argparse.ArgumentParser, args):
@@ -171,7 +167,7 @@ def main(argv=None) -> int:
             p.add_argument(flag, default=None, **_FLAGS[flag])
     args = parser.parse_args(argv)
     cfg = _checked_config(subparsers[args.command], args)
-    results = acceptance.run_checks(_SUITES.get(args.command), verbose=True)
+    results = acceptance.run_checks(_SUITES.get(args.command))
     if cfg is not None and args.command == "geodesic":
         _write_geodesic_outputs(cfg, args.out)
     if cfg is not None and args.command == "flow-duality":

@@ -22,10 +22,10 @@ Supported domains (all with the Euclidean metric):
              solves the 5-point Laplacian, assembled from Kronecker products
              and factorized once per domain (sparse LU).
 
-The disc's interior radii are kept away from r = 1 (default cap 0.9) with an
-exact boundary ring at r = 1; the angular quadrature error of the Poisson
-integral scales like r_max^n_theta, so the cap keeps it near machine level at
-the default 256 angles.
+`make_disc` keeps the interior radii away from r = 1 (cap R_INTERIOR_MAX =
+0.9) with an exact boundary ring at r = 1; the angular quadrature error of
+the Poisson integral scales like r_max^n_theta, so the cap keeps it near
+machine level at the default 256 angles.
 
 Besides `shape` and `extend`, every domain answers what callers would
 otherwise re-derive from its type: `n_boundary` (boundary nodes, in the
@@ -70,6 +70,8 @@ __all__ = [
     "boundary_weights",
     "MaxPrincipleError",
 ]
+
+R_INTERIOR_MAX = 0.9      # largest interior radius of `make_disc`
 
 
 def _uniform_axis(values, name: str) -> np.ndarray:
@@ -315,19 +317,21 @@ class RectangleDomain:
         return _d2(v, h_x, 0) + _d2(v, h_y, 1)
 
 
-def make_interval(n: int, t0: float = 0.0, t1: float = 1.0) -> IntervalDomain:
-    return IntervalDomain(np.linspace(t0, t1, n))
+def make_interval(n: int) -> IntervalDomain:
+    """n uniform nodes on [0, 1]."""
+    return IntervalDomain(np.linspace(0.0, 1.0, n))
 
 
-def make_disc(n_radii: int, n_angles: int = 256,
-              r_interior_max: float = 0.9) -> DiscDomain:
-    radii = np.concatenate([np.linspace(0.0, r_interior_max, n_radii), [1.0]])
+def make_disc(n_radii: int, n_angles: int = 256) -> DiscDomain:
+    """n_radii uniform radii on [0, R_INTERIOR_MAX], the ring r = 1, n_angles angles."""
+    radii = np.concatenate([np.linspace(0.0, R_INTERIOR_MAX, n_radii), [1.0]])
     angles = 2.0 * np.pi * np.arange(n_angles) / n_angles
     return DiscDomain(radii=radii, angles=angles)
 
 
-def make_rectangle(nx: int, ny: int, lx: float = 1.0, ly: float = 1.0) -> RectangleDomain:
-    return RectangleDomain(np.linspace(0.0, lx, nx), np.linspace(0.0, ly, ny))
+def make_rectangle(nx: int, ny: int) -> RectangleDomain:
+    """nx x ny uniform nodes on the unit square."""
+    return RectangleDomain(np.linspace(0.0, 1.0, nx), np.linspace(0.0, 1.0, ny))
 
 
 @dataclass(frozen=True)

@@ -2,11 +2,11 @@
 Heat flow on families of symplectic potentials and PDE residuals for the
 dual pictures.
 
-The flow advances the smooth part f of u = u0 + f by the discrete Laplacian
-of the parameter domain N (explicit Euler, CFL-guarded, Dirichlet data on
-the boundary of N frozen).  Under the Legendre transform this is the
-gradient flow of the harmonic-map energy on the Kahler side, which is what
-the Eells-Sampson residual measures:
+The flow advances the smooth part f of u = u0 + f by the parameter domain's
+own discrete Laplacian, `domain.laplacian` on `domain.interior(0)` (explicit
+Euler, CFL-guarded, Dirichlet data on the boundary of N frozen).  Under the
+Legendre transform this is the gradient flow of the harmonic-map energy on
+the Kahler side, which is what the Eells-Sampson residual measures:
 
     ES(Phi) = Lap_N Phi - sum_a (d_rho d_{y^a} Phi)^2 / d^2_rho Phi.
 
@@ -75,10 +75,9 @@ class ResidualReport:
             raise ValueError("residual norms are nonnegative by construction")
 
 
-def make_flow_state(domain, xgrid: PolytopeGrid, f: np.ndarray,
-                    tau: float = 0.0) -> PotentialFamily:
-    """The flow's start data; a ConvexityError names its non-convex slices."""
-    state = PotentialFamily(domain=domain, xgrid=xgrid, f=f, tau=tau)
+def make_flow_state(domain, xgrid: PolytopeGrid, f: np.ndarray) -> PotentialFamily:
+    """The flow's start data at tau = 0; a ConvexityError names its non-convex slices."""
+    state = PotentialFamily(domain=domain, xgrid=xgrid, f=f)
     state.check_convexity("initial flow data")
     return state
 
@@ -99,16 +98,9 @@ def heat_evolve(state: PotentialFamily, dtau: float, steps: int) -> PotentialFam
     f = state.f.copy()
     violations = list(state.convexity_violations)
     tau = state.tau
-    spacings = tuple(state.domain.spacings.values())
-    inner = (slice(1, -1),) * len(spacings)
-
-    def shifted(axis, s):          # the interior block moved s = +-1 cells along axis
-        return inner[:axis] + (slice(1 + s, (s - 1) or None),) + inner[axis + 1:]
-
+    inner = state.domain.interior(0)
     for _ in range(steps):
-        lap = sum((f[shifted(a, 1)] - 2.0 * f[inner] + f[shifted(a, -1)]) / h**2
-                  for a, h in enumerate(spacings))
-        f[inner] += dtau * lap
+        f[inner] += dtau * state.domain.laplacian(f)[inner]
         tau += dtau
         flags = _convex_slices(state.xgrid, f)
         if not flags.all():

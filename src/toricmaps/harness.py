@@ -26,14 +26,18 @@ y-independent constant coming from the dropped volume normalizations of the
 norming integrals.  Derivative norms need no adjustment.
 
 `run_experiment` runs the whole chain, family -> Kahler field ->
-approximants -> error report, for one `ExperimentConfig`.
+approximants -> error report, for one `ExperimentConfig`.  Both experiment
+families live on the interval polytope, so a config holds only what varies:
+its `domain` picks the family ("interval": the geodesic between u0 and
+u0 + a prod ell; "disc": the loop u0 + a (1 + cos theta) prod ell), `a` is
+the amplitude, and the rest are levels and resolutions.  Each field has one
+spelling and is type-checked where the config is built.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -41,7 +45,7 @@ import numpy as np
 from .bergman import BergmanFamily, QuadratureError, harmonic_norming, norming_constants
 from .dirichlet import (BoundaryData, MaxPrincipleError, _d1, _d2,
                         harmonic_extend, make_disc, make_interval)
-from .polytope import DelzantPolytope, preset_polytope, polytope_from_json
+from .polytope import preset_polytope
 from .potentials import (NewtonError, PolytopeGrid, PotentialFamily,
                          SymplecticPotential, _canonical_inverse_guess,
                          _invert_monotone_1d, _product_ell_closed, _x_bracket,
@@ -76,11 +80,11 @@ ERROR_COLUMNS = ("C0", "C1_y", "C1_rho", "C2_rhorho", "C2_yrho", "C2_yy")
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Knobs of one experiment (see `run_experiment`); defaults reproduce the
-    geodesic suite."""
+    geodesic suite.  Every value is type-checked (`check_types`) when the
+    config is built."""
 
-    polytope: object = "interval"
     domain: str = "interval"      # "interval" (geodesic family) or "disc" (loop family)
-    boundary_family: str = "geodesic(0.1)"
+    a: float = 0.1                # amplitude of the family's boundary perturbation
     levels: tuple[int, ...] = (8, 16, 32, 64)
     n_y: int = 17                 # interval nodes
     n_radii: int = 9              # disc interior radii (plus the boundary ring)
@@ -91,7 +95,11 @@ class ExperimentConfig:
     window: float = 0.1           # interior window {ell_r >= window}
 
     def __post_init__(self):
-        ks = tuple(int(k) for k in self.levels)
+        self.check_types(vars(self))
+        if self.domain not in _NODE_COUNT:
+            raise ValueError(f"domain {self.domain!r}: no experiment family runs there "
+                             f"(expected one of {sorted(_NODE_COUNT)})")
+        ks = tuple(self.levels)
         if any(b <= a for a, b in zip(ks, ks[1:])):
             raise ValueError("levels must be strictly increasing")
         object.__setattr__(self, "levels", ks)
@@ -101,10 +109,25 @@ class ExperimentConfig:
                 f"n_x = {self.n_x} too coarse for k_max = {max(ks)} "
                 "(need at least 2 nodes per 1/k cell)")
         # C2_yy is read two nodes inside the boundary (interior(2) not empty)
-        size = _RESOLUTION_KEYS.get(self.domain, (None,))[0]
-        if size is not None and getattr(self, size) < 5:
+        size = _NODE_COUNT[self.domain]
+        if getattr(self, size) < 5:
             raise ValueError(f"{size} = {getattr(self, size)} on domain {self.domain!r}: "
                              "C2_yy needs at least 5, else interior(2) is empty")
+
+    @classmethod
+    def check_types(cls, values: dict):
+        """Raise a ValueError naming the first field whose value has the wrong
+        type: int fields take ints (not bools), float fields ints or floats,
+        `domain` a string and `levels` a non-empty list of ints."""
+        for key, val in values.items():
+            kind = type(cls.__dataclass_fields__[key].default)
+            if kind is tuple:
+                ok = isinstance(val, (list, tuple)) and len(val) > 0 and all(
+                    _is_a(int, k) for k in val)
+            else:
+                ok = _is_a(kind, val)
+            if not ok:
+                raise ValueError(f"{key}: {val!r} is not {_TYPE_NAMES[kind]}")
 
     @classmethod
     def from_json(cls, doc) -> "ExperimentConfig":
@@ -112,57 +135,27 @@ class ExperimentConfig:
 
     @classmethod
     def json_fields(cls, doc) -> dict:
-        """The field values a JSON config sets, its `resolution` expanded;
-        unknown keys are a ValueError."""
+        """The field values a JSON config (a mapping or its text) sets;
+        unknown keys are a ValueError naming them."""
         if isinstance(doc, (str, bytes)):
             doc = json.loads(doc)
         doc = dict(doc)
-        # accept the compact domain-spec form {"domain": ..., "resolution": [...]}
-        if "resolution" in doc:
-            res = doc.pop("resolution")
-            domain = doc.get("domain", "interval")
-            keys = _RESOLUTION_KEYS.get(domain)
-            if keys is None:
-                raise ValueError(f"resolution: no experiment family runs on domain "
-                                 f"{domain!r} (expected one of {sorted(_RESOLUTION_KEYS)})")
-            if len(res) != len(keys):
-                raise ValueError(f"resolution {res} for domain {domain!r} needs "
-                                 f"{len(keys)} value(s): {', '.join(keys)}")
-            doc.update(zip(keys, res))
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(doc) - known
+        unknown = set(doc) - set(cls.__dataclass_fields__)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
         return doc
 
-    def build_polytope(self) -> DelzantPolytope:
-        if isinstance(self.polytope, str):
-            return preset_polytope(self.polytope)
-        return polytope_from_json(json.dumps(self.polytope))
 
-    def family_spec(self) -> tuple[str, float]:
-        """("geodesic" or "loop", its amplitude a) from `boundary_family`.
-
-        Raises a ValueError naming the field when no experiment family can
-        honour the config: both families live on the interval polytope, the
-        geodesic one on the interval domain and the loop one on the disc.
-        """
-        wanted = _FAMILY_OF_DOMAIN.get(self.domain)
-        if wanted is None:
-            raise ValueError(f"domain: no experiment family runs on {self.domain!r} "
-                             f"(expected one of {sorted(_FAMILY_OF_DOMAIN)})")
-        m = re.fullmatch(r"(\w+)\(([-+0-9.eE]+)\)", self.boundary_family)
-        if m is None or m.group(1) != wanted:
-            raise ValueError(f"boundary_family {self.boundary_family!r} does not run "
-                             f"on domain {self.domain!r} (expected '{wanted}(a)')")
-        if self.build_polytope() != preset_polytope("interval"):
-            raise ValueError(f"polytope {self.polytope!r}: the experiment families "
-                             "run on the interval [0, 1] only")
-        return wanted, float(m.group(2))
+def _is_a(kind: type, value) -> bool:
+    # bools are ints to Python, never to a config; a float field takes ints
+    return not isinstance(value, bool) and isinstance(
+        value, (int, float) if kind is float else kind)
 
 
-_RESOLUTION_KEYS = {"interval": ("n_y",), "disc": ("n_radii", "n_angles")}
-_FAMILY_OF_DOMAIN = {"interval": "geodesic", "disc": "loop"}
+_TYPE_NAMES = {int: "an int", float: "a number", str: "a string",
+               tuple: "a non-empty list of ints"}
+# each domain's experiment family and the node count its C2_yy window needs
+_NODE_COUNT = {"interval": "n_y", "disc": "n_radii"}
 
 
 # -- the harmonic-map solver ----------------------------------------------------
@@ -341,10 +334,11 @@ def window_rho_bounds(u_ref: SymplecticPotential, window: float) -> tuple[float,
             float(u_ref.grad(np.asarray(hi - window))))
 
 
-def _rho_window_mask(rho_axis: np.ndarray, bounds, guard_cells: int = 2) -> np.ndarray:
+def _rho_window_mask(rho_axis: np.ndarray, bounds) -> np.ndarray:
+    # two guard cells at each end keep every rho stencil on the axis
     mask = (rho_axis >= bounds[0]) & (rho_axis <= bounds[1])
-    mask[:guard_cells] = False
-    mask[-guard_cells:] = False
+    mask[:2] = False
+    mask[-2:] = False
     return mask
 
 
@@ -391,8 +385,9 @@ def error_norms(E: np.ndarray, domain, h_rho: float,
 
 def error_report(family: PotentialFamily, phi_field: KahlerFamilyField,
                  approximants: dict[int, BergmanFamily],
-                 window: float = 0.1, ref_y_index=None) -> ErrorReport:
-    """Per-level error norms of Phi_k - Phi over the interior window.
+                 window: float = 0.1) -> ErrorReport:
+    """Per-level error norms of Phi_k - Phi over the interior window, C0
+    mean-adjusted at the domain's `reference_node`.
 
     Phi_k is evaluated on the window's columns plus one stencil column on
     each side, which is every column the rho differences at the window read.
@@ -403,8 +398,7 @@ def error_report(family: PotentialFamily, phi_field: KahlerFamilyField,
     rho_mask = _rho_window_mask(rho_axis, bounds)
     if not rho_mask.any():
         raise ValueError("the rho grid does not meet the interior window")
-    if ref_y_index is None:
-        ref_y_index = family.domain.reference_node
+    ref_y_index = family.domain.reference_node
     on = np.flatnonzero(rho_mask)
     span = slice(on[0] - 1, on[-1] + 2)       # inside the guard cells of the mask
     rho, mask, phi = rho_axis[span], rho_mask[span], phi_field.values[..., span]
@@ -443,16 +437,15 @@ class ExperimentResult:
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     """family -> kahler_field -> build_approximants -> error_report for one config.
 
-    `cfg.domain` picks the family (see `ExperimentConfig.family_spec`):
-    "interval" runs `geodesic_family` on `n_y` nodes, "disc" runs
-    `loop_family` on `n_radii` x `n_angles`.
+    `cfg.domain` picks the family: "interval" runs `geodesic_family` on `n_y`
+    nodes, "disc" runs `loop_family` on `n_radii` x `n_angles`; both take the
+    amplitude `cfg.a`.
     """
-    name, a = cfg.family_spec()
     k_max = max(cfg.levels)
-    if name == "geodesic":
-        family = geodesic_family(a, n_t=cfg.n_y, n_x=cfg.n_x, k_max=k_max)
+    if cfg.domain == "interval":
+        family = geodesic_family(cfg.a, n_t=cfg.n_y, n_x=cfg.n_x, k_max=k_max)
     else:
-        family = loop_family(a, n_radii=cfg.n_radii, n_angles=cfg.n_angles,
+        family = loop_family(cfg.a, n_radii=cfg.n_radii, n_angles=cfg.n_angles,
                              n_x=cfg.n_x, k_max=k_max)
     rho = np.linspace(-cfg.rho_span, cfg.rho_span, cfg.n_rho)
     phi_field = kahler_field(family, rho)

@@ -288,15 +288,15 @@ def _enumerate_lattice(P: DelzantPolytope, k: int) -> np.ndarray:
     return np.array(pts, dtype=np.int64).reshape(len(pts), P.dim)
 
 
-def near_facets(P: DelzantPolytope, x, delta: float, tol: float = 1e-9):
+def near_facets(P: DelzantPolytope, x, delta: float):
     """Facets with ell_r(x) < delta, and how many there are.
 
-    Rejects x outside P beyond `tol`.
+    Rejects x outside P by more than 1e-9.
     """
     if delta <= 0:
         raise ValueError("delta must be positive")
     ell = P.ell(x)
-    if np.any(ell < -tol):
+    if np.any(ell < -1e-9):
         raise ValueError(f"point {x} lies outside the polytope (min ell = {ell.min():.3g})")
     idx = tuple(int(r) for r in np.nonzero(ell < delta)[0])
     return idx, len(idx)

@@ -540,9 +540,8 @@ class PotentialFamily:
 # -- safeguarded Newton inversion ----------------------------------------------
 
 def _invert_monotone_1d(grad_fn, hess_fn, targets, lo: float, hi: float,
-                        tol: float = NEWTON_TOL, max_iter: int = NEWTON_MAX_ITER,
-                        what: str = "gradient", s0=None):
-    """Solve grad_fn(s) = target (strictly increasing grad_fn), vectorized.
+                        max_iter: int = NEWTON_MAX_ITER, what: str = "gradient", s0=None):
+    """Solve grad_fn(s) = target (strictly increasing grad_fn) to NEWTON_TOL, vectorized.
 
     Bisection-safeguarded Newton on [lo, hi], which must straddle every
     target value.  `s0` seeds the iteration (defaults to the midpoint).
@@ -563,8 +562,8 @@ def _invert_monotone_1d(grad_fn, hess_fn, targets, lo: float, hi: float,
         a = np.where(below & ~done, s, a)
         b = np.where(below | done, b, s)
         # a bracket of machine width resolves the root as finely as floats allow,
-        # even when the gradient itself cannot be evaluated to `tol` there
-        done |= (np.abs(err) < tol) | (b - a <= 4 * eps * np.maximum(np.abs(a), np.abs(b)))
+        # even when the gradient itself cannot be evaluated to NEWTON_TOL there
+        done |= (np.abs(err) < NEWTON_TOL) | (b - a <= 4 * eps * np.maximum(np.abs(a), np.abs(b)))
         if done.all():
             break
         h = np.asarray(hess_fn(s))
@@ -597,9 +596,9 @@ def _invert_monotone_1d(grad_fn, hess_fn, targets, lo: float, hi: float,
     return s
 
 
-def _invert_gradient_nd(grad, hess, targets, x0, tol=NEWTON_TOL,
-                        max_iter=NEWTON_MAX_ITER, what="gradient"):
-    """Damped Newton for grad F(s) = target, one point at a time (F convex).
+def _invert_gradient_nd(grad, hess, targets, x0, what="gradient"):
+    """Damped Newton for grad F(s) = target to NEWTON_TOL, one point at a time
+    (F convex, at most NEWTON_MAX_ITER steps).
 
     Trial steps that leave the domain of F (evaluation raises or returns
     non-finite values) are treated as line-search failures and halved.
@@ -619,8 +618,8 @@ def _invert_gradient_nd(grad, hess, targets, x0, tol=NEWTON_TOL,
         if g is None:
             raise NewtonError(f"{what} inversion started outside the domain at {s}")
         g = g - t
-        for _ in range(max_iter):
-            if np.linalg.norm(g, ord=np.inf) < tol:
+        for _ in range(NEWTON_MAX_ITER):
+            if np.linalg.norm(g, ord=np.inf) < NEWTON_TOL:
                 break
             step = np.linalg.solve(np.asarray(hess(s)), g)
             lam = 1.0
@@ -634,7 +633,7 @@ def _invert_gradient_nd(grad, hess, targets, x0, tol=NEWTON_TOL,
                 lam *= 0.5
             else:
                 break
-        if np.linalg.norm(g, ord=np.inf) >= tol:
+        if np.linalg.norm(g, ord=np.inf) >= NEWTON_TOL:
             raise NewtonError(f"{what} inversion failed at target {t}")
         out[idx] = s
     return out

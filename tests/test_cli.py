@@ -40,7 +40,7 @@ def test_geodesic_suite_writes_outputs(tmp_path, capsys):
 
 
 def test_config_file_round_trip(tmp_path, capsys):
-    cfg = {"domain": "interval", "resolution": [9], "n_x": 161}
+    cfg = {"n_y": 9, "n_x": 161}
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
     assert "without --out" in usage_error(["flow-duality", "--config", str(path)], capsys)
@@ -50,7 +50,7 @@ def test_config_file_round_trip(tmp_path, capsys):
     assert code == 0
     snaps = sorted(out.glob("flow_*.txt"))
     assert len(snaps) == 11
-    # the config's resolution and n_x shape every snapshot
+    # the config's n_y and n_x shape every snapshot
     assert load_snapshot(snaps[-1], make_interval(9)).f.shape == (9, 161)
 
 
@@ -73,10 +73,13 @@ FLOW = ["flow-duality", "--snapshot-every", "2"]
     (FLOW, {"n_rho": 401}, "n_rho"),
     (FLOW, {"rho_span": 3.0}, "rho_span"),
     (FLOW, {"window": 0.2}, "window"),
-    (FLOW, {"domain": "disc", "resolution": [9, 64]}, "n_angles, n_radii"),
-    (FLOW, {"boundary_family": "geodesic(0.3)"}, "boundary_family"),
+    (FLOW, {"n_radii": 9, "n_angles": 64}, "n_angles, n_radii"),
+    (FLOW, {"a": 0.3}, "a"),
     (FLOW + ["--resolution", "n_y=9,n_rho=401"], {}, "n_rho"),
     (["geodesic"], {"n_angles": 64}, "n_angles"),
+    (["geodesic"], {"domain": "interval"}, "domain"),
+    (FLOW, {"domain": "interval"}, "domain"),
+    (["geodesic", "--resolution", "domain=disc"], {}, "domain"),
 ])
 def test_suites_reject_config_keys_they_do_not_read(tmp_path, capsys, argv, doc, key):
     path = tmp_path / "cfg.json"
@@ -104,15 +107,41 @@ def test_flags_name_the_missing_partner(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv,doc,field", [
-    (["geodesic"], {"domain": "disc", "boundary_family": "loop(0.05)"}, "domain 'disc'"),
+    (["geodesic"], {"domain": "disc", "a": 0.05}, "domain: not read by the geodesic"),
     (["geodesic"], {"boundary_family": "loop(0.05)"}, "boundary_family"),
     (["flow-duality", "--snapshot-every", "2"], {"polytope": "square"}, "polytope"),
+    # the removed spellings are unknown keys, named as such
+    (["geodesic"], {"polytope": "interval"}, "unknown config keys: ['polytope']"),
+    (["geodesic"], {"boundary_family": "geodesic(0.1)"},
+     "unknown config keys: ['boundary_family']"),
+    (FLOW, {"resolution": [9]}, "unknown config keys: ['resolution']"),
+    (["geodesic"], {"n_y": 4}, "n_y = 4 on domain 'interval'"),
 ])
 def test_suites_reject_a_config_they_cannot_run(tmp_path, capsys, argv, doc, field):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(doc))
     err = usage_error(argv + ["--config", str(path), "--out", str(tmp_path)], capsys)
     assert field in err
+
+
+@pytest.mark.parametrize("argv,doc,message", [
+    (["geodesic"], {"levels": 8}, "levels: 8 is not a non-empty list of ints"),
+    (["geodesic"], {"n_x": "801"}, "n_x: '801' is not an int"),
+    (["geodesic"], {"n_y": 9.0}, "n_y: 9.0 is not an int"),
+    (["geodesic"], {"window": "0.1"}, "window: '0.1' is not a number"),
+    (FLOW, {"n_x": "161"}, "n_x: '161' is not an int"),
+], ids=["levels-int", "n_x-string", "n_y-float", "window-string", "flow-n_x-string"])
+def test_untyped_config_values_are_usage_errors_before_any_check(
+        tmp_path, monkeypatch, capsys, argv, doc, message):
+    ran = []
+    monkeypatch.setattr(acceptance, "run_checks", lambda *args: ran.append(args) or [])
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(SystemExit) as info:
+        main(argv + ["--config", str(path), "--out", str(tmp_path)])
+    assert info.value.code == 2
+    assert message in capsys.readouterr().err
+    assert ran == []
 
 
 def test_unread_flag_fails_in_a_subprocess():
@@ -126,8 +155,7 @@ def test_unread_flag_fails_in_a_subprocess():
 
 
 def test_geodesic_config_writes_one_row_per_level(tmp_path, capsys):
-    cfg = {"domain": "interval", "resolution": [9], "levels": [4, 8, 16, 32],
-           "n_x": 401, "n_rho": 401, "rho_span": 3.0}
+    cfg = {"n_y": 9, "levels": [4, 8, 16, 32], "n_x": 401, "n_rho": 401, "rho_span": 3.0}
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
     assert main(["geodesic", "--config", str(path), "--out", str(tmp_path)]) == 0

@@ -1,6 +1,7 @@
 import functools
 import json
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -195,10 +196,10 @@ def test_empty_c2_interior_fails_before_any_phi_k(monkeypatch):
 
 def test_config_rejects_a_domain_without_c2_nodes():
     with pytest.raises(ValueError, match="^n_radii = 4 on domain 'disc'"):
-        ExperimentConfig(domain="disc", boundary_family="loop(0.03)", levels=(4, 8),
+        ExperimentConfig(domain="disc", a=0.03, levels=(4, 8),
                          n_radii=4, n_angles=64, n_x=201, n_rho=121)
     with pytest.raises(ValueError, match="^n_y = 4 on domain 'interval'"):
-        ExperimentConfig.from_json({"resolution": [4]})
+        ExperimentConfig.from_json({"n_y": 4})
     assert ExperimentConfig(n_y=5).n_y == 5
 
 
@@ -269,41 +270,76 @@ def test_config_parsing():
         {"levels": [8, 16, 32, 64], "n_x": 801, "window": 0.12}))
     assert cfg.levels == (8, 16, 32, 64)
     assert cfg.window == 0.12
-    assert cfg.build_polytope().dim == 1
     with pytest.raises(ValueError, match="unknown config"):
         ExperimentConfig.from_json(json.dumps({"bogus": 1}))
     with pytest.raises(ValueError, match="strictly increasing"):
         ExperimentConfig(levels=(8, 8))
     with pytest.raises(ValueError, match="coarse"):
         ExperimentConfig(levels=(8, 16, 32, 64), n_x=100)
-    cfg2 = ExperimentConfig.from_json(json.dumps(
-        {"polytope": {"dim": 1, "facets": [{"normal": [1], "offset": 0},
-                                           {"normal": [-1], "offset": 2}]}}))
-    assert cfg2.build_polytope().bounding_box()[1][0] == 2.0
+
+
+def test_config_has_one_spelling_per_field():
+    assert [f for f in ExperimentConfig.__dataclass_fields__] == [
+        "domain", "a", "levels", "n_y", "n_radii", "n_angles", "n_x", "n_rho",
+        "rho_span", "window"]
+    # a disc config without `a` runs the loop family at the default amplitude
+    assert ExperimentConfig(domain="disc").a == 0.1
 
 
 def test_config_rejects_a_resolution_no_family_runs():
-    with pytest.raises(ValueError, match="'rectangle'"):
-        ExperimentConfig.from_json({"domain": "rectangle", "resolution": [9, 9]})
+    with pytest.raises(ValueError, match="^domain 'rectangle': no experiment family"):
+        ExperimentConfig(domain="rectangle")
+    with pytest.raises(ValueError, match="^domain 'rectangle'"):
+        ExperimentConfig.from_json({"domain": "rectangle", "n_y": 9})
 
 
 def test_config_rejects_a_resolution_of_the_wrong_length():
-    with pytest.raises(ValueError, match="'disc' needs 2 value"):
-        ExperimentConfig.from_json({"domain": "disc", "resolution": [9]})
-    with pytest.raises(ValueError, match="'interval' needs 1 value"):
-        ExperimentConfig.from_json({"resolution": [17, 256]})
-    cfg = ExperimentConfig.from_json({"domain": "disc", "resolution": [5, 64]})
+    # the compact `resolution` list is gone: each node count has one key
+    for doc in ({"domain": "disc", "resolution": [9]}, {"resolution": [17, 256]},
+                {"domain": "disc", "resolution": [5, 64]}):
+        with pytest.raises(ValueError, match=r"^unknown config keys: \['resolution'\]$"):
+            ExperimentConfig.from_json(doc)
+    cfg = ExperimentConfig.from_json({"domain": "disc", "n_radii": 5, "n_angles": 64})
     assert (cfg.n_radii, cfg.n_angles) == (5, 64)
 
 
 def test_run_experiment_rejects_what_no_family_runs():
-    for cfg, field in ((ExperimentConfig(domain="disc"), "boundary_family"),
-                       (ExperimentConfig(boundary_family="loop(0.05)"), "boundary_family"),
-                       (ExperimentConfig(boundary_family="geodesic"), "boundary_family"),
-                       (ExperimentConfig(domain="rectangle"), "domain"),
-                       (ExperimentConfig(polytope="square"), "polytope")):
-        with pytest.raises(ValueError, match=f"^{field}"):
-            run_experiment(cfg)
+    # every such config fails where it is built, before run_experiment
+    for doc, message in (({"domain": "rectangle"}, "^domain 'rectangle'"),
+                         ({"boundary_family": "loop(0.05)"},
+                          r"^unknown config keys: \['boundary_family'\]$"),
+                         ({"polytope": "square"}, r"^unknown config keys: \['polytope'\]$")):
+        with pytest.raises(ValueError, match=message):
+            ExperimentConfig.from_json(doc)
+    with pytest.raises(TypeError, match="polytope"):
+        ExperimentConfig(polytope="interval")
+
+
+@pytest.mark.parametrize("key,value,kind", [
+    ("levels", 8, "a non-empty list of ints"),
+    ("levels", [], "a non-empty list of ints"),
+    ("levels", [8, 16.0], "a non-empty list of ints"),
+    ("levels", [True, 2], "a non-empty list of ints"),
+    ("n_x", "801", "an int"),
+    ("n_y", 9.0, "an int"),
+    ("n_rho", True, "an int"),
+    ("window", "0.1", "a number"),
+    ("a", None, "a number"),
+    ("rho_span", False, "a number"),
+    ("domain", 1, "a string"),
+])
+def test_config_type_checks_every_field(key, value, kind):
+    message = f"^{key}: {re.escape(repr(value))} is not {kind}$"
+    with pytest.raises(ValueError, match=message):
+        ExperimentConfig(**{key: value})
+    with pytest.raises(ValueError, match=message):
+        ExperimentConfig.check_types({key: value})
+
+
+def test_config_float_fields_take_ints():
+    cfg = ExperimentConfig(a=1, rho_span=3, window=0)
+    assert (cfg.a, cfg.rho_span, cfg.window) == (1, 3, 0)
+    assert ExperimentConfig(levels=[4, 8]).levels == (4, 8)
 
 
 def test_run_experiment_is_the_hand_built_pipeline(geo):
@@ -318,7 +354,8 @@ def test_run_experiment_is_the_hand_built_pipeline(geo):
 
 
 def test_run_experiment_builds_the_disc_family_of_its_config():
-    cfg = ExperimentConfig(domain="disc", boundary_family="loop(0.03)", levels=(4, 8),
+    # the config once spelled boundary_family="loop(0.03)"
+    cfg = ExperimentConfig(domain="disc", a=0.03, levels=(4, 8),
                            n_radii=5, n_angles=64, n_x=201, n_rho=121)
     res = run_experiment(cfg)
     family = loop_family(a=0.03, n_radii=5, n_angles=64, n_x=201, k_max=8)

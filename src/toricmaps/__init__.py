@@ -22,9 +22,9 @@ from .polytope import (DelzantPolytope, Facet, LatticeSet, facet_value,
                        polytope_to_json, preset_polytope)
 from .potentials import (ClosedForm, ConvexityError, KahlerPotential,
                          NewtonError, PolytopeGrid, PotentialFamily, RadialGrid,
-                         abreu_delta, default_margin, guillemin_potential,
-                         load_potential, make_polytope_grid, make_radial_grid,
-                         preset_kahler, preset_symplectic, save_potential,
+                         abreu_delta, default_margin, fubini_study,
+                         guillemin_potential, load_potential, make_polytope_grid,
+                         make_radial_grid, product_potential, save_potential,
                          SymplecticPotential, to_kahler, to_symplectic)
 from .dirichlet import (BoundaryData, DiscDomain, HarmonicField,
                         IntervalDomain, RectangleDomain, harmonic_extend,

@@ -27,8 +27,8 @@ from .flows import eells_sampson_operator, heat_evolve, hcma_residual, make_flow
 from .harness import (ERROR_COLUMNS, ExperimentConfig, kahler_field,
                       loop_family, rate_fit, run_experiment, window_rho_bounds)
 from .polytope import preset_polytope
-from .potentials import (default_margin, make_polytope_grid, make_radial_grid,
-                         preset_kahler, preset_symplectic, to_kahler,
+from .potentials import (default_margin, fubini_study, make_polytope_grid,
+                         make_radial_grid, product_potential, to_kahler,
                          to_symplectic)
 
 __all__ = ["CheckResult", "ALL_CHECKS", "run_checks", "GEODESIC", "DISC",
@@ -75,8 +75,7 @@ def _fs_table(k: int) -> NormingTable:
     if key not in _CACHE:
         P = preset_polytope("interval")
         grid = make_polytope_grid(P, 801, default_margin(max(64, k)))
-        u = preset_symplectic("guillemin", P, grid)
-        _CACHE[key] = norming_constants(u, k)
+        _CACHE[key] = norming_constants(product_potential(P, grid=grid), k)
     return _CACHE[key]
 
 
@@ -86,7 +85,7 @@ def check_legendre_involution() -> CheckResult:
     """Round trip phi -> u -> phi on a 2001-node rho grid, sup error < 1e-8."""
     t0 = time.perf_counter()
     grid = make_radial_grid([-12.0], [12.0], [2001])
-    phi = preset_kahler("fubini-study", grid)
+    phi = fubini_study(grid)
     P = preset_polytope("interval")
     xgrid = make_polytope_grid(P, 801, 1e-4)
     u = to_symplectic(phi, P, xgrid)
@@ -109,8 +108,8 @@ def check_gradient_hessian_duality() -> CheckResult:
     worst_grad = 0.0
     worst_hess = 0.0
     h = 3e-4
-    for name in ("guillemin", "perturbed(0.1)"):
-        u = preset_symplectic(name, P, xgrid)
+    for a in (0.0, 0.1):
+        u = product_potential(P, a, xgrid)
         phi = to_kahler(u, rho_grid)
         lo, hi = window_rho_bounds(u, 0.1)
         rho = np.linspace(lo, hi, 100)
@@ -152,12 +151,11 @@ def check_duality_identity() -> CheckResult:
     xgrid = make_polytope_grid(P, 801, default_margin(64))
     rho_grid = make_radial_grid([-6.0], [6.0], [1201])
     worst = 0.0
-    for name in ("guillemin", "perturbed(0.1)"):
-        u = preset_symplectic(name, P, xgrid)
-        phi = preset_kahler("fubini-study", rho_grid) if name == "guillemin" \
-            else to_kahler(u, rho_grid)
+    for a in (0.0, 0.1):
+        u = product_potential(P, a, xgrid)
+        phi = fubini_study(rho_grid) if a == 0.0 else to_kahler(u, rho_grid)
         for k in range(1, 65):
-            table = norming_constants(u, k) if name != "guillemin" else _fs_table(k)
+            table = _fs_table(k) if a == 0.0 else norming_constants(u, k)
             alphas = table.alphas[:, 0]
             inner = (alphas > 0) & (alphas < k)
             if not inner.any():
@@ -176,10 +174,8 @@ def check_duality_identity() -> CheckResult:
 def check_szego_normalization() -> CheckResult:
     """Interior deviation |sum_alpha P(alpha,.) - 1| drops by >= 3x from k=16 to 64."""
     grid = make_radial_grid([-4.0], [4.0], [401])
-    phi = preset_kahler("fubini-study", grid)
-    u = preset_symplectic("guillemin", preset_polytope("interval"),
-                          make_polytope_grid(preset_polytope("interval"), 801,
-                                             default_margin(64)))
+    phi = fubini_study(grid)
+    u = product_potential(preset_polytope("interval"))
     lo, hi = window_rho_bounds(u, 0.1)
     rho = np.linspace(lo, hi, 7)
     devs = {}
@@ -415,7 +411,7 @@ def check_peak_asymptotics() -> CheckResult:
     """Fitted peak-law constant flat (<= 5% at k=64) with shrinking dispersion."""
     P = preset_polytope("interval")
     grid = make_polytope_grid(P, 801, default_margin(256))
-    u = preset_symplectic("guillemin", P, grid)
+    u = product_potential(P, grid=grid)
     disp = {}
     for k in (16, 64, 256):
         lo, hi = int(math.ceil(0.375 * k)), int(math.floor(0.625 * k))
@@ -437,7 +433,7 @@ def check_localization() -> CheckResult:
     would make the comparison vacuous.
     """
     grid = make_radial_grid([-4.0], [4.0], [401])
-    phi = preset_kahler("fubini-study", grid)
+    phi = fubini_study(grid)
     rho = math.log(0.15 / 0.85)
     gaps = {}
     for k in (8, 64):

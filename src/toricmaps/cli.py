@@ -81,7 +81,11 @@ def _load_config(args):
     if args.config is not None:
         doc = json.loads(Path(args.config).read_text())
     if getattr(args, "levels", None):
-        doc["levels"] = [int(v) for v in args.levels.split(",")]
+        try:
+            doc["levels"] = [int(v) for v in args.levels.split(",")]
+        except ValueError:
+            raise ValueError(f"--levels: {args.levels!r} is not a "
+                             "comma-separated list of ints") from None
     for pair in args.resolution.split(",") if args.resolution else ():
         # each value parsed as the type of its ExperimentConfig field
         key, sep, val = (part.strip() for part in pair.partition("="))
@@ -103,7 +107,11 @@ def _load_config(args):
         raise ValueError(f"{', '.join(unread)}: not read by the {args.command} suite")
     if args.command == "flow-duality":
         ExperimentConfig.check_types(doc)      # no config: the flow has no levels
-        return doc.get("n_y", ExperimentConfig.n_y), doc.get("n_x", ExperimentConfig.n_x)
+        grid = doc.get("n_y", ExperimentConfig.n_y), doc.get("n_x", ExperimentConfig.n_x)
+        for key, n in zip(("n_y", "n_x"), grid):
+            if n < 3:
+                raise ValueError(f"{key} = {n}: the flow's grids need at least 3 nodes")
+        return grid
     return ExperimentConfig(**doc)
 
 

@@ -31,7 +31,10 @@ families live on the interval polytope, so a config holds only what varies:
 its `domain` picks the family ("interval": the geodesic between u0 and
 u0 + a prod ell; "disc": the loop u0 + a (1 + cos theta) prod ell), `a` is
 the amplitude, and the rest are levels and resolutions.  Each field has one
-spelling and is type-checked where the config is built.
+spelling and is type-checked and range-checked where the config is built.
+Both families are u0 + c_b prod ell on the boundary, so each node's closed
+form is (domain.extend c)(y) prod ell: its coefficient comes from the
+operator that extends the sampled f, never from a hand-written profile.
 """
 
 from __future__ import annotations
@@ -50,8 +53,7 @@ from .potentials import (NewtonError, PolytopeGrid, PotentialFamily,
                          SymplecticPotential, _canonical_inverse_guess,
                          _invert_monotone_1d, _product_ell_closed, _x_bracket,
                          default_margin, guillemin_gradient, guillemin_hessian,
-                         guillemin_potential, make_polytope_grid,
-                         preset_symplectic)
+                         guillemin_potential, make_polytope_grid)
 
 __all__ = [
     "ExperimentConfig",
@@ -103,6 +105,12 @@ class ExperimentConfig:
         if any(b <= a for a, b in zip(ks, ks[1:])):
             raise ValueError("levels must be strictly increasing")
         object.__setattr__(self, "levels", ks)
+        if not 0 < self.window < 0.5:
+            raise ValueError(f"window = {self.window}: the interior window "
+                             "{ell_r >= window} of [0, 1] needs 0 < window < 1/2")
+        if self.rho_span <= 0:
+            raise ValueError(f"rho_span = {self.rho_span}: the rho grid "
+                             "[-rho_span, rho_span] needs rho_span > 0")
         # the polytope grid must resolve the boundary margin 1/(4 k_max)
         if self.n_x < 2 * max(ks):
             raise ValueError(
@@ -258,36 +266,30 @@ def kahler_field(family: PotentialFamily, rho_axis: np.ndarray) -> KahlerFamilyF
 def geodesic_family(a: float = 0.1, n_t: int = 17, n_x: int = 801,
                     k_max: int = 64):
     """Interval family between u0 and u0 + a prod ell (Legendre-linear path)."""
-    P = preset_polytope("interval")
-    xgrid = make_polytope_grid(P, n_x, default_margin(k_max))
-    domain = make_interval(n_t)
-    u_start = preset_symplectic("guillemin", P, xgrid)
-    u_end = preset_symplectic(f"perturbed({a})", P, xgrid)
-    t_nodes = domain.nodes
-
-    def closed_family(idx):
-        t = float(t_nodes[idx[0]])
-        return _product_ell_closed(P, a * t)
-
-    return solve_harmonic_map(domain, xgrid, [u_start, u_end], closed_family)
+    return _product_family(make_interval(n_t), [0.0, a], n_x, k_max)
 
 
 def loop_family(a: float = 0.05, n_radii: int = 9, n_angles: int = 256,
                 n_x: int = 801, k_max: int = 32):
     """Disc family u_theta = u0 + a (1 + cos theta) prod ell on the boundary."""
+    domain = make_disc(n_radii, n_angles)
+    return _product_family(domain, [a * (1.0 + math.cos(th)) for th in domain.angles],
+                           n_x, k_max)
+
+
+def _product_family(domain, c_boundary, n_x: int, k_max: int) -> PotentialFamily:
+    """The harmonic family with boundary data u0 + c_b prod ell on the interval
+    polytope.  Extension is linear, so each node's smooth part is
+    (domain.extend c)(y) prod ell: its closed form takes that coefficient
+    from the operator that extends the sampled f."""
     P = preset_polytope("interval")
     xgrid = make_polytope_grid(P, n_x, default_margin(k_max))
-    domain = make_disc(n_radii, n_angles)
-    bps = [SymplecticPotential(P, xgrid,
-                               f_closed=_product_ell_closed(P, a * (1.0 + math.cos(th))))
-           for th in domain.angles]
-    radii, angles = domain.radii, domain.angles
-
-    def closed_family(idx):
-        r, g = radii[idx[0]], angles[idx[1]]
-        return _product_ell_closed(P, a * (1.0 + r * math.cos(g)))
-
-    return solve_harmonic_map(domain, xgrid, bps, closed_family)
+    c_boundary = np.asarray(c_boundary, dtype=float)
+    bps = [SymplecticPotential(P, xgrid, f_closed=_product_ell_closed(P, c))
+           for c in c_boundary]
+    coeff = domain.extend(c_boundary)
+    return solve_harmonic_map(domain, xgrid, bps,
+                              lambda idx: _product_ell_closed(P, coeff[idx]))
 
 
 # -- approximants ------------------------------------------------------------------
@@ -357,7 +359,8 @@ def error_norms(E: np.ndarray, domain, h_rho: float,
     magnitude, C2_yrho the largest |d_rho g_i| and C2_yy the largest |H_ij|,
     over `domain.interior(1)` (first derivatives) and `interior(2)`
     (second).  Each component is reduced to its window before the next one
-    is built.  Raises a ValueError when `interior(2)` is empty.
+    is built.  Raises a ValueError when `interior(2)` is empty, and one
+    naming the column when a norm is not finite.
     """
     _require_c2_nodes(domain)
     E = np.asarray(E, dtype=float)
@@ -373,7 +376,7 @@ def error_norms(E: np.ndarray, domain, h_rho: float,
         g = g[domain.interior(1)]
         grad_mag = np.hypot(grad_mag, g[..., rho_mask])
         mixed.append(sup(_d1(g, h_rho, rho_ax)))
-    return {
+    norms = {
         "C0": float(np.max(np.abs(E[..., rho_mask] - adjust))),
         "C1_y": float(np.max(grad_mag)),
         "C1_rho": sup(_d1(E, h_rho, rho_ax)),
@@ -381,6 +384,10 @@ def error_norms(E: np.ndarray, domain, h_rho: float,
         "C2_yrho": float(np.max(mixed)),
         "C2_yy": float(np.max([sup(h[domain.interior(2)]) for h in domain.hessian(E)])),
     }
+    for name, value in norms.items():
+        if not math.isfinite(value):
+            raise ValueError(f"error norm {name} = {value} is not finite")
+    return norms
 
 
 def error_report(family: PotentialFamily, phi_field: KahlerFamilyField,
@@ -391,6 +398,7 @@ def error_report(family: PotentialFamily, phi_field: KahlerFamilyField,
 
     Phi_k is evaluated on the window's columns plus one stencil column on
     each side, which is every column the rho differences at the window read.
+    A non-finite norm is a ValueError naming its column and level.
     """
     _require_c2_nodes(family.domain)
     rho_axis = phi_field.rho_axis
@@ -409,7 +417,10 @@ def error_report(family: PotentialFamily, phi_field: KahlerFamilyField,
     for k in levels:
         E = approximants[k].field(rho)
         E -= phi
-        norms = error_norms(E, family.domain, h_rho, mask, ref_y_index)
+        try:
+            norms = error_norms(E, family.domain, h_rho, mask, ref_y_index)
+        except ValueError as exc:
+            raise ValueError(f"{exc} at level k = {k}") from exc
         for name in ERROR_COLUMNS:
             cols[name].append(norms[name])
     return ErrorReport(levels=levels,

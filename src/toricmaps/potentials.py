@@ -32,13 +32,17 @@ Array conventions: one-dimensional potentials take and return plain arrays
 Gradient inversions use a safeguarded Newton iteration (bisection fallback)
 with tolerance 1e-12 on the gradient mismatch and at most 100 iterations.
 Sampled one-dimensional data is interpolated with not-a-knot cubic splines;
-dim >= 2 requires closed-form evaluators.
+dim >= 2 requires closed-form evaluators, so `to_symplectic`, whose result
+is sampled, is one-dimensional.
+
+The closed-form potentials are `product_potential(P, a)`, u0 + a prod_r
+ell_r on any polytope (a = 0 is Guillemin's u0), and `fubini_study()`,
+phi = log(1 + e^rho) on [0, 1].
 """
 
 from __future__ import annotations
 
 import io
-import re
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable
@@ -66,8 +70,8 @@ __all__ = [
     "default_margin",
     "make_radial_grid",
     "make_polytope_grid",
-    "preset_kahler",
-    "preset_symplectic",
+    "fubini_study",
+    "product_potential",
     "save_potential",
     "load_potential",
 ]
@@ -279,17 +283,6 @@ def _grid_hessians(values: np.ndarray, axes) -> np.ndarray:
                      - values[tuple(mp)] + values[tuple(mm)]) / (4 * h[i] * h[j])
             H[..., i, j] = H[..., j, i] = mixed
     return H
-
-
-def _zero_closed(dim: int) -> ClosedForm:
-    if dim == 1:
-        z = lambda x: np.zeros_like(np.asarray(x, dtype=float))
-        return ClosedForm(value=z, grad=z, hess=z)
-    return ClosedForm(
-        value=lambda x: np.zeros(np.asarray(x, dtype=float).shape[:-1]),
-        grad=lambda x: np.zeros(np.asarray(x, dtype=float).shape),
-        hess=lambda x: np.zeros(np.asarray(x, dtype=float).shape + (dim,)),
-    )
 
 
 class KahlerPotential:
@@ -643,29 +636,26 @@ def _invert_gradient_nd(grad, hess, targets, x0, what="gradient"):
 
 def to_symplectic(phi: KahlerPotential, P: DelzantPolytope,
                   grid: PolytopeGrid) -> SymplecticPotential:
-    """Legendre transform of a Kahler potential onto a polytope grid.
+    """Legendre transform of a one-dimensional Kahler potential onto a polytope grid.
 
     For each grid node x the moment-map equation grad phi(rho) = x is solved
     by safeguarded Newton; then u(x) = <x, rho> - phi(rho), and the smooth
     part f = u - u0 is stored along with the gradient samples rho = grad u.
+    Dimension >= 2 is rejected: the result's f is sampled only, and sampled
+    f has no evaluator beyond dim 1, so not even its convexity check could run.
     """
     if phi.dim != P.dim or grid.dim != P.dim:
         raise ValueError("dimension mismatch between potential, polytope, and grid")
-    nodes = grid.nodes()
-    if phi.dim == 1:
-        x = nodes[..., 0]
-        lo, hi = _rho_bracket(phi, float(x.min()), float(x.max()))
-        rho = _invert_monotone_1d(phi.grad, phi.hess, x, lo, hi, what="moment map")
-        u = x * rho - np.asarray(phi.value(rho))
-        f = u - guillemin_potential(P, nodes)
-        return SymplecticPotential(P, grid, f_values=f, rho_values=rho[..., None])
-    if phi.closed is None:
-        raise NotImplementedError("to_symplectic in dim >= 2 needs a closed form")
-    rho = _invert_gradient_nd(phi.closed.grad, phi.closed.hess, nodes,
-                              np.zeros_like(nodes), what="moment map")
-    u = np.einsum("...i,...i->...", nodes, rho) - np.asarray(phi.value(rho))
-    f = u - guillemin_potential(P, nodes)
-    return SymplecticPotential(P, grid, f_values=f, rho_values=rho)
+    if P.dim > 1:
+        raise NotImplementedError(
+            f"to_symplectic in dim {P.dim}: the transform yields a sampled smooth "
+            "part f, and sampled f is evaluated (splines) only in dim 1")
+    x = grid.axes[0]
+    lo, hi = _rho_bracket(phi, float(x.min()), float(x.max()))
+    rho = _invert_monotone_1d(phi.grad, phi.hess, x, lo, hi, what="moment map")
+    u = x * rho - np.asarray(phi.value(rho))
+    f = u - guillemin_potential(P, grid.nodes())
+    return SymplecticPotential(P, grid, f_values=f, rho_values=rho[..., None])
 
 
 def _rho_bracket(phi: KahlerPotential, x_min: float, x_max: float):
@@ -774,7 +764,7 @@ def abreu_delta(u: SymplecticPotential, x) -> np.ndarray | float:
     return float(out) if np.ndim(out) == 0 else out
 
 
-# -- presets ----------------------------------------------------------------------
+# -- closed-form potentials ----------------------------------------------------------
 
 def _sigmoid(r):
     r = np.asarray(r, dtype=float)
@@ -786,14 +776,12 @@ def _sigmoid(r):
     return out
 
 
-def preset_kahler(name: str, grid: RadialGrid | None = None) -> KahlerPotential:
-    """Named Kahler potentials; "fubini-study" is phi = log(1 + e^rho) on [0,1]."""
-    if name != "fubini-study":
-        raise KeyError(f"unknown Kahler preset {name!r}")
+def fubini_study(grid: RadialGrid | None = None) -> KahlerPotential:
+    """The Fubini-Study potential phi = log(1 + e^rho), moment image [0, 1]."""
     if grid is None:
         grid = make_radial_grid([-12.0], [12.0], [2001])
     if grid.dim != 1:
-        raise ValueError("the fubini-study preset is one-dimensional")
+        raise ValueError("the Fubini-Study potential is one-dimensional")
     closed = ClosedForm(
         value=lambda r: np.logaddexp(0.0, np.asarray(r, dtype=float)),
         grad=_sigmoid,
@@ -803,12 +791,20 @@ def preset_kahler(name: str, grid: RadialGrid | None = None) -> KahlerPotential:
 
 
 def _product_ell_closed(P: DelzantPolytope, a: float) -> ClosedForm:
-    """f = a * prod_r ell_r with analytic first and second derivatives."""
+    """f = a * prod_r ell_r with analytic first and second derivatives.
+
+    The gradient is a sum_r (prod_{s != r} ell_s) v_r and the Hessian
+    a sum_{r != s} (prod_{t != r, s} ell_t) v_r v_s^T, each one product over
+    the facet axis and one contraction against the normals.  a = 0 gives
+    f = 0, the smooth part of Guillemin's u0.
+    """
     normals = P._normals_f
-    d = len(P.facets)
-    keep_one = [[s for s in range(d) if s != r] for r in range(d)]
-    keep_two = {(r, s): [t for t in range(d) if t not in (r, s)]
-                for r in range(d) for s in range(d) if r != s}
+    d = len(normals)
+    facets = np.arange(d)
+    keep_one = np.array([np.delete(facets, r) for r in facets])
+    pairs = [(r, s) for r in facets for s in facets if r != s]
+    keep_two = np.array([np.delete(facets, [r, s]) for r, s in pairs])
+    outer = np.array([np.outer(normals[r], normals[s]) for r, s in pairs])
 
     def pts(x):
         x = np.asarray(x, dtype=float)
@@ -818,42 +814,24 @@ def _product_ell_closed(P: DelzantPolytope, a: float) -> ClosedForm:
         return a * np.prod(P.ell(pts(x)), axis=-1)
 
     def grad(x):
-        ell = P.ell(pts(x))
-        g = np.zeros(ell.shape[:-1] + (P.dim,))
-        for r in range(d):
-            others = np.prod(ell[..., keep_one[r]], axis=-1)
-            g += others[..., None] * normals[r]
-        g *= a
+        others = np.prod(P.ell(pts(x))[..., keep_one], axis=-1)
+        g = a * np.einsum("...r,ri->...i", others, normals)
         return g[..., 0] if P.dim == 1 else g
 
     def hess(x):
-        ell = P.ell(pts(x))
-        H = np.zeros(ell.shape[:-1] + (P.dim, P.dim))
-        for (r, s), keep in keep_two.items():
-            others = np.prod(ell[..., keep], axis=-1)
-            H += others[..., None, None] * np.outer(normals[r], normals[s])
-        H *= a
+        others = np.prod(P.ell(pts(x))[..., keep_two], axis=-1)
+        H = a * np.einsum("...p,pij->...ij", others, outer)
         return H[..., 0, 0] if P.dim == 1 else H
 
     return ClosedForm(value=value, grad=grad, hess=hess)
 
 
-def preset_symplectic(name: str, P: DelzantPolytope,
+def product_potential(P: DelzantPolytope, a: float = 0.0,
                       grid: PolytopeGrid | None = None) -> SymplecticPotential:
-    """Named symplectic potentials on P.
-
-    "guillemin"     u = u0 (f = 0)
-    "perturbed(a)"  u = u0 + a * prod_r ell_r
-    """
+    """u = u0 + a * prod_r ell_r on P; a = 0 is Guillemin's u0."""
     if grid is None:
         grid = make_polytope_grid(P, 801, default_margin(64))
-    if name == "guillemin":
-        return SymplecticPotential(P, grid, f_closed=_zero_closed(P.dim))
-    m = re.fullmatch(r"perturbed\(([-+0-9.eE]+)\)", name)
-    if m:
-        return SymplecticPotential(P, grid,
-                                   f_closed=_product_ell_closed(P, float(m.group(1))))
-    raise KeyError(f"unknown symplectic preset {name!r}")
+    return SymplecticPotential(P, grid, f_closed=_product_ell_closed(P, a))
 
 
 # -- plain-text serialization -------------------------------------------------------

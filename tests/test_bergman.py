@@ -14,14 +14,13 @@ from toricmaps.bergman import (BergmanFamily, NormingTable, QuadratureError,
                                szego_sum)
 from toricmaps.dirichlet import make_disc, make_interval, make_rectangle
 from toricmaps.polytope import lattice_points, preset_polytope
-from toricmaps.potentials import (default_margin, make_polytope_grid,
-                                  make_radial_grid, preset_kahler,
-                                  preset_symplectic, to_kahler)
+from toricmaps.potentials import (default_margin, fubini_study, make_polytope_grid,
+                                  make_radial_grid, product_potential, to_kahler)
 
 P = preset_polytope("interval")
 XG = make_polytope_grid(P, 801, default_margin(64))
-U0 = preset_symplectic("guillemin", P, XG)
-PHI_FS = preset_kahler("fubini-study", make_radial_grid([-6.0], [6.0], [601]))
+U0 = product_potential(P, grid=XG)
+PHI_FS = fubini_study(make_radial_grid([-6.0], [6.0], [601]))
 
 
 @pytest.fixture(scope="module")
@@ -53,13 +52,13 @@ def test_norming_k2_values(table_k2):
 
 
 def test_vertex_monomials_finite_any_metric():
-    u = preset_symplectic("perturbed(0.1)", P, XG)
+    u = product_potential(P, 0.1, XG)
     t = norming_constants(u, 1)
     assert np.all(np.isfinite(t.log_q)) and np.all(np.exp(t.log_q) > 0)
 
 
 def test_constant_shift_scales_norming():
-    u = preset_symplectic("perturbed(0.1)", P, XG)
+    u = product_potential(P, 0.1, XG)
     k = 5
     base = norming_constants(u, k)
     shifted = norming_constants(u.shift(0.37), k)
@@ -69,15 +68,16 @@ def test_constant_shift_scales_norming():
 def test_quadrature_validation_reports_alpha():
     # the standard-metric integrand is a polynomial (Gauss-exact at any panel
     # count), so the perturbed metric is needed to exercise the validator
-    u = preset_symplectic("perturbed(0.1)", P, XG)
+    u = product_potential(P, 0.1, XG)
     with pytest.raises(QuadratureError, match="panel"):
         norming_constants(u, 32, n_panels=1, check_tol=1e-13)
 
 
 @pytest.mark.parametrize("k", [8, 16, 32, 64, 128, 256])
-@pytest.mark.parametrize("name", ["guillemin", "perturbed(0.1)", "perturbed(0.3)"])
-def test_right_sized_panels_match_the_8k_rule(name, k):
-    u = preset_symplectic(name, P, XG)
+@pytest.mark.parametrize("a", [0.0, 0.1, 0.3],
+                         ids=["guillemin", "perturbed(0.1)", "perturbed(0.3)"])
+def test_right_sized_panels_match_the_8k_rule(a, k):
+    u = product_potential(P, a, XG)
     table = norming_constants(u, k)
     reference = norming_constants(u, k, n_panels=8 * k)
     np.testing.assert_allclose(table.log_q, reference.log_q, rtol=0, atol=1e-12)
@@ -95,7 +95,7 @@ def test_right_sizing_doubles_to_the_cap_then_raises(monkeypatch):
         return quadrature(u, k, alphas, n_panels, order)
 
     monkeypatch.setattr(bergman, "_log_q_quadrature", counted)
-    u = preset_symplectic("perturbed(0.1)", P, XG)
+    u = product_potential(P, 0.1, XG)
     with pytest.raises(QuadratureError, match=r"64 -> 128 panels.*\(\(\d+,\)"):
         norming_constants(u, 8, check_tol=1e-16)
     # start 6, doubling (each doubled rule reused as the next coarse one), cap 64
@@ -171,7 +171,7 @@ def test_szego_sum_small_levels():
 
 
 def test_szego_shift_invariance():
-    u = preset_symplectic("perturbed(0.1)", P, XG)
+    u = product_potential(P, 0.1, XG)
     k = 8
     grid = make_radial_grid([-4.0], [4.0], [401])
     phi = to_kahler(u, grid)
@@ -351,7 +351,7 @@ def test_peak_asymptotics_fit():
 def test_peak_constant_metric_independent():
     k = 64
     alphas = np.arange(24, 41)
-    u_p = preset_symplectic("perturbed(0.1)", P, XG)
+    u_p = product_potential(P, 0.1, XG)
     c_fs = peak_asymptotics_check(norming_constants(U0, k, alphas=alphas), U0).mean
     c_p = peak_asymptotics_check(norming_constants(u_p, k, alphas=alphas), u_p).mean
     assert c_p == pytest.approx(c_fs, rel=0.02)
@@ -384,8 +384,8 @@ def test_family_constant_shift_equivariance():
                                    solve_harmonic_map)
     dom = make_interval(5)
     c = 0.3
-    u0 = preset_symplectic("guillemin", P, XG)
-    u1 = preset_symplectic("perturbed(0.1)", P, XG)
+    u0 = product_potential(P, grid=XG)
+    u1 = product_potential(P, 0.1, XG)
     fam = solve_harmonic_map(dom, XG, [u0, u1])
     fam_s = solve_harmonic_map(dom, XG, [u0.shift(c), u1.shift(c)])
     rho = np.linspace(-2, 2, 101)

@@ -144,6 +144,29 @@ def test_untyped_config_values_are_usage_errors_before_any_check(
     assert ran == []
 
 
+@pytest.mark.parametrize("argv,doc,message", [
+    (FLOW, {"n_y": 2}, "n_y = 2: the flow's grids need at least 3 nodes"),
+    (FLOW, {"n_x": 2}, "n_x = 2: the flow's grids need at least 3 nodes"),
+    (["geodesic"], {"window": 0.6}, "window = 0.6: the interior window"),
+    (["geodesic"], {"window": 0.5}, "window = 0.5: the interior window"),
+    (["geodesic"], {"rho_span": 0}, "rho_span = 0: the rho grid"),
+    (["geodesic"], {"rho_span": -4.0}, "rho_span = -4.0: the rho grid"),
+    (["geodesic", "--levels", "8,x"], {}, "--levels: '8,x' is not a comma-separated"),
+], ids=["flow-n_y-2", "flow-n_x-2", "window-0.6", "window-0.5", "rho_span-0",
+        "rho_span-negative", "levels-8,x"])
+def test_out_of_range_inputs_are_usage_errors_before_any_check(
+        tmp_path, monkeypatch, capsys, argv, doc, message):
+    ran = []
+    monkeypatch.setattr(acceptance, "run_checks", lambda *args: ran.append(args) or [])
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(SystemExit) as info:
+        main(argv + ["--config", str(path), "--out", str(tmp_path)])
+    assert info.value.code == 2
+    assert message in capsys.readouterr().err
+    assert ran == []
+
+
 def test_unread_flag_fails_in_a_subprocess():
     src = str(Path(toricmaps.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(

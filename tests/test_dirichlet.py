@@ -232,12 +232,12 @@ def test_max_principle_failure_names_alpha_level_and_fiber_node(monkeypatch):
     from toricmaps.bergman import NormingTable, harmonic_norming
     from toricmaps.harness import solve_harmonic_map
     from toricmaps.polytope import preset_polytope
-    from toricmaps.potentials import make_polytope_grid, preset_symplectic
+    from toricmaps.potentials import make_polytope_grid, product_potential
     dom = make_interval(5)
     table = NormingTable(level=4, alphas=np.arange(5)[:, None], log_q=-np.arange(5.0))
     P = preset_polytope("interval")
     xg = make_polytope_grid(P, 21, 1e-2)
-    u = preset_symplectic("guillemin", P, xg)
+    u = product_potential(P, grid=xg)
     _forge_violation(monkeypatch, [(3,)])
     with pytest.raises(MaxPrincipleError,
                        match=r"column \(3,\).* alpha = \(3,\) at level k = 4"):

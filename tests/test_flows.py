@@ -12,7 +12,7 @@ from toricmaps.flows import (ResidualReport, eells_sampson_operator,
 from toricmaps.harness import kahler_field, loop_family, solve_harmonic_map
 from toricmaps.polytope import preset_polytope
 from toricmaps.potentials import (ConvexityError, _product_ell_closed, make_polytope_grid,
-                                  preset_symplectic)
+                                  product_potential)
 
 P = preset_polytope("interval")
 
@@ -103,7 +103,7 @@ def test_heat_evolve_drops_the_closed_forms_of_a_solved_family():
     # smooth part) shows which of the two it reads
     dom = make_interval(9)
     xg = make_polytope_grid(P, 41, 1e-3)
-    ends = [preset_symplectic(name, P, xg) for name in ("guillemin", "perturbed(0.1)")]
+    ends = [product_potential(P, a, xg) for a in (0.0, 0.1)]
     fam = solve_harmonic_map(dom, xg, ends, lambda idx: _product_ell_closed(P, 0.0))
     h = dom.nodes[1] - dom.nodes[0]
     out = heat_evolve(fam, h**2 / 4.0, 3)
@@ -140,8 +140,8 @@ def test_eells_sampson_harmonic_family_order():
     for n_t, n_rho, margin in ((17, 201, 2), (33, 401, 4)):
         dom = make_interval(n_t)
         xg = make_polytope_grid(P, 401, 1e-3)
-        u0 = preset_symplectic("guillemin", P, xg)
-        u1 = preset_symplectic("perturbed(0.1)", P, xg)
+        u0 = product_potential(P, grid=xg)
+        u1 = product_potential(P, 0.1, xg)
         fam = solve_harmonic_map(dom, xg, [u0, u1])
         rho = np.linspace(-3, 3, n_rho)
         field = kahler_field(fam, rho)
@@ -153,7 +153,7 @@ def test_eells_sampson_harmonic_family_order():
 def test_eells_sampson_equal_endpoints_zero():
     dom = make_interval(9)
     xg = make_polytope_grid(P, 201, 1e-3)
-    u1 = preset_symplectic("perturbed(0.05)", P, xg)
+    u1 = product_potential(P, 0.05, xg)
     fam = solve_harmonic_map(dom, xg, [u1, u1])
     rho = np.linspace(-2, 2, 101)
     field = kahler_field(fam, rho)

@@ -23,7 +23,7 @@ from toricmaps.potentials import (ConvexityError, NewtonError,
                                   _canonical_inverse_guess,
                                   _invert_monotone_1d, _x_bracket,
                                   default_margin, guillemin_potential,
-                                  make_polytope_grid, preset_symplectic)
+                                  make_polytope_grid, product_potential)
 
 P = preset_polytope("interval")
 
@@ -57,6 +57,21 @@ def test_disc_family_closed_form():
     g = dom.angles[None, :, None]
     direct = 0.05 * (1.0 + r * np.cos(g)) * (x * (1 - x))[None, None, :]
     assert np.max(np.abs(family.f - direct)) < 1e-9
+
+
+@pytest.mark.parametrize("build", [
+    lambda: geodesic_family(a=0.1, n_t=9, n_x=201, k_max=8),
+    lambda: loop_family(a=0.05, n_radii=9, n_angles=64, n_x=201, k_max=8),
+    lambda: loop_family(a=0.05, n_radii=9, n_angles=256, n_x=201, k_max=8),
+], ids=["geodesic", "loop-9x64", "loop-9x256"])
+def test_a_family_closed_forms_are_its_extension(build):
+    # each node's closed form is read in place of the extended samples f, so
+    # the two must be the same function on the grid, not two discretizations
+    family = build()
+    x = family.xgrid.axes[0]
+    for idx in family.node_indices():
+        gap = np.max(np.abs(family.closed_family(idx).value(x) - family.f[idx]))
+        assert gap <= 1e-15, (idx, gap)
 
 
 def rectangle_family():
@@ -98,11 +113,11 @@ def test_rectangle_family_end_to_end():
 def test_solve_harmonic_map_validation():
     dom = make_interval(5)
     xg = make_polytope_grid(P, 101, 1e-2)
-    u = preset_symplectic("guillemin", P, xg)
+    u = product_potential(P, grid=xg)
     with pytest.raises(ValueError, match="boundary"):
         solve_harmonic_map(dom, xg, [u])
     other = make_polytope_grid(P, 99, 1e-2)
-    u2 = preset_symplectic("guillemin", P, other)
+    u2 = product_potential(P, grid=other)
     with pytest.raises(ValueError, match="common grid"):
         solve_harmonic_map(dom, xg, [u, u2])
 
@@ -111,7 +126,7 @@ def test_extension_convexity_guard():
     # boundary potentials convex, but a forged interior slice is flagged
     dom = make_interval(5)
     xg = make_polytope_grid(P, 101, 1e-2)
-    u = preset_symplectic("guillemin", P, xg)
+    u = product_potential(P, grid=xg)
     fam = solve_harmonic_map(dom, xg, [u, u])
     bad_f = fam.f.copy()
     bad_f[2] = -5.0 * xg.axes[0] ** 2
@@ -192,6 +207,19 @@ def test_empty_c2_interior_fails_before_any_phi_k(monkeypatch):
     with pytest.raises(ValueError, match=message):
         error_report(family, field, approx, window=0.1)
     assert evaluated == []
+
+
+def test_a_non_finite_norm_names_its_column_and_level(geo, monkeypatch):
+    family, rho, field, approx = geo
+    E = np.zeros_like(field.values)
+    E[4, 200] = np.nan
+    mask = np.ones(rho.shape, dtype=bool)
+    with pytest.raises(ValueError, match=r"^error norm C0 = nan is not finite$"):
+        error_norms(E, family.domain, rho[1] - rho[0], mask, (0,))
+    monkeypatch.setattr(BergmanFamily, "field",
+                        lambda self, r: np.full(family.domain.shape + r.shape, np.nan))
+    with pytest.raises(ValueError, match=r"C0 = nan is not finite at level k = 4$"):
+        error_report(family, field, approx, window=0.1)
 
 
 def test_config_rejects_a_domain_without_c2_nodes():
@@ -337,8 +365,11 @@ def test_config_type_checks_every_field(key, value, kind):
 
 
 def test_config_float_fields_take_ints():
-    cfg = ExperimentConfig(a=1, rho_span=3, window=0)
-    assert (cfg.a, cfg.rho_span, cfg.window) == (1, 3, 0)
+    cfg = ExperimentConfig(a=1, rho_span=3)
+    assert (cfg.a, cfg.rho_span) == (1, 3)
+    # no int lies in window's range (0, 1/2): the type check passes 0, the range check rejects it
+    with pytest.raises(ValueError, match="^window = 0: the interior window"):
+        ExperimentConfig(window=0)
     assert ExperimentConfig(levels=[4, 8]).levels == (4, 8)
 
 
@@ -365,7 +396,7 @@ def test_run_experiment_builds_the_disc_family_of_its_config():
 
 
 def test_window_rho_bounds():
-    u = preset_symplectic("guillemin", P)
+    u = product_potential(P)
     lo, hi = window_rho_bounds(u, 0.1)
     assert lo == pytest.approx(math.log(1 / 9), abs=1e-12)
     assert hi == pytest.approx(math.log(9), abs=1e-12)
@@ -374,7 +405,7 @@ def test_window_rho_bounds():
 def test_equal_endpoints_give_constant_family():
     dom = make_interval(7)
     xg = make_polytope_grid(P, 201, 1e-2)
-    u = preset_symplectic("perturbed(0.05)", P, xg)
+    u = product_potential(P, 0.05, xg)
     fam = solve_harmonic_map(dom, xg, [u, u])
     # (1-t) v + t v re-rounds at the last ulp for generic t
     assert np.max(np.abs(fam.f - fam.f[:1])) < 1e-15

@@ -9,8 +9,8 @@ from toricmaps.potentials import (ClosedForm, ConvexityError, KahlerPotential,
                                   _invert_monotone_1d, abreu_delta,
                                   default_margin, guillemin_potential,
                                   load_potential, make_polytope_grid,
-                                  make_radial_grid, preset_kahler,
-                                  preset_symplectic, save_potential, to_kahler,
+                                  fubini_study, make_radial_grid,
+                                  product_potential, save_potential, to_kahler,
                                   to_symplectic)
 
 P = preset_polytope("interval")
@@ -83,7 +83,7 @@ def test_to_symplectic_self_dual_quadratic():
 
 
 def test_to_symplectic_fs_gives_canonical():
-    phi = preset_kahler("fubini-study")
+    phi = fubini_study()
     xg = make_polytope_grid(P, 801, default_margin(64))
     u = to_symplectic(phi, P, xg)
     assert float(u.value(np.asarray(0.5))) == pytest.approx(-math.log(2), abs=1e-12)
@@ -97,7 +97,7 @@ def test_to_symplectic_fs_gives_canonical():
 
 
 def test_to_symplectic_constant_shift():
-    phi = preset_kahler("fubini-study")
+    phi = fubini_study()
     xg = make_polytope_grid(P, 201, 0.01)
     u = to_symplectic(phi, P, xg)
     u_shift = to_symplectic(phi.shift(2.0), P, xg)
@@ -105,7 +105,7 @@ def test_to_symplectic_constant_shift():
 
 
 def test_to_kahler_canonical_gives_fs():
-    u = preset_symplectic("guillemin", P)
+    u = product_potential(P)
     grid = make_radial_grid([-4.0], [4.0], [401])
     phi = to_kahler(u, grid)
     assert float(phi.value(np.asarray(0.0))) == pytest.approx(math.log(2), abs=1e-12)
@@ -127,7 +127,7 @@ def test_to_kahler_quadratic():
 
 
 def test_involution_perturbed_round_trip():
-    u = preset_symplectic("perturbed(0.1)", P)
+    u = product_potential(P, 0.1)
     grid = make_radial_grid([-6.0], [6.0], [801])
     phi = to_kahler(u, grid)
     xg = make_polytope_grid(P, 801, default_margin(64))
@@ -138,7 +138,7 @@ def test_involution_perturbed_round_trip():
 
 
 def test_moment_map():
-    phi = preset_kahler("fubini-study")
+    phi = fubini_study()
     assert float(phi.grad(np.asarray(0.0))) == pytest.approx(0.5, abs=1e-14)
     assert float(phi.grad(np.asarray(-20.0))) < 1e-8
     phi_q = quad_phi()
@@ -146,7 +146,7 @@ def test_moment_map():
 
 
 def test_gradient_and_hessian_duality_at_nodes():
-    u = preset_symplectic("perturbed(0.1)", P)
+    u = product_potential(P, 0.1)
     # fine grid: the value-spline second derivative carries O(h_grid^2) error
     grid = make_radial_grid([-2.4], [2.4], [1001])
     phi = to_kahler(u, grid)
@@ -164,7 +164,7 @@ def test_gradient_and_hessian_duality_at_nodes():
 
 
 def test_abreu_delta_canonical_is_one():
-    u = preset_symplectic("guillemin", P)
+    u = product_potential(P)
     xg = u.grid
     x = xg.axes[0]
     vals = np.asarray(abreu_delta(u, x))
@@ -174,7 +174,7 @@ def test_abreu_delta_canonical_is_one():
 
 def test_abreu_delta_sampled_potential_at_margin():
     # grid-sampled smooth part, evaluated down to ell = margin
-    phi = preset_kahler("fubini-study")
+    phi = fubini_study()
     xg = make_polytope_grid(P, 801, default_margin(64))
     u = to_symplectic(phi, P, xg)
     x = np.array([default_margin(64), 0.5, 1.0 - default_margin(64)])
@@ -182,13 +182,13 @@ def test_abreu_delta_sampled_potential_at_margin():
 
 
 def test_abreu_delta_perturbed():
-    u = preset_symplectic("perturbed(0.1)", P)
+    u = product_potential(P, 0.1)
     assert abreu_delta(u, 0.5) == pytest.approx(1.0 / (3.8 * 0.25), rel=1e-10)
 
 
 def test_abreu_delta_positive_everywhere():
-    for name in ("guillemin", "perturbed(0.1)", "perturbed(-0.2)"):
-        u = preset_symplectic(name, P)
+    for a in (0.0, 0.1, -0.2):
+        u = product_potential(P, a)
         assert np.min(np.asarray(abreu_delta(u, u.grid.axes[0]))) > 0
 
 
@@ -214,12 +214,27 @@ def test_square_canonical_splits():
     # canonical potential of the square transforms to the product of
     # one-dimensional standard potentials
     S = preset_polytope("square")
-    u = preset_symplectic("guillemin", S, make_polytope_grid(S, 33, 0.01))
+    u = product_potential(S, grid=make_polytope_grid(S, 33, 0.01))
     grid = make_radial_grid([-2.0, -2.0], [2.0, 2.0], [9, 9])
     phi = to_kahler(u, grid)
     nodes = grid.nodes()
     expected = np.logaddexp(0, nodes[..., 0]) + np.logaddexp(0, nodes[..., 1])
     np.testing.assert_allclose(phi.values, expected, atol=1e-10)
+
+
+def test_to_symplectic_rejects_dim_two_up_front():
+    # the square's Fubini-Study product potential has closed-form derivatives,
+    # but the transform's smooth part would be sampled only, and sampled f has
+    # no evaluator in dim 2
+    S = preset_polytope("square")
+    grid = make_radial_grid([-2.0, -2.0], [2.0, 2.0], [9, 9])
+    phi = KahlerPotential(grid, closed=ClosedForm(
+        value=lambda r: np.logaddexp(0, r).sum(axis=-1),
+        grad=lambda r: 1.0 / (1.0 + np.exp(-r)),
+        hess=lambda r: np.einsum("...i,ij->...ij", np.exp(-r) / (1.0 + np.exp(-r)) ** 2,
+                                 np.eye(2))))
+    with pytest.raises(NotImplementedError, match="to_symplectic in dim 2: .* only in dim 1"):
+        to_symplectic(phi, S, make_polytope_grid(S, 9, 0.1))
 
 
 def test_polytope_grid_margin_and_flags():
@@ -235,7 +250,7 @@ def test_polytope_grid_margin_and_flags():
 
 
 def test_serialization_round_trip(tmp_path):
-    u = preset_symplectic("perturbed(0.05)", P, make_polytope_grid(P, 101, 0.01))
+    u = product_potential(P, 0.05, make_polytope_grid(P, 101, 0.01))
     path = tmp_path / "u.txt"
     save_potential(u, path)
     back = load_potential(path)
@@ -260,7 +275,7 @@ def test_abreu_delta_reports_convexity_failure():
 
 def test_newton_failure_names_the_worst_target():
     # max_iter=1 leaves most of a 2-D target array unconverged
-    u = preset_symplectic("perturbed(0.1)", P, make_polytope_grid(P, 201, 1e-3))
+    u = product_potential(P, 0.1, make_polytope_grid(P, 201, 1e-3))
     targets = np.linspace(-3.0, 3.0, 12).reshape(3, 4)
     with pytest.raises(NewtonError) as info:
         _invert_monotone_1d(u.grad, u.hess, targets, 1e-3, 1.0 - 1e-3, max_iter=1)

@@ -1,8 +1,8 @@
 """Print the four design counts that ROADMAP.md tracks for `src/`.
 
-    python3 scripts/design_counts.py [SRC_DIR]
+    python3 scripts/design_counts.py
 
-  * lines: all lines of the Python files under SRC_DIR (default: `src`);
+  * lines: all lines of the Python files under `src/`;
   * settable parameters: one `ast` walk over every function, method and
     lambda, counting each parameter (positional, keyword-only, *args and
     **kwargs) except `self` and `cls`;
@@ -49,9 +49,8 @@ def design_counts(src: Path) -> dict[str, int]:
     return counts
 
 
-def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
-    src = Path(argv[0]) if argv else Path(__file__).resolve().parents[1] / "src"
+def main() -> int:
+    src = Path(__file__).resolve().parents[1] / "src"
     for name, value in design_counts(src).items():
         print(f"{name}: {value:,}")
     return 0

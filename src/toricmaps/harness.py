@@ -108,9 +108,9 @@ class ExperimentConfig:
         if not 0 < self.window < 0.5:
             raise ValueError(f"window = {self.window}: the interior window "
                              "{ell_r >= window} of [0, 1] needs 0 < window < 1/2")
-        if self.rho_span <= 0:
+        if not 0 < self.rho_span < math.inf:
             raise ValueError(f"rho_span = {self.rho_span}: the rho grid "
-                             "[-rho_span, rho_span] needs rho_span > 0")
+                             "[-rho_span, rho_span] needs a finite rho_span > 0")
         # the polytope grid must resolve the boundary margin 1/(4 k_max)
         if self.n_x < 2 * max(ks):
             raise ValueError(

@@ -151,9 +151,11 @@ def test_untyped_config_values_are_usage_errors_before_any_check(
     (["geodesic"], {"window": 0.5}, "window = 0.5: the interior window"),
     (["geodesic"], {"rho_span": 0}, "rho_span = 0: the rho grid"),
     (["geodesic"], {"rho_span": -4.0}, "rho_span = -4.0: the rho grid"),
+    (["geodesic", "--resolution", "rho_span=nan"], {}, "rho_span = nan: the rho grid"),
+    (["geodesic", "--resolution", "rho_span=inf"], {}, "rho_span = inf: the rho grid"),
     (["geodesic", "--levels", "8,x"], {}, "--levels: '8,x' is not a comma-separated"),
 ], ids=["flow-n_y-2", "flow-n_x-2", "window-0.6", "window-0.5", "rho_span-0",
-        "rho_span-negative", "levels-8,x"])
+        "rho_span-negative", "rho_span-nan", "rho_span-inf", "levels-8,x"])
 def test_out_of_range_inputs_are_usage_errors_before_any_check(
         tmp_path, monkeypatch, capsys, argv, doc, message):
     ran = []

@@ -1,4 +1,5 @@
-"""Print the four design counts that ROADMAP.md tracks for `src/`.
+"""Print the four design counts that ROADMAP.md tracks for `src/`, and the
+`dim` branches of each module.
 
     python3 scripts/design_counts.py
 
@@ -7,7 +8,7 @@
     lambda, counting each parameter (positional, keyword-only, *args and
     **kwargs) except `self` and `cls`;
   * `dim` branches: lines matching the ROADMAP item-6 grep
-    `dim\\b.*==|ndim ?==|\\.dim ?[<>=]|m ?== ?1\\b`;
+    `dim\\b.*==|ndim ?==|\\.dim ?[<>=]|m ?== ?1\\b`, in all and per module;
   * `isinstance(..., *Domain)` dispatch branches.
 
 It only prints; it gates nothing.
@@ -35,24 +36,32 @@ def settable_parameters(tree: ast.AST) -> int:
     return count
 
 
-def design_counts(src: Path) -> dict[str, int]:
+def design_counts(src: Path) -> tuple[dict[str, int], dict[str, int]]:
+    """The four counts, and the dim branches of each module that has any."""
     counts = {"lines": 0, "settable parameters": 0, "dim branches": 0,
               "isinstance(..., *Domain) branches": 0}
+    per_module = {}
     for path in sorted(src.rglob("*.py")):
         text = path.read_text()
         lines = text.splitlines()
+        branches = sum(bool(DIM_BRANCH.search(s)) for s in lines)
         counts["lines"] += len(lines)
         counts["settable parameters"] += settable_parameters(ast.parse(text))
-        counts["dim branches"] += sum(bool(DIM_BRANCH.search(s)) for s in lines)
+        counts["dim branches"] += branches
         counts["isinstance(..., *Domain) branches"] += sum(
             bool(DOMAIN_DISPATCH.search(s)) for s in lines)
-    return counts
+        if branches:
+            per_module[path.stem] = branches
+    return counts, per_module
 
 
 def main() -> int:
     src = Path(__file__).resolve().parents[1] / "src"
-    for name, value in design_counts(src).items():
+    counts, per_module = design_counts(src)
+    for name, value in counts.items():
         print(f"{name}: {value:,}")
+    for module, value in per_module.items():
+        print(f"  dim branches in {module}: {value}")
     return 0
 
 

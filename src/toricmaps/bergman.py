@@ -12,12 +12,13 @@ orbit becomes an integral over the polytope itself:
 where u is the symplectic potential.  The torus volume (2 pi)^m and the 1/V
 of the level-k inner product are dropped uniformly in alpha; a uniform
 rescaling of all Q shifts every derived potential by a constant that the
-error norms are insensitive to.  The quadrature is tensor Gauss-Legendre
-(each panel rule built once), validated by panel doubling.  The integrand is
-Laplace-localized at width about 1/sqrt(k), so the panel count per axis
-starts at about 2 sqrt(k) and doubles until the validation passes, capped at
-8k; everything involving Q lives in the log domain and sums are accumulated
-with log-sum-exp.
+error norms are insensitive to.  The quadrature is tensor Gauss-Legendre on
+the bounding box, keeping the nodes inside P (each masked rule built once
+per polytope, panel count and order), validated by panel doubling.  The
+integrand is Laplace-localized at width about 1/sqrt(k), so the panel count
+per axis starts at about 2 sqrt(k) and doubles until the validation passes,
+capped at 8k; everything involving Q lives in the log domain and sums are
+accumulated with log-sum-exp.
 
 The normalized monomial and its peak value are
 
@@ -53,8 +54,8 @@ from scipy.special import gammaln, roots_legendre
 
 from .dirichlet import (BoundaryData, HarmonicField, MaxPrincipleError,
                         boundary_weights, harmonic_extend)
-from .polytope import lattice_points, near_facets
-from .potentials import KahlerPotential, SymplecticPotential, abreu_delta
+from .polytope import _float_if_0d, _read_only, lattice_points, near_facets
+from .potentials import KahlerPotential, SymplecticPotential, _positive_det, abreu_delta
 
 __all__ = [
     "NormingTable",
@@ -156,33 +157,26 @@ def _gauss_panels(a: float, b: float, n_panels: int, order: int = GAUSS_ORDER):
 
 def _log_q_quadrature(u: SymplecticPotential, k: int, alphas: np.ndarray,
                       n_panels: int, order: int) -> np.ndarray:
-    """log of int_P exp(k u + <alpha - k x, grad u>) dx on a tensor Gauss rule."""
+    """log of int_P exp(k u + <alpha - k x, grad u>) dx on the tensor Gauss
+    rule of P's bounding box, less its nodes outside P (every node of an
+    interval is inside), built once per (P, n_panels, order) and kept on P.
+    The pairing is accumulated one axis at a time."""
     P = u.polytope
-    lo, hi = P.bounding_box()
-    m = P.dim
-    axes = [_gauss_panels(lo[i], hi[i], n_panels, order) for i in range(m)]
-    if m == 1:
-        # a 1D Delzant polytope is an interval, so every Gauss node is interior
-        x, w = axes[0]
-        uval = np.asarray(u.value(x))
-        grad = np.asarray(u.grad(x))
-        expo = k * uval[None, :] + (alphas[:, [0]] - k * x[None, :]) * grad[None, :]
-    else:
-        mesh = np.meshgrid(*[ax[0] for ax in axes], indexing="ij")
-        pts = np.stack([mm.reshape(-1) for mm in mesh], axis=-1)
-        wgrid = np.meshgrid(*[ax[1] for ax in axes], indexing="ij")
-        w = np.prod(np.stack([ww.reshape(-1) for ww in wgrid], axis=0), axis=0)
-        # non-box polytopes: nodes outside P contribute nothing (log weight -inf)
-        ell_ok = np.all(P.ell(pts) > 0, axis=-1)
-        pts_in = pts[ell_ok]
-        uval = np.full(pts.shape[0], -np.inf)
-        grad = np.zeros_like(pts)
-        uval[ell_ok] = np.asarray(u.value(pts_in))
-        grad[ell_ok] = np.asarray(u.grad(pts_in))
-        expo = (k * uval[None, :]
-                + np.einsum("ai,ji->aj", alphas.astype(float), grad)
-                - k * np.einsum("ji,ji->j", pts, grad)[None, :])
-        expo = np.where(ell_ok[None, :], expo, -np.inf)
+    rule = P._quad_rules.get((n_panels, order))
+    if rule is None:
+        lo, hi = P.bounding_box()
+        axes = [_gauss_panels(lo[i], hi[i], n_panels, order) for i in range(P.dim)]
+        pts = np.stack(np.meshgrid(*[x for x, _ in axes], indexing="ij"), axis=-1)
+        w = np.stack(np.meshgrid(*[w for _, w in axes], indexing="ij"), axis=-1)
+        pts, w = pts.reshape(-1, P.dim), np.prod(w.reshape(-1, P.dim), axis=-1)
+        inside = np.all(P.ell(pts) > 0, axis=-1)
+        rule = P._quad_rules[(n_panels, order)] = (_read_only(pts[inside]),
+                                                   _read_only(w[inside]))
+    pts, w = rule
+    grad = u.grad(pts)
+    expo = k * u.value(pts)
+    for i in range(P.dim):
+        expo = expo + (alphas[:, [i]] - k * pts[:, i]) * grad[:, i]
     peak = np.max(expo, axis=1, keepdims=True)
     return peak[:, 0] + np.log(np.sum(np.exp(expo - peak) * w[None, :], axis=1))
 
@@ -253,13 +247,10 @@ def peak_value(table: NormingTable, u: SymplecticPotential, alpha) -> float:
     requires alpha/k strictly interior to P.
     """
     k = table.level
-    a = np.atleast_1d(np.asarray(alpha, dtype=float))
-    x = a / k
-    ell = u.polytope.ell(x)
-    if np.any(ell <= 0):
+    x = np.atleast_1d(np.asarray(alpha, dtype=float)) / k
+    if np.any(u.polytope.ell(x) <= 0):
         raise ValueError(f"alpha/k = {tuple(x)} is not strictly interior to the polytope")
-    uval = float(u.value(x[0] if u.dim == 1 else x))
-    return float(np.exp(k * uval - table.log_q_of(alpha)))
+    return float(np.exp(k * float(u.value(x)) - table.log_q_of(alpha)))
 
 
 def bargmann_fock_peak(k: int, alpha) -> np.ndarray | float:
@@ -276,8 +267,7 @@ def bargmann_fock_peak(k: int, alpha) -> np.ndarray | float:
     with np.errstate(divide="ignore", invalid="ignore"):
         term = np.where(a > 0, a * np.log(np.where(a > 0, a, 1.0)), 0.0)
     logval = math.log(k) - a + term - gammaln(a + 1.0)
-    out = np.exp(logval)
-    return float(out) if np.ndim(out) == 0 else out
+    return _float_if_0d(np.exp(logval))
 
 
 def _pairing(alphas: np.ndarray, rho: np.ndarray) -> np.ndarray:
@@ -304,8 +294,7 @@ def szego_sum(table: NormingTable, phi: KahlerPotential, rho):
     logp = _log_monomial_matrix(table, phi, rho)
     peak = np.max(logp, axis=0)
     total = np.exp(peak) * np.sum(np.exp(logp - peak[None, ...]), axis=0)
-    out = total / table.level ** table.dim
-    return float(out) if np.ndim(out) == 0 else out
+    return _float_if_0d(total / table.level ** table.dim)
 
 
 def localization_gap(table: NormingTable, phi: KahlerPotential, rho,
@@ -393,8 +382,7 @@ class BergmanFamily:
     def potential(self, y_index, rho):
         """Phi_k at one domain node; rho scalar or array (a float for scalar rho)."""
         lam_y = self.norming.lam[(slice(None),) + _as_index(y_index)]
-        val = _log_sum_exp(self.norming.alphas, lam_y[:, None], rho, self.level)[0]
-        return float(val) if np.ndim(val) == 0 else val
+        return _float_if_0d(_log_sum_exp(self.norming.alphas, lam_y[:, None], rho, self.level)[0])
 
     def field(self, rho) -> np.ndarray:
         """Phi_k over all domain nodes; shape (*domain.shape, n_rho)."""
@@ -482,22 +470,19 @@ def ratio_report(norming: HarmonicNorming, table_at_y: NormingTable,
     at boundary y both are identically 1.)
     """
     k = norming.level
-    sel = [i for i, a in enumerate(norming.alphas)
-           if np.all(u_at_y.polytope.ell(a.astype(float) / k) > 0)]
-    if not sel:
+    x = norming.alphas / k
+    idx = np.flatnonzero(np.all(u_at_y.polytope.ell(x) > 0, axis=-1))
+    if not idx.size:
         raise ValueError("no strictly interior lattice points selected")
-    idx = np.array(sel)
-    al = norming.alphas[idx]
+    al, x = norming.alphas[idx], x[idx]
     lam_y = norming.lam[(idx,) + _as_index(y_index)]
     log_q_y = np.array([table_at_y.log_q_of(a) for a in al])
     log_r_k = log_q_y - lam_y
 
-    x = al.astype(float) / k
     w = boundary_weights(norming.domain, y_index)
-    pts = x[:, 0] if u_at_y.dim == 1 else x
-    log_delta_y = np.log(np.asarray(abreu_delta(u_at_y, pts)))
+    log_delta_y = np.log(abreu_delta(u_at_y, x))
     log_delta_bd = np.stack(
-        [np.log(np.asarray(abreu_delta(uq, pts))) for uq in boundary_potentials], axis=0)
+        [np.log(abreu_delta(uq, x)) for uq in boundary_potentials], axis=0)
     log_r_inf = 0.5 * (log_delta_y - w @ log_delta_bd)
     return RatioReport(level=k, alphas=al,
                        r_k=np.exp(log_r_k), r_inf=np.exp(log_r_inf))
@@ -541,9 +526,7 @@ def peak_asymptotics_check(table: NormingTable, u: SymplecticPotential) -> PeakA
             raise ValueError(
                 f"alpha={tuple(a)} is within delta_k={dk:.4g} of a facet; "
                 "the interior peak law does not apply")
-        pts = x[0] if u.dim == 1 else x
-        H = np.asarray(u.hess(pts))
-        det = float(H) if u.dim == 1 else float(np.linalg.det(H))
+        det = float(_positive_det(u.hess(x), "Hessian of u is not positive definite at x", x))
         c = peak_value(table, u, a) * k ** (-u.dim / 2.0) / math.sqrt(det)
         consts.append(c)
         kept.append(a)

@@ -54,6 +54,8 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from .polytope import _float_if_0d
+
 __all__ = [
     "IntervalDomain",
     "DiscDomain",
@@ -384,8 +386,7 @@ def poisson_kernel(r, theta):
     if np.any(r < 0) or np.any(r >= 1):
         raise ValueError("poisson_kernel requires 0 <= r < 1")
     theta = np.asarray(theta, dtype=float)
-    out = (1.0 - r**2) / (2.0 * np.pi * (1.0 - 2.0 * r * np.cos(theta) + r**2))
-    return float(out) if np.ndim(out) == 0 else out
+    return _float_if_0d((1.0 - r**2) / (2.0 * np.pi * (1.0 - 2.0 * r * np.cos(theta) + r**2)))
 
 
 def _disc_weight_matrix(domain: DiscDomain) -> np.ndarray:

@@ -112,21 +112,25 @@ def heat_evolve(state: PotentialFamily, dtau: float, steps: int) -> PotentialFam
 
 # -- residual operators ---------------------------------------------------------
 
-def _fiber_terms(phi: np.ndarray, domain, rho_axis: np.ndarray, margin: int):
-    """Lap_N phi, |grad_y phi_rho|^2 and phi_rhorho on the full grid (garbage near
-    edges), and the slices `keep` of the admissible interior nodes."""
+def _fiber_operator(phi, domain, rho_axis, margin: int, hcma: bool):
+    """(field, keep, phi_rhorho): the Eells-Sampson operator Lap_N phi -
+    |grad_y phi_rho|^2 / phi_rhorho, or with `hcma` the complex-Hessian one
+    (Lap phi) phi_rhorho - |grad_y phi_rho|^2 (disc only), on the full grid
+    (garbage near edges), and the slices `keep` of the admissible interior
+    nodes.  The Eells-Sampson operator raises a ConvexityError naming the
+    worst node where phi_rhorho is not positive on the window."""
+    if hcma and not isinstance(domain, DiscDomain):
+        raise TypeError("hcma_operator expects a disc parameter domain")
     phi = np.asarray(phi, dtype=float)
     rho_axis = np.asarray(rho_axis, dtype=float)
     h_rho = rho_axis[1] - rho_axis[0]
     rho_ax = phi.ndim - 1
     cross = sum(_d1(g, h_rho, rho_ax) ** 2 for g in domain.gradient(phi))
     keep = domain.interior(margin) + (slice(margin, phi.shape[-1] - margin),)
-    return domain.laplacian(phi), cross, _d2(phi, h_rho, rho_ax), keep
-
-
-def _eells_sampson(phi, domain, rho_axis, margin):
-    """(field, keep, phi_rhorho); raises ConvexityError naming the worst node."""
-    lap, cross, phi_rr, keep = _fiber_terms(phi, domain, rho_axis, margin)
+    lap, phi_rr = domain.laplacian(phi), _d2(phi, h_rho, rho_ax)
+    if hcma:
+        with np.errstate(invalid="ignore"):
+            return lap * phi_rr - cross, keep, phi_rr
     window = phi_rr[keep]
     if np.min(window) <= 0:
         worst = np.unravel_index(np.argmin(window), window.shape)
@@ -134,7 +138,7 @@ def _eells_sampson(phi, domain, rho_axis, margin):
         raise ConvexityError(
             f"fiber Hessian is not positive on the residual window: phi_rhorho = "
             f"{window[worst]:.3g} at domain node {index[:-1]}, "
-            f"rho = {np.asarray(rho_axis)[index[-1]]:.6g}")
+            f"rho = {rho_axis[index[-1]]:.6g}")
     with np.errstate(divide="ignore", invalid="ignore"):
         return lap - cross / phi_rr, keep, phi_rr
 
@@ -148,7 +152,7 @@ def eells_sampson_operator(phi: np.ndarray, domain, rho_axis: np.ndarray,
     Raises ConvexityError when the fiber Hessian is not strictly positive on
     the admissible window.
     """
-    return _eells_sampson(phi, domain, rho_axis, margin)[:2]
+    return _fiber_operator(phi, domain, rho_axis, margin, False)[:2]
 
 
 def eells_sampson_residual(phi: np.ndarray, domain, rho_axis: np.ndarray,
@@ -158,7 +162,7 @@ def eells_sampson_residual(phi: np.ndarray, domain, rho_axis: np.ndarray,
     phi has shape (*domain.shape, n_rho).  Flat parameter domains only, so no
     Christoffel correction enters.
     """
-    field, keep, phi_rr = _eells_sampson(phi, domain, rho_axis, margin)
+    field, keep, phi_rr = _fiber_operator(phi, domain, rho_axis, margin, False)
     h_rho = float(rho_axis[1] - rho_axis[0])
     return _report(field[keep], phi_rr[keep], {"h_rho": h_rho, **domain.spacings})
 
@@ -170,15 +174,6 @@ def _report(res: np.ndarray, hess: np.ndarray, spac: dict) -> ResidualReport:
                           fiber_hessian_min=float(np.min(hess)))
 
 
-def _hcma(phi, domain, rho_axis, margin):
-    """(field, keep, phi_rhorho) of the complex-Hessian operator on the disc."""
-    if not isinstance(domain, DiscDomain):
-        raise TypeError("hcma_operator expects a disc parameter domain")
-    lap, cross, phi_rr, keep = _fiber_terms(phi, domain, rho_axis, margin)
-    with np.errstate(invalid="ignore"):
-        return lap * phi_rr - cross, keep, phi_rr
-
-
 def hcma_operator(phi: np.ndarray, domain: DiscDomain, rho_axis: np.ndarray,
                   margin: int = 2):
     """(Lap Phi) Phi_rhorho - |grad_y Phi_rho|^2 on the disc, with keep slices.
@@ -187,7 +182,7 @@ def hcma_operator(phi: np.ndarray, domain: DiscDomain, rho_axis: np.ndarray,
     Hessian, i.e. the (1+1)-complex-Hessian determinant of the full potential
     up to a positive conformal factor.
     """
-    return _hcma(phi, domain, rho_axis, margin)[:2]
+    return _fiber_operator(phi, domain, rho_axis, margin, True)[:2]
 
 
 def hcma_residual(phi: np.ndarray, domain: DiscDomain, rho_axis: np.ndarray,
@@ -199,7 +194,7 @@ def hcma_residual(phi: np.ndarray, domain: DiscDomain, rho_axis: np.ndarray,
     nonpositive minimum signals a fiberwise-positivity violation (reported,
     not raised, so the caller can see both numbers).
     """
-    field, keep, phi_rr = _hcma(phi, domain, rho_axis, margin)
+    field, keep, phi_rr = _fiber_operator(phi, domain, rho_axis, margin, True)
     h_rho = float(rho_axis[1] - rho_axis[0])
     return _report(field[keep], phi_rr[keep], {**domain.spacings, "h_rho": h_rho})
 

@@ -31,10 +31,12 @@ families live on the interval polytope, so a config holds only what varies:
 its `domain` picks the family ("interval": the geodesic between u0 and
 u0 + a prod ell; "disc": the loop u0 + a (1 + cos theta) prod ell), `a` is
 the amplitude, and the rest are levels and resolutions.  Each field has one
-spelling and is type-checked and range-checked where the config is built.
+spelling and is type-checked and range-checked where the config is built,
+so a run the pipeline cannot honour fails there, naming its key.
 Both families are u0 + c_b prod ell on the boundary, so each node's closed
 form is (domain.extend c)(y) prod ell: its coefficient comes from the
 operator that extends the sampled f, never from a hand-written profile.
+`solve_harmonic_map` checks any closed forms it is given against f.
 """
 
 from __future__ import annotations
@@ -50,10 +52,10 @@ from .dirichlet import (BoundaryData, MaxPrincipleError, _d1, _d2,
                         harmonic_extend, make_disc, make_interval)
 from .polytope import preset_polytope
 from .potentials import (NewtonError, PolytopeGrid, PotentialFamily,
-                         SymplecticPotential, _canonical_inverse_guess,
+                         SymplecticPotential, _canonical_inverse_guess, _closed_at,
                          _invert_monotone_1d, _product_ell_closed, _x_bracket,
                          default_margin, guillemin_gradient, guillemin_hessian,
-                         guillemin_potential, make_polytope_grid)
+                         guillemin_potential, make_polytope_grid, product_potential)
 
 __all__ = [
     "ExperimentConfig",
@@ -75,6 +77,12 @@ __all__ = [
 ]
 
 ERROR_COLUMNS = ("C0", "C1_y", "C1_rho", "C2_rhorho", "C2_yrho", "C2_yy")
+# A node's closed form may differ from its extended samples f by rounding and
+# the disc's angular aliasing (measured below 1e-13), never by more than this.
+CLOSED_FORM_TOL = 1e-10
+# |rho| past which the moment-map preimage x(rho), within about e^-|rho| of a
+# facet, is no longer resolved by doubles near x = 1: log(1/eps) = 36.04.
+RHO_REACH = -math.log(np.finfo(float).eps)
 
 
 # -- configuration ------------------------------------------------------------
@@ -98,16 +106,19 @@ class ExperimentConfig:
 
     def __post_init__(self):
         self.check_types(vars(self))
-        if self.domain not in _NODE_COUNT:
+        if self.domain not in _FAMILIES:
             raise ValueError(f"domain {self.domain!r}: no experiment family runs there "
-                             f"(expected one of {sorted(_NODE_COUNT)})")
+                             f"(expected one of {sorted(_FAMILIES)})")
         ks = tuple(self.levels)
         if any(b <= a for a, b in zip(ks, ks[1:])):
             raise ValueError("levels must be strictly increasing")
+        if ks[0] < 1:
+            raise ValueError(f"levels = {list(ks)}: every level k must be >= 1")
         object.__setattr__(self, "levels", ks)
-        if not 0 < self.window < 0.5:
+        # the window edge 1 - window must be a double below the facet x = 1
+        if not np.finfo(float).eps <= self.window < 0.5:
             raise ValueError(f"window = {self.window}: the interior window "
-                             "{ell_r >= window} of [0, 1] needs 0 < window < 1/2")
+                             "{ell_r >= window} of [0, 1] needs eps <= window < 1/2")
         if not 0 < self.rho_span < math.inf:
             raise ValueError(f"rho_span = {self.rho_span}: the rho grid "
                              "[-rho_span, rho_span] needs a finite rho_span > 0")
@@ -117,10 +128,35 @@ class ExperimentConfig:
                 f"n_x = {self.n_x} too coarse for k_max = {max(ks)} "
                 "(need at least 2 nodes per 1/k cell)")
         # C2_yy is read two nodes inside the boundary (interior(2) not empty)
-        size = _NODE_COUNT[self.domain]
+        size = _FAMILIES[self.domain][0]
         if getattr(self, size) < 5:
             raise ValueError(f"{size} = {getattr(self, size)} on domain {self.domain!r}: "
                              "C2_yy needs at least 5, else interior(2) is empty")
+        if self.domain == "disc" and (self.n_angles < 64 or self.n_angles % 2):
+            raise ValueError(f"n_angles = {self.n_angles} on domain 'disc': the angular "
+                             "quadrature needs an even count >= 64")
+        c = self.a * np.array(_FAMILIES[self.domain][1])
+        # (c prod ell)'' = -2c and u0'' >= 4 on [0, 1]: every slice is convex
+        # while each boundary c < 2, as the extension keeps every node's c in
+        # the boundary range
+        if not c.max() < 2:
+            raise ValueError(f"a = {self.a}: the boundary potential u0 + c prod ell with "
+                             f"c = {c.max():.4g} is not convex (u0'' >= 4 needs c < 2)")
+        # kahler_field brackets |rho| <= rho_span + 2 (max|f'| + 1), |f'| <= |c|
+        reach = self.rho_span + 2 * (np.abs(c).max() + 1)
+        if not reach <= RHO_REACH:
+            raise ValueError(f"rho_span = {self.rho_span}, a = {self.a}: the Legendre "
+                             f"inversion brackets |rho| up to {reach:.4g}, past the "
+                             f"reach {RHO_REACH:.4g} of x near a facet")
+        P = preset_polytope("interval")
+        u_ref = product_potential(P, c[0], make_polytope_grid(P, 5, 0.25))
+        bounds = window_rho_bounds(u_ref, self.window)
+        if self.n_rho < 5 or not _rho_window_mask(self.rho_axis(), bounds).any():
+            raise ValueError(f"n_rho = {self.n_rho}, rho_span = {self.rho_span}: no rho node "
+                             "lies inside the window, off the two guard cells at each end")
+
+    def rho_axis(self) -> np.ndarray:
+        return np.linspace(-self.rho_span, self.rho_span, self.n_rho)
 
     @classmethod
     def check_types(cls, values: dict):
@@ -162,8 +198,11 @@ def _is_a(kind: type, value) -> bool:
 
 _TYPE_NAMES = {int: "an int", float: "a number", str: "a string",
                tuple: "a non-empty list of ints"}
-# each domain's experiment family and the node count its C2_yy window needs
-_NODE_COUNT = {"interval": "n_y", "disc": "n_radii"}
+# each domain's experiment family: the node count its C2_yy window needs, and
+# its boundary coefficients c_b (of u0 + c_b prod ell, per unit of `a`) at the
+# reference node and at the other extreme: the geodesic's 0 and 1, the loop's
+# 1 + cos theta at theta = 0 and pi
+_FAMILIES = {"interval": ("n_y", (0.0, 1.0)), "disc": ("n_radii", (2.0, 0.0))}
 
 
 # -- the harmonic-map solver ----------------------------------------------------
@@ -176,7 +215,9 @@ def solve_harmonic_map(domain, xgrid: PolytopeGrid, boundary_potentials,
     the domain (canonical order), all sampled on `xgrid`.  The smooth parts
     of all fiber nodes are extended in one call; a maximum-principle failure
     names its fiber node, and a ConvexityError names the domain nodes whose
-    slice lost convexity.
+    slice lost convexity.  `closed_family(idx)`, if given, is each node's
+    ClosedForm of its smooth part, read in place of f; a value further than
+    CLOSED_FORM_TOL from the extended f is a ValueError naming node and x.
     """
     bps = tuple(boundary_potentials)
     if len(bps) != domain.n_boundary:
@@ -196,6 +237,16 @@ def solve_harmonic_map(domain, xgrid: PolytopeGrid, boundary_potentials,
     family = PotentialFamily(domain=domain, xgrid=xgrid, f=f,
                              boundary_potentials=bps, closed_family=closed_family)
     family.check_convexity("harmonic extension")
+    if closed_family is None:
+        return family
+    pts = xgrid.nodes()
+    for idx in family.node_indices():
+        gap = np.abs(_closed_at(closed_family(idx).value, pts) - f[idx])
+        if not gap.max() <= CLOSED_FORM_TOL:
+            x = pts[np.unravel_index(np.argmax(gap), gap.shape)]
+            raise ValueError(f"the closed form of domain node {idx} differs from the "
+                             f"extended f by {gap.max():.3g} > {CLOSED_FORM_TOL:g} at "
+                             f"x = {', '.join(f'{v:.6g}' for v in x)}")
     return family
 
 
@@ -458,8 +509,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     else:
         family = loop_family(cfg.a, n_radii=cfg.n_radii, n_angles=cfg.n_angles,
                              n_x=cfg.n_x, k_max=k_max)
-    rho = np.linspace(-cfg.rho_span, cfg.rho_span, cfg.n_rho)
-    phi_field = kahler_field(family, rho)
+    phi_field = kahler_field(family, cfg.rho_axis())
     approx = build_approximants(family, cfg.levels)
     report = error_report(family, phi_field, approx, window=cfg.window)
     return ExperimentResult(family, phi_field, approx, report)

@@ -12,6 +12,8 @@ supplied; the Delzant condition (the m facet normals meeting at each vertex
 form a Z-basis) is verified at construction time with exact rational
 arithmetic.  Lattice-point enumeration of the dilate kP is done with exact
 integer/rational comparisons so boundary points are never misclassified.
+Points are (..., dim) arrays; `_as_points` is the one rule by which a dim-1
+caller may pass plain x values (see `toricmaps.potentials`).
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ import itertools
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 from typing import Sequence
 
@@ -69,10 +72,6 @@ class Facet:
         if math.gcd(*(abs(v) for v in normal)) != 1:
             raise ValueError(f"facet normal {normal} is not primitive")
 
-    def value(self, x) -> float:
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        return float(x @ np.asarray(self.normal, dtype=float) + float(self.offset))
-
     def value_exact(self, x: Sequence[Fraction | int]) -> Fraction:
         acc = Fraction(0)
         for xi, vi in zip(x, self.normal):
@@ -80,47 +79,54 @@ class Facet:
         return acc + self.offset
 
 
-def _solve_exact(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction] | None:
-    """Solve a square rational system by Gaussian elimination; None if singular."""
+def _solve_exact(rows: list[list[Fraction]], rhs: list) -> tuple[Fraction, list[Fraction] | None]:
+    """Gauss-Jordan elimination of a square rational system: its determinant
+    and its solution (None when singular)."""
     m = len(rows)
-    a = [row[:] + [rhs[i]] for i, row in enumerate(rows)]
+    a = [[Fraction(v) for v in row] + [Fraction(rhs[i])] for i, row in enumerate(rows)]
+    det = Fraction(1)
     for col in range(m):
         piv = next((r for r in range(col, m) if a[r][col] != 0), None)
         if piv is None:
-            return None
-        a[col], a[piv] = a[piv], a[col]
+            return Fraction(0), None
+        if piv != col:
+            a[col], a[piv] = a[piv], a[col]
+            det = -det
+        det *= a[col][col]
         inv = Fraction(1) / a[col][col]
         a[col] = [v * inv for v in a[col]]
         for r in range(m):
             if r != col and a[r][col] != 0:
                 f = a[r][col]
                 a[r] = [vr - f * vc for vr, vc in zip(a[r], a[col])]
-    return [a[r][m] for r in range(m)]
-
-
-def _det_exact(rows: list[list[int]]) -> Fraction:
-    m = len(rows)
-    a = [[Fraction(v) for v in row] for row in rows]
-    det = Fraction(1)
-    for col in range(m):
-        piv = next((r for r in range(col, m) if a[r][col] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-            det = -det
-        det *= a[col][col]
-        inv = Fraction(1) / a[col][col]
-        for r in range(col + 1, m):
-            if a[r][col] != 0:
-                f = a[r][col] * inv
-                a[r] = [vr - f * vc for vr, vc in zip(a[r], a[col])]
-    return det
+    return det, [a[r][m] for r in range(m)]
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)
     return a
+
+
+def _as_points(dim: int, x, always_plain: bool = False) -> tuple[np.ndarray, bool]:
+    """x as (..., dim) points, and whether it held a dim-1 caller's plain
+    values: in dim 1 a scalar, or an array whose last axis is not of length 1,
+    holds the points x[..., None], and with `always_plain` (the ClosedForm
+    contract) every x does.  `_as_given` hands a plain caller its result back."""
+    x = np.asarray(x, dtype=float)
+    plain = dim == 1 and (always_plain or x.ndim == 0 or x.shape[-1] != 1)
+    return (x[..., None] if plain else x), plain
+
+
+def _as_given(out: np.ndarray, plain: bool, point_axes: int):
+    """A result at the points of `_as_points`, in the form its caller gave x:
+    for plain x the `point_axes` trailing axes of length 1 are dropped (1 for
+    a gradient, 2 for a Hessian), and a 0-d result is a numpy scalar."""
+    return out[(...,) + (0,) * point_axes][()] if plain else out
+
+
+def _float_if_0d(out):
+    """A 0-d result as a Python float, any other as the array it is."""
+    return float(out) if np.ndim(out) == 0 else out
 
 
 @dataclass(frozen=True)
@@ -153,6 +159,8 @@ class DelzantPolytope:
                                            _read_only(v.max(axis=0))))
         # level k -> LatticeSet, filled by lattice_points on first use
         object.__setattr__(self, "_lattices", {})
+        # (n_panels, order) -> masked tensor Gauss rule, filled by bergman on first use
+        object.__setattr__(self, "_quad_rules", {})
 
     # -- validation -------------------------------------------------------
 
@@ -182,7 +190,7 @@ class DelzantPolytope:
         for subset in itertools.combinations(range(len(self.facets)), self.dim):
             rows = [[Fraction(v) for v in self.facets[r].normal] for r in subset]
             rhs = [-self.facets[r].offset for r in subset]
-            x = _solve_exact(rows, rhs)
+            _, x = _solve_exact(rows, rhs)
             if x is None:
                 continue
             if all(f.value_exact(x) >= 0 for f in self.facets):
@@ -197,7 +205,7 @@ class DelzantPolytope:
             if len(active) != self.dim:
                 raise ValueError(
                     f"vertex {v} lies on {len(active)} facets; polytope is not simple")
-            det = _det_exact([list(self.facets[r].normal) for r in active])
+            det, _ = _solve_exact([self.facets[r].normal for r in active], [0] * self.dim)
             if abs(det) != 1:
                 raise ValueError(
                     f"facet normals at vertex {v} have determinant {det}; "
@@ -210,13 +218,9 @@ class DelzantPolytope:
         return len(self.facets)
 
     def ell(self, x) -> np.ndarray:
-        """All facet values ell_r(x); x is a point or an array of points (..., dim).
-
-        For dim-1 polytopes plain scalars/arrays of x values are accepted.
-        """
-        x = np.asarray(x, dtype=float)
-        if self.dim == 1 and (x.ndim == 0 or x.shape[-1] != 1):
-            x = x[..., None]
+        """All facet values ell_r(x), shape (..., n_facets), of points x
+        (..., dim) read by `_as_points`."""
+        x, _ = _as_points(self.dim, x)
         # accumulate facet-major, so every numpy loop runs over all points;
         # the result is a facet-last view
         per_facet = (slice(None),) + (None,) * (x.ndim - 1)
@@ -232,6 +236,18 @@ class DelzantPolytope:
 
     def vertex_array(self) -> np.ndarray:
         return np.array([[float(c) for c in vert] for vert in self.vertices])
+
+    @cached_property
+    def _other_facets(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Index rows of the facets other than r and other than (r, s), over
+        the ordered pairs r != s, and the pairs' normal products v_r v_s^T:
+        the terms of the derivatives of prod_r ell_r, built once."""
+        facets = np.arange(self.n_facets)
+        pairs = [(r, s) for r in facets for s in facets if r != s]
+        normals = self._normals_f
+        return (np.array([np.delete(facets, r) for r in facets]),
+                np.array([np.delete(facets, [r, s]) for r, s in pairs]),
+                np.array([np.outer(normals[r], normals[s]) for r, s in pairs]))
 
 
 @dataclass(frozen=True)
@@ -251,10 +267,11 @@ class LatticeSet:
 
 
 def facet_value(P: DelzantPolytope, r: int, x) -> float:
-    """ell_r(x); nonnegative iff x lies on the inner side of facet r (0-based r)."""
+    """ell_r(x) at one point x; nonnegative iff x lies on the inner side of
+    facet r (0-based r)."""
     if not 0 <= r < P.n_facets:
         raise IndexError(f"facet index {r} out of range [0, {P.n_facets})")
-    return P.facets[r].value(x)
+    return float(P.ell(x)[..., r])
 
 
 def lattice_points(P: DelzantPolytope, k: int) -> LatticeSet:

@@ -25,9 +25,18 @@ v_r v_r^T / ell_r), so only the smooth part f is ever differentiated
 numerically.  This keeps Hessians accurate arbitrarily close to the
 boundary, where u0 is singular.
 
-Array conventions: one-dimensional potentials take and return plain arrays
-(rho or x values of any shape); higher-dimensional ones take points of shape
-(..., m), returning (...) values, (..., m) gradients, (..., m, m) Hessians.
+Array conventions.  Points x are (..., m) arrays in every dimension, and a
+function of x returns (...) values, (..., m) gradients, (..., m, m) Hessians.
+One rule, `polytope._as_points`, applied where an x enters (`DelzantPolytope.ell`,
+hence `guillemin_*`, `near_facets` and `facet_value`; `SymplecticPotential.value`,
+`.grad`, `.hess`; `abreu_delta`), lets a dim-1 caller pass plain x values:
+a scalar, or an array whose last axis is not of length 1, is the points
+x[..., None], and its results come back plain (`polytope._as_given`).  A
+dim-1 array whose last axis has length 1 is points: x of shape (2, 1) is two
+points, giving (2,) values, (2, 1) gradients and (2, 1, 1) Hessians.
+`ClosedForm` callbacks and sampled smooth parts take and return plain arrays
+in dim 1, whatever their shape; `_closed_at` reads them at points.  The rho
+side keeps plain rho values in dim 1 (`KahlerPotential`).
 
 Gradient inversions use a safeguarded Newton iteration (bisection fallback)
 with tolerance 1e-12 on the gradient mismatch and at most 100 iterations.
@@ -50,7 +59,8 @@ from typing import Callable
 import numpy as np
 from scipy.interpolate import CubicSpline
 
-from .polytope import DelzantPolytope, polytope_from_json, polytope_to_json
+from .polytope import (DelzantPolytope, _as_given, _as_points, _float_if_0d,
+                       polytope_from_json, polytope_to_json)
 
 __all__ = [
     "RadialGrid",
@@ -102,8 +112,23 @@ def default_margin(k_max: int) -> float:
 
 # -- grids ------------------------------------------------------------------
 
+class _TensorGrid:
+    """A grid's `axes`, its dimension, shape and (*shape, dim) node points."""
+
+    @property
+    def dim(self) -> int:
+        return len(self.axes)
+
+    @property
+    def shape(self) -> tuple[int, ...]:
+        return tuple(a.size for a in self.axes)
+
+    def nodes(self) -> np.ndarray:
+        return np.stack(np.meshgrid(*self.axes, indexing="ij"), axis=-1)
+
+
 @dataclass(frozen=True)
-class RadialGrid:
+class RadialGrid(_TensorGrid):
     """Tensor-product grid in the log-radial coordinates rho."""
 
     axes: tuple[np.ndarray, ...]
@@ -115,19 +140,6 @@ class RadialGrid:
                 raise ValueError("grid axes must be strictly increasing 1D arrays (>= 4 nodes)")
         object.__setattr__(self, "axes", axes)
 
-    @property
-    def dim(self) -> int:
-        return len(self.axes)
-
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return tuple(a.size for a in self.axes)
-
-    def nodes(self) -> np.ndarray:
-        """All grid nodes as an array of shape (*shape, dim)."""
-        mesh = np.meshgrid(*self.axes, indexing="ij")
-        return np.stack(mesh, axis=-1)
-
 
 def make_radial_grid(lo, hi, n) -> RadialGrid:
     lo = np.atleast_1d(np.asarray(lo, dtype=float))
@@ -137,7 +149,7 @@ def make_radial_grid(lo, hi, n) -> RadialGrid:
 
 
 @dataclass(frozen=True)
-class PolytopeGrid:
+class PolytopeGrid(_TensorGrid):
     """Tensor-product nodes strictly inside P, offset from the boundary.
 
     `mask` marks tensor nodes with ell_r >= margin for all r (all True for box
@@ -158,18 +170,6 @@ class PolytopeGrid:
             raise ValueError("margin must be positive")
         if not self.mask.any():
             raise ValueError("no grid node lies inside the polytope at this margin")
-
-    @property
-    def dim(self) -> int:
-        return len(self.axes)
-
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return tuple(a.size for a in self.axes)
-
-    def nodes(self) -> np.ndarray:
-        mesh = np.meshgrid(*self.axes, indexing="ij")
-        return np.stack(mesh, axis=-1)
 
     @cached_property
     def mask(self) -> np.ndarray:
@@ -210,8 +210,7 @@ def guillemin_potential(P: DelzantPolytope, x) -> np.ndarray | float:
     ell = P.ell(x)
     if np.any(ell <= 0):
         raise ValueError("guillemin_potential requires a strictly interior point")
-    val = np.sum(ell * np.log(ell), axis=-1)
-    return float(val) if np.ndim(val) == 0 else val
+    return _float_if_0d(np.sum(ell * np.log(ell), axis=-1))
 
 
 def guillemin_gradient(P: DelzantPolytope, x) -> np.ndarray:
@@ -253,36 +252,30 @@ def _convex_slices(xgrid: PolytopeGrid, f: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ClosedForm:
-    """Closed-form evaluator: value, gradient and Hessian."""
+    """Closed-form evaluator: value, gradient and Hessian.  In dim 1 each
+    callback takes and returns plain arrays (x or rho values of any shape); in
+    dim m >= 2 it takes (..., m) points and returns (...), (..., m), (..., m, m)."""
 
     value: Callable
     grad: Callable
     hess: Callable
 
 
-def _grid_hessians(values: np.ndarray, axes) -> np.ndarray:
-    """Centered-difference Hessians of tensor-sampled values at interior nodes."""
-    m = len(axes)
-    h = [float(ax[1] - ax[0]) for ax in axes]
-    inner = tuple(slice(1, -1) for _ in range(m))
-    H = np.empty(values[inner].shape + (m, m))
-    for i in range(m):
-        sl_p = list(inner)
-        sl_m = list(inner)
-        sl_p[i] = slice(2, None)
-        sl_m[i] = slice(None, -2)
-        H[..., i, i] = (values[tuple(sl_p)] - 2 * values[inner]
-                        + values[tuple(sl_m)]) / h[i] ** 2
-        for j in range(i + 1, m):
-            pp = list(inner); mm = list(inner); pm = list(inner); mp = list(inner)
-            pp[i] = slice(2, None); pp[j] = slice(2, None)
-            mm[i] = slice(None, -2); mm[j] = slice(None, -2)
-            pm[i] = slice(2, None); pm[j] = slice(None, -2)
-            mp[i] = slice(None, -2); mp[j] = slice(2, None)
-            mixed = (values[tuple(pp)] - values[tuple(pm)]
-                     - values[tuple(mp)] + values[tuple(mm)]) / (4 * h[i] * h[j])
-            H[..., i, j] = H[..., j, i] = mixed
-    return H
+def _closed_at(fn: Callable, pts: np.ndarray, point_axes: int = 0) -> np.ndarray:
+    """A callback of the ClosedForm contract (or a sampled smooth part) at
+    (..., m) points, with its `point_axes` trailing point axes."""
+    dim = pts.shape[-1]
+    plain = dim == 1
+    out = np.asarray(fn(_as_given(pts, plain, 1)), dtype=float)
+    return out[(...,) + (None,) * point_axes] if plain else out
+
+
+def _fd_hessians(values: np.ndarray, axes) -> np.ndarray:
+    """(*shape, m, m) finite-difference Hessians of values sampled on the
+    tensor grid `axes` (np.gradient twice, any spacing)."""
+    grads = [np.gradient(values, ax, axis=i) for i, ax in enumerate(axes)]
+    return np.stack([np.stack([np.gradient(g, ax, axis=j) for j, ax in enumerate(axes)],
+                              axis=-1) for g in grads], axis=-2)
 
 
 class KahlerPotential:
@@ -302,8 +295,7 @@ class KahlerPotential:
         if values is None:
             if closed is None:
                 raise ValueError("need sampled values or a closed form")
-            pts = grid.axes[0] if grid.dim == 1 else grid.nodes()
-            values = np.asarray(closed.value(pts), dtype=float)
+            values = _closed_at(closed.value, grid.nodes())
         self.values = np.asarray(values, dtype=float).reshape(grid.shape)
         self.grad_values = None if grad_values is None else \
             np.asarray(grad_values, dtype=float).reshape(grid.shape + (grid.dim,))
@@ -317,19 +309,8 @@ class KahlerPotential:
         return self.grid.dim
 
     def _check_convexity(self):
-        if self.dim == 1:
-            h = np.diff(self.grid.axes[0])
-            slopes = np.diff(self.values) / h
-            second = np.diff(slopes)
-            if np.any(second <= 0):
-                i = int(np.argmin(second))
-                raise ConvexityError(
-                    f"potential is not discretely convex near rho={self.grid.axes[0][i + 1]:.4g}")
-        else:
-            H = _grid_hessians(self.values, self.grid.axes)
-            if np.any(np.linalg.eigvalsh(H).min(axis=-1) <= 0):
-                raise ConvexityError(
-                    "potential fails discrete positive-definiteness at an interior node")
+        _positive_det(_fd_hessians(self.values, self.grid.axes),
+                      "potential is not discretely convex at rho", self.grid.nodes())
 
     def _spline(self):
         if self._value_spline is None:
@@ -342,12 +323,9 @@ class KahlerPotential:
 
     def _gspline(self):
         if self._grad_spline is None:
-            if self.dim != 1:
-                raise NotImplementedError("sampled gradients need dim 1")
-            if self.grad_values is not None:
-                self._grad_spline = CubicSpline(self.grid.axes[0], self.grad_values[..., 0])
-            else:
-                self._grad_spline = self._spline().derivative()
+            spline = self._spline()         # raises outside dim 1
+            self._grad_spline = spline.derivative() if self.grad_values is None else \
+                CubicSpline(self.grid.axes[0], self.grad_values[..., 0])
         return self._grad_spline
 
     def value(self, rho):
@@ -395,8 +373,7 @@ class SymplecticPotential:
         if f_values is None:
             if f_closed is None:
                 raise ValueError("need sampled f values or a closed form")
-            pts = grid.axes[0] if grid.dim == 1 else grid.nodes()
-            f_values = np.asarray(f_closed.value(pts), dtype=float)
+            f_values = _closed_at(f_closed.value, grid.nodes())
         self.f_values = np.asarray(f_values, dtype=float).reshape(grid.shape)
         self.rho_values = None if rho_values is None else \
             np.asarray(rho_values, dtype=float).reshape(grid.shape + (grid.dim,))
@@ -411,19 +388,8 @@ class SymplecticPotential:
         return self.grid.dim
 
     def _check_convexity(self):
-        if self.dim == 1:
-            x = self.grid.axes[0]
-            hess = self.hess(x)
-            if np.any(hess <= 0):
-                i = int(np.argmin(hess))
-                raise ConvexityError(
-                    f"symplectic potential not strictly convex at x={x[i]:.4g}")
-        else:
-            pts = self.grid.nodes()[self.grid.mask]
-            H = self.hess(pts)
-            if np.any(np.linalg.eigvalsh(H).min(axis=-1) <= 0):
-                raise ConvexityError(
-                    "symplectic potential fails positive-definiteness on the grid")
+        pts = self.grid.nodes()[self.grid.mask]
+        _positive_det(self.hess(pts), "symplectic potential not strictly convex at x", pts)
 
     # smooth part -------------------------------------------------------------
 
@@ -453,26 +419,21 @@ class SymplecticPotential:
             return np.asarray(self.f_closed.hess(x), dtype=float)
         return self._spline(2)(np.asarray(x, dtype=float))
 
-    # full potential u = u0 + f -------------------------------------------------
-
-    def _points(self, x) -> np.ndarray:
-        pts = np.asarray(x, dtype=float)
-        return pts[..., None] if self.dim == 1 else pts
+    # full potential u = u0 + f, at x read by `_as_points` ----------------------
 
     def value(self, x):
-        return guillemin_potential(self.polytope, self._points(x)) + self.f_value(x)
+        pts, _ = _as_points(self.dim, x)
+        return guillemin_potential(self.polytope, pts) + _closed_at(self.f_value, pts)
 
     def grad(self, x):
-        g0 = guillemin_gradient(self.polytope, self._points(x))
-        if self.dim == 1:
-            return g0[..., 0] + self.f_grad(x)
-        return g0 + self.f_grad(x)
+        pts, plain = _as_points(self.dim, x)
+        g = guillemin_gradient(self.polytope, pts) + _closed_at(self.f_grad, pts, 1)
+        return _as_given(g, plain, 1)
 
     def hess(self, x):
-        H0 = guillemin_hessian(self.polytope, self._points(x))
-        if self.dim == 1:
-            return H0[..., 0, 0] + self.f_hess(x)
-        return H0 + self.f_hess(x)
+        pts, plain = _as_points(self.dim, x)
+        H = guillemin_hessian(self.polytope, pts) + _closed_at(self.f_hess, pts, 2)
+        return _as_given(H, plain, 2)
 
     def shift(self, c: float) -> "SymplecticPotential":
         closed = None
@@ -742,26 +703,31 @@ def _x_bracket(u: SymplecticPotential, rho_min: float, rho_max: float):
     return a, b
 
 
+def _positive_det(H: np.ndarray, what: str, pts: np.ndarray) -> np.ndarray:
+    """det H of (..., m, m) Hessians at points `pts`, as the product of the
+    eigenvalues that show H positive definite; else a ConvexityError
+    "{what}={the worst point}".  (In dim 1 the eigenvalue of a 1 x 1 H is
+    its entry, bit for bit.)"""
+    eig = np.linalg.eigvalsh(H)
+    low = eig.min(axis=-1)
+    if np.any(low <= 0):
+        worst = pts[np.unravel_index(np.argmin(low), low.shape)]
+        raise ConvexityError(f"{what}={', '.join(f'{v:.4g}' for v in worst)}")
+    return np.prod(eig, axis=-1)
+
+
 def abreu_delta(u: SymplecticPotential, x) -> np.ndarray | float:
-    """delta(x) = 1 / (det hess u(x) * prod_r ell_r(x)).
+    """delta(x) = 1 / (det hess u(x) * prod_r ell_r(x)), x read by `_as_points`.
 
     The canonical-part Hessian is analytic, so delta stays accurate next to
     the boundary where u0 is singular.  Positive for any convex potential.
     """
-    ell = u.polytope.ell(np.asarray(x, dtype=float)[..., None] if u.dim == 1 else x)
+    pts, _ = _as_points(u.dim, x)
+    ell = u.polytope.ell(pts)
     if np.any(ell <= 0):
         raise ValueError("abreu_delta requires strictly interior points")
-    H = u.hess(x)
-    if u.dim == 1:
-        det = np.asarray(H, dtype=float)
-        if np.any(det <= 0):
-            raise ConvexityError("Hessian of u is not positive at a requested point")
-    else:
-        if np.any(np.linalg.eigvalsh(H).min(axis=-1) <= 0):
-            raise ConvexityError("Hessian of u is not positive definite at a requested point")
-        det = np.linalg.det(H)
-    out = 1.0 / (det * np.prod(ell, axis=-1))
-    return float(out) if np.ndim(out) == 0 else out
+    det = _positive_det(u.hess(pts), "Hessian of u is not positive definite at x", pts)
+    return _float_if_0d(1.0 / (det * np.prod(ell, axis=-1)))
 
 
 # -- closed-form potentials ----------------------------------------------------------
@@ -795,33 +761,24 @@ def _product_ell_closed(P: DelzantPolytope, a: float) -> ClosedForm:
 
     The gradient is a sum_r (prod_{s != r} ell_s) v_r and the Hessian
     a sum_{r != s} (prod_{t != r, s} ell_t) v_r v_s^T, each one product over
-    the facet axis and one contraction against the normals.  a = 0 gives
-    f = 0, the smooth part of Guillemin's u0.
+    the facet axis and one contraction against the normals (index arrays
+    built once per polytope).  a = 0 gives f = 0, the smooth part of
+    Guillemin's u0.  The callbacks keep the ClosedForm contract.
     """
-    normals = P._normals_f
-    d = len(normals)
-    facets = np.arange(d)
-    keep_one = np.array([np.delete(facets, r) for r in facets])
-    pairs = [(r, s) for r in facets for s in facets if r != s]
-    keep_two = np.array([np.delete(facets, [r, s]) for r, s in pairs])
-    outer = np.array([np.outer(normals[r], normals[s]) for r, s in pairs])
-
-    def pts(x):
-        x = np.asarray(x, dtype=float)
-        return x[..., None] if P.dim == 1 else x
+    keep_one, keep_two, outer = P._other_facets
 
     def value(x):
-        return a * np.prod(P.ell(pts(x)), axis=-1)
+        return a * np.prod(P.ell(_as_points(P.dim, x, True)[0]), axis=-1)
 
     def grad(x):
-        others = np.prod(P.ell(pts(x))[..., keep_one], axis=-1)
-        g = a * np.einsum("...r,ri->...i", others, normals)
-        return g[..., 0] if P.dim == 1 else g
+        pts, plain = _as_points(P.dim, x, True)
+        others = np.prod(P.ell(pts)[..., keep_one], axis=-1)
+        return _as_given(a * np.einsum("...r,ri->...i", others, P._normals_f), plain, 1)
 
     def hess(x):
-        others = np.prod(P.ell(pts(x))[..., keep_two], axis=-1)
-        H = a * np.einsum("...p,pij->...ij", others, outer)
-        return H[..., 0, 0] if P.dim == 1 else H
+        pts, plain = _as_points(P.dim, x, True)
+        others = np.prod(P.ell(pts)[..., keep_two], axis=-1)
+        return _as_given(a * np.einsum("...p,pij->...ij", others, outer), plain, 2)
 
     return ClosedForm(value=value, grad=grad, hess=hess)
 

@@ -86,6 +86,28 @@ def test_right_sized_panels_match_the_8k_rule(a, k):
     assert f"panels={start}x2 " in table.provenance
 
 
+@pytest.mark.parametrize("k", [1, 2, 4, 8])
+def test_square_tables_are_products_of_two_beta_values(k):
+    # u0 of the square is the sum of two interval ones, so every norming
+    # integral is the product of two one-dimensional Beta values
+    S = preset_polytope("square")
+    u = product_potential(S, grid=make_polytope_grid(S, 9, 0.05))
+    table = norming_constants(u, k)
+    exact = [sum(math.lgamma(a + 1) + math.lgamma(k - a + 1) - math.lgamma(k + 2) for a in alpha)
+             for alpha in table.alphas.tolist()]
+    assert table.count == (k + 1) ** 2
+    np.testing.assert_allclose(np.exp(table.log_q), np.exp(exact), rtol=1e-12, atol=0)
+
+
+def test_simplex_tables_fail_panel_doubling_by_name():
+    # the masked tensor rule integrates an integrand cut off at the diagonal
+    # facet, so doubling cannot converge: a known limit of the masked rule
+    S = preset_polytope("simplex2")
+    u = product_potential(S, grid=make_polytope_grid(S, 9, 0.05))
+    with pytest.raises(QuadratureError, match=r"^panel doubling 16 -> 32 panels moved"):
+        norming_constants(u, 2)
+
+
 def test_right_sizing_doubles_to_the_cap_then_raises(monkeypatch):
     panels = []
     quadrature = bergman._log_q_quadrature

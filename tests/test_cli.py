@@ -1,10 +1,16 @@
+import contextlib
+import io
 import json
+import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import toricmaps
 from toricmaps import acceptance, cli, harness
@@ -154,8 +160,16 @@ def test_untyped_config_values_are_usage_errors_before_any_check(
     (["geodesic", "--resolution", "rho_span=nan"], {}, "rho_span = nan: the rho grid"),
     (["geodesic", "--resolution", "rho_span=inf"], {}, "rho_span = inf: the rho grid"),
     (["geodesic", "--levels", "8,x"], {}, "--levels: '8,x' is not a comma-separated"),
+    (["geodesic", "--levels", "0,8"], {}, "levels = [0, 8]: every level k must be >= 1"),
+    (["geodesic", "--resolution", "n_rho=3"], {}, "n_rho = 3, rho_span = 4.0: no rho node"),
+    (["geodesic"], {"a": 2.1}, "a = 2.1: the boundary potential u0 + c prod ell"),
+    (["geodesic"], {"a": 5}, "a = 5: the boundary potential u0 + c prod ell"),
+    (["geodesic"], {"a": -20.0}, "rho_span = 4.0, a = -20.0: the Legendre inversion"),
+    (["geodesic"], {"rho_span": 40.0}, "rho_span = 40.0, a = 0.1: the Legendre inversion"),
+    (["geodesic"], {"window": 1e-300}, "window = 1e-300: the interior window"),
 ], ids=["flow-n_y-2", "flow-n_x-2", "window-0.6", "window-0.5", "rho_span-0",
-        "rho_span-negative", "rho_span-nan", "rho_span-inf", "levels-8,x"])
+        "rho_span-negative", "rho_span-nan", "rho_span-inf", "levels-8,x", "levels-0,8",
+        "n_rho-3", "a-2.1", "a-5", "a-negative-reach", "rho_span-reach", "window-tiny"])
 def test_out_of_range_inputs_are_usage_errors_before_any_check(
         tmp_path, monkeypatch, capsys, argv, doc, message):
     ran = []
@@ -167,6 +181,36 @@ def test_out_of_range_inputs_are_usage_errors_before_any_check(
     assert info.value.code == 2
     assert message in capsys.readouterr().err
     assert ran == []
+
+
+# values of the keys the geodesic suite reads that no run can honour
+_OUT_OF_RANGE = {
+    "a": st.one_of(st.floats(2.0, 1e6), st.floats(-1e6, -17.0), st.just(math.nan)),
+    "levels": st.lists(st.integers(-8, 0), min_size=1, max_size=2, unique=True).map(sorted),
+    "n_y": st.integers(-3, 4),
+    "n_x": st.integers(0, 15),
+    "n_rho": st.integers(-2, 3),
+    "rho_span": st.one_of(st.floats(-1e3, 0.0), st.floats(34.0, 1e300),
+                          st.sampled_from([math.nan, math.inf])),
+    "window": st.one_of(st.floats(0.5, 10.0), st.floats(-1.0, 1e-17)),
+}
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.sampled_from(sorted(_OUT_OF_RANGE)).flatmap(
+    lambda key: st.tuples(st.just(key), _OUT_OF_RANGE[key])))
+def test_drawn_out_of_range_values_exit_2_naming_their_key(pair):
+    key, value = pair
+    doc = {"levels": [4, 8], "n_x": 16, key: value}
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "cfg.json"
+        path.write_text(json.dumps(doc))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), pytest.raises(SystemExit) as info:
+            main(["geodesic", "--config", str(path), "--out", tmp])
+    assert info.value.code == 2, err.getvalue()
+    assert f"{key} = " in err.getvalue() or f"{key} must" in err.getvalue(), err.getvalue()
+    assert "Traceback" not in err.getvalue()
 
 
 def test_unread_flag_fails_in_a_subprocess():

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -100,11 +101,13 @@ def test_heat_flow_preserves_convexity():
 def test_heat_evolve_drops_the_closed_forms_of_a_solved_family():
     # closed forms describe the start data, so the flowed family's potential_at
     # must read the flowed f; a closed form that disagrees with f (a zero
-    # smooth part) shows which of the two it reads
+    # smooth part) shows which of the two it reads.  solve_harmonic_map rejects
+    # such a closed form, so it is set on the solved family afterwards.
     dom = make_interval(9)
     xg = make_polytope_grid(P, 41, 1e-3)
     ends = [product_potential(P, a, xg) for a in (0.0, 0.1)]
-    fam = solve_harmonic_map(dom, xg, ends, lambda idx: _product_ell_closed(P, 0.0))
+    fam = replace(solve_harmonic_map(dom, xg, ends),
+                  closed_family=lambda idx: _product_ell_closed(P, 0.0))
     h = dom.nodes[1] - dom.nodes[0]
     out = heat_evolve(fam, h**2 / 4.0, 3)
     assert fam.closed_family is not None and out.closed_family is None

@@ -6,6 +6,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from toricmaps import harness
 from toricmaps.acceptance import flow_start
@@ -20,7 +22,7 @@ from toricmaps.harness import (ERROR_COLUMNS, ExperimentConfig,
                                write_error_csv, write_error_dat)
 from toricmaps.polytope import preset_polytope
 from toricmaps.potentials import (ConvexityError, NewtonError,
-                                  _canonical_inverse_guess,
+                                  _canonical_inverse_guess, _product_ell_closed,
                                   _invert_monotone_1d, _x_bracket,
                                   default_margin, guillemin_potential,
                                   make_polytope_grid, product_potential)
@@ -72,6 +74,19 @@ def test_a_family_closed_forms_are_its_extension(build):
     for idx in family.node_indices():
         gap = np.max(np.abs(family.closed_family(idx).value(x) - family.f[idx]))
         assert gap <= 1e-15, (idx, gap)
+
+
+def test_a_closed_form_that_is_not_the_extension_names_its_node():
+    dom = make_interval(5)
+    xg = make_polytope_grid(P, 101, default_margin(8))
+    ends = [product_potential(P, c, xg) for c in (0.0, 0.1)]
+    t = dom.nodes
+    family = solve_harmonic_map(dom, xg, ends, lambda idx: _product_ell_closed(P, 0.1 * t[idx]))
+    assert family.closed_family is not None
+    # twice the right coefficient: right at t = 0, off by 0.025 x (1 - x) at t = 1/4
+    with pytest.raises(ValueError, match=(r"^the closed form of domain node \(1,\) differs from "
+                                          r"the extended f by 0.00625 > 1e-10 at x = 0.5$")):
+        solve_harmonic_map(dom, xg, ends, lambda idx: _product_ell_closed(P, 0.2 * t[idx]))
 
 
 def rectangle_family():
@@ -371,6 +386,79 @@ def test_config_float_fields_take_ints():
     with pytest.raises(ValueError, match="^window = 0: the interior window"):
         ExperimentConfig(window=0)
     assert ExperimentConfig(levels=[4, 8]).levels == (4, 8)
+
+
+@pytest.mark.parametrize("kwargs,message", [
+    ({"levels": (0, 8)}, "levels = [0, 8]: every level k must be >= 1"),
+    ({"levels": (-4,), "n_x": 801}, "levels = [-4]: every level k must be >= 1"),
+    ({"n_rho": 3}, "n_rho = 3, rho_span = 4.0: no rho node lies inside the window"),
+    ({"a": 2.1}, "a = 2.1: the boundary potential u0 + c prod ell with c = 2.1 is not convex"),
+    ({"rho_span": 35.0}, "rho_span = 35.0, a = 0.1: the Legendre inversion brackets"),
+    ({"window": 1e-17}, "window = 1e-17: the interior window"),
+    ({"domain": "disc", "n_angles": 32}, "n_angles = 32 on domain 'disc': the angular"),
+    ({"domain": "disc", "n_angles": 65}, "n_angles = 65 on domain 'disc': the angular"),
+    ({"domain": "disc", "a": 1.05}, "a = 1.05: the boundary potential u0 + c prod ell "
+                                    "with c = 2.1 is not convex"),
+    ({"domain": "disc", "a": -8.0}, "rho_span = 4.0, a = -8.0: the Legendre inversion"),
+], ids=["level-0", "level-negative", "n_rho-3", "a-2.1", "rho_span-35", "window-1e-17",
+        "disc-n_angles-32", "disc-n_angles-65", "disc-a-1.05", "disc-a-negative-reach"])
+def test_config_rejects_a_run_it_cannot_honour_naming_the_key(kwargs, message):
+    with pytest.raises(ValueError, match="^" + re.escape(message)):
+        ExperimentConfig(**kwargs)
+
+
+def test_config_convexity_bound_on_a_is_the_analytic_one():
+    # u0'' >= 4 and (c prod ell)'' = -2c: the geodesic (c in {0, a}) is convex
+    # for a < 2 and the loop (c up to 2a) for a < 1; a <= 0 is convex on both
+    for domain, bound in (("interval", 2.0), ("disc", 1.0)):
+        for a in (-1.0, 0.0, 0.95 * bound):
+            assert ExperimentConfig(domain=domain, a=a).a == a
+        with pytest.raises(ValueError, match=f"^a = {bound}: "):
+            ExperimentConfig(domain=domain, a=bound)
+
+
+_SIZES = {       # the tiny pipeline's resolutions, and values no run can honour
+    "levels": st.lists(st.integers(1, 8), min_size=1, max_size=3, unique=True).map(sorted)
+    | st.sampled_from([[0, 4], [4, 4], [8, 4], [], 8, [4.0], [-2]]),
+    "n_y": st.integers(5, 9) | st.sampled_from([4, 0, 9.0, True]),
+    "n_radii": st.integers(5, 6) | st.sampled_from([4, "5"]),
+    "n_angles": st.just(64) | st.sampled_from([32, 65, 0, 64.0]),
+    "n_x": st.integers(16, 48) | st.sampled_from([8, "16"]),
+    "n_rho": st.integers(5, 81) | st.sampled_from([3, 2, -1]),
+}
+_KNOBS = {       # the rest, drawn or left at their defaults
+    "domain": st.sampled_from(["interval", "interval", "interval", "disc"])
+    | st.sampled_from(["rectangle", 1]),
+    "a": st.floats(-3.0, 2.5) | st.sampled_from([math.nan, math.inf, -math.inf, -40.0, "0.1"]),
+    "rho_span": st.floats(1e-3, 36.0) | st.sampled_from([0.0, -1.0, math.nan, math.inf, False]),
+    "window": st.floats(1e-12, 0.5) | st.sampled_from([0, 0.5, 1e-300, -0.1, math.nan]),
+}
+
+
+_TINY = {"levels": [4, 8], "n_y": 5, "n_radii": 5, "n_angles": 64, "n_x": 16, "n_rho": 41}
+
+
+# the examples sit at the edge of each range check, so dropping any check fails here
+@settings(max_examples=20, deadline=None)
+@given(st.fixed_dictionaries(_SIZES, optional=_KNOBS))
+@example(dict(_TINY, a=1.99))
+@example(dict(_TINY, a=2.5))
+@example(dict(_TINY, a=0.99, domain="disc"))
+@example(dict(_TINY, a=-15.0))
+@example(dict(_TINY, a=-25.0))
+@example(dict(_TINY, levels=[0, 4]))
+@example(dict(_TINY, n_angles=62, domain="disc"))
+@example(dict(_TINY, window=1e-300))
+@example(dict(_TINY, n_rho=3))
+def test_a_config_is_rejected_naming_a_field_or_runs_to_a_finite_report(doc):
+    try:
+        cfg = ExperimentConfig(**doc)
+    except ValueError as exc:
+        named = re.match(r"(\w+)( = |: | must | ')", str(exc))
+        assert named and named.group(1) in ExperimentConfig.__dataclass_fields__, str(exc)
+        return
+    report = run_experiment(cfg).report
+    assert all(np.all(np.isfinite(report.column(col))) for col in ERROR_COLUMNS)
 
 
 def test_run_experiment_is_the_hand_built_pipeline(geo):

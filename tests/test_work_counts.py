@@ -95,10 +95,13 @@ def test_gauss_panel_rule_built_once_per_key(monkeypatch):
     built = counting(monkeypatch, bergman, "_legendre_rule")
     rules = counting(monkeypatch, bergman, "_gauss_panels")
     build_approximants(family, (8,))
-    # 64 boundary tables, each a coarse and a doubled rule at least
-    assert len(rules) >= 2 * 64
+    # the 64 boundary tables share the polytope's masked rules: a coarse and a
+    # doubled one, each axis rule looked up once, when its masked rule is built
+    assert len(rules) == len(set(rules)) >= 2
     assert len(built) == len(set(rules))
-    for pts, wts in (bergman._gauss_panels(*key) for key in set(rules)):
+    masked = family.xgrid.polytope._quad_rules
+    assert sorted(n for n, _ in masked) == sorted(n for _, _, n, _ in rules)
+    for pts, wts in [*(bergman._gauss_panels(*key) for key in set(rules)), *masked.values()]:
         assert not pts.flags.writeable and not wts.flags.writeable
 
 

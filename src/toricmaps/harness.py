@@ -6,8 +6,9 @@ convergence.
 The solver pipeline is: sample the boundary family of symplectic potentials
 on a polytope grid, extend the smooth parts harmonically over the parameter
 domain N (the domain's boundary -> node operator applied once to all fiber
-nodes), then invert the Legendre transform of every slice, all slices in one
-Newton solve, to get the potential family Phi(y, rho).
+nodes), then invert the Legendre transform of every slice, one Newton solve
+per block of at most LSE_BLOCK (node, rho) targets, to get the potential
+family Phi(y, rho).
 Positivity of the extension kernel makes every interior slice convex; this
 is asserted, never assumed.  The solved family is a
 `potentials.PotentialFamily`, the record a heat-flow snapshot (`flows`) is
@@ -47,7 +48,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bergman import BergmanFamily, QuadratureError, harmonic_norming, norming_constants
+from .bergman import (LSE_BLOCK, BergmanFamily, QuadratureError, harmonic_norming,
+                      norming_constants)
 from .dirichlet import (BoundaryData, MaxPrincipleError, _d1, _d2,
                         harmonic_extend, make_disc, make_interval)
 from .polytope import preset_polytope
@@ -154,6 +156,11 @@ class ExperimentConfig:
         if self.n_rho < 5 or not _rho_window_mask(self.rho_axis(), bounds).any():
             raise ValueError(f"n_rho = {self.n_rho}, rho_span = {self.rho_span}: no rho node "
                              "lies inside the window, off the two guard cells at each end")
+        # the error report divides by the rho step squared
+        rho = self.rho_axis()
+        if not (rho[1] - rho[0]) ** 2 >= np.finfo(float).tiny:
+            raise ValueError(f"rho_span = {self.rho_span}, n_rho = {self.n_rho}: the rho step "
+                             f"{rho[1] - rho[0]:.3g} squared is not a positive normal double")
 
     def rho_axis(self) -> np.ndarray:
         return np.linspace(-self.rho_span, self.rho_span, self.n_rho)
@@ -261,13 +268,15 @@ class KahlerFamilyField:
 
 
 def kahler_field(family: PotentialFamily, rho_axis: np.ndarray) -> KahlerFamilyField:
-    """Invert the Legendre transform over the whole family in one Newton solve.
+    """Invert the Legendre transform over the family, one node block at a time.
 
-    The targets form a (nodes x rho) array.  The analytic u0 part of grad u
-    and hess u is evaluated once per iteration over all of it, the smooth
-    part row by row with each node's own evaluator (built once).  The Newton
-    iteration works element by element, so every slice gets exactly the
-    iterates a separate solve would give it.
+    The targets form a (nodes x rho) array, solved in blocks of at most
+    LSE_BLOCK targets (whole node rows, one row at least), each straight
+    into the output.  In a block the analytic u0 part of grad u and hess u
+    is evaluated once per iteration over the block, the smooth part row by
+    row with each node's own evaluator (built once).  The Newton iteration
+    works element by element, so every slice gets exactly the iterates a
+    separate solve would give it, whatever the block size.
     """
     rho_axis = np.asarray(rho_axis, dtype=float)
     shape = family.domain.shape
@@ -285,9 +294,10 @@ def kahler_field(family: PotentialFamily, rho_axis: np.ndarray) -> KahlerFamilyF
     guess = np.clip(_canonical_inverse_guess(P, rho_axis), a, b)
 
     def smooth(method, x):
-        # row by row into one array: only one row's temporaries live at a time
+        # row by row into one array, each row with its node's evaluator (the
+        # current block's): only one row's temporaries live at a time
         out = np.empty_like(x)
-        for pot, row, out_row in zip(pots, x, out):
+        for pot, row, out_row in zip(block, x, out):
             out_row[...] = getattr(pot, method)(row)
         return out
 
@@ -297,19 +307,27 @@ def kahler_field(family: PotentialFamily, rho_axis: np.ndarray) -> KahlerFamilyF
     def hess(x):
         return guillemin_hessian(P, x[..., None])[..., 0, 0] + smooth("f_hess", x)
 
-    targets = np.broadcast_to(rho_axis, (len(nodes),) + rho_axis.shape)
-    try:
-        x = _invert_monotone_1d(grad, hess, targets, a, b,
-                                what="symplectic gradient", s0=guess)
-    except NewtonError as exc:
-        node, *rho_index = exc.index
-        raise NewtonError(f"{exc} at domain node {nodes[node]}, "
-                          f"rho = {rho_axis[tuple(rho_index)]:.6g}",
-                          index=nodes[node] + tuple(rho_index)) from exc
-    values = x * rho_axis - (guillemin_potential(P, x[..., None]) + smooth("f_value", x))
+    values = np.empty((len(nodes),) + rho_axis.shape)
+    moment = np.empty_like(values)
+    step = max(1, LSE_BLOCK // rho_axis.size)
+    for start in range(0, len(nodes), step):
+        block = pots[start:start + step]
+        targets = np.broadcast_to(rho_axis, (len(block),) + rho_axis.shape)
+        try:
+            x = _invert_monotone_1d(grad, hess, targets, a, b,
+                                    what="symplectic gradient", s0=guess)
+        except NewtonError as exc:
+            row, *rho_index = exc.index
+            node = nodes[start + row]
+            raise NewtonError(f"{exc} at domain node {node}, "
+                              f"rho = {rho_axis[tuple(rho_index)]:.6g}",
+                              index=node + tuple(rho_index)) from exc
+        moment[start:start + step] = x
+        np.subtract(x * rho_axis, guillemin_potential(P, x[..., None]) + smooth("f_value", x),
+                    out=values[start:start + step])
     return KahlerFamilyField(domain=family.domain, rho_axis=rho_axis,
                              values=values.reshape(shape + rho_axis.shape),
-                             moment=x.reshape(shape + rho_axis.shape))
+                             moment=moment.reshape(shape + rho_axis.shape))
 
 
 # -- preset experiment families ---------------------------------------------------

@@ -681,26 +681,24 @@ def _x_bracket(u: SymplecticPotential, rho_min: float, rho_max: float):
     """Interior x interval on which grad u straddles [rho_min, rho_max].
 
     grad u runs to -inf/+inf at the polytope boundary (the log singularity of
-    u0), so halving the distance to each endpoint always terminates for
-    finite rho.
+    u0), so halving the distance to each endpoint reaches any finite rho
+    that a double strictly inside the polytope reaches.  Past that, or after
+    60 halvings, a NewtonError names the rho.
     """
     (lo,), (hi,) = u.polytope.bounding_box()
     span = float(hi - lo)
-    a = float(lo) + 0.25 * span
-    for _ in range(60):
-        if float(u.grad(np.asarray(a))) <= rho_min:
-            break
-        a = float(lo) + (a - float(lo)) * 0.5
-    else:
-        raise NewtonError(f"could not bracket rho = {rho_min} from below")
-    b = float(hi) - 0.25 * span
-    for _ in range(60):
-        if float(u.grad(np.asarray(b))) >= rho_max:
-            break
-        b = float(hi) - (float(hi) - b) * 0.5
-    else:
-        raise NewtonError(f"could not bracket rho = {rho_max} from above")
-    return a, b
+    ends = []
+    # toward lo until grad u <= rho_min, toward hi until grad u >= rho_max
+    for edge, sign, rho, side in ((float(lo), -1.0, rho_min, "below"),
+                                  (float(hi), 1.0, rho_max, "above")):
+        x, tries = edge - sign * 0.25 * span, 60
+        while not sign * float(u.grad(np.asarray(x))) >= sign * rho:
+            x, tries = edge + (x - edge) * 0.5, tries - 1
+            # grad u is not defined on the facet x = edge
+            if x == edge or tries == 0:
+                raise NewtonError(f"could not bracket rho = {rho} from {side}")
+        ends.append(x)
+    return tuple(ends)
 
 
 def _positive_det(H: np.ndarray, what: str, pts: np.ndarray) -> np.ndarray:

@@ -159,6 +159,7 @@ def test_untyped_config_values_are_usage_errors_before_any_check(
     (["geodesic"], {"rho_span": -4.0}, "rho_span = -4.0: the rho grid"),
     (["geodesic", "--resolution", "rho_span=nan"], {}, "rho_span = nan: the rho grid"),
     (["geodesic", "--resolution", "rho_span=inf"], {}, "rho_span = inf: the rho grid"),
+    (["geodesic"], {"rho_span": 1e-200}, "rho_span = 1e-200, n_rho = 801: the rho step"),
     (["geodesic", "--levels", "8,x"], {}, "--levels: '8,x' is not a comma-separated"),
     (["geodesic", "--levels", "0,8"], {}, "levels = [0, 8]: every level k must be >= 1"),
     (["geodesic", "--resolution", "n_rho=3"], {}, "n_rho = 3, rho_span = 4.0: no rho node"),
@@ -168,8 +169,9 @@ def test_untyped_config_values_are_usage_errors_before_any_check(
     (["geodesic"], {"rho_span": 40.0}, "rho_span = 40.0, a = 0.1: the Legendre inversion"),
     (["geodesic"], {"window": 1e-300}, "window = 1e-300: the interior window"),
 ], ids=["flow-n_y-2", "flow-n_x-2", "window-0.6", "window-0.5", "rho_span-0",
-        "rho_span-negative", "rho_span-nan", "rho_span-inf", "levels-8,x", "levels-0,8",
-        "n_rho-3", "a-2.1", "a-5", "a-negative-reach", "rho_span-reach", "window-tiny"])
+        "rho_span-negative", "rho_span-nan", "rho_span-inf", "rho_span-tiny", "levels-8,x",
+        "levels-0,8", "n_rho-3", "a-2.1", "a-5", "a-negative-reach", "rho_span-reach",
+        "window-tiny"])
 def test_out_of_range_inputs_are_usage_errors_before_any_check(
         tmp_path, monkeypatch, capsys, argv, doc, message):
     ran = []
@@ -190,7 +192,8 @@ _OUT_OF_RANGE = {
     "n_y": st.integers(-3, 4),
     "n_x": st.integers(0, 15),
     "n_rho": st.integers(-2, 3),
-    "rho_span": st.one_of(st.floats(-1e3, 0.0), st.floats(34.0, 1e300),
+    "rho_span": st.one_of(st.floats(-1e3, 0.0), st.floats(5e-324, 1e-160),
+                          st.floats(34.0, 1e300),
                           st.sampled_from([math.nan, math.inf])),
     "window": st.one_of(st.floats(0.5, 10.0), st.floats(-1.0, 1e-17)),
 }

@@ -1,4 +1,3 @@
-import functools
 import json
 import math
 import re
@@ -11,7 +10,7 @@ from hypothesis import strategies as st
 
 from toricmaps import harness
 from toricmaps.acceptance import flow_start
-from toricmaps.bergman import BergmanFamily, QuadratureError
+from toricmaps.bergman import LSE_BLOCK, BergmanFamily, QuadratureError
 from toricmaps.dirichlet import make_disc, make_interval, make_rectangle
 from toricmaps.flows import heat_evolve
 from toricmaps.harness import (ERROR_COLUMNS, ExperimentConfig,
@@ -395,13 +394,15 @@ def test_config_float_fields_take_ints():
     ({"a": 2.1}, "a = 2.1: the boundary potential u0 + c prod ell with c = 2.1 is not convex"),
     ({"rho_span": 35.0}, "rho_span = 35.0, a = 0.1: the Legendre inversion brackets"),
     ({"window": 1e-17}, "window = 1e-17: the interior window"),
+    ({"rho_span": 1e-200}, "rho_span = 1e-200, n_rho = 801: the rho step 2.5e-203 squared"),
     ({"domain": "disc", "n_angles": 32}, "n_angles = 32 on domain 'disc': the angular"),
     ({"domain": "disc", "n_angles": 65}, "n_angles = 65 on domain 'disc': the angular"),
     ({"domain": "disc", "a": 1.05}, "a = 1.05: the boundary potential u0 + c prod ell "
                                     "with c = 2.1 is not convex"),
     ({"domain": "disc", "a": -8.0}, "rho_span = 4.0, a = -8.0: the Legendre inversion"),
 ], ids=["level-0", "level-negative", "n_rho-3", "a-2.1", "rho_span-35", "window-1e-17",
-        "disc-n_angles-32", "disc-n_angles-65", "disc-a-1.05", "disc-a-negative-reach"])
+        "rho_span-1e-200", "disc-n_angles-32", "disc-n_angles-65", "disc-a-1.05",
+        "disc-a-negative-reach"])
 def test_config_rejects_a_run_it_cannot_honour_naming_the_key(kwargs, message):
     with pytest.raises(ValueError, match="^" + re.escape(message)):
         ExperimentConfig(**kwargs)
@@ -430,7 +431,7 @@ _KNOBS = {       # the rest, drawn or left at their defaults
     "domain": st.sampled_from(["interval", "interval", "interval", "disc"])
     | st.sampled_from(["rectangle", 1]),
     "a": st.floats(-3.0, 2.5) | st.sampled_from([math.nan, math.inf, -math.inf, -40.0, "0.1"]),
-    "rho_span": st.floats(1e-3, 36.0) | st.sampled_from([0.0, -1.0, math.nan, math.inf, False]),
+    "rho_span": st.floats(1e-300, 36.0) | st.sampled_from([0.0, -1.0, math.nan, math.inf, False]),
     "window": st.floats(1e-12, 0.5) | st.sampled_from([0, 0.5, 1e-300, -0.1, math.nan]),
 }
 
@@ -450,6 +451,8 @@ _TINY = {"levels": [4, 8], "n_y": 5, "n_radii": 5, "n_angles": 64, "n_x": 16, "n
 @example(dict(_TINY, n_angles=62, domain="disc"))
 @example(dict(_TINY, window=1e-300))
 @example(dict(_TINY, n_rho=3))
+@example(dict(_TINY, rho_span=1e-152))
+@example(dict(_TINY, rho_span=1e-170))
 def test_a_config_is_rejected_naming_a_field_or_runs_to_a_finite_report(doc):
     try:
         cfg = ExperimentConfig(**doc)
@@ -532,14 +535,21 @@ def sampled_interval_family(steps=0):
     return heat_evolve(state, dtau, steps)
 
 
-@pytest.mark.parametrize("make_family", [
-    lambda: loop_family(a=0.05, n_radii=4, n_angles=64, n_x=201, k_max=8),
-    sampled_interval_family,
-    lambda: sampled_interval_family(steps=20),
-], ids=["disc-closed-form", "interval-spline", "interval-heat-flow"])
-def test_kahler_field_is_bitwise_the_per_node_solve(make_family):
+def small_disc_family():
+    return loop_family(a=0.05, n_radii=4, n_angles=64, n_x=201, k_max=8)
+
+
+@pytest.mark.parametrize("make_family,n_rho", [
+    (small_disc_family, 121),
+    # 320 nodes in blocks of LSE_BLOCK // 2049 = 31 rows: ten full, one of 10
+    (small_disc_family, 2049),
+    (sampled_interval_family, 121),
+    (lambda: sampled_interval_family(steps=20), 121),
+], ids=["disc-closed-form", "disc-closed-form-11-blocks", "interval-spline",
+        "interval-heat-flow"])
+def test_kahler_field_is_bitwise_the_per_node_solve(make_family, n_rho):
     family = make_family()
-    rho = np.linspace(-4.0, 4.0, 121)
+    rho = np.linspace(-4.0, 4.0, n_rho)
     field = kahler_field(family, rho)
     values, moment = per_node_field(family, rho)
     assert np.array_equal(field.values, values)
@@ -595,16 +605,44 @@ def test_error_report_span_starts_at_column_one_when_the_window_covers_the_axis(
 
 
 def test_kahler_field_failure_names_node_and_rho(monkeypatch):
-    family = loop_family(a=0.05, n_radii=4, n_angles=64, n_x=201, k_max=8)
-    rho = np.linspace(-4.0, 4.0, 31)
-    monkeypatch.setattr(harness, "_invert_monotone_1d",
-                        functools.partial(_invert_monotone_1d, max_iter=1))
+    family = small_disc_family()
+    rho = np.linspace(-4.0, 4.0, 2049)
+    step = LSE_BLOCK // rho.size            # 31 node rows per block
+    calls = []
+
+    def second_block_fails(*args, **kwargs):
+        calls.append(args[2].shape)
+        if len(calls) == 2:
+            kwargs["max_iter"] = 1
+        return _invert_monotone_1d(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "_invert_monotone_1d", second_block_fails)
     with pytest.raises(NewtonError) as info:
         kahler_field(family, rho)
-    flat, j = info.value.__cause__.index
-    node = family.node_indices()[flat]
+    assert calls == [(step, rho.size)] * 2
+    # the solver names the target in its block; the field adds the block's start
+    row, j = info.value.__cause__.index
+    node = family.node_indices()[step + row]
     assert info.value.index == node + (j,)
     assert f"at domain node {node}, rho = {rho[j]:.6g}" in str(info.value)
+
+
+@pytest.mark.parametrize("rho,side", [
+    (np.linspace(-3.0, 37.0, 41), "above"),
+    (np.linspace(-45.0, 3.0, 41), "below"),
+], ids=["x-to-1", "x-to-0"])
+def test_kahler_field_past_the_reach_of_doubles_names_the_rho(rho, side):
+    # the widened target |rho| + 2 (max|f'| + 1) has no double x strictly
+    # inside [0, 1] whose gradient reaches it: halving stops before the facet
+    family = geodesic_family(a=0.1, n_t=5, n_x=201, k_max=8)
+    with pytest.raises(NewtonError, match=f"^could not bracket rho = .* from {side}$"):
+        kahler_field(family, rho)
+
+
+def test_x_bracket_is_the_halving_sequence():
+    # grad u0 = log(x / (1 - x)) passes -30 and 30 at the 42nd halving
+    u0 = product_potential(P, 0.0, make_polytope_grid(P, 5, 0.25))
+    assert _x_bracket(u0, -30.0, 30.0) == (0.25 * 2.0 ** -42, 1.0 - 0.25 * 2.0 ** -42)
 
 
 def test_boundary_quadrature_failure_names_node_and_level():

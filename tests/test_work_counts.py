@@ -1,6 +1,7 @@
 """Work counts of the fiber kernels: each structural result is computed once,
-and the Legendre inversion of a family is one solve.  Counts, not wall time,
-so a per-node loop that comes back fails here on any machine.
+and the Legendre inversion of a family is one solve per block of at most
+LSE_BLOCK targets.  Counts, not wall time, so a per-node loop that comes back
+fails here on any machine.
 """
 
 import tracemalloc
@@ -36,6 +37,14 @@ def test_kahler_field_is_one_newton_solve(monkeypatch):
     kahler_field(family, np.linspace(-3.0, 3.0, 41))
     assert len(calls) == 1
     assert calls[0][2].shape == (int(np.prod(family.domain.shape)), 41)
+
+
+def test_kahler_field_is_one_newton_solve_per_block(monkeypatch):
+    family = loop_family(a=0.05, n_radii=4, n_angles=64, n_x=201, k_max=8)
+    calls = counting(monkeypatch, harness, "_invert_monotone_1d")
+    kahler_field(family, np.linspace(-4.0, 4.0, 2049))
+    # 320 nodes in blocks of LSE_BLOCK // 2049 = 31 rows, each with every rho
+    assert [args[2].shape for args in calls] == [(31, 2049)] * 10 + [(10, 2049)]
 
 
 def test_error_report_evaluates_phi_k_on_the_window_and_two_stencil_columns(monkeypatch):
@@ -119,6 +128,29 @@ def test_field_peak_memory_is_the_output_plus_a_block():
     # 320 x 9 x 801 exponents are never held at once
     block_bytes = 8 * bergman.LSE_BLOCK
     assert peak <= field.nbytes + 2 * block_bytes + 256 * 1024
+
+
+def test_kahler_field_peak_memory_is_the_output_plus_a_few_blocks():
+    family = loop_family(a=0.05, n_radii=4, n_angles=64, n_x=201, k_max=8)
+    rho = np.linspace(-4.0, 4.0, 2049)
+    tracemalloc.start()
+    try:
+        field = kahler_field(family, rho)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # The Newton iteration on a block of at most LSE_BLOCK targets holds at
+    # most 11 float arrays and 3 boolean ones (an eighth the size) at once,
+    # on the bisection fallback step: a, b, s, err, h, s_new, w, fallback,
+    # a + b, 0.5 (a + b) and the np.where result, with below, done and
+    # isfinite.  The u0 gradient or Hessian holds 5 on top of a, b, s, err:
+    # ell and its log or reciprocal (two facets each), and the result.  So
+    # 12 blocks, and 1 MiB of small change: the 320 node evaluators and the
+    # rho-sized arrays.  The |f'| bound is taken before the output exists,
+    # and the 320 x 2049 targets are never held at once.
+    block_bytes = 8 * bergman.LSE_BLOCK
+    output = field.values.nbytes + field.moment.nbytes
+    assert peak <= output + 12 * block_bytes + 1024 * 1024
 
 
 def test_bounding_box_is_read_only():

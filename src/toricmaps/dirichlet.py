@@ -200,8 +200,11 @@ class DiscDomain:
         # einsum, not BLAS: a stacked column gets the bits it gets alone (BLAS
         # blocks by stack size), so the Poisson/Fourier cross-check, a ~1e-10
         # difference of two extensions, does not depend on how data is stacked
-        interior = np.einsum("ilj,j...->il...", self.poisson_weights, values)
-        return np.concatenate([interior, values[None]], axis=0)   # ring keeps its data
+        out = np.empty(self.shape + values.shape[1:],
+                       dtype=np.result_type(self.poisson_weights, values))
+        np.einsum("ilj,j...->il...", self.poisson_weights, values, out=out[:-1])
+        out[-1] = values                  # the ring keeps its data
+        return out
 
     def interior(self, margin: int) -> tuple:
         # the uniform radial block radii[:-1], less the centre; every angle
@@ -486,6 +489,15 @@ def boundary_weights(domain, where) -> np.ndarray:
 
 
 # -- centered finite differences on periodic-wrapped axes --------------------------
+
+def _halo_blocks(n_nodes: int, start: int, stop: int, budget: int) -> list[tuple[int, int]]:
+    """Blocks (lo, hi) of the columns start..stop-1 of an (n_nodes x columns)
+    field, sized so that a block read with a one-column halo on each side,
+    columns lo-1..hi, holds at most `budget` values (one inner column at
+    least).  A centered difference at an inner column reads only the block."""
+    width = max(1, budget // n_nodes - 2)
+    return [(lo, min(lo + width, stop)) for lo in range(start, stop, width)]
+
 
 def _d1(v: np.ndarray, h: float, axis: int) -> np.ndarray:
     return (np.roll(v, -1, axis=axis) - np.roll(v, 1, axis=axis)) / (2.0 * h)

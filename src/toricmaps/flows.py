@@ -41,11 +41,13 @@ boundary ring at r = 1 has its own spacing, and the centre is excluded.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dirichlet import DiscDomain, _d1, _d2
+from .bergman import LSE_BLOCK
+from .dirichlet import DiscDomain, _d1, _d2, _halo_blocks
 from .potentials import (ConvexityError, PolytopeGrid, PotentialFamily,
                          _convex_slices, _read_text, _write_text)
 
@@ -112,35 +114,91 @@ def heat_evolve(state: PotentialFamily, dtau: float, steps: int) -> PotentialFam
 
 # -- residual operators ---------------------------------------------------------
 
-def _fiber_operator(phi, domain, rho_axis, margin: int, hcma: bool):
-    """(field, keep, phi_rhorho): the Eells-Sampson operator Lap_N phi -
-    |grad_y phi_rho|^2 / phi_rhorho, or with `hcma` the complex-Hessian one
-    (Lap phi) phi_rhorho - |grad_y phi_rho|^2 (disc only), on the full grid
-    (garbage near edges), and the slices `keep` of the admissible interior
-    nodes.  The Eells-Sampson operator raises a ConvexityError naming the
-    worst node where phi_rhorho is not positive on the window."""
+def _fiber_terms(phi, domain, h_rho, hcma: bool):
+    """(operator, phi_rhorho) on the whole grid of phi (garbage near its
+    edges): the Eells-Sampson operator Lap_N phi - |grad_y phi_rho|^2 /
+    phi_rhorho, or with `hcma` the complex-Hessian one (Lap phi) phi_rhorho -
+    |grad_y phi_rho|^2."""
+    rho_ax = phi.ndim - 1
+    cross = sum(_d1(g, h_rho, rho_ax) ** 2 for g in domain.gradient(phi))
+    lap, phi_rr = domain.laplacian(phi), _d2(phi, h_rho, rho_ax)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return (lap * phi_rr - cross if hcma else lap - cross / phi_rr), phi_rr
+
+
+def _fiber_input(phi, domain, rho_axis, margin: int, hcma: bool):
+    """phi and rho_axis as float arrays, and the slices `keep` of the
+    admissible interior nodes."""
     if hcma and not isinstance(domain, DiscDomain):
         raise TypeError("hcma_operator expects a disc parameter domain")
     phi = np.asarray(phi, dtype=float)
-    rho_axis = np.asarray(rho_axis, dtype=float)
-    h_rho = rho_axis[1] - rho_axis[0]
-    rho_ax = phi.ndim - 1
-    cross = sum(_d1(g, h_rho, rho_ax) ** 2 for g in domain.gradient(phi))
     keep = domain.interior(margin) + (slice(margin, phi.shape[-1] - margin),)
-    lap, phi_rr = domain.laplacian(phi), _d2(phi, h_rho, rho_ax)
-    if hcma:
-        with np.errstate(invalid="ignore"):
-            return lap * phi_rr - cross, keep, phi_rr
-    window = phi_rr[keep]
-    if np.min(window) <= 0:
-        worst = np.unravel_index(np.argmin(window), window.shape)
-        index = tuple(int(s.indices(n)[0] + i) for s, n, i in zip(keep, phi_rr.shape, worst))
-        raise ConvexityError(
-            f"fiber Hessian is not positive on the residual window: phi_rhorho = "
-            f"{window[worst]:.3g} at domain node {index[:-1]}, "
-            f"rho = {rho_axis[index[-1]]:.6g}")
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return lap - cross / phi_rr, keep, phi_rr
+    return phi, np.asarray(rho_axis, dtype=float), keep
+
+
+def _first_min(window: np.ndarray, offsets) -> tuple:
+    """(min, index): the first minimum of `window` in C order (NaN if any),
+    its index shifted by the window's `offsets` in the full grid."""
+    j = np.unravel_index(np.argmin(window), window.shape)
+    return window[j], tuple(int(o + i) for o, i in zip(offsets, j))
+
+
+def _convexity_error(value, index, rho_axis) -> ConvexityError:
+    return ConvexityError(
+        f"fiber Hessian is not positive on the residual window: phi_rhorho = "
+        f"{value:.3g} at domain node {index[:-1]}, rho = {rho_axis[index[-1]]:.6g}")
+
+
+def _fiber_operator(phi, domain, rho_axis, margin: int, hcma: bool):
+    """(field, keep): the operator of `_fiber_terms` on the full grid and the
+    slices `keep` of the admissible interior nodes.  The Eells-Sampson
+    operator raises a ConvexityError naming the worst node where phi_rhorho
+    is not positive on the window."""
+    phi, rho_axis, keep = _fiber_input(phi, domain, rho_axis, margin, hcma)
+    field, phi_rr = _fiber_terms(phi, domain, rho_axis[1] - rho_axis[0], hcma)
+    if not hcma:
+        value, index = _first_min(phi_rr[keep],
+                                  [s.indices(n)[0] for s, n in zip(keep, phi.shape)])
+        if value <= 0:
+            raise _convexity_error(value, index, rho_axis)
+    return field, keep
+
+
+def _fiber_residual(phi, domain, rho_axis, margin: int, hcma: bool, spacings: dict):
+    """The ResidualReport of the `_fiber_terms` operator on the window `keep`.
+
+    The window's rho columns go in blocks (`dirichlet._halo_blocks`) of at
+    most LSE_BLOCK node x column values with their halo columns, each reduced
+    as it is built: |res| into one window-sized array, reduced once (so the
+    mean sums in the order of the whole window), and the fiber Hessian's
+    minimum as a running one.  No full-grid temporary is held, and the report
+    is bitwise the one of the whole-grid operator.
+    """
+    phi, rho_axis, keep = _fiber_input(phi, domain, rho_axis, margin, hcma)
+    if margin < 1:
+        raise ValueError(f"margin = {margin}: the rho differences wrap around at the "
+                         "grid's end columns, so the residual window needs margin >= 1")
+    n_rho, h_rho = phi.shape[-1], rho_axis[1] - rho_axis[0]
+    nodes = keep[:-1]
+    inner = nodes + (slice(1, -1),)           # a block's window: its halo cut off
+    offsets = [s.indices(n)[0] for s, n in zip(nodes, phi.shape)]
+    absres = np.empty(phi[keep].shape)
+    if not absres.size:
+        raise ValueError(f"{type(domain).__name__} of shape {domain.shape}, {n_rho} rho: "
+                         f"the residual window {keep} at margin {margin} is empty")
+    hess_min, worst = math.inf, (math.inf, ())
+    for lo, hi in _halo_blocks(phi.size // n_rho, margin, n_rho - margin, LSE_BLOCK):
+        res, phi_rr = _fiber_terms(phi[..., lo - 1:hi + 1], domain, h_rho, hcma)
+        np.abs(res[inner], out=absres[..., lo - margin:hi - margin])
+        value, index = _first_min(phi_rr[inner], offsets + [lo])
+        hess_min = np.minimum(hess_min, value)
+        # (value, index) order: the first minimum in the whole window's C order
+        worst = min(worst, (value, index))
+    if not hcma and hess_min <= 0:
+        raise _convexity_error(*worst, rho_axis)
+    return ResidualReport(sup=float(np.max(absres)), mean=float(np.mean(absres)),
+                          spacings=spacings, count=int(absres.size),
+                          fiber_hessian_min=float(hess_min))
 
 
 def eells_sampson_operator(phi: np.ndarray, domain, rho_axis: np.ndarray,
@@ -152,7 +210,7 @@ def eells_sampson_operator(phi: np.ndarray, domain, rho_axis: np.ndarray,
     Raises ConvexityError when the fiber Hessian is not strictly positive on
     the admissible window.
     """
-    return _fiber_operator(phi, domain, rho_axis, margin, False)[:2]
+    return _fiber_operator(phi, domain, rho_axis, margin, False)
 
 
 def eells_sampson_residual(phi: np.ndarray, domain, rho_axis: np.ndarray,
@@ -160,18 +218,15 @@ def eells_sampson_residual(phi: np.ndarray, domain, rho_axis: np.ndarray,
     """Harmonic-map residual of a potential family phi over domain x rho-grid.
 
     phi has shape (*domain.shape, n_rho).  Flat parameter domains only, so no
-    Christoffel correction enters.
+    Christoffel correction enters.  The rho columns of the window go in
+    blocks of at most LSE_BLOCK node x column values (see `_fiber_residual`),
+    so no full-grid derivative array is held.  Raises ConvexityError, naming
+    the worst node and rho, when the fiber Hessian is not strictly positive
+    on the window, and a ValueError when `margin` < 1 or the window is empty.
     """
-    field, keep, phi_rr = _fiber_operator(phi, domain, rho_axis, margin, False)
     h_rho = float(rho_axis[1] - rho_axis[0])
-    return _report(field[keep], phi_rr[keep], {"h_rho": h_rho, **domain.spacings})
-
-
-def _report(res: np.ndarray, hess: np.ndarray, spac: dict) -> ResidualReport:
-    return ResidualReport(sup=float(np.max(np.abs(res))),
-                          mean=float(np.mean(np.abs(res))),
-                          spacings=spac, count=int(res.size),
-                          fiber_hessian_min=float(np.min(hess)))
+    return _fiber_residual(phi, domain, rho_axis, margin, False,
+                           {"h_rho": h_rho, **domain.spacings})
 
 
 def hcma_operator(phi: np.ndarray, domain: DiscDomain, rho_axis: np.ndarray,
@@ -182,7 +237,7 @@ def hcma_operator(phi: np.ndarray, domain: DiscDomain, rho_axis: np.ndarray,
     Hessian, i.e. the (1+1)-complex-Hessian determinant of the full potential
     up to a positive conformal factor.
     """
-    return _fiber_operator(phi, domain, rho_axis, margin, True)[:2]
+    return _fiber_operator(phi, domain, rho_axis, margin, True)
 
 
 def hcma_residual(phi: np.ndarray, domain: DiscDomain, rho_axis: np.ndarray,
@@ -192,11 +247,14 @@ def hcma_residual(phi: np.ndarray, domain: DiscDomain, rho_axis: np.ndarray,
     Returns sup/mean of (Lap Phi) Phi_rhorho - |grad_y Phi_rho|^2 on the
     interior window, along with the minimum of the fiber Hessian; a
     nonpositive minimum signals a fiberwise-positivity violation (reported,
-    not raised, so the caller can see both numbers).
+    not raised, so the caller can see both numbers).  The rho columns of the
+    window go in blocks of at most LSE_BLOCK node x column values (see
+    `_fiber_residual`), so no full-grid derivative array is held.  A
+    ValueError when `margin` < 1 or the window is empty.
     """
-    field, keep, phi_rr = _fiber_operator(phi, domain, rho_axis, margin, True)
     h_rho = float(rho_axis[1] - rho_axis[0])
-    return _report(field[keep], phi_rr[keep], {**domain.spacings, "h_rho": h_rho})
+    return _fiber_residual(phi, domain, rho_axis, margin, True,
+                           {**domain.spacings, "h_rho": h_rho})
 
 
 # -- snapshot export -------------------------------------------------------------

@@ -50,7 +50,7 @@ import numpy as np
 
 from .bergman import (LSE_BLOCK, BergmanFamily, QuadratureError, harmonic_norming,
                       norming_constants)
-from .dirichlet import (BoundaryData, MaxPrincipleError, _d1, _d2,
+from .dirichlet import (BoundaryData, MaxPrincipleError, _d1, _d2, _halo_blocks,
                         harmonic_extend, make_disc, make_interval)
 from .polytope import preset_polytope
 from .potentials import (NewtonError, PolytopeGrid, PotentialFamily,
@@ -287,7 +287,11 @@ def kahler_field(family: PotentialFamily, rho_axis: np.ndarray) -> KahlerFamilyF
     # bound on |f'| so the u0 log-divergence dominates at both ends
     x_nodes = family.xgrid.axes[0]
     h = x_nodes[1] - x_nodes[0]
-    fgrad_bound = float(np.max(np.abs(np.gradient(family.f, h, axis=-1)))) + 1.0
+    # over blocks of node rows: a max is exact, and no family-sized temporary
+    f = family.f.reshape(-1, x_nodes.size)
+    rows = max(1, LSE_BLOCK // x_nodes.size)
+    fgrad_bound = max(float(np.max(np.abs(np.gradient(f[start:start + rows], h, axis=-1))))
+                      for start in range(0, len(f), rows)) + 1.0
     a, b = _x_bracket(pots[0],
                       float(rho_axis.min()) - 2 * fgrad_bound,
                       float(rho_axis.max()) + 2 * fgrad_bound)
@@ -433,26 +437,35 @@ def error_norms(E: np.ndarray, domain, h_rho: float,
     """
     _require_c2_nodes(domain)
     E = np.asarray(E, dtype=float)
-    rho_ax = E.ndim - 1
     ref = E[(ref_y_index if isinstance(ref_y_index, tuple) else (ref_y_index,))]
     adjust = float(np.mean(ref[rho_mask]))
+    return _finite_norms(_window_sups(E, domain, h_rho, rho_mask, adjust))
+
+
+def _window_sups(E: np.ndarray, domain, h_rho: float, cols, adjust: float) -> dict:
+    """The sup norms of `error_norms` over the rho columns `cols` of E (a mask
+    or a slice of its last axis, off both ends), C0 less `adjust`."""
+    rho_ax = E.ndim - 1
 
     def sup(a):
-        return float(np.max(np.abs(a[..., rho_mask])))
+        return float(np.max(np.abs(a[..., cols])))
 
     grad_mag, mixed = 0.0, []
     for g in domain.gradient(E):
         g = g[domain.interior(1)]
-        grad_mag = np.hypot(grad_mag, g[..., rho_mask])
+        grad_mag = np.hypot(grad_mag, g[..., cols])
         mixed.append(sup(_d1(g, h_rho, rho_ax)))
-    norms = {
-        "C0": float(np.max(np.abs(E[..., rho_mask] - adjust))),
+    return {
+        "C0": float(np.max(np.abs(E[..., cols] - adjust))),
         "C1_y": float(np.max(grad_mag)),
         "C1_rho": sup(_d1(E, h_rho, rho_ax)),
         "C2_rhorho": sup(_d2(E, h_rho, rho_ax)),
         "C2_yrho": float(np.max(mixed)),
         "C2_yy": float(np.max([sup(h[domain.interior(2)]) for h in domain.hessian(E)])),
     }
+
+
+def _finite_norms(norms: dict) -> dict:
     for name, value in norms.items():
         if not math.isfinite(value):
             raise ValueError(f"error norm {name} = {value} is not finite")
@@ -467,6 +480,12 @@ def error_report(family: PotentialFamily, phi_field: KahlerFamilyField,
 
     Phi_k is evaluated on the window's columns plus one stencil column on
     each side, which is every column the rho differences at the window read.
+    The columns go in blocks (`dirichlet._halo_blocks`) of at most LSE_BLOCK
+    node x column values with their halo columns: each block's Phi_k - Phi is
+    reduced to its sups before the next is built, and every norm is the max
+    of its block sups.  C0's mean adjustment comes first, from the reference
+    node's row of Phi_k (`BergmanFamily.potential`) over the whole window.
+    Every norm is bitwise the one `error_norms` gives on the whole window.
     A non-finite norm is a ValueError naming its column and level.
     """
     _require_c2_nodes(family.domain)
@@ -478,16 +497,23 @@ def error_report(family: PotentialFamily, phi_field: KahlerFamilyField,
     ref_y_index = family.domain.reference_node
     on = np.flatnonzero(rho_mask)
     span = slice(on[0] - 1, on[-1] + 2)       # inside the guard cells of the mask
-    rho, mask, phi = rho_axis[span], rho_mask[span], phi_field.values[..., span]
+    rho, phi = rho_axis[span], phi_field.values[..., span]
     # the full axis's step: the span's own first gap can differ in the last bit
     h_rho = rho_axis[1] - rho_axis[0]
     levels = tuple(sorted(approximants))
+    blocks = _halo_blocks(math.prod(family.domain.shape), 1, rho.size - 1, LSE_BLOCK)
     cols = {name: [] for name in ERROR_COLUMNS}
     for k in levels:
-        E = approximants[k].field(rho)
-        E -= phi
+        phi_k = approximants[k]
+        adjust = float(np.mean((phi_k.potential(ref_y_index, rho) - phi[ref_y_index])[1:-1]))
+        sups = []
+        for lo, hi in blocks:
+            E = phi_k.field(rho[lo - 1:hi + 1])
+            E -= phi[..., lo - 1:hi + 1]
+            sups.append(_window_sups(E, family.domain, h_rho, slice(1, -1), adjust))
         try:
-            norms = error_norms(E, family.domain, h_rho, mask, ref_y_index)
+            norms = _finite_norms({name: float(np.max([s[name] for s in sups]))
+                                   for name in ERROR_COLUMNS})
         except ValueError as exc:
             raise ValueError(f"{exc} at level k = {k}") from exc
         for name in ERROR_COLUMNS:

@@ -241,11 +241,15 @@ def _convex_slices(xgrid: PolytopeGrid, f: np.ndarray) -> np.ndarray:
     x = xgrid.axes[0]
     h = x[1] - x[0]
     u0pp = guillemin_hessian(xgrid.polytope, x[:, None])[:, 0, 0]
-    fpp = (f[..., 2:] - 2.0 * f[..., 1:-1] + f[..., :-2]) / h**2
-    upp = u0pp[1:-1] + fpp
+    # f'' in one buffer, in the order of (f[2:] - 2 f[1:-1] + f[:-2]) / h^2
+    fpp = np.multiply(f[..., 1:-1], 2.0)
+    np.subtract(f[..., 2:], fpp, out=fpp)
+    fpp += f[..., :-2]
+    fpp /= h**2
     edge_lo = u0pp[0] + fpp[..., 0]
     edge_hi = u0pp[-1] + fpp[..., -1]
-    return (upp.min(axis=-1) > 0) & (edge_lo > 0) & (edge_hi > 0)
+    fpp += u0pp[1:-1]
+    return (fpp.min(axis=-1) > 0) & (edge_lo > 0) & (edge_hi > 0)
 
 
 # -- evaluator plumbing --------------------------------------------------------

@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from toricmaps.dirichlet import (BoundaryData, DiscDomain, IntervalDomain,
-                                 MaxPrincipleError, RectangleDomain, boundary_weights,
+                                 MaxPrincipleError, RectangleDomain, _halo_blocks,
+                                 boundary_weights,
                                  harmonic_extend, harmonic_extend_disc_fourier,
                                  laplace_residual, make_disc, make_interval,
                                  make_rectangle, poisson_kernel)
@@ -245,3 +246,27 @@ def test_max_principle_failure_names_alpha_level_and_fiber_node(monkeypatch):
     with pytest.raises(MaxPrincipleError,
                        match=r"column \(3,\).* at fiber node \(3,\), x = 0.157$"):
         solve_harmonic_map(dom, xg, [u, u])
+
+
+@pytest.mark.parametrize("n_nodes,start,stop,budget,blocks", [
+    # 2560 nodes (the 9 x 256 disc), 2^16 values: 25 columns with the halo
+    (2560, 2, 599, 2 ** 16, [(lo, min(lo + 23, 599)) for lo in range(2, 599, 23)]),
+    (17, 1, 320, 2 ** 16, [(1, 320)]),
+    # a budget below three columns still moves one inner column per block
+    (100, 5, 8, 10, [(5, 6), (6, 7), (7, 8)]),
+])
+def test_halo_blocks_cover_the_columns_within_the_budget(n_nodes, start, stop, budget,
+                                                         blocks):
+    assert _halo_blocks(n_nodes, start, stop, budget) == blocks
+    widths = [hi - lo + 2 for lo, hi in blocks]
+    assert all(n_nodes * w <= budget for w in widths) or widths == [3] * len(blocks)
+
+
+def test_disc_extension_writes_the_ring_after_the_einsum():
+    dom = make_disc(5, 64)
+    values = np.random.default_rng(3).standard_normal((64, 2, 3))
+    out = dom.extend(values)
+    assert out.shape == (6, 64, 2, 3) and out.flags.c_contiguous
+    np.testing.assert_array_equal(out[-1], values)
+    np.testing.assert_array_equal(
+        out[:-1], np.einsum("ilj,j...->il...", dom.poisson_weights, values))

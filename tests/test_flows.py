@@ -1,12 +1,15 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy.interpolate import CubicSpline
 
-from toricmaps.dirichlet import (BoundaryData, harmonic_extend, make_disc, make_interval,
-                                 make_rectangle)
+from toricmaps import flows
+from toricmaps.bergman import LSE_BLOCK
+from toricmaps.dirichlet import (BoundaryData, _d1, _d2, harmonic_extend, make_disc,
+                                 make_interval, make_rectangle)
 from toricmaps.flows import (ResidualReport, eells_sampson_operator,
                              eells_sampson_residual, hcma_residual, heat_evolve, load_snapshot,
                              make_flow_state, save_snapshot)
@@ -274,6 +277,133 @@ def test_eells_sampson_convexity_error_names_the_worst_node():
                 r"phi_rhorho = -8 at domain node \(" + ", ".join(map(str, node))
                 + r",?\), rho = 0.3$")):
             eells_sampson_residual(phi, dom, rho)
+
+
+# -- residuals in rho blocks ------------------------------------------------------
+
+def one_shot_residual(phi, dom, rho, margin, hcma):
+    """Reference: (sup, mean, count, fiber Hessian min) from full-grid
+    derivative arrays of phi."""
+    h, ax = rho[1] - rho[0], phi.ndim - 1
+    cross = sum(_d1(g, h, ax) ** 2 for g in dom.gradient(phi))
+    lap, phi_rr = dom.laplacian(phi), _d2(phi, h, ax)
+    field = lap * phi_rr - cross if hcma else lap - cross / phi_rr
+    keep = dom.interior(margin) + (slice(margin, rho.size - margin),)
+    res = np.abs(field[keep])
+    return np.max(res), np.mean(res), res.size, np.min(phi_rr[keep])
+
+
+def counting_blocks(monkeypatch, n_nodes, n_columns):
+    """Set an LSE_BLOCK that cuts n_columns into blocks of `width` >= 2
+    columns and a one-column tail; return (width, the block widths read)."""
+    width = next(w for w in range(2, n_columns) if n_columns % w == 1)
+    assert n_columns // width >= 2
+    monkeypatch.setattr(flows, "LSE_BLOCK", (width + 2) * n_nodes)
+    read = []
+    terms = flows._fiber_terms
+    monkeypatch.setattr(flows, "_fiber_terms",
+                        lambda phi, *a: read.append(phi.shape[-1]) or terms(phi, *a))
+    return width, read
+
+
+@pytest.fixture(scope="module")
+def disc_fields():
+    """A disc Kahler field, and a convex one with noise: its residuals spread
+    over orders of magnitude, so a mean summed in another order shows."""
+    fam = loop_family(a=0.05, n_radii=7, n_angles=64, n_x=401, k_max=8)
+    rho = np.linspace(-2.5, 2.5, 101)
+    noise = np.random.default_rng(0).standard_normal(fam.domain.shape + rho.shape)
+    return fam.domain, rho, {"kahler": kahler_field(fam, rho).values,
+                             "noisy": rho**2 + 1e-4 * noise}
+
+
+@pytest.mark.parametrize("kind", ["kahler", "noisy"])
+@pytest.mark.parametrize("residual,hcma,margin", [
+    (hcma_residual, True, 2), (hcma_residual, True, 3),
+    (eells_sampson_residual, False, 2), (eells_sampson_residual, False, 3),
+], ids=["hcma", "hcma-margin-3", "es", "es-margin-3"])
+def test_residual_in_blocks_is_bitwise_the_one_shot_report(monkeypatch, disc_fields,
+                                                           residual, hcma, margin, kind):
+    dom, rho, fields = disc_fields
+    phi = fields[kind]
+    sup, mean, count, hess_min = one_shot_residual(phi, dom, rho, margin, hcma)
+    default = residual(phi, dom, rho, margin=margin)
+    n_columns = rho.size - 2 * margin
+    width, read = counting_blocks(monkeypatch, phi.size // rho.size, n_columns)
+    blocked = residual(phi, dom, rho, margin=margin)
+    # blocks of `width` window columns and a one-column tail, each with its
+    # two halo columns
+    assert read == [width + 2] * (n_columns // width) + [3]
+    for rep in (default, blocked):
+        assert (rep.sup, rep.mean, rep.count, rep.fiber_hessian_min) == (
+            sup, mean, count, hess_min)
+
+
+def test_eells_sampson_residual_in_blocks_on_the_interval(monkeypatch):
+    dom = make_interval(17)
+    xg = make_polytope_grid(P, 401, 1e-3)
+    fam = solve_harmonic_map(dom, xg, [product_potential(P, grid=xg),
+                                       product_potential(P, 0.1, xg)])
+    rho = np.linspace(-3, 3, 201)
+    phi = kahler_field(fam, rho).values
+    counting_blocks(monkeypatch, 17, rho.size - 4)
+    rep = eells_sampson_residual(phi, dom, rho)
+    assert (rep.sup, rep.mean, rep.count, rep.fiber_hessian_min) == one_shot_residual(
+        phi, dom, rho, 2, False)
+
+
+def test_eells_sampson_convexity_error_in_blocks_names_the_first_worst_node(monkeypatch):
+    # two equal dents phi_rhorho = -0.1 / 0.1^2 in different blocks of two
+    # columns: the one at the smaller node, in the later block, comes first in
+    # the window's C order, so one argmin over the window names it
+    rho = np.linspace(-1, 1, 21)
+    dom = make_interval(9)
+    phi = np.zeros(dom.shape + rho.shape)
+    phi[5, 4] = phi[3, 14] = 0.05
+    with pytest.raises(ConvexityError) as one_shot:
+        eells_sampson_operator(phi, dom, rho)
+    monkeypatch.setattr(flows, "LSE_BLOCK", 4 * 9)
+    message = r"phi_rhorho = -10 at domain node \(3,\), rho = 0.4$"
+    with pytest.raises(ConvexityError, match=message) as blocked:
+        eells_sampson_residual(phi, dom, rho)
+    assert str(blocked.value) == str(one_shot.value)
+    # a fiber Hessian of zero everywhere: the window's first node and rho
+    with pytest.raises(ConvexityError, match=r"= 0 at domain node \(2,\), rho = -0.8$"):
+        eells_sampson_residual(np.zeros_like(phi), dom, rho)
+
+
+def test_residual_window_needs_a_margin_off_the_rho_ends_and_a_node():
+    rho = np.linspace(-2, 2, 41)
+    dom = make_disc(7, 64)
+    phi = np.broadcast_to(np.logaddexp(0, rho), dom.shape + rho.shape)
+    for residual in (hcma_residual, eells_sampson_residual):
+        with pytest.raises(ValueError, match="^margin = 0: "):
+            residual(phi, dom, rho, margin=0)
+        assert residual(phi, dom, rho, margin=1).count == 5 * 64 * 39
+        # 7 radii leave no ring 4 cells inside the uniform block
+        with pytest.raises(ValueError, match=r"^DiscDomain of shape \(8, 64\), 41 rho: "
+                           r"the residual window .* at margin 4 is empty$"):
+            residual(phi, dom, rho, margin=4)
+
+
+def test_hcma_residual_peak_memory_is_the_window_and_a_few_blocks():
+    # a 9 x 256 disc with 601 rho, the bench disc's shape: the whole-grid
+    # operator held ~74 MB above its input here, six full-grid arrays
+    dom = make_disc(9, 256)
+    rho = np.linspace(-4.0, 4.0, 601)
+    r, g = dom.radii[:, None, None], dom.angles[None, :, None]
+    phi = 0.7 * r * np.cos(g) + 0.3 * r * np.sin(g) + np.logaddexp(0, rho)
+    tracemalloc.start()
+    try:
+        rep = hcma_residual(phi, dom, rho)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # |res| on the window (5 x 256 x 597) and the operator's stencil
+    # temporaries on one block of at most LSE_BLOCK values (measured: 8
+    # blocks); one full-grid array (10 x 256 x 601) is 23.5 blocks
+    window = 8 * rep.count
+    assert peak <= window + 12 * 8 * LSE_BLOCK + 1024 * 1024
 
 
 @pytest.mark.parametrize("margin", [2, 4])

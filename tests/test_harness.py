@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 from toricmaps import harness
 from toricmaps.acceptance import flow_start
 from toricmaps.bergman import LSE_BLOCK, BergmanFamily, QuadratureError
-from toricmaps.dirichlet import make_disc, make_interval, make_rectangle
+from toricmaps.dirichlet import _d1, _d2, make_disc, make_interval, make_rectangle
 from toricmaps.flows import heat_evolve
 from toricmaps.harness import (ERROR_COLUMNS, ExperimentConfig,
                                build_approximants, error_norms, error_report,
@@ -602,6 +603,96 @@ def test_error_report_span_starts_at_column_one_when_the_window_covers_the_axis(
     assert report.meta["rho_eval_start"] == 1
     assert report.meta["n_rho_eval"] == rho.size - 2
     assert report.meta["rho_eval_bounds"] == (rho[1], rho[-2])
+
+
+# -- the error report in rho blocks ---------------------------------------------
+
+def one_shot_norms(family, phi_field, approximants, window):
+    """Reference: every level's norms from one Phi_k - Phi over the window and
+    its two stencil columns, each derivative a full-size array."""
+    rho = phi_field.rho_axis
+    mask = harness._rho_window_mask(
+        rho, window_rho_bounds(family.boundary_potentials[0], window))
+    on = np.flatnonzero(mask)
+    span = slice(on[0] - 1, on[-1] + 2)
+    dom, h, m, ax = family.domain, rho[1] - rho[0], mask[span], phi_field.values.ndim - 1
+    norms = {}
+    for k, phi_k in approximants.items():
+        E = phi_k.field(rho[span]) - phi_field.values[..., span]
+        adjust = np.mean(E[dom.reference_node][m])
+        grads = [g[dom.interior(1)] for g in dom.gradient(E)]
+        grad_mag = 0.0
+        for g in grads:
+            grad_mag = np.hypot(grad_mag, g[..., m])
+        norms[k] = {
+            "C0": np.max(np.abs(E[..., m] - adjust)),
+            "C1_y": np.max(grad_mag),
+            "C1_rho": np.max(np.abs(_d1(E, h, ax)[..., m])),
+            "C2_rhorho": np.max(np.abs(_d2(E, h, ax)[..., m])),
+            "C2_yrho": max(np.max(np.abs(_d1(g, h, ax)[..., m])) for g in grads),
+            "C2_yy": max(np.max(np.abs(H[dom.interior(2)][..., m]))
+                         for H in dom.hessian(E)),
+        }
+    return norms
+
+
+def tail_block_budget(n_nodes, n_columns):
+    """(budget, width): an LSE_BLOCK that cuts n_columns into blocks of
+    `width` >= 2 columns and a last block of one column."""
+    width = next(w for w in range(2, n_columns) if n_columns % w == 1)
+    assert n_columns // width >= 2
+    return (width + 2) * n_nodes, width
+
+
+@pytest.mark.parametrize("make_family,levels,rho", [
+    (lambda: geodesic_family(a=0.1, n_t=9, n_x=201, k_max=16), (4, 8, 16),
+     np.linspace(-4.0, 4.0, 201)),
+    (lambda: loop_family(a=0.05, n_radii=5, n_angles=64, n_x=201, k_max=8), (4, 8),
+     np.linspace(-4.0, 4.0, 121)),
+], ids=["interval", "disc"])
+def test_error_report_in_blocks_is_bitwise_the_one_shot_report(monkeypatch, make_family,
+                                                               levels, rho):
+    family = make_family()
+    phi_field = kahler_field(family, rho)
+    approx = build_approximants(family, levels)
+    reference = one_shot_norms(family, phi_field, approx, 0.1)
+    default = error_report(family, phi_field, approx, window=0.1)
+    n_window = default.meta["n_rho_window"]
+    budget, width = tail_block_budget(math.prod(family.domain.shape), n_window)
+    monkeypatch.setattr(harness, "LSE_BLOCK", budget)
+    evaluated = []
+    field = BergmanFamily.field
+    monkeypatch.setattr(BergmanFamily, "field",
+                        lambda self, r: evaluated.append(r.size) or field(self, r))
+    blocked = error_report(family, phi_field, approx, window=0.1)
+    # each level: blocks of `width` window columns and a one-column tail, each
+    # with its two halo columns
+    assert evaluated == ([width + 2] * (n_window // width) + [3]) * len(levels)
+    for report in (default, blocked):
+        for i, k in enumerate(levels):
+            for col in ERROR_COLUMNS:
+                assert report.column(col)[i] == reference[k][col], (k, col)
+
+
+def test_error_report_peak_memory_is_a_few_blocks():
+    # a 9 x 256 disc with 601 rho, the bench disc's shape: the parent of the
+    # blocked report held ~50 MB here (Phi_k - Phi on the window span, 6.5 MB,
+    # and its full-size derivatives)
+    family = loop_family(a=0.05, n_radii=9, n_angles=256, n_x=201, k_max=8)
+    rho = np.linspace(-4.0, 4.0, 601)
+    approx = build_approximants(family, (4, 8))
+    values = np.broadcast_to(np.logaddexp(0.0, rho), family.domain.shape + rho.shape).copy()
+    phi_field = harness.KahlerFamilyField(family.domain, rho, values, values)
+    tracemalloc.start()
+    try:
+        error_report(family, phi_field, approx, window=0.1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # A block of at most LSE_BLOCK values: Phi_k - Phi, the log-sum-exp
+    # buffer, and the stencil temporaries of the six norms (measured: 7.5
+    # blocks).  One array of the window span's size (2560 x 319) is 12.5.
+    assert peak <= 10 * 8 * LSE_BLOCK + 1024 * 1024
 
 
 def test_kahler_field_failure_names_node_and_rho(monkeypatch):

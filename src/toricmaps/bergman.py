@@ -50,12 +50,11 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gammaln, roots_legendre
 
 from .dirichlet import (BoundaryData, HarmonicField, MaxPrincipleError,
                         boundary_weights, harmonic_extend)
 from .polytope import _float_if_0d, _read_only, lattice_points, near_facets
-from .potentials import KahlerPotential, SymplecticPotential, _positive_det, abreu_delta
+from .potentials import LSE_BLOCK, KahlerPotential, SymplecticPotential, _positive_det, abreu_delta
 
 __all__ = [
     "NormingTable",
@@ -80,9 +79,6 @@ __all__ = [
 ]
 
 GAUSS_ORDER = 12
-# Doubles in one block of the log-sum-exp exponent array (512 KB): it stays
-# in a core's L2 cache through the passes `_log_sum_exp` makes over it.
-LSE_BLOCK = 2 ** 16
 
 
 class QuadratureError(RuntimeError):
@@ -135,7 +131,7 @@ class NormingTable:
 @functools.lru_cache(maxsize=8)
 def _legendre_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
     """Read-only Gauss-Legendre nodes and weights on [-1, 1], built once per order."""
-    x0, w0 = roots_legendre(order)
+    x0, w0 = np.polynomial.legendre.leggauss(order)
     x0.setflags(write=False)
     w0.setflags(write=False)
     return x0, w0
@@ -266,7 +262,7 @@ def bargmann_fock_peak(k: int, alpha) -> np.ndarray | float:
         raise ValueError("alpha must be nonnegative")
     with np.errstate(divide="ignore", invalid="ignore"):
         term = np.where(a > 0, a * np.log(np.where(a > 0, a, 1.0)), 0.0)
-    logval = math.log(k) - a + term - gammaln(a + 1.0)
+    logval = math.log(k) - a + term - np.vectorize(math.lgamma, otypes=[float])(a + 1.0)
     return _float_if_0d(np.exp(logval))
 
 

@@ -51,8 +51,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .polytope import _float_if_0d
 
@@ -282,6 +280,9 @@ class RectangleDomain:
     def _dirichlet_solver(self):
         """LU factors of the interior block of the 5-point Laplacian (rows: interior
         nodes) and its boundary columns; nodes are row-major, as in BoundaryData."""
+        import scipy.sparse as sp           # on first use: no other domain needs it
+        import scipy.sparse.linalg as spla
+
         def second_difference(n, h):       # interior rows of an n-node axis
             return sp.diags([1.0, -2.0, 1.0], [0, 1, 2], shape=(n - 2, n)) / h**2
 

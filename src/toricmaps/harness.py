@@ -259,12 +259,11 @@ def solve_harmonic_map(domain, xgrid: PolytopeGrid, boundary_potentials,
 
 @dataclass(frozen=True)
 class KahlerFamilyField:
-    """Phi(y, rho) and the moment solutions x(y, rho) on a common grid."""
+    """Phi(y, rho) on a common grid."""
 
     domain: object
     rho_axis: np.ndarray
     values: np.ndarray        # (*domain.shape, n_rho)
-    moment: np.ndarray        # (*domain.shape, n_rho)
 
 
 def kahler_field(family: PotentialFamily, rho_axis: np.ndarray) -> KahlerFamilyField:
@@ -312,7 +311,6 @@ def kahler_field(family: PotentialFamily, rho_axis: np.ndarray) -> KahlerFamilyF
         return guillemin_hessian(P, x[..., None])[..., 0, 0] + smooth("f_hess", x)
 
     values = np.empty((len(nodes),) + rho_axis.shape)
-    moment = np.empty_like(values)
     step = max(1, LSE_BLOCK // rho_axis.size)
     for start in range(0, len(nodes), step):
         block = pots[start:start + step]
@@ -326,12 +324,10 @@ def kahler_field(family: PotentialFamily, rho_axis: np.ndarray) -> KahlerFamilyF
             raise NewtonError(f"{exc} at domain node {node}, "
                               f"rho = {rho_axis[tuple(rho_index)]:.6g}",
                               index=node + tuple(rho_index)) from exc
-        moment[start:start + step] = x
         np.subtract(x * rho_axis, guillemin_potential(P, x[..., None]) + smooth("f_value", x),
                     out=values[start:start + step])
     return KahlerFamilyField(domain=family.domain, rho_axis=rho_axis,
-                             values=values.reshape(shape + rho_axis.shape),
-                             moment=moment.reshape(shape + rho_axis.shape))
+                             values=values.reshape(shape + rho_axis.shape))
 
 
 # -- preset experiment families ---------------------------------------------------

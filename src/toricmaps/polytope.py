@@ -27,7 +27,6 @@ from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import linprog
 
 __all__ = [
     "Facet",
@@ -147,7 +146,7 @@ class DelzantPolytope:
         for f in facets:
             if len(f.normal) != self.dim:
                 raise ValueError("facet normal dimension mismatch")
-        self._check_bounded_with_interior()
+        self._check_bounded()
         object.__setattr__(self, "vertices", self._enumerate_vertices())
         self._check_delzant()
         object.__setattr__(self, "_normals_f",
@@ -164,39 +163,32 @@ class DelzantPolytope:
 
     # -- validation -------------------------------------------------------
 
-    def _check_bounded_with_interior(self):
-        normals = np.array([f.normal for f in self.facets], dtype=float)
-        offsets = np.array([float(f.offset) for f in self.facets])
-        # Recession cone {d : <d, v_r> >= 0 for all r} must be {0}.
-        for i in range(self.dim):
-            for sign in (+1.0, -1.0):
-                c = np.zeros(self.dim)
-                c[i] = -sign  # maximize sign * d_i
-                res = linprog(c, A_ub=-normals, b_ub=np.zeros(len(self.facets)),
-                              bounds=[(-1.0, 1.0)] * self.dim, method="highs")
-                if res.status != 0 or -res.fun > 1e-9:
-                    raise ValueError("polytope is unbounded (nontrivial recession cone)")
-        # Nonempty interior: maximize s subject to ell_r(x) >= s.
-        c = np.zeros(self.dim + 1)
-        c[-1] = -1.0
-        A = np.hstack([-normals, np.ones((len(self.facets), 1))])
-        res = linprog(c, A_ub=A, b_ub=offsets,
-                      bounds=[(None, None)] * self.dim + [(None, 1e6)], method="highs")
-        if res.status != 0 or -res.fun <= 1e-12:
-            raise ValueError("polytope has empty interior")
+    def _check_bounded(self):
+        # The recession cone {d : <d, v_r> >= 0 for all r} must be {0}: the
+        # normals span R^m, and no edge line of the cone (the null line d of
+        # m - 1 normals, from cofactors) has every <v_r, d> of one sign.
+        m, normals = self.dim, [f.normal for f in self.facets]
+        bounded = any(_solve_exact(rows, [0] * m)[0]
+                      for rows in itertools.combinations(normals, m))
+        for rows in itertools.combinations(normals, m - 1):
+            d = [(-1) ** j * _solve_exact([r[:j] + r[j + 1:] for r in rows], [0] * (m - 1))[0]
+                 for j in range(m)]
+            pairings = [sum(vi * di for vi, di in zip(v, d)) for v in normals]
+            bounded &= not any(d) or min(pairings) < 0 < max(pairings)
+        if not bounded:
+            raise ValueError("polytope is unbounded (nontrivial recession cone)")
 
     def _enumerate_vertices(self) -> tuple[tuple[Fraction, ...], ...]:
+        """The vertices of a bounded P, which has interior points iff every
+        ell_r > 0 at their centroid (an empty P has no vertices)."""
         verts: dict[tuple[Fraction, ...], None] = {}
-        for subset in itertools.combinations(range(len(self.facets)), self.dim):
-            rows = [[Fraction(v) for v in self.facets[r].normal] for r in subset]
-            rhs = [-self.facets[r].offset for r in subset]
-            _, x = _solve_exact(rows, rhs)
-            if x is None:
-                continue
-            if all(f.value_exact(x) >= 0 for f in self.facets):
+        for subset in itertools.combinations(self.facets, self.dim):
+            _, x = _solve_exact([f.normal for f in subset], [-f.offset for f in subset])
+            if x is not None and all(f.value_exact(x) >= 0 for f in self.facets):
                 verts[tuple(x)] = None
-        if not verts:
-            raise ValueError("no vertices found; facet data does not bound a polytope")
+        centroid = [sum(c) / len(verts) for c in zip(*verts)]
+        if not verts or any(f.value_exact(centroid) <= 0 for f in self.facets):
+            raise ValueError("polytope has empty interior")
         return tuple(verts.keys())
 
     def _check_delzant(self):

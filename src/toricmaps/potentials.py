@@ -57,7 +57,6 @@ from functools import cached_property
 from typing import Callable
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .polytope import (DelzantPolytope, _as_given, _as_points, _float_if_0d,
                        polytope_from_json, polytope_to_json)
@@ -88,6 +87,9 @@ __all__ = [
 
 NEWTON_TOL = 1e-12
 NEWTON_MAX_ITER = 100
+# Doubles in one block of a blocked array pass (512 KB): it stays in a core's
+# L2 cache through the passes made over it (`bergman`'s log-sum-exp first).
+LSE_BLOCK = 2 ** 16
 
 
 class ConvexityError(ValueError):
@@ -235,21 +237,29 @@ def guillemin_hessian(P: DelzantPolytope, x) -> np.ndarray:
 
 def _convex_slices(xgrid: PolytopeGrid, f: np.ndarray) -> np.ndarray:
     """True where the slice u0 + f[idx] of a family f (*shape, nx) is discretely
-    strictly convex, at interior fiber nodes and, one-sidedly, at both edges."""
+    strictly convex, at interior fiber nodes and, one-sidedly, at both edges;
+    over blocks of at most LSE_BLOCK values (whole node rows, one at least)."""
     if xgrid.dim != 1:
         raise NotImplementedError("family fibers are one-dimensional")
     x = xgrid.axes[0]
     h = x[1] - x[0]
     u0pp = guillemin_hessian(xgrid.polytope, x[:, None])[:, 0, 0]
-    # f'' in one buffer, in the order of (f[2:] - 2 f[1:-1] + f[:-2]) / h^2
-    fpp = np.multiply(f[..., 1:-1], 2.0)
-    np.subtract(f[..., 2:], fpp, out=fpp)
-    fpp += f[..., :-2]
-    fpp /= h**2
-    edge_lo = u0pp[0] + fpp[..., 0]
-    edge_hi = u0pp[-1] + fpp[..., -1]
-    fpp += u0pp[1:-1]
-    return (fpp.min(axis=-1) > 0) & (edge_lo > 0) & (edge_hi > 0)
+    f_rows = f.reshape(-1, x.size)
+    flags = np.empty(len(f_rows), dtype=bool)
+    rows = max(1, LSE_BLOCK // x.size)
+    buffer = np.empty((min(rows, len(f_rows)), x.size - 2))
+    for start in range(0, len(f_rows), rows):
+        fb = f_rows[start:start + rows]
+        # f'' in one buffer, in the order of (f[2:] - 2 f[1:-1] + f[:-2]) / h^2
+        fpp = np.multiply(fb[:, 1:-1], 2.0, out=buffer[:len(fb)])
+        np.subtract(fb[:, 2:], fpp, out=fpp)
+        fpp += fb[:, :-2]
+        fpp /= h**2
+        edge_lo = u0pp[0] + fpp[:, 0]
+        edge_hi = u0pp[-1] + fpp[:, -1]
+        fpp += u0pp[1:-1]
+        flags[start:start + rows] = (fpp.min(axis=-1) > 0) & (edge_lo > 0) & (edge_hi > 0)
+    return flags.reshape(f.shape[:-1])
 
 
 # -- evaluator plumbing --------------------------------------------------------
@@ -322,12 +332,14 @@ class KahlerPotential:
                 raise NotImplementedError(
                     "sampled evaluation is implemented for dim 1; "
                     "higher-dimensional potentials need a closed form")
+            from scipy.interpolate import CubicSpline   # sampled potentials only
             self._value_spline = CubicSpline(self.grid.axes[0], self.values)
         return self._value_spline
 
     def _gspline(self):
         if self._grad_spline is None:
             spline = self._spline()         # raises outside dim 1
+            from scipy.interpolate import CubicSpline
             self._grad_spline = spline.derivative() if self.grad_values is None else \
                 CubicSpline(self.grid.axes[0], self.grad_values[..., 0])
         return self._grad_spline
@@ -404,6 +416,7 @@ class SymplecticPotential:
                 raise NotImplementedError(
                     "sampled evaluation of f is implemented for dim 1; "
                     "use a closed form in higher dimensions")
+            from scipy.interpolate import CubicSpline   # sampled potentials only
             spline = CubicSpline(self.grid.axes[0], self.f_values)
             self._f_splines = (spline, spline.derivative(), spline.derivative(2))
         return self._f_splines[order]

@@ -177,6 +177,37 @@ def test_bargmann_fock_values():
         bargmann_fock_peak(3, -1)
 
 
+def test_bargmann_fock_peak_is_the_log_gamma_formula():
+    from scipy.special import gammaln
+    alpha = np.array([0.0, 0.5, 1.0, 3.0, 17.25, 100.0, 400.0, 1e4])
+    k = 7
+    term = np.where(alpha > 0, alpha * np.log(np.where(alpha > 0, alpha, 1.0)), 0.0)
+    expected = np.exp(math.log(k) - alpha + term - gammaln(alpha + 1.0))
+    got = bargmann_fock_peak(k, alpha)
+    small = alpha <= 100
+    np.testing.assert_allclose(got[small], expected[small], rtol=1e-14, atol=0)
+    # math.lgamma and gammaln may differ by one ulp of log Gamma(alpha + 1),
+    # which the cancellation against alpha log alpha turns into a relative error
+    ulp = np.spacing(gammaln(alpha + 1.0))
+    assert np.all(np.abs(np.log(got) - np.log(expected)) <= ulp + 1e-15)
+    assert isinstance(bargmann_fock_peak(k, 3), float)
+    assert bargmann_fock_peak(k, np.zeros(0)).shape == (0,)
+
+
+@pytest.mark.parametrize("n", range(1, 41))
+def test_legendre_rule_is_gauss(n):
+    from scipy.special import roots_legendre
+    x, w = bergman._legendre_rule(n)
+    # exact on every x^j, j <= 2n - 1: the moments of [-1, 1]
+    for j in range(2 * n):
+        exact = 2.0 / (j + 1) if j % 2 == 0 else 0.0
+        assert abs(float(np.sum(w * x**j)) - exact) <= 1e-14
+    xs, ws = roots_legendre(n)
+    np.testing.assert_allclose(x, xs, rtol=0, atol=1e-14)
+    np.testing.assert_allclose(w, ws, rtol=0, atol=1e-14)
+    assert not x.flags.writeable and not w.flags.writeable
+
+
 def test_szego_sum_small_levels():
     # fit the constant on k in {2,4,8}: k|sum-1| = 1 for the standard metric
     cs = []

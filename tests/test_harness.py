@@ -519,14 +519,12 @@ def per_node_field(family, rho):
                       float(rho.max()) + 2 * fgrad_bound)
     guess = np.clip(_canonical_inverse_guess(family.xgrid.polytope, rho), a, b)
     values = np.empty(family.domain.shape + rho.shape)
-    moment = np.empty_like(values)
     for idx in nodes:
         pot = family.potential_at(idx)
         x = _invert_monotone_1d(pot.grad, pot.hess, rho, a, b,
                                 what="symplectic gradient", s0=guess)
         values[idx] = x * rho - np.asarray(pot.value(x))
-        moment[idx] = x
-    return values, moment
+    return values
 
 
 def sampled_interval_family(steps=0):
@@ -552,9 +550,7 @@ def test_kahler_field_is_bitwise_the_per_node_solve(make_family, n_rho):
     family = make_family()
     rho = np.linspace(-4.0, 4.0, n_rho)
     field = kahler_field(family, rho)
-    values, moment = per_node_field(family, rho)
-    assert np.array_equal(field.values, values)
-    assert np.array_equal(field.moment, moment)
+    assert np.array_equal(field.values, per_node_field(family, rho))
 
 
 # -- the error report on the window span ---------------------------------------
@@ -682,7 +678,7 @@ def test_error_report_peak_memory_is_a_few_blocks():
     rho = np.linspace(-4.0, 4.0, 601)
     approx = build_approximants(family, (4, 8))
     values = np.broadcast_to(np.logaddexp(0.0, rho), family.domain.shape + rho.shape).copy()
-    phi_field = harness.KahlerFamilyField(family.domain, rho, values, values)
+    phi_field = harness.KahlerFamilyField(family.domain, rho, values)
     tracemalloc.start()
     try:
         error_report(family, phi_field, approx, window=0.1)

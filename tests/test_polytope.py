@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from toricmaps.polytope import (Facet, facet_value, lattice_points,
+from toricmaps.polytope import (DelzantPolytope, Facet, facet_value, lattice_points,
                                 near_facets, polytope_from_json,
                                 polytope_to_json, preset_polytope)
 
@@ -127,13 +127,84 @@ def test_unbounded_rejected():
         polytope_from_json(json.dumps(doc))
 
 
+@pytest.mark.parametrize("facets", [
+    [([1, 0], 0), ([-1, 0], 1), ([1, 0], 2)],   # strip: the normals span a line
+    [([1, 0], 0), ([0, 1], 0), ([1, 1], 1)],    # quadrant: the extreme ray (0, 1)
+    [([1, 0], 0), ([-1, 0], 1), ([0, 1], 0)],   # half strip
+], ids=["strip", "quadrant", "half-strip"])
+def test_unbounded_rejected_2d(facets):
+    with pytest.raises(ValueError, match="unbounded"):
+        DelzantPolytope(2, tuple(Facet(v, c) for v, c in facets))
+
+
 def test_empty_interior_rejected():
     doc = {"dim": 1, "facets": [
         {"normal": [1], "offset": 0},
         {"normal": [-1], "offset": 0},
     ]}
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="empty interior"):
         polytope_from_json(json.dumps(doc))
+
+
+@pytest.mark.parametrize("dim,facets", [
+    (1, [([1], -1), ([-1], 0)]),                           # 1 <= x <= 0: empty
+    (2, [([1, 0], 0), ([-1, 0], 0), ([0, 1], 0), ([0, -1], 1)]),   # a segment
+    (2, [([1, 0], 0), ([0, 1], 0), ([-1, -1], -1)]),       # x, y >= 0, x + y <= -1
+], ids=["empty-1d", "segment", "empty-2d"])
+def test_empty_interior_rejected_in_dims_1_and_2(dim, facets):
+    with pytest.raises(ValueError, match="empty interior"):
+        DelzantPolytope(dim, tuple(Facet(v, c) for v, c in facets))
+
+
+def verdict(dim, facets):
+    """'unbounded', 'empty' or 'ok' (both checks passed) of the exact checks."""
+    try:
+        DelzantPolytope(dim, facets)
+    except ValueError as exc:
+        for word, name in (("unbounded", "unbounded"), ("empty interior", "empty")):
+            if word in str(exc):
+                return name
+    return "ok"
+
+
+def linprog_verdict(dim, facets):
+    """The same verdict from two linear programs in floating point."""
+    from scipy.optimize import linprog
+    normals = np.array([f.normal for f in facets], dtype=float)
+    offsets = np.array([float(f.offset) for f in facets])
+    for i in range(dim):
+        for sign in (1.0, -1.0):
+            c = np.zeros(dim)
+            c[i] = -sign  # maximize sign * d_i over the recession cone
+            res = linprog(c, A_ub=-normals, b_ub=np.zeros(len(facets)),
+                          bounds=[(-1.0, 1.0)] * dim, method="highs")
+            if res.status != 0 or -res.fun > 1e-9:
+                return "unbounded"
+    # maximize s subject to ell_r(x) >= s
+    c = np.zeros(dim + 1)
+    c[-1] = -1.0
+    res = linprog(c, A_ub=np.hstack([-normals, np.ones((len(facets), 1))]), b_ub=offsets,
+                  bounds=[(None, None)] * dim + [(None, 1e6)], method="highs")
+    return "empty" if res.status != 0 or -res.fun <= 1e-12 else "ok"
+
+
+@st.composite
+def facet_sets(draw):
+    dim = draw(st.integers(1, 2))
+    facets = []
+    for _ in range(draw(st.integers(dim + 1, dim + 3))):
+        normal = draw(st.lists(st.integers(-2, 2), min_size=dim, max_size=dim)
+                      .filter(any))
+        g = math.gcd(*normal)
+        facets.append(Facet(tuple(v // g for v in normal), draw(st.integers(-2, 2))))
+    return dim, tuple(facets)
+
+
+@settings(max_examples=100, deadline=None)
+@given(facet_sets())
+def test_exact_checks_agree_with_linear_programs(case):
+    dim, facets = case
+    assert verdict(dim, facets) == linprog_verdict(dim, facets)
 
 
 def test_nonprimitive_normal_rejected():

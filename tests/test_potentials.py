@@ -1,13 +1,15 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from toricmaps import potentials
 from toricmaps.polytope import preset_polytope
 from toricmaps.potentials import (ClosedForm, ConvexityError, KahlerPotential,
-                                  NewtonError, SymplecticPotential,
+                                  NewtonError, SymplecticPotential, _convex_slices,
                                   _invert_monotone_1d, abreu_delta,
-                                  default_margin, guillemin_potential,
+                                  default_margin, guillemin_hessian, guillemin_potential,
                                   load_potential, make_polytope_grid,
                                   fubini_study, make_radial_grid,
                                   product_potential, save_potential, to_kahler,
@@ -283,3 +285,52 @@ def test_newton_failure_names_the_worst_target():
     assert len(index) == 2 and 0 <= index[0] < 3 and 0 <= index[1] < 4
     assert f"target index {index}" in str(info.value)
     assert f"at target = {targets[index]:.6g}" in str(info.value)
+
+
+# -- slice convexity of a family, in blocks of node rows --------------------------
+
+def unblocked_convex_slices(xgrid, f):
+    """The flags from one family-sized f'' buffer: the reference for the blocked
+    `_convex_slices`."""
+    x = xgrid.axes[0]
+    h = x[1] - x[0]
+    u0pp = guillemin_hessian(xgrid.polytope, x[:, None])[:, 0, 0]
+    fpp = (f[..., 2:] - 2.0 * f[..., 1:-1] + f[..., :-2]) / h**2
+    return (((fpp + u0pp[1:-1]).min(axis=-1) > 0) & (u0pp[0] + fpp[..., 0] > 0)
+            & (u0pp[-1] + fpp[..., -1] > 0))
+
+
+@pytest.mark.parametrize("budget", [None, 3 * 101, 1], ids=["one-block", "12-blocks", "row-by-row"])
+def test_convex_slices_blocked_flags_equal_the_unblocked(monkeypatch, budget):
+    xg = make_polytope_grid(P, 101, 0.01)
+    x = xg.axes[0]
+    rng = np.random.default_rng(5)
+    # c > 2 breaks convexity at the centre; a bump at x[1] breaks it at the edge
+    c = rng.uniform(-3.0, 3.0, size=(5, 7))
+    f = c[..., None] * x * (1.0 - x)
+    f[..., 1] += rng.uniform(0.0, 0.005, size=(5, 7))
+    if budget is not None:
+        monkeypatch.setattr(potentials, "LSE_BLOCK", budget)
+    flags = _convex_slices(xg, f)
+    expected = unblocked_convex_slices(xg, f)
+    assert flags.shape == (5, 7) and flags.dtype == bool
+    assert np.array_equal(flags, expected)
+    assert 0 < flags.sum() < flags.size
+    assert not np.array_equal(flags, c <= 2.0)  # some slices fail at the edge only
+
+
+def test_convex_slices_peak_memory_is_a_few_blocks():
+    # the bench disc's family shape: 10 x 256 slices of 801 x nodes (16.4 MB)
+    xg = make_polytope_grid(P, 801, default_margin(32))
+    x = xg.axes[0]
+    f = np.broadcast_to(0.05 * x * (1.0 - x), (10, 256, x.size)).copy()
+    tracemalloc.start()
+    try:
+        flags = _convex_slices(xg, f)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert flags.all()
+    # one f'' buffer of at most LSE_BLOCK doubles (measured: 0.6 MB in all)
+    # and small change, not the 16.4 MB family-sized one
+    assert peak <= 8 * potentials.LSE_BLOCK + 256 * 1024

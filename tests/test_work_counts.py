@@ -91,7 +91,7 @@ def test_disc_weights_built_once_per_domain(monkeypatch):
 def test_legendre_rule_built_once_per_order(monkeypatch):
     bergman._gauss_panels.cache_clear()
     bergman._legendre_rule.cache_clear()
-    calls = counting(monkeypatch, bergman, "roots_legendre")
+    calls = counting(monkeypatch, np.polynomial.legendre, "leggauss")
     family = geodesic_family(a=0.1, n_t=5, n_x=201, k_max=8)
     for order in (12, 12, 10):
         norming_constants(family.boundary_potentials[1], 8, order=order)
@@ -149,8 +149,7 @@ def test_kahler_field_peak_memory_is_the_output_plus_a_few_blocks():
     # rho-sized arrays.  The |f'| bound is taken before the output exists,
     # and the 320 x 2049 targets are never held at once.
     block_bytes = 8 * bergman.LSE_BLOCK
-    output = field.values.nbytes + field.moment.nbytes
-    assert peak <= output + 12 * block_bytes + 1024 * 1024
+    assert peak <= field.values.nbytes + 12 * block_bytes + 1024 * 1024
 
 
 def test_bounding_box_is_read_only():

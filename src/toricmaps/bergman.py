@@ -54,7 +54,8 @@ import numpy as np
 from .dirichlet import (BoundaryData, HarmonicField, MaxPrincipleError,
                         boundary_weights, harmonic_extend)
 from .polytope import _float_if_0d, _read_only, lattice_points, near_facets
-from .potentials import LSE_BLOCK, KahlerPotential, SymplecticPotential, _positive_det, abreu_delta
+from .potentials import (LSE_BLOCK, KahlerPotential, SymplecticPotential, _blocks, _positive_det,
+                         abreu_delta)
 
 __all__ = [
     "NormingTable",
@@ -396,22 +397,22 @@ def _log_sum_exp(alphas: np.ndarray, lam: np.ndarray, rho, k: int) -> np.ndarray
     """(1/k) log sum_alpha exp(<alpha, rho> - lam[alpha, node]) at every node.
 
     `lam` is (n_alpha, n_nodes); the result is (n_nodes, *_pairing shape less
-    alpha).  The nodes go in blocks of at most LSE_BLOCK exponents (one node
-    at least) through one reused buffer, every pass in place, the last ones
-    in the output rows.  The passes and the order of the reduction over alpha
-    are the direct formula's, so the bits are its too.
+    alpha).  The nodes go in `_blocks` of exponents through one reused
+    buffer, every pass in place, the last ones in the output rows.  The
+    passes and the order of the reduction over alpha are the direct
+    formula's, so the bits are its too.
     """
     lin = _pairing(alphas, np.asarray(rho, dtype=float))
     n_alpha, n_nodes = lam.shape
     lin_rows = lin.reshape(n_alpha, 1, -1)
-    step = max(1, LSE_BLOCK // lin.size)
-    block = np.empty((n_alpha + 1) * lin_rows.shape[-1] * min(step, n_nodes))
+    blocks = _blocks(0, n_nodes, lin.size, LSE_BLOCK)
+    block = np.empty((n_alpha + 1) * lin_rows.shape[-1] * (blocks[0].stop if blocks else 0))
     out = np.empty((n_nodes, lin_rows.shape[-1]))
-    for start in range(0, n_nodes, step):
-        rows = out[start:start + step]
+    for nodes in blocks:
+        rows = out[nodes]
         buf = block[:(n_alpha + 1) * rows.size].reshape((n_alpha + 1,) + rows.shape)
         expo, peak = buf[:-1], buf[-1]          # exponents, and their peak over alpha
-        np.subtract(lin_rows, lam[:, start:start + step, None], out=expo)
+        np.subtract(lin_rows, lam[:, nodes, None], out=expo)
         np.max(expo, axis=0, out=peak)
         np.subtract(expo, peak, out=expo)
         np.exp(expo, out=expo)

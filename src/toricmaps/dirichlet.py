@@ -491,15 +491,6 @@ def boundary_weights(domain, where) -> np.ndarray:
 
 # -- centered finite differences on periodic-wrapped axes --------------------------
 
-def _halo_blocks(n_nodes: int, start: int, stop: int, budget: int) -> list[tuple[int, int]]:
-    """Blocks (lo, hi) of the columns start..stop-1 of an (n_nodes x columns)
-    field, sized so that a block read with a one-column halo on each side,
-    columns lo-1..hi, holds at most `budget` values (one inner column at
-    least).  A centered difference at an inner column reads only the block."""
-    width = max(1, budget // n_nodes - 2)
-    return [(lo, min(lo + width, stop)) for lo in range(start, stop, width)]
-
-
 def _d1(v: np.ndarray, h: float, axis: int) -> np.ndarray:
     return (np.roll(v, -1, axis=axis) - np.roll(v, 1, axis=axis)) / (2.0 * h)
 

@@ -46,10 +46,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .bergman import LSE_BLOCK
-from .dirichlet import DiscDomain, _d1, _d2, _halo_blocks
-from .potentials import (ConvexityError, PolytopeGrid, PotentialFamily,
-                         _convex_slices, _read_text, _write_text)
+from .dirichlet import DiscDomain, _d1, _d2
+from .potentials import (LSE_BLOCK, ConvexityError, PolytopeGrid, PotentialFamily,
+                         _blocks, _convex_slices, _read_text, _write_text)
 
 __all__ = [
     "ResidualReport",
@@ -164,14 +163,14 @@ def _fiber_operator(phi, domain, rho_axis, margin: int, hcma: bool):
     return field, keep
 
 
-def _fiber_residual(phi, domain, rho_axis, margin: int, hcma: bool, spacings: dict):
+def _fiber_residual(phi, domain, rho_axis, margin: int, hcma: bool):
     """The ResidualReport of the `_fiber_terms` operator on the window `keep`.
 
-    The window's rho columns go in blocks (`dirichlet._halo_blocks`) of at
-    most LSE_BLOCK node x column values with their halo columns, each reduced
-    as it is built: |res| into one window-sized array, reduced once (so the
-    mean sums in the order of the whole window), and the fiber Hessian's
-    minimum as a running one.  No full-grid temporary is held, and the report
+    The window's rho columns go in `_blocks` of at most LSE_BLOCK node x
+    column values, their halo columns counted, each reduced as it is built:
+    |res| into one window-sized array, reduced once (so the mean sums in the
+    order of the whole window), and the fiber Hessian's minimum as a running
+    one.  No full-grid temporary is held, and the report
     is bitwise the one of the whole-grid operator.
     """
     phi, rho_axis, keep = _fiber_input(phi, domain, rho_axis, margin, hcma)
@@ -187,17 +186,19 @@ def _fiber_residual(phi, domain, rho_axis, margin: int, hcma: bool, spacings: di
         raise ValueError(f"{type(domain).__name__} of shape {domain.shape}, {n_rho} rho: "
                          f"the residual window {keep} at margin {margin} is empty")
     hess_min, worst = math.inf, (math.inf, ())
-    for lo, hi in _halo_blocks(phi.size // n_rho, margin, n_rho - margin, LSE_BLOCK):
-        res, phi_rr = _fiber_terms(phi[..., lo - 1:hi + 1], domain, h_rho, hcma)
-        np.abs(res[inner], out=absres[..., lo - margin:hi - margin])
-        value, index = _first_min(phi_rr[inner], offsets + [lo])
+    n_nodes = phi.size // n_rho
+    for cols in _blocks(margin, n_rho - margin, n_nodes, LSE_BLOCK - 2 * n_nodes):
+        res, phi_rr = _fiber_terms(phi[..., cols.start - 1:cols.stop + 1], domain, h_rho, hcma)
+        np.abs(res[inner], out=absres[..., cols.start - margin:cols.stop - margin])
+        value, index = _first_min(phi_rr[inner], offsets + [cols.start])
         hess_min = np.minimum(hess_min, value)
         # (value, index) order: the first minimum in the whole window's C order
         worst = min(worst, (value, index))
     if not hcma and hess_min <= 0:
         raise _convexity_error(*worst, rho_axis)
     return ResidualReport(sup=float(np.max(absres)), mean=float(np.mean(absres)),
-                          spacings=spacings, count=int(absres.size),
+                          spacings={**domain.spacings, "h_rho": float(h_rho)},
+                          count=int(absres.size),
                           fiber_hessian_min=float(hess_min))
 
 
@@ -219,14 +220,12 @@ def eells_sampson_residual(phi: np.ndarray, domain, rho_axis: np.ndarray,
 
     phi has shape (*domain.shape, n_rho).  Flat parameter domains only, so no
     Christoffel correction enters.  The rho columns of the window go in
-    blocks of at most LSE_BLOCK node x column values (see `_fiber_residual`),
-    so no full-grid derivative array is held.  Raises ConvexityError, naming
-    the worst node and rho, when the fiber Hessian is not strictly positive
-    on the window, and a ValueError when `margin` < 1 or the window is empty.
+    blocks (see `_fiber_residual`), so no full-grid derivative array is
+    held.  Raises ConvexityError, naming the worst node and rho, when the
+    fiber Hessian is not strictly positive on the window, and a ValueError
+    when `margin` < 1 or the window is empty.
     """
-    h_rho = float(rho_axis[1] - rho_axis[0])
-    return _fiber_residual(phi, domain, rho_axis, margin, False,
-                           {"h_rho": h_rho, **domain.spacings})
+    return _fiber_residual(phi, domain, rho_axis, margin, False)
 
 
 def hcma_operator(phi: np.ndarray, domain: DiscDomain, rho_axis: np.ndarray,
@@ -248,13 +247,11 @@ def hcma_residual(phi: np.ndarray, domain: DiscDomain, rho_axis: np.ndarray,
     interior window, along with the minimum of the fiber Hessian; a
     nonpositive minimum signals a fiberwise-positivity violation (reported,
     not raised, so the caller can see both numbers).  The rho columns of the
-    window go in blocks of at most LSE_BLOCK node x column values (see
-    `_fiber_residual`), so no full-grid derivative array is held.  A
+    window go in blocks (see `_fiber_residual`), so no full-grid derivative
+    array is held.  A
     ValueError when `margin` < 1 or the window is empty.
     """
-    h_rho = float(rho_axis[1] - rho_axis[0])
-    return _fiber_residual(phi, domain, rho_axis, margin, True,
-                           {**domain.spacings, "h_rho": h_rho})
+    return _fiber_residual(phi, domain, rho_axis, margin, True)
 
 
 # -- snapshot export -------------------------------------------------------------

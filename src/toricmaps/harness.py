@@ -48,13 +48,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bergman import (LSE_BLOCK, BergmanFamily, QuadratureError, harmonic_norming,
-                      norming_constants)
-from .dirichlet import (BoundaryData, MaxPrincipleError, _d1, _d2, _halo_blocks,
-                        harmonic_extend, make_disc, make_interval)
+from .bergman import BergmanFamily, QuadratureError, harmonic_norming, norming_constants
+from .dirichlet import (BoundaryData, MaxPrincipleError, _d1, _d2, harmonic_extend,
+                        make_disc, make_interval)
 from .polytope import preset_polytope
-from .potentials import (NewtonError, PolytopeGrid, PotentialFamily,
-                         SymplecticPotential, _canonical_inverse_guess, _closed_at,
+from .potentials import (LSE_BLOCK, NewtonError, PolytopeGrid, PotentialFamily,
+                         SymplecticPotential, _blocks, _canonical_inverse_guess, _closed_at,
                          _invert_monotone_1d, _product_ell_closed, _x_bracket,
                          default_margin, guillemin_gradient, guillemin_hessian,
                          guillemin_potential, make_polytope_grid, product_potential)
@@ -269,9 +268,8 @@ class KahlerFamilyField:
 def kahler_field(family: PotentialFamily, rho_axis: np.ndarray) -> KahlerFamilyField:
     """Invert the Legendre transform over the family, one node block at a time.
 
-    The targets form a (nodes x rho) array, solved in blocks of at most
-    LSE_BLOCK targets (whole node rows, one row at least), each straight
-    into the output.  In a block the analytic u0 part of grad u and hess u
+    The targets form a (nodes x rho) array, solved in `_blocks` of node
+    rows, each straight into the output.  In a block the analytic u0 part of grad u and hess u
     is evaluated once per iteration over the block, the smooth part row by
     row with each node's own evaluator (built once).  The Newton iteration
     works element by element, so every slice gets exactly the iterates a
@@ -288,9 +286,8 @@ def kahler_field(family: PotentialFamily, rho_axis: np.ndarray) -> KahlerFamilyF
     h = x_nodes[1] - x_nodes[0]
     # over blocks of node rows: a max is exact, and no family-sized temporary
     f = family.f.reshape(-1, x_nodes.size)
-    rows = max(1, LSE_BLOCK // x_nodes.size)
-    fgrad_bound = max(float(np.max(np.abs(np.gradient(f[start:start + rows], h, axis=-1))))
-                      for start in range(0, len(f), rows)) + 1.0
+    fgrad_bound = max(float(np.max(np.abs(np.gradient(f[rows], h, axis=-1))))
+                      for rows in _blocks(0, len(f), x_nodes.size, LSE_BLOCK)) + 1.0
     a, b = _x_bracket(pots[0],
                       float(rho_axis.min()) - 2 * fgrad_bound,
                       float(rho_axis.max()) + 2 * fgrad_bound)
@@ -311,21 +308,20 @@ def kahler_field(family: PotentialFamily, rho_axis: np.ndarray) -> KahlerFamilyF
         return guillemin_hessian(P, x[..., None])[..., 0, 0] + smooth("f_hess", x)
 
     values = np.empty((len(nodes),) + rho_axis.shape)
-    step = max(1, LSE_BLOCK // rho_axis.size)
-    for start in range(0, len(nodes), step):
-        block = pots[start:start + step]
+    for rows in _blocks(0, len(nodes), rho_axis.size, LSE_BLOCK):
+        block = pots[rows]
         targets = np.broadcast_to(rho_axis, (len(block),) + rho_axis.shape)
         try:
             x = _invert_monotone_1d(grad, hess, targets, a, b,
                                     what="symplectic gradient", s0=guess)
         except NewtonError as exc:
             row, *rho_index = exc.index
-            node = nodes[start + row]
+            node = nodes[rows.start + row]
             raise NewtonError(f"{exc} at domain node {node}, "
                               f"rho = {rho_axis[tuple(rho_index)]:.6g}",
                               index=node + tuple(rho_index)) from exc
         np.subtract(x * rho_axis, guillemin_potential(P, x[..., None]) + smooth("f_value", x),
-                    out=values[start:start + step])
+                    out=values[rows])
     return KahlerFamilyField(domain=family.domain, rho_axis=rho_axis,
                              values=values.reshape(shape + rho_axis.shape))
 
@@ -476,10 +472,10 @@ def error_report(family: PotentialFamily, phi_field: KahlerFamilyField,
 
     Phi_k is evaluated on the window's columns plus one stencil column on
     each side, which is every column the rho differences at the window read.
-    The columns go in blocks (`dirichlet._halo_blocks`) of at most LSE_BLOCK
-    node x column values with their halo columns: each block's Phi_k - Phi is
-    reduced to its sups before the next is built, and every norm is the max
-    of its block sups.  C0's mean adjustment comes first, from the reference
+    The columns go in `_blocks` of at most LSE_BLOCK node x column values,
+    their halo columns counted: each block's Phi_k - Phi is reduced to its
+    sups before the next is built, and every norm is the max of its block
+    sups.  C0's mean adjustment comes first, from the reference
     node's row of Phi_k (`BergmanFamily.potential`) over the whole window.
     Every norm is bitwise the one `error_norms` gives on the whole window.
     A non-finite norm is a ValueError naming its column and level.
@@ -497,15 +493,17 @@ def error_report(family: PotentialFamily, phi_field: KahlerFamilyField,
     # the full axis's step: the span's own first gap can differ in the last bit
     h_rho = rho_axis[1] - rho_axis[0]
     levels = tuple(sorted(approximants))
-    blocks = _halo_blocks(math.prod(family.domain.shape), 1, rho.size - 1, LSE_BLOCK)
+    n_nodes = math.prod(family.domain.shape)
+    blocks = _blocks(1, rho.size - 1, n_nodes, LSE_BLOCK - 2 * n_nodes)
     cols = {name: [] for name in ERROR_COLUMNS}
     for k in levels:
         phi_k = approximants[k]
         adjust = float(np.mean((phi_k.potential(ref_y_index, rho) - phi[ref_y_index])[1:-1]))
         sups = []
-        for lo, hi in blocks:
-            E = phi_k.field(rho[lo - 1:hi + 1])
-            E -= phi[..., lo - 1:hi + 1]
+        for inner in blocks:
+            halo = slice(inner.start - 1, inner.stop + 1)
+            E = phi_k.field(rho[halo])
+            E -= phi[..., halo]
             sups.append(_window_sups(E, family.domain, h_rho, slice(1, -1), adjust))
         try:
             norms = _finite_norms({name: float(np.max([s[name] for s in sups]))

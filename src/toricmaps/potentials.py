@@ -92,6 +92,13 @@ NEWTON_MAX_ITER = 100
 LSE_BLOCK = 2 ** 16
 
 
+def _blocks(start: int, stop: int, size: int, budget: int) -> list[slice]:
+    """The slices of range(start, stop), each of max(1, budget // size) items:
+    rows of `size` values within `budget` values, one row at least."""
+    step = max(1, budget // size)
+    return [slice(lo, min(lo + step, stop)) for lo in range(start, stop, step)]
+
+
 class ConvexityError(ValueError):
     """A potential failed a discrete positive-definiteness check."""
 
@@ -238,7 +245,7 @@ def guillemin_hessian(P: DelzantPolytope, x) -> np.ndarray:
 def _convex_slices(xgrid: PolytopeGrid, f: np.ndarray) -> np.ndarray:
     """True where the slice u0 + f[idx] of a family f (*shape, nx) is discretely
     strictly convex, at interior fiber nodes and, one-sidedly, at both edges;
-    over blocks of at most LSE_BLOCK values (whole node rows, one at least)."""
+    over `_blocks` of node rows."""
     if xgrid.dim != 1:
         raise NotImplementedError("family fibers are one-dimensional")
     x = xgrid.axes[0]
@@ -246,10 +253,10 @@ def _convex_slices(xgrid: PolytopeGrid, f: np.ndarray) -> np.ndarray:
     u0pp = guillemin_hessian(xgrid.polytope, x[:, None])[:, 0, 0]
     f_rows = f.reshape(-1, x.size)
     flags = np.empty(len(f_rows), dtype=bool)
-    rows = max(1, LSE_BLOCK // x.size)
-    buffer = np.empty((min(rows, len(f_rows)), x.size - 2))
-    for start in range(0, len(f_rows), rows):
-        fb = f_rows[start:start + rows]
+    blocks = _blocks(0, len(f_rows), x.size, LSE_BLOCK)
+    buffer = np.empty((blocks[0].stop if blocks else 0, x.size - 2))
+    for rows in blocks:
+        fb = f_rows[rows]
         # f'' in one buffer, in the order of (f[2:] - 2 f[1:-1] + f[:-2]) / h^2
         fpp = np.multiply(fb[:, 1:-1], 2.0, out=buffer[:len(fb)])
         np.subtract(fb[:, 2:], fpp, out=fpp)
@@ -258,7 +265,7 @@ def _convex_slices(xgrid: PolytopeGrid, f: np.ndarray) -> np.ndarray:
         edge_lo = u0pp[0] + fpp[:, 0]
         edge_hi = u0pp[-1] + fpp[:, -1]
         fpp += u0pp[1:-1]
-        flags[start:start + rows] = (fpp.min(axis=-1) > 0) & (edge_lo > 0) & (edge_hi > 0)
+        flags[rows] = (fpp.min(axis=-1) > 0) & (edge_lo > 0) & (edge_hi > 0)
     return flags.reshape(f.shape[:-1])
 
 

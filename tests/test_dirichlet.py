@@ -6,11 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from toricmaps.dirichlet import (BoundaryData, DiscDomain, IntervalDomain,
-                                 MaxPrincipleError, RectangleDomain, _halo_blocks,
-                                 boundary_weights,
+                                 MaxPrincipleError, RectangleDomain, boundary_weights,
                                  harmonic_extend, harmonic_extend_disc_fourier,
                                  laplace_residual, make_disc, make_interval,
                                  make_rectangle, poisson_kernel)
+from toricmaps.potentials import _blocks
 
 
 def test_poisson_kernel_values():
@@ -257,7 +257,10 @@ def test_max_principle_failure_names_alpha_level_and_fiber_node(monkeypatch):
 ])
 def test_halo_blocks_cover_the_columns_within_the_budget(n_nodes, start, stop, budget,
                                                          blocks):
-    assert _halo_blocks(n_nodes, start, stop, budget) == blocks
+    # the halo walk of error_report and flows._fiber_residual: the budget less
+    # the two halo columns gives the inner columns' share
+    got = _blocks(start, stop, n_nodes, budget - 2 * n_nodes)
+    assert [(s.start, s.stop) for s in got] == blocks
     widths = [hi - lo + 2 for lo, hi in blocks]
     assert all(n_nodes * w <= budget for w in widths) or widths == [3] * len(blocks)
 

@@ -7,7 +7,7 @@ import pytest
 from toricmaps import potentials
 from toricmaps.polytope import preset_polytope
 from toricmaps.potentials import (ClosedForm, ConvexityError, KahlerPotential,
-                                  NewtonError, SymplecticPotential, _convex_slices,
+                                  NewtonError, SymplecticPotential, _blocks, _convex_slices,
                                   _invert_monotone_1d, abreu_delta,
                                   default_margin, guillemin_hessian, guillemin_potential,
                                   load_potential, make_polytope_grid,
@@ -287,7 +287,24 @@ def test_newton_failure_names_the_worst_target():
     assert f"at target = {targets[index]:.6g}" in str(info.value)
 
 
-# -- slice convexity of a family, in blocks of node rows --------------------------
+# -- the block walker, and slice convexity of a family in its blocks --------------
+
+@pytest.mark.parametrize("start,stop,size,budget,blocks", [
+    # 2560 rows of 64 values in 2^16: 1024 rows each, the last block short
+    (0, 2560, 64, 2 ** 16, [(0, 1024), (1024, 2048), (2048, 2560)]),
+    (3, 10, 4, 8, [(3, 5), (5, 7), (7, 9), (9, 10)]),
+    # a budget under one row still moves one row per block
+    (0, 3, 100, 99, [(0, 1), (1, 2), (2, 3)]),
+    (2, 4, 100, 0, [(2, 3), (3, 4)]),
+    (0, 3, 100, 1000, [(0, 3)]),
+    (5, 5, 10, 100, []),
+])
+def test_blocks_are_budget_rows_covering_the_range(start, stop, size, budget, blocks):
+    got = _blocks(start, stop, size, budget)
+    assert [(s.start, s.stop) for s in got] == blocks
+    assert [i for s in got for i in range(s.start, s.stop)] == list(range(start, stop))
+
+
 
 def unblocked_convex_slices(xgrid, f):
     """The flags from one family-sized f'' buffer: the reference for the blocked

@@ -54,8 +54,8 @@ import numpy as np
 from .dirichlet import (BoundaryData, HarmonicField, MaxPrincipleError,
                         boundary_weights, harmonic_extend)
 from .polytope import _float_if_0d, _read_only, lattice_points, near_facets
-from .potentials import (LSE_BLOCK, KahlerPotential, SymplecticPotential, _blocks, _positive_det,
-                         abreu_delta)
+from .potentials import (LSE_BLOCK, KahlerPotential, SymplecticPotential, _blocks, _closed_at,
+                         _positive_det, abreu_delta, guillemin_gradient, guillemin_potential)
 
 __all__ = [
     "NormingTable",
@@ -80,6 +80,9 @@ __all__ = [
 ]
 
 GAUSS_ORDER = 12
+# alpha from which bargmann_fock_peak takes the Stirling series (its next term,
+# 1/(1188 a^9), is below 1e-18 there)
+STIRLING_FROM = 50.0
 
 
 class QuadratureError(RuntimeError):
@@ -156,7 +159,8 @@ def _log_q_quadrature(u: SymplecticPotential, k: int, alphas: np.ndarray,
                       n_panels: int, order: int) -> np.ndarray:
     """log of int_P exp(k u + <alpha - k x, grad u>) dx on the tensor Gauss
     rule of P's bounding box, less its nodes outside P (every node of an
-    interval is inside), built once per (P, n_panels, order) and kept on P.
+    interval is inside), built once per (P, n_panels, order) and kept on P
+    with u0 and grad u0 at its nodes: a call evaluates only u's smooth part.
     The pairing is accumulated one axis at a time."""
     P = u.polytope
     rule = P._quad_rules.get((n_panels, order))
@@ -167,11 +171,13 @@ def _log_q_quadrature(u: SymplecticPotential, k: int, alphas: np.ndarray,
         w = np.stack(np.meshgrid(*[w for _, w in axes], indexing="ij"), axis=-1)
         pts, w = pts.reshape(-1, P.dim), np.prod(w.reshape(-1, P.dim), axis=-1)
         inside = np.all(P.ell(pts) > 0, axis=-1)
-        rule = P._quad_rules[(n_panels, order)] = (_read_only(pts[inside]),
-                                                   _read_only(w[inside]))
-    pts, w = rule
-    grad = u.grad(pts)
-    expo = k * u.value(pts)
+        pts = pts[inside]
+        rule = P._quad_rules[(n_panels, order)] = tuple(map(_read_only, (
+            pts, w[inside], guillemin_potential(P, pts), guillemin_gradient(P, pts))))
+    pts, w, u0, grad_u0 = rule
+    # u.value and u.grad at pts, term for term
+    grad = grad_u0 + _closed_at(u.f_grad, pts, 1)
+    expo = k * (u0 + _closed_at(u.f_value, pts))
     for i in range(P.dim):
         expo = expo + (alphas[:, [i]] - k * pts[:, i]) * grad[:, i]
     peak = np.max(expo, axis=1, keepdims=True)
@@ -253,18 +259,25 @@ def peak_value(table: NormingTable, u: SymplecticPotential, alpha) -> float:
 def bargmann_fock_peak(k: int, alpha) -> np.ndarray | float:
     """Flat-model peak value k e^{-alpha} alpha^alpha / alpha! (0^0 = 1).
 
-    Evaluated in the log domain through log-Gamma so large alpha stay exact
-    to rounding.
+    Below STIRLING_FROM it is evaluated in the log domain through log-Gamma.
+    From there on alpha log alpha - alpha - log Gamma(alpha + 1) would cancel
+    to about one ulp of log Gamma, so the value is k e^{-s(alpha)} /
+    sqrt(2 pi alpha) with the Stirling series s = 1/(12 a) - 1/(360 a^3) +
+    1/(1260 a^5) - 1/(1680 a^7), exact to a few ulp.
     """
     if k < 1:
         raise ValueError("level k must be >= 1")
     a = np.asarray(alpha, dtype=float)
     if np.any(a < 0):
         raise ValueError("alpha must be nonnegative")
-    with np.errstate(divide="ignore", invalid="ignore"):
-        term = np.where(a > 0, a * np.log(np.where(a > 0, a, 1.0)), 0.0)
-    logval = math.log(k) - a + term - np.vectorize(math.lgamma, otypes=[float])(a + 1.0)
-    return _float_if_0d(np.exp(logval))
+    small = np.minimum(a, STIRLING_FROM)
+    term = small * np.log(np.where(small > 0, small, 1.0))
+    logval = math.log(k) - small + term - np.vectorize(math.lgamma, otypes=[float])(small + 1.0)
+    big = np.maximum(a, STIRLING_FROM)
+    inv = 1.0 / big
+    series = inv * (1 / 12 - inv**2 * (1 / 360 - inv**2 * (1 / 1260 - inv**2 / 1680)))
+    return _float_if_0d(np.where(a < STIRLING_FROM, np.exp(logval),
+                                 k * np.exp(-series) / np.sqrt(2 * math.pi * big)))
 
 
 def _pairing(alphas: np.ndarray, rho: np.ndarray) -> np.ndarray:

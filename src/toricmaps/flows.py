@@ -170,8 +170,8 @@ def _fiber_residual(phi, domain, rho_axis, margin: int, hcma: bool):
     column values, their halo columns counted, each reduced as it is built:
     |res| into one window-sized array, reduced once (so the mean sums in the
     order of the whole window), and the fiber Hessian's minimum as a running
-    one.  No full-grid temporary is held, and the report
-    is bitwise the one of the whole-grid operator.
+    one.  No full-grid temporary is held, and the report is bitwise the one
+    of the whole-grid operator.
     """
     phi, rho_axis, keep = _fiber_input(phi, domain, rho_axis, margin, hcma)
     if margin < 1:
@@ -248,8 +248,7 @@ def hcma_residual(phi: np.ndarray, domain: DiscDomain, rho_axis: np.ndarray,
     nonpositive minimum signals a fiberwise-positivity violation (reported,
     not raised, so the caller can see both numbers).  The rho columns of the
     window go in blocks (see `_fiber_residual`), so no full-grid derivative
-    array is held.  A
-    ValueError when `margin` < 1 or the window is empty.
+    array is held.  A ValueError when `margin` < 1 or the window is empty.
     """
     return _fiber_residual(phi, domain, rho_axis, margin, True)
 

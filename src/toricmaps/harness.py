@@ -7,8 +7,7 @@ The solver pipeline is: sample the boundary family of symplectic potentials
 on a polytope grid, extend the smooth parts harmonically over the parameter
 domain N (the domain's boundary -> node operator applied once to all fiber
 nodes), then invert the Legendre transform of every slice, one Newton solve
-per block of at most LSE_BLOCK (node, rho) targets, to get the potential
-family Phi(y, rho).
+per block of (node, rho) targets, to get the potential family Phi(y, rho).
 Positivity of the extension kernel makes every interior slice convex; this
 is asserted, never assumed.  The solved family is a
 `potentials.PotentialFamily`, the record a heat-flow snapshot (`flows`) is
@@ -269,11 +268,12 @@ def kahler_field(family: PotentialFamily, rho_axis: np.ndarray) -> KahlerFamilyF
     """Invert the Legendre transform over the family, one node block at a time.
 
     The targets form a (nodes x rho) array, solved in `_blocks` of node
-    rows, each straight into the output.  In a block the analytic u0 part of grad u and hess u
-    is evaluated once per iteration over the block, the smooth part row by
-    row with each node's own evaluator (built once).  The Newton iteration
-    works element by element, so every slice gets exactly the iterates a
-    separate solve would give it, whatever the block size.
+    rows, each straight into the output.  In a block the analytic u0 part
+    of grad u and hess u is evaluated once per iteration over the block,
+    the smooth part row by row with each node's own evaluator (built once).
+    The Newton iteration works element by element, so every slice gets
+    exactly the iterates a separate solve would give it, whatever the block
+    size.
     """
     rho_axis = np.asarray(rho_axis, dtype=float)
     shape = family.domain.shape
@@ -475,8 +475,8 @@ def error_report(family: PotentialFamily, phi_field: KahlerFamilyField,
     The columns go in `_blocks` of at most LSE_BLOCK node x column values,
     their halo columns counted: each block's Phi_k - Phi is reduced to its
     sups before the next is built, and every norm is the max of its block
-    sups.  C0's mean adjustment comes first, from the reference
-    node's row of Phi_k (`BergmanFamily.potential`) over the whole window.
+    sups.  C0's mean adjustment comes first, from the reference node's row
+    of Phi_k (`BergmanFamily.potential`) over the whole window.
     Every norm is bitwise the one `error_norms` gives on the whole window.
     A non-finite norm is a ValueError naming its column and level.
     """

@@ -158,7 +158,8 @@ class DelzantPolytope:
                                            _read_only(v.max(axis=0))))
         # level k -> LatticeSet, filled by lattice_points on first use
         object.__setattr__(self, "_lattices", {})
-        # (n_panels, order) -> masked tensor Gauss rule, filled by bergman on first use
+        # (n_panels, order) -> masked tensor Gauss rule (points, weights, and u0
+        # and grad u0 at the points), filled by bergman on first use
         object.__setattr__(self, "_quad_rules", {})
 
     # -- validation -------------------------------------------------------
@@ -232,14 +233,14 @@ class DelzantPolytope:
     @cached_property
     def _other_facets(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Index rows of the facets other than r and other than (r, s), over
-        the ordered pairs r != s, and the pairs' normal products v_r v_s^T:
-        the terms of the derivatives of prod_r ell_r, built once."""
+        the ordered pairs r != s, and the pairs' flattened normal products
+        v_r v_s^T: the terms of the derivatives of prod_r ell_r, built once."""
         facets = np.arange(self.n_facets)
         pairs = [(r, s) for r in facets for s in facets if r != s]
         normals = self._normals_f
         return (np.array([np.delete(facets, r) for r in facets]),
                 np.array([np.delete(facets, [r, s]) for r, s in pairs]),
-                np.array([np.outer(normals[r], normals[s]) for r, s in pairs]))
+                np.array([np.outer(normals[r], normals[s]).ravel() for r, s in pairs]))
 
 
 @dataclass(frozen=True)

@@ -782,25 +782,25 @@ def _product_ell_closed(P: DelzantPolytope, a: float) -> ClosedForm:
     """f = a * prod_r ell_r with analytic first and second derivatives.
 
     The gradient is a sum_r (prod_{s != r} ell_s) v_r and the Hessian
-    a sum_{r != s} (prod_{t != r, s} ell_t) v_r v_s^T, each one product over
-    the facet axis and one contraction against the normals (index arrays
-    built once per polytope).  a = 0 gives f = 0, the smooth part of
+    a sum_{r != s} (prod_{t != r, s} ell_t) v_r v_s^T, each one ufunc reduce
+    over the facet axis and one matrix product against the normals (index
+    arrays built once per polytope).  a = 0 gives f = 0, the smooth part of
     Guillemin's u0.  The callbacks keep the ClosedForm contract.
     """
     keep_one, keep_two, outer = P._other_facets
 
     def value(x):
-        return a * np.prod(P.ell(_as_points(P.dim, x, True)[0]), axis=-1)
+        return a * np.multiply.reduce(P.ell(_as_points(P.dim, x, True)[0]), -1)
 
     def grad(x):
         pts, plain = _as_points(P.dim, x, True)
-        others = np.prod(P.ell(pts)[..., keep_one], axis=-1)
-        return _as_given(a * np.einsum("...r,ri->...i", others, P._normals_f), plain, 1)
+        others = np.multiply.reduce(P.ell(pts)[..., keep_one], -1)
+        return _as_given(a * (others @ P._normals_f), plain, 1)
 
     def hess(x):
         pts, plain = _as_points(P.dim, x, True)
-        others = np.prod(P.ell(pts)[..., keep_two], axis=-1)
-        return _as_given(a * np.einsum("...p,pij->...ij", others, outer), plain, 2)
+        others = np.multiply.reduce(P.ell(pts)[..., keep_two], -1)
+        return _as_given(a * (others @ outer).reshape(pts.shape + (P.dim,)), plain, 2)
 
     return ClosedForm(value=value, grad=grad, hess=hess)
 

@@ -1,3 +1,4 @@
+import decimal
 import math
 
 import numpy as np
@@ -184,14 +185,30 @@ def test_bargmann_fock_peak_is_the_log_gamma_formula():
     term = np.where(alpha > 0, alpha * np.log(np.where(alpha > 0, alpha, 1.0)), 0.0)
     expected = np.exp(math.log(k) - alpha + term - gammaln(alpha + 1.0))
     got = bargmann_fock_peak(k, alpha)
-    small = alpha <= 100
+    # from STIRLING_FROM on the value is the Stirling series, which the
+    # decimal oracle below checks; this formula's own rounding is larger there
+    small = alpha < bergman.STIRLING_FROM
     np.testing.assert_allclose(got[small], expected[small], rtol=1e-14, atol=0)
     # math.lgamma and gammaln may differ by one ulp of log Gamma(alpha + 1),
     # which the cancellation against alpha log alpha turns into a relative error
     ulp = np.spacing(gammaln(alpha + 1.0))
-    assert np.all(np.abs(np.log(got) - np.log(expected)) <= ulp + 1e-15)
+    assert np.all(np.abs(np.log(got) - np.log(expected))[small] <= ulp[small] + 1e-15)
     assert isinstance(bargmann_fock_peak(k, 3), float)
     assert bargmann_fock_peak(k, np.zeros(0)).shape == (0,)
+
+
+@pytest.mark.parametrize("alpha", [50, 100, 400, 2000, 10000])
+def test_bargmann_fock_peak_is_exact_to_4_ulp(alpha):
+    # k e^{-alpha} alpha^alpha / alpha! in 50-digit decimal arithmetic
+    k = 7
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        a = decimal.Decimal(alpha)
+        exact = float((decimal.Decimal(k).ln() - a + a * a.ln()
+                       - decimal.Decimal(math.factorial(alpha)).ln()).exp())
+    got = bargmann_fock_peak(k, alpha)
+    assert abs(got - exact) <= 4 * np.spacing(exact)
+    assert bargmann_fock_peak(k, np.array([3.0, alpha]))[1] == got
 
 
 @pytest.mark.parametrize("n", range(1, 41))

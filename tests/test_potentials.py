@@ -305,7 +305,6 @@ def test_blocks_are_budget_rows_covering_the_range(start, stop, size, budget, bl
     assert [i for s in got for i in range(s.start, s.stop)] == list(range(start, stop))
 
 
-
 def unblocked_convex_slices(xgrid, f):
     """The flags from one family-sized f'' buffer: the reference for the blocked
     `_convex_slices`."""

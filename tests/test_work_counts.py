@@ -110,8 +110,10 @@ def test_gauss_panel_rule_built_once_per_key(monkeypatch):
     assert len(built) == len(set(rules))
     masked = family.xgrid.polytope._quad_rules
     assert sorted(n for n, _ in masked) == sorted(n for _, _, n, _ in rules)
-    for pts, wts in [*(bergman._gauss_panels(*key) for key in set(rules)), *masked.values()]:
-        assert not pts.flags.writeable and not wts.flags.writeable
+    for arrays in [*(bergman._gauss_panels(*key) for key in set(rules)), *masked.values()]:
+        assert not any(a.flags.writeable for a in arrays)
+    # a masked rule is its points, weights, and u0 and grad u0 at the points
+    assert all(len(rule) == 4 for rule in masked.values())
 
 
 def test_field_peak_memory_is_the_output_plus_a_block():

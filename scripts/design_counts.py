@@ -1,9 +1,9 @@
 """Print the four design counts that ROADMAP.md tracks for `src/`, and the
-`dim` branches of each module.
+lines and `dim` branches of each module.
 
     python3 scripts/design_counts.py
 
-  * lines: all lines of the Python files under `src/`;
+  * lines: all lines of the Python files under `src/`, in all and per module;
   * settable parameters: one `ast` walk over every function, method and
     lambda, counting each parameter (positional, keyword-only, *args and
     **kwargs) except `self` and `cls`;
@@ -36,30 +36,34 @@ def settable_parameters(tree: ast.AST) -> int:
     return count
 
 
-def design_counts(src: Path) -> tuple[dict[str, int], dict[str, int]]:
-    """The four counts, and the dim branches of each module that has any."""
+def design_counts(src: Path) -> tuple[dict[str, int], dict[str, int], dict[str, int]]:
+    """The four counts, the lines of each module, and the dim branches of each
+    module that has any."""
     counts = {"lines": 0, "settable parameters": 0, "dim branches": 0,
               "isinstance(..., *Domain) branches": 0}
-    per_module = {}
+    module_lines, per_module = {}, {}
     for path in sorted(src.rglob("*.py")):
         text = path.read_text()
         lines = text.splitlines()
         branches = sum(bool(DIM_BRANCH.search(s)) for s in lines)
         counts["lines"] += len(lines)
+        module_lines[path.stem] = len(lines)
         counts["settable parameters"] += settable_parameters(ast.parse(text))
         counts["dim branches"] += branches
         counts["isinstance(..., *Domain) branches"] += sum(
             bool(DOMAIN_DISPATCH.search(s)) for s in lines)
         if branches:
             per_module[path.stem] = branches
-    return counts, per_module
+    return counts, module_lines, per_module
 
 
 def main() -> int:
     src = Path(__file__).resolve().parents[1] / "src"
-    counts, per_module = design_counts(src)
+    counts, module_lines, per_module = design_counts(src)
     for name, value in counts.items():
         print(f"{name}: {value:,}")
+    for module, value in module_lines.items():
+        print(f"  lines in {module}: {value:,}")
     for module, value in per_module.items():
         print(f"  dim branches in {module}: {value}")
     return 0

@@ -278,6 +278,8 @@ def kahler_field(family: PotentialFamily, rho_axis: np.ndarray) -> KahlerFamilyF
     rho_axis = np.asarray(rho_axis, dtype=float)
     shape = family.domain.shape
     P = family.xgrid.polytope
+    if rho_axis.size == 0:          # no targets, nothing to bracket
+        return KahlerFamilyField(family.domain, rho_axis, np.empty(shape + rho_axis.shape))
     nodes = family.node_indices()
     pots = [family.potential_at(idx) for idx in nodes]
     # one x-bracket serves every slice: widen the target range by a uniform

@@ -34,15 +34,15 @@ a scalar, or an array whose last axis is not of length 1, is the points
 x[..., None], and its results come back plain (`polytope._as_given`).  A
 dim-1 array whose last axis has length 1 is points: x of shape (2, 1) is two
 points, giving (2,) values, (2, 1) gradients and (2, 1, 1) Hessians.
-`ClosedForm` callbacks and sampled smooth parts take and return plain arrays
-in dim 1, whatever their shape; `_closed_at` reads them at points.  The rho
-side keeps plain rho values in dim 1 (`KahlerPotential`).
+`ClosedForm` callbacks take and return plain arrays in dim 1, whatever their
+shape; `_closed_at` reads them at points.  The rho side keeps plain rho
+values in dim 1 (`KahlerPotential`).
 
 Gradient inversions use a safeguarded Newton iteration (bisection fallback)
 with tolerance 1e-12 on the gradient mismatch and at most 100 iterations.
-Sampled one-dimensional data is interpolated with not-a-knot cubic splines;
-dim >= 2 requires closed-form evaluators, so `to_symplectic`, whose result
-is sampled, is one-dimensional.
+A potential evaluates its smooth part through one `ClosedForm`: its closed
+form, or not-a-knot cubic splines of its samples (`_evaluator`, dim 1 only),
+so `to_symplectic`, whose result is sampled, is one-dimensional.
 
 The closed-form potentials are `product_potential(P, a)`, u0 + a prod_r
 ell_r on any polytope (a = 0 is Guillemin's u0), and `fubini_study()`,
@@ -93,9 +93,9 @@ LSE_BLOCK = 2 ** 16
 
 
 def _blocks(start: int, stop: int, size: int, budget: int) -> list[slice]:
-    """The slices of range(start, stop), each of max(1, budget // size) items:
-    rows of `size` values within `budget` values, one row at least."""
-    step = max(1, budget // size)
+    """The slices of range(start, stop): rows of `size` values (an empty row
+    counts as one value) within `budget` values, one row at least."""
+    step = max(1, budget // max(1, size))
     return [slice(lo, min(lo + step, stop)) for lo in range(start, stop, step)]
 
 
@@ -281,10 +281,32 @@ class ClosedForm:
     grad: Callable
     hess: Callable
 
+    def shift(self, c: float) -> "ClosedForm":
+        """value + c, with the same gradient and Hessian."""
+        return ClosedForm(lambda p: np.asarray(self.value(p)) + c, self.grad, self.hess)
+
+
+def _evaluator(closed: ClosedForm | None, grid: _TensorGrid, values: np.ndarray,
+               grad_values: np.ndarray | None = None) -> ClosedForm:
+    """A potential's one evaluator: its closed form, else not-a-knot cubic
+    splines of its samples on `grid` (of `grad_values`, when given, for the
+    gradient), built at first evaluation; only the splines load scipy."""
+    if closed is not None:
+        return closed
+    if grid.dim != 1:
+        raise NotImplementedError(
+            f"sampled evaluation in dim {grid.dim}: splines of samples are implemented "
+            "for dim 1; higher-dimensional potentials need a closed form")
+    from scipy.interpolate import CubicSpline   # sampled potentials only
+    value = CubicSpline(grid.axes[0], values)
+    grad = value.derivative() if grad_values is None else \
+        CubicSpline(grid.axes[0], grad_values[..., 0])
+    return ClosedForm(value, grad, grad.derivative())
+
 
 def _closed_at(fn: Callable, pts: np.ndarray, point_axes: int = 0) -> np.ndarray:
-    """A callback of the ClosedForm contract (or a sampled smooth part) at
-    (..., m) points, with its `point_axes` trailing point axes."""
+    """A callback of the ClosedForm contract at (..., m) points, with its
+    `point_axes` trailing point axes."""
     dim = pts.shape[-1]
     plain = dim == 1
     out = np.asarray(fn(_as_given(pts, plain, 1)), dtype=float)
@@ -302,10 +324,10 @@ def _fd_hessians(values: np.ndarray, axes) -> np.ndarray:
 class KahlerPotential:
     """Convex potential phi(rho) on the open orbit.
 
-    Values are sampled on a RadialGrid; a closed form, if present, takes
-    precedence.  Gradient samples (moment-map values at the nodes), when
-    available, are interpolated separately so gradients keep the accuracy of
-    the Newton solves that produced them.
+    Values are sampled on a RadialGrid.  The one evaluator is the closed form,
+    if present, else `_evaluator`'s splines of the samples; gradient samples
+    (moment-map values at the nodes), when available, are splined separately
+    so gradients keep the accuracy of the Newton solves that produced them.
     """
 
     def __init__(self, grid: RadialGrid, values: np.ndarray | None = None,
@@ -313,15 +335,12 @@ class KahlerPotential:
                  closed: ClosedForm | None = None, check: bool = True):
         self.grid = grid
         self.closed = closed
-        if values is None:
-            if closed is None:
-                raise ValueError("need sampled values or a closed form")
-            values = _closed_at(closed.value, grid.nodes())
+        if values is None and closed is None:
+            raise ValueError("need sampled values or a closed form")
+        values = _closed_at(closed.value, grid.nodes()) if values is None else values
         self.values = np.asarray(values, dtype=float).reshape(grid.shape)
         self.grad_values = None if grad_values is None else \
             np.asarray(grad_values, dtype=float).reshape(grid.shape + (grid.dim,))
-        self._value_spline = None
-        self._grad_spline = None
         if check:
             self._check_convexity()
 
@@ -333,46 +352,22 @@ class KahlerPotential:
         _positive_det(_fd_hessians(self.values, self.grid.axes),
                       "potential is not discretely convex at rho", self.grid.nodes())
 
-    def _spline(self):
-        if self._value_spline is None:
-            if self.dim != 1:
-                raise NotImplementedError(
-                    "sampled evaluation is implemented for dim 1; "
-                    "higher-dimensional potentials need a closed form")
-            from scipy.interpolate import CubicSpline   # sampled potentials only
-            self._value_spline = CubicSpline(self.grid.axes[0], self.values)
-        return self._value_spline
-
-    def _gspline(self):
-        if self._grad_spline is None:
-            spline = self._spline()         # raises outside dim 1
-            from scipy.interpolate import CubicSpline
-            self._grad_spline = spline.derivative() if self.grad_values is None else \
-                CubicSpline(self.grid.axes[0], self.grad_values[..., 0])
-        return self._grad_spline
+    @cached_property
+    def _form(self) -> ClosedForm:
+        return _evaluator(self.closed, self.grid, self.values, self.grad_values)
 
     def value(self, rho):
-        if self.closed is not None:
-            return self.closed.value(rho)
-        return self._spline()(np.asarray(rho, dtype=float))
+        return self._form.value(rho)
 
     def grad(self, rho):
-        if self.closed is not None:
-            return np.asarray(self.closed.grad(rho), dtype=float)
-        return self._gspline()(np.asarray(rho, dtype=float))
+        return np.asarray(self._form.grad(rho), dtype=float)
 
     def hess(self, rho):
-        if self.closed is not None:
-            return np.asarray(self.closed.hess(rho), dtype=float)
-        return self._gspline().derivative()(np.asarray(rho, dtype=float))
+        return np.asarray(self._form.hess(rho), dtype=float)
 
     def shift(self, c: float) -> "KahlerPotential":
-        """phi + c on the same grid; the closed form, if any, is wrapped."""
-        closed = None
-        if self.closed is not None:
-            base = self.closed
-            closed = ClosedForm(value=lambda r: np.asarray(base.value(r)) + c,
-                                grad=base.grad, hess=base.hess)
+        """phi + c on the same grid; the closed form, if any, is shifted too."""
+        closed = None if self.closed is None else self.closed.shift(c)
         return KahlerPotential(self.grid, self.values + c, self.grad_values,
                                closed, check=False)
 
@@ -381,26 +376,20 @@ class SymplecticPotential:
     """Symplectic potential u = u0 + f on the polytope.
 
     The singular canonical part u0 is always evaluated analytically; only the
-    smooth remainder f is sampled (or supplied in closed form).  Gradient
-    samples rho = grad u at the nodes, when present, come from the Newton
-    solves of `to_symplectic`.
+    smooth remainder f is sampled, or supplied in closed form, and read by its
+    one evaluator: the closed form, if present, else `_evaluator`'s splines.
     """
 
     def __init__(self, polytope: DelzantPolytope, grid: PolytopeGrid,
                  f_values: np.ndarray | None = None,
-                 rho_values: np.ndarray | None = None,
                  f_closed: ClosedForm | None = None, check: bool = True):
         self.polytope = polytope
         self.grid = grid
         self.f_closed = f_closed
-        if f_values is None:
-            if f_closed is None:
-                raise ValueError("need sampled f values or a closed form")
-            f_values = _closed_at(f_closed.value, grid.nodes())
+        if f_values is None and f_closed is None:
+            raise ValueError("need sampled f values or a closed form")
+        f_values = _closed_at(f_closed.value, grid.nodes()) if f_values is None else f_values
         self.f_values = np.asarray(f_values, dtype=float).reshape(grid.shape)
-        self.rho_values = None if rho_values is None else \
-            np.asarray(rho_values, dtype=float).reshape(grid.shape + (grid.dim,))
-        self._f_splines = None
         if not np.all(np.isfinite(self.f_values[grid.mask])):
             raise ValueError("smooth part f must be finite on the grid")
         if check:
@@ -416,32 +405,18 @@ class SymplecticPotential:
 
     # smooth part -------------------------------------------------------------
 
-    def _spline(self, order: int = 0):
-        """The spline of f (order 0) or its derivative, each built once."""
-        if self._f_splines is None:
-            if self.dim != 1:
-                raise NotImplementedError(
-                    "sampled evaluation of f is implemented for dim 1; "
-                    "use a closed form in higher dimensions")
-            from scipy.interpolate import CubicSpline   # sampled potentials only
-            spline = CubicSpline(self.grid.axes[0], self.f_values)
-            self._f_splines = (spline, spline.derivative(), spline.derivative(2))
-        return self._f_splines[order]
+    @cached_property
+    def _form(self) -> ClosedForm:
+        return _evaluator(self.f_closed, self.grid, self.f_values)
 
     def f_value(self, x):
-        if self.f_closed is not None:
-            return np.asarray(self.f_closed.value(x), dtype=float)
-        return self._spline()(np.asarray(x, dtype=float))
+        return np.asarray(self._form.value(x), dtype=float)
 
     def f_grad(self, x):
-        if self.f_closed is not None:
-            return np.asarray(self.f_closed.grad(x), dtype=float)
-        return self._spline(1)(np.asarray(x, dtype=float))
+        return np.asarray(self._form.grad(x), dtype=float)
 
     def f_hess(self, x):
-        if self.f_closed is not None:
-            return np.asarray(self.f_closed.hess(x), dtype=float)
-        return self._spline(2)(np.asarray(x, dtype=float))
+        return np.asarray(self._form.hess(x), dtype=float)
 
     # full potential u = u0 + f, at x read by `_as_points` ----------------------
 
@@ -460,13 +435,9 @@ class SymplecticPotential:
         return _as_given(H, plain, 2)
 
     def shift(self, c: float) -> "SymplecticPotential":
-        closed = None
-        if self.f_closed is not None:
-            base = self.f_closed
-            closed = ClosedForm(value=lambda x: np.asarray(base.value(x)) + c,
-                                grad=base.grad, hess=base.hess)
+        closed = None if self.f_closed is None else self.f_closed.shift(c)
         return SymplecticPotential(self.polytope, self.grid, self.f_values + c,
-                                   self.rho_values, closed, check=False)
+                                   closed, check=False)
 
 
 @dataclass(frozen=True)
@@ -497,8 +468,7 @@ class PotentialFamily:
         idx = y_index if isinstance(y_index, tuple) else (y_index,)
         closed = self.closed_family(idx) if self.closed_family is not None else None
         return SymplecticPotential(self.xgrid.polytope, self.xgrid,
-                                   f_values=self.f[idx], f_closed=closed,
-                                   check=False)
+                                   f_values=self.f[idx], f_closed=closed, check=False)
 
     def node_indices(self):
         return list(np.ndindex(self.domain.shape))
@@ -625,9 +595,9 @@ def to_symplectic(phi: KahlerPotential, P: DelzantPolytope,
 
     For each grid node x the moment-map equation grad phi(rho) = x is solved
     by safeguarded Newton; then u(x) = <x, rho> - phi(rho), and the smooth
-    part f = u - u0 is stored along with the gradient samples rho = grad u.
-    Dimension >= 2 is rejected: the result's f is sampled only, and sampled
-    f has no evaluator beyond dim 1, so not even its convexity check could run.
+    part f = u - u0 is stored.  Dimension >= 2 is rejected: the result's f is
+    sampled only, and sampled f has no evaluator beyond dim 1, so not even its
+    convexity check could run.
     """
     if phi.dim != P.dim or grid.dim != P.dim:
         raise ValueError("dimension mismatch between potential, polytope, and grid")
@@ -640,7 +610,7 @@ def to_symplectic(phi: KahlerPotential, P: DelzantPolytope,
     rho = _invert_monotone_1d(phi.grad, phi.hess, x, lo, hi, what="moment map")
     u = x * rho - np.asarray(phi.value(rho))
     f = u - guillemin_potential(P, grid.nodes())
-    return SymplecticPotential(P, grid, f_values=f, rho_values=rho[..., None])
+    return SymplecticPotential(P, grid, f_values=f)
 
 
 def _rho_bracket(phi: KahlerPotential, x_min: float, x_max: float):
@@ -681,8 +651,6 @@ def to_kahler(u: SymplecticPotential, grid: RadialGrid) -> KahlerPotential:
                                 what="symplectic gradient", s0=guess)
         phi = x * rho - np.asarray(u.value(x))
         return KahlerPotential(grid, values=phi, grad_values=x[..., None])
-    if u.f_closed is None:
-        raise NotImplementedError("to_kahler in dim >= 2 needs a closed-form smooth part")
     nodes = grid.nodes()
     lo, hi = u.polytope.bounding_box()
     x0 = np.broadcast_to(0.5 * (lo + hi), nodes.shape).copy()
@@ -819,23 +787,25 @@ def save_potential(obj, path):
     """Write a potential in a lossless, binary-free text format.
 
     Closed-form evaluators are not serialized; a reloaded potential falls
-    back to sampled (spline) evaluation.
+    back to sampled (spline) evaluation, so a symplectic potential that would
+    have none (dim >= 2) is rejected by `_evaluator` before the file opens.
     """
     if isinstance(obj, KahlerPotential):
         _write_text(path, [f"kahler dim {obj.dim}"], obj.grid,
                    {"values": obj.values, "grad": obj.grad_values})
     elif isinstance(obj, SymplecticPotential):
-        _write_text(path, [f"symplectic dim {obj.dim}"], obj.grid,
-                   {"values": obj.f_values, "grad": obj.rho_values})
+        _evaluator(None, obj.grid, obj.f_values)
+        _write_text(path, [f"symplectic dim {obj.dim}"], obj.grid, {"values": obj.f_values})
     else:
         raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
 def load_potential(path):
+    """Inverse of `save_potential`; older symplectic files' `grad` block is unread."""
     (head,), grid, blocks = _read_text(path, 1)
     if head.split()[0] == "kahler":
         return KahlerPotential(grid, blocks["values"], blocks.get("grad"))
-    return SymplecticPotential(grid.polytope, grid, blocks["values"], blocks.get("grad"))
+    return SymplecticPotential(grid.polytope, grid, blocks["values"])
 
 
 def _write_text(path, header, grid, blocks):

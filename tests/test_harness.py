@@ -553,6 +553,24 @@ def test_kahler_field_is_bitwise_the_per_node_solve(make_family, n_rho):
     assert np.array_equal(field.values, per_node_field(family, rho))
 
 
+def test_kahler_field_of_an_empty_rho_axis_is_empty():
+    family = small_disc_family()
+    field = kahler_field(family, np.array([]))
+    assert field.values.shape == family.domain.shape + (0,)
+    assert field.rho_axis.shape == (0,)
+
+
+def test_bergman_field_of_an_empty_rho_axis_is_empty():
+    family = small_disc_family()
+    phi_k = build_approximants(family, (8,))[8]
+    assert phi_k.field(np.array([])).shape == family.domain.shape + (0,)
+
+
+def test_bergman_potential_of_an_empty_rho_axis_is_empty():
+    phi_k = build_approximants(small_disc_family(), (8,))[8]
+    assert phi_k.potential((0, 0), np.array([])).shape == (0,)
+
+
 # -- the error report on the window span ---------------------------------------
 
 def full_axis_norms(family, phi_field, approximants, window):

@@ -267,6 +267,32 @@ def test_serialization_round_trip(tmp_path):
     assert np.array_equal(back2.grad_values, phi.grad_values)
 
 
+def test_symplectic_file_has_no_grad_block_and_old_files_still_load(tmp_path):
+    u = to_symplectic(fubini_study(make_radial_grid([-6.0], [6.0], [121])), P,
+                      make_polytope_grid(P, 101, 0.01))
+    path = tmp_path / "u.txt"
+    save_potential(u, path)
+    text = path.read_text()
+    assert "values shape 101" in text.splitlines()
+    assert not any(line.startswith("grad ") for line in text.splitlines())
+    # the older format followed f with a block of the gradient samples rho = u'(x)
+    old = tmp_path / "old.txt"
+    rho = u.grad(u.grid.axes[0])
+    old.write_text(text + "grad shape 101 1\n" + "".join(f"{float(v)!r}\n" for v in rho))
+    back = load_potential(old)
+    assert np.array_equal(back.f_values, u.f_values)
+
+
+def test_save_rejects_a_two_dimensional_symplectic_potential_before_writing(tmp_path):
+    # reloaded, its f would be sampled, and sampled f has no evaluator in dim 2
+    S = preset_polytope("square")
+    u = product_potential(S, 0.1, make_polytope_grid(S, 9, 0.1))
+    path = tmp_path / "u.txt"
+    with pytest.raises(NotImplementedError, match="in dim 2: .* for dim 1"):
+        save_potential(u, path)
+    assert not path.exists()
+
+
 def test_abreu_delta_reports_convexity_failure():
     xg = make_polytope_grid(P, 101, 0.01)
     from toricmaps.potentials import ConvexityError, SymplecticPotential
@@ -287,6 +313,61 @@ def test_newton_failure_names_the_worst_target():
     assert f"at target = {targets[index]:.6g}" in str(info.value)
 
 
+# -- one evaluator per potential: the closed form or splines of the samples --------
+
+def random_points(lo, hi):
+    return np.random.default_rng(11).uniform(lo, hi, size=(3, 40))
+
+
+def test_sampled_symplectic_potential_is_its_splines_bitwise():
+    from scipy.interpolate import CubicSpline
+    xg = make_polytope_grid(P, 201, 0.01)
+    x = xg.axes[0]
+    u = SymplecticPotential(P, xg, f_values=0.1 * x * (1.0 - x) + 0.02 * np.sin(3.0 * x))
+    spline = CubicSpline(x, u.f_values)
+    pts = random_points(x[0], x[-1])
+    assert np.array_equal(u.f_value(pts), spline(pts))
+    assert np.array_equal(u.f_grad(pts), spline.derivative()(pts))
+    assert np.array_equal(u.f_hess(pts), spline.derivative(2)(pts))
+
+
+@pytest.mark.parametrize("with_grad", [False, True], ids=["values", "values-and-grad"])
+def test_sampled_kahler_potential_is_its_splines_bitwise(with_grad):
+    from scipy.interpolate import CubicSpline
+    grid = make_radial_grid([-3.0], [3.0], [121])
+    r = grid.axes[0]
+    grad_values = 1.0 / (1.0 + np.exp(-r[:, None])) if with_grad else None
+    phi = KahlerPotential(grid, np.logaddexp(0.0, r), grad_values)
+    value = CubicSpline(r, phi.values)
+    grad = CubicSpline(r, grad_values[:, 0]) if with_grad else value.derivative()
+    pts = random_points(r[0], r[-1])
+    assert np.array_equal(phi.value(pts), value(pts))
+    assert np.array_equal(phi.grad(pts), grad(pts))
+    assert np.array_equal(phi.hess(pts), grad.derivative()(pts))
+    # the gradient samples, when given, are what the gradient reads
+    assert np.array_equal(phi.grad(pts), value.derivative()(pts)) != with_grad
+
+
+def test_shift_of_a_closed_potential_moves_only_the_value():
+    c = 0.37
+    rho = random_points(-5.0, 5.0)
+    phi = fubini_study(make_radial_grid([-6.0], [6.0], [121]))
+    shifted = phi.shift(c)
+    assert shifted.closed is not None
+    assert np.array_equal(shifted.values, phi.values + c)
+    assert np.array_equal(shifted.value(rho), np.asarray(phi.value(rho)) + c)
+    assert np.array_equal(shifted.grad(rho), phi.grad(rho))
+    assert np.array_equal(shifted.hess(rho), phi.hess(rho))
+    u = product_potential(P, 0.1, make_polytope_grid(P, 101, 0.01))
+    u_shifted = u.shift(c)
+    x = random_points(0.01, 0.99)
+    assert u_shifted.f_closed is not None
+    assert np.array_equal(u_shifted.f_value(x), u.f_value(x) + c)
+    assert np.array_equal(u_shifted.f_grad(x), u.f_grad(x))
+    assert np.array_equal(u_shifted.f_hess(x), u.f_hess(x))
+    np.testing.assert_allclose(u_shifted.value(x), u.value(x) + c, rtol=0, atol=1e-15)
+
+
 # -- the block walker, and slice convexity of a family in its blocks --------------
 
 @pytest.mark.parametrize("start,stop,size,budget,blocks", [
@@ -298,6 +379,8 @@ def test_newton_failure_names_the_worst_target():
     (2, 4, 100, 0, [(2, 3), (3, 4)]),
     (0, 3, 100, 1000, [(0, 3)]),
     (5, 5, 10, 100, []),
+    # rows of no values (an empty rho axis) count as one value each
+    (0, 3, 0, 100, [(0, 3)]),
 ])
 def test_blocks_are_budget_rows_covering_the_range(start, stop, size, budget, blocks):
     got = _blocks(start, stop, size, budget)

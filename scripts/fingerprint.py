@@ -1,0 +1,113 @@
+"""Write the numbers the program reports as JSON, or compare them with an
+earlier run's, so a change can show which numbers it moved and by how much.
+
+    python3 scripts/fingerprint.py [--out NEW.json] [--against OLD.json]
+
+The numbers, each a list of floats under a flat key:
+
+  * every error column of `run_experiment(acceptance.GEODESIC)` and of
+    `run_experiment(acceptance.DISC)` (`geodesic.C0`, `disc.C2_yy`, ...);
+  * the disc run's complex-Hessian residual report (`disc.hcma.*`, of its
+    Kahler field with the default margin) and its Poisson/Fourier gap
+    (`disc.poisson_fourier_gap`, the acceptance cross-check's number);
+  * the first-pass records of the benchmark's default seed for every
+    workload (`bench.<workload>.<key>`), read by importing
+    `perfbench/workloads.py`;
+  * sha256 digests of the two Kahler fields and of every level's harmonic
+    norming table (`*.sha256`), for the numbers that should not move at all.
+
+Every path is taken from this file's checkout, so a copy of the script in
+another checkout fingerprints that checkout.  With `--against`, each key
+prints its largest absolute and relative change against OLD.json ("same"
+when bitwise equal).  It only prints and writes; it gates nothing.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(0, str(ROOT / "perfbench"))
+
+import numpy as np  # noqa: E402
+
+from toricmaps import acceptance, dirichlet, flows, harness  # noqa: E402
+
+
+def digest(array: np.ndarray) -> str:
+    return hashlib.sha256(np.ascontiguousarray(array, dtype=float).tobytes()).hexdigest()
+
+
+def experiment_numbers(name: str, cfg) -> tuple[dict, object]:
+    result = harness.run_experiment(cfg)
+    numbers = {f"{name}.{col}": [float(v) for v in result.report.column(col)]
+               for col in harness.ERROR_COLUMNS}
+    numbers[f"{name}.kahler_field.sha256"] = digest(result.field.values)
+    for k, fam in sorted(result.approximants.items()):
+        numbers[f"{name}.norming_k{k}.sha256"] = digest(fam.norming.lam)
+    return numbers, result
+
+
+def fingerprint() -> dict:
+    numbers, _ = experiment_numbers("geodesic", acceptance.GEODESIC)
+    disc, result = experiment_numbers("disc", acceptance.DISC)
+    numbers.update(disc)
+    domain, field = result.family.domain, result.field
+    rep = flows.hcma_residual(field.values, domain, field.rho_axis)
+    for key in ("sup", "mean", "fiber_hessian_min"):
+        numbers[f"disc.hcma.{key}"] = [float(getattr(rep, key))]
+    data = dirichlet.BoundaryData(result.approximants[max(acceptance.DISC.levels)]
+                                  .norming.lam[:, -1, :].T)
+    poisson = dirichlet.harmonic_extend(domain, data).values
+    fourier = dirichlet.harmonic_extend_disc_fourier(domain, data).values
+    numbers["disc.poisson_fourier_gap"] = [float(np.max(np.abs(poisson - fourier)))]
+
+    import workloads
+    for name, cls in workloads.WORKLOADS.items():
+        w = cls(workloads.DEFAULT_SEED)
+        for key, values in w.run(w.draw()).record().items():
+            numbers[f"bench.{name}.{key}"] = values
+    return numbers
+
+
+def compare(new: dict, old: dict) -> list[str]:
+    """One line per key: 'same', or the largest absolute and relative change."""
+    lines = []
+    for key in sorted(set(new) | set(old)):
+        a, b = new.get(key), old.get(key)
+        if a is None or b is None:
+            lines.append(f"{key}: only in {'OLD' if a is None else 'NEW'}")
+        elif a == b:
+            lines.append(f"{key}: same")
+        elif isinstance(a, str) or len(a) != len(b):
+            lines.append(f"{key}: differs")
+        else:
+            a, b = np.array(a), np.array(b)
+            diff = np.abs(a - b)
+            rel = np.max(diff / np.where(b != 0, np.abs(b), 1.0))
+            lines.append(f"{key}: abs {np.max(diff):.3e} rel {rel:.3e}")
+    return lines
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--out", type=Path, help="write the fingerprint to this JSON file")
+    parser.add_argument("--against", type=Path, help="an earlier fingerprint to compare with")
+    args = parser.parse_args(argv)
+    numbers = fingerprint()
+    if args.out:
+        args.out.write_text(json.dumps(numbers, indent=1) + "\n")
+    if args.against:
+        print("\n".join(compare(numbers, json.loads(args.against.read_text()))))
+    elif not args.out:
+        print(json.dumps(numbers, indent=1))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -38,8 +38,10 @@ lambda_alpha(y), and the approximating potential on the open orbit is
 
     Phi_k(y, rho) = (1/k) log sum_alpha exp( <alpha, rho> - lambda_alpha(y) ),
 
-evaluated over the domain nodes in cache-sized blocks, in place, bitwise
-equal to this direct formula.
+evaluated as harmonic-norming weights in y times monomials in rho, summed
+over alpha by one plain einsum (never BLAS), with a spread guard that keeps
+both factors in the float range (`_log_sum_exp`).  A value's bits depend
+only on its own node and rho.
 """
 
 from __future__ import annotations
@@ -54,8 +56,8 @@ import numpy as np
 from .dirichlet import (BoundaryData, HarmonicField, MaxPrincipleError,
                         boundary_weights, harmonic_extend)
 from .polytope import _float_if_0d, _read_only, lattice_points, near_facets
-from .potentials import (LSE_BLOCK, KahlerPotential, SymplecticPotential, _blocks, _closed_at,
-                         _positive_det, abreu_delta, guillemin_gradient, guillemin_potential)
+from .potentials import (KahlerPotential, SymplecticPotential, _closed_at, _positive_det,
+                         abreu_delta, guillemin_gradient, guillemin_potential)
 
 __all__ = [
     "NormingTable",
@@ -380,7 +382,10 @@ def harmonic_norming(domain, boundary_tables) -> HarmonicNorming:
 class BergmanFamily:
     """Evaluator for Phi_k(y, rho) = (1/k) log sum_alpha e^{<alpha,rho> - lambda_alpha(y)}.
 
-    Convex in rho at every y (log-sum-exp of linear forms).
+    Convex in rho at every y (log-sum-exp of linear forms).  The sum is
+    weights in y times monomials in rho (see `_log_sum_exp`), built on each
+    call: a node's row, a subset of rho columns and a scalar rho are all
+    bitwise the full field's values.
     """
 
     norming: HarmonicNorming
@@ -390,9 +395,14 @@ class BergmanFamily:
         return self.norming.level
 
     def potential(self, y_index, rho):
-        """Phi_k at one domain node; rho scalar or array (a float for scalar rho)."""
-        lam_y = self.norming.lam[(slice(None),) + _as_index(y_index)]
-        return _float_if_0d(_log_sum_exp(self.norming.alphas, lam_y[:, None], rho, self.level)[0])
+        """Phi_k at one domain node; rho scalar or array (a float for scalar rho).
+
+        Bitwise `field(rho)[y_index]`: the node goes with the reference row.
+        """
+        lam = self.norming.lam
+        lam_y = lam[(slice(None),) + _as_index(y_index)]
+        pair = np.stack([lam.reshape(lam.shape[0], -1)[:, 0], lam_y], axis=1)
+        return _float_if_0d(_log_sum_exp(self.norming.alphas, pair, rho, self.level)[1])
 
     def field(self, rho) -> np.ndarray:
         """Phi_k over all domain nodes; shape (*domain.shape, n_rho)."""
@@ -409,30 +419,46 @@ def _as_index(y_index):
 def _log_sum_exp(alphas: np.ndarray, lam: np.ndarray, rho, k: int) -> np.ndarray:
     """(1/k) log sum_alpha exp(<alpha, rho> - lam[alpha, node]) at every node.
 
-    `lam` is (n_alpha, n_nodes); the result is (n_nodes, *_pairing shape less
-    alpha).  The nodes go in `_blocks` of exponents through one reused
-    buffer, every pass in place, the last ones in the output rows.  The
-    passes and the order of the reduction over alpha are the direct
-    formula's, so the bits are its too.
+    `lam` is (n_alpha, n_nodes) and its column 0 is the reference row l0;
+    the result is (n_nodes, *_pairing shape less alpha).  The sum factors
+    into node weights times monomials,
+
+        W[y, alpha] = exp(l0_alpha - lam_alpha(y) - b(y)),
+        A[r, alpha] = exp(<alpha, rho_r> - l0_alpha - a(r)),
+
+    with b and a their maxima over alpha, so every factor is <= 1 and
+    Phi = (log sum_alpha W A + a + b) / k: n_alpha (nodes + n_rho)
+    exponentials in place of n_alpha nodes n_rho.  The sum is at least
+    exp(-spread(y)), spread being the range of l0 - lam(y) over alpha.  A
+    node whose spread passes half the float exponent range takes its own row
+    as reference (at the direct formula's cost), so a term that underflows is
+    below sqrt(tiny) of its sum.  The product is a plain einsum written into
+    the output, never BLAS (`@`, tensordot, einsum(optimize=True)): BLAS
+    blocks by shape and thread count, and a value's bits would then depend
+    on what shares the call; here they depend on its own node and rho only.
     """
     lin = _pairing(alphas, np.asarray(rho, dtype=float))
     n_alpha, n_nodes = lam.shape
-    lin_rows = lin.reshape(n_alpha, 1, -1)
-    blocks = _blocks(0, n_nodes, lin.size, LSE_BLOCK)
-    block = np.empty((n_alpha + 1) * lin_rows.shape[-1] * (blocks[0].stop if blocks else 0))
-    out = np.empty((n_nodes, lin_rows.shape[-1]))
-    for nodes in blocks:
-        rows = out[nodes]
-        buf = block[:(n_alpha + 1) * rows.size].reshape((n_alpha + 1,) + rows.shape)
-        expo, peak = buf[:-1], buf[-1]          # exponents, and their peak over alpha
-        np.subtract(lin_rows, lam[:, nodes, None], out=expo)
-        np.max(expo, axis=0, out=peak)
-        np.subtract(expo, peak, out=expo)
-        np.exp(expo, out=expo)
-        np.sum(expo, axis=0, out=rows)
-        np.log(rows, out=rows)
-        rows += peak
-        rows /= k
+    lin_t = lin.reshape(n_alpha, -1).T
+    out = np.empty((n_nodes, lin_t.shape[0]))
+    gap = lam[:, :1] - lam
+    near = np.ptp(gap, axis=0) <= -0.5 * math.log(np.finfo(float).tiny)
+    own = np.flatnonzero(~near)
+    for ref, rows in [(0, np.flatnonzero(near)), *((i, np.array([i])) for i in own)]:
+        part = out if rows.size == n_nodes else np.empty((rows.size, lin_t.shape[0]))
+        w = np.subtract(lam[:, ref], lam[:, rows].T, order="C")
+        b = np.max(w, axis=1, keepdims=True)
+        np.exp(np.subtract(w, b, out=w), out=w)
+        mono = np.subtract(lin_t, lam[:, ref], order="C")
+        a = np.max(mono, axis=1)
+        np.exp(np.subtract(mono, a[:, None], out=mono), out=mono)
+        np.einsum("ya,ra->yr", w, mono, out=part)
+        np.log(part, out=part)
+        part += a
+        part += b
+        if part is not out:
+            out[rows] = part
+    out /= k
     return out.reshape((n_nodes,) + lin.shape[1:])
 
 

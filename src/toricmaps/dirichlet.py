@@ -194,6 +194,22 @@ class DiscDomain:
         weights.setflags(write=False)
         return weights
 
+    @cached_property
+    def fourier_modes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Read-only structure of `harmonic_extend_disc_fourier`, built once:
+        the damping radii[:-1]**n (n_radii-1, modes), the contiguous real and
+        imaginary parts of exp(i n angle) (n_angles, modes), and the mode
+        scale (1 for n = 0 and Nyquist, else 2), for the rfft modes n."""
+        n = self.angles.size
+        modes = np.arange(n // 2 + 1)
+        phase = np.exp(1j * np.outer(self.angles, modes))
+        arrays = (self.radii[:-1, None] ** modes[None, :], np.ascontiguousarray(phase.real),
+                  np.ascontiguousarray(phase.imag),
+                  np.where((modes == 0) | (2 * modes == n), 1.0, 2.0))
+        for a in arrays:
+            a.setflags(write=False)
+        return arrays
+
     def extend(self, values: np.ndarray) -> np.ndarray:
         # einsum, not BLAS: a stacked column gets the bits it gets alone (BLAS
         # blocks by stack size), so the Poisson/Fourier cross-check, a ~1e-10
@@ -453,19 +469,15 @@ def harmonic_extend_disc_fourier(domain: DiscDomain, g: BoundaryData) -> Harmoni
     if not isinstance(domain, DiscDomain):
         raise TypeError("fourier extension applies to DiscDomain only")
     v = g.values
-    n = domain.angles.size
-    c = np.fft.rfft(v, axis=0) / n
-    modes = np.arange(c.shape[0])
-    damp = domain.radii[:-1, None] ** modes[None, :]
-    phase = np.exp(1j * np.outer(domain.angles, modes))
-    scale = np.where((modes == 0) | (2 * modes == n), 1.0, 2.0)
+    c = np.fft.rfft(v, axis=0) / domain.angles.size
+    damp, cos, sin, scale = domain.fourier_modes
     scale = scale.reshape(scale.shape + (1,) * (v.ndim - 1))
     # modes last and contiguous, trailing axes first: (*trailing, 1, modes), so
     # each column sums its modes exactly as a single column does
     a = np.ascontiguousarray(np.moveaxis(scale * c.real, 0, -1))[..., None, :]
     b = np.ascontiguousarray(np.moveaxis(scale * c.imag, 0, -1))[..., None, :]
     # one radius at a time bounds the temporaries to (*trailing, n_angles, modes)
-    interior = np.stack([(d * a * phase.real - d * b * phase.imag).sum(axis=-1)
+    interior = np.stack([(d * a * cos - d * b * sin).sum(axis=-1)
                          for d in damp])
     interior = np.moveaxis(interior, -1, 1)
     return HarmonicField(domain, np.concatenate([interior, v[None]], axis=0))

@@ -350,14 +350,27 @@ def test_bergman_convexity_in_rho(table_k2):
     assert np.min(np.diff(vals, 2)) > -1e-12
 
 
-def direct_lse(norming, rho):
-    """The unblocked log-sum-exp `field` evaluated before blocking: the reference."""
-    lin = np.multiply.outer(norming.alphas[:, 0].astype(float), rho)
-    lam = norming.lam.reshape(norming.count, -1)
-    expo = lin[:, None, ...] - lam[(...,) + (None,) * (lin.ndim - 1)]
-    peak = np.max(expo, axis=0)
-    val = (peak + np.log(np.sum(np.exp(expo - peak[None, ...]), axis=0))) / norming.level
+def lse_oracle(norming, rho):
+    """The log-sum-exp field in np.longdouble, node by node: the accuracy reference."""
+    lin = np.multiply.outer(norming.alphas[:, 0].astype(np.longdouble), rho)
+    lam = norming.lam.reshape(norming.count, -1).astype(np.longdouble)
+    val = np.empty((lam.shape[1], rho.size), dtype=np.longdouble)
+    for y in range(lam.shape[1]):
+        expo = lin - lam[:, y, None]
+        peak = np.max(expo, axis=0)
+        val[y] = (peak + np.log(np.sum(np.exp(expo - peak), axis=0))) / norming.level
     return val.reshape(norming.domain.shape + rho.shape)
+
+
+needs_long_double = pytest.mark.skipif(
+    np.finfo(np.longdouble).nmant < 63,
+    reason="the oracle needs a long double with a 64-bit or wider mantissa")
+
+
+def assert_within_4_ulp(field, oracle):
+    """|Phi_k - oracle| within 4 ulp of the sup of |Phi_k| over the field."""
+    err = float(np.max(np.abs(field - oracle)))
+    assert err <= 4 * np.spacing(float(np.max(np.abs(oracle))))
 
 
 def beta_table(k, bump):
@@ -368,29 +381,79 @@ def beta_table(k, bump):
     return NormingTable(level=k, alphas=a[:, None], log_q=log_q)
 
 
-@pytest.mark.parametrize("domain,k,n_rho", [
-    # one node's exponent array, 257 x 801, is larger than the block
+FIELD_CASES = [
     (make_interval(5), 256, 801),
-    # 5 x 64 nodes in blocks of 65536 // (9 * 801) = 9 nodes: a partial last block
     (make_disc(4, 64), 8, 801),
     (make_rectangle(9, 7), 8, 301),
-])
-def test_field_is_bitwise_the_direct_log_sum_exp(domain, k, n_rho):
-    assert bergman.LSE_BLOCK == 2 ** 16
+    (make_interval(5), 1024, 801),
+]
+
+
+def beta_family(domain, k):
     tables = [beta_table(k, 0.3 * math.cos(i)) for i in range(domain.n_boundary)]
-    norming = harmonic_norming(domain, tables)
-    fam = BergmanFamily(norming)
+    return BergmanFamily(harmonic_norming(domain, tables))
+
+
+@needs_long_double
+@pytest.mark.parametrize("domain,k,n_rho", FIELD_CASES)
+def test_field_is_the_log_sum_exp_to_4_ulp(domain, k, n_rho):
+    fam = beta_family(domain, k)
     rho = np.linspace(-4.0, 4.0, n_rho)
     field = fam.field(rho)
     assert field.shape == domain.shape + (n_rho,)
-    np.testing.assert_array_equal(field, direct_lse(norming, rho))
-    for idx in (np.unravel_index(i, domain.shape) for i in (0, field[..., 0].size // 2)):
+    assert_within_4_ulp(field, lse_oracle(fam.norming, rho))
+
+
+def assert_field_invariances(fam, rho, field):
+    """A node's row, a column subset and a scalar rho are bitwise the full field."""
+    nodes = field[..., 0].size
+    for idx in (np.unravel_index(i, field.shape[:-1]) for i in (0, nodes // 2, nodes - 1)):
         np.testing.assert_array_equal(fam.potential(idx, rho), field[idx])
-        value = fam.potential(idx, rho[n_rho // 3])
+        value = fam.potential(idx, rho[rho.size // 3])
         assert isinstance(value, float)
-        # a scalar rho reduces over alpha by numpy's pairwise sum, a rho array
-        # in alpha order: the two agree to rounding
-        assert value == pytest.approx(field[idx][n_rho // 3], rel=0, abs=1e-14)
+        assert value == field[idx][rho.size // 3]
+    for cols in (slice(rho.size // 3, rho.size // 3 + 7), slice(1, None, 5), slice(-1, None)):
+        np.testing.assert_array_equal(fam.field(rho[cols]), field[..., cols])
+
+
+@pytest.mark.parametrize("domain,k,n_rho", FIELD_CASES[:3])
+def test_field_rows_columns_and_scalar_rho_are_bitwise_the_full_field(domain, k, n_rho):
+    fam = beta_family(domain, k)
+    rho = np.linspace(-4.0, 4.0, n_rho)
+    assert_field_invariances(fam, rho, fam.field(rho))
+
+
+def tilted_table(k, slope):
+    """Guillemin (Beta-function) table of level k with log Q tilted by slope * alpha."""
+    table = beta_table(k, 0.0)
+    return NormingTable(level=k, alphas=table.alphas,
+                        log_q=table.log_q + slope * table.alphas[:, 0])
+
+
+# half the float exponent range: the spread over alpha of lam(reference) -
+# lam(y) past which a node takes its own row as reference
+SPREAD_BOUND = -0.5 * math.log(np.finfo(float).tiny)
+
+
+@needs_long_double
+@pytest.mark.parametrize("slope,own_rows", [
+    # spreads 0, 192, 384, 576, 768 against the reference node 0
+    (12.0, [2, 3, 4]),
+    # spreads 0, 480, 960, 1440, 1920: every row but the reference
+    (30.0, [1, 2, 3, 4]),
+])
+def test_field_rows_past_the_spread_bound_are_the_log_sum_exp(slope, own_rows):
+    k = 64
+    norming = harmonic_norming(make_interval(5), [tilted_table(k, 0.0), tilted_table(k, slope)])
+    gap = norming.lam[:, :1] - norming.lam
+    assert np.flatnonzero(np.ptp(gap, axis=0) > SPREAD_BOUND).tolist() == own_rows
+    fam = BergmanFamily(norming)
+    # the rho range carries the peak alpha from 0 to k at every node
+    rho = np.linspace(-8.0, 40.0, 481)
+    field = fam.field(rho)
+    assert np.all(np.isfinite(field))
+    assert_within_4_ulp(field, lse_oracle(norming, rho))
+    assert_field_invariances(fam, rho, field)
 
 
 def test_ratio_report_boundary_and_constant(table_k2):

@@ -7,7 +7,6 @@ import pytest
 from scipy.interpolate import CubicSpline
 
 from toricmaps import flows
-from toricmaps.bergman import LSE_BLOCK
 from toricmaps.dirichlet import (BoundaryData, _d1, _d2, harmonic_extend, make_disc,
                                  make_interval, make_rectangle)
 from toricmaps.flows import (ResidualReport, eells_sampson_operator,
@@ -15,8 +14,8 @@ from toricmaps.flows import (ResidualReport, eells_sampson_operator,
                              make_flow_state, save_snapshot)
 from toricmaps.harness import kahler_field, loop_family, solve_harmonic_map
 from toricmaps.polytope import preset_polytope
-from toricmaps.potentials import (ConvexityError, _product_ell_closed, make_polytope_grid,
-                                  product_potential)
+from toricmaps.potentials import (LSE_BLOCK, ConvexityError, _product_ell_closed,
+                                  make_polytope_grid, product_potential)
 
 P = preset_polytope("interval")
 

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from toricmaps import harness
 from toricmaps.acceptance import flow_start
-from toricmaps.bergman import LSE_BLOCK, BergmanFamily, QuadratureError
+from toricmaps.bergman import BergmanFamily, QuadratureError
 from toricmaps.dirichlet import _d1, _d2, make_disc, make_interval, make_rectangle
 from toricmaps.flows import heat_evolve
 from toricmaps.harness import (ERROR_COLUMNS, ExperimentConfig,
@@ -21,7 +21,7 @@ from toricmaps.harness import (ERROR_COLUMNS, ExperimentConfig,
                                window_rho_bounds,
                                write_error_csv, write_error_dat)
 from toricmaps.polytope import preset_polytope
-from toricmaps.potentials import (ConvexityError, NewtonError,
+from toricmaps.potentials import (LSE_BLOCK, ConvexityError, NewtonError,
                                   _canonical_inverse_guess, _product_ell_closed,
                                   _invert_monotone_1d, _x_bracket,
                                   default_margin, guillemin_potential,
@@ -703,9 +703,9 @@ def test_error_report_peak_memory_is_a_few_blocks():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # A block of at most LSE_BLOCK values: Phi_k - Phi, the log-sum-exp
-    # buffer, and the stencil temporaries of the six norms (measured: 7.5
-    # blocks).  One array of the window span's size (2560 x 319) is 12.5.
+    # A block of at most LSE_BLOCK values: Phi_k - Phi and the stencil
+    # temporaries of the six norms (measured: 7.5 blocks).  One array of the
+    # window span's size (2560 x 319) is 12.5.
     assert peak <= 10 * 8 * LSE_BLOCK + 1024 * 1024
 
 

@@ -13,8 +13,9 @@ The numbers, each a list of floats under a flat key:
   * the first-pass records of the benchmark's default seed for every
     workload (`bench.<workload>.<key>`), read by importing
     `perfbench/workloads.py`;
-  * sha256 digests of the two Kahler fields and of every level's harmonic
-    norming table (`*.sha256`), for the numbers that should not move at all.
+  * sha256 digests of the two families' smooth parts f, of the two Kahler
+    fields and of every level's harmonic norming table (`*.sha256`), for the
+    numbers that should not move at all.
 
 Every path is taken from this file's checkout, so a copy of the script in
 another checkout fingerprints that checkout.  With `--against`, each key
@@ -47,6 +48,7 @@ def experiment_numbers(name: str, cfg) -> tuple[dict, object]:
     result = harness.run_experiment(cfg)
     numbers = {f"{name}.{col}": [float(v) for v in result.report.column(col)]
                for col in harness.ERROR_COLUMNS}
+    numbers[f"{name}.family_f.sha256"] = digest(result.family.f)
     numbers[f"{name}.kahler_field.sha256"] = digest(result.field.values)
     for k, fam in sorted(result.approximants.items()):
         numbers[f"{name}.norming_k{k}.sha256"] = digest(fam.norming.lam)

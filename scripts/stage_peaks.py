@@ -1,19 +1,23 @@
-"""Print the wall time and the tracemalloc peak of each stage of one disc pass.
+"""Print the wall time and the tracemalloc peak of each stage of one
+geodesic pass and one disc pass.
 
     python3 scripts/stage_peaks.py
 
-The pass is `harness.run_experiment(acceptance.DISC)` (the loop family on
-9 x 256 nodes, 801 x nodes, 601 rho, levels 8, 16, 32: the shape of the
-benchmark's disc workload) followed by `flows.hcma_residual` of its field.
-Each stage is wrapped where `run_experiment` looks it up, and reports:
+The geodesic pass is `harness.run_experiment(acceptance.GEODESIC)` (the
+interval family on 17 nodes, 801 x nodes and 801 rho, levels 8..64), where
+the norming quadrature's buffers peak.  The disc pass is
+`harness.run_experiment(acceptance.DISC)` (the loop family on 9 x 256
+nodes, 801 x nodes, 601 rho, levels 8, 16, 32: the shape of the benchmark's
+disc workload) followed by `flows.hcma_residual` of its field.  Each stage
+is wrapped where `run_experiment` looks it up, and reports:
 
   * live:  MB traced as allocated when the stage starts;
   * peak:  the largest MB traced as allocated while it runs;
   * above: peak - live, what the stage itself holds at its worst.
 
-The last line is the peak of the whole pass.  Times run under tracemalloc,
-which slows numpy's allocations; they rank the stages and are not the
-benchmark's numbers.  It only prints; it gates nothing.
+The last line of each pass is the peak of the whole pass.  Times run under
+tracemalloc, which slows numpy's allocations; they rank the stages and are
+not the benchmark's numbers.  It only prints; it gates nothing.
 """
 
 from __future__ import annotations
@@ -52,17 +56,21 @@ def main() -> int:
     for name in STAGES:
         setattr(harness, name, traced(name, getattr(harness, name), rows))
     hcma = traced("hcma_residual", flows.hcma_residual, rows)
-    tracemalloc.start()
-    try:
-        result = harness.run_experiment(acceptance.DISC)
-        hcma(result.field.values, result.family.domain, result.field.rho_axis)
-    finally:
-        tracemalloc.stop()
-    print(f"{'stage':<20} {'s':>7} {'live MB':>9} {'peak MB':>9} {'above MB':>9}")
-    for name, seconds, live, peak in rows:
-        print(f"{name:<20} {seconds:7.3f} {live / MB:9.1f} {peak / MB:9.1f} "
-              f"{(peak - live) / MB:9.1f}")
-    print(f"pass peak: {max(peak for *_, peak in rows) / MB:.1f} MB")
+    for label, cfg in (("geodesic", acceptance.GEODESIC), ("disc", acceptance.DISC)):
+        rows.clear()
+        tracemalloc.start()
+        try:
+            result = harness.run_experiment(cfg)
+            if cfg.domain == "disc":
+                hcma(result.field.values, result.family.domain, result.field.rho_axis)
+        finally:
+            tracemalloc.stop()
+        print(f"{label + ' stage':<20} {'s':>7} {'live MB':>9} {'peak MB':>9} "
+              f"{'above MB':>9}")
+        for name, seconds, live, peak in rows:
+            print(f"{name:<20} {seconds:7.3f} {live / MB:9.1f} {peak / MB:9.1f} "
+                  f"{(peak - live) / MB:9.1f}")
+        print(f"{label} pass peak: {max(peak for *_, peak in rows) / MB:.1f} MB")
     return 0
 
 

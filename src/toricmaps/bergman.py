@@ -49,7 +49,7 @@ from __future__ import annotations
 import csv
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -104,7 +104,6 @@ class NormingTable:
     alphas: np.ndarray        # (n, m) int
     log_q: np.ndarray         # (n,)
     provenance: str = ""
-    _index: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         alphas = np.atleast_2d(np.asarray(self.alphas, dtype=np.int64))
@@ -115,8 +114,11 @@ class NormingTable:
             raise ValueError("norming table entries must be finite")
         object.__setattr__(self, "alphas", alphas)
         object.__setattr__(self, "log_q", log_q)
-        object.__setattr__(self, "_index",
-                           {tuple(a): i for i, a in enumerate(alphas.tolist())})
+
+    @functools.cached_property
+    def _index(self) -> dict:
+        """alpha -> row, built at the first `log_q_of` (only diagnostics look up)."""
+        return {tuple(a): i for i, a in enumerate(self.alphas.tolist())}
 
     @property
     def dim(self) -> int:
@@ -163,7 +165,11 @@ def _log_q_quadrature(u: SymplecticPotential, k: int, alphas: np.ndarray,
     rule of P's bounding box, less its nodes outside P (every node of an
     interval is inside), built once per (P, n_panels, order) and kept on P
     with u0 and grad u0 at its nodes: a call evaluates only u's smooth part.
-    The pairing is accumulated one axis at a time."""
+    The pairing is accumulated one axis at a time into one (n_alpha, n_nodes)
+    buffer (a second holds an axis's term when m >= 2), and the log-sum-exp
+    runs in place on it: the operations and their order are those of the
+    allocating formula, so the table is bitwise the same.  Never `@ w` or a
+    regrouped exponent: either changes the table's bits."""
     P = u.polytope
     rule = P._quad_rules.get((n_panels, order))
     if rule is None:
@@ -180,10 +186,21 @@ def _log_q_quadrature(u: SymplecticPotential, k: int, alphas: np.ndarray,
     # u.value and u.grad at pts, term for term
     grad = grad_u0 + _closed_at(u.f_grad, pts, 1)
     expo = k * (u0 + _closed_at(u.f_value, pts))
+    # the first axis's term is built in the exponents' buffer, the others in a
+    # second one
+    buf = term = np.empty((alphas.shape[0], pts.shape[0]))
     for i in range(P.dim):
-        expo = expo + (alphas[:, [i]] - k * pts[:, i]) * grad[:, i]
+        if i == 1:
+            term = np.empty_like(buf)
+        np.subtract(alphas[:, [i]], k * pts[:, i], out=term)
+        term *= grad[:, i]
+        expo = np.add(expo, term, out=buf)
+    del term
     peak = np.max(expo, axis=1, keepdims=True)
-    return peak[:, 0] + np.log(np.sum(np.exp(expo - peak) * w[None, :], axis=1))
+    expo -= peak
+    np.exp(expo, out=expo)
+    expo *= w
+    return peak[:, 0] + np.log(np.sum(expo, axis=1))
 
 
 def norming_constants(u: SymplecticPotential, k: int, alphas=None,

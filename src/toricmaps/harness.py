@@ -433,12 +433,13 @@ def error_norms(E: np.ndarray, domain, h_rho: float,
     E = np.asarray(E, dtype=float)
     ref = E[(ref_y_index if isinstance(ref_y_index, tuple) else (ref_y_index,))]
     adjust = float(np.mean(ref[rho_mask]))
-    return _finite_norms(_window_sups(E, domain, h_rho, rho_mask, adjust))
+    return _norms(_window_sups(E, domain, h_rho, rho_mask), adjust)
 
 
-def _window_sups(E: np.ndarray, domain, h_rho: float, cols, adjust: float) -> dict:
+def _window_sups(E: np.ndarray, domain, h_rho: float, cols) -> dict:
     """The sup norms of `error_norms` over the rho columns `cols` of E (a mask
-    or a slice of its last axis, off both ends), C0 less `adjust`."""
+    or a slice of its last axis, off both ends), with E's max "hi" and min
+    "lo" there in place of C0 (see `_norms`)."""
     rho_ax = E.ndim - 1
 
     def sup(a):
@@ -449,8 +450,10 @@ def _window_sups(E: np.ndarray, domain, h_rho: float, cols, adjust: float) -> di
         g = g[domain.interior(1)]
         grad_mag = np.hypot(grad_mag, g[..., cols])
         mixed.append(sup(_d1(g, h_rho, rho_ax)))
+    window = E[..., cols]
     return {
-        "C0": float(np.max(np.abs(E[..., cols] - adjust))),
+        "hi": float(np.max(window)),
+        "lo": float(np.min(window)),
         "C1_y": float(np.max(grad_mag)),
         "C1_rho": sup(_d1(E, h_rho, rho_ax)),
         "C2_rhorho": sup(_d2(E, h_rho, rho_ax)),
@@ -459,7 +462,14 @@ def _window_sups(E: np.ndarray, domain, h_rho: float, cols, adjust: float) -> di
     }
 
 
-def _finite_norms(norms: dict) -> dict:
+def _norms(sups: dict, adjust: float) -> dict:
+    """The ERROR_COLUMNS of `_window_sups`' reductions, C0 = max|E - adjust|
+    taken from E's max and min: rounded x - adjust is monotone in x and
+    fl(adjust - x) = -fl(x - adjust), so it is bitwise the max of the
+    rounded |E - adjust| (np.maximum keeps that max's NaN too).  A norm that
+    is not finite is a ValueError naming its column."""
+    norms = {"C0": float(np.maximum(sups["hi"] - adjust, adjust - sups["lo"]))}
+    norms.update((name, sups[name]) for name in ERROR_COLUMNS[1:])
     for name, value in norms.items():
         if not math.isfinite(value):
             raise ValueError(f"error norm {name} = {value} is not finite")
@@ -476,9 +486,12 @@ def error_report(family: PotentialFamily, phi_field: KahlerFamilyField,
     each side, which is every column the rho differences at the window read.
     The columns go in `_blocks` of at most LSE_BLOCK node x column values,
     their halo columns counted: each block's Phi_k - Phi is reduced to its
-    sups before the next is built, and every norm is the max of its block
-    sups.  C0's mean adjustment comes first, from the reference node's row
-    of Phi_k (`BergmanFamily.potential`) over the whole window.
+    sups, its max and min, and a copy of the reference node's row before the
+    next is built, and every norm is the max of its block sups.  The rows,
+    joined in order, are the reference row over the whole window (a node's
+    values do not depend on the other nodes, `_log_sum_exp`), so C0's mean
+    adjustment is their mean and C0 comes from the blocks' max and min
+    (`_norms`): Phi_k is evaluated once per block, never per node.
     Every norm is bitwise the one `error_norms` gives on the whole window.
     A non-finite norm is a ValueError naming its column and level.
     """
@@ -500,16 +513,18 @@ def error_report(family: PotentialFamily, phi_field: KahlerFamilyField,
     cols = {name: [] for name in ERROR_COLUMNS}
     for k in levels:
         phi_k = approximants[k]
-        adjust = float(np.mean((phi_k.potential(ref_y_index, rho) - phi[ref_y_index])[1:-1]))
-        sups = []
+        ref_rows, sups = [], []
         for inner in blocks:
             halo = slice(inner.start - 1, inner.stop + 1)
             E = phi_k.field(rho[halo])
             E -= phi[..., halo]
-            sups.append(_window_sups(E, family.domain, h_rho, slice(1, -1), adjust))
+            ref_rows.append(E[ref_y_index][1:-1].copy())
+            sups.append(_window_sups(E, family.domain, h_rho, slice(1, -1)))
+        adjust = float(np.mean(np.concatenate(ref_rows)))
+        merged = {name: float(np.max([s[name] for s in sups])) for name in sups[0]}
+        merged["lo"] = float(np.min([s["lo"] for s in sups]))
         try:
-            norms = _finite_norms({name: float(np.max([s[name] for s in sups]))
-                                   for name in ERROR_COLUMNS})
+            norms = _norms(merged, adjust)
         except ValueError as exc:
             raise ValueError(f"{exc} at level k = {k}") from exc
         for name in ERROR_COLUMNS:

@@ -227,9 +227,9 @@ def guillemin_gradient(P: DelzantPolytope, x) -> np.ndarray:
     ell = P.ell(x)
     if np.any(ell <= 0):
         raise ValueError("guillemin_gradient requires a strictly interior point")
-    log_ell = np.log(ell)
-    log_ell += 1.0
-    return log_ell @ P._normals_f
+    np.log(ell, out=ell)
+    ell += 1.0
+    return ell @ P._normals_f
 
 
 def guillemin_hessian(P: DelzantPolytope, x) -> np.ndarray:
@@ -239,7 +239,7 @@ def guillemin_hessian(P: DelzantPolytope, x) -> np.ndarray:
         raise ValueError("guillemin_hessian requires a strictly interior point")
     normals = P._normals_f
     vv = np.einsum("ri,rj->rij", normals, normals)
-    return np.einsum("...r,rij->...ij", 1.0 / ell, vv)
+    return np.einsum("...r,rij->...ij", np.divide(1.0, ell, out=ell), vv)
 
 
 def _convex_slices(xgrid: PolytopeGrid, f: np.ndarray) -> np.ndarray:
@@ -497,42 +497,58 @@ def _invert_monotone_1d(grad_fn, hess_fn, targets, lo: float, hi: float,
     t = np.asarray(targets, dtype=float)
     a = np.full(t.shape, float(lo))
     b = np.full(t.shape, float(hi))
+    s = np.empty(t.shape)
     if s0 is None:
-        s = 0.5 * (a + b)
+        np.multiply(0.5, a + b, out=s)
     else:
-        s = np.clip(np.broadcast_to(np.asarray(s0, dtype=float), t.shape).copy(),
-                    np.nextafter(lo, hi), np.nextafter(hi, lo))
-    err = np.asarray(grad_fn(s)) - t
+        np.clip(np.broadcast_to(np.asarray(s0, dtype=float), t.shape),
+                np.nextafter(lo, hi), np.nextafter(hi, lo), out=s)
+    err = np.subtract(grad_fn(s), t, out=np.empty(t.shape))
     eps = np.finfo(float).eps
     done = np.zeros(t.shape, dtype=bool)
+    # the updates are written in place, with the operations of the np.where
+    # form in its order, so the iterates are bitwise that form's; `step` and
+    # `tmp` are the step's scratch, and only the clip adds a third array
+    below, live, move = (np.empty(t.shape, dtype=bool) for _ in range(3))
+    step, tmp = np.empty(t.shape), np.empty(t.shape)
     for it in range(max_iter):
-        below = err <= 0
-        a = np.where(below & ~done, s, a)
-        b = np.where(below | done, b, s)
+        np.less_equal(err, 0, out=below)
+        np.logical_not(done, out=live)
+        np.copyto(a, s, where=np.logical_and(below, live, out=move))
+        np.logical_not(below, out=move)
+        np.copyto(b, s, where=np.logical_and(move, live, out=move))
         # a bracket of machine width resolves the root as finely as floats allow,
         # even when the gradient itself cannot be evaluated to NEWTON_TOL there
-        done |= (np.abs(err) < NEWTON_TOL) | (b - a <= 4 * eps * np.maximum(np.abs(a), np.abs(b)))
+        done |= np.less(np.abs(err, out=tmp), NEWTON_TOL, out=move)
+        np.maximum(np.abs(a, out=tmp), np.abs(b, out=step), out=tmp)
+        tmp *= 4 * eps
+        done |= np.less_equal(np.subtract(b, a, out=step), tmp, out=move)
         if done.all():
             break
-        h = np.asarray(hess_fn(s))
         with np.errstate(divide="ignore", invalid="ignore"):
-            s_new = s - err / h
+            np.subtract(s, np.divide(err, hess_fn(s), out=step), out=step)
         # Steps escaping the bracket re-anchor just inside the violated
         # endpoint (for convex/concave monotone gradients one such step puts
         # the iterate on the side from which plain Newton converges);
         # alternating with plain bisection keeps the worst case geometric.
-        w = b - a
         if it % 2 == 0:
-            fallback = np.clip(s_new, a + 0.01 * w, b - 0.01 * w)
-            fallback = np.where(np.isfinite(fallback), fallback, 0.5 * (a + b))
+            np.multiply(0.01, np.subtract(b, a, out=tmp), out=tmp)
+            fallback = np.add(a, tmp)
+            np.clip(step, fallback, np.subtract(b, tmp, out=tmp), out=fallback)
+            np.logical_not(np.isfinite(fallback, out=move), out=move)
+            np.copyto(fallback, np.multiply(0.5, np.add(a, b, out=tmp), out=tmp),
+                      where=move)
         else:
-            fallback = 0.5 * (a + b)
-        bad = ~np.isfinite(s_new) | (s_new <= a) | (s_new >= b)
-        s = np.where(done, s, np.where(bad, fallback, s_new))
-        # free the step's temporaries first: on a batched solve each is as
-        # large as the targets, and the gradient evaluation is the memory peak
-        del h, s_new, w, fallback, bad
-        err = np.where(done, err, np.asarray(grad_fn(s)) - t)
+            fallback = np.multiply(0.5, np.add(a, b, out=tmp), out=tmp)
+        # bad: not finite, or outside the open bracket
+        np.logical_not(np.isfinite(step, out=move), out=move)
+        move |= np.less_equal(step, a, out=below)
+        move |= np.greater_equal(step, b, out=below)
+        np.copyto(step, fallback, where=move)
+        del fallback
+        np.logical_not(done, out=live)
+        np.copyto(s, step, where=live)
+        np.subtract(grad_fn(s), t, out=err, where=live)
     if not done.all():
         nbad = int(np.sum(~done))
         worst = tuple(int(i) for i in np.unravel_index(

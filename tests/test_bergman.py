@@ -15,8 +15,9 @@ from toricmaps.bergman import (BergmanFamily, NormingTable, QuadratureError,
                                szego_sum)
 from toricmaps.dirichlet import make_disc, make_interval, make_rectangle
 from toricmaps.polytope import lattice_points, preset_polytope
-from toricmaps.potentials import (default_margin, fubini_study, make_polytope_grid,
-                                  make_radial_grid, product_potential, to_kahler)
+from toricmaps.potentials import (_closed_at, default_margin, fubini_study,
+                                  make_polytope_grid, make_radial_grid, product_potential,
+                                  to_kahler)
 
 P = preset_polytope("interval")
 XG = make_polytope_grid(P, 801, default_margin(64))
@@ -85,6 +86,32 @@ def test_right_sized_panels_match_the_8k_rule(a, k):
     # the sqrt(k)-sized start already passes the doubling validation
     start = max(4, math.ceil(2 * math.sqrt(k)))
     assert f"panels={start}x2 " in table.provenance
+
+
+def allocating_quadrature(u, k, alphas, n_panels, order):
+    """The norming quadrature with a fresh array for every step, the oracle of
+    the in-place kernel: same operations, same order."""
+    pts, w, u0, grad_u0 = u.polytope._quad_rules[(n_panels, order)]
+    grad = grad_u0 + _closed_at(u.f_grad, pts, 1)
+    expo = k * (u0 + _closed_at(u.f_value, pts))
+    for i in range(u.polytope.dim):
+        expo = expo + (alphas[:, [i]] - k * pts[:, i]) * grad[:, i]
+    peak = np.max(expo, axis=1, keepdims=True)
+    return peak[:, 0] + np.log(np.sum(np.exp(expo - peak) * w[None, :], axis=1))
+
+
+@pytest.mark.parametrize("name,a,k,n_panels", [
+    ("interval", 0.1, 8, 6), ("interval", 0.1, 64, 16), ("interval", 0.3, 256, 64),
+    ("square", 0.05, 4, 8),
+])
+def test_norming_quadrature_is_bitwise_the_allocating_formula(name, a, k, n_panels):
+    # the square (m = 2) accumulates its pairing through the second buffer
+    Q = preset_polytope(name)
+    u = product_potential(Q, a, XG if name == "interval" else make_polytope_grid(Q, 9, 0.05))
+    alphas = lattice_points(Q, k).points
+    got = bergman._log_q_quadrature(u, k, alphas, n_panels, bergman.GAUSS_ORDER)
+    expected = allocating_quadrature(u, k, alphas, n_panels, bergman.GAUSS_ORDER)
+    np.testing.assert_array_equal(got, expected)
 
 
 @pytest.mark.parametrize("k", [1, 2, 4, 8])

@@ -688,6 +688,53 @@ def test_error_report_in_blocks_is_bitwise_the_one_shot_report(monkeypatch, make
                 assert report.column(col)[i] == reference[k][col], (k, col)
 
 
+@pytest.fixture(scope="module")
+def blocked_disc():
+    family = loop_family(a=0.05, n_radii=5, n_angles=64, n_x=201, k_max=8)
+    rho = np.linspace(-4.0, 4.0, 121)
+    return family, kahler_field(family, rho), build_approximants(family, (4, 8))
+
+
+@pytest.mark.parametrize("shift", [0.0, 1.0, -1.0],
+                         ids=["kahler-field", "lo-sets-C0", "hi-sets-C0"])
+def test_error_report_in_blocks_is_bitwise_error_norms_with_no_potential_call(
+        monkeypatch, blocked_disc, shift):
+    # Phi less `shift` off the reference node: C0 is then set by E's min
+    # (shift 1) or its max (shift -1) against the reference row's mean
+    family, phi_field, approx = blocked_disc
+    rho, domain = phi_field.rho_axis, family.domain
+    values = phi_field.values.copy()
+    off_reference = np.ones(domain.shape, dtype=bool)
+    off_reference[domain.reference_node] = False
+    values[off_reference] += shift
+    phi_field = harness.KahlerFamilyField(domain, rho, values)
+    reference = full_axis_norms(family, phi_field, approx, 0.1)
+    mask = harness._rho_window_mask(
+        rho, window_rho_bounds(family.boundary_potentials[0], 0.1))
+    budget, width = tail_block_budget(math.prod(domain.shape), int(mask.sum()))
+    monkeypatch.setattr(harness, "LSE_BLOCK", budget)
+
+    def no_potential(self, *args):
+        raise AssertionError("error_report called BergmanFamily.potential")
+
+    monkeypatch.setattr(BergmanFamily, "potential", no_potential)
+    evaluated = []
+    field = BergmanFamily.field
+    monkeypatch.setattr(BergmanFamily, "field",
+                        lambda self, r: evaluated.append(r.size) or field(self, r))
+    report = error_report(family, phi_field, approx, window=0.1)
+    assert len(evaluated) == len(approx) * (mask.sum() // width + 1)
+    for i, k in enumerate(sorted(approx)):
+        for col in ERROR_COLUMNS:
+            assert report.column(col)[i] == reference[k][col], (k, col)
+        E = (field(approx[k], rho) - values)[..., mask]
+        adjust = np.mean(E[domain.reference_node])
+        above, below = np.max(E) - adjust, adjust - np.min(E)
+        assert report.column("C0")[i] == np.max(np.abs(E - adjust))
+        if shift:
+            assert (below > above) == (shift > 0), (k, above, below)
+
+
 def test_error_report_peak_memory_is_a_few_blocks():
     # a 9 x 256 disc with 601 rho, the bench disc's shape: the parent of the
     # blocked report held ~50 MB here (Phi_k - Phi on the window span, 6.5 MB,

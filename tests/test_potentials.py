@@ -313,6 +313,48 @@ def test_newton_failure_names_the_worst_target():
     assert f"at target = {targets[index]:.6g}" in str(info.value)
 
 
+def where_form_newton(grad_fn, hess_fn, t, lo, hi, s0):
+    """`_invert_monotone_1d` with a fresh np.where array for every update, the
+    oracle of the in-place iteration: same operations, same order."""
+    a, b = np.full(t.shape, lo), np.full(t.shape, hi)
+    s = np.clip(np.broadcast_to(s0, t.shape).copy(), np.nextafter(lo, hi),
+                np.nextafter(hi, lo))
+    err = np.asarray(grad_fn(s)) - t
+    eps = np.finfo(float).eps
+    done = np.zeros(t.shape, dtype=bool)
+    for it in range(potentials.NEWTON_MAX_ITER):
+        below = err <= 0
+        a = np.where(below & ~done, s, a)
+        b = np.where(below | done, b, s)
+        done |= (np.abs(err) < potentials.NEWTON_TOL) | (
+            b - a <= 4 * eps * np.maximum(np.abs(a), np.abs(b)))
+        if done.all():
+            return s
+        with np.errstate(divide="ignore", invalid="ignore"):
+            s_new = s - err / np.asarray(hess_fn(s))
+        w = b - a
+        if it % 2 == 0:
+            fallback = np.clip(s_new, a + 0.01 * w, b - 0.01 * w)
+            fallback = np.where(np.isfinite(fallback), fallback, 0.5 * (a + b))
+        else:
+            fallback = 0.5 * (a + b)
+        bad = ~np.isfinite(s_new) | (s_new <= a) | (s_new >= b)
+        s = np.where(done, s, np.where(bad, fallback, s_new))
+        err = np.where(done, err, np.asarray(grad_fn(s)) - t)
+    raise AssertionError("the oracle did not converge")
+
+
+def test_newton_in_place_is_bitwise_the_where_form():
+    # targets out to |rho| = 30, seeded at the midpoint: steps that leave the
+    # bracket take the clipped (even) and the bisection (odd) fallbacks, and
+    # the targets near the facets end on the machine-width bracket
+    u = product_potential(P, 0.1, make_polytope_grid(P, 201, 1e-3))
+    targets = np.linspace(-30.0, 30.0, 240).reshape(3, 80)
+    lo, hi = 1e-14, 1.0 - 1e-14
+    got = _invert_monotone_1d(u.grad, u.hess, targets, lo, hi, s0=0.5)
+    np.testing.assert_array_equal(got, where_form_newton(u.grad, u.hess, targets, lo, hi, 0.5))
+
+
 # -- one evaluator per potential: the closed form or splines of the samples --------
 
 def random_points(lo, hi):

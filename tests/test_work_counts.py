@@ -4,6 +4,7 @@ LSE_BLOCK targets.  Counts, not wall time, so a per-node loop that comes back
 fails here on any machine.
 """
 
+import re
 import tracemalloc
 
 import numpy as np
@@ -146,6 +147,26 @@ def test_field_peak_memory_is_the_output_plus_a_block():
     assert peak <= field.nbytes + 4 * factors + 128 * 1024
 
 
+def test_norming_quadrature_peak_memory_is_one_fine_rule_array():
+    P = polytope.preset_polytope("interval")
+    u = potentials.product_potential(
+        P, 0.1, potentials.make_polytope_grid(P, 801, potentials.default_margin(64)))
+    norming_constants(u, 256)           # the masked rules and the lattice, cached
+    tracemalloc.start()
+    try:
+        table = norming_constants(u, 256)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # Each quadrature writes its exponents into one n_alpha x n_nodes buffer;
+    # the largest, the fine rule's, is 1.58 MB here (the validation passes at
+    # 32 panels, 2 x 32 x 12 nodes), and the rest are node-sized arrays
+    # (measured: 1.73 MB in all; the allocating formula held 4.81 MB).
+    n_panels = int(re.search(r"panels=(\d+)x2", table.provenance).group(1))
+    fine = 8 * table.count * 2 * n_panels * bergman.GAUSS_ORDER
+    assert peak <= fine + 256 * 1024
+
+
 def test_kahler_field_peak_memory_is_the_output_plus_a_few_blocks():
     family = loop_family(a=0.05, n_radii=4, n_angles=64, n_x=201, k_max=8)
     rho = np.linspace(-4.0, 4.0, 2049)
@@ -155,15 +176,15 @@ def test_kahler_field_peak_memory_is_the_output_plus_a_few_blocks():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # The Newton iteration on a block of at most LSE_BLOCK targets holds at
-    # most 11 float arrays and 3 boolean ones (an eighth the size) at once,
-    # on the bisection fallback step: a, b, s, err, h, s_new, w, fallback,
-    # a + b, 0.5 (a + b) and the np.where result, with below, done and
-    # isfinite.  The u0 gradient or Hessian holds 5 on top of a, b, s, err:
-    # ell and its log or reciprocal (two facets each), and the result.  So
-    # 12 blocks, and 1 MiB of small change: the 320 node evaluators and the
-    # rho-sized arrays.  The |f'| bound is taken before the output exists,
-    # and the 320 x 2049 targets are never held at once.
+    # The Newton iteration on a block of at most LSE_BLOCK targets holds 6
+    # float arrays and 4 boolean ones (an eighth the size) throughout: a, b,
+    # s, err and the step's two scratch arrays, with done, below, live and
+    # move.  The u0 gradient or Hessian adds 3: ell (two facets), taken to
+    # its log or reciprocal in place, and the result; the smooth part's row
+    # loop and the sum add 2 more after ell is gone.  So 12 blocks, and
+    # 1 MiB of small change: the 320 node evaluators and the rho-sized
+    # arrays (measured: 11.0 blocks in all).  The |f'| bound is taken before
+    # the output exists, and the 320 x 2049 targets are never held at once.
     block_bytes = 8 * potentials.LSE_BLOCK
     assert peak <= field.values.nbytes + 12 * block_bytes + 1024 * 1024
 

@@ -8,14 +8,20 @@ The numbers, each a list of floats under a flat key:
   * every error column of `run_experiment(acceptance.GEODESIC)` and of
     `run_experiment(acceptance.DISC)` (`geodesic.C0`, `disc.C2_yy`, ...);
   * the disc run's complex-Hessian residual report (`disc.hcma.*`, of its
-    Kahler field with the default margin) and its Poisson/Fourier gap
-    (`disc.poisson_fourier_gap`, the acceptance cross-check's number);
+    Kahler field with the default margin), its Poisson/Fourier gap
+    (`disc.poisson_fourier_gap`, the acceptance cross-check's number) and
+    the discrete Laplacian residual of its family's f
+    (`disc.laplace_residual`);
+  * the two sups of the flow-duality acceptance check
+    (`flow_duality.sup_n<n_t>`, `acceptance._flow_residual` at both of its
+    resolutions);
   * the first-pass records of the benchmark's default seed for every
     workload (`bench.<workload>.<key>`), read by importing
     `perfbench/workloads.py`;
   * sha256 digests of the two families' smooth parts f, of the two Kahler
-    fields and of every level's harmonic norming table (`*.sha256`), for the
-    numbers that should not move at all.
+    fields, of every level's harmonic norming table and of the heat-flowed f
+    of the rectangle bench pass (`*.sha256`), for the numbers that should
+    not move at all.
 
 Every path is taken from this file's checkout, so a copy of the script in
 another checkout fingerprints that checkout.  With `--against`, each key
@@ -68,12 +74,21 @@ def fingerprint() -> dict:
     poisson = dirichlet.harmonic_extend(domain, data).values
     fourier = dirichlet.harmonic_extend_disc_fourier(domain, data).values
     numbers["disc.poisson_fourier_gap"] = [float(np.max(np.abs(poisson - fourier)))]
+    f = dirichlet.HarmonicField(domain, result.family.f)
+    numbers["disc.laplace_residual"] = [dirichlet.laplace_residual(domain, f)]
+    # the resolutions of acceptance.check_flow_duality
+    for n_t, n_x, n_rho, refine in ((33, 161, 401, 1), (65, 321, 801, 4)):
+        numbers[f"flow_duality.sup_n{n_t}"] = [
+            acceptance._flow_residual(n_t, n_x, n_rho, refine)]
 
     import workloads
     for name, cls in workloads.WORKLOADS.items():
         w = cls(workloads.DEFAULT_SEED)
-        for key, values in w.run(w.draw()).record().items():
+        out = w.run(w.draw())
+        for key, values in out.record().items():
             numbers[f"bench.{name}.{key}"] = values
+        if out.heat is not None:
+            numbers[f"bench.{name}.heat_f.sha256"] = digest(out.heat.f)
     return numbers
 
 

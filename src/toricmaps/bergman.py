@@ -400,9 +400,10 @@ class BergmanFamily:
     """Evaluator for Phi_k(y, rho) = (1/k) log sum_alpha e^{<alpha,rho> - lambda_alpha(y)}.
 
     Convex in rho at every y (log-sum-exp of linear forms).  The sum is
-    weights in y times monomials in rho (see `_log_sum_exp`), built on each
-    call: a node's row, a subset of rho columns and a scalar rho are all
-    bitwise the full field's values.
+    weights in y times monomials in rho (see `_log_sum_exp`): the weights
+    are built once per family, the monomials on each call.  A node's row, a
+    subset of rho columns and a scalar rho are all bitwise the full field's
+    values.
     """
 
     norming: HarmonicNorming
@@ -410,6 +411,12 @@ class BergmanFamily:
     @property
     def level(self) -> int:
         return self.norming.level
+
+    @functools.cached_property
+    def _weights(self) -> list:
+        """`_node_weights` of every node, built at the first `field`."""
+        lam = self.norming.lam
+        return _node_weights(lam.reshape(lam.shape[0], -1))
 
     def potential(self, y_index, rho):
         """Phi_k at one domain node; rho scalar or array (a float for scalar rho).
@@ -419,13 +426,12 @@ class BergmanFamily:
         lam = self.norming.lam
         lam_y = lam[(slice(None),) + _as_index(y_index)]
         pair = np.stack([lam.reshape(lam.shape[0], -1)[:, 0], lam_y], axis=1)
-        return _float_if_0d(_log_sum_exp(self.norming.alphas, pair, rho, self.level)[1])
+        return _float_if_0d(_log_sum_exp(self.norming.alphas, _node_weights(pair), rho,
+                                         self.level)[1])
 
     def field(self, rho) -> np.ndarray:
         """Phi_k over all domain nodes; shape (*domain.shape, n_rho)."""
-        lam = self.norming.lam
-        val = _log_sum_exp(self.norming.alphas, lam.reshape(lam.shape[0], -1),
-                           rho, self.level)
+        val = _log_sum_exp(self.norming.alphas, self._weights, rho, self.level)
         return val.reshape(self.norming.domain.shape + val.shape[1:])
 
 
@@ -433,40 +439,56 @@ def _as_index(y_index):
     return y_index if isinstance(y_index, tuple) else (y_index,)
 
 
-def _log_sum_exp(alphas: np.ndarray, lam: np.ndarray, rho, k: int) -> np.ndarray:
-    """(1/k) log sum_alpha exp(<alpha, rho> - lam[alpha, node]) at every node.
+def _node_weights(lam: np.ndarray) -> list:
+    """The node weights of `_log_sum_exp` for `lam` (n_alpha, n_nodes), its
+    column 0 the reference row l0: a list of (rows, reference column, W, b)
+    parts, read-only, covering every node once.
 
-    `lam` is (n_alpha, n_nodes) and its column 0 is the reference row l0;
-    the result is (n_nodes, *_pairing shape less alpha).  The sum factors
+    W[y, alpha] = exp(l0_alpha - lam_alpha(y) - b(y)), b its max over alpha,
+    so every weight is <= 1.  The sum over alpha is at least exp(-spread(y)),
+    spread being the range of l0 - lam(y) over alpha; the nodes whose spread
+    stays within half the float exponent range share one part, and every
+    other node is a part of its own, with its own column as reference, so a
+    term that underflows is below sqrt(tiny) of its sum.
+    """
+    gap = lam[:, :1] - lam
+    near = np.ptp(gap, axis=0) <= -0.5 * math.log(np.finfo(float).tiny)
+    parts = []
+    for ref, rows in [(0, np.flatnonzero(near)), *((i, np.array([i]))
+                                                   for i in np.flatnonzero(~near))]:
+        w = np.subtract(lam[:, ref], lam[:, rows].T, order="C")
+        b = np.max(w, axis=1, keepdims=True)
+        np.exp(np.subtract(w, b, out=w), out=w)
+        parts.append(tuple(map(_read_only, (rows, lam[:, ref], w, b))))
+    return parts
+
+
+def _log_sum_exp(alphas: np.ndarray, weights: list, rho, k: int) -> np.ndarray:
+    """(1/k) log sum_alpha exp(<alpha, rho> - lam[alpha, node]) at every node
+    of the `_node_weights` parts `weights` of lam.
+
+    The result is (n_nodes, *_pairing shape less alpha).  The sum factors
     into node weights times monomials,
 
         W[y, alpha] = exp(l0_alpha - lam_alpha(y) - b(y)),
         A[r, alpha] = exp(<alpha, rho_r> - l0_alpha - a(r)),
 
-    with b and a their maxima over alpha, so every factor is <= 1 and
-    Phi = (log sum_alpha W A + a + b) / k: n_alpha (nodes + n_rho)
-    exponentials in place of n_alpha nodes n_rho.  The sum is at least
-    exp(-spread(y)), spread being the range of l0 - lam(y) over alpha.  A
-    node whose spread passes half the float exponent range takes its own row
-    as reference (at the direct formula's cost), so a term that underflows is
-    below sqrt(tiny) of its sum.  The product is a plain einsum written into
+    with b and a their maxima over alpha and l0 the part's reference column,
+    so every factor is <= 1 and Phi = (log sum_alpha W A + a + b) / k:
+    n_alpha (nodes + n_rho) exponentials in place of n_alpha nodes n_rho, the
+    nodes' ones paid once per set of weights.  A node of its own part costs
+    what the direct formula does.  The product is a plain einsum written into
     the output, never BLAS (`@`, tensordot, einsum(optimize=True)): BLAS
     blocks by shape and thread count, and a value's bits would then depend
     on what shares the call; here they depend on its own node and rho only.
     """
     lin = _pairing(alphas, np.asarray(rho, dtype=float))
-    n_alpha, n_nodes = lam.shape
-    lin_t = lin.reshape(n_alpha, -1).T
+    lin_t = lin.reshape(alphas.shape[0], -1).T
+    n_nodes = sum(rows.size for rows, *_ in weights)
     out = np.empty((n_nodes, lin_t.shape[0]))
-    gap = lam[:, :1] - lam
-    near = np.ptp(gap, axis=0) <= -0.5 * math.log(np.finfo(float).tiny)
-    own = np.flatnonzero(~near)
-    for ref, rows in [(0, np.flatnonzero(near)), *((i, np.array([i])) for i in own)]:
+    for rows, l_ref, w, b in weights:
         part = out if rows.size == n_nodes else np.empty((rows.size, lin_t.shape[0]))
-        w = np.subtract(lam[:, ref], lam[:, rows].T, order="C")
-        b = np.max(w, axis=1, keepdims=True)
-        np.exp(np.subtract(w, b, out=w), out=w)
-        mono = np.subtract(lin_t, lam[:, ref], order="C")
+        mono = np.subtract(lin_t, l_ref, order="C")
         a = np.max(mono, axis=1)
         np.exp(np.subtract(mono, a[:, None], out=mono), out=mono)
         np.einsum("ya,ra->yr", w, mono, out=part)

@@ -34,20 +34,28 @@ canonical order of `BoundaryData`), `reference_node` (a boundary node),
 stable explicit heat step; the disc raises) and `max_principle_slack` (the
 relative tolerance of the discrete maximum principle).
 
-Every domain also owns its derivative stencils (centered `_d1`/`_d2` on the
-domain axes of a (*domain.shape, *trailing) field, on uniform grids only):
-`gradient(v)` yields the orthonormal-frame components of the y-gradient
-(disc: d_r, d_gamma / r), `hessian(v)` the distinct frame components of the
-y-Hessian (disc: d_rr, d_gammagamma / r^2 + d_r / r, d_rgamma / r - d_gamma / r^2),
-`laplacian(v)` the Laplacian, and `interior(m)` the slices of nodes m cells
-inside the uniform block and off every edge (the disc's block is
-radii[:-1], less the centre; its Laplacian takes three-point weights on the
-ring next to r = 1, so `interior(0)` covers rings 1 .. n_r - 2).
+Every domain also owns its derivative stencils, centered differences (`_d1`,
+`_d2`) on the domain axes of a (*domain.shape, *trailing) field on uniform
+grids only: `gradient(v)` yields the orthonormal-frame components of the
+y-gradient (disc: d_r, d_gamma / r), `hessian(v)` the distinct frame
+components of the y-Hessian (disc: d_rr, d_gammagamma / r^2 + d_r / r,
+d_rgamma / r - d_gamma / r^2), `laplacian(v)` the Laplacian, and
+`interior(m)` the slices of nodes m cells inside the uniform block and off
+every edge (the disc's block is radii[:-1], less the centre; its Laplacian
+takes three-point weights on the ring next to r = 1, so `interior(0)` covers
+rings 1 .. n_r - 2).  Given an array, each stencil covers the whole grid,
+every axis wrapping around (garbage at the edges of a non-periodic axis).
+Given a `Window(v, nodes)`, it is evaluated only at those nodes, reading one
+node past them along each differenced axis and wrapping only where a nodes
+axis is whole (the disc's angle): a window's first differences are built
+once and shared by its gradient, Hessian and Laplacian and, through
+`Window.sub`, by a window inside it.  Both give the same bits at every
+window node.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -118,13 +126,13 @@ class IntervalDomain:
     def interior(self, margin: int) -> tuple:
         return (slice(max(margin, 1), self.nodes.size - max(margin, 1)),)
 
-    def gradient(self, v: np.ndarray):
+    def gradient(self, v: np.ndarray | Window):
         yield _d1(v, self.spacings["h_y"], 0)
 
-    def hessian(self, v: np.ndarray):
+    def hessian(self, v: np.ndarray | Window):
         yield self.laplacian(v)
 
-    def laplacian(self, v: np.ndarray) -> np.ndarray:
+    def laplacian(self, v: np.ndarray | Window) -> np.ndarray:
         return _d2(v, self.spacings["h_y"], 0)
 
 
@@ -224,35 +232,46 @@ class DiscDomain:
         # the uniform radial block radii[:-1], less the centre; every angle
         return (slice(max(margin, 1), self.radii.size - 1 - margin), slice(None))
 
-    def _r(self, ndim: int) -> np.ndarray:
-        # radii as a column; NaN at the centre, where the polar frame is undefined
-        r = np.where(self.radii > 0, self.radii, np.nan)
-        return r.reshape(r.shape + (1,) * (ndim - 1))
+    def _r(self, w: Window) -> np.ndarray:
+        # the window's radii as a column; NaN at the centre, where the polar
+        # frame is undefined
+        r = np.where(self.radii > 0, self.radii, np.nan)[w.nodes[0]]
+        return r.reshape(r.shape + (1,) * (w.v.ndim - 1))
 
-    def gradient(self, v: np.ndarray):
+    def gradient(self, v: np.ndarray | Window):
         h_r, h_g = self.spacings.values()
-        yield _d1(v, h_r, 0)
-        yield _d1(v, h_g, 1) / self._r(v.ndim)
+        w = _window(v)
+        yield _d1(w, h_r, 0)
+        yield _d1(w, h_g, 1) / self._r(w)
 
-    def hessian(self, v: np.ndarray):
+    def hessian(self, v: np.ndarray | Window):
         h_r, h_g = self.spacings.values()
-        r = self._r(v.ndim)
-        d_r = _d1(v, h_r, 0)
-        yield _d2(v, h_r, 0)
-        yield _d2(v, h_g, 1) / r**2 + d_r / r
-        yield _d1(d_r, h_g, 1) / r - _d1(v, h_g, 1) / r**2
+        w = _window(v)
+        r = self._r(w)
+        d_r = _d1(w, h_r, 0)
+        yield _d2(w, h_r, 0)
+        yield _d2(w, h_g, 1) / r**2 + d_r / r
+        # a window takes every angle: d_r is differenced around the circle
+        yield _d1(d_r, h_g, 1) / r - _d1(w, h_g, 1) / r**2
 
-    def laplacian(self, v: np.ndarray) -> np.ndarray:
+    def laplacian(self, v: np.ndarray | Window) -> np.ndarray:
         h_r, h_g = self.spacings.values()
-        d_r, d_rr = _d1(v, h_r, 0), _d2(v, h_r, 0)
+        w = _window(v)
+        r = self._r(w)
+        angular = _d2(w, h_g, 1) / r**2
+        lap = _d2(w, h_r, 0) + _d1(w, h_r, 0) / r + angular
         # the ring next to r = 1 has unequal neighbours: three-point weights there
         i = self.radii.size - 2
-        hm, hp = self.radii[i] - self.radii[i - 1], self.radii[i + 1] - self.radii[i]
-        d_rr[i] = 2.0 * (hp * v[i - 1] - (hm + hp) * v[i] + hm * v[i + 1]) / (hm * hp * (hm + hp))
-        d_r[i] = (-hp / (hm * (hm + hp)) * v[i - 1] + (hp - hm) / (hm * hp) * v[i]
-                  + hm / (hp * (hm + hp)) * v[i + 1])
-        r = self._r(v.ndim)
-        return d_rr + d_r / r + _d2(v, h_g, 1) / r**2
+        rows = range(*w.nodes[0].indices(self.radii.size))
+        if i in rows:
+            j = i - rows.start
+            hm, hp = self.radii[i] - self.radii[i - 1], self.radii[i + 1] - self.radii[i]
+            lo, mid, hi = (w.v[(n,) + w.nodes[1:]] for n in (i - 1, i, i + 1))
+            d_rr = 2.0 * (hp * lo - (hm + hp) * mid + hm * hi) / (hm * hp * (hm + hp))
+            d_r = (-hp / (hm * (hm + hp)) * lo + (hp - hm) / (hm * hp) * mid
+                   + hm / (hp * (hm + hp)) * hi)
+            lap[j] = d_rr + d_r / r[j] + angular[j]
+        return lap
 
 
 @dataclass(frozen=True)
@@ -323,18 +342,25 @@ class RectangleDomain:
     def interior(self, margin: int) -> tuple:
         return tuple(slice(max(margin, 1), n - max(margin, 1)) for n in self.shape)
 
-    def gradient(self, v: np.ndarray):
+    def gradient(self, v: np.ndarray | Window):
         h_x, h_y = self.spacings.values()
         yield _d1(v, h_x, 0)
         yield _d1(v, h_y, 1)
 
-    def hessian(self, v: np.ndarray):
+    def hessian(self, v: np.ndarray | Window):
         h_x, h_y = self.spacings.values()
-        yield _d2(v, h_x, 0)
-        yield _d2(v, h_y, 1)
-        yield _d1(_d1(v, h_x, 0), h_y, 1)
+        w = _window(v)
+        yield _d2(w, h_x, 0)
+        yield _d2(w, h_y, 1)
+        x, y = w.nodes[:2]
+        if y == slice(None):              # d_y of d_x, wrapping around with y
+            yield _d1(_d1(w, h_x, 0), h_y, 1)
+        else:                             # d_x one node past the window along y
+            a, b, _ = y.indices(self.shape[1])
+            wide = Window(w.v, (x, slice(a - 1, b + 1)) + w.nodes[2:])
+            yield _d1(Window(_d1(wide, h_x, 0), (slice(None), slice(1, -1))), h_y, 1)
 
-    def laplacian(self, v: np.ndarray) -> np.ndarray:
+    def laplacian(self, v: np.ndarray | Window) -> np.ndarray:
         h_x, h_y = self.spacings.values()
         return _d2(v, h_x, 0) + _d2(v, h_y, 1)
 
@@ -484,10 +510,14 @@ def harmonic_extend_disc_fourier(domain: DiscDomain, g: BoundaryData) -> Harmoni
 
 
 def laplace_residual(domain, field: HarmonicField) -> float:
-    """Sup over the interior nodes (`domain.interior(0)`) of the discrete Laplacian magnitude."""
-    if field.domain is not domain and field.domain.shape != domain.shape:
-        raise ValueError("field does not match the domain")
-    return float(np.max(np.abs(domain.laplacian(field.values)[domain.interior(0)])))
+    """Sup over the interior nodes (`domain.interior(0)`) of the discrete Laplacian
+    magnitude.  A field on another domain, of another type, shape or spacings,
+    is a ValueError naming both."""
+    mine, theirs = ((type(d).__name__, d.shape, d.spacings) for d in (domain, field.domain))
+    if field.domain is not domain and theirs != mine:
+        raise ValueError("the field's domain ({}, shape {}, spacings {}) does not match "
+                         "the domain ({}, shape {}, spacings {})".format(*theirs, *mine))
+    return float(np.max(np.abs(domain.laplacian(Window(field.values, domain.interior(0))))))
 
 
 def boundary_weights(domain, where) -> np.ndarray:
@@ -501,11 +531,84 @@ def boundary_weights(domain, where) -> np.ndarray:
     return domain.extend(np.eye(domain.n_boundary))[where]
 
 
-# -- centered finite differences on periodic-wrapped axes --------------------------
+# -- centered finite differences, on a window of nodes or the wrapped grid ----------
 
-def _d1(v: np.ndarray, h: float, axis: int) -> np.ndarray:
-    return (np.roll(v, -1, axis=axis) - np.roll(v, 1, axis=axis)) / (2.0 * h)
+@dataclass(eq=False)
+class Window:
+    """A (*domain.shape, *trailing) field `v` read at the nodes `nodes`.
+
+    `nodes` holds one slice per leading axis of v, the missing ones whole.  A
+    sliced axis keeps one node of v past each end of its slice, which its
+    centered differences read; along a whole axis (slice(None)) they wrap
+    around, its two end nodes reading the other end.  `_d1` keeps each first
+    difference in `first`, keyed by (axis, h), so the gradient, Hessian and
+    Laplacian of one window build it once, and `sub` hands them on to a
+    window inside this one.
+    """
+
+    v: np.ndarray
+    nodes: tuple = ()
+    first: dict = field(default_factory=dict, repr=False)
+
+    def __post_init__(self):
+        self.nodes = tuple(self.nodes) + (slice(None),) * (self.v.ndim - len(self.nodes))
+
+    @property
+    def values(self) -> np.ndarray:
+        return self.v[self.nodes]
+
+    def sub(self, nodes) -> "Window":
+        """v at `nodes`, inside this window, with the first differences this
+        window has built so far (views of them, not recomputed)."""
+        inner = Window(self.v, nodes)
+        at = tuple(slice(s.indices(n)[0] - p.indices(n)[0], s.indices(n)[1] - p.indices(n)[0])
+                   for s, p, n in zip(inner.nodes, self.nodes, self.v.shape))
+        inner.first.update((key, d[at]) for key, d in self.first.items())
+        return inner
 
 
-def _d2(v: np.ndarray, h: float, axis: int) -> np.ndarray:
-    return (np.roll(v, -1, axis=axis) - 2.0 * v + np.roll(v, 1, axis=axis)) / h**2
+def _window(v: np.ndarray | Window) -> Window:
+    return v if isinstance(v, Window) else Window(v)
+
+
+def _parts(w: Window, axis: int):
+    """(part of the window, v's lower, centre and upper neighbours there along
+    `axis`): the whole window at once for a sliced axis, and for a whole one
+    its inner nodes and then its two end nodes, each wrapping around."""
+    n, s = w.v.shape[axis], w.nodes[axis]
+    if s == slice(None):
+        spans = [(slice(1, n - 1), (0, n - 2), (1, n - 1), (2, n)),
+                 (slice(0, 1), (n - 1, n), (0, 1), (1, 2)),
+                 (slice(n - 1, n), (n - 2, n - 1), (n - 1, n), (0, 1))]
+    else:
+        a, b, _ = s.indices(n)
+        spans = [(slice(None), (a - 1, b - 1), (a, b), (a + 1, b + 1))]
+    for part, *reads in spans:
+        yield ((slice(None),) * axis + (part,),
+               *(w.v[w.nodes[:axis] + (slice(*r),) + w.nodes[axis + 1:]] for r in reads))
+
+
+def _d1(v: np.ndarray | Window, h: float, axis: int) -> np.ndarray:
+    """(v[i+1] - v[i-1]) / 2h along `axis`, on the whole wrapped grid of an
+    array v or at the nodes of a Window v (built once per window)."""
+    w = _window(v)
+    if (axis, h) not in w.first:
+        out = np.empty(w.values.shape)
+        for part, lo, _, hi in _parts(w, axis):
+            np.subtract(hi, lo, out=out[part])
+        out /= 2.0 * h
+        w.first[axis, h] = out
+    return w.first[axis, h]
+
+
+def _d2(v: np.ndarray | Window, h: float, axis: int) -> np.ndarray:
+    """(v[i+1] - 2 v[i] + v[i-1]) / h^2 along `axis`, where `_d1` evaluates it."""
+    w = _window(v)
+    out = np.empty(w.values.shape)
+    for part, lo, mid, hi in _parts(w, axis):
+        o = out[part]
+        np.multiply(mid, 2.0, out=o)
+        np.subtract(hi, o, out=o)
+        o += lo
+    out /= h**2
+    return out

@@ -46,7 +46,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dirichlet import DiscDomain, _d1, _d2
+from .dirichlet import DiscDomain, Window, _d1, _d2
 from .potentials import (LSE_BLOCK, ConvexityError, PolytopeGrid, PotentialFamily,
                          _blocks, _convex_slices, _read_text, _write_text)
 
@@ -101,7 +101,7 @@ def heat_evolve(state: PotentialFamily, dtau: float, steps: int) -> PotentialFam
     tau = state.tau
     inner = state.domain.interior(0)
     for _ in range(steps):
-        f[inner] += dtau * state.domain.laplacian(f)[inner]
+        f[inner] += dtau * state.domain.laplacian(Window(f, inner))
         tau += dtau
         flags = _convex_slices(state.xgrid, f)
         if not flags.all():
@@ -113,103 +113,105 @@ def heat_evolve(state: PotentialFamily, dtau: float, steps: int) -> PotentialFam
 
 # -- residual operators ---------------------------------------------------------
 
-def _fiber_terms(phi, domain, h_rho, hcma: bool):
-    """(operator, phi_rhorho) on the whole grid of phi (garbage near its
-    edges): the Eells-Sampson operator Lap_N phi - |grad_y phi_rho|^2 /
-    phi_rhorho, or with `hcma` the complex-Hessian one (Lap phi) phi_rhorho -
-    |grad_y phi_rho|^2."""
+def _fiber_terms(phi, domain, nodes, h_rho, hcma: bool):
+    """(operator, phi_rhorho) of a block phi of rho columns, at its domain
+    nodes `nodes` and its inner columns (its first and last columns are the
+    rho stencil's halo): the Eells-Sampson operator Lap_N phi -
+    |grad_y phi_rho|^2 / phi_rhorho, or with `hcma` the complex-Hessian one
+    (Lap phi) phi_rhorho - |grad_y phi_rho|^2.  The gradient is taken at
+    `nodes` on every column, and the Laplacian reads its first differences."""
     rho_ax = phi.ndim - 1
-    cross = sum(_d1(g, h_rho, rho_ax) ** 2 for g in domain.gradient(phi))
-    lap, phi_rr = domain.laplacian(phi), _d2(phi, h_rho, rho_ax)
+    cols = (slice(None),) * rho_ax + (slice(1, -1),)
+    w = Window(phi, nodes)
+    cross = sum(_d1(Window(g, cols), h_rho, rho_ax) ** 2 for g in domain.gradient(w))
+    at = w.sub(nodes + cols[-1:])
+    lap, phi_rr = domain.laplacian(at), _d2(at, h_rho, rho_ax)
     with np.errstate(divide="ignore", invalid="ignore"):
         return (lap * phi_rr - cross if hcma else lap - cross / phi_rr), phi_rr
 
 
-def _fiber_input(phi, domain, rho_axis, margin: int, hcma: bool):
-    """phi and rho_axis as float arrays, and the slices `keep` of the
-    admissible interior nodes."""
-    if hcma and not isinstance(domain, DiscDomain):
-        raise TypeError("hcma_operator expects a disc parameter domain")
-    phi = np.asarray(phi, dtype=float)
-    keep = domain.interior(margin) + (slice(margin, phi.shape[-1] - margin),)
-    return phi, np.asarray(rho_axis, dtype=float), keep
+def _require_disc(what: str, domain):
+    if not isinstance(domain, DiscDomain):
+        raise TypeError(f"{what} expects a DiscDomain parameter domain, "
+                        f"got {type(domain).__name__}")
 
 
-def _first_min(window: np.ndarray, offsets) -> tuple:
-    """(min, index): the first minimum of `window` in C order (NaN if any),
-    its index shifted by the window's `offsets` in the full grid."""
-    j = np.unravel_index(np.argmin(window), window.shape)
-    return window[j], tuple(int(o + i) for o, i in zip(offsets, j))
-
-
-def _convexity_error(value, index, rho_axis) -> ConvexityError:
-    return ConvexityError(
-        f"fiber Hessian is not positive on the residual window: phi_rhorho = "
-        f"{value:.3g} at domain node {index[:-1]}, rho = {rho_axis[index[-1]]:.6g}")
-
-
-def _fiber_operator(phi, domain, rho_axis, margin: int, hcma: bool):
-    """(field, keep): the operator of `_fiber_terms` on the full grid and the
-    slices `keep` of the admissible interior nodes.  The Eells-Sampson
-    operator raises a ConvexityError naming the worst node where phi_rhorho
-    is not positive on the window."""
-    phi, rho_axis, keep = _fiber_input(phi, domain, rho_axis, margin, hcma)
-    field, phi_rr = _fiber_terms(phi, domain, rho_axis[1] - rho_axis[0], hcma)
-    if not hcma:
-        value, index = _first_min(phi_rr[keep],
-                                  [s.indices(n)[0] for s, n in zip(keep, phi.shape)])
-        if value <= 0:
-            raise _convexity_error(value, index, rho_axis)
-    return field, keep
-
-
-def _fiber_residual(phi, domain, rho_axis, margin: int, hcma: bool):
-    """The ResidualReport of the `_fiber_terms` operator on the window `keep`.
+def _fiber_window(phi, domain, rho_axis, margin: int, hcma: bool):
+    """(field, keep, fiber Hessian min): the `_fiber_terms` operator on the
+    window `keep` of admissible interior nodes, and the least phi_rhorho there.
 
     The window's rho columns go in `_blocks` of at most LSE_BLOCK node x
-    column values, their halo columns counted, each reduced as it is built:
-    |res| into one window-sized array, reduced once (so the mean sums in the
-    order of the whole window), and the fiber Hessian's minimum as a running
-    one.  No full-grid temporary is held, and the report is bitwise the one
-    of the whole-grid operator.
+    column values, their halo columns counted, each written into one
+    window-sized field as it is built, and the fiber Hessian's minimum is a
+    running one.  No full-grid temporary is held, and every value is bitwise
+    the whole-grid operator's.  The Eells-Sampson operator raises a
+    ConvexityError naming the first worst node, in the window's C order,
+    where phi_rhorho is not positive; a ValueError when `margin` < 1 or the
+    window is empty.
     """
-    phi, rho_axis, keep = _fiber_input(phi, domain, rho_axis, margin, hcma)
+    phi, rho_axis = np.asarray(phi, dtype=float), np.asarray(rho_axis, dtype=float)
     if margin < 1:
         raise ValueError(f"margin = {margin}: the rho differences wrap around at the "
                          "grid's end columns, so the residual window needs margin >= 1")
     n_rho, h_rho = phi.shape[-1], rho_axis[1] - rho_axis[0]
+    keep = domain.interior(margin) + (slice(margin, n_rho - margin),)
     nodes = keep[:-1]
-    inner = nodes + (slice(1, -1),)           # a block's window: its halo cut off
     offsets = [s.indices(n)[0] for s, n in zip(nodes, phi.shape)]
-    absres = np.empty(phi[keep].shape)
-    if not absres.size:
+    field = np.empty(phi[keep].shape)
+    if not field.size:
         raise ValueError(f"{type(domain).__name__} of shape {domain.shape}, {n_rho} rho: "
                          f"the residual window {keep} at margin {margin} is empty")
     hess_min, worst = math.inf, (math.inf, ())
     n_nodes = phi.size // n_rho
     for cols in _blocks(margin, n_rho - margin, n_nodes, LSE_BLOCK - 2 * n_nodes):
-        res, phi_rr = _fiber_terms(phi[..., cols.start - 1:cols.stop + 1], domain, h_rho, hcma)
-        np.abs(res[inner], out=absres[..., cols.start - margin:cols.stop - margin])
-        value, index = _first_min(phi_rr[inner], offsets + [cols.start])
+        res, phi_rr = _fiber_terms(phi[..., cols.start - 1:cols.stop + 1], domain, nodes,
+                                   h_rho, hcma)
+        field[..., cols.start - margin:cols.stop - margin] = res
+        # the block's first minimum in C order, at its place in the full grid
+        j = np.unravel_index(np.argmin(phi_rr), phi_rr.shape)
+        value = phi_rr[j]
         hess_min = np.minimum(hess_min, value)
         # (value, index) order: the first minimum in the whole window's C order
-        worst = min(worst, (value, index))
+        worst = min(worst, (value, tuple(int(o + i) for o, i in
+                                         zip(offsets + [cols.start], j))))
     if not hcma and hess_min <= 0:
-        raise _convexity_error(*worst, rho_axis)
+        value, index = worst
+        raise ConvexityError(
+            f"fiber Hessian is not positive on the residual window: phi_rhorho = "
+            f"{value:.3g} at domain node {index[:-1]}, rho = {rho_axis[index[-1]]:.6g}")
+    return field, keep, float(hess_min)
+
+
+def _fiber_operator(phi, domain, rho_axis, margin: int, hcma: bool):
+    """(field, keep): the `_fiber_window` operator on the full grid, NaN off
+    the window `keep`."""
+    window, keep, _ = _fiber_window(phi, domain, rho_axis, margin, hcma)
+    field = np.full(np.shape(phi), np.nan)
+    field[keep] = window
+    return field, keep
+
+
+def _fiber_residual(phi, domain, rho_axis, margin: int, hcma: bool):
+    """The ResidualReport of the `_fiber_window` operator: |res| in the
+    window's field, reduced once (so the mean sums in the order of the whole
+    window)."""
+    absres, _, hess_min = _fiber_window(phi, domain, rho_axis, margin, hcma)
+    np.abs(absres, out=absres)
+    h_rho = float(rho_axis[1] - rho_axis[0])
     return ResidualReport(sup=float(np.max(absres)), mean=float(np.mean(absres)),
-                          spacings={**domain.spacings, "h_rho": float(h_rho)},
-                          count=int(absres.size),
-                          fiber_hessian_min=float(hess_min))
+                          spacings={**domain.spacings, "h_rho": h_rho},
+                          count=int(absres.size), fiber_hessian_min=hess_min)
 
 
 def eells_sampson_operator(phi: np.ndarray, domain, rho_axis: np.ndarray,
                            margin: int = 2):
     """The harmonic-map-flow operator Lap_N phi - |grad_y phi_rho|^2 / phi_rhorho.
 
-    Returns (field, keep) where `field` is the operator on the full grid
-    (garbage near edges) and `keep` the slices of admissible interior nodes.
+    Returns (field, keep) where `field` is the operator on the full grid,
+    NaN off the slices `keep` of admissible interior nodes.
     Raises ConvexityError when the fiber Hessian is not strictly positive on
-    the admissible window.
+    the admissible window, and a ValueError when `margin` < 1 or the window
+    is empty.
     """
     return _fiber_operator(phi, domain, rho_axis, margin, False)
 
@@ -220,7 +222,7 @@ def eells_sampson_residual(phi: np.ndarray, domain, rho_axis: np.ndarray,
 
     phi has shape (*domain.shape, n_rho).  Flat parameter domains only, so no
     Christoffel correction enters.  The rho columns of the window go in
-    blocks (see `_fiber_residual`), so no full-grid derivative array is
+    blocks (see `_fiber_window`), so no full-grid derivative array is
     held.  Raises ConvexityError, naming the worst node and rho, when the
     fiber Hessian is not strictly positive on the window, and a ValueError
     when `margin` < 1 or the window is empty.
@@ -234,8 +236,9 @@ def hcma_operator(phi: np.ndarray, domain: DiscDomain, rho_axis: np.ndarray,
 
     This is the harmonic-map-flow operator multiplied pointwise by the fiber
     Hessian, i.e. the (1+1)-complex-Hessian determinant of the full potential
-    up to a positive conformal factor.
+    up to a positive conformal factor.  A TypeError on any other domain.
     """
+    _require_disc("hcma_operator", domain)
     return _fiber_operator(phi, domain, rho_axis, margin, True)
 
 
@@ -247,9 +250,11 @@ def hcma_residual(phi: np.ndarray, domain: DiscDomain, rho_axis: np.ndarray,
     interior window, along with the minimum of the fiber Hessian; a
     nonpositive minimum signals a fiberwise-positivity violation (reported,
     not raised, so the caller can see both numbers).  The rho columns of the
-    window go in blocks (see `_fiber_residual`), so no full-grid derivative
-    array is held.  A ValueError when `margin` < 1 or the window is empty.
+    window go in blocks (see `_fiber_window`), so no full-grid derivative
+    array is held.  A ValueError when `margin` < 1 or the window is empty, a
+    TypeError on a domain that is not a disc.
     """
+    _require_disc("hcma_residual", domain)
     return _fiber_residual(phi, domain, rho_axis, margin, True)
 
 

@@ -48,12 +48,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bergman import BergmanFamily, QuadratureError, harmonic_norming, norming_constants
-from .dirichlet import (BoundaryData, MaxPrincipleError, _d1, _d2, harmonic_extend,
-                        make_disc, make_interval)
+from .dirichlet import (BoundaryData, MaxPrincipleError, Window, _d1, _d2,
+                        harmonic_extend, make_disc, make_interval)
 from .polytope import preset_polytope
 from .potentials import (LSE_BLOCK, NewtonError, PolytopeGrid, PotentialFamily,
                          SymplecticPotential, _blocks, _canonical_inverse_guess, _closed_at,
-                         _invert_monotone_1d, _product_ell_closed, _x_bracket,
+                         _evaluator, _invert_monotone_1d, _product_ell_closed, _x_bracket,
                          default_margin, guillemin_gradient, guillemin_hessian,
                          guillemin_potential, make_polytope_grid, product_potential)
 
@@ -281,7 +281,10 @@ def kahler_field(family: PotentialFamily, rho_axis: np.ndarray) -> KahlerFamilyF
     if rho_axis.size == 0:          # no targets, nothing to bracket
         return KahlerFamilyField(family.domain, rho_axis, np.empty(shape + rho_axis.shape))
     nodes = family.node_indices()
-    pots = [family.potential_at(idx) for idx in nodes]
+    # each node's evaluator of its smooth part, read directly
+    closed = family.closed_family
+    forms = [_evaluator(None if closed is None else closed(idx), family.xgrid, family.f[idx])
+             for idx in nodes]
     # one x-bracket serves every slice: widen the target range by a uniform
     # bound on |f'| so the u0 log-divergence dominates at both ends
     x_nodes = family.xgrid.axes[0]
@@ -290,7 +293,7 @@ def kahler_field(family: PotentialFamily, rho_axis: np.ndarray) -> KahlerFamilyF
     f = family.f.reshape(-1, x_nodes.size)
     fgrad_bound = max(float(np.max(np.abs(np.gradient(f[rows], h, axis=-1))))
                       for rows in _blocks(0, len(f), x_nodes.size, LSE_BLOCK)) + 1.0
-    a, b = _x_bracket(pots[0],
+    a, b = _x_bracket(family.potential_at(nodes[0]),
                       float(rho_axis.min()) - 2 * fgrad_bound,
                       float(rho_axis.max()) + 2 * fgrad_bound)
     guess = np.clip(_canonical_inverse_guess(P, rho_axis), a, b)
@@ -299,19 +302,19 @@ def kahler_field(family: PotentialFamily, rho_axis: np.ndarray) -> KahlerFamilyF
         # row by row into one array, each row with its node's evaluator (the
         # current block's): only one row's temporaries live at a time
         out = np.empty_like(x)
-        for pot, row, out_row in zip(block, x, out):
-            out_row[...] = getattr(pot, method)(row)
+        for form, row, out_row in zip(block, x, out):
+            out_row[...] = getattr(form, method)(row)
         return out
 
     def grad(x):
-        return guillemin_gradient(P, x[..., None])[..., 0] + smooth("f_grad", x)
+        return guillemin_gradient(P, x[..., None])[..., 0] + smooth("grad", x)
 
     def hess(x):
-        return guillemin_hessian(P, x[..., None])[..., 0, 0] + smooth("f_hess", x)
+        return guillemin_hessian(P, x[..., None])[..., 0, 0] + smooth("hess", x)
 
     values = np.empty((len(nodes),) + rho_axis.shape)
     for rows in _blocks(0, len(nodes), rho_axis.size, LSE_BLOCK):
-        block = pots[rows]
+        block = forms[rows]
         targets = np.broadcast_to(rho_axis, (len(block),) + rho_axis.shape)
         try:
             x = _invert_monotone_1d(grad, hess, targets, a, b,
@@ -322,7 +325,7 @@ def kahler_field(family: PotentialFamily, rho_axis: np.ndarray) -> KahlerFamilyF
             raise NewtonError(f"{exc} at domain node {node}, "
                               f"rho = {rho_axis[tuple(rho_index)]:.6g}",
                               index=node + tuple(rho_index)) from exc
-        np.subtract(x * rho_axis, guillemin_potential(P, x[..., None]) + smooth("f_value", x),
+        np.subtract(x * rho_axis, guillemin_potential(P, x[..., None]) + smooth("value", x),
                     out=values[rows])
     return KahlerFamilyField(domain=family.domain, rho_axis=rho_axis,
                              values=values.reshape(shape + rho_axis.shape))
@@ -421,7 +424,8 @@ def error_norms(E: np.ndarray, domain, h_rho: float,
                 rho_mask: np.ndarray, ref_y_index) -> dict[str, float]:
     """Mean-adjusted C0 and FD C1/C2 sup norms of an error field E(y, rho).
 
-    `h_rho` is the rho step of E's last axis.  y-derivatives are the
+    `h_rho` is the rho step of E's last axis, and `rho_mask` selects its
+    window columns, off its first and last.  y-derivatives are the
     domain's orthonormal-frame components: C1_y is the largest gradient
     magnitude, C2_yrho the largest |d_rho g_i| and C2_yy the largest |H_ij|,
     over `domain.interior(1)` (first derivatives) and `interior(2)`
@@ -433,32 +437,40 @@ def error_norms(E: np.ndarray, domain, h_rho: float,
     E = np.asarray(E, dtype=float)
     ref = E[(ref_y_index if isinstance(ref_y_index, tuple) else (ref_y_index,))]
     adjust = float(np.mean(ref[rho_mask]))
-    return _norms(_window_sups(E, domain, h_rho, rho_mask), adjust)
+    return _norms(_window_sups(E, domain, h_rho, rho_mask[1:-1]), adjust)
 
 
 def _window_sups(E: np.ndarray, domain, h_rho: float, cols) -> dict:
-    """The sup norms of `error_norms` over the rho columns `cols` of E (a mask
-    or a slice of its last axis, off both ends), with E's max "hi" and min
-    "lo" there in place of C0 (see `_norms`)."""
+    """The sup norms of `error_norms` over the rho columns `cols` (a mask or
+    a slice) of E's inner columns, with E's max "hi" and min "lo" there in
+    place of C0 (see `_norms`).  E's first and last columns are the rho
+    stencils' halo.  Each difference is evaluated only where a norm reads it:
+    the gradient at `interior(1)` on every column, the Hessian at
+    `interior(2)` and the rho differences on the inner columns; the Hessian
+    reads the gradient's first differences."""
     rho_ax = E.ndim - 1
+    inner = (slice(None),) * rho_ax + (slice(1, -1),)
 
     def sup(a):
         return float(np.max(np.abs(a[..., cols])))
 
-    grad_mag, mixed = 0.0, []
-    for g in domain.gradient(E):
-        g = g[domain.interior(1)]
-        grad_mag = np.hypot(grad_mag, g[..., cols])
-        mixed.append(sup(_d1(g, h_rho, rho_ax)))
-    window = E[..., cols]
+    grad_mag, mixed = None, []
+    w = Window(E, domain.interior(1))
+    for g in domain.gradient(w):
+        # hypot(0, x) is |x| exactly: the first component needs no hypot
+        at = g[inner][..., cols]
+        grad_mag = np.abs(at) if grad_mag is None else np.hypot(grad_mag, at)
+        mixed.append(sup(_d1(Window(g, inner), h_rho, rho_ax)))
+    window = E[inner][..., cols]
     return {
         "hi": float(np.max(window)),
         "lo": float(np.min(window)),
         "C1_y": float(np.max(grad_mag)),
-        "C1_rho": sup(_d1(E, h_rho, rho_ax)),
-        "C2_rhorho": sup(_d2(E, h_rho, rho_ax)),
+        "C1_rho": sup(_d1(Window(E, inner), h_rho, rho_ax)),
+        "C2_rhorho": sup(_d2(Window(E, inner), h_rho, rho_ax)),
         "C2_yrho": float(np.max(mixed)),
-        "C2_yy": float(np.max([sup(h[domain.interior(2)]) for h in domain.hessian(E)])),
+        "C2_yy": float(np.max([sup(h) for h in
+                               domain.hessian(w.sub(domain.interior(2) + inner[-1:]))])),
     }
 
 
@@ -519,7 +531,7 @@ def error_report(family: PotentialFamily, phi_field: KahlerFamilyField,
             E = phi_k.field(rho[halo])
             E -= phi[..., halo]
             ref_rows.append(E[ref_y_index][1:-1].copy())
-            sups.append(_window_sups(E, family.domain, h_rho, slice(1, -1)))
+            sups.append(_window_sups(E, family.domain, h_rho, slice(None)))
         adjust = float(np.mean(np.concatenate(ref_rows)))
         merged = {name: float(np.max([s[name] for s in sups])) for name in sups[0]}
         merged["lo"] = float(np.min([s["lo"] for s in sups]))

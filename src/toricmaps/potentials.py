@@ -191,17 +191,13 @@ class PolytopeGrid(_TensorGrid):
     @property
     def boundary_adjacent(self) -> np.ndarray:
         mask = self.mask
-        adj = np.zeros_like(mask)
+        padded = np.pad(mask, 1)           # grid edge counts as outside
+        core = (slice(1, -1),) * mask.ndim
+        outside = np.zeros_like(mask)
         for axis in range(mask.ndim):
-            lo = np.roll(mask, 1, axis=axis)
-            hi = np.roll(mask, -1, axis=axis)
-            sl = [slice(None)] * mask.ndim
-            sl[axis] = 0
-            lo[tuple(sl)] = False          # grid edge counts as outside
-            sl[axis] = -1
-            hi[tuple(sl)] = False
-            adj |= mask & (~lo | ~hi)
-        return adj
+            for side in (slice(None, -2), slice(2, None)):
+                outside |= ~padded[core[:axis] + (side,) + core[axis + 1:]]
+        return mask & outside
 
 
 def make_polytope_grid(P: DelzantPolytope, n, margin: float) -> PolytopeGrid:

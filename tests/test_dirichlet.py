@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from toricmaps.dirichlet import (BoundaryData, DiscDomain, IntervalDomain,
-                                 MaxPrincipleError, RectangleDomain, boundary_weights,
-                                 harmonic_extend, harmonic_extend_disc_fourier,
+from toricmaps.dirichlet import (BoundaryData, DiscDomain, HarmonicField, IntervalDomain,
+                                 MaxPrincipleError, RectangleDomain, Window, _d1, _d2,
+                                 boundary_weights, harmonic_extend,
+                                 harmonic_extend_disc_fourier,
                                  laplace_residual, make_disc, make_interval,
                                  make_rectangle, poisson_kernel)
 from toricmaps.potentials import _blocks
@@ -257,7 +258,7 @@ def test_max_principle_failure_names_alpha_level_and_fiber_node(monkeypatch):
 ])
 def test_halo_blocks_cover_the_columns_within_the_budget(n_nodes, start, stop, budget,
                                                          blocks):
-    # the halo walk of error_report and flows._fiber_residual: the budget less
+    # the halo walk of error_report and flows._fiber_window: the budget less
     # the two halo columns gives the inner columns' share
     got = _blocks(start, stop, n_nodes, budget - 2 * n_nodes)
     assert [(s.start, s.stop) for s in got] == blocks
@@ -273,3 +274,93 @@ def test_disc_extension_writes_the_ring_after_the_einsum():
     np.testing.assert_array_equal(out[-1], values)
     np.testing.assert_array_equal(
         out[:-1], np.einsum("ilj,j...->il...", dom.poisson_weights, values))
+
+
+def test_laplace_residual_rejects_a_field_of_another_domain():
+    # same shape (10, 256), another kind of domain: no Laplacian of one
+    # domain says anything about a field sampled on the other
+    disc, rect = make_disc(9, 256), make_rectangle(10, 256)
+    field = HarmonicField(rect, np.zeros(rect.shape))
+    with pytest.raises(ValueError, match=r"^the field's domain \(RectangleDomain, shape "
+                       r"\(10, 256\), spacings .*\) does not match the domain "
+                       r"\(DiscDomain, shape \(10, 256\), spacings .*\)$"):
+        laplace_residual(disc, field)
+    # same type and shape, other spacings
+    with pytest.raises(ValueError, match="'h_r'"):
+        other = DiscDomain(np.append(np.linspace(0.0, 0.8, 9), 1.0), disc.angles)
+        laplace_residual(disc, HarmonicField(other, np.zeros(disc.shape)))
+    # an equal domain built apart is the same domain
+    assert laplace_residual(disc, HarmonicField(make_disc(9, 256), np.zeros(disc.shape))) == 0
+
+
+# -- window-only stencils ---------------------------------------------------------
+
+def _roll_d1(v, h, axis):
+    return (np.roll(v, -1, axis=axis) - np.roll(v, 1, axis=axis)) / (2.0 * h)
+
+
+def _roll_d2(v, h, axis):
+    return (np.roll(v, -1, axis=axis) - 2.0 * v + np.roll(v, 1, axis=axis)) / h**2
+
+
+def test_whole_grid_differences_are_the_wrapped_ones():
+    v = np.random.default_rng(5).standard_normal((5, 64, 7))
+    for axis in range(3):
+        np.testing.assert_array_equal(_d1(v, 0.3, axis), _roll_d1(v, 0.3, axis))
+        np.testing.assert_array_equal(_d2(v, 0.3, axis), _roll_d2(v, 0.3, axis))
+
+
+# the disc's own window: rings n_r - 3 and n_r - 2, the three-point ring
+# next to r = 1, where the Laplacian takes unequal weights
+RING = (slice(7, 9), slice(None))
+
+
+@pytest.mark.parametrize("dom,margin", [
+    (make_interval(11), 1), (make_interval(11), 2),
+    (make_rectangle(9, 8), 1), (make_rectangle(9, 8), 2),
+    (make_disc(9, 64), 1), (make_disc(9, 64), 2), (make_disc(9, 64), RING),
+], ids=["interval-1", "interval-2", "rectangle-1", "rectangle-2", "disc-1", "disc-2",
+        "disc-ring"])
+def test_window_stencils_are_bitwise_the_whole_grid_ones(dom, margin):
+    v = np.random.default_rng(7).standard_normal(dom.shape + (12,))
+    nodes = margin if isinstance(margin, tuple) else dom.interior(margin)
+    cols = (slice(None),) * len(dom.shape) + (slice(1, -1),)
+    whole = {"gradient": list(dom.gradient(v)), "hessian": list(dom.hessian(v)),
+             "laplacian": [dom.laplacian(v)]}
+    if isinstance(dom, DiscDomain):
+        # every angle is in the window, the wrapped columns 0 and n - 1 too
+        assert Window(v, nodes).values.shape[1] == dom.angles.size
+    for at in (nodes, nodes + cols[-1:]):
+        fresh = {"gradient": list(dom.gradient(Window(v, at))),
+                 "hessian": list(dom.hessian(Window(v, at))),
+                 "laplacian": [dom.laplacian(Window(v, at))]}
+        for kind, arrays in whole.items():
+            assert len(fresh[kind]) == len(arrays)
+            for a, b in zip(arrays, fresh[kind]):
+                np.testing.assert_array_equal(a[Window(v, at).nodes], b)
+    if margin is RING:
+        # the ring next to r = 1 against the three-point weights written out
+        r, h_g = dom.radii, dom.spacings["h_gamma"]
+        hm, hp = r[8] - r[7], r[9] - r[8]
+        d_rr = 2.0 * (hp * v[7] - (hm + hp) * v[8] + hm * v[9]) / (hm * hp * (hm + hp))
+        d_r = (-hp / (hm * (hm + hp)) * v[7] + (hp - hm) / (hm * hp) * v[8]
+               + hm / (hp * (hm + hp)) * v[9])
+        np.testing.assert_array_equal(dom.laplacian(Window(v, RING))[-1],
+                                      d_rr + d_r / r[8] + _roll_d2(v, h_g, 1)[8] / r[8] ** 2)
+    # a window inside the gradient's reads its first differences: still bitwise
+    outer = Window(v, dom.interior(0 if isinstance(margin, tuple) else 1))
+    grads = list(dom.gradient(outer))
+    inner = outer.sub(nodes + cols[-1:])
+    assert inner.first and all(np.shares_memory(d, outer.first[key])
+                               for key, d in inner.first.items())
+    at = inner.nodes
+    for a, b in zip(whole["hessian"] + whole["laplacian"] + whole["gradient"],
+                    list(dom.hessian(inner)) + [dom.laplacian(inner)]
+                    + list(dom.gradient(inner))):
+        np.testing.assert_array_equal(a[at], b)
+    # the rho differences at the inner columns, every node
+    h, ax = 0.05, v.ndim - 1
+    np.testing.assert_array_equal(_d1(Window(v, cols), h, ax), _roll_d1(v, h, ax)[cols])
+    np.testing.assert_array_equal(_d2(Window(v, cols), h, ax), _roll_d2(v, h, ax)[cols])
+    np.testing.assert_array_equal(_d1(Window(grads[0], cols), h, ax),
+                                  _roll_d1(whole["gradient"][0], h, ax)[outer.nodes][cols])

@@ -10,8 +10,8 @@ from toricmaps import flows
 from toricmaps.dirichlet import (BoundaryData, _d1, _d2, harmonic_extend, make_disc,
                                  make_interval, make_rectangle)
 from toricmaps.flows import (ResidualReport, eells_sampson_operator,
-                             eells_sampson_residual, hcma_residual, heat_evolve, load_snapshot,
-                             make_flow_state, save_snapshot)
+                             eells_sampson_residual, hcma_operator, hcma_residual, heat_evolve,
+                             load_snapshot, make_flow_state, save_snapshot)
 from toricmaps.harness import kahler_field, loop_family, solve_harmonic_map
 from toricmaps.polytope import preset_polytope
 from toricmaps.potentials import (LSE_BLOCK, ConvexityError, _product_ell_closed,
@@ -198,6 +198,16 @@ def test_hcma_zero_for_affine_in_disc_coordinates():
                + np.logaddexp(0, rho)[None, None, :])
         sups.append(hcma_residual(phi, dom, rho).sup)
     assert 3.0 < sups[0] / sups[1] < 5.0
+
+
+@pytest.mark.parametrize("fn", [hcma_residual, hcma_operator])
+@pytest.mark.parametrize("dom", [make_interval(9), make_rectangle(7, 7)])
+def test_hcma_on_another_domain_names_the_function_and_the_domain(fn, dom):
+    rho = np.linspace(-1, 1, 21)
+    phi = np.broadcast_to(rho**2, dom.shape + rho.shape)
+    with pytest.raises(TypeError, match=rf"^{fn.__name__} expects a DiscDomain parameter "
+                       rf"domain, got {type(dom).__name__}$"):
+        fn(phi, dom, rho)
 
 
 def test_hcma_agrees_with_harmonic_map_residual_pointwise():

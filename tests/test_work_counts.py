@@ -60,6 +60,31 @@ def test_error_report_evaluates_phi_k_on_the_window_and_two_stencil_columns(monk
     assert n_window + 2 < rho.size
 
 
+def test_kahler_field_reads_each_node_evaluator_directly(monkeypatch):
+    family = loop_family(a=0.05, n_radii=4, n_angles=64, n_x=201, k_max=8)
+    evaluators = counting(monkeypatch, harness, "_evaluator")
+    wrappers = counting(monkeypatch, potentials.PotentialFamily, "potential_at")
+    kahler_field(family, np.linspace(-3.0, 3.0, 41))
+    # one evaluator per node, and one potential, node 0's, for the x bracket
+    assert len(evaluators) == int(np.prod(family.domain.shape))
+    assert len(wrappers) == 1
+
+
+def test_bergman_weights_built_once_per_level(monkeypatch):
+    family = loop_family(a=0.05, n_radii=5, n_angles=64, n_x=201, k_max=8)
+    rho = np.linspace(-4.0, 4.0, 161)
+    field = kahler_field(family, rho)
+    approx = build_approximants(family, (4, 8))
+    monkeypatch.setattr(harness, "LSE_BLOCK", 8 * 384)
+    fields = counting(monkeypatch, bergman.BergmanFamily, "field")
+    weights = counting(monkeypatch, bergman, "_node_weights")
+    error_report(family, field, approx, window=0.1)
+    # many blocks per level, one set of node weights per level, read-only
+    assert len(fields) > 2 * 4 and len(weights) == 2
+    for fam in approx.values():
+        assert not any(a.flags.writeable for part in fam._weights for a in part)
+
+
 def test_lattice_enumerated_once_per_polytope_and_level(monkeypatch):
     calls = counting(monkeypatch, polytope, "_enumerate_lattice")
     family = geodesic_family(a=0.1, n_t=5, n_x=201, k_max=8)

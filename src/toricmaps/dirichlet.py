@@ -60,7 +60,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .polytope import _float_if_0d
+from .polytope import _float_if_0d, _read_only
 
 __all__ = [
     "IntervalDomain",
@@ -353,12 +353,9 @@ class RectangleDomain:
         yield _d2(w, h_x, 0)
         yield _d2(w, h_y, 1)
         x, y = w.nodes[:2]
-        if y == slice(None):              # d_y of d_x, wrapping around with y
-            yield _d1(_d1(w, h_x, 0), h_y, 1)
-        else:                             # d_x one node past the window along y
-            a, b, _ = y.indices(self.shape[1])
-            wide = Window(w.v, (x, slice(a - 1, b + 1)) + w.nodes[2:])
-            yield _d1(Window(_d1(wide, h_x, 0), (slice(None), slice(1, -1))), h_y, 1)
+        # d_x at the window's x on every y, then d_y of it at the window's y
+        d_x = _d1(Window(w.v, (x, slice(None)) + w.nodes[2:]), h_x, 0)
+        yield _d1(Window(d_x, (slice(None), y)), h_y, 1)
 
     def laplacian(self, v: np.ndarray | Window) -> np.ndarray:
         h_x, h_y = self.spacings.values()
@@ -541,14 +538,14 @@ class Window:
     sliced axis keeps one node of v past each end of its slice, which its
     centered differences read; along a whole axis (slice(None)) they wrap
     around, its two end nodes reading the other end.  `_d1` keeps each first
-    difference in `first`, keyed by (axis, h), so the gradient, Hessian and
-    Laplacian of one window build it once, and `sub` hands them on to a
-    window inside this one.
+    difference, read-only, in the memo `first`, keyed by (axis, h), so the
+    gradient, Hessian and Laplacian of one window build it once, and `sub`
+    hands views of them on to a window inside this one.
     """
 
     v: np.ndarray
     nodes: tuple = ()
-    first: dict = field(default_factory=dict, repr=False)
+    first: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         self.nodes = tuple(self.nodes) + (slice(None),) * (self.v.ndim - len(self.nodes))
@@ -597,7 +594,7 @@ def _d1(v: np.ndarray | Window, h: float, axis: int) -> np.ndarray:
         for part, lo, _, hi in _parts(w, axis):
             np.subtract(hi, lo, out=out[part])
         out /= 2.0 * h
-        w.first[axis, h] = out
+        w.first[axis, h] = _read_only(out)
     return w.first[axis, h]
 
 

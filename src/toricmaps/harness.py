@@ -281,6 +281,9 @@ def kahler_field(family: PotentialFamily, rho_axis: np.ndarray) -> KahlerFamilyF
     if rho_axis.size == 0:          # no targets, nothing to bracket
         return KahlerFamilyField(family.domain, rho_axis, np.empty(shape + rho_axis.shape))
     nodes = family.node_indices()
+    # what each node's SymplecticPotential would check, over the family at once
+    if not np.all(np.isfinite(family.f[..., family.xgrid.mask])):
+        raise ValueError("smooth part f must be finite on the grid")
     # each node's evaluator of its smooth part, read directly
     closed = family.closed_family
     forms = [_evaluator(None if closed is None else closed(idx), family.xgrid, family.f[idx])
@@ -425,7 +428,8 @@ def error_norms(E: np.ndarray, domain, h_rho: float,
     """Mean-adjusted C0 and FD C1/C2 sup norms of an error field E(y, rho).
 
     `h_rho` is the rho step of E's last axis, and `rho_mask` selects its
-    window columns, off its first and last.  y-derivatives are the
+    window columns; at E's first and last columns the rho differences wrap
+    around, as the whole-grid `_d1` and `_d2` do.  y-derivatives are the
     domain's orthonormal-frame components: C1_y is the largest gradient
     magnitude, C2_yrho the largest |d_rho g_i| and C2_yy the largest |H_ij|,
     over `domain.interior(1)` (first derivatives) and `interior(2)`
@@ -437,7 +441,9 @@ def error_norms(E: np.ndarray, domain, h_rho: float,
     E = np.asarray(E, dtype=float)
     ref = E[(ref_y_index if isinstance(ref_y_index, tuple) else (ref_y_index,))]
     adjust = float(np.mean(ref[rho_mask]))
-    return _norms(_window_sups(E, domain, h_rho, rho_mask[1:-1]), adjust)
+    # one wrapped column past each end makes every column of E an inner one
+    wrapped = np.pad(E, [(0, 0)] * (E.ndim - 1) + [(1, 1)], mode="wrap")
+    return _norms(_window_sups(wrapped, domain, h_rho, rho_mask), adjust)
 
 
 def _window_sups(E: np.ndarray, domain, h_rho: float, cols) -> dict:

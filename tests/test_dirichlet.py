@@ -364,3 +364,19 @@ def test_window_stencils_are_bitwise_the_whole_grid_ones(dom, margin):
     np.testing.assert_array_equal(_d2(Window(v, cols), h, ax), _roll_d2(v, h, ax)[cols])
     np.testing.assert_array_equal(_d1(Window(grads[0], cols), h, ax),
                                   _roll_d1(whole["gradient"][0], h, ax)[outer.nodes][cols])
+
+
+def test_a_windows_first_differences_are_a_read_only_memo():
+    dom = make_disc(9, 64)
+    h_r = dom.spacings["h_r"]
+    v = np.random.default_rng(3).standard_normal(dom.shape + (4,))
+    with pytest.raises(TypeError):
+        Window(v, dom.interior(1), first={})
+    w = Window(v, dom.interior(1))
+    d_r, _ = dom.gradient(w)
+    assert d_r is w.first[0, h_r]
+    with pytest.raises(ValueError, match="read-only"):
+        d_r += 1.0
+    inner = w.sub(dom.interior(2))
+    assert inner.first and not any(d.flags.writeable for d in inner.first.values())
+    np.testing.assert_array_equal(next(dom.gradient(inner)), _d1(v, h_r, 0)[inner.nodes])

@@ -553,6 +553,14 @@ def test_kahler_field_is_bitwise_the_per_node_solve(make_family, n_rho):
     assert np.array_equal(field.values, per_node_field(family, rho))
 
 
+def test_kahler_field_rejects_a_non_finite_f_at_any_node(geo):
+    family, rho, _, _ = geo
+    f = family.f.copy()
+    f[5, f.shape[-1] // 2] = np.nan
+    with pytest.raises(ValueError, match="^smooth part f must be finite on the grid$"):
+        kahler_field(replace(family, f=f), rho)
+
+
 def test_kahler_field_of_an_empty_rho_axis_is_empty():
     family = small_disc_family()
     field = kahler_field(family, np.array([]))
@@ -629,25 +637,46 @@ def one_shot_norms(family, phi_field, approximants, window):
         rho, window_rho_bounds(family.boundary_potentials[0], window))
     on = np.flatnonzero(mask)
     span = slice(on[0] - 1, on[-1] + 2)
-    dom, h, m, ax = family.domain, rho[1] - rho[0], mask[span], phi_field.values.ndim - 1
-    norms = {}
-    for k, phi_k in approximants.items():
-        E = phi_k.field(rho[span]) - phi_field.values[..., span]
-        adjust = np.mean(E[dom.reference_node][m])
-        grads = [g[dom.interior(1)] for g in dom.gradient(E)]
-        grad_mag = 0.0
-        for g in grads:
-            grad_mag = np.hypot(grad_mag, g[..., m])
-        norms[k] = {
-            "C0": np.max(np.abs(E[..., m] - adjust)),
-            "C1_y": np.max(grad_mag),
-            "C1_rho": np.max(np.abs(_d1(E, h, ax)[..., m])),
-            "C2_rhorho": np.max(np.abs(_d2(E, h, ax)[..., m])),
-            "C2_yrho": max(np.max(np.abs(_d1(g, h, ax)[..., m])) for g in grads),
-            "C2_yy": max(np.max(np.abs(H[dom.interior(2)][..., m]))
-                         for H in dom.hessian(E)),
-        }
-    return norms
+    return {k: whole_grid_norms(phi_k.field(rho[span]) - phi_field.values[..., span],
+                                family.domain, rho[1] - rho[0], mask[span])
+            for k, phi_k in approximants.items()}
+
+
+def whole_grid_norms(E, dom, h, m):
+    """Reference: the norms of E over the columns m, each derivative a
+    full-size array, the rho ones wrapping around at E's end columns."""
+    ax = E.ndim - 1
+    adjust = np.mean(E[dom.reference_node][m])
+    grads = [g[dom.interior(1)] for g in dom.gradient(E)]
+    grad_mag = 0.0
+    for g in grads:
+        grad_mag = np.hypot(grad_mag, g[..., m])
+    return {
+        "C0": np.max(np.abs(E[..., m] - adjust)),
+        "C1_y": np.max(grad_mag),
+        "C1_rho": np.max(np.abs(_d1(E, h, ax)[..., m])),
+        "C2_rhorho": np.max(np.abs(_d2(E, h, ax)[..., m])),
+        "C2_yrho": max(np.max(np.abs(_d1(g, h, ax)[..., m])) for g in grads),
+        "C2_yy": max(np.max(np.abs(H[dom.interior(2)][..., m])) for H in dom.hessian(E)),
+    }
+
+
+@pytest.mark.parametrize("case", ["geo", "blocked_disc"])
+@pytest.mark.parametrize("ends", [(0,), (-1,), (0, 1, 2, -3, -2, -1)],
+                         ids=["first", "last", "both"])
+def test_error_norms_read_every_masked_column_the_ends_too(request, case, ends):
+    # the end columns count for every norm; their rho differences wrap around
+    fixture = request.getfixturevalue(case)
+    family, field, approx = fixture[0], fixture[-2], fixture[-1]
+    rho = field.rho_axis
+    E = approx[8].field(rho) - field.values
+    E[..., 0] += 1.0            # the end columns set C0
+    E[..., -1] -= 1.0
+    mask = np.zeros(rho.shape, dtype=bool)
+    mask[list(ends)] = True
+    mask[rho.size // 2] = True
+    norms = error_norms(E, family.domain, rho[1] - rho[0], mask, family.domain.reference_node)
+    assert norms == whole_grid_norms(E, family.domain, rho[1] - rho[0], mask)
 
 
 def tail_block_budget(n_nodes, n_columns):

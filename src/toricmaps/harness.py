@@ -281,8 +281,13 @@ def kahler_field(family: PotentialFamily, rho_axis: np.ndarray) -> KahlerFamilyF
     if rho_axis.size == 0:          # no targets, nothing to bracket
         return KahlerFamilyField(family.domain, rho_axis, np.empty(shape + rho_axis.shape))
     nodes = family.node_indices()
-    # what each node's SymplecticPotential would check, over the family at once
-    if not np.all(np.isfinite(family.f[..., family.xgrid.mask])):
+    x_nodes = family.xgrid.axes[0]
+    h = x_nodes[1] - x_nodes[0]
+    # over blocks of node rows: a max is exact, and no family-sized temporary
+    f = family.f.reshape(-1, x_nodes.size)
+    blocks = _blocks(0, len(f), x_nodes.size, LSE_BLOCK)
+    # what each node's SymplecticPotential would check, before any evaluator
+    if not all(np.all(np.isfinite(f[rows][:, family.xgrid.mask])) for rows in blocks):
         raise ValueError("smooth part f must be finite on the grid")
     # each node's evaluator of its smooth part, read directly
     closed = family.closed_family
@@ -290,12 +295,8 @@ def kahler_field(family: PotentialFamily, rho_axis: np.ndarray) -> KahlerFamilyF
              for idx in nodes]
     # one x-bracket serves every slice: widen the target range by a uniform
     # bound on |f'| so the u0 log-divergence dominates at both ends
-    x_nodes = family.xgrid.axes[0]
-    h = x_nodes[1] - x_nodes[0]
-    # over blocks of node rows: a max is exact, and no family-sized temporary
-    f = family.f.reshape(-1, x_nodes.size)
     fgrad_bound = max(float(np.max(np.abs(np.gradient(f[rows], h, axis=-1))))
-                      for rows in _blocks(0, len(f), x_nodes.size, LSE_BLOCK)) + 1.0
+                      for rows in blocks) + 1.0
     a, b = _x_bracket(family.potential_at(nodes[0]),
                       float(rho_axis.min()) - 2 * fgrad_bound,
                       float(rho_axis.max()) + 2 * fgrad_bound)

@@ -9,9 +9,11 @@ The numbers, each a list of floats under a flat key:
     `run_experiment(acceptance.DISC)` (`geodesic.C0`, `disc.C2_yy`, ...);
   * the disc run's complex-Hessian residual report (`disc.hcma.*`, of its
     Kahler field with the default margin), its Poisson/Fourier gap
-    (`disc.poisson_fourier_gap`, the acceptance cross-check's number) and
-    the discrete Laplacian residual of its family's f
-    (`disc.laplace_residual`);
+    (`disc.poisson_fourier_gap`, the acceptance cross-check's number), the
+    discrete Laplacian residual of its family's f (`disc.laplace_residual`)
+    and the largest |f - einsum extension of f's boundary ring| over its
+    nodes (`disc.family_f.max_abs_vs_einsum`, how far the operator that
+    extended f is from the dense weights applied column by column);
   * the two sups of the flow-duality acceptance check
     (`flow_duality.sup_n<n_t>`, `acceptance._flow_residual` at both of its
     resolutions);
@@ -76,6 +78,8 @@ def fingerprint() -> dict:
     numbers["disc.poisson_fourier_gap"] = [float(np.max(np.abs(poisson - fourier)))]
     f = dirichlet.HarmonicField(domain, result.family.f)
     numbers["disc.laplace_residual"] = [dirichlet.laplace_residual(domain, f)]
+    einsum = np.einsum("ilj,j...->il...", domain.poisson_weights, f.values[-1])
+    numbers["disc.family_f.max_abs_vs_einsum"] = [float(np.max(np.abs(f.values[:-1] - einsum)))]
     # the resolutions of acceptance.check_flow_duality
     for n_t, n_x, n_rho, refine in ((33, 161, 401, 1), (65, 321, 801, 4)):
         numbers[f"flow_duality.sup_n{n_t}"] = [

@@ -621,16 +621,27 @@ def save_norming_table(table: NormingTable, path):
 
 
 def load_norming_table(path) -> NormingTable:
+    """Inverse of `save_norming_table`.  Blank rows are skipped; any other row
+    that cannot be read is a ValueError naming the file and the line."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, [])
         if header[:3] != ["k", "alpha", "log_q"]:
             raise ValueError(f"unrecognized norming-table header: {header}")
         levels, alphas, log_q = set(), [], []
         for row in reader:
-            levels.add(int(row[0]))
-            alphas.append([int(v) for v in row[1].split(",")])
-            log_q.append(float(row[2]))
+            if not "".join(row).strip():
+                continue
+            try:
+                k, alpha, lq = row[:3]
+                levels.add(int(k))
+                alphas.append([int(v) for v in alpha.split(",")])
+                log_q.append(float(lq))
+            except ValueError as exc:
+                raise ValueError(f"{path}, line {reader.line_num}: cannot read "
+                                 f"{row}: {exc}") from exc
+    if not levels:
+        raise ValueError(f"norming-table file {path} has no rows")
     if len(levels) != 1:
         raise ValueError(f"norming-table file mixes levels: {sorted(levels)}")
     return NormingTable(level=levels.pop(), alphas=np.array(alphas, dtype=np.int64),

@@ -35,7 +35,10 @@ spelling and is type-checked and range-checked where the config is built,
 so a run the pipeline cannot honour fails there, naming its key.
 Both families are u0 + c_b prod ell on the boundary, so each node's closed
 form is (domain.extend c)(y) prod ell: its coefficient comes from the
-operator that extends the sampled f, never from a hand-written profile.
+operator that extends the sampled f, never from a hand-written profile.  On
+the disc that operator is computed two ways, the Poisson weights for the
+coefficient column and the rings' spectrum for the much wider f, within
+4e-15 of max |f| of each other, far inside CLOSED_FORM_TOL.
 `solve_harmonic_map` checks any closed forms it is given against f.
 """
 

@@ -844,36 +844,42 @@ def _write_text(path, header, grid, blocks):
 
 
 def _read_text(path, n_header: int):
-    """Inverse of `_write_text`: (header lines, grid, {tag: array})."""
+    """Inverse of `_write_text`: (header lines, grid, {tag: array}).  Blank
+    lines are skipped; any other line that cannot be read is a ValueError
+    naming the file and the line."""
     with open(path) as fh:
-        lines = fh.read().splitlines()
+        lines = [(no, line) for no, line in enumerate(fh.read().splitlines(), 1)
+                 if line.strip()]
+    polytope, margin, axes, blocks = None, None, [], {}
     i = n_header
-    polytope = None
-    margin = None
-    axes = []
-    blocks = {}
     while i < len(lines):
-        head = lines[i].split(None, 1)[0]
-        if head == "polytope":
-            polytope = polytope_from_json(lines[i].split(None, 1)[1])
-            i += 1
-        elif head == "margin":
-            margin = float(lines[i].split()[1])
-            i += 1
-        elif head == "axis":
-            _, _, rest = lines[i].split(None, 2)
-            axes.append(np.array([float(v) for v in rest.split()]))
-            i += 1
-        elif lines[i].split()[1:2] == ["shape"]:
-            shape = tuple(int(s) for s in lines[i].split()[2:])
-            n = int(np.prod(shape))
-            blocks[head] = np.array(
-                [float(v) for v in lines[i + 1: i + 1 + n]]).reshape(shape)
-            i += 1 + n
-        else:
-            raise ValueError(f"unrecognized line in potential file: {lines[i]!r}")
+        no, line = lines[i]
+        head, *rest = line.split()
+        i += 1
+        try:
+            if head == "polytope":
+                polytope = polytope_from_json(line.split(None, 1)[1])
+            elif head == "margin":
+                (margin,) = map(float, rest)
+            elif head == "axis":
+                axes.append(np.array([float(v) for v in rest[1:]]))
+            elif rest[:1] == ["shape"]:
+                shape = tuple(int(s) for s in rest[1:])
+                values = np.empty(int(np.prod(shape)))
+                if len(lines) - i < values.size:
+                    raise ValueError(f"the block ends after {len(lines) - i} of "
+                                     f"{values.size} values")
+                # a loop, not a comprehension: a bad value leaves its own no, line
+                for j, (no, line) in enumerate(lines[i: i + values.size]):
+                    values[j] = float(line)
+                blocks[head] = values.reshape(shape)
+                i += values.size
+            else:
+                raise ValueError("unrecognized line in potential file")
+        except (ValueError, IndexError, KeyError) as exc:
+            raise ValueError(f"{path}, line {no}: cannot read {line!r}: {exc}") from exc
     if polytope is None:
         grid = RadialGrid(tuple(axes))
     else:
         grid = PolytopeGrid(polytope=polytope, axes=tuple(axes), margin=margin)
-    return lines[:n_header], grid, blocks
+    return [line for _, line in lines[:n_header]], grid, blocks

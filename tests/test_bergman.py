@@ -48,6 +48,19 @@ def test_norming_matches_independent_quadrature(k, alpha):
     assert oracle == pytest.approx(closed, rel=1e-10)
 
 
+@pytest.mark.parametrize("c", [0.05, 0.1, 0.3])
+@pytest.mark.parametrize("k", [8, 32])
+def test_norming_matches_the_exact_integral_of_the_product_family(c, k):
+    # u = u0 + c x(1-x): the integrand of Q_k(alpha) is exactly
+    # x^alpha (1-x)^(k-alpha) exp(c (alpha (1-2x) + k x^2)), peaked at x = alpha/k
+    table = norming_constants(product_potential(P, c, XG), k)
+    for alpha, log_q in zip(table.alphas[:, 0], table.log_q):
+        val, _ = quad(lambda x: x**alpha * (1 - x) ** (k - alpha)
+                      * math.exp(c * (alpha * (1 - 2 * x) + k * x * x)),
+                      0, 1, points=[alpha / k], epsabs=0, epsrel=1e-13, limit=200)
+        assert abs(math.log(val) - log_q) <= 1e-12, (c, k, alpha)
+
+
 def test_norming_k2_values(table_k2):
     np.testing.assert_allclose(np.exp(table_k2.log_q), [1 / 3, 1 / 6, 1 / 3],
                                rtol=1e-10)
@@ -524,6 +537,25 @@ def test_csv_round_trip(tmp_path, table_k2):
     assert back.level == table_k2.level
     np.testing.assert_array_equal(back.alphas, table_k2.alphas)
     np.testing.assert_array_equal(back.log_q, table_k2.log_q)
+
+
+def test_csv_loader_skips_blank_rows_and_names_a_bad_row(tmp_path, table_k2):
+    path = tmp_path / "table.csv"
+    save_norming_table(table_k2, path)
+    text = path.read_text()
+    header, *rows = text.splitlines()
+    path.write_text(header + "\n\n" + "\n".join(rows[:1] + [""] + rows[1:]) + "\n\n")
+    back = load_norming_table(path)
+    np.testing.assert_array_equal(back.alphas, table_k2.alphas)
+    np.testing.assert_array_equal(back.log_q, table_k2.log_q)
+    path.write_text(header + "\n")
+    with pytest.raises(ValueError, match=r"table\.csv has no rows"):
+        load_norming_table(path)
+    for bad, lineno in (([header] + rows[:1] + ["2,1,oops"] + rows[2:], 3),
+                        ([header] + rows[:2] + ["2"], 4)):
+        path.write_text("\n".join(bad) + "\n")
+        with pytest.raises(ValueError, match=rf"table\.csv, line {lineno}: cannot read"):
+            load_norming_table(path)
 
 
 def test_csv_round_trip_2d(tmp_path):

@@ -11,6 +11,7 @@ from toricmaps.dirichlet import (BoundaryData, DiscDomain, HarmonicField, Interv
                                  harmonic_extend_disc_fourier,
                                  laplace_residual, make_disc, make_interval,
                                  make_rectangle, poisson_kernel)
+from toricmaps.harness import loop_family
 from toricmaps.potentials import _blocks
 
 
@@ -274,6 +275,43 @@ def test_disc_extension_writes_the_ring_after_the_einsum():
     np.testing.assert_array_equal(out[-1], values)
     np.testing.assert_array_equal(
         out[:-1], np.einsum("ilj,j...->il...", dom.poisson_weights, values))
+
+
+def _einsum_extension(dom, values):
+    return np.einsum("ilj,j...->il...", dom.poisson_weights, values)
+
+
+@pytest.mark.parametrize("n_angles", [64, 128, 256])
+def test_wide_disc_data_take_the_ring_spectrum(n_angles):
+    # more trailing columns than boundary nodes: one rfft, one irfft per ring,
+    # the same operator as the einsum to rounding
+    dom = make_disc(9, n_angles)
+    rng = np.random.default_rng(n_angles)
+    for trailing in ((n_angles + 1,), (801,), (3, n_angles // 2)):
+        values = rng.uniform(-1.0, 2.0, size=(n_angles,) + trailing)
+        out = dom.extend(values)
+        assert out.shape == dom.shape + trailing and out.flags.c_contiguous
+        np.testing.assert_array_equal(out[-1], values)
+        gap = np.max(np.abs(out[:-1] - _einsum_extension(dom, values)))
+        assert gap <= 1e-14 * np.max(np.abs(values)), (trailing, gap)
+        # the centre ring r = 0 holds only the mean, mode 0
+        np.testing.assert_allclose(out[0], np.broadcast_to(values.mean(axis=0), out[0].shape),
+                                   rtol=0, atol=1e-15 * np.max(np.abs(values)))
+
+
+@pytest.mark.parametrize("n_angles", [64, 256])
+def test_a_families_f_is_the_einsum_extension_to_rounding(n_angles):
+    f = loop_family(a=0.05, n_radii=9, n_angles=n_angles, n_x=801).f
+    gap = np.max(np.abs(f[:-1] - _einsum_extension(make_disc(9, n_angles), f[-1])))
+    assert gap <= 1e-14 * np.max(np.abs(f))
+
+
+def test_disc_data_as_wide_as_the_grid_stay_on_the_einsum():
+    dom = make_disc(5, 64)
+    rng = np.random.default_rng(4)
+    for trailing in ((64,), (8, 8), (1,), ()):
+        values = rng.standard_normal((64,) + trailing)
+        np.testing.assert_array_equal(dom.extend(values)[:-1], _einsum_extension(dom, values))
 
 
 def test_laplace_residual_rejects_a_field_of_another_domain():

@@ -263,6 +263,16 @@ def test_snapshot_round_trip(tmp_path):
         np.testing.assert_array_equal(a, b)
 
 
+def test_snapshot_with_an_appended_blank_line_loads(tmp_path):
+    out = heat_evolve(make_state(n_t=5, n_x=11), 1e-4, 3)
+    path = tmp_path / "snap.txt"
+    save_snapshot(out, path)
+    path.write_text(path.read_text() + "\n")
+    back = load_snapshot(path, out.domain)
+    assert back.tau == out.tau
+    np.testing.assert_array_equal(back.f, out.f)
+
+
 def test_residual_report_rejects_negative():
     with pytest.raises(ValueError):
         ResidualReport(sup=-1.0, mean=0.0, spacings={}, count=1)

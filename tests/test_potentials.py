@@ -267,6 +267,34 @@ def test_serialization_round_trip(tmp_path):
     assert np.array_equal(back2.grad_values, phi.grad_values)
 
 
+def test_text_loader_skips_blank_lines_and_names_a_bad_line(tmp_path):
+    u = product_potential(P, 0.05, make_polytope_grid(P, 21, 0.01))
+    path = tmp_path / "u.txt"
+    save_potential(u, path)
+    text = path.read_text()
+    lines = text.splitlines()
+    # an appended newline, and blank lines between and inside blocks
+    blanks = tmp_path / "blanks.txt"
+    blanks.write_text("\n" + "\n".join(lines[:3] + ["", "  "] + lines[3:6] + [""] + lines[6:])
+                      + "\n\n")
+    appended = tmp_path / "appended.txt"
+    appended.write_text(text + "\n")
+    for p in (appended, blanks):
+        back = load_potential(p)
+        np.testing.assert_array_equal(back.f_values, u.f_values)
+        np.testing.assert_array_equal(back.grid.axes[0], u.grid.axes[0])
+    # a value that is no number, a truncated block, an unknown line
+    value_at = lines.index("values shape 21") + 3
+    for bad, lineno, match in (
+            (lines[:value_at] + ["0.1x"] + lines[value_at + 1:], value_at + 1, "0.1x"),
+            (lines[:-1], lines.index("values shape 21") + 1, "ends after 20 of 21"),
+            (lines + ["extra stuff"], len(lines) + 1, "unrecognized")):
+        p = tmp_path / "bad.txt"
+        p.write_text("\n".join(bad) + "\n")
+        with pytest.raises(ValueError, match=rf"bad\.txt, line {lineno}: .*{match}"):
+            load_potential(p)
+
+
 def test_symplectic_file_has_no_grad_block_and_old_files_still_load(tmp_path):
     u = to_symplectic(fubini_study(make_radial_grid([-6.0], [6.0], [121])), P,
                       make_polytope_grid(P, 101, 0.01))

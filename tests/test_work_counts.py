@@ -114,6 +114,19 @@ def test_disc_weights_built_once_per_domain(monkeypatch):
     assert len(calls) == 2
 
 
+def test_disc_ring_spectrum_built_once_per_domain():
+    domain = make_disc(4, 64)
+    wide = np.cos(np.add.outer(domain.angles, np.linspace(0.0, 1.0, 65)))
+    first = domain.extend(wide)
+    spectrum = domain.ring_spectrum
+    np.testing.assert_array_equal(domain.extend(wide), first)
+    assert domain.ring_spectrum is spectrum
+    assert spectrum.shape == (4, 33) and not spectrum.flags.writeable
+    # the spectral path builds no dense weights; the centre ring keeps mode 0 only
+    assert "poisson_weights" not in vars(domain)
+    np.testing.assert_array_equal(spectrum[0], np.eye(1, 33)[0])
+
+
 def test_disc_fourier_modes_built_once_per_domain():
     domain = make_disc(4, 64)
     g = BoundaryData(np.cos(3 * domain.angles))

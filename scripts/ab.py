@@ -94,6 +94,7 @@ def load_tree(tree: Path, tag: str):
     path.write_text(text.replace(IMPORT_LINE, f"from {package} import "))
     spec = importlib.util.spec_from_file_location(f"workloads_{tag}", path)
     workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads         # its dataclasses look their module up
     spec.loader.exec_module(workloads)
     return workloads
 

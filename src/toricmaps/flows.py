@@ -270,5 +270,8 @@ def save_snapshot(state: PotentialFamily, path):
 
 def load_snapshot(path, domain) -> PotentialFamily:
     (tau_line, _), grid, blocks = _read_text(path, 2)
-    return PotentialFamily(domain=domain, xgrid=grid, f=blocks["values"],
-                           tau=float(tau_line.split()[2]))
+    try:
+        tau = float(tau_line.split()[2])
+    except (IndexError, ValueError) as exc:
+        raise ValueError(f"{path}: cannot read the flow line {tau_line!r}: {exc}") from exc
+    return PotentialFamily(domain=domain, xgrid=grid, f=blocks["values"], tau=tau)

@@ -846,7 +846,7 @@ def _write_text(path, header, grid, blocks):
 def _read_text(path, n_header: int):
     """Inverse of `_write_text`: (header lines, grid, {tag: array}).  Blank
     lines are skipped; any other line that cannot be read is a ValueError
-    naming the file and the line."""
+    naming the file and the line, and so is a file without a `values` block."""
     with open(path) as fh:
         lines = [(no, line) for no, line in enumerate(fh.read().splitlines(), 1)
                  if line.strip()]
@@ -878,6 +878,8 @@ def _read_text(path, n_header: int):
                 raise ValueError("unrecognized line in potential file")
         except (ValueError, IndexError, KeyError) as exc:
             raise ValueError(f"{path}, line {no}: cannot read {line!r}: {exc}") from exc
+    if "values" not in blocks:
+        raise ValueError(f"{path}: no values block")
     if polytope is None:
         grid = RadialGrid(tuple(axes))
     else:

@@ -263,14 +263,18 @@ def test_snapshot_round_trip(tmp_path):
         np.testing.assert_array_equal(a, b)
 
 
-def test_snapshot_with_an_appended_blank_line_loads(tmp_path):
+def test_snapshot_loader_skips_blank_lines_and_names_a_bad_tau_line(tmp_path):
     out = heat_evolve(make_state(n_t=5, n_x=11), 1e-4, 3)
     path = tmp_path / "snap.txt"
     save_snapshot(out, path)
-    path.write_text(path.read_text() + "\n")
+    text = path.read_text()
+    path.write_text("\n" + text + "\n")
     back = load_snapshot(path, out.domain)
     assert back.tau == out.tau
     np.testing.assert_array_equal(back.f, out.f)
+    path.write_text("flow\n" + text.split("\n", 1)[1])
+    with pytest.raises(ValueError, match=r"snap\.txt: cannot read the flow line 'flow'"):
+        load_snapshot(path, out.domain)
 
 
 def test_residual_report_rejects_negative():

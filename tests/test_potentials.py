@@ -293,6 +293,10 @@ def test_text_loader_skips_blank_lines_and_names_a_bad_line(tmp_path):
         p.write_text("\n".join(bad) + "\n")
         with pytest.raises(ValueError, match=rf"bad\.txt, line {lineno}: .*{match}"):
             load_potential(p)
+    # a file cut before its values block
+    p.write_text("\n".join(lines[:lines.index("values shape 21")]) + "\n")
+    with pytest.raises(ValueError, match=r"bad\.txt: no values block"):
+        load_potential(p)
 
 
 def test_symplectic_file_has_no_grad_block_and_old_files_still_load(tmp_path):

@@ -460,9 +460,21 @@ class PotentialFamily:
             raise ValueError(f"family field shape {f.shape}, expected {expected}")
         object.__setattr__(self, "f", f)
 
+    @cached_property
+    def closed_forms(self) -> np.ndarray | None:
+        """Each node's closed form `closed_family(idx)`, an object array of
+        the domain's shape built at first use, so every reader shares one
+        evaluator per node; None without closed forms."""
+        if self.closed_family is None:
+            return None
+        forms = np.empty(self.domain.shape, dtype=object)
+        for idx in self.node_indices():
+            forms[idx] = self.closed_family(idx)
+        return forms
+
     def potential_at(self, y_index) -> SymplecticPotential:
         idx = y_index if isinstance(y_index, tuple) else (y_index,)
-        closed = self.closed_family(idx) if self.closed_family is not None else None
+        closed = self.closed_forms[idx] if self.closed_family is not None else None
         return SymplecticPotential(self.xgrid.polytope, self.xgrid,
                                    f_values=self.f[idx], f_closed=closed, check=False)
 
@@ -766,7 +778,34 @@ def _product_ell_closed(P: DelzantPolytope, a: float) -> ClosedForm:
     over the facet axis and one matrix product against the normals (index
     arrays built once per polytope).  a = 0 gives f = 0, the smooth part of
     Guillemin's u0.  The callbacks keep the ClosedForm contract.
+
+    A segment has two facets with normals +-1, so there the same roundings
+    are taken on the plain values, without the point and facet axes: a
+    product by a normal is exact, so ell_r = v_r x + c_r rounds as x + c_r
+    or c_r - x, the gradient's e_1 v_0 + e_0 v_1 as a difference, and
+    f'' = 2 a v_0 v_1 is one number.
     """
+    if P.dim == 1 and P.n_facets == 2:
+        (v0, v1), (c0, c1) = P._normals_f[:, 0].tolist(), P._offsets_f.tolist()
+        curvature = a * (v0 * v1 + v1 * v0)
+
+        def ells(x):
+            x = np.asarray(x, dtype=float)
+            return (x + c0 if v0 > 0 else c0 - x), (x + c1 if v1 > 0 else c1 - x)
+
+        def value(x):
+            e0, e1 = ells(x)
+            return a * (e0 * e1)
+
+        def grad(x):
+            e0, e1 = ells(x)
+            return a * (e1 - e0 if v0 > 0 else e0 - e1)
+
+        def hess(x):
+            return np.full(np.shape(x), curvature)[()]
+
+        return ClosedForm(value=value, grad=grad, hess=hess)
+
     keep_one, keep_two, outer = P._other_facets
 
     def value(x):

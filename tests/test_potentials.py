@@ -442,6 +442,48 @@ def test_shift_of_a_closed_potential_moves_only_the_value():
     np.testing.assert_allclose(u_shifted.value(x), u.value(x) + c, rtol=0, atol=1e-15)
 
 
+def product_ell_by_facets(Q, a):
+    """a prod_r ell_r by its facet-axis reductions and normal products on any
+    polytope: the formula the segment's plain-value form must round as."""
+    from toricmaps.polytope import _as_given, _as_points
+    keep_one, keep_two, outer = Q._other_facets
+
+    def value(x):
+        return a * np.multiply.reduce(Q.ell(_as_points(Q.dim, x, True)[0]), -1)
+
+    def grad(x):
+        pts, plain = _as_points(Q.dim, x, True)
+        others = np.multiply.reduce(Q.ell(pts)[..., keep_one], -1)
+        return _as_given(a * (others @ Q._normals_f), plain, 1)
+
+    def hess(x):
+        pts, plain = _as_points(Q.dim, x, True)
+        others = np.multiply.reduce(Q.ell(pts)[..., keep_two], -1)
+        return _as_given(a * (others @ outer).reshape(pts.shape + (Q.dim,)), plain, 2)
+
+    return ClosedForm(value, grad, hess)
+
+
+@pytest.mark.parametrize("name,points", [
+    ("interval", lambda rng: np.linspace(0.0, 1.0, 801)),
+    ("interval", lambda rng: rng.uniform(-0.5, 1.5, (7, 13))),
+    ("interval", lambda rng: rng.uniform(0.0, 1.0, (5, 1))),
+    ("interval", lambda rng: 0.5),
+    ("interval", lambda rng: np.float64(0.3)),
+    ("square", lambda rng: rng.uniform(0.0, 1.0, (7, 13, 2))),
+    ("square", lambda rng: np.array([0.25, 0.75])),
+])
+@pytest.mark.parametrize("a", [0.1, np.float64(0.0731), -1.7, 0.0])
+def test_product_ell_closed_is_bitwise_its_facet_formula(name, points, a):
+    Q = preset_polytope(name)
+    x = points(np.random.default_rng(3))
+    form, reference = potentials._product_ell_closed(Q, a), product_ell_by_facets(Q, a)
+    for method in ("value", "grad", "hess"):
+        got, want = getattr(form, method)(x), getattr(reference, method)(x)
+        assert type(got) is type(want) and np.shape(got) == np.shape(want)
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), method
+
+
 # -- the block walker, and slice convexity of a family in its blocks --------------
 
 @pytest.mark.parametrize("start,stop,size,budget,blocks", [

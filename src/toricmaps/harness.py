@@ -44,8 +44,12 @@ coefficient column and the rings' spectrum for the much wider f, within
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
+import mmap
+import os
+import signal
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -249,7 +253,7 @@ def solve_harmonic_map(domain, xgrid: PolytopeGrid, boundary_potentials,
         return family
     pts = xgrid.nodes()
     for idx in family.node_indices():
-        gap = np.abs(_closed_at(closed_family(idx).value, pts) - f[idx])
+        gap = np.abs(_closed_at(family.closed_forms[idx].value, pts) - f[idx])
         if not gap.max() <= CLOSED_FORM_TOL:
             x = pts[np.unravel_index(np.argmax(gap), gap.shape)]
             raise ValueError(f"the closed form of domain node {idx} differs from the "
@@ -276,7 +280,9 @@ def kahler_field(family: PotentialFamily, rho_axis: np.ndarray) -> KahlerFamilyF
     the smooth part row by row with each node's own evaluator (built once).
     The Newton iteration works element by element, so every slice gets
     exactly the iterates a separate solve would give it, whatever the block
-    size.
+    size.  With two or more blocks and more than one allowed CPU, forked
+    workers solve a share of the blocks each (`_solve_blocks`); the field
+    and any NewtonError are the serial loop's.
     """
     rho_axis = np.asarray(rho_axis, dtype=float)
     shape = family.domain.shape
@@ -293,8 +299,8 @@ def kahler_field(family: PotentialFamily, rho_axis: np.ndarray) -> KahlerFamilyF
     if not all(np.all(np.isfinite(f[rows][:, family.xgrid.mask])) for rows in blocks):
         raise ValueError("smooth part f must be finite on the grid")
     # each node's evaluator of its smooth part, read directly
-    closed = family.closed_family
-    forms = [_evaluator(None if closed is None else closed(idx), family.xgrid, family.f[idx])
+    closed = family.closed_forms
+    forms = [_evaluator(None if closed is None else closed[idx], family.xgrid, family.f[idx])
              for idx in nodes]
     # one x-bracket serves every slice: widen the target range by a uniform
     # bound on |f'| so the u0 log-divergence dominates at both ends
@@ -305,23 +311,23 @@ def kahler_field(family: PotentialFamily, rho_axis: np.ndarray) -> KahlerFamilyF
                       float(rho_axis.max()) + 2 * fgrad_bound)
     guess = np.clip(_canonical_inverse_guess(P, rho_axis), a, b)
 
-    def smooth(method, x):
-        # row by row into one array, each row with its node's evaluator (the
-        # current block's): only one row's temporaries live at a time
-        out = np.empty_like(x)
-        for form, row, out_row in zip(block, x, out):
-            out_row[...] = getattr(form, method)(row)
-        return out
-
-    def grad(x):
-        return guillemin_gradient(P, x[..., None])[..., 0] + smooth("grad", x)
-
-    def hess(x):
-        return guillemin_hessian(P, x[..., None])[..., 0, 0] + smooth("hess", x)
-
-    values = np.empty((len(nodes),) + rho_axis.shape)
-    for rows in _blocks(0, len(nodes), rho_axis.size, LSE_BLOCK):
+    def solve(rows, values):
         block = forms[rows]
+
+        def smooth(method, x):
+            # row by row into one array, each row with its node's evaluator:
+            # only one row's temporaries live at a time
+            out = np.empty_like(x)
+            for form, row, out_row in zip(block, x, out):
+                out_row[...] = getattr(form, method)(row)
+            return out
+
+        def grad(x):
+            return guillemin_gradient(P, x[..., None])[..., 0] + smooth("grad", x)
+
+        def hess(x):
+            return guillemin_hessian(P, x[..., None])[..., 0, 0] + smooth("hess", x)
+
         targets = np.broadcast_to(rho_axis, (len(block),) + rho_axis.shape)
         try:
             x = _invert_monotone_1d(grad, hess, targets, a, b,
@@ -334,8 +340,98 @@ def kahler_field(family: PotentialFamily, rho_axis: np.ndarray) -> KahlerFamilyF
                               index=node + tuple(rho_index)) from exc
         np.subtract(x * rho_axis, guillemin_potential(P, x[..., None]) + smooth("value", x),
                     out=values[rows])
+
+    values = _solve_blocks(solve, _blocks(0, len(nodes), rho_axis.size, LSE_BLOCK),
+                           (len(nodes),) + rho_axis.shape)
     return KahlerFamilyField(domain=family.domain, rho_axis=rho_axis,
                              values=values.reshape(shape + rho_axis.shape))
+
+
+def _solve_blocks(solve, blocks: list[slice], shape: tuple[int, ...]) -> np.ndarray:
+    """`solve(rows, out)` for each block of rows, into one float array of
+    `shape`, shared with one forked worker per `_worker_cpus`.
+
+    The blocks are cut into contiguous shares, the first the parent's and
+    one per worker.  A worker pins itself to its CPU and solves its share
+    into the output, which then lives in shared anonymous memory; it leaves
+    only through os._exit, and stops between blocks once its parent is
+    gone.  The parent solves its own share, then reaps each worker in turn
+    and solves the share of any that did not exit with status 0 itself, so
+    the first error raised is the one the serial loop raises.  Every row is
+    written by the same code either way, so the output does not depend on
+    the split.  Every worker still running on any way out is killed and
+    reaped.
+    """
+    cpus = _worker_cpus(len(blocks))
+    if not cpus:
+        out = np.empty(shape)
+        for rows in blocks:
+            solve(rows, out)
+        return out
+    out = np.frombuffer(mmap.mmap(-1, 8 * math.prod(shape)), dtype=float).reshape(shape)
+    cuts = [len(blocks) * i // (len(cpus) + 1) for i in range(len(cpus) + 2)]
+    shares = [blocks[lo:hi] for lo, hi in zip(cuts, cuts[1:])]
+    parent = os.getpid()
+    workers = []                # (pid, share) not yet reaped; pid None: never forked
+    try:
+        for cpu, share in zip(cpus, shares[1:]):
+            try:
+                pid = os.fork()
+            except OSError:
+                pid = None
+            if pid == 0:
+                status = 1
+                try:
+                    os.sched_setaffinity(0, {cpu})
+                    for rows in share:
+                        if os.getppid() != parent:
+                            break
+                        solve(rows, out)
+                    else:
+                        status = 0
+                finally:
+                    os._exit(status)
+            workers.append((pid, share))
+        for rows in shares[0]:
+            solve(rows, out)
+        while workers:
+            pid, share = workers[0]
+            status = -1
+            if pid is not None:
+                try:
+                    status = os.waitpid(pid, 0)[1]
+                except ChildProcessError:       # reaped elsewhere: its exit is unknown
+                    pass
+            workers.pop(0)
+            if status != 0:
+                for rows in share:
+                    solve(rows, out)
+    finally:
+        for pid, _ in workers:
+            if pid is not None:
+                with contextlib.suppress(ProcessLookupError, ChildProcessError):
+                    os.kill(pid, signal.SIGKILL)
+                    os.waitpid(pid, 0)
+    return out
+
+
+def _worker_cpus(n_blocks: int) -> list[int]:
+    """The CPUs `kahler_field` forks its workers onto: the allowed CPUs other
+    than the one the parent runs on (field 39 of /proc/self/stat), one worker
+    for each extra allowed CPU and at most n_blocks - 1 of them.  None where
+    the platform cannot fork, pin or tell the parent's CPU."""
+    if not (hasattr(os, "fork") and hasattr(os, "sched_setaffinity")):
+        return []
+    allowed = os.sched_getaffinity(0)
+    n_workers = min(len(allowed), n_blocks) - 1
+    if n_workers < 1:
+        return []
+    try:
+        with open("/proc/self/stat") as fh:
+            current = int(fh.read().rpartition(")")[2].split()[36])
+    except (OSError, ValueError, IndexError):
+        return []
+    return sorted(allowed - {current})[:n_workers]
 
 
 # -- preset experiment families ---------------------------------------------------

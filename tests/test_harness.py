@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import re
 import tracemalloc
 from dataclasses import replace
@@ -806,6 +807,98 @@ def test_kahler_field_failure_names_node_and_rho(monkeypatch):
     node = family.node_indices()[step + row]
     assert info.value.index == node + (j,)
     assert f"at domain node {node}, rho = {rho[j]:.6g}" in str(info.value)
+
+
+def with_workers(monkeypatch, n_workers):
+    """Make kahler_field fork `n_workers` workers (whenever it has more
+    blocks), all pinned to allowed CPUs, whatever the CPU count."""
+    cpus = sorted(os.sched_getaffinity(0))
+    monkeypatch.setattr(harness, "_worker_cpus",
+                        lambda n_blocks: (cpus * n_workers)[:min(n_workers, n_blocks - 1)])
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("n_workers", [1, 2, 3])
+def test_kahler_field_with_workers_is_bitwise_the_serial_field(monkeypatch, newton_solves,
+                                                               n_workers):
+    family = small_disc_family()
+    rho = np.linspace(-4.0, 4.0, 2049)          # eleven blocks of node rows
+    with_workers(monkeypatch, 0)
+    serial = kahler_field(family, rho).values
+    assert {pid for pid, _ in newton_solves()} == {os.getpid()}
+    with_workers(monkeypatch, n_workers)
+    field = kahler_field(family, rho).values
+    assert field.tobytes() == serial.tobytes()
+    # the workers solved their shares: every block once, in 1 + n_workers processes
+    solves = newton_solves()[11:]
+    assert len(solves) == 11 and len({pid for pid, _ in solves}) == 1 + n_workers
+    assert_no_child_left()
+
+
+def fail_in(monkeypatch, failing):
+    """Make the Newton solve of a block fail where failing(pid, rows) holds."""
+    inner = harness._invert_monotone_1d
+
+    def solve(*args, **kwargs):
+        if failing(os.getpid(), args[2].shape[0]):
+            kwargs["max_iter"] = 1
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "_invert_monotone_1d", solve)
+
+
+@pytest.mark.parametrize("share", ["parent", "worker"])
+def test_kahler_field_failure_with_workers_is_the_serial_failure(monkeypatch, share):
+    # the parent's share starts with a block of 31 rows, the worker's ends
+    # with the last block, of 10
+    family = small_disc_family()
+    rho = np.linspace(-4.0, 4.0, 2049)
+    parent = os.getpid()
+    if share == "parent":
+        fail_in(monkeypatch, lambda pid, rows: pid == parent and rows == 31)
+    else:
+        fail_in(monkeypatch, lambda pid, rows: rows == 10)
+    errors = []
+    for n_workers in (0, 1):
+        with_workers(monkeypatch, n_workers)
+        with pytest.raises(NewtonError) as info:
+            kahler_field(family, rho)
+        errors.append(info.value)
+        assert_no_child_left()
+    serial, forked = errors
+    assert str(forked) == str(serial)
+    assert forked.index == serial.index
+    assert forked.__cause__.index == serial.__cause__.index
+
+
+def test_kahler_field_solves_a_failed_workers_share_itself(monkeypatch, newton_solves):
+    family = small_disc_family()
+    rho = np.linspace(-4.0, 4.0, 2049)
+    serial = kahler_field(family, rho).values
+    parent = os.getpid()
+    fail_in(monkeypatch, lambda pid, rows: pid != parent)
+    with_workers(monkeypatch, 1)
+    start = len(newton_solves())
+    assert kahler_field(family, rho).values.tobytes() == serial.tobytes()
+    assert_no_child_left()
+    # the worker failed its first block, and the parent solved every block
+    solves = newton_solves()[start:]
+    assert sum(pid == parent for pid, _ in solves) == 11
+    assert len(solves) == 12
+
+
+def test_worker_cpus_are_the_other_allowed_cpus(monkeypatch):
+    allowed = os.sched_getaffinity(0)
+    assert harness._worker_cpus(1) == []
+    cpus = harness._worker_cpus(1000)
+    assert len(cpus) == len(allowed) - 1 and set(cpus) < allowed
+    assert len(harness._worker_cpus(2)) == min(1, len(allowed) - 1)
+    monkeypatch.delattr(os, "sched_setaffinity")
+    assert harness._worker_cpus(1000) == []
 
 
 @pytest.mark.parametrize("rho,side", [

@@ -40,12 +40,34 @@ def test_kahler_field_is_one_newton_solve(monkeypatch):
     assert calls[0][2].shape == (int(np.prod(family.domain.shape)), 41)
 
 
-def test_kahler_field_is_one_newton_solve_per_block(monkeypatch):
+def test_kahler_field_is_one_newton_solve_per_block(newton_solves):
     family = loop_family(a=0.05, n_radii=4, n_angles=64, n_x=201, k_max=8)
-    calls = counting(monkeypatch, harness, "_invert_monotone_1d")
     kahler_field(family, np.linspace(-4.0, 4.0, 2049))
-    # 320 nodes in blocks of LSE_BLOCK // 2049 = 31 rows, each with every rho
-    assert [args[2].shape for args in calls] == [(31, 2049)] * 10 + [(10, 2049)]
+    # 320 nodes in blocks of LSE_BLOCK // 2049 = 31 rows, each with every rho,
+    # counted in every process that solves a share of the blocks
+    assert sorted(shape for _, shape in newton_solves()) == \
+        [(10, 2049)] + [(31, 2049)] * 10
+
+
+def test_each_node_closed_form_is_built_once_per_family():
+    # the closed-form check, kahler_field and potential_at share one list
+    domain = make_disc(4, 64)
+    P = polytope.preset_polytope("interval")
+    xgrid = potentials.make_polytope_grid(P, 201, potentials.default_margin(8))
+    c = 0.05 * (1.0 + np.cos(domain.angles))
+    bps = [potentials.SymplecticPotential(P, xgrid, f_closed=potentials._product_ell_closed(P, b))
+           for b in c]
+    coeff = domain.extend(c)
+    built = []
+
+    def closed(idx):
+        built.append(idx)
+        return potentials._product_ell_closed(P, coeff[idx])
+
+    family = harness.solve_harmonic_map(domain, xgrid, bps, closed)
+    kahler_field(family, np.linspace(-4.0, 4.0, 2049))
+    family.potential_at((1, 3))
+    assert built == family.node_indices()
 
 
 def test_error_report_evaluates_phi_k_on_the_window_and_two_stencil_columns(monkeypatch):

@@ -15,14 +15,20 @@ is wrapped where `run_experiment` looks it up, and reports:
   * peak:  the largest MB traced as allocated while it runs;
   * above: peak - live, what the stage itself holds at its worst.
 
-The last line of each pass is the peak of the whole pass.  Times run under
-tracemalloc, which slows numpy's allocations; they rank the stages and are
-not the benchmark's numbers.  It only prints; it gates nothing.
+Each pass runs twice: first untraced, for each stage's wall time ("s"),
+then under tracemalloc, which slows numpy's allocations, for the memory
+columns and the traced wall time ("traced s").  The last lines of each pass
+are the peak of the whole traced pass and the peak RSS of the workers
+`kahler_field` forked so far, which tracemalloc cannot see: RUSAGE_CHILDREN,
+the largest child reaped, as this script starts no other child process.  A
+launcher that this interpreter replaced by exec may have reaped children
+too; the first line prints their peak.  It only prints; it gates nothing.
 """
 
 from __future__ import annotations
 
 import functools
+import resource
 import sys
 import time
 import tracemalloc
@@ -36,41 +42,59 @@ STAGES = ("solve_harmonic_map", "kahler_field", "build_approximants", "error_rep
 MB = 1e6
 
 
-def traced(name: str, fn, rows: list):
-    """fn, recording its wall time, live memory at entry and peak into `rows`."""
+def timed(name: str, fn, rows: list):
+    """fn, recording its wall time into `rows`, and when tracemalloc traces,
+    its live memory at entry and its peak."""
     @functools.wraps(fn)
     def wrapper(*args, **kwargs):
-        live = tracemalloc.get_traced_memory()[0]
-        tracemalloc.reset_peak()
+        tracing = tracemalloc.is_tracing()
+        live = tracemalloc.get_traced_memory()[0] if tracing else None
+        if tracing:
+            tracemalloc.reset_peak()
         start = time.perf_counter()
         try:
             return fn(*args, **kwargs)
         finally:
             seconds = time.perf_counter() - start
-            rows.append((name, seconds, live, tracemalloc.get_traced_memory()[1]))
+            peak = tracemalloc.get_traced_memory()[1] if tracing else None
+            rows.append((name, seconds, live, peak))
     return wrapper
+
+
+def children_peak() -> int:
+    """The peak RSS in bytes of the largest child process reaped so far."""
+    return resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss * 1024
+
+
+def run_pass(cfg, hcma):
+    result = harness.run_experiment(cfg)
+    if cfg.domain == "disc":
+        hcma(result.field.values, result.family.domain, result.field.rho_axis)
 
 
 def main() -> int:
     rows = []
     for name in STAGES:
-        setattr(harness, name, traced(name, getattr(harness, name), rows))
-    hcma = traced("hcma_residual", flows.hcma_residual, rows)
+        setattr(harness, name, timed(name, getattr(harness, name), rows))
+    hcma = timed("hcma_residual", flows.hcma_residual, rows)
+    print(f"children's peak RSS before the passes: {children_peak() / MB:.1f} MB")
     for label, cfg in (("geodesic", acceptance.GEODESIC), ("disc", acceptance.DISC)):
+        rows.clear()
+        run_pass(cfg, hcma)
+        untraced = [seconds for _, seconds, *_ in rows]
         rows.clear()
         tracemalloc.start()
         try:
-            result = harness.run_experiment(cfg)
-            if cfg.domain == "disc":
-                hcma(result.field.values, result.family.domain, result.field.rho_axis)
+            run_pass(cfg, hcma)
         finally:
             tracemalloc.stop()
-        print(f"{label + ' stage':<20} {'s':>7} {'live MB':>9} {'peak MB':>9} "
-              f"{'above MB':>9}")
-        for name, seconds, live, peak in rows:
-            print(f"{name:<20} {seconds:7.3f} {live / MB:9.1f} {peak / MB:9.1f} "
-                  f"{(peak - live) / MB:9.1f}")
+        print(f"{label + ' stage':<20} {'s':>7} {'traced s':>9} {'live MB':>9} "
+              f"{'peak MB':>9} {'above MB':>9}")
+        for (name, seconds, live, peak), plain in zip(rows, untraced):
+            print(f"{name:<20} {plain:7.3f} {seconds:9.3f} {live / MB:9.1f} "
+                  f"{peak / MB:9.1f} {(peak - live) / MB:9.1f}")
         print(f"{label} pass peak: {max(peak for *_, peak in rows) / MB:.1f} MB")
+        print(f"{label} workers' peak RSS so far: {children_peak() / MB:.1f} MB")
     return 0
 
 

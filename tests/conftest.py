@@ -37,3 +37,17 @@ def newton_solves(monkeypatch):
     yield calls
     os.close(read_fd)
     os.close(write_fd)
+
+
+@pytest.fixture
+def force_workers(monkeypatch):
+    """A function making kahler_field fork n workers (0: none) whenever it
+    has more blocks than that, all pinned to allowed CPUs, whatever their
+    count."""
+    cpus = sorted(os.sched_getaffinity(0))
+
+    def force(n_workers):
+        monkeypatch.setattr(harness, "_worker_cpus", lambda n_blocks: (
+            cpus * n_workers)[:min(n_workers, n_blocks - 1)])
+
+    return force

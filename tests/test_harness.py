@@ -2,6 +2,7 @@ import json
 import math
 import os
 import re
+import signal
 import tracemalloc
 from dataclasses import replace
 
@@ -809,29 +810,32 @@ def test_kahler_field_failure_names_node_and_rho(monkeypatch):
     assert f"at domain node {node}, rho = {rho[j]:.6g}" in str(info.value)
 
 
-def with_workers(monkeypatch, n_workers):
-    """Make kahler_field fork `n_workers` workers (whenever it has more
-    blocks), all pinned to allowed CPUs, whatever the CPU count."""
-    cpus = sorted(os.sched_getaffinity(0))
-    monkeypatch.setattr(harness, "_worker_cpus",
-                        lambda n_blocks: (cpus * n_workers)[:min(n_workers, n_blocks - 1)])
-
-
 def assert_no_child_left():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 
 
 @pytest.mark.parametrize("n_workers", [1, 2, 3])
-def test_kahler_field_with_workers_is_bitwise_the_serial_field(monkeypatch, newton_solves,
+def test_kahler_field_with_workers_is_bitwise_the_serial_field(force_workers, newton_solves,
                                                                n_workers):
     family = small_disc_family()
     rho = np.linspace(-4.0, 4.0, 2049)          # eleven blocks of node rows
-    with_workers(monkeypatch, 0)
+    force_workers(0)
     serial = kahler_field(family, rho).values
     assert {pid for pid, _ in newton_solves()} == {os.getpid()}
-    with_workers(monkeypatch, n_workers)
-    field = kahler_field(family, rho).values
+    # three workers and the parent are more processes than a 2-CPU host has CPUs
+    force_workers(n_workers)
+
+    def timeout(signum, frame):
+        raise TimeoutError("kahler_field's workers did not finish in 60 s")
+
+    previous = signal.signal(signal.SIGALRM, timeout)
+    signal.alarm(60)
+    try:
+        field = kahler_field(family, rho).values
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
     assert field.tobytes() == serial.tobytes()
     # the workers solved their shares: every block once, in 1 + n_workers processes
     solves = newton_solves()[11:]
@@ -852,7 +856,8 @@ def fail_in(monkeypatch, failing):
 
 
 @pytest.mark.parametrize("share", ["parent", "worker"])
-def test_kahler_field_failure_with_workers_is_the_serial_failure(monkeypatch, share):
+def test_kahler_field_failure_with_workers_is_the_serial_failure(monkeypatch, force_workers,
+                                                                 share):
     # the parent's share starts with a block of 31 rows, the worker's ends
     # with the last block, of 10
     family = small_disc_family()
@@ -864,7 +869,7 @@ def test_kahler_field_failure_with_workers_is_the_serial_failure(monkeypatch, sh
         fail_in(monkeypatch, lambda pid, rows: rows == 10)
     errors = []
     for n_workers in (0, 1):
-        with_workers(monkeypatch, n_workers)
+        force_workers(n_workers)
         with pytest.raises(NewtonError) as info:
             kahler_field(family, rho)
         errors.append(info.value)
@@ -875,13 +880,15 @@ def test_kahler_field_failure_with_workers_is_the_serial_failure(monkeypatch, sh
     assert forked.__cause__.index == serial.__cause__.index
 
 
-def test_kahler_field_solves_a_failed_workers_share_itself(monkeypatch, newton_solves):
+def test_kahler_field_solves_a_failed_workers_share_itself(monkeypatch, force_workers,
+                                                          newton_solves):
     family = small_disc_family()
     rho = np.linspace(-4.0, 4.0, 2049)
+    force_workers(0)
     serial = kahler_field(family, rho).values
     parent = os.getpid()
     fail_in(monkeypatch, lambda pid, rows: pid != parent)
-    with_workers(monkeypatch, 1)
+    force_workers(1)
     start = len(newton_solves())
     assert kahler_field(family, rho).values.tobytes() == serial.tobytes()
     assert_no_child_left()

@@ -227,7 +227,8 @@ def test_norming_quadrature_peak_memory_is_one_fine_rule_array():
     assert peak <= fine + 256 * 1024
 
 
-def test_kahler_field_peak_memory_is_the_output_plus_a_few_blocks():
+def kahler_field_peak():
+    """The field of an 11-block disc family and its tracemalloc peak."""
     family = loop_family(a=0.05, n_radii=4, n_angles=64, n_x=201, k_max=8)
     rho = np.linspace(-4.0, 4.0, 2049)
     tracemalloc.start()
@@ -236,6 +237,12 @@ def test_kahler_field_peak_memory_is_the_output_plus_a_few_blocks():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    return field, peak
+
+
+def test_kahler_field_peak_memory_is_the_output_plus_a_few_blocks(force_workers):
+    force_workers(0)
+    field, peak = kahler_field_peak()
     # The Newton iteration on a block of at most LSE_BLOCK targets holds 6
     # float arrays and 4 boolean ones (an eighth the size) throughout: a, b,
     # s, err and the step's two scratch arrays, with done, below, live and
@@ -247,6 +254,14 @@ def test_kahler_field_peak_memory_is_the_output_plus_a_few_blocks():
     # the output exists, and the 320 x 2049 targets are never held at once.
     block_bytes = 8 * potentials.LSE_BLOCK
     assert peak <= field.values.nbytes + 12 * block_bytes + 1024 * 1024
+
+
+def test_kahler_field_peak_memory_with_a_worker_is_a_few_blocks(force_workers):
+    # the output is a shared mapping, which tracemalloc does not trace, and
+    # the worker's blocks are its own: the parent holds only its blocks'
+    force_workers(1)
+    _, peak = kahler_field_peak()
+    assert peak <= 12 * 8 * potentials.LSE_BLOCK + 1024 * 1024
 
 
 def test_bounding_box_is_read_only():

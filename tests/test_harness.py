@@ -1,8 +1,11 @@
+import contextlib
+import ctypes
 import json
 import math
 import os
 import re
 import signal
+import time
 import tracemalloc
 from dataclasses import replace
 
@@ -30,6 +33,7 @@ from toricmaps.potentials import (LSE_BLOCK, ConvexityError, NewtonError,
                                   make_polytope_grid, product_potential)
 
 P = preset_polytope("interval")
+PR_SET_CHILD_SUBREAPER = 36     # prctl option, <linux/prctl.h>
 
 
 @pytest.fixture(scope="module")
@@ -810,6 +814,21 @@ def test_kahler_field_failure_names_node_and_rho(monkeypatch):
     assert f"at domain node {node}, rho = {rho[j]:.6g}" in str(info.value)
 
 
+@contextlib.contextmanager
+def within(seconds):
+    """Raise a TimeoutError in the block once `seconds` have passed."""
+    def timeout(signum, frame):
+        raise TimeoutError(f"not done in {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, timeout)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
 def assert_no_child_left():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
@@ -825,17 +844,8 @@ def test_kahler_field_with_workers_is_bitwise_the_serial_field(force_workers, ne
     assert {pid for pid, _ in newton_solves()} == {os.getpid()}
     # three workers and the parent are more processes than a 2-CPU host has CPUs
     force_workers(n_workers)
-
-    def timeout(signum, frame):
-        raise TimeoutError("kahler_field's workers did not finish in 60 s")
-
-    previous = signal.signal(signal.SIGALRM, timeout)
-    signal.alarm(60)
-    try:
+    with within(60):
         field = kahler_field(family, rho).values
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
     assert field.tobytes() == serial.tobytes()
     # the workers solved their shares: every block once, in 1 + n_workers processes
     solves = newton_solves()[11:]
@@ -896,6 +906,52 @@ def test_kahler_field_solves_a_failed_workers_share_itself(monkeypatch, force_wo
     solves = newton_solves()[start:]
     assert sum(pid == parent for pid, _ in solves) == 11
     assert len(solves) == 12
+
+
+def test_a_worker_stops_between_blocks_once_its_parent_is_gone(force_workers):
+    # A forked caller of kahler_field dies at its first block, once its worker
+    # has started its own first block; the worker finishes that block and
+    # then stops.  This process becomes the orphaned worker's parent (a child
+    # subreaper) to reap it.
+    family = small_disc_family()
+    rho = np.linspace(-4.0, 4.0, 2049)
+    force_workers(1)
+    libc = ctypes.CDLL(None, use_errno=True)
+    if libc.prctl(PR_SET_CHILD_SUBREAPER, 1, 0, 0, 0) != 0:
+        pytest.skip("this process cannot become a child subreaper")
+    started_r, started_w = os.pipe()
+    solved_r, solved_w = os.pipe()
+    inner = harness._invert_monotone_1d
+    try:
+        with within(60):
+            caller = os.fork()
+            if caller == 0:
+                try:
+                    def solve(*args, **kwargs):
+                        if os.getpid() == caller_pid:
+                            os.read(started_r, 1)
+                            os._exit(0)
+                        os.write(started_w, b"s")
+                        while os.getppid() == caller_pid:
+                            time.sleep(0.001)
+                        os.write(solved_w, b"block\n")
+                        return inner(*args, **kwargs)
+
+                    caller_pid = os.getpid()
+                    harness._invert_monotone_1d = solve
+                    kahler_field(family, rho)
+                finally:
+                    os._exit(1)
+            for fd in (started_r, started_w, solved_w):
+                os.close(fd)
+            assert os.waitpid(caller, 0)[1] == 0
+            _, status = os.waitpid(-1, 0)        # the worker, reparented here
+    finally:
+        libc.prctl(PR_SET_CHILD_SUBREAPER, 0, 0, 0, 0)
+    with os.fdopen(solved_r, "rb") as pipe:
+        assert pipe.read() == b"block\n"
+    assert os.waitstatus_to_exitcode(status) == 1
+    assert_no_child_left()
 
 
 def test_worker_cpus_are_the_other_allowed_cpus(monkeypatch):

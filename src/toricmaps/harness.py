@@ -49,15 +49,17 @@ import json
 import math
 import mmap
 import os
+import re
 import signal
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bergman import BergmanFamily, QuadratureError, harmonic_norming, norming_constants
+from .bergman import (GAUSS_ORDER, BergmanFamily, NormingTable, QuadratureError,
+                      harmonic_norming, norming_constants)
 from .dirichlet import (BoundaryData, MaxPrincipleError, Window, _d1, _d2,
                         harmonic_extend, make_disc, make_interval)
-from .polytope import preset_polytope
+from .polytope import lattice_points, preset_polytope
 from .potentials import (LSE_BLOCK, NewtonError, PolytopeGrid, PotentialFamily,
                          SymplecticPotential, _blocks, _canonical_inverse_guess, _closed_at,
                          _evaluator, _invert_monotone_1d, _product_ell_closed, _x_bracket,
@@ -280,9 +282,10 @@ def kahler_field(family: PotentialFamily, rho_axis: np.ndarray) -> KahlerFamilyF
     the smooth part row by row with each node's own evaluator (built once).
     The Newton iteration works element by element, so every slice gets
     exactly the iterates a separate solve would give it, whatever the block
-    size.  With two or more blocks and more than one allowed CPU, forked
-    workers solve a share of the blocks each (`_solve_blocks`); the field
-    and any NewtonError are the serial loop's.
+    size.  Where each process gets two blocks or more and more than one CPU
+    is allowed, forked workers solve a share of the blocks each
+    (`_solve_blocks`, `_worker_cpus`); the field and any NewtonError are the
+    serial loop's.
     """
     rho_axis = np.asarray(rho_axis, dtype=float)
     shape = family.domain.shape
@@ -349,7 +352,10 @@ def kahler_field(family: PotentialFamily, rho_axis: np.ndarray) -> KahlerFamilyF
 
 def _solve_blocks(solve, blocks: list[slice], shape: tuple[int, ...]) -> np.ndarray:
     """`solve(rows, out)` for each block of rows, into one float array of
-    `shape`, shared with one forked worker per `_worker_cpus`.
+    `shape`, shared with one forked worker per `_worker_cpus`: the one
+    parallel mechanism of the blocked stages, `kahler_field` (node rows),
+    `build_approximants` (boundary nodes) and `error_report` (level and
+    column-block tasks).  A block writes only its own part of the output.
 
     The blocks are cut into contiguous shares, the first the parent's and
     one per worker.  A worker pins itself to its CPU and solves its share
@@ -416,18 +422,32 @@ def _solve_blocks(solve, blocks: list[slice], shape: tuple[int, ...]) -> np.ndar
 
 
 def _worker_cpus(n_blocks: int) -> list[int]:
-    """The CPUs `kahler_field` forks its workers onto: the allowed CPUs other
-    than the one the parent runs on (field 39 of /proc/self/stat), one worker
-    for each extra allowed CPU and at most n_blocks - 1 of them.  None where
-    the platform cannot fork, pin or tell the parent's CPU."""
+    """The CPUs `_solve_blocks` forks its workers onto: the allowed CPUs
+    other than the one the calling thread runs on (field 39 of
+    /proc/thread-self/stat; /proc/self/stat is the main thread's), one
+    worker for each extra allowed CPU, so long as every process gets two
+    blocks or more.  None where the platform cannot fork, pin or tell the
+    calling thread's CPU.
+
+    On a 2-CPU Xeon host, in a process holding a bench disc pass (88 MB
+    RSS), fork() returns to the parent in 0.7 ms, and a fork, exit and reap
+    of an idle child take 2.5 ms; the parent then write-faults each heap
+    page it writes while the worker lives.  Forking the geodesic's two
+    boundary tables per level took `build_approximants` from 7.0 to 12.5 ms
+    (medians of 30 passes each).  So a one-block process is never worth a
+    fork, and no stage of the geodesic pass forks: it has one node block,
+    one error-report block and two boundary nodes.  The disc pass forks
+    `kahler_field`, `build_approximants` and `error_report` (24, 256 and 42
+    blocks); the rectangle only `build_approximants` (64 boundary nodes,
+    its 2 node blocks no longer fork)."""
     if not (hasattr(os, "fork") and hasattr(os, "sched_setaffinity")):
         return []
     allowed = os.sched_getaffinity(0)
-    n_workers = min(len(allowed), n_blocks) - 1
+    n_workers = min(len(allowed), n_blocks // 2) - 1
     if n_workers < 1:
         return []
     try:
-        with open("/proc/self/stat") as fh:
+        with open("/proc/thread-self/stat") as fh:
             current = int(fh.read().rpartition(")")[2].split()[36])
     except (OSError, ValueError, IndexError):
         return []
@@ -471,20 +491,57 @@ def build_approximants(family: PotentialFamily, levels,
                        n_panels: int | None = None) -> dict[int, BergmanFamily]:
     """Boundary norming tables -> harmonic norming -> Phi_k, for each level.
 
-    A QuadratureError from a boundary table names its boundary node and level.
+    The boundary nodes are the blocks of `_solve_blocks`, so forked workers
+    build a share of them where there are enough (the disc's 256, never the
+    geodesic's 2).  A block builds its node's table at every level and
+    writes each level's log Q_k and panel count into its row; the tables
+    are rebuilt from those rows with the provenance `norming_constants`
+    gave them, so each level's tables and norming are the serial loop's.
+    The lattices are enumerated before any fork, as a worker's caches die
+    with it.  A QuadratureError from a boundary table names its boundary
+    node and level, the first that fails in level-major order.
     """
+    bps = family.boundary_potentials
+    levels = tuple(levels)
+    # the lattice every table shares (`harmonic_norming` checks it)
+    alphas = {k: lattice_points(bps[0].polytope, k).points for k in levels}
+    # a node's row: per level its log Q_k, then the table's panel count
+    ends = np.cumsum([0] + [len(alphas[k]) + 1 for k in levels])
+
+    def solve(rows, out):
+        for i in range(rows.start, rows.stop):
+            for k, lo, hi in zip(levels, ends, ends[1:]):
+                table = _boundary_table(bps[i], i, k, n_panels)
+                out[i, lo:hi - 1] = table.log_q
+                out[i, hi - 1] = int(_PROVENANCE.fullmatch(table.provenance)[1])
+
+    try:
+        rows = _solve_blocks(solve, [slice(i, i + 1) for i in range(len(bps))],
+                             (len(bps), ends[-1]))
+    except QuadratureError:
+        # the node-major blocks can meet another failure first
+        for k in levels:
+            for i, bp in enumerate(bps):
+                _boundary_table(bp, i, k, n_panels)
+        raise
     out = {}
-    for k in levels:
-        tables = []
-        for i, bp in enumerate(family.boundary_potentials):
-            try:
-                tables.append(norming_constants(bp, k, n_panels=n_panels))
-            except QuadratureError as exc:
-                raise QuadratureError(
-                    f"{exc} for boundary node {i} at level k = {k}") from exc
-        norming = harmonic_norming(family.domain, tables)
-        out[k] = BergmanFamily(norming)
+    for k, lo, hi in zip(levels, ends, ends[1:]):
+        tables = [NormingTable(k, alphas[k], row[lo:hi - 1],
+                               f"quadrature panels={int(row[hi - 1])}x2 order={GAUSS_ORDER}")
+                  for row in rows]
+        out[k] = BergmanFamily(harmonic_norming(family.domain, tables))
     return out
+
+
+# the provenance `norming_constants` gives a table at its default Gauss order
+_PROVENANCE = re.compile(rf"quadrature panels=(\d+)x2 order={GAUSS_ORDER}")
+
+
+def _boundary_table(bp: SymplecticPotential, i: int, k: int, n_panels) -> NormingTable:
+    try:
+        return norming_constants(bp, k, n_panels=n_panels)
+    except QuadratureError as exc:
+        raise QuadratureError(f"{exc} for boundary node {i} at level k = {k}") from exc
 
 
 # -- error norms --------------------------------------------------------------------
@@ -580,6 +637,10 @@ def _window_sups(E: np.ndarray, domain, h_rho: float, cols) -> dict:
     }
 
 
+# the reductions of `_window_sups`, in the order a block writes them
+_SUPS = ("hi", "lo") + ERROR_COLUMNS[1:]
+
+
 def _norms(sups: dict, adjust: float) -> dict:
     """The ERROR_COLUMNS of `_window_sups`' reductions, C0 = max|E - adjust|
     taken from E's max and min: rounded x - adjust is monotone in x and
@@ -610,8 +671,15 @@ def error_report(family: PotentialFamily, phi_field: KahlerFamilyField,
     values do not depend on the other nodes, `_log_sum_exp`), so C0's mean
     adjustment is their mean and C0 comes from the blocks' max and min
     (`_norms`): Phi_k is evaluated once per block, never per node.
-    Every norm is bitwise the one `error_norms` gives on the whole window.
-    A non-finite norm is a ValueError naming its column and level.
+    The (level, column block) pairs are the blocks of `_solve_blocks`, so
+    forked workers take a share of them on the disc (42 on the bench disc);
+    when a level's window is one column block, as on the geodesic, the
+    whole report is one block and nothing forks.  Each block writes its
+    sups and its part of the reference row into the shared output, and the
+    parent merges them level by level.  Each level's `BergmanFamily`
+    weights are built before any fork.  Every norm is bitwise the one
+    `error_norms` gives on the whole window.  A non-finite norm is a
+    ValueError naming its column and level.
     """
     _require_c2_nodes(family.domain)
     rho_axis = phi_field.rho_axis
@@ -628,19 +696,33 @@ def error_report(family: PotentialFamily, phi_field: KahlerFamilyField,
     levels = tuple(sorted(approximants))
     n_nodes = math.prod(family.domain.shape)
     blocks = _blocks(1, rho.size - 1, n_nodes, LSE_BLOCK - 2 * n_nodes)
-    cols = {name: [] for name in ERROR_COLUMNS}
+    tasks = [(level, b) for level in range(len(levels)) for b in range(len(blocks))]
+    # a level's row: each block's sups, then the reference row over the window
+    n_sups = len(_SUPS) * len(blocks)
     for k in levels:
-        phi_k = approximants[k]
-        ref_rows, sups = [], []
-        for inner in blocks:
+        approximants[k]._weights        # built here: a worker's die with it
+
+    def solve(rows, out):
+        for level, b in tasks[rows]:
+            inner = blocks[b]
             halo = slice(inner.start - 1, inner.stop + 1)
-            E = phi_k.field(rho[halo])
+            E = approximants[levels[level]].field(rho[halo])
             E -= phi[..., halo]
-            ref_rows.append(E[ref_y_index][1:-1].copy())
-            sups.append(_window_sups(E, family.domain, h_rho, slice(None)))
-        adjust = float(np.mean(np.concatenate(ref_rows)))
-        merged = {name: float(np.max([s[name] for s in sups])) for name in sups[0]}
-        merged["lo"] = float(np.min([s["lo"] for s in sups]))
+            out[level, n_sups + inner.start - 1:n_sups + inner.stop - 1] = E[ref_y_index][1:-1]
+            sups = _window_sups(E, family.domain, h_rho, slice(None))
+            out[level, len(_SUPS) * b:len(_SUPS) * (b + 1)] = [sups[name] for name in _SUPS]
+
+    # one block for the whole report when a level's window is one column
+    # block: a fork pays only where each process gets two blocks or more
+    parts = ([slice(0, len(tasks))] if len(blocks) == 1 else
+             [slice(t, t + 1) for t in range(len(tasks))])
+    out = _solve_blocks(solve, parts, (len(levels), n_sups + rho.size - 2))
+    cols = {name: [] for name in ERROR_COLUMNS}
+    for k, row in zip(levels, out):
+        adjust = float(np.mean(row[n_sups:]))
+        sups = row[:n_sups].reshape(len(blocks), len(_SUPS))
+        merged = {name: float(np.max(col)) for name, col in zip(_SUPS, sups.T)}
+        merged["lo"] = float(np.min(sups[:, _SUPS.index("lo")]))
         try:
             norms = _norms(merged, adjust)
         except ValueError as exc:

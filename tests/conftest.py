@@ -9,40 +9,58 @@ from toricmaps import harness
 
 
 @pytest.fixture
-def newton_solves(monkeypatch):
-    """Log each call of `harness._invert_monotone_1d` as (pid, targets
-    shape), in this process and in any worker `kahler_field` forks: each
-    call writes one line to a pipe, and a write of at most PIPE_BUF bytes
-    is atomic.  The fixture is a function returning the calls logged so far."""
-    read_fd, write_fd = os.pipe()
-    os.set_blocking(read_fd, False)
-    original = harness._invert_monotone_1d
-    received = bytearray()
+def logged_calls(monkeypatch):
+    """A function `log(owner, attr, describe)` replacing owner.attr by a
+    wrapper that logs each call, in this process and in any worker forked
+    after it, as one line on a pipe of its own: the pid and the ints of
+    `describe(*args, **kwargs)`.  A write of at most PIPE_BUF bytes is
+    atomic; a worker blocks once the pipe's 64 KiB are full, so a log holds
+    a few thousand calls.  `log` returns a function returning the
+    (pid, description) pairs logged so far, in the order they were written."""
+    fds = []
 
-    def logging(*args, **kwargs):
-        line = " ".join(map(str, (os.getpid(),) + np.shape(args[2]))) + "\n"
-        os.write(write_fd, line.encode())
-        return original(*args, **kwargs)
+    def log(owner, attr, describe):
+        read_fd, write_fd = os.pipe()
+        fds.extend((read_fd, write_fd))
+        os.set_blocking(read_fd, False)
+        original = getattr(owner, attr)
+        received = bytearray()
 
-    def calls():
-        while True:
-            try:
-                received.extend(os.read(read_fd, 65536))
-            except BlockingIOError:
-                break
-        return [(pid, tuple(shape)) for pid, *shape in
-                (map(int, line.split()) for line in received.decode().splitlines())]
+        def logging(*args, **kwargs):
+            line = " ".join(map(str, (os.getpid(), *describe(*args, **kwargs)))) + "\n"
+            os.write(write_fd, line.encode())
+            return original(*args, **kwargs)
 
-    monkeypatch.setattr(harness, "_invert_monotone_1d", logging)
-    yield calls
-    os.close(read_fd)
-    os.close(write_fd)
+        def calls():
+            while True:
+                try:
+                    received.extend(os.read(read_fd, 65536))
+                except BlockingIOError:
+                    break
+            return [(pid, tuple(rest)) for pid, *rest in
+                    (map(int, line.split()) for line in received.decode().splitlines())]
+
+        monkeypatch.setattr(owner, attr, logging)
+        return calls
+
+    yield log
+    for fd in fds:
+        os.close(fd)
+
+
+@pytest.fixture
+def newton_solves(logged_calls):
+    """The (pid, targets shape) of each call of `harness._invert_monotone_1d`,
+    in this process and in any worker `kahler_field` forks: a function
+    returning the calls logged so far."""
+    return logged_calls(harness, "_invert_monotone_1d",
+                        lambda *args, **kwargs: np.shape(args[2]))
 
 
 @pytest.fixture
 def force_workers(monkeypatch):
-    """A function making kahler_field fork n workers (0: none) whenever it
-    has more blocks than that, all pinned to allowed CPUs, whatever their
+    """A function making `_solve_blocks` fork n workers (0: none) whenever
+    it has more blocks than that, all pinned to allowed CPUs, whatever their
     count."""
     cpus = sorted(os.sched_getaffinity(0))
 

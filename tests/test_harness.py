@@ -5,6 +5,7 @@ import math
 import os
 import re
 import signal
+import threading
 import time
 import tracemalloc
 from dataclasses import replace
@@ -14,9 +15,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from toricmaps import harness
+from toricmaps import bergman, harness, polytope
 from toricmaps.acceptance import flow_start
-from toricmaps.bergman import BergmanFamily, QuadratureError
+from toricmaps.bergman import BergmanFamily, QuadratureError, norming_constants
 from toricmaps.dirichlet import _d1, _d2, make_disc, make_interval, make_rectangle
 from toricmaps.flows import heat_evolve
 from toricmaps.harness import (ERROR_COLUMNS, ExperimentConfig,
@@ -699,8 +700,8 @@ def tail_block_budget(n_nodes, n_columns):
     (lambda: loop_family(a=0.05, n_radii=5, n_angles=64, n_x=201, k_max=8), (4, 8),
      np.linspace(-4.0, 4.0, 121)),
 ], ids=["interval", "disc"])
-def test_error_report_in_blocks_is_bitwise_the_one_shot_report(monkeypatch, make_family,
-                                                               levels, rho):
+def test_error_report_in_blocks_is_bitwise_the_one_shot_report(monkeypatch, logged_calls,
+                                                               make_family, levels, rho):
     family = make_family()
     phi_field = kahler_field(family, rho)
     approx = build_approximants(family, levels)
@@ -709,14 +710,16 @@ def test_error_report_in_blocks_is_bitwise_the_one_shot_report(monkeypatch, make
     n_window = default.meta["n_rho_window"]
     budget, width = tail_block_budget(math.prod(family.domain.shape), n_window)
     monkeypatch.setattr(harness, "LSE_BLOCK", budget)
-    evaluated = []
-    field = BergmanFamily.field
-    monkeypatch.setattr(BergmanFamily, "field",
-                        lambda self, r: evaluated.append(r.size) or field(self, r))
+    evaluated = logged_calls(BergmanFamily, "field", lambda self, r: (
+        self.level, np.searchsorted(rho, r[0]), r.size))
     blocked = error_report(family, phi_field, approx, window=0.1)
     # each level: blocks of `width` window columns and a one-column tail, each
-    # with its two halo columns
-    assert evaluated == ([width + 2] * (n_window // width) + [3]) * len(levels)
+    # with its two halo columns, each once, in whichever process solved it
+    start = blocked.meta["rho_eval_start"]
+    n_full = n_window // width
+    assert sorted(call for _, call in evaluated()) == [
+        (k, start + j * width, width + 2 if j < n_full else 3)
+        for k in levels for j in range(n_full + 1)]
     for report in (default, blocked):
         for i, k in enumerate(levels):
             for col in ERROR_COLUMNS:
@@ -733,7 +736,7 @@ def blocked_disc():
 @pytest.mark.parametrize("shift", [0.0, 1.0, -1.0],
                          ids=["kahler-field", "lo-sets-C0", "hi-sets-C0"])
 def test_error_report_in_blocks_is_bitwise_error_norms_with_no_potential_call(
-        monkeypatch, blocked_disc, shift):
+        monkeypatch, logged_calls, blocked_disc, shift):
     # Phi less `shift` off the reference node: C0 is then set by E's min
     # (shift 1) or its max (shift -1) against the reference row's mean
     family, phi_field, approx = blocked_disc
@@ -753,12 +756,10 @@ def test_error_report_in_blocks_is_bitwise_error_norms_with_no_potential_call(
         raise AssertionError("error_report called BergmanFamily.potential")
 
     monkeypatch.setattr(BergmanFamily, "potential", no_potential)
-    evaluated = []
     field = BergmanFamily.field
-    monkeypatch.setattr(BergmanFamily, "field",
-                        lambda self, r: evaluated.append(r.size) or field(self, r))
+    evaluated = logged_calls(BergmanFamily, "field", lambda self, r: (r.size,))
     report = error_report(family, phi_field, approx, window=0.1)
-    assert len(evaluated) == len(approx) * (mask.sum() // width + 1)
+    assert len(evaluated()) == len(approx) * (mask.sum() // width + 1)
     for i, k in enumerate(sorted(approx)):
         for col in ERROR_COLUMNS:
             assert report.column(col)[i] == reference[k][col], (k, col)
@@ -770,10 +771,9 @@ def test_error_report_in_blocks_is_bitwise_error_norms_with_no_potential_call(
             assert (below > above) == (shift > 0), (k, above, below)
 
 
-def test_error_report_peak_memory_is_a_few_blocks():
-    # a 9 x 256 disc with 601 rho, the bench disc's shape: the parent of the
-    # blocked report held ~50 MB here (Phi_k - Phi on the window span, 6.5 MB,
-    # and its full-size derivatives)
+def error_report_peak():
+    """The tracemalloc peak of the error report of a 9 x 256 disc with 601
+    rho, the bench disc's shape, 28 column blocks over two levels."""
     family = loop_family(a=0.05, n_radii=9, n_angles=256, n_x=201, k_max=8)
     rho = np.linspace(-4.0, 4.0, 601)
     approx = build_approximants(family, (4, 8))
@@ -785,10 +785,26 @@ def test_error_report_peak_memory_is_a_few_blocks():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    return peak
+
+
+def test_error_report_peak_memory_is_a_few_blocks(force_workers):
+    # the parent of the blocked report held ~50 MB here (Phi_k - Phi on the
+    # window span, 6.5 MB, and its full-size derivatives)
+    force_workers(0)
+    peak = error_report_peak()
     # A block of at most LSE_BLOCK values: Phi_k - Phi and the stencil
     # temporaries of the six norms (measured: 7.5 blocks).  One array of the
     # window span's size (2560 x 319) is 12.5.
     assert peak <= 10 * 8 * LSE_BLOCK + 1024 * 1024
+
+
+def test_error_report_peak_memory_with_a_worker_is_a_few_blocks(force_workers):
+    # the output is a shared mapping, which tracemalloc does not trace, and
+    # the worker's blocks are its own: the parent holds only its blocks'
+    force_workers(1)
+    assert error_report_peak() <= 10 * 8 * LSE_BLOCK + 1024 * 1024
+    assert_no_child_left()
 
 
 def test_kahler_field_failure_names_node_and_rho(monkeypatch):
@@ -959,9 +975,176 @@ def test_worker_cpus_are_the_other_allowed_cpus(monkeypatch):
     assert harness._worker_cpus(1) == []
     cpus = harness._worker_cpus(1000)
     assert len(cpus) == len(allowed) - 1 and set(cpus) < allowed
-    assert len(harness._worker_cpus(2)) == min(1, len(allowed) - 1)
+    # a worker only where each process gets two blocks or more
+    assert harness._worker_cpus(3) == []
+    assert len(harness._worker_cpus(4)) == min(1, len(allowed) - 1)
     monkeypatch.delattr(os, "sched_setaffinity")
     assert harness._worker_cpus(1000) == []
+
+
+def running_cpu():
+    """The CPU the calling thread runs on."""
+    with open("/proc/thread-self/stat") as fh:
+        return int(fh.read().rpartition(")")[2].split()[36])
+
+
+@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs two allowed CPUs")
+def test_worker_cpus_leave_out_the_calling_threads_cpu():
+    # The main thread sleeps on one CPU while a thread that may run on every
+    # allowed CPU runs on the other: its workers go to the main thread's CPU.
+    allowed = os.sched_getaffinity(0)
+    main_cpu, thread_cpu = sorted(allowed)[:2]
+    seen = []
+
+    def probe():
+        for _ in range(20):
+            os.sched_setaffinity(0, {thread_cpu})
+            os.sched_setaffinity(0, allowed)        # a running thread stays put
+            cpus = harness._worker_cpus(1000)
+            if running_cpu() == thread_cpu:
+                seen.append(cpus)
+                return
+
+    os.sched_setaffinity(0, {main_cpu})
+    try:
+        thread = threading.Thread(target=probe)
+        thread.start()
+        thread.join(60)
+    finally:
+        os.sched_setaffinity(0, allowed)
+    assert not thread.is_alive()
+    assert seen == [sorted(allowed - {thread_cpu})]
+
+
+# -- the other forking stages: boundary tables and the error report --------------
+
+def boundary_nodes(family):
+    """Boundary potential -> its node: a boundary table's caller's node."""
+    return {id(bp): i for i, bp in enumerate(family.boundary_potentials)}
+
+
+def test_build_approximants_with_workers_is_bitwise_the_serial_loop(monkeypatch, force_workers,
+                                                                    logged_calls):
+    # 64 boundary nodes, each a block: every table is the one norming_constants
+    # gives, provenance and all, whatever the worker count
+    levels = (4, 8)
+    family = small_disc_family()
+    serial = [[norming_constants(bp, k) for bp in family.boundary_potentials] for k in levels]
+    tables = []
+    extend = harness.harmonic_norming
+    monkeypatch.setattr(harness, "harmonic_norming",
+                        lambda domain, ts: tables.append(ts) or extend(domain, ts))
+    built = logged_calls(harness, "norming_constants", lambda bp, k, **kwargs: (k,))
+    lams = []
+    for n_workers in (0, 1, 2):
+        force_workers(n_workers)
+        start = len(built())
+        with within(60):
+            approx = build_approximants(family, levels)
+        assert_no_child_left()
+        lams.append([approx[k].norming.lam.tobytes() for k in levels])
+        for got, want in zip(tables[-2:], serial):
+            assert [(t.level, t.alphas.tobytes(), t.log_q.tobytes(), t.provenance)
+                    for t in got] == [(t.level, t.alphas.tobytes(), t.log_q.tobytes(),
+                                       t.provenance) for t in want]
+        calls = built()[start:]
+        assert sorted(k for _, (k,) in calls) == [4] * 64 + [8] * 64
+        assert len({pid for pid, _ in calls}) == 1 + n_workers
+    assert lams[1] == lams[0] and lams[2] == lams[0]
+
+
+@pytest.mark.parametrize("n_workers", [1, 2])
+def test_build_approximants_with_workers_enumerates_each_lattice_once(force_workers,
+                                                                      logged_calls, n_workers):
+    family = small_disc_family()            # a polytope of its own, no lattice cached
+    enumerated = logged_calls(polytope, "_enumerate_lattice", lambda P, k: (k,))
+    force_workers(n_workers)
+    build_approximants(family, (4, 8))
+    assert_no_child_left()
+    assert enumerated() == [(os.getpid(), (4,)), (os.getpid(), (8,))]
+
+
+def test_build_approximants_failure_with_workers_is_the_serial_failure(monkeypatch,
+                                                                       force_workers):
+    # node 1 fails at level 8, in the parent's share; node 60 at level 4, in
+    # the last worker's: the level-major loop meets node 60 first
+    family = small_disc_family()
+    node = boundary_nodes(family)
+    inner = harness.norming_constants
+
+    def failing(bp, k, **kwargs):
+        if (node[id(bp)], k) in {(1, 8), (60, 4)}:
+            raise QuadratureError("no panel count passed")
+        return inner(bp, k, **kwargs)
+
+    monkeypatch.setattr(harness, "norming_constants", failing)
+    for n_workers in (0, 1, 2):
+        force_workers(n_workers)
+        with within(60), pytest.raises(QuadratureError) as info:
+            build_approximants(family, (4, 8))
+        assert_no_child_left()
+        assert str(info.value) == "no panel count passed for boundary node 60 at level k = 4"
+        assert str(info.value.__cause__) == "no panel count passed"
+
+
+@pytest.fixture
+def many_column_blocks(monkeypatch, blocked_disc):
+    """blocked_disc's report cut into column blocks of `width` and a tail of
+    one column: (family, field, approximants, width)."""
+    family, phi_field, approx = blocked_disc
+    mask = harness._rho_window_mask(
+        phi_field.rho_axis, window_rho_bounds(family.boundary_potentials[0], 0.1))
+    budget, width = tail_block_budget(math.prod(family.domain.shape), int(mask.sum()))
+    monkeypatch.setattr(harness, "LSE_BLOCK", budget)
+    return family, phi_field, approx, width
+
+
+def test_error_report_with_workers_is_bitwise_the_serial_report(force_workers, logged_calls,
+                                                                many_column_blocks):
+    family, phi_field, _, width = many_column_blocks
+    weights = logged_calls(bergman, "_node_weights", lambda lam: ())
+    evaluated = logged_calls(BergmanFamily, "field", lambda self, r: (self.level, r.size))
+    reports, blocks = [], []
+    for n_workers in (0, 1, 2):
+        force_workers(n_workers)
+        approx = build_approximants(family, (4, 8))     # no node weights built yet
+        start = len(evaluated())
+        with within(60):
+            report = error_report(family, phi_field, approx, window=0.1)
+        assert_no_child_left()
+        # each level's node weights, built once, in this process before any fork
+        assert weights()[2 * n_workers:] == [(os.getpid(), ())] * 2
+        reports.append({col: report.column(col).tobytes() for col in ERROR_COLUMNS})
+        calls = evaluated()[start:]
+        assert len({pid for pid, _ in calls}) == 1 + n_workers
+        blocks.append(sorted(call for _, call in calls))
+    assert reports[1] == reports[0] and reports[2] == reports[0]
+    # every (level, column block) once, in whichever process
+    assert blocks[1] == blocks[0] and blocks[2] == blocks[0]
+    assert len(blocks[0]) > 2 * 4 and {size for _, size in blocks[0]} == {width + 2, 3}
+
+
+def test_error_report_non_finite_norm_with_workers_is_the_serial_failure(
+        monkeypatch, force_workers, many_column_blocks):
+    # a NaN in level 8's one-column tail block, the last block of the report
+    family, phi_field, approx, _ = many_column_blocks
+    field = BergmanFamily.field
+
+    def nan_at_the_tail(self, r):
+        values = field(self, r)
+        if self.level == 8 and r.size == 3:
+            values[0, 0, 1] = np.nan
+        return values
+
+    monkeypatch.setattr(BergmanFamily, "field", nan_at_the_tail)
+    errors = []
+    for n_workers in (0, 1, 2):
+        force_workers(n_workers)
+        with within(60), pytest.raises(ValueError, match="at level k = 8$") as info:
+            error_report(family, phi_field, approx, window=0.1)
+        assert_no_child_left()
+        errors.append(str(info.value))
+    assert errors[1] == errors[0] and errors[2] == errors[0]
 
 
 @pytest.mark.parametrize("rho,side", [

@@ -19,10 +19,14 @@ Each pass runs twice: first untraced, for each stage's wall time ("s"),
 then under tracemalloc, which slows numpy's allocations, for the memory
 columns and the traced wall time ("traced s").  The last lines of each pass
 are the peak of the whole traced pass and the peak RSS of the workers
-`kahler_field` forked so far, which tracemalloc cannot see: RUSAGE_CHILDREN,
-the largest child reaped, as this script starts no other child process.  A
-launcher that this interpreter replaced by exec may have reaped children
-too; the first line prints their peak.  It only prints; it gates nothing.
+forked so far, which tracemalloc cannot see: RUSAGE_CHILDREN, the largest
+child reaped, as this script starts no other child process.  The disc pass
+forks one in each of `kahler_field`, `build_approximants` and
+`error_report` on a host that allows two CPUs (`harness._solve_blocks`), the
+geodesic pass none.  A worker shares the parent's pages until either writes
+them, so its peak counts those shared pages too.  A launcher that this
+interpreter replaced by exec may have reaped children too; the first line
+prints their peak.  It only prints; it gates nothing.
 """
 
 from __future__ import annotations

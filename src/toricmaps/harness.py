@@ -434,7 +434,7 @@ def _worker_cpus(n_blocks: int) -> list[int]:
     of an idle child take 2.5 ms; the parent then write-faults each heap
     page it writes while the worker lives.  Forking the geodesic's two
     boundary tables per level took `build_approximants` from 7.0 to 12.5 ms
-    (medians of 30 passes each).  So a one-block process is never worth a
+    (medians of 28 passes each).  So a one-block process is never worth a
     fork, and no stage of the geodesic pass forks: it has one node block,
     one error-report block and two boundary nodes.  The disc pass forks
     `kahler_field`, `build_approximants` and `error_report` (24, 256 and 42
@@ -487,6 +487,10 @@ def _product_family(domain, c_boundary, n_x: int, k_max: int) -> PotentialFamily
 
 # -- approximants ------------------------------------------------------------------
 
+# the provenance `norming_constants` gives a table at its default Gauss order
+_PROVENANCE = re.compile(rf"quadrature panels=(\d+)x2 order={GAUSS_ORDER}")
+
+
 def build_approximants(family: PotentialFamily, levels,
                        n_panels: int | None = None) -> dict[int, BergmanFamily]:
     """Boundary norming tables -> harmonic norming -> Phi_k, for each level.
@@ -531,10 +535,6 @@ def build_approximants(family: PotentialFamily, levels,
                   for row in rows]
         out[k] = BergmanFamily(harmonic_norming(family.domain, tables))
     return out
-
-
-# the provenance `norming_constants` gives a table at its default Gauss order
-_PROVENANCE = re.compile(rf"quadrature panels=(\d+)x2 order={GAUSS_ORDER}")
 
 
 def _boundary_table(bp: SymplecticPotential, i: int, k: int, n_panels) -> NormingTable:

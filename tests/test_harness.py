@@ -1018,11 +1018,6 @@ def test_worker_cpus_leave_out_the_calling_threads_cpu():
 
 # -- the other forking stages: boundary tables and the error report --------------
 
-def boundary_nodes(family):
-    """Boundary potential -> its node: a boundary table's caller's node."""
-    return {id(bp): i for i, bp in enumerate(family.boundary_potentials)}
-
-
 def test_build_approximants_with_workers_is_bitwise_the_serial_loop(monkeypatch, force_workers,
                                                                     logged_calls):
     # 64 boundary nodes, each a block: every table is the one norming_constants
@@ -1069,7 +1064,7 @@ def test_build_approximants_failure_with_workers_is_the_serial_failure(monkeypat
     # node 1 fails at level 8, in the parent's share; node 60 at level 4, in
     # the last worker's: the level-major loop meets node 60 first
     family = small_disc_family()
-    node = boundary_nodes(family)
+    node = {id(bp): i for i, bp in enumerate(family.boundary_potentials)}
     inner = harness.norming_constants
 
     def failing(bp, k, **kwargs):
@@ -1140,7 +1135,8 @@ def test_error_report_non_finite_norm_with_workers_is_the_serial_failure(
     errors = []
     for n_workers in (0, 1, 2):
         force_workers(n_workers)
-        with within(60), pytest.raises(ValueError, match="at level k = 8$") as info:
+        with within(60), pytest.raises(
+                ValueError, match=r"^error norm \w+ = nan is not finite at level k = 8$") as info:
             error_report(family, phi_field, approx, window=0.1)
         assert_no_child_left()
         errors.append(str(info.value))

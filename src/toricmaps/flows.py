@@ -89,7 +89,7 @@ def heat_evolve(state: PotentialFamily, dtau: float, steps: int) -> PotentialFam
     Rejects time steps above the explicit CFL limit h^2/(2 n).  Convexity of
     every slice is rechecked after each step; violations are recorded as
     (tau, y_index) pairs on the returned state.  The returned state has no
-    `closed_family`: closed forms describe the start data, not the flowed f.
+    `closed_forms`: closed forms describe the start data, not the flowed f.
     """
     if steps < 0:
         raise ValueError("steps must be nonnegative")
@@ -107,7 +107,7 @@ def heat_evolve(state: PotentialFamily, dtau: float, steps: int) -> PotentialFam
         if not flags.all():
             violations.extend((tau, tuple(int(v) for v in i))
                               for i in np.argwhere(~flags))
-    return replace(state, tau=tau, f=f, closed_family=None,
+    return replace(state, tau=tau, f=f, closed_forms=None,
                    convexity_violations=tuple(violations))
 
 

@@ -16,6 +16,11 @@ too, so `kahler_field` transforms either and `heat_evolve` flows either.
 The approximants are built per level k: boundary norming tables -> harmonic
 norming constants -> log-sum-exp potential Phi_k(y, rho).
 
+Three stages hand plain blocks to one loop, `_solve_blocks`: `kahler_field`
+its blocks of node rows, `build_approximants` its boundary nodes and
+`error_report` its rho-column blocks, each with every level.  Whether the
+loop forks workers is decided by `_worker_cpus` alone, from the block count.
+
 Error norms compare Phi_k with Phi on an interior window (the moment-map
 preimage of {ell_r >= window} under the reference boundary metric).  Phi_k
 is evaluated only on the window's rho columns plus one stencil column on
@@ -39,7 +44,8 @@ operator that extends the sampled f, never from a hand-written profile.  On
 the disc that operator is computed two ways, the Poisson weights for the
 coefficient column and the rings' spectrum for the much wider f, within
 4e-15 of max |f| of each other, far inside CLOSED_FORM_TOL.
-`solve_harmonic_map` checks any closed forms it is given against f.
+`solve_harmonic_map` builds each node's closed form once, into the family's
+`closed_forms`, and checks it against f.
 """
 
 from __future__ import annotations
@@ -49,14 +55,13 @@ import json
 import math
 import mmap
 import os
-import re
 import signal
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .bergman import (GAUSS_ORDER, BergmanFamily, NormingTable, QuadratureError,
-                      harmonic_norming, norming_constants)
+from .bergman import (BergmanFamily, NormingTable, QuadratureError, harmonic_norming,
+                      norming_constants)
 from .dirichlet import (BoundaryData, MaxPrincipleError, Window, _d1, _d2,
                         harmonic_extend, make_disc, make_interval)
 from .polytope import lattice_points, preset_polytope
@@ -230,8 +235,10 @@ def solve_harmonic_map(domain, xgrid: PolytopeGrid, boundary_potentials,
     of all fiber nodes are extended in one call; a maximum-principle failure
     names its fiber node, and a ConvexityError names the domain nodes whose
     slice lost convexity.  `closed_family(idx)`, if given, is each node's
-    ClosedForm of its smooth part, read in place of f; a value further than
-    CLOSED_FORM_TOL from the extended f is a ValueError naming node and x.
+    ClosedForm of its smooth part: it is called once per node, into the
+    family's `closed_forms`, which every reader takes in place of f.  A
+    value further than CLOSED_FORM_TOL from the extended f is a ValueError
+    naming node and x.
     """
     bps = tuple(boundary_potentials)
     if len(bps) != domain.n_boundary:
@@ -248,20 +255,21 @@ def solve_harmonic_map(domain, xgrid: PolytopeGrid, boundary_potentials,
         x = ", ".join(f"{axis[i]:.6g}" for axis, i in zip(xgrid.axes, exc.index))
         raise MaxPrincipleError(f"{exc} at fiber node {exc.index}, x = {x}",
                                 index=exc.index) from exc
-    family = PotentialFamily(domain=domain, xgrid=xgrid, f=f,
-                             boundary_potentials=bps, closed_family=closed_family)
+    family = PotentialFamily(domain=domain, xgrid=xgrid, f=f, boundary_potentials=bps)
     family.check_convexity("harmonic extension")
     if closed_family is None:
         return family
+    forms = np.empty(domain.shape, dtype=object)
     pts = xgrid.nodes()
     for idx in family.node_indices():
-        gap = np.abs(_closed_at(family.closed_forms[idx].value, pts) - f[idx])
+        forms[idx] = closed_family(idx)
+        gap = np.abs(_closed_at(forms[idx].value, pts) - f[idx])
         if not gap.max() <= CLOSED_FORM_TOL:
             x = pts[np.unravel_index(np.argmax(gap), gap.shape)]
             raise ValueError(f"the closed form of domain node {idx} differs from the "
                              f"extended f by {gap.max():.3g} > {CLOSED_FORM_TOL:g} at "
                              f"x = {', '.join(f'{v:.6g}' for v in x)}")
-    return family
+    return replace(family, closed_forms=forms)
 
 
 @dataclass(frozen=True)
@@ -299,8 +307,13 @@ def kahler_field(family: PotentialFamily, rho_axis: np.ndarray) -> KahlerFamilyF
     f = family.f.reshape(-1, x_nodes.size)
     blocks = _blocks(0, len(f), x_nodes.size, LSE_BLOCK)
     # what each node's SymplecticPotential would check, before any evaluator
-    if not all(np.all(np.isfinite(f[rows][:, family.xgrid.mask])) for rows in blocks):
-        raise ValueError("smooth part f must be finite on the grid")
+    for rows in blocks:
+        bad = ~np.isfinite(f[rows]) & family.xgrid.mask
+        if bad.any():
+            row, j = np.argwhere(bad)[0]
+            raise ValueError(f"smooth part f must be finite on the grid: it is "
+                             f"{f[rows.start + row, j]} at domain node "
+                             f"{nodes[rows.start + row]}, x = {x_nodes[j]:.6g}")
     # each node's evaluator of its smooth part, read directly
     closed = family.closed_forms
     forms = [_evaluator(None if closed is None else closed[idx], family.xgrid, family.f[idx])
@@ -351,30 +364,27 @@ def kahler_field(family: PotentialFamily, rho_axis: np.ndarray) -> KahlerFamilyF
 
 
 def _solve_blocks(solve, blocks: list[slice], shape: tuple[int, ...]) -> np.ndarray:
-    """`solve(rows, out)` for each block of rows, into one float array of
-    `shape`, shared with one forked worker per `_worker_cpus`: the one
-    parallel mechanism of the blocked stages, `kahler_field` (node rows),
-    `build_approximants` (boundary nodes) and `error_report` (level and
-    column-block tasks).  A block writes only its own part of the output.
+    """`solve(block, out)` for each block, into one float array of `shape`:
+    the one loop of the blocked stages, `kahler_field` (node rows),
+    `build_approximants` (boundary nodes) and `error_report` (rho-column
+    blocks).  A block writes only its own part of the output.
 
     The blocks are cut into contiguous shares, the first the parent's and
-    one per worker.  A worker pins itself to its CPU and solves its share
-    into the output, which then lives in shared anonymous memory; it leaves
-    only through os._exit, and stops between blocks once its parent is
-    gone.  The parent solves its own share, then reaps each worker in turn
-    and solves the share of any that did not exit with status 0 itself, so
-    the first error raised is the one the serial loop raises.  Every row is
-    written by the same code either way, so the output does not depend on
-    the split.  Every worker still running on any way out is killed and
-    reaped.
+    one per worker of `_worker_cpus`, which alone decides whether any is
+    forked.  With none, the parent's share is every block and the output an
+    `np.empty` array; with workers it lives in shared anonymous memory.  A
+    worker pins itself to its CPU and solves its share into the output; it
+    leaves only through os._exit, and stops between blocks once its parent
+    is gone.  The parent solves its own share, then reaps each worker in
+    turn and solves the share of any that did not exit with status 0
+    itself, so the first error raised is the one the serial loop raises.
+    Every block is written by the same code either way, so the output does
+    not depend on the split.  Every worker still running on any way out is
+    killed and reaped.
     """
     cpus = _worker_cpus(len(blocks))
-    if not cpus:
-        out = np.empty(shape)
-        for rows in blocks:
-            solve(rows, out)
-        return out
-    out = np.frombuffer(mmap.mmap(-1, 8 * math.prod(shape)), dtype=float).reshape(shape)
+    out = (np.frombuffer(mmap.mmap(-1, 8 * math.prod(shape)), dtype=float).reshape(shape)
+           if cpus else np.empty(shape))
     cuts = [len(blocks) * i // (len(cpus) + 1) for i in range(len(cpus) + 2)]
     shares = [blocks[lo:hi] for lo, hi in zip(cuts, cuts[1:])]
     parent = os.getpid()
@@ -436,10 +446,10 @@ def _worker_cpus(n_blocks: int) -> list[int]:
     boundary tables per level took `build_approximants` from 7.0 to 12.5 ms
     (medians of 28 passes each).  So a one-block process is never worth a
     fork, and no stage of the geodesic pass forks: it has one node block,
-    one error-report block and two boundary nodes.  The disc pass forks
-    `kahler_field`, `build_approximants` and `error_report` (24, 256 and 42
-    blocks); the rectangle only `build_approximants` (64 boundary nodes,
-    its 2 node blocks no longer fork)."""
+    two boundary nodes and one column block in its error report.  The disc
+    pass forks `kahler_field`, `build_approximants` and `error_report` (24,
+    256 and 14-15 blocks); the rectangle only `build_approximants` (64
+    boundary nodes, its 2 node blocks no longer fork)."""
     if not (hasattr(os, "fork") and hasattr(os, "sched_setaffinity")):
         return []
     allowed = os.sched_getaffinity(0)
@@ -487,37 +497,30 @@ def _product_family(domain, c_boundary, n_x: int, k_max: int) -> PotentialFamily
 
 # -- approximants ------------------------------------------------------------------
 
-# the provenance `norming_constants` gives a table at its default Gauss order
-_PROVENANCE = re.compile(rf"quadrature panels=(\d+)x2 order={GAUSS_ORDER}")
-
-
-def build_approximants(family: PotentialFamily, levels,
-                       n_panels: int | None = None) -> dict[int, BergmanFamily]:
+def build_approximants(family: PotentialFamily, levels) -> dict[int, BergmanFamily]:
     """Boundary norming tables -> harmonic norming -> Phi_k, for each level.
 
     The boundary nodes are the blocks of `_solve_blocks`, so forked workers
     build a share of them where there are enough (the disc's 256, never the
     geodesic's 2).  A block builds its node's table at every level and
-    writes each level's log Q_k and panel count into its row; the tables
-    are rebuilt from those rows with the provenance `norming_constants`
-    gave them, so each level's tables and norming are the serial loop's.
-    The lattices are enumerated before any fork, as a worker's caches die
-    with it.  A QuadratureError from a boundary table names its boundary
-    node and level, the first that fails in level-major order.
+    writes each level's log Q_k into its node's row; the tables
+    `harmonic_norming` reads are rebuilt from those rows, so each level's
+    norming is the serial loop's.  The lattices are enumerated before any
+    fork, as a worker's caches die with it.  A QuadratureError from a
+    boundary table names its boundary node and level, the first that fails
+    in level-major order.
     """
     bps = family.boundary_potentials
     levels = tuple(levels)
     # the lattice every table shares (`harmonic_norming` checks it)
     alphas = {k: lattice_points(bps[0].polytope, k).points for k in levels}
-    # a node's row: per level its log Q_k, then the table's panel count
-    ends = np.cumsum([0] + [len(alphas[k]) + 1 for k in levels])
+    # a node's row: its log Q_k at each level in turn
+    ends = np.cumsum([0] + [len(alphas[k]) for k in levels])
 
     def solve(rows, out):
         for i in range(rows.start, rows.stop):
             for k, lo, hi in zip(levels, ends, ends[1:]):
-                table = _boundary_table(bps[i], i, k, n_panels)
-                out[i, lo:hi - 1] = table.log_q
-                out[i, hi - 1] = int(_PROVENANCE.fullmatch(table.provenance)[1])
+                out[i, lo:hi] = _boundary_table(bps[i], i, k).log_q
 
     try:
         rows = _solve_blocks(solve, [slice(i, i + 1) for i in range(len(bps))],
@@ -526,20 +529,16 @@ def build_approximants(family: PotentialFamily, levels,
         # the node-major blocks can meet another failure first
         for k in levels:
             for i, bp in enumerate(bps):
-                _boundary_table(bp, i, k, n_panels)
+                _boundary_table(bp, i, k)
         raise
-    out = {}
-    for k, lo, hi in zip(levels, ends, ends[1:]):
-        tables = [NormingTable(k, alphas[k], row[lo:hi - 1],
-                               f"quadrature panels={int(row[hi - 1])}x2 order={GAUSS_ORDER}")
-                  for row in rows]
-        out[k] = BergmanFamily(harmonic_norming(family.domain, tables))
-    return out
+    return {k: BergmanFamily(harmonic_norming(
+        family.domain, [NormingTable(k, alphas[k], row[lo:hi]) for row in rows]))
+        for k, lo, hi in zip(levels, ends, ends[1:])}
 
 
-def _boundary_table(bp: SymplecticPotential, i: int, k: int, n_panels) -> NormingTable:
+def _boundary_table(bp: SymplecticPotential, i: int, k: int) -> NormingTable:
     try:
-        return norming_constants(bp, k, n_panels=n_panels)
+        return norming_constants(bp, k)
     except QuadratureError as exc:
         raise QuadratureError(f"{exc} for boundary node {i} at level k = {k}") from exc
 
@@ -670,16 +669,16 @@ def error_report(family: PotentialFamily, phi_field: KahlerFamilyField,
     joined in order, are the reference row over the whole window (a node's
     values do not depend on the other nodes, `_log_sum_exp`), so C0's mean
     adjustment is their mean and C0 comes from the blocks' max and min
-    (`_norms`): Phi_k is evaluated once per block, never per node.
-    The (level, column block) pairs are the blocks of `_solve_blocks`, so
-    forked workers take a share of them on the disc (42 on the bench disc);
-    when a level's window is one column block, as on the geodesic, the
-    whole report is one block and nothing forks.  Each block writes its
-    sups and its part of the reference row into the shared output, and the
-    parent merges them level by level.  Each level's `BergmanFamily`
-    weights are built before any fork.  Every norm is bitwise the one
-    `error_norms` gives on the whole window.  A non-finite norm is a
-    ValueError naming its column and level.
+    (`_norms`): Phi_k is evaluated once per block and level, never per node.
+    The column blocks are the blocks of `_solve_blocks`, each evaluated at
+    every level, so forked workers take a share of the columns on the disc
+    (14-15 blocks on the bench disc), while the geodesic's window is one
+    block and nothing forks.  Each block writes, per level, its part of the
+    reference row and its sups at its first column, and the parent merges
+    them level by level.  Each level's `BergmanFamily` weights are built
+    before any fork.  Every norm is bitwise the one `error_norms` gives on
+    the whole window.  A non-finite norm is a ValueError naming its column
+    and level.
     """
     _require_c2_nodes(family.domain)
     rho_axis = phi_field.rho_axis
@@ -696,33 +695,27 @@ def error_report(family: PotentialFamily, phi_field: KahlerFamilyField,
     levels = tuple(sorted(approximants))
     n_nodes = math.prod(family.domain.shape)
     blocks = _blocks(1, rho.size - 1, n_nodes, LSE_BLOCK - 2 * n_nodes)
-    tasks = [(level, b) for level in range(len(levels)) for b in range(len(blocks))]
-    # a level's row: each block's sups, then the reference row over the window
-    n_sups = len(_SUPS) * len(blocks)
+    starts = [inner.start - 1 for inner in blocks]
     for k in levels:
         approximants[k]._weights        # built here: a worker's die with it
 
-    def solve(rows, out):
-        for level, b in tasks[rows]:
-            inner = blocks[b]
-            halo = slice(inner.start - 1, inner.stop + 1)
-            E = approximants[levels[level]].field(rho[halo])
+    # per level, over the window's columns: the reference row, then each
+    # reduction of `_SUPS` at every block's first column
+    def solve(inner, out):
+        halo = slice(inner.start - 1, inner.stop + 1)
+        for level, k in enumerate(levels):
+            E = approximants[k].field(rho[halo])
             E -= phi[..., halo]
-            out[level, n_sups + inner.start - 1:n_sups + inner.stop - 1] = E[ref_y_index][1:-1]
+            out[level, 0, inner.start - 1:inner.stop - 1] = E[ref_y_index][1:-1]
             sups = _window_sups(E, family.domain, h_rho, slice(None))
-            out[level, len(_SUPS) * b:len(_SUPS) * (b + 1)] = [sups[name] for name in _SUPS]
+            out[level, 1:, inner.start - 1] = [sups[name] for name in _SUPS]
 
-    # one block for the whole report when a level's window is one column
-    # block: a fork pays only where each process gets two blocks or more
-    parts = ([slice(0, len(tasks))] if len(blocks) == 1 else
-             [slice(t, t + 1) for t in range(len(tasks))])
-    out = _solve_blocks(solve, parts, (len(levels), n_sups + rho.size - 2))
+    out = _solve_blocks(solve, blocks, (len(levels), 1 + len(_SUPS), rho.size - 2))
     cols = {name: [] for name in ERROR_COLUMNS}
-    for k, row in zip(levels, out):
-        adjust = float(np.mean(row[n_sups:]))
-        sups = row[:n_sups].reshape(len(blocks), len(_SUPS))
-        merged = {name: float(np.max(col)) for name, col in zip(_SUPS, sups.T)}
-        merged["lo"] = float(np.min(sups[:, _SUPS.index("lo")]))
+    for k, (reference, *sups) in zip(levels, out):
+        adjust = float(np.mean(reference))
+        merged = {name: float(np.max(row[starts])) for name, row in zip(_SUPS, sups)}
+        merged["lo"] = float(np.min(sups[_SUPS.index("lo")][starts]))
         try:
             norms = _norms(merged, adjust)
         except ValueError as exc:

@@ -162,8 +162,7 @@ class PolytopeGrid(_TensorGrid):
     """Tensor-product nodes strictly inside P, offset from the boundary.
 
     `mask` marks tensor nodes with ell_r >= margin for all r (all True for box
-    polytopes); `boundary_adjacent` marks valid nodes touching the grid edge
-    or an invalid neighbor.
+    polytopes).
     """
 
     polytope: DelzantPolytope
@@ -187,17 +186,6 @@ class PolytopeGrid(_TensorGrid):
         mask = ell.min(axis=-1) >= self.margin * (1.0 - 1e-9)
         mask.setflags(write=False)
         return mask
-
-    @property
-    def boundary_adjacent(self) -> np.ndarray:
-        mask = self.mask
-        padded = np.pad(mask, 1)           # grid edge counts as outside
-        core = (slice(1, -1),) * mask.ndim
-        outside = np.zeros_like(mask)
-        for axis in range(mask.ndim):
-            for side in (slice(None, -2), slice(2, None)):
-                outside |= ~padded[core[:axis] + (side,) + core[axis + 1:]]
-        return mask & outside
 
 
 def make_polytope_grid(P: DelzantPolytope, n, margin: float) -> PolytopeGrid:
@@ -440,8 +428,10 @@ class SymplecticPotential:
 class PotentialFamily:
     """Family u(y, .) = u0 + f(y, .) over a parameter domain N x PolytopeGrid:
     a solved harmonic map (Dirichlet data `boundary_potentials`, optional
-    closed forms `closed_family(idx)` of the nodes' smooth parts) or a heat-flow
-    snapshot at time `tau`, flagging in `convexity_violations` the (tau, y_index)
+    `closed_forms`: an object array of the domain's shape holding each
+    node's ClosedForm of its smooth part, built once by `solve_harmonic_map`,
+    so every reader shares one evaluator per node) or a heat-flow snapshot
+    at time `tau`, flagging in `convexity_violations` the (tau, y_index)
     pairs where a slice lost discrete convexity (slices are never altered).
     """
 
@@ -449,7 +439,7 @@ class PotentialFamily:
     xgrid: PolytopeGrid
     f: np.ndarray                        # (*domain.shape, nx)
     boundary_potentials: tuple = ()
-    closed_family: object = None         # optional y_index -> ClosedForm
+    closed_forms: np.ndarray | None = None   # (*domain.shape,) of ClosedForm
     tau: float = 0.0
     convexity_violations: tuple = ()
 
@@ -460,21 +450,9 @@ class PotentialFamily:
             raise ValueError(f"family field shape {f.shape}, expected {expected}")
         object.__setattr__(self, "f", f)
 
-    @cached_property
-    def closed_forms(self) -> np.ndarray | None:
-        """Each node's closed form `closed_family(idx)`, an object array of
-        the domain's shape built at first use, so every reader shares one
-        evaluator per node; None without closed forms."""
-        if self.closed_family is None:
-            return None
-        forms = np.empty(self.domain.shape, dtype=object)
-        for idx in self.node_indices():
-            forms[idx] = self.closed_family(idx)
-        return forms
-
     def potential_at(self, y_index) -> SymplecticPotential:
         idx = y_index if isinstance(y_index, tuple) else (y_index,)
-        closed = self.closed_forms[idx] if self.closed_family is not None else None
+        closed = None if self.closed_forms is None else self.closed_forms[idx]
         return SymplecticPotential(self.xgrid.polytope, self.xgrid,
                                    f_values=self.f[idx], f_closed=closed, check=False)
 

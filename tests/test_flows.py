@@ -109,10 +109,10 @@ def test_heat_evolve_drops_the_closed_forms_of_a_solved_family():
     xg = make_polytope_grid(P, 41, 1e-3)
     ends = [product_potential(P, a, xg) for a in (0.0, 0.1)]
     fam = replace(solve_harmonic_map(dom, xg, ends),
-                  closed_family=lambda idx: _product_ell_closed(P, 0.0))
+                  closed_forms=np.full(dom.shape, _product_ell_closed(P, 0.0), dtype=object))
     h = dom.nodes[1] - dom.nodes[0]
     out = heat_evolve(fam, h**2 / 4.0, 3)
-    assert fam.closed_family is not None and out.closed_family is None
+    assert fam.closed_forms is not None and out.closed_forms is None
     pot = out.potential_at((4,))
     assert pot.f_closed is None
     assert np.max(np.abs(out.f[4])) > 1e-2

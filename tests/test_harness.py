@@ -79,7 +79,7 @@ def test_a_family_closed_forms_are_its_extension(build):
     family = build()
     x = family.xgrid.axes[0]
     for idx in family.node_indices():
-        gap = np.max(np.abs(family.closed_family(idx).value(x) - family.f[idx]))
+        gap = np.max(np.abs(family.closed_forms[idx].value(x) - family.f[idx]))
         assert gap <= 1e-15, (idx, gap)
 
 
@@ -89,7 +89,7 @@ def test_a_closed_form_that_is_not_the_extension_names_its_node():
     ends = [product_potential(P, c, xg) for c in (0.0, 0.1)]
     t = dom.nodes
     family = solve_harmonic_map(dom, xg, ends, lambda idx: _product_ell_closed(P, 0.1 * t[idx]))
-    assert family.closed_family is not None
+    assert family.closed_forms is not None
     # twice the right coefficient: right at t = 0, off by 0.025 x (1 - x) at t = 1/4
     with pytest.raises(ValueError, match=(r"^the closed form of domain node \(1,\) differs from "
                                           r"the extended f by 0.00625 > 1e-10 at x = 0.5$")):
@@ -564,7 +564,8 @@ def test_kahler_field_rejects_a_non_finite_f_at_any_node(geo):
     family, rho, _, _ = geo
     f = family.f.copy()
     f[5, f.shape[-1] // 2] = np.nan
-    with pytest.raises(ValueError, match="^smooth part f must be finite on the grid$"):
+    with pytest.raises(ValueError, match=r"^smooth part f must be finite on the grid: it is "
+                                         r"nan at domain node \(5,\), x = 0\.5$"):
         kahler_field(replace(family, f=f), rho)
 
 
@@ -1020,8 +1021,8 @@ def test_worker_cpus_leave_out_the_calling_threads_cpu():
 
 def test_build_approximants_with_workers_is_bitwise_the_serial_loop(monkeypatch, force_workers,
                                                                     logged_calls):
-    # 64 boundary nodes, each a block: every table is the one norming_constants
-    # gives, provenance and all, whatever the worker count
+    # 64 boundary nodes, each a block: every table's log Q is the one
+    # norming_constants gives, whatever the worker count
     levels = (4, 8)
     family = small_disc_family()
     serial = [[norming_constants(bp, k) for bp in family.boundary_potentials] for k in levels]
@@ -1039,9 +1040,8 @@ def test_build_approximants_with_workers_is_bitwise_the_serial_loop(monkeypatch,
         assert_no_child_left()
         lams.append([approx[k].norming.lam.tobytes() for k in levels])
         for got, want in zip(tables[-2:], serial):
-            assert [(t.level, t.alphas.tobytes(), t.log_q.tobytes(), t.provenance)
-                    for t in got] == [(t.level, t.alphas.tobytes(), t.log_q.tobytes(),
-                                       t.provenance) for t in want]
+            assert [(t.level, t.alphas.tobytes(), t.log_q.tobytes()) for t in got] == [
+                (t.level, t.alphas.tobytes(), t.log_q.tobytes()) for t in want]
         calls = built()[start:]
         assert sorted(k for _, (k,) in calls) == [4] * 64 + [8] * 64
         assert len({pid for pid, _ in calls}) == 1 + n_workers
@@ -1143,6 +1143,44 @@ def test_error_report_non_finite_norm_with_workers_is_the_serial_failure(
     assert errors[1] == errors[0] and errors[2] == errors[0]
 
 
+@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs two allowed CPUs")
+def test_the_fork_rule_keeps_every_geodesic_stage_in_process(logged_calls):
+    # the real `_worker_cpus` on the bench geodesic's shape: one block of 17
+    # node rows, two boundary nodes and one column block in the report, so no
+    # stage forks; four levels, so a report also split by level would fork
+    family = geodesic_family(a=0.1, n_t=17, n_x=801, k_max=64)
+    rho = np.linspace(-4.0, 4.0, 801)
+    logs = [logged_calls(harness, "_invert_monotone_1d", lambda *args, **kwargs: ()),
+            logged_calls(harness, "norming_constants", lambda bp, k: (k,)),
+            logged_calls(BergmanFamily, "field", lambda self, r: (self.level,))]
+    with within(60):
+        phi_field = kahler_field(family, rho)
+        approx = build_approximants(family, (8, 16, 32, 64))
+        error_report(family, phi_field, approx, window=0.1)
+    assert_no_child_left()
+    for calls in logs:
+        assert calls() and {pid for pid, _ in calls()} == {os.getpid()}
+
+
+@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs two allowed CPUs")
+def test_the_fork_rule_splits_a_report_of_four_column_blocks(logged_calls,
+                                                             many_column_blocks):
+    # the real `_worker_cpus`: each process evaluates every level over its
+    # share of the column blocks
+    family, phi_field, approx, _ = many_column_blocks
+    evaluated = logged_calls(BergmanFamily, "field", lambda self, r: (self.level,))
+    with within(60):
+        error_report(family, phi_field, approx, window=0.1)
+    assert_no_child_left()
+    calls = evaluated()
+    n_blocks = len(calls) // len(approx)
+    assert n_blocks >= 4 and len(calls) == n_blocks * len(approx)
+    pids = {pid for pid, _ in calls}
+    assert len(pids) == min(len(os.sched_getaffinity(0)), n_blocks // 2)
+    for pid in pids:
+        assert {k for p, (k,) in calls if p == pid} == set(approx)
+
+
 @pytest.mark.parametrize("rho,side", [
     (np.linspace(-3.0, 37.0, 41), "above"),
     (np.linspace(-45.0, 3.0, 41), "below"),
@@ -1161,12 +1199,14 @@ def test_x_bracket_is_the_halving_sequence():
     assert _x_bracket(u0, -30.0, 30.0) == (0.25 * 2.0 ** -42, 1.0 - 0.25 * 2.0 ** -42)
 
 
-def test_boundary_quadrature_failure_names_node_and_level():
+def test_boundary_quadrature_failure_names_node_and_level(monkeypatch):
     # one Gauss panel resolves k = 16 but not the narrower peaks of k = 32
     family = geodesic_family(a=0.1, n_t=5, n_x=201, k_max=32)
-    build_approximants(family, (16,), n_panels=1)
+    monkeypatch.setattr(harness, "norming_constants",
+                        lambda bp, k: norming_constants(bp, k, n_panels=1))
+    build_approximants(family, (16,))
     with pytest.raises(QuadratureError) as info:
-        build_approximants(family, (16, 32), n_panels=1)
+        build_approximants(family, (16, 32))
     assert str(info.value).endswith("for boundary node 0 at level k = 32")
     assert isinstance(info.value.__cause__, QuadratureError)
     assert str(info.value).startswith(str(info.value.__cause__))

@@ -245,8 +245,6 @@ def test_polytope_grid_margin_and_flags():
     assert g.mask.any() and not g.mask.all()
     ell = S.ell(g.nodes())
     assert np.all(ell.min(axis=-1)[g.mask] >= 0.02 * (1 - 1e-9))
-    # boundary-adjacent nodes are valid nodes next to the outside
-    assert np.all(g.mask[g.boundary_adjacent])
     assert g.mask is g.mask and not g.mask.flags.writeable
     assert default_margin(64) == pytest.approx(1.0 / 256.0)
 

@@ -363,7 +363,7 @@ def kahler_field(family: PotentialFamily, rho_axis: np.ndarray) -> KahlerFamilyF
                              values=values.reshape(shape + rho_axis.shape))
 
 
-def _solve_blocks(solve, blocks: list[slice], shape: tuple[int, ...]) -> np.ndarray:
+def _solve_blocks(solve, blocks: list, shape: tuple[int, ...]) -> np.ndarray:
     """`solve(block, out)` for each block, into one float array of `shape`:
     the one loop of the blocked stages, `kahler_field` (node rows),
     `build_approximants` (boundary nodes) and `error_report` (rho-column
@@ -674,11 +674,10 @@ def error_report(family: PotentialFamily, phi_field: KahlerFamilyField,
     every level, so forked workers take a share of the columns on the disc
     (14-15 blocks on the bench disc), while the geodesic's window is one
     block and nothing forks.  Each block writes, per level, its part of the
-    reference row and its sups at its first column, and the parent merges
-    them level by level.  Each level's `BergmanFamily` weights are built
-    before any fork.  Every norm is bitwise the one `error_norms` gives on
-    the whole window.  A non-finite norm is a ValueError naming its column
-    and level.
+    reference row and its sups, and the parent merges them level by level.
+    Each level's `BergmanFamily` weights are built before any fork.  Every
+    norm is bitwise the one `error_norms` gives on the whole window.  A
+    non-finite norm is a ValueError naming its column and level.
     """
     _require_c2_nodes(family.domain)
     rho_axis = phi_field.rho_axis
@@ -695,27 +694,30 @@ def error_report(family: PotentialFamily, phi_field: KahlerFamilyField,
     levels = tuple(sorted(approximants))
     n_nodes = math.prod(family.domain.shape)
     blocks = _blocks(1, rho.size - 1, n_nodes, LSE_BLOCK - 2 * n_nodes)
-    starts = [inner.start - 1 for inner in blocks]
     for k in levels:
         approximants[k]._weights        # built here: a worker's die with it
+    # a level's row: the reference row over the window, then each block's sups
+    n_cols = rho.size - 2
 
-    # per level, over the window's columns: the reference row, then each
-    # reduction of `_SUPS` at every block's first column
-    def solve(inner, out):
+    def solve(block, out):
+        b, inner = block
         halo = slice(inner.start - 1, inner.stop + 1)
         for level, k in enumerate(levels):
             E = approximants[k].field(rho[halo])
             E -= phi[..., halo]
-            out[level, 0, inner.start - 1:inner.stop - 1] = E[ref_y_index][1:-1]
+            out[level, inner.start - 1:inner.stop - 1] = E[ref_y_index][1:-1]
             sups = _window_sups(E, family.domain, h_rho, slice(None))
-            out[level, 1:, inner.start - 1] = [sups[name] for name in _SUPS]
+            out[level, n_cols + len(_SUPS) * b:n_cols + len(_SUPS) * (b + 1)] = [
+                sups[name] for name in _SUPS]
 
-    out = _solve_blocks(solve, blocks, (len(levels), 1 + len(_SUPS), rho.size - 2))
+    out = _solve_blocks(solve, list(enumerate(blocks)),
+                        (len(levels), n_cols + len(_SUPS) * len(blocks)))
     cols = {name: [] for name in ERROR_COLUMNS}
-    for k, (reference, *sups) in zip(levels, out):
-        adjust = float(np.mean(reference))
-        merged = {name: float(np.max(row[starts])) for name, row in zip(_SUPS, sups)}
-        merged["lo"] = float(np.min(sups[_SUPS.index("lo")][starts]))
+    for k, row in zip(levels, out):
+        adjust = float(np.mean(row[:n_cols]))
+        sups = row[n_cols:].reshape(len(blocks), len(_SUPS))
+        merged = {name: float(np.max(col)) for name, col in zip(_SUPS, sups.T)}
+        merged["lo"] = float(np.min(sups[:, _SUPS.index("lo")]))
         try:
             norms = _norms(merged, adjust)
         except ValueError as exc:

@@ -189,8 +189,9 @@ def check_szego_normalization() -> CheckResult:
 
 @dataclass(frozen=True)
 class C0Gate:
-    """Verdict of the geodesic C0 gate on one error sequence."""
+    """Verdict of the C0 gate on one error sequence."""
 
+    errors: tuple[float, ...]           # eps_k at each level
     k_eps: tuple[float, ...]            # k * eps_k at each level
     ratios: tuple[float, ...]           # eps_k' / eps_k between consecutive levels
     decreasing: bool                    # eps_k strictly decreasing
@@ -199,6 +200,13 @@ class C0Gate:
     @property
     def passed(self) -> bool:
         return self.decreasing and self.within_envelope
+
+    @property
+    def summary(self) -> str:
+        """The errors and the verdict, as the C0 checks report them."""
+        e, ke = (", ".join(f"{v:.3e}" for v in vals) for vals in (self.errors, self.k_eps))
+        return (f"C0 = [{e}] decreasing={self.decreasing}; k*eps = [{ke}] "
+                f"non-increasing={self.within_envelope}")
 
 
 def c0_gate(levels, errors) -> C0Gate:
@@ -217,7 +225,7 @@ def c0_gate(levels, errors) -> C0Gate:
         raise ValueError("need at least two strictly increasing levels, "
                          "one error per level")
     k_eps = k * eps
-    return C0Gate(k_eps=tuple(float(v) for v in k_eps),
+    return C0Gate(errors=tuple(float(v) for v in eps), k_eps=tuple(float(v) for v in k_eps),
                   ratios=tuple(float(v) for v in eps[1:] / eps[:-1]),
                   decreasing=bool(np.all(np.diff(eps) < 0)),
                   within_envelope=bool(np.all(np.diff(k_eps) <= 0)))
@@ -237,18 +245,13 @@ def check_geodesic_c0() -> CheckResult:
     fit = rate_fit(levels, c0)
     timed = elapsed < 60.0
     passed = gate.passed and timed
-
-    def fmt(vals):
-        return ", ".join(f"{v:.3e}" for v in vals)
-
     bounds = ", ".join(f"{a / b:g}" for a, b in zip(levels, levels[1:]))
     return CheckResult("geodesic C0 convergence", passed,
-                       f"C0 = [{fmt(c0)}] decreasing={gate.decreasing}; "
-                       f"k*eps = [{fmt(gate.k_eps)}] non-increasing="
-                       f"{gate.within_envelope}; ratios eps_k'/eps_k = "
+                       f"{gate.summary}; ratios eps_k'/eps_k = "
                        f"[{', '.join(f'{r:.3f}' for r in gate.ratios)}] "
                        f"(need <= k/k' = {bounds}); "
-                       f"diagnostic eps*k/log k = [{fmt(fit.statistic)}]; "
+                       f"diagnostic eps*k/log k = "
+                       f"[{', '.join(f'{v:.3e}' for v in fit.statistic)}]; "
                        f"pipeline {elapsed:.1f}s (limit 60s)")
 
 
@@ -289,10 +292,10 @@ def check_geodesic_c1_c2() -> CheckResult:
 
 
 def check_disc_c0_crosscheck() -> CheckResult:
-    """Disc experiment: C0 decreasing and the two boundary-integral paths agree."""
+    """Disc experiment: C0 passes `c0_gate`; the two boundary-integral paths agree."""
     result = run_experiment(DISC)
     c0 = result.report.column("C0")
-    decreasing = bool(np.all(np.diff(c0) < 0))
+    gate = c0_gate(DISC.levels, c0)
     # two independent quadrature paths for the harmonic norming exponents:
     # Poisson-integral weights vs Fourier damping, from identical boundary data
     norming = result.approximants[max(DISC.levels)].norming
@@ -300,11 +303,9 @@ def check_disc_c0_crosscheck() -> CheckResult:
     poisson = harmonic_extend(result.family.domain, data).values
     fourier = harmonic_extend_disc_fourier(result.family.domain, data).values
     cross = float(np.max(np.abs(poisson - fourier)))
-    passed = decreasing and cross < 1e-8
-    seq = ", ".join(f"{v:.3e}" for v in c0)
+    passed = gate.passed and cross < 1e-8
     return CheckResult("disc C0 + kernel cross-check", passed,
-                       f"C0 = [{seq}] decreasing={decreasing}; "
-                       f"two-path exponent agreement {cross:.3e} (tol 1e-8)")
+                       f"{gate.summary}; two-path exponent agreement {cross:.3e} (tol 1e-8)")
 
 
 def check_hcma_residual() -> CheckResult:

@@ -139,10 +139,10 @@ def _write_flow_snapshots(grid: tuple[int, int], out: Path, every: int):
     from .flows import heat_evolve, save_snapshot
     state, dtau = acceptance.flow_start(*grid)
     out.mkdir(parents=True, exist_ok=True)
-    for _ in range(10):
-        save_snapshot(state, out / f"flow_{state.tau:.6f}.txt")
+    save_snapshot(state, out / "flow_00.txt")
+    for i in range(1, 11):
         state = heat_evolve(state, dtau, every)
-    save_snapshot(state, out / f"flow_{state.tau:.6f}.txt")
+        save_snapshot(state, out / f"flow_{i:02d}.txt")
     print(f"wrote 11 snapshots to {out}")
 
 

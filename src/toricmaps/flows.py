@@ -19,15 +19,15 @@ term rescale the whole residual and nothing else.)
 A flow state is a `potentials.PotentialFamily` at flow time tau, as a solved
 harmonic map is: snapshots go into `harness.kahler_field` as they are.
 
-For a disc parameter domain with a one-dimensional fiber, the degenerate
-complex Monge-Ampere equation for the full potential Phi(q, s, rho) reduces
-to the vanishing of
+On every parameter domain, with a one-dimensional fiber, the degenerate
+complex Monge-Ampere equation for the full potential Phi(y, rho) reduces to
 
-    HCMA(Phi) = (Phi_qq + Phi_ss) Phi_rhorho - Phi_qrho^2 - Phi_srho^2,
+    HCMA(Phi) = (Lap_N Phi) Phi_rhorho - sum_a (d_rho d_{y^a} Phi)^2 = 0,
 
-with fiberwise positivity Phi_rhorho > 0; on the polar grid the Euclidean
-combinations are Phi_qq + Phi_ss = Lap_polar Phi and Phi_qrho^2 + Phi_srho^2
-= Phi_rrho^2 + Phi_gammarho^2 / r^2.  The two residuals differ pointwise by
+with Phi_rhorho > 0.  On the interval it is the Song-Zelditch geodesic
+equation Phi_tt Phi_rhorho - Phi_trho^2 = 0; on the disc's polar grid,
+Phi_qq + Phi_ss = Lap_polar Phi and Phi_qrho^2 + Phi_srho^2 =
+Phi_rrho^2 + Phi_gammarho^2 / r^2.  The two residuals differ pointwise by
 the positive factor Phi_rhorho.
 
 All derivatives are centered second-order differences, and both residuals
@@ -46,7 +46,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dirichlet import DiscDomain, Window, _d1, _d2
+from .dirichlet import Window, _d1, _d2
 from .potentials import (LSE_BLOCK, ConvexityError, PolytopeGrid, PotentialFamily,
                          _blocks, _convex_slices, _read_text, _write_text)
 
@@ -86,7 +86,8 @@ def make_flow_state(domain, xgrid: PolytopeGrid, f: np.ndarray) -> PotentialFami
 def heat_evolve(state: PotentialFamily, dtau: float, steps: int) -> PotentialFamily:
     """Advance the family by `steps` explicit-Euler heat steps of size dtau.
 
-    Rejects time steps above the explicit CFL limit h^2/(2 n).  Convexity of
+    Rejects a dtau that is not in [0, h^2/(2 n)], the explicit CFL limit (a
+    NaN dtau included); a zero step leaves f as it is.  Convexity of
     every slice is rechecked after each step; violations are recorded as
     (tau, y_index) pairs on the returned state.  The returned state has no
     `closed_forms`: closed forms describe the start data, not the flowed f.
@@ -94,8 +95,8 @@ def heat_evolve(state: PotentialFamily, dtau: float, steps: int) -> PotentialFam
     if steps < 0:
         raise ValueError("steps must be nonnegative")
     limit = state.domain.cfl_limit
-    if dtau > limit * (1 + 1e-12):
-        raise ValueError(f"dtau = {dtau:g} violates the explicit CFL limit {limit:g}")
+    if not 0 <= dtau <= limit * (1 + 1e-12):
+        raise ValueError(f"dtau = {dtau:g} is not in [0, {limit:g}], the explicit CFL limit")
     f = state.f.copy()
     violations = list(state.convexity_violations)
     tau = state.tau
@@ -128,12 +129,6 @@ def _fiber_terms(phi, domain, nodes, h_rho, hcma: bool):
     lap, phi_rr = domain.laplacian(at), _d2(at, h_rho, rho_ax)
     with np.errstate(divide="ignore", invalid="ignore"):
         return (lap * phi_rr - cross if hcma else lap - cross / phi_rr), phi_rr
-
-
-def _require_disc(what: str, domain):
-    if not isinstance(domain, DiscDomain):
-        raise TypeError(f"{what} expects a DiscDomain parameter domain, "
-                        f"got {type(domain).__name__}")
 
 
 def _fiber_window(phi, domain, rho_axis, margin: int, hcma: bool):
@@ -230,31 +225,28 @@ def eells_sampson_residual(phi: np.ndarray, domain, rho_axis: np.ndarray,
     return _fiber_residual(phi, domain, rho_axis, margin, False)
 
 
-def hcma_operator(phi: np.ndarray, domain: DiscDomain, rho_axis: np.ndarray,
-                  margin: int = 2):
-    """(Lap Phi) Phi_rhorho - |grad_y Phi_rho|^2 on the disc, with keep slices.
+def hcma_operator(phi: np.ndarray, domain, rho_axis: np.ndarray, margin: int = 2):
+    """(Lap_N Phi) Phi_rhorho - |grad_y Phi_rho|^2 on any domain, with keep slices.
 
     This is the harmonic-map-flow operator multiplied pointwise by the fiber
-    Hessian, i.e. the (1+1)-complex-Hessian determinant of the full potential
-    up to a positive conformal factor.  A TypeError on any other domain.
+    Hessian, i.e. the complex-Hessian determinant of the full potential up to
+    a positive conformal factor; on the interval, Phi_tt Phi_rhorho - Phi_trho^2.
     """
-    _require_disc("hcma_operator", domain)
     return _fiber_operator(phi, domain, rho_axis, margin, True)
 
 
-def hcma_residual(phi: np.ndarray, domain: DiscDomain, rho_axis: np.ndarray,
+def hcma_residual(phi: np.ndarray, domain, rho_axis: np.ndarray,
                   margin: int = 2) -> ResidualReport:
-    """Degenerate complex-Hessian residual of Phi(q, s, rho) on the disc.
+    """Degenerate complex-Hessian residual of Phi(y, rho) on any domain (on
+    the interval, the geodesic equation's), phi of shape (*domain.shape, n_rho).
 
-    Returns sup/mean of (Lap Phi) Phi_rhorho - |grad_y Phi_rho|^2 on the
+    Returns sup/mean of (Lap_N Phi) Phi_rhorho - |grad_y Phi_rho|^2 on the
     interior window, along with the minimum of the fiber Hessian; a
     nonpositive minimum signals a fiberwise-positivity violation (reported,
     not raised, so the caller can see both numbers).  The rho columns of the
     window go in blocks (see `_fiber_window`), so no full-grid derivative
-    array is held.  A ValueError when `margin` < 1 or the window is empty, a
-    TypeError on a domain that is not a disc.
+    array is held.  A ValueError when `margin` < 1 or the window is empty.
     """
-    _require_disc("hcma_residual", domain)
     return _fiber_residual(phi, domain, rho_axis, margin, True)
 
 
@@ -269,9 +261,17 @@ def save_snapshot(state: PotentialFamily, path):
 
 
 def load_snapshot(path, domain) -> PotentialFamily:
-    (tau_line, _), grid, blocks = _read_text(path, 2)
+    """The flow state `save_snapshot` wrote to `path`, on `domain`: a
+    ValueError names the file if a line is unreadable or the shape differs."""
+    (tau_line, shape_line), grid, blocks = _read_text(path, 2)
     try:
         tau = float(tau_line.split()[2])
     except (IndexError, ValueError) as exc:
         raise ValueError(f"{path}: cannot read the flow line {tau_line!r}: {exc}") from exc
+    try:
+        shape = tuple(int(s) for s in shape_line.split()[1:])
+    except ValueError as exc:
+        raise ValueError(f"{path}: cannot read the domain_shape line {shape_line!r}: {exc}") from exc
+    if shape != domain.shape:
+        raise ValueError(f"{path}: the snapshot's domain shape is {shape}, the domain's {domain.shape}")
     return PotentialFamily(domain=domain, xgrid=grid, f=blocks["values"], tau=tau)

@@ -268,7 +268,10 @@ def facet_value(P: DelzantPolytope, r: int, x) -> float:
 
 
 def lattice_points(P: DelzantPolytope, k: int) -> LatticeSet:
-    """kP ∩ Z^m, enumerated once per polytope and level; the points are read-only."""
+    """kP ∩ Z^m, enumerated once per polytope and integer level k >= 1 (a bool
+    or a float is a TypeError); the points are read-only."""
+    if isinstance(k, bool) or not isinstance(k, (int, np.integer)):
+        raise TypeError(f"level k must be an integer, got {k!r}")
     if k < 1:
         raise ValueError(f"level k must be >= 1, got {k}")
     cached = P._lattices.get(k)

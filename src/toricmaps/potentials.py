@@ -58,6 +58,7 @@ from typing import Callable
 
 import numpy as np
 
+from .dirichlet import Window, _d2
 from .polytope import (DelzantPolytope, _as_given, _as_points, _float_if_0d,
                        polytope_from_json, polytope_to_json)
 
@@ -229,7 +230,7 @@ def guillemin_hessian(P: DelzantPolytope, x) -> np.ndarray:
 def _convex_slices(xgrid: PolytopeGrid, f: np.ndarray) -> np.ndarray:
     """True where the slice u0 + f[idx] of a family f (*shape, nx) is discretely
     strictly convex, at interior fiber nodes and, one-sidedly, at both edges;
-    over `_blocks` of node rows."""
+    over `_blocks` of node rows, f'' by `dirichlet._d2`."""
     if xgrid.dim != 1:
         raise NotImplementedError("family fibers are one-dimensional")
     x = xgrid.axes[0]
@@ -237,19 +238,13 @@ def _convex_slices(xgrid: PolytopeGrid, f: np.ndarray) -> np.ndarray:
     u0pp = guillemin_hessian(xgrid.polytope, x[:, None])[:, 0, 0]
     f_rows = f.reshape(-1, x.size)
     flags = np.empty(len(f_rows), dtype=bool)
-    blocks = _blocks(0, len(f_rows), x.size, LSE_BLOCK)
-    buffer = np.empty((blocks[0].stop if blocks else 0, x.size - 2))
-    for rows in blocks:
-        fb = f_rows[rows]
-        # f'' in one buffer, in the order of (f[2:] - 2 f[1:-1] + f[:-2]) / h^2
-        fpp = np.multiply(fb[:, 1:-1], 2.0, out=buffer[:len(fb)])
-        np.subtract(fb[:, 2:], fpp, out=fpp)
-        fpp += fb[:, :-2]
-        fpp /= h**2
+    for rows in _blocks(0, len(f_rows), x.size, LSE_BLOCK):
+        fpp = _d2(Window(f_rows[rows], (slice(None), slice(1, -1))), h, 1)
         edge_lo = u0pp[0] + fpp[:, 0]
         edge_hi = u0pp[-1] + fpp[:, -1]
         fpp += u0pp[1:-1]
         flags[rows] = (fpp.min(axis=-1) > 0) & (edge_lo > 0) & (edge_hi > 0)
+        del fpp   # freed before the next block's is built: one f'' at a time
     return flags.reshape(f.shape[:-1])
 
 

@@ -30,6 +30,12 @@ def table_k2():
     return norming_constants(U0, 2)
 
 
+@pytest.mark.parametrize("k", [np.float64(4.0), True])
+def test_norming_constants_take_integer_levels_only(k):
+    with pytest.raises(TypeError, match="^level k must be an integer, got "):
+        norming_constants(U0, k)
+
+
 def beta_oracle(alpha: int, k: int) -> float:
     """Independent quadrature of int_0^inf t^alpha (1+t)^(-k-2) dt = B(alpha+1, k+1-alpha)."""
     val, err = quad(lambda t: t**alpha * (1 + t) ** (-k - 2), 0, np.inf)

@@ -71,6 +71,19 @@ def test_flow_config_is_not_held_to_the_levels(tmp_path, capsys):
     assert load_snapshot(snaps[-1], make_interval(5)).f.shape == (5, 41)
 
 
+def test_flow_snapshots_are_named_by_index(tmp_path, capsys):
+    # dtau = h^2 / 4 = 3.9e-7 on 801 nodes: six decimals of tau cannot tell
+    # consecutive snapshots apart
+    out = tmp_path / "snaps"
+    assert main(["flow-duality", "--resolution", "n_y=801,n_x=41", "--out", str(out),
+                 "--snapshot-every", "1"]) == 0
+    assert f"wrote 11 snapshots to {out}" in capsys.readouterr().out
+    snaps = sorted(out.iterdir())
+    assert [p.name for p in snaps] == [f"flow_{i:02d}.txt" for i in range(11)]
+    taus = [load_snapshot(p, make_interval(801)).tau for p in snaps]
+    assert taus[0] == 0.0 and all(a < b for a, b in zip(taus, taus[1:]))
+
+
 FLOW = ["flow-duality", "--snapshot-every", "2"]
 
 

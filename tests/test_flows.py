@@ -12,10 +12,12 @@ from toricmaps.dirichlet import (BoundaryData, _d1, _d2, harmonic_extend, make_d
 from toricmaps.flows import (ResidualReport, eells_sampson_operator,
                              eells_sampson_residual, hcma_operator, hcma_residual, heat_evolve,
                              load_snapshot, make_flow_state, save_snapshot)
-from toricmaps.harness import kahler_field, loop_family, solve_harmonic_map
+from toricmaps.acceptance import flow_start
+from toricmaps.harness import (_product_family, geodesic_family, kahler_field, loop_family,
+                               solve_harmonic_map)
 from toricmaps.polytope import preset_polytope
 from toricmaps.potentials import (LSE_BLOCK, ConvexityError, _product_ell_closed,
-                                  make_polytope_grid, product_potential)
+                                  default_margin, make_polytope_grid, product_potential)
 
 P = preset_polytope("interval")
 
@@ -38,6 +40,18 @@ def test_cfl_rejected():
     h = state.domain.nodes[1] - state.domain.nodes[0]
     with pytest.raises(ValueError, match="CFL"):
         heat_evolve(state, h**2, 1)
+
+
+@pytest.mark.parametrize("dtau", [-1.0, math.nan, -math.inf])
+def test_heat_evolve_rejects_a_negative_or_non_finite_dtau(dtau):
+    state, step = flow_start(9, 41)
+    dtau = dtau * step
+    with pytest.raises(ValueError, match=rf"^dtau = {dtau:g} is not in \[0, "):
+        heat_evolve(state, dtau, 3)
+    # a zero step is a no-op
+    out = heat_evolve(state, 0.0, 3)
+    assert out.tau == state.tau
+    np.testing.assert_array_equal(out.f, state.f)
 
 
 def test_constant_in_y_is_stationary():
@@ -200,14 +214,47 @@ def test_hcma_zero_for_affine_in_disc_coordinates():
     assert 3.0 < sups[0] / sups[1] < 5.0
 
 
-@pytest.mark.parametrize("fn", [hcma_residual, hcma_operator])
-@pytest.mark.parametrize("dom", [make_interval(9), make_rectangle(7, 7)])
-def test_hcma_on_another_domain_names_the_function_and_the_domain(fn, dom):
-    rho = np.linspace(-1, 1, 21)
-    phi = np.broadcast_to(rho**2, dom.shape + rho.shape)
-    with pytest.raises(TypeError, match=rf"^{fn.__name__} expects a DiscDomain parameter "
-                       rf"domain, got {type(dom).__name__}$"):
-        fn(phi, dom, rho)
+def rectangle_family(n):
+    """u0 + q(y) prod ell on the n x n rectangle, q harmonic and quadratic, on
+    201 x nodes (the shape of test_harness.rectangle_family at n = 9)."""
+    dom = make_rectangle(n, n)
+    y1, y2 = np.meshgrid(dom.x_nodes, dom.y_nodes, indexing="ij")
+    q = 0.1 * (0.8 + 0.3 * y1 - 0.2 * y2 + 0.4 * (y1 * y1 - y2 * y2) - 0.3 * y1 * y2)
+    return _product_family(dom, q[dom.boundary_mask()], 201, 8)
+
+
+@pytest.mark.parametrize("family", [lambda: geodesic_family(n_t=9, n_x=401, k_max=8),
+                                    lambda: rectangle_family(7)],
+                         ids=["interval", "rectangle"])
+def test_hcma_is_the_harmonic_map_residual_times_phi_rhorho_on_every_domain(family):
+    # on the interval the complex-Hessian residual is the geodesic equation
+    # phi_tt phi_rhorho - phi_trho^2; the disc case is the test below
+    fam = family()
+    rho = np.linspace(-2.5, 2.5, 101)
+    phi = kahler_field(fam, rho).values
+    es, keep = eells_sampson_operator(phi, fam.domain, rho)
+    hc, keep2 = hcma_operator(phi, fam.domain, rho)
+    assert keep == keep2
+    phi_rr = _d2(phi, rho[1] - rho[0], phi.ndim - 1)
+    assert np.min(phi_rr[keep]) > 0
+    np.testing.assert_allclose(hc[keep], (es * phi_rr)[keep], atol=1e-12)
+
+
+@pytest.mark.parametrize("family,n,span,n_rho", [
+    (lambda n: geodesic_family(a=0.1, n_t=n, n_x=801, k_max=64), 17, 4.0, 401),
+    (rectangle_family, 9, 3.0, 201),
+], ids=["geodesic", "rectangle"])
+def test_hcma_residual_second_order_off_the_disc(family, n, span, n_rho):
+    sups = []
+    for refine in (1, 2):
+        fam = family(refine * (n - 1) + 1)
+        rho = np.linspace(-span, span, refine * (n_rho - 1) + 1)
+        # the margin doubles with the resolution, so both sups run over the
+        # same physical window
+        rep = hcma_residual(kahler_field(fam, rho).values, fam.domain, rho, margin=2 * refine)
+        assert rep.fiber_hessian_min > 0
+        sups.append(rep.sup)
+    assert 3.0 < sups[0] / sups[1] < 5.0
 
 
 def test_hcma_agrees_with_harmonic_map_residual_pointwise():
@@ -274,6 +321,20 @@ def test_snapshot_loader_skips_blank_lines_and_names_a_bad_tau_line(tmp_path):
     np.testing.assert_array_equal(back.f, out.f)
     path.write_text("flow\n" + text.split("\n", 1)[1])
     with pytest.raises(ValueError, match=r"snap\.txt: cannot read the flow line 'flow'"):
+        load_snapshot(path, out.domain)
+
+
+def test_snapshot_loader_checks_the_domain_shape(tmp_path):
+    out = heat_evolve(make_state(n_t=9, n_x=11), 1e-4, 3)
+    path = tmp_path / "snap.txt"
+    save_snapshot(out, path)
+    with pytest.raises(ValueError, match=r"snap\.txt: the snapshot's domain shape is \(9,\), "
+                       r"the domain's \(17,\)$"):
+        load_snapshot(path, make_interval(17))
+    flow_line, _, rest = path.read_text().split("\n", 2)
+    path.write_text(f"{flow_line}\ndomain_shape nine\n{rest}")
+    with pytest.raises(ValueError, match=r"snap\.txt: cannot read the domain_shape line "
+                       r"'domain_shape nine'"):
         load_snapshot(path, out.domain)
 
 

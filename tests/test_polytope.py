@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -65,6 +66,14 @@ def test_lattice_points_rejects_bad_level(interval):
         lattice_points(interval, 0)
     with pytest.raises(ValueError):
         lattice_points(interval, -2)
+
+
+def test_lattice_points_takes_integer_levels_only(interval):
+    assert lattice_points(interval, np.int64(3)) is lattice_points(interval, 3)
+    for k in (2.5, 4.0, np.float64(4.0), True):
+        with pytest.raises(TypeError,
+                           match=f"^level k must be an integer, got {re.escape(repr(k))}$"):
+            lattice_points(interval, k)
 
 
 @pytest.mark.parametrize("name,k", [("interval", 7), ("simplex2", 5),

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 from dataclasses import replace
 
@@ -238,6 +239,26 @@ def test_hcma_is_the_harmonic_map_residual_times_phi_rhorho_on_every_domain(fami
     phi_rr = _d2(phi, rho[1] - rho[0], phi.ndim - 1)
     assert np.min(phi_rr[keep]) > 0
     np.testing.assert_allclose(hc[keep], (es * phi_rr)[keep], atol=1e-12)
+
+
+@pytest.mark.parametrize("fn", [hcma_residual, hcma_operator])
+@pytest.mark.parametrize("dom", [make_interval(9), make_rectangle(7, 7)])
+def test_hcma_on_another_domain_names_the_function_and_the_domain(fn, dom):
+    # hcma_* run off the disc: a Phi that does not depend on y solves the
+    # complex-Hessian equation exactly, and a window too small for the domain
+    # raises the ValueError that names the domain and its shape
+    rho = np.linspace(-1, 1, 21)
+    phi = np.broadcast_to(rho**2, dom.shape + rho.shape)
+    if fn is hcma_residual:
+        rep = fn(phi, dom, rho)
+        assert rep.sup == 0 and rep.count > 0 and rep.fiber_hessian_min > 0
+    else:
+        field, keep = fn(phi, dom, rho)
+        assert field[keep].size > 0 and np.all(field[keep] == 0)
+    with pytest.raises(ValueError, match=rf"^{type(dom).__name__} of shape "
+                       rf"{re.escape(str(dom.shape))}, 21 rho: the residual window .* "
+                       r"at margin 10 is empty$"):
+        fn(phi, dom, rho, margin=10)
 
 
 @pytest.mark.parametrize("family,n,span,n_rho", [

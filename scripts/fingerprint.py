@@ -20,10 +20,13 @@ The numbers, each a list of floats under a flat key:
   * the first-pass records of the benchmark's default seed for every
     workload (`bench.<workload>.<key>`), read by importing
     `perfbench/workloads.py`;
-  * sha256 digests of the two families' smooth parts f, of the two Kahler
-    fields, of every level's harmonic norming table and of the heat-flowed f
-    of the rectangle bench pass (`*.sha256`), for the numbers that should
-    not move at all.
+  * sha256 digests (`*.sha256`), for the numbers that should not move at
+    all: of the two families' smooth parts f, of the two Kahler fields, of
+    every level's harmonic norming table, of the heat-flowed f of the
+    rectangle bench pass, and of both halves of the Legendre round trip of
+    `acceptance.check_legendre_involution` (`legendre.*`: the f of
+    `to_symplectic(fubini_study(...))` and the values of `to_kahler` of it,
+    the Newton kernel's callers besides `kahler_field`).
 
 Every path is taken from this file's checkout, so a copy of the script in
 another checkout fingerprints that checkout.  With `--against`, each key
@@ -45,7 +48,8 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 
 import numpy as np  # noqa: E402
 
-from toricmaps import acceptance, dirichlet, flows, harness  # noqa: E402
+from toricmaps import acceptance, dirichlet, flows, harness, potentials  # noqa: E402
+from toricmaps.polytope import preset_polytope  # noqa: E402
 
 
 def digest(array: np.ndarray) -> str:
@@ -80,6 +84,13 @@ def fingerprint() -> dict:
     numbers["disc.laplace_residual"] = [dirichlet.laplace_residual(domain, f)]
     einsum = np.einsum("ilj,j...->il...", domain.poisson_weights, f.values[-1])
     numbers["disc.family_f.max_abs_vs_einsum"] = [float(np.max(np.abs(f.values[:-1] - einsum)))]
+    # the grids of acceptance.check_legendre_involution
+    grid = potentials.make_radial_grid([-12.0], [12.0], [2001])
+    P = preset_polytope("interval")
+    u = potentials.to_symplectic(potentials.fubini_study(grid), P,
+                                 potentials.make_polytope_grid(P, 801, 1e-4))
+    numbers["legendre.to_symplectic_f.sha256"] = digest(u.f_values)
+    numbers["legendre.to_kahler.sha256"] = digest(potentials.to_kahler(u, grid).values)
     # the resolutions of acceptance.check_flow_duality
     for n_t, n_x, n_rho, refine in ((33, 161, 401, 1), (65, 321, 801, 4)):
         numbers[f"flow_duality.sup_n{n_t}"] = [

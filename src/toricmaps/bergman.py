@@ -55,7 +55,7 @@ import numpy as np
 
 from .dirichlet import (BoundaryData, HarmonicField, MaxPrincipleError,
                         boundary_weights, harmonic_extend)
-from .polytope import _float_if_0d, _read_only, lattice_points, near_facets
+from .polytope import _check_level, _float_if_0d, _read_only, lattice_points, near_facets
 from .potentials import (KahlerPotential, SymplecticPotential, _closed_at, _positive_det,
                          abreu_delta, guillemin_gradient, guillemin_potential)
 
@@ -217,10 +217,10 @@ def norming_constants(u: SymplecticPotential, k: int, alphas=None,
     max(4, ceil(2 sqrt(k))) and doubles until the validation passes, up to
     the cap max(8, 8k), which is always tried last.  An explicit `n_panels`
     is the only count tried.  Failing the last try raises QuadratureError,
-    listing the offending alphas and the panel count.
+    listing the offending alphas and the panel count.  k is checked as
+    `lattice_points` checks it, whether or not `alphas` is given.
     """
-    if k < 1:
-        raise ValueError("level k must be >= 1")
+    _check_level(k)
     if alphas is None:
         alphas = lattice_points(u.polytope, k).points
     else:

@@ -303,25 +303,26 @@ def kahler_field(family: PotentialFamily, rho_axis: np.ndarray) -> KahlerFamilyF
     nodes = family.node_indices()
     x_nodes = family.xgrid.axes[0]
     h = x_nodes[1] - x_nodes[0]
-    # over blocks of node rows: a max is exact, and no family-sized temporary
+    # One pass over blocks of f's node rows, with no family-sized temporary:
+    # what each node's SymplecticPotential would check before any evaluator,
+    # and a bound on |f'| (a max is exact whatever the blocks).
     f = family.f.reshape(-1, x_nodes.size)
-    blocks = _blocks(0, len(f), x_nodes.size, LSE_BLOCK)
-    # what each node's SymplecticPotential would check, before any evaluator
-    for rows in blocks:
+    fgrad_sups = []
+    for rows in _blocks(0, len(f), x_nodes.size, LSE_BLOCK):
         bad = ~np.isfinite(f[rows]) & family.xgrid.mask
         if bad.any():
             row, j = np.argwhere(bad)[0]
             raise ValueError(f"smooth part f must be finite on the grid: it is "
                              f"{f[rows.start + row, j]} at domain node "
                              f"{nodes[rows.start + row]}, x = {x_nodes[j]:.6g}")
+        fgrad_sups.append(float(np.max(np.abs(np.gradient(f[rows], h, axis=-1)))))
     # each node's evaluator of its smooth part, read directly
     closed = family.closed_forms
     forms = [_evaluator(None if closed is None else closed[idx], family.xgrid, family.f[idx])
              for idx in nodes]
-    # one x-bracket serves every slice: widen the target range by a uniform
-    # bound on |f'| so the u0 log-divergence dominates at both ends
-    fgrad_bound = max(float(np.max(np.abs(np.gradient(f[rows], h, axis=-1))))
-                      for rows in blocks) + 1.0
+    # one x-bracket serves every slice: widen the target range by the |f'|
+    # bound so the u0 log-divergence dominates at both ends
+    fgrad_bound = max(fgrad_sups) + 1.0
     a, b = _x_bracket(family.potential_at(nodes[0]),
                       float(rho_axis.min()) - 2 * fgrad_bound,
                       float(rho_axis.max()) + 2 * fgrad_bound)

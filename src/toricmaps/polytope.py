@@ -267,13 +267,18 @@ def facet_value(P: DelzantPolytope, r: int, x) -> float:
     return float(P.ell(x)[..., r])
 
 
-def lattice_points(P: DelzantPolytope, k: int) -> LatticeSet:
-    """kP ∩ Z^m, enumerated once per polytope and integer level k >= 1 (a bool
-    or a float is a TypeError); the points are read-only."""
+def _check_level(k) -> None:
+    """A level k is an int or numpy int >= 1: a bool or a float is a TypeError."""
     if isinstance(k, bool) or not isinstance(k, (int, np.integer)):
         raise TypeError(f"level k must be an integer, got {k!r}")
     if k < 1:
         raise ValueError(f"level k must be >= 1, got {k}")
+
+
+def lattice_points(P: DelzantPolytope, k: int) -> LatticeSet:
+    """kP ∩ Z^m, enumerated once per polytope and level k (`_check_level`);
+    the points are read-only."""
+    _check_level(k)
     cached = P._lattices.get(k)
     if cached is None:
         cached = LatticeSet(level=k, points=_read_only(_enumerate_lattice(P, k)))

@@ -469,67 +469,50 @@ class PotentialFamily:
 # -- safeguarded Newton inversion ----------------------------------------------
 
 def _invert_monotone_1d(grad_fn, hess_fn, targets, lo: float, hi: float,
-                        max_iter: int = NEWTON_MAX_ITER, what: str = "gradient", s0=None):
+                        what: str = "gradient", s0=None):
     """Solve grad_fn(s) = target (strictly increasing grad_fn) to NEWTON_TOL, vectorized.
 
     Bisection-safeguarded Newton on [lo, hi], which must straddle every
-    target value.  `s0` seeds the iteration (defaults to the midpoint).
+    target value, for at most NEWTON_MAX_ITER iterations.  `s0` seeds the
+    iteration (defaults to the midpoint).  Each update is an `np.where` over
+    the whole array that leaves converged targets as they are, so every
+    target gets the iterates of a solve of its own.
     """
     t = np.asarray(targets, dtype=float)
-    a = np.full(t.shape, float(lo))
-    b = np.full(t.shape, float(hi))
-    s = np.empty(t.shape)
+    a, b = np.full(t.shape, float(lo)), np.full(t.shape, float(hi))
     if s0 is None:
-        np.multiply(0.5, a + b, out=s)
+        s = 0.5 * (a + b)
     else:
-        np.clip(np.broadcast_to(np.asarray(s0, dtype=float), t.shape),
-                np.nextafter(lo, hi), np.nextafter(hi, lo), out=s)
-    err = np.subtract(grad_fn(s), t, out=np.empty(t.shape))
+        s = np.clip(np.broadcast_to(np.asarray(s0, dtype=float), t.shape),
+                    np.nextafter(lo, hi), np.nextafter(hi, lo))
+    err = np.asarray(grad_fn(s)) - t
     eps = np.finfo(float).eps
     done = np.zeros(t.shape, dtype=bool)
-    # the updates are written in place, with the operations of the np.where
-    # form in its order, so the iterates are bitwise that form's; `step` and
-    # `tmp` are the step's scratch, and only the clip adds a third array
-    below, live, move = (np.empty(t.shape, dtype=bool) for _ in range(3))
-    step, tmp = np.empty(t.shape), np.empty(t.shape)
-    for it in range(max_iter):
-        np.less_equal(err, 0, out=below)
-        np.logical_not(done, out=live)
-        np.copyto(a, s, where=np.logical_and(below, live, out=move))
-        np.logical_not(below, out=move)
-        np.copyto(b, s, where=np.logical_and(move, live, out=move))
+    for it in range(NEWTON_MAX_ITER):
+        below = err <= 0
+        a = np.where(below & ~done, s, a)
+        b = np.where(below | done, b, s)
         # a bracket of machine width resolves the root as finely as floats allow,
         # even when the gradient itself cannot be evaluated to NEWTON_TOL there
-        done |= np.less(np.abs(err, out=tmp), NEWTON_TOL, out=move)
-        np.maximum(np.abs(a, out=tmp), np.abs(b, out=step), out=tmp)
-        tmp *= 4 * eps
-        done |= np.less_equal(np.subtract(b, a, out=step), tmp, out=move)
+        done |= (np.abs(err) < NEWTON_TOL) | (
+            b - a <= 4 * eps * np.maximum(np.abs(a), np.abs(b)))
         if done.all():
             break
         with np.errstate(divide="ignore", invalid="ignore"):
-            np.subtract(s, np.divide(err, hess_fn(s), out=step), out=step)
+            step = s - err / np.asarray(hess_fn(s))
         # Steps escaping the bracket re-anchor just inside the violated
         # endpoint (for convex/concave monotone gradients one such step puts
         # the iterate on the side from which plain Newton converges);
         # alternating with plain bisection keeps the worst case geometric.
+        w = b - a
         if it % 2 == 0:
-            np.multiply(0.01, np.subtract(b, a, out=tmp), out=tmp)
-            fallback = np.add(a, tmp)
-            np.clip(step, fallback, np.subtract(b, tmp, out=tmp), out=fallback)
-            np.logical_not(np.isfinite(fallback, out=move), out=move)
-            np.copyto(fallback, np.multiply(0.5, np.add(a, b, out=tmp), out=tmp),
-                      where=move)
+            fallback = np.clip(step, a + 0.01 * w, b - 0.01 * w)
+            fallback = np.where(np.isfinite(fallback), fallback, 0.5 * (a + b))
         else:
-            fallback = np.multiply(0.5, np.add(a, b, out=tmp), out=tmp)
-        # bad: not finite, or outside the open bracket
-        np.logical_not(np.isfinite(step, out=move), out=move)
-        move |= np.less_equal(step, a, out=below)
-        move |= np.greater_equal(step, b, out=below)
-        np.copyto(step, fallback, where=move)
-        del fallback
-        np.logical_not(done, out=live)
-        np.copyto(s, step, where=live)
-        np.subtract(grad_fn(s), t, out=err, where=live)
+            fallback = 0.5 * (a + b)
+        bad = ~np.isfinite(step) | (step <= a) | (step >= b)
+        s = np.where(done, s, np.where(bad, fallback, step))
+        err = np.where(done, err, np.asarray(grad_fn(s)) - t)
     if not done.all():
         nbad = int(np.sum(~done))
         worst = tuple(int(i) for i in np.unravel_index(
@@ -541,9 +524,10 @@ def _invert_monotone_1d(grad_fn, hess_fn, targets, lo: float, hi: float,
     return s
 
 
-def _invert_gradient_nd(grad, hess, targets, x0, what="gradient"):
+def _invert_gradient_nd(grad, hess, targets, x0):
     """Damped Newton for grad F(s) = target to NEWTON_TOL, one point at a time
-    (F convex, at most NEWTON_MAX_ITER steps).
+    (F convex, at most NEWTON_MAX_ITER steps): `to_kahler`'s symplectic
+    gradient inversion beyond dim 1.
 
     Trial steps that leave the domain of F (evaluation raises or returns
     non-finite values) are treated as line-search failures and halved.
@@ -561,7 +545,7 @@ def _invert_gradient_nd(grad, hess, targets, x0, what="gradient"):
         s = np.array(x0[idx], dtype=float)
         g = try_grad(s)
         if g is None:
-            raise NewtonError(f"{what} inversion started outside the domain at {s}")
+            raise NewtonError(f"symplectic gradient inversion started outside the domain at {s}")
         g = g - t
         for _ in range(NEWTON_MAX_ITER):
             if np.linalg.norm(g, ord=np.inf) < NEWTON_TOL:
@@ -579,7 +563,7 @@ def _invert_gradient_nd(grad, hess, targets, x0, what="gradient"):
             else:
                 break
         if np.linalg.norm(g, ord=np.inf) >= NEWTON_TOL:
-            raise NewtonError(f"{what} inversion failed at target {t}")
+            raise NewtonError(f"symplectic gradient inversion failed at target {t}")
         out[idx] = s
     return out
 
@@ -651,7 +635,7 @@ def to_kahler(u: SymplecticPotential, grid: RadialGrid) -> KahlerPotential:
     nodes = grid.nodes()
     lo, hi = u.polytope.bounding_box()
     x0 = np.broadcast_to(0.5 * (lo + hi), nodes.shape).copy()
-    x = _invert_gradient_nd(u.grad, u.hess, nodes, x0, what="symplectic gradient")
+    x = _invert_gradient_nd(u.grad, u.hess, nodes, x0)
     phi = np.einsum("...i,...i->...", x, nodes) - np.asarray(u.value(x))
     return KahlerPotential(grid, values=phi, grad_values=x)
 

@@ -30,10 +30,21 @@ def table_k2():
     return norming_constants(U0, 2)
 
 
-@pytest.mark.parametrize("k", [np.float64(4.0), True])
+@pytest.mark.parametrize("k", [np.float64(4.0), True, 2.5])
 def test_norming_constants_take_integer_levels_only(k):
     with pytest.raises(TypeError, match="^level k must be an integer, got "):
         norming_constants(U0, k)
+
+
+@pytest.mark.parametrize("k", [4.0, 2.5, True])
+def test_norming_constants_check_the_level_with_alphas_given(monkeypatch, k):
+    # given alphas, no lattice is enumerated: k is checked before any quadrature
+    def no_quadrature(*args):
+        raise AssertionError("a quadrature ran")
+
+    monkeypatch.setattr(bergman, "_log_q_quadrature", no_quadrature)
+    with pytest.raises(TypeError, match=f"^level k must be an integer, got {k!r}$"):
+        norming_constants(U0, k, alphas=[[0], [1], [2]])
 
 
 def beta_oracle(alpha: int, k: int) -> float:

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from toricmaps import bergman, harness, polytope
+from toricmaps import bergman, harness, polytope, potentials
 from toricmaps.acceptance import flow_start
 from toricmaps.bergman import BergmanFamily, QuadratureError, norming_constants
 from toricmaps.dirichlet import _d1, _d2, make_disc, make_interval, make_rectangle
@@ -808,6 +808,14 @@ def test_error_report_peak_memory_with_a_worker_is_a_few_blocks(force_workers):
     assert_no_child_left()
 
 
+def in_one_iteration(solve, *args, **kwargs):
+    """`solve` with the Newton iteration cut to one step, which leaves most
+    targets unconverged."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(potentials, "NEWTON_MAX_ITER", 1)
+        return solve(*args, **kwargs)
+
+
 def test_kahler_field_failure_names_node_and_rho(monkeypatch):
     family = small_disc_family()
     rho = np.linspace(-4.0, 4.0, 2049)
@@ -817,7 +825,7 @@ def test_kahler_field_failure_names_node_and_rho(monkeypatch):
     def second_block_fails(*args, **kwargs):
         calls.append(args[2].shape)
         if len(calls) == 2:
-            kwargs["max_iter"] = 1
+            return in_one_iteration(_invert_monotone_1d, *args, **kwargs)
         return _invert_monotone_1d(*args, **kwargs)
 
     monkeypatch.setattr(harness, "_invert_monotone_1d", second_block_fails)
@@ -876,7 +884,7 @@ def fail_in(monkeypatch, failing):
 
     def solve(*args, **kwargs):
         if failing(os.getpid(), args[2].shape[0]):
-            kwargs["max_iter"] = 1
+            return in_one_iteration(inner, *args, **kwargs)
         return inner(*args, **kwargs)
 
     monkeypatch.setattr(harness, "_invert_monotone_1d", solve)

@@ -331,12 +331,13 @@ def test_abreu_delta_reports_convexity_failure():
         abreu_delta(bad, 0.5)
 
 
-def test_newton_failure_names_the_worst_target():
-    # max_iter=1 leaves most of a 2-D target array unconverged
+def test_newton_failure_names_the_worst_target(monkeypatch):
+    # one iteration leaves most of a 2-D target array unconverged
+    monkeypatch.setattr(potentials, "NEWTON_MAX_ITER", 1)
     u = product_potential(P, 0.1, make_polytope_grid(P, 201, 1e-3))
     targets = np.linspace(-3.0, 3.0, 12).reshape(3, 4)
     with pytest.raises(NewtonError) as info:
-        _invert_monotone_1d(u.grad, u.hess, targets, 1e-3, 1.0 - 1e-3, max_iter=1)
+        _invert_monotone_1d(u.grad, u.hess, targets, 1e-3, 1.0 - 1e-3)
     index = info.value.index
     assert len(index) == 2 and 0 <= index[0] < 3 and 0 <= index[1] < 4
     assert f"target index {index}" in str(info.value)
@@ -344,11 +345,14 @@ def test_newton_failure_names_the_worst_target():
 
 
 def where_form_newton(grad_fn, hess_fn, t, lo, hi, s0):
-    """`_invert_monotone_1d` with a fresh np.where array for every update, the
-    oracle of the in-place iteration: same operations, same order."""
+    """A frozen copy of `_invert_monotone_1d`'s iteration, a fresh np.where
+    array for every update: the kernel's iterates are pinned against it."""
     a, b = np.full(t.shape, lo), np.full(t.shape, hi)
-    s = np.clip(np.broadcast_to(s0, t.shape).copy(), np.nextafter(lo, hi),
-                np.nextafter(hi, lo))
+    if s0 is None:
+        s = 0.5 * (a + b)
+    else:
+        s = np.clip(np.broadcast_to(s0, t.shape).copy(), np.nextafter(lo, hi),
+                    np.nextafter(hi, lo))
     err = np.asarray(grad_fn(s)) - t
     eps = np.finfo(float).eps
     done = np.zeros(t.shape, dtype=bool)
@@ -374,15 +378,17 @@ def where_form_newton(grad_fn, hess_fn, t, lo, hi, s0):
     raise AssertionError("the oracle did not converge")
 
 
-def test_newton_in_place_is_bitwise_the_where_form():
-    # targets out to |rho| = 30, seeded at the midpoint: steps that leave the
-    # bracket take the clipped (even) and the bisection (odd) fallbacks, and
-    # the targets near the facets end on the machine-width bracket
+@pytest.mark.parametrize("s0", [None, 0.5])
+def test_newton_is_bitwise_the_frozen_where_form(s0):
+    # targets out to |rho| = 30, seeded at the midpoint (given, or the default
+    # start that to_symplectic takes): steps that leave the bracket take the
+    # clipped (even) and the bisection (odd) fallbacks, and the targets near
+    # the facets end on the machine-width bracket
     u = product_potential(P, 0.1, make_polytope_grid(P, 201, 1e-3))
     targets = np.linspace(-30.0, 30.0, 240).reshape(3, 80)
     lo, hi = 1e-14, 1.0 - 1e-14
-    got = _invert_monotone_1d(u.grad, u.hess, targets, lo, hi, s0=0.5)
-    np.testing.assert_array_equal(got, where_form_newton(u.grad, u.hess, targets, lo, hi, 0.5))
+    got = _invert_monotone_1d(u.grad, u.hess, targets, lo, hi, s0=s0)
+    np.testing.assert_array_equal(got, where_form_newton(u.grad, u.hess, targets, lo, hi, s0))
 
 
 # -- one evaluator per potential: the closed form or splines of the samples --------

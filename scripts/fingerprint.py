@@ -26,7 +26,9 @@ The numbers, each a list of floats under a flat key:
     rectangle bench pass, and of both halves of the Legendre round trip of
     `acceptance.check_legendre_involution` (`legendre.*`: the f of
     `to_symplectic(fubini_study(...))` and the values of `to_kahler` of it,
-    the Newton kernel's callers besides `kahler_field`).
+    the Newton kernel's callers besides `kahler_field`), and of the norming
+    tables of a product potential on the square at levels 1, 2, 4, 8
+    (`square.norming_k<k>.sha256`, the m = 2 quadrature).
 
 Every path is taken from this file's checkout, so a copy of the script in
 another checkout fingerprints that checkout.  With `--against`, each key
@@ -48,7 +50,7 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 
 import numpy as np  # noqa: E402
 
-from toricmaps import acceptance, dirichlet, flows, harness, potentials  # noqa: E402
+from toricmaps import acceptance, bergman, dirichlet, flows, harness, potentials  # noqa: E402
 from toricmaps.polytope import preset_polytope  # noqa: E402
 
 
@@ -91,6 +93,10 @@ def fingerprint() -> dict:
                                  potentials.make_polytope_grid(P, 801, 1e-4))
     numbers["legendre.to_symplectic_f.sha256"] = digest(u.f_values)
     numbers["legendre.to_kahler.sha256"] = digest(potentials.to_kahler(u, grid).values)
+    S = preset_polytope("square")
+    u = potentials.product_potential(S, 0.05, potentials.make_polytope_grid(S, 9, 0.05))
+    for k in (1, 2, 4, 8):
+        numbers[f"square.norming_k{k}.sha256"] = digest(bergman.norming_constants(u, k).log_q)
     # the resolutions of acceptance.check_flow_duality
     for n_t, n_x, n_rho, refine in ((33, 161, 401, 1), (65, 321, 801, 4)):
         numbers[f"flow_duality.sup_n{n_t}"] = [

@@ -14,7 +14,7 @@ of the level-k inner product are dropped uniformly in alpha; a uniform
 rescaling of all Q shifts every derived potential by a constant that the
 error norms are insensitive to.  The quadrature is tensor Gauss-Legendre on
 the bounding box, keeping the nodes inside P (each masked rule built once
-per polytope, panel count and order), validated by panel doubling.  The
+per polytope and panel count), validated by panel doubling.  The
 integrand is Laplace-localized at width about 1/sqrt(k), so the panel count
 per axis starts at about 2 sqrt(k) and doubles until the validation passes,
 capped at 8k; everything involving Q lives in the log domain and sums are
@@ -82,6 +82,8 @@ __all__ = [
 ]
 
 GAUSS_ORDER = 12
+# the largest change of a log Q under panel doubling that validates a table
+CHECK_TOL = 1e-9
 # alpha from which bargmann_fock_peak takes the Stirling series (its next term,
 # 1/(1188 a^9), is below 1e-18 there)
 STIRLING_FROM = 50.0
@@ -136,60 +138,48 @@ class NormingTable:
             raise KeyError(f"alpha={key} not in level-{self.level} table") from None
 
 
-@functools.lru_cache(maxsize=8)
-def _legendre_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only Gauss-Legendre nodes and weights on [-1, 1], built once per order."""
-    x0, w0 = np.polynomial.legendre.leggauss(order)
-    x0.setflags(write=False)
-    w0.setflags(write=False)
-    return x0, w0
-
-
-@functools.lru_cache(maxsize=64)
-def _gauss_panels(a: float, b: float, n_panels: int, order: int = GAUSS_ORDER):
-    """Read-only composite Gauss rule on [a, b], built once per (a, b, n_panels, order)."""
-    x0, w0 = _legendre_rule(order)
-    edges = np.linspace(a, b, n_panels + 1)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    half = 0.5 * (edges[1:] - edges[:-1])
-    pts = (mid[:, None] + half[:, None] * x0[None, :]).reshape(-1)
-    wts = (half[:, None] * w0[None, :]).reshape(-1)
-    pts.setflags(write=False)
-    wts.setflags(write=False)
-    return pts, wts
+def _quad_rule(P, n_panels: int) -> tuple:
+    """The tensor Gauss rule of P's bounding box, `n_panels` panels of
+    GAUSS_ORDER nodes per axis, less its nodes outside P (every node of an
+    interval is inside): the nodes, the weights, and u0 and grad u0 at the
+    nodes, read-only, built once per polytope and panel count and kept on P."""
+    rule = P._quad_rules.get(n_panels)
+    if rule is None:
+        x0, w0 = np.polynomial.legendre.leggauss(GAUSS_ORDER)
+        lo, hi = P.bounding_box()
+        edges = np.linspace(lo, hi, n_panels + 1)           # (n_panels + 1, m)
+        mid = 0.5 * (edges[:-1] + edges[1:])
+        half = 0.5 * (edges[1:] - edges[:-1])
+        # each axis's composite rule, panel by panel: (n_panels * order, m)
+        axis_pts = (mid[:, None] + half[:, None] * x0[:, None]).reshape(-1, P.dim)
+        axis_w = (half[:, None] * w0[:, None]).reshape(-1, P.dim)
+        pts = np.stack(np.meshgrid(*axis_pts.T, indexing="ij"), axis=-1)
+        w = np.stack(np.meshgrid(*axis_w.T, indexing="ij"), axis=-1)
+        pts, w = pts.reshape(-1, P.dim), np.prod(w.reshape(-1, P.dim), axis=-1)
+        inside = np.all(P.ell(pts) > 0, axis=-1)
+        pts = pts[inside]
+        rule = P._quad_rules[n_panels] = tuple(map(_read_only, (
+            pts, w[inside], guillemin_potential(P, pts), guillemin_gradient(P, pts))))
+    return rule
 
 
 def _log_q_quadrature(u: SymplecticPotential, k: int, alphas: np.ndarray,
-                      n_panels: int, order: int) -> np.ndarray:
-    """log of int_P exp(k u + <alpha - k x, grad u>) dx on the tensor Gauss
-    rule of P's bounding box, less its nodes outside P (every node of an
-    interval is inside), built once per (P, n_panels, order) and kept on P
-    with u0 and grad u0 at its nodes: a call evaluates only u's smooth part.
+                      n_panels: int) -> np.ndarray:
+    """log of int_P exp(k u + <alpha - k x, grad u>) dx on `_quad_rule(P,
+    n_panels)`, whose u0 and grad u0 leave only u's smooth part to evaluate.
     The pairing is accumulated one axis at a time into one (n_alpha, n_nodes)
     buffer (a second holds an axis's term when m >= 2), and the log-sum-exp
     runs in place on it: the operations and their order are those of the
     allocating formula, so the table is bitwise the same.  Never `@ w` or a
     regrouped exponent: either changes the table's bits."""
-    P = u.polytope
-    rule = P._quad_rules.get((n_panels, order))
-    if rule is None:
-        lo, hi = P.bounding_box()
-        axes = [_gauss_panels(lo[i], hi[i], n_panels, order) for i in range(P.dim)]
-        pts = np.stack(np.meshgrid(*[x for x, _ in axes], indexing="ij"), axis=-1)
-        w = np.stack(np.meshgrid(*[w for _, w in axes], indexing="ij"), axis=-1)
-        pts, w = pts.reshape(-1, P.dim), np.prod(w.reshape(-1, P.dim), axis=-1)
-        inside = np.all(P.ell(pts) > 0, axis=-1)
-        pts = pts[inside]
-        rule = P._quad_rules[(n_panels, order)] = tuple(map(_read_only, (
-            pts, w[inside], guillemin_potential(P, pts), guillemin_gradient(P, pts))))
-    pts, w, u0, grad_u0 = rule
+    pts, w, u0, grad_u0 = _quad_rule(u.polytope, n_panels)
     # u.value and u.grad at pts, term for term
     grad = grad_u0 + _closed_at(u.f_grad, pts, 1)
     expo = k * (u0 + _closed_at(u.f_value, pts))
     # the first axis's term is built in the exponents' buffer, the others in a
     # second one
     buf = term = np.empty((alphas.shape[0], pts.shape[0]))
-    for i in range(P.dim):
+    for i in range(u.dim):
         if i == 1:
             term = np.empty_like(buf)
         np.subtract(alphas[:, [i]], k * pts[:, i], out=term)
@@ -203,51 +193,52 @@ def _log_q_quadrature(u: SymplecticPotential, k: int, alphas: np.ndarray,
     return peak[:, 0] + np.log(np.sum(expo, axis=1))
 
 
-def norming_constants(u: SymplecticPotential, k: int, alphas=None,
-                      n_panels: int | None = None, order: int = GAUSS_ORDER,
-                      check_tol: float = 1e-9) -> NormingTable:
+def norming_constants(u: SymplecticPotential, k: int, alphas=None) -> NormingTable:
     """Norming constants of the level-k toric monomials for the metric of u.
 
     Integrates the moment-map pushforward of |z^alpha|^2 e^{-k phi} over the
     polytope with tensor Gauss-Legendre panels and validates every entry by
     panel doubling: n panels per axis pass when no entry moves by more than
-    `check_tol` on 2n panels, and the 2n-panel values are returned.
+    CHECK_TOL on 2n panels, and the 2n-panel values are returned.
 
-    The integrand peaks at width about 1/sqrt(k), so by default n starts at
+    The integrand peaks at width about 1/sqrt(k), so n starts at
     max(4, ceil(2 sqrt(k))) and doubles until the validation passes, up to
-    the cap max(8, 8k), which is always tried last.  An explicit `n_panels`
-    is the only count tried.  Failing the last try raises QuadratureError,
-    listing the offending alphas and the panel count.  k is checked as
-    `lattice_points` checks it, whether or not `alphas` is given.
+    the cap max(8, 8k), which is always tried last.  Failing the last try
+    raises QuadratureError, listing the offending alphas and the panel
+    count.  k is checked as `lattice_points` checks it, and given `alphas`
+    must be lattice points of kP (a ValueError naming alpha and k), both
+    before any quadrature.
     """
     _check_level(k)
+    lattice = lattice_points(u.polytope, k).points
     if alphas is None:
-        alphas = lattice_points(u.polytope, k).points
+        alphas = lattice
     else:
-        alphas = np.asarray(alphas, dtype=np.int64).reshape(-1, u.polytope.dim)
-    if n_panels is None:
-        cap = max(8, 8 * k)
-        tries = [max(4, math.ceil(2.0 * math.sqrt(k)))]
-        while tries[-1] < cap:
-            tries.append(min(2 * tries[-1], cap))
-    else:
-        tries = [n_panels]
+        alphas = np.asarray(alphas, dtype=np.int64).reshape(-1, u.dim)
+        outside = ~np.any(np.all(alphas[:, None] == lattice[None], axis=-1), axis=1)
+        if np.any(outside):
+            raise ValueError(f"alpha = {tuple(alphas[outside][0].tolist())} is not a "
+                             f"lattice point of kP at level k = {k}")
+    cap = max(8, 8 * k)
+    tries = [max(4, math.ceil(2.0 * math.sqrt(k)))]
+    while tries[-1] < cap:
+        tries.append(min(2 * tries[-1], cap))
     coarse_panels, coarse = None, None
     for n in tries:
         if coarse_panels != n:
-            coarse = _log_q_quadrature(u, k, alphas, n, order)
-        fine = _log_q_quadrature(u, k, alphas, 2 * n, order)
+            coarse = _log_q_quadrature(u, k, alphas, n)
+        fine = _log_q_quadrature(u, k, alphas, 2 * n)
         err = np.abs(fine - coarse)
-        if not np.any(err > check_tol):
+        if not np.any(err > CHECK_TOL):
             return NormingTable(level=k, alphas=alphas, log_q=fine,
-                                provenance=f"quadrature panels={n}x2 order={order}")
+                                provenance=f"quadrature panels={n}x2 order={GAUSS_ORDER}")
         # this try's doubled rule is the next try's coarse rule
         coarse_panels, coarse = 2 * n, fine
-    bad = [(tuple(a), float(e)) for a, e in zip(alphas[err > check_tol].tolist(),
-                                                err[err > check_tol])]
+    bad = [(tuple(a), float(e)) for a, e in zip(alphas[err > CHECK_TOL].tolist(),
+                                                err[err > CHECK_TOL])]
     raise QuadratureError(
         f"panel doubling {n} -> {2 * n} panels moved {len(bad)} norming constant(s) "
-        f"by more than {check_tol:g}: {bad[:8]}{'...' if len(bad) > 8 else ''}")
+        f"by more than {CHECK_TOL:g}: {bad[:8]}{'...' if len(bad) > 8 else ''}")
 
 
 def log_normalized_monomial(table: NormingTable, phi: KahlerPotential, alpha, rho):

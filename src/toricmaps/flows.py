@@ -46,7 +46,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dirichlet import Window, _d1, _d2
+from .dirichlet import Window, _d1, _d2, _uniform_axis
 from .potentials import (LSE_BLOCK, ConvexityError, PolytopeGrid, PotentialFamily,
                          _blocks, _convex_slices, _read_text, _write_text)
 
@@ -141,10 +141,10 @@ def _fiber_window(phi, domain, rho_axis, margin: int, hcma: bool):
     running one.  No full-grid temporary is held, and every value is bitwise
     the whole-grid operator's.  The Eells-Sampson operator raises a
     ConvexityError naming the first worst node, in the window's C order,
-    where phi_rhorho is not positive; a ValueError when `margin` < 1 or the
-    window is empty.
+    where phi_rhorho is not positive; a ValueError when `margin` < 1, the
+    window is empty or the rho axis is not uniform (`_uniform_axis`).
     """
-    phi, rho_axis = np.asarray(phi, dtype=float), np.asarray(rho_axis, dtype=float)
+    phi, rho_axis = np.asarray(phi, dtype=float), _uniform_axis(rho_axis, "rho axis")
     if margin < 1:
         raise ValueError(f"margin = {margin}: the rho differences wrap around at the "
                          "grid's end columns, so the residual window needs margin >= 1")

@@ -62,7 +62,7 @@ import numpy as np
 
 from .bergman import (BergmanFamily, NormingTable, QuadratureError, harmonic_norming,
                       norming_constants)
-from .dirichlet import (BoundaryData, MaxPrincipleError, Window, _d1, _d2,
+from .dirichlet import (BoundaryData, MaxPrincipleError, Window, _d1, _d2, _uniform_axis,
                         harmonic_extend, make_disc, make_interval)
 from .polytope import lattice_points, preset_polytope
 from .potentials import (LSE_BLOCK, NewtonError, PolytopeGrid, PotentialFamily,
@@ -149,6 +149,8 @@ class ExperimentConfig:
         if self.domain == "disc" and (self.n_angles < 64 or self.n_angles % 2):
             raise ValueError(f"n_angles = {self.n_angles} on domain 'disc': the angular "
                              "quadrature needs an even count >= 64")
+        if not math.isfinite(self.a):
+            raise ValueError(f"a = {self.a}: the family's amplitude must be finite")
         c = self.a * np.array(_FAMILIES[self.domain][1])
         # (c prod ell)'' = -2c and u0'' >= 4 on [0, 1]: every slice is convex
         # while each boundary c < 2, as the extension keeps every node's c in
@@ -293,9 +295,11 @@ def kahler_field(family: PotentialFamily, rho_axis: np.ndarray) -> KahlerFamilyF
     size.  Where each process gets two blocks or more and more than one CPU
     is allowed, forked workers solve a share of the blocks each
     (`_solve_blocks`, `_worker_cpus`); the field and any NewtonError are the
-    serial loop's.
+    serial loop's.  A rho axis that is not 1-D is a ValueError naming its shape.
     """
     rho_axis = np.asarray(rho_axis, dtype=float)
+    if rho_axis.ndim != 1:
+        raise ValueError(f"rho axis must be 1-D, got shape {rho_axis.shape}")
     shape = family.domain.shape
     P = family.xgrid.polytope
     if rho_axis.size == 0:          # no targets, nothing to bracket
@@ -678,10 +682,11 @@ def error_report(family: PotentialFamily, phi_field: KahlerFamilyField,
     reference row and its sups, and the parent merges them level by level.
     Each level's `BergmanFamily` weights are built before any fork.  Every
     norm is bitwise the one `error_norms` gives on the whole window.  A
-    non-finite norm is a ValueError naming its column and level.
+    non-finite norm is a ValueError naming its column and level, and a rho
+    axis that is not uniformly spaced is one too (`_uniform_axis`).
     """
     _require_c2_nodes(family.domain)
-    rho_axis = phi_field.rho_axis
+    rho_axis = _uniform_axis(phi_field.rho_axis, "rho axis")
     bounds = window_rho_bounds(family.boundary_potentials[0], window)
     rho_mask = _rho_window_mask(rho_axis, bounds)
     if not rho_mask.any():
@@ -793,15 +798,23 @@ def rate_fit(levels, errors) -> RateFit:
     """Fit log errors against log k; needs at least four levels.
 
     All-zero (machine-level) errors short-circuit to an exact-match report
-    instead of a meaningless fit.
+    instead of a meaningless fit.  Otherwise every error must be finite and
+    positive: a ValueError names the first non-finite one's level, or else
+    the first non-positive one's.
     """
     levels = tuple(int(k) for k in levels)
     errors = tuple(float(e) for e in errors)
     if len(levels) < 4:
         raise ValueError("rate fitting needs at least 4 levels")
-    if max(errors) < 1e-14:
+    # Python's max can skip a NaN, so the non-finite errors are found first
+    bad = [(k, e) for k, e in zip(levels, errors) if not math.isfinite(e)]
+    if not bad and max(errors) < 1e-14:
         return RateFit(levels, errors, math.nan, math.nan,
                        tuple(0.0 for _ in levels), 0.0, 0.0, 0.0, exact_match=True)
+    bad = bad or [(k, e) for k, e in zip(levels, errors) if e <= 0]
+    if bad:
+        raise ValueError(f"rate fitting needs finite positive errors: "
+                         f"level k = {bad[0][0]} has error {bad[0][1]}")
     lk = np.log(np.asarray(levels, dtype=float))
     le = np.log(np.asarray(errors, dtype=float))
     slope, intercept = np.polyfit(lk, le, 1)

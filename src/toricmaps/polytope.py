@@ -158,8 +158,8 @@ class DelzantPolytope:
                                            _read_only(v.max(axis=0))))
         # level k -> LatticeSet, filled by lattice_points on first use
         object.__setattr__(self, "_lattices", {})
-        # (n_panels, order) -> masked tensor Gauss rule (points, weights, and u0
-        # and grad u0 at the points), filled by bergman on first use
+        # n_panels -> masked tensor Gauss rule (points, weights, and u0 and
+        # grad u0 at the points), one per panel count, filled by bergman._quad_rule
         object.__setattr__(self, "_quad_rules", {})
 
     # -- validation -------------------------------------------------------

@@ -1,5 +1,6 @@
 import decimal
 import math
+import re
 
 import numpy as np
 import pytest
@@ -45,6 +46,23 @@ def test_norming_constants_check_the_level_with_alphas_given(monkeypatch, k):
     monkeypatch.setattr(bergman, "_log_q_quadrature", no_quadrature)
     with pytest.raises(TypeError, match=f"^level k must be an integer, got {k!r}$"):
         norming_constants(U0, k, alphas=[[0], [1], [2]])
+
+
+@pytest.mark.parametrize("name,k,alpha", [("interval", 4, [5]), ("interval", 4, [-1]),
+                                          ("square", 1, [2, 0])],
+                         ids=["interval-5", "interval--1", "square-2,0"])
+def test_norming_constants_reject_alphas_outside_kP(monkeypatch, name, k, alpha):
+    # the norming integral of a monomial outside kP diverges at a facet, so
+    # the alpha is named before any quadrature runs
+    def no_quadrature(*args):
+        raise AssertionError("a quadrature ran")
+
+    monkeypatch.setattr(bergman, "_log_q_quadrature", no_quadrature)
+    Q = preset_polytope(name)
+    u = product_potential(Q, 0.05, XG if name == "interval" else make_polytope_grid(Q, 9, 0.05))
+    with pytest.raises(ValueError, match=rf"^alpha = {re.escape(str(tuple(alpha)))} is not a "
+                       rf"lattice point of kP at level k = {k}$"):
+        norming_constants(u, k, alphas=[[0] * len(alpha), alpha])
 
 
 def beta_oracle(alpha: int, k: int) -> float:
@@ -97,12 +115,13 @@ def test_constant_shift_scales_norming():
     np.testing.assert_allclose(shifted.log_q, base.log_q + k * 0.37, atol=1e-10)
 
 
-def test_quadrature_validation_reports_alpha():
-    # the standard-metric integrand is a polynomial (Gauss-exact at any panel
-    # count), so the perturbed metric is needed to exercise the validator
+def test_quadrature_validation_reports_alpha(monkeypatch):
+    # doubling moves this table by 3.6e-15 at every panel count, so a
+    # tolerance below that fails every try and exercises the validator
+    monkeypatch.setattr(bergman, "CHECK_TOL", 1e-16)
     u = product_potential(P, 0.1, XG)
     with pytest.raises(QuadratureError, match="panel"):
-        norming_constants(u, 32, n_panels=1, check_tol=1e-13)
+        norming_constants(u, 32)
 
 
 @pytest.mark.parametrize("k", [8, 16, 32, 64, 128, 256])
@@ -111,17 +130,18 @@ def test_quadrature_validation_reports_alpha():
 def test_right_sized_panels_match_the_8k_rule(a, k):
     u = product_potential(P, a, XG)
     table = norming_constants(u, k)
-    reference = norming_constants(u, k, n_panels=8 * k)
-    np.testing.assert_allclose(table.log_q, reference.log_q, rtol=0, atol=1e-12)
+    # the doubled rule of the 8k-panel cap
+    reference = bergman._log_q_quadrature(u, k, table.alphas, 16 * k)
+    np.testing.assert_allclose(table.log_q, reference, rtol=0, atol=1e-12)
     # the sqrt(k)-sized start already passes the doubling validation
     start = max(4, math.ceil(2 * math.sqrt(k)))
     assert f"panels={start}x2 " in table.provenance
 
 
-def allocating_quadrature(u, k, alphas, n_panels, order):
+def allocating_quadrature(u, k, alphas, n_panels):
     """The norming quadrature with a fresh array for every step, the oracle of
     the in-place kernel: same operations, same order."""
-    pts, w, u0, grad_u0 = u.polytope._quad_rules[(n_panels, order)]
+    pts, w, u0, grad_u0 = bergman._quad_rule(u.polytope, n_panels)
     grad = grad_u0 + _closed_at(u.f_grad, pts, 1)
     expo = k * (u0 + _closed_at(u.f_value, pts))
     for i in range(u.polytope.dim):
@@ -139,8 +159,8 @@ def test_norming_quadrature_is_bitwise_the_allocating_formula(name, a, k, n_pane
     Q = preset_polytope(name)
     u = product_potential(Q, a, XG if name == "interval" else make_polytope_grid(Q, 9, 0.05))
     alphas = lattice_points(Q, k).points
-    got = bergman._log_q_quadrature(u, k, alphas, n_panels, bergman.GAUSS_ORDER)
-    expected = allocating_quadrature(u, k, alphas, n_panels, bergman.GAUSS_ORDER)
+    got = bergman._log_q_quadrature(u, k, alphas, n_panels)
+    expected = allocating_quadrature(u, k, alphas, n_panels)
     np.testing.assert_array_equal(got, expected)
 
 
@@ -170,14 +190,15 @@ def test_right_sizing_doubles_to_the_cap_then_raises(monkeypatch):
     panels = []
     quadrature = bergman._log_q_quadrature
 
-    def counted(u, k, alphas, n_panels, order):
+    def counted(u, k, alphas, n_panels):
         panels.append(n_panels)
-        return quadrature(u, k, alphas, n_panels, order)
+        return quadrature(u, k, alphas, n_panels)
 
     monkeypatch.setattr(bergman, "_log_q_quadrature", counted)
+    monkeypatch.setattr(bergman, "CHECK_TOL", 1e-16)
     u = product_potential(P, 0.1, XG)
     with pytest.raises(QuadratureError, match=r"64 -> 128 panels.*\(\(\d+,\)"):
-        norming_constants(u, 8, check_tol=1e-16)
+        norming_constants(u, 8)
     # start 6, doubling (each doubled rule reused as the next coarse one), cap 64
     assert panels == [6, 12, 24, 48, 96, 64, 128]
 
@@ -270,15 +291,19 @@ def test_bargmann_fock_peak_is_exact_to_4_ulp(alpha):
 
 @pytest.mark.parametrize("n", range(1, 41))
 def test_legendre_rule_is_gauss(n):
+    # the interval's rule of n panels, each a Gauss rule of GAUSS_ORDER nodes
     from scipy.special import roots_legendre
-    x, w = bergman._legendre_rule(n)
-    # exact on every x^j, j <= 2n - 1: the moments of [-1, 1]
-    for j in range(2 * n):
-        exact = 2.0 / (j + 1) if j % 2 == 0 else 0.0
-        assert abs(float(np.sum(w * x**j)) - exact) <= 1e-14
-    xs, ws = roots_legendre(n)
-    np.testing.assert_allclose(x, xs, rtol=0, atol=1e-14)
-    np.testing.assert_allclose(w, ws, rtol=0, atol=1e-14)
+    order = bergman.GAUSS_ORDER
+    x, w, *_ = bergman._quad_rule(preset_polytope("interval"), n)
+    x = x[:, 0]
+    # exact on every x^j, j <= 2 order - 1: the moments of [0, 1]
+    for j in range(2 * order):
+        assert abs(float(np.sum(w * x**j)) - 1.0 / (j + 1)) <= 1e-14
+    xs, ws = roots_legendre(order)
+    edges = np.linspace(0.0, 1.0, n + 1)
+    mid, half = 0.5 * (edges[:-1] + edges[1:]), 0.5 * (edges[1:] - edges[:-1])
+    np.testing.assert_allclose(x, (mid[:, None] + half[:, None] * xs).ravel(), rtol=0, atol=1e-14)
+    np.testing.assert_allclose(w, (half[:, None] * ws).ravel(), rtol=0, atol=1e-14)
     assert not x.flags.writeable and not w.flags.writeable
 
 

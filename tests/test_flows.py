@@ -477,6 +477,17 @@ def test_eells_sampson_convexity_error_in_blocks_names_the_first_worst_node(monk
         eells_sampson_residual(np.zeros_like(phi), dom, rho)
 
 
+@pytest.mark.parametrize("fn", [hcma_residual, eells_sampson_residual,
+                                hcma_operator, eells_sampson_operator])
+def test_residuals_reject_a_non_uniform_rho_axis(fn):
+    # rho = 4 t^3: the stencils would read rho[1] - rho[0] as the step
+    family = geodesic_family(a=0.1, n_t=9, n_x=201, k_max=16)
+    rho = 4.0 * np.linspace(-1.0, 1.0, 401) ** 3
+    phi = kahler_field(family, rho).values
+    with pytest.raises(ValueError, match="^rho axis must be uniformly spaced$"):
+        fn(phi, family.domain, rho)
+
+
 def test_residual_window_needs_a_margin_off_the_rho_ends_and_a_node():
     rho = np.linspace(-2, 2, 41)
     dom = make_disc(7, 64)

@@ -455,6 +455,7 @@ _TINY = {"levels": [4, 8], "n_y": 5, "n_radii": 5, "n_angles": 64, "n_x": 16, "n
 @example(dict(_TINY, a=0.99, domain="disc"))
 @example(dict(_TINY, a=-15.0))
 @example(dict(_TINY, a=-25.0))
+@example(dict(_TINY, a=math.inf))
 @example(dict(_TINY, levels=[0, 4]))
 @example(dict(_TINY, n_angles=62, domain="disc"))
 @example(dict(_TINY, window=1e-300))
@@ -470,6 +471,43 @@ def test_a_config_is_rejected_naming_a_field_or_runs_to_a_finite_report(doc):
         return
     report = run_experiment(cfg).report
     assert all(np.all(np.isfinite(report.column(col))) for col in ERROR_COLUMNS)
+
+
+@pytest.mark.parametrize("a", [math.inf, -math.inf, math.nan])
+def test_config_rejects_a_non_finite_amplitude(a):
+    # inf times the family's 0 coefficient would read "c = nan"
+    with pytest.raises(ValueError, match=rf"^a = {a}: the family's amplitude must be finite$"):
+        ExperimentConfig(a=a)
+
+
+def test_error_report_rejects_a_non_uniform_rho_axis():
+    # rho = 4 t^3: the differences would read rho[1] - rho[0] as the step
+    family = geodesic_family(a=0.1, n_t=9, n_x=201, k_max=16)
+    field = kahler_field(family, 4.0 * np.linspace(-1.0, 1.0, 401) ** 3)
+    with pytest.raises(ValueError, match="^rho axis must be uniformly spaced$"):
+        error_report(family, field, build_approximants(family, (4, 8, 16)))
+
+
+@pytest.mark.parametrize("shape", [(2, 2), ()], ids=["2x2", "0-d"])
+def test_kahler_field_rejects_a_rho_that_is_not_1d(shape):
+    family = geodesic_family(a=0.1, n_t=9, n_x=201, k_max=16)
+    rho = np.linspace(-1.0, 1.0, math.prod(shape)).reshape(shape)
+    with pytest.raises(ValueError, match=rf"^rho axis must be 1-D, got shape "
+                       rf"{re.escape(str(shape))}$"):
+        kahler_field(family, rho)
+
+
+@pytest.mark.parametrize("errors,k,bad", [
+    ([0.1, 0.05, 0.0, 0.01], 32, "0.0"),
+    ([0.1, -0.05, 0.02, 0.01], 16, "-0.05"),
+    ([0.1, 0.05, math.nan, 0.01], 32, "nan"),
+    ([0.0, math.nan, 0.0, 0.0], 16, "nan"),       # max((0.0, nan, 0.0, 0.0)) is 0.0
+    ([0.1, 0.05, 0.02, math.inf], 64, "inf"),
+], ids=["zero", "negative", "nan", "nan-among-zeros", "inf"])
+def test_rate_fit_rejects_an_error_without_a_finite_log(errors, k, bad):
+    with pytest.raises(ValueError, match=rf"^rate fitting needs finite positive errors: "
+                       rf"level k = {k} has error {re.escape(bad)}$"):
+        rate_fit((8, 16, 32, 64), errors)
 
 
 def test_run_experiment_is_the_hand_built_pipeline(geo):
@@ -1208,10 +1246,17 @@ def test_x_bracket_is_the_halving_sequence():
 
 
 def test_boundary_quadrature_failure_names_node_and_level(monkeypatch):
-    # one Gauss panel resolves k = 16 but not the narrower peaks of k = 32
+    # a tolerance that no panel doubling meets, at k = 32 only, fails that
+    # level's first table after k = 16 has passed
     family = geodesic_family(a=0.1, n_t=5, n_x=201, k_max=32)
-    monkeypatch.setattr(harness, "norming_constants",
-                        lambda bp, k: norming_constants(bp, k, n_panels=1))
+
+    def failing_at_32(bp, k):
+        with pytest.MonkeyPatch.context() as patch:
+            if k == 32:
+                patch.setattr(bergman, "CHECK_TOL", -1.0)
+            return norming_constants(bp, k)
+
+    monkeypatch.setattr(harness, "norming_constants", failing_at_32)
     build_approximants(family, (16,))
     with pytest.raises(QuadratureError) as info:
         build_approximants(family, (16, 32))

@@ -162,29 +162,27 @@ def test_disc_fourier_modes_built_once_per_domain():
     assert all(a.flags.c_contiguous and not a.flags.writeable for a in modes)
 
 
-def test_legendre_rule_built_once_per_order(monkeypatch):
-    bergman._gauss_panels.cache_clear()
-    bergman._legendre_rule.cache_clear()
+def test_legendre_rule_built_once_per_masked_rule(monkeypatch):
     calls = counting(monkeypatch, np.polynomial.legendre, "leggauss")
     family = geodesic_family(a=0.1, n_t=5, n_x=201, k_max=8)
-    for order in (12, 12, 10):
-        norming_constants(family.boundary_potentials[1], 8, order=order)
-    assert [order for (order,) in calls] == [12, 10]
+    for _ in range(2):
+        norming_constants(family.boundary_potentials[1], 8)
+    # the first call builds the validation's coarse and doubled rules (6 and
+    # 12 panels), each from one Legendre rule; the second builds none
+    assert sorted(family.xgrid.polytope._quad_rules) == [6, 12]
+    assert [order for (order,) in calls] == [bergman.GAUSS_ORDER] * 2
 
 
 def test_gauss_panel_rule_built_once_per_key(monkeypatch):
     family = loop_family(a=0.05, n_radii=4, n_angles=64, n_x=201, k_max=8)
-    bergman._gauss_panels.cache_clear()
-    built = counting(monkeypatch, bergman, "_legendre_rule")
-    rules = counting(monkeypatch, bergman, "_gauss_panels")
+    built = counting(monkeypatch, np.polynomial.legendre, "leggauss")
     build_approximants(family, (8,))
-    # the 64 boundary tables share the polytope's masked rules: a coarse and a
-    # doubled one, each axis rule looked up once, when its masked rule is built
-    assert len(rules) == len(set(rules)) >= 2
-    assert len(built) == len(set(rules))
+    # the 64 boundary tables share the polytope's masked rules, keyed by panel
+    # count: a coarse and a doubled one, each built once, from one Legendre rule
     masked = family.xgrid.polytope._quad_rules
-    assert sorted(n for n, _ in masked) == sorted(n for _, _, n, _ in rules)
-    for arrays in [*(bergman._gauss_panels(*key) for key in set(rules)), *masked.values()]:
+    assert len(masked) >= 2
+    assert len(built) == len(masked)
+    for arrays in masked.values():
         assert not any(a.flags.writeable for a in arrays)
     # a masked rule is its points, weights, and u0 and grad u0 at the points
     assert all(len(rule) == 4 for rule in masked.values())

@@ -1,5 +1,5 @@
-"""Print the four design counts that ROADMAP.md tracks for `src/`, and the
-lines and `dim` branches of each module.
+"""Print the five design counts that ROADMAP.md tracks for `src/`, and the
+lines, `dim` branches and scipy imports of each module.
 
     python3 scripts/design_counts.py
 
@@ -9,7 +9,9 @@ lines and `dim` branches of each module.
     **kwargs) except `self` and `cls`;
   * `dim` branches: lines matching the ROADMAP item-6 grep
     `dim\\b.*==|ndim ?==|\\.dim ?[<>=]|m ?== ?1\\b`, in all and per module;
-  * `isinstance(..., *Domain)` dispatch branches.
+  * `isinstance(..., *Domain)` dispatch branches;
+  * scipy imports: `import scipy...` and `from scipy...` lines, in all and
+    per module (ROADMAP item 16: scipy out of the solver paths).
 
 It only prints; it gates nothing.
 """
@@ -23,6 +25,7 @@ from pathlib import Path
 
 DIM_BRANCH = re.compile(r"dim\b.*==|ndim ?==|\.dim ?[<>=]|m ?== ?1\b")
 DOMAIN_DISPATCH = re.compile(r"isinstance\([^)]*Domain\b")
+SCIPY_IMPORT = re.compile(r"^\s*(import|from) scipy\b")
 
 
 def settable_parameters(tree: ast.AST) -> int:
@@ -36,36 +39,43 @@ def settable_parameters(tree: ast.AST) -> int:
     return count
 
 
-def design_counts(src: Path) -> tuple[dict[str, int], dict[str, int], dict[str, int]]:
-    """The four counts, the lines of each module, and the dim branches of each
-    module that has any."""
+def design_counts(src: Path) -> tuple[dict[str, int], dict[str, int], dict[str, int],
+                                      dict[str, int]]:
+    """The five counts, the lines of each module, and the dim branches and the
+    scipy imports of each module that has any."""
     counts = {"lines": 0, "settable parameters": 0, "dim branches": 0,
-              "isinstance(..., *Domain) branches": 0}
-    module_lines, per_module = {}, {}
+              "isinstance(..., *Domain) branches": 0, "scipy imports": 0}
+    module_lines, per_module, scipy_per_module = {}, {}, {}
     for path in sorted(src.rglob("*.py")):
         text = path.read_text()
         lines = text.splitlines()
         branches = sum(bool(DIM_BRANCH.search(s)) for s in lines)
+        scipy_imports = sum(bool(SCIPY_IMPORT.search(s)) for s in lines)
         counts["lines"] += len(lines)
         module_lines[path.stem] = len(lines)
         counts["settable parameters"] += settable_parameters(ast.parse(text))
         counts["dim branches"] += branches
         counts["isinstance(..., *Domain) branches"] += sum(
             bool(DOMAIN_DISPATCH.search(s)) for s in lines)
+        counts["scipy imports"] += scipy_imports
         if branches:
             per_module[path.stem] = branches
-    return counts, module_lines, per_module
+        if scipy_imports:
+            scipy_per_module[path.stem] = scipy_imports
+    return counts, module_lines, per_module, scipy_per_module
 
 
 def main() -> int:
     src = Path(__file__).resolve().parents[1] / "src"
-    counts, module_lines, per_module = design_counts(src)
+    counts, module_lines, per_module, scipy_per_module = design_counts(src)
     for name, value in counts.items():
         print(f"{name}: {value:,}")
     for module, value in module_lines.items():
         print(f"  lines in {module}: {value:,}")
     for module, value in per_module.items():
         print(f"  dim branches in {module}: {value}")
+    for module, value in scipy_per_module.items():
+        print(f"  scipy imports in {module}: {value}")
     return 0
 
 

@@ -149,6 +149,47 @@ def test_rectangle_boundary_weights_are_the_discrete_harmonic_measure():
         assert w @ g == pytest.approx(f.values[where], abs=1e-14)
 
 
+@pytest.mark.parametrize("shape", [(3, 3), (9, 7), (17, 13), (17, 17)])
+def test_rectangle_weights_are_convex(shape):
+    # the discrete maximum principle of the module docstring: W >= 0, rows sum to 1
+    weights = make_rectangle(*shape).dirichlet_weights
+    assert weights.min() >= 0
+    assert np.max(np.abs(weights.sum(axis=1) - 1.0)) <= 16 * np.spacing(1.0)
+
+
+def _sparse_lu_extension(dom, values):
+    """The rectangle's extension by a sparse LU solve of the 5-point Laplacian
+    assembled from Kronecker products: an independent oracle."""
+    import scipy.sparse as sp
+    import scipy.sparse.linalg as spla
+
+    def second_difference(n, h):       # interior rows of an n-node axis
+        return sp.diags([1.0, -2.0, 1.0], [0, 1, 2], shape=(n - 2, n)) / h**2
+
+    (nx, ny), (hx, hy) = dom.shape, dom.spacings.values()
+    lap = (sp.kron(second_difference(nx, hx), sp.eye(ny - 2, ny, k=1))
+           + sp.kron(sp.eye(nx - 2, nx, k=1), second_difference(ny, hy))).tocsc()
+    on_boundary = dom.boundary_mask().ravel()
+    columns = values.reshape(values.shape[0], -1)
+    out = np.empty((on_boundary.size, columns.shape[1]))
+    out[on_boundary] = columns
+    lu = spla.splu(lap[:, np.flatnonzero(~on_boundary)].tocsc())
+    out[~on_boundary] = lu.solve(-(lap[:, np.flatnonzero(on_boundary)] @ columns))
+    return out.reshape(dom.shape + values.shape[1:])
+
+
+@pytest.mark.parametrize("shape", [(9, 7), (17, 13), (17, 17)])
+@pytest.mark.parametrize("trailing", [(), (5,), (3, 4)])
+def test_rectangle_extension_is_the_sparse_lu_solve(shape, trailing):
+    dom = make_rectangle(*shape)
+    g = np.random.default_rng(11).standard_normal((dom.n_boundary,) + trailing)
+    np.testing.assert_allclose(dom.extend(g), _sparse_lu_extension(dom, g),
+                               rtol=0, atol=1e-14 * np.abs(g).max())
+    # one read-only weight array per domain
+    assert dom.dirichlet_weights is dom.dirichlet_weights
+    assert not dom.dirichlet_weights.flags.writeable
+
+
 @pytest.mark.parametrize("dom", [make_interval(7), make_disc(5, 64), make_rectangle(9, 7)],
                          ids=["interval", "disc", "rectangle"])
 def test_stacked_extension_is_the_column_by_column_one(dom):
@@ -160,12 +201,8 @@ def test_stacked_extension_is_the_column_by_column_one(dom):
     for j in np.ndindex(4, 3):
         column = harmonic_extend(dom, BoundaryData(g[(slice(None),) + j]))
         residuals.append(laplace_residual(dom, column))
-        if isinstance(dom, RectangleDomain):
-            np.testing.assert_allclose(stacked.values[(...,) + j], column.values,
-                                       rtol=0, atol=1e-14)
-        else:
-            # interval: the two-term form; disc: einsum sums each column alone
-            np.testing.assert_array_equal(stacked.values[(...,) + j], column.values)
+        # interval: the two-term form; disc, rectangle: einsum sums each column alone
+        np.testing.assert_array_equal(stacked.values[(...,) + j], column.values)
     assert laplace_residual(dom, stacked) == pytest.approx(max(residuals), rel=1e-12)
 
 
@@ -191,6 +228,24 @@ def test_domains_reject_grids_their_stencils_cannot_honour():
         RectangleDomain(np.linspace(0, 1, 5), np.array([0.0, 0.1, 0.5, 1.0]))
     # the boundary ring keeps its own spacing
     DiscDomain(radii=np.array([0.0, 0.3, 0.6, 0.9, 1.0]), angles=angles)
+
+
+def test_disc_rejects_angles_off_the_grid_by_a_relative_error():
+    # 2e-6 relative is 1.2e-5 absolute at the last angle; such a grid is no
+    # trapezoid rule, and its spectral and einsum extensions part by ~4e-5
+    disc = make_disc(5, 64)
+    with pytest.raises(ValueError, match="angles must be the uniform grid"):
+        DiscDomain(disc.radii, disc.angles * (1 + 2e-6))
+
+
+def test_uniform_axis_tolerance_scales_with_the_axis():
+    # steps 1e-9, 2e-9, 3e-9 are all within an absolute 1e-8 of each other
+    with pytest.raises(ValueError, match="interval nodes must be uniformly spaced"):
+        IntervalDomain(np.array([0.0, 1e-9, 3e-9, 6e-9]))
+    # rounding of the node values is not a step change
+    for nodes in (np.linspace(-4.0, 4.0, 801), np.linspace(0.0, 1000.0, 10**6 + 1),
+                  np.linspace(1e6, 1e6 + 1.0, 1001)):
+        IntervalDomain(nodes)
 
 
 def test_rejects_mismatched_boundary_data():

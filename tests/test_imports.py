@@ -1,6 +1,7 @@
-"""What a fresh interpreter imports: the geodesic and disc pipelines run on
-numpy alone, and scipy is loaded only by the paths that need it (splines of
-sampled potentials, the rectangle's sparse solve)."""
+"""What a fresh interpreter imports: the geodesic, disc and rectangle
+pipelines run on numpy alone, and scipy is loaded only by the splines of
+sampled potentials.  Each path runs in its own interpreter, so no path's
+imports hide another's."""
 
 import json
 import os
@@ -25,19 +26,22 @@ dirichlet.harmonic_extend_disc_fourier(result.family.domain, dirichlet.BoundaryD
 print(json.dumps(sorted(m for m in sys.modules if m.startswith("scipy"))))
 """
 
-ON_DEMAND = """
+SPLINES = """
 import json, sys
-import numpy as np
-from toricmaps import dirichlet, polytope, potentials
+from toricmaps import polytope, potentials
 P = polytope.preset_polytope("interval")
-loaded = []
 phi = potentials.fubini_study(potentials.make_radial_grid([-6.0], [6.0], [121]))
 potentials.to_symplectic(phi, P, potentials.make_polytope_grid(P, 101, 0.01))
-loaded.append("scipy.interpolate" in sys.modules)
+print(json.dumps("scipy.interpolate" in sys.modules))
+"""
+
+RECTANGLE = """
+import json, sys
+import numpy as np
+from toricmaps import dirichlet
 domain = dirichlet.make_rectangle(5, 5)
 dirichlet.harmonic_extend(domain, dirichlet.BoundaryData(np.ones(domain.n_boundary)))
-loaded.append("scipy.sparse.linalg" in sys.modules)
-print(json.dumps(loaded))
+print(json.dumps(sorted(m for m in sys.modules if m.startswith("scipy"))))
 """
 
 
@@ -54,5 +58,9 @@ def test_geodesic_and_disc_passes_import_no_scipy():
     assert run_fresh(PIPELINES) == []
 
 
-def test_splines_and_rectangle_solve_load_scipy_on_demand():
-    assert run_fresh(ON_DEMAND) == [True, True]
+def test_splines_load_scipy_on_demand():
+    assert run_fresh(SPLINES) is True
+
+
+def test_rectangle_solve_imports_no_scipy():
+    assert run_fresh(RECTANGLE) == []

@@ -31,13 +31,14 @@ Supported domains (all with the Euclidean metric):
   Rectangle  tensor grid with Dirichlet data on all four sides.  The 5-point
              rows of `laplacian` at the interior nodes split into an interior
              block A and a boundary coupling B >= 0; the weights W = -A^-1 B
-             (one dense solve per domain) take stacked data in an einsum, as
-             on the disc.  -A is an irreducibly diagonally dominant M-matrix
-             (off-diagonal <= 0, rows dominant, strictly beside the boundary,
-             interior connected), so (-A)^-1 >= 0 and W >= 0; constants are
-             discretely harmonic, A 1 + B 1 = 0, so W 1 = 1: each interior
-             value is a convex combination of boundary values (the corners,
-             which no interior stencil reads, get weight 0).
+             (built once per domain in the sine modes of each axis) take
+             stacked data in an einsum, as on the disc.  -A is an irreducibly
+             diagonally dominant M-matrix (off-diagonal <= 0, rows dominant,
+             strictly beside the boundary, interior connected), so
+             (-A)^-1 >= 0 and W >= 0; constants are discretely harmonic,
+             A 1 + B 1 = 0, so W 1 = 1: each interior value is a convex
+             combination of boundary values (the corners, which no interior
+             stencil reads, get weight 0).
 
 `make_disc` keeps the interior radii away from r = 1 (cap R_INTERIOR_MAX =
 0.9) with an exact boundary ring at r = 1; the angular quadrature error of
@@ -354,14 +355,22 @@ class RectangleDomain:
 
     @cached_property
     def dirichlet_weights(self) -> np.ndarray:
-        """Read-only (interior nodes, n_boundary) weights, both row-major as in
-        BoundaryData, solved once from the 5-point rows: (nx ny)^2 doubles while
-        built, 0.7 MB at 17 x 17 (no caller extends a larger rectangle)."""
-        n = self.x_nodes.size * self.y_nodes.size
-        lap = self.laplacian(Window(np.eye(n).reshape(self.shape + (n,)), self.interior(0)))
-        lap = lap.reshape(-1, n)
-        on_boundary = self.boundary_mask().ravel()
-        return _read_only(np.linalg.solve(lap[:, ~on_boundary], -lap[:, on_boundary]))
+        """Read-only (interior nodes, n_boundary) weights W = -A^-1 B, row-major as in
+        BoundaryData, from the 5-point rows of `laplacian`; A is inverted in each axis's
+        sine modes by einsums, not LAPACK (bits independent of BLAS threads)."""
+        unit = np.zeros(self.shape + (self.n_boundary,))
+        unit[self.boundary_mask()] = np.eye(self.n_boundary)
+        w = self.laplacian(Window(unit, self.interior(0)))    # B, (nx-2, ny-2, n_boundary)
+        # per axis, S T S = -diag(l) for the second difference T on n - 2 nodes, zero ends
+        k_x, k_y = (np.arange(1, n - 1) for n in self.shape)
+        s_x, s_y = (np.sqrt(2 / (k.size + 1)) * np.sin(np.pi * np.outer(k, k) / (k.size + 1))
+                    for k in (k_x, k_y))
+        l_x, l_y = ((2 * np.sin(np.pi * k / (2 * k.size + 2)) / h) ** 2
+                    for k, h in zip((k_x, k_y), self.spacings.values()))
+        w = np.einsum("jl,kjb->klb", s_y, np.einsum("ik,ijb->kjb", s_x, w))
+        w /= l_x[:, None, None] + l_y[:, None]
+        w = np.einsum("jl,ilb->ijb", s_y, np.einsum("ik,klb->ilb", s_x, w))
+        return _read_only(w.reshape(-1, self.n_boundary))
 
     def extend(self, values: np.ndarray) -> np.ndarray:
         on_boundary = self.boundary_mask()

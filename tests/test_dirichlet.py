@@ -1,10 +1,15 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import toricmaps
 from toricmaps.dirichlet import (BoundaryData, DiscDomain, HarmonicField, IntervalDomain,
                                  MaxPrincipleError, RectangleDomain, Window, _d1, _d2,
                                  boundary_weights, harmonic_extend,
@@ -13,6 +18,8 @@ from toricmaps.dirichlet import (BoundaryData, DiscDomain, HarmonicField, Interv
                                  make_rectangle, poisson_kernel)
 from toricmaps.harness import loop_family
 from toricmaps.potentials import _blocks
+
+SRC = str(Path(toricmaps.__file__).resolve().parents[1])
 
 
 def test_poisson_kernel_values():
@@ -155,6 +162,19 @@ def test_rectangle_weights_are_convex(shape):
     weights = make_rectangle(*shape).dirichlet_weights
     assert weights.min() >= 0
     assert np.max(np.abs(weights.sum(axis=1) - 1.0)) <= 16 * np.spacing(1.0)
+
+
+def test_rectangle_weights_do_not_depend_on_blas_threads():
+    # einsums, not a LAPACK solve: the same bits under any BLAS thread count
+    code = ("import hashlib; from toricmaps.dirichlet import make_rectangle; print(hashlib"
+            ".sha256(make_rectangle(33, 33).dirichlet_weights.tobytes()).hexdigest())")
+    digests = set()
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=SRC, OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+        digests.add(subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                                   capture_output=True, text=True, timeout=120).stdout)
+    assert len(digests) == 1
 
 
 def _sparse_lu_extension(dom, values):

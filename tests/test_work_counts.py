@@ -270,7 +270,8 @@ def test_bounding_box_is_read_only():
 
 
 def test_rectangle_weights_built_once_per_domain(monkeypatch):
-    calls = counting(monkeypatch, np.linalg, "solve")
+    # the weights read the 5-point rows once per build
+    calls = counting(monkeypatch, dirichlet.RectangleDomain, "laplacian")
     domain = make_rectangle(9, 7)
     g = np.ones(domain.n_boundary)
     for _ in range(3):
@@ -280,6 +281,20 @@ def test_rectangle_weights_built_once_per_domain(monkeypatch):
     assert len(calls) == 1
     harmonic_extend(make_rectangle(9, 7), BoundaryData(g))
     assert len(calls) == 2
+
+
+def test_rectangle_weights_peak_memory_is_a_few_weight_arrays():
+    # the sine-mode build holds the boundary unit vectors, B and the einsums'
+    # outputs, each (nodes, n_boundary) (measured: 4.1 weight arrays at
+    # 65 x 65), never the (nx ny)^2 operator, 17.6 weight arrays there
+    domain = make_rectangle(65, 65)
+    tracemalloc.start()
+    try:
+        weights = domain.dirichlet_weights
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5 * weights.nbytes
 
 
 def test_one_harmonic_extension_per_solve_and_per_level(monkeypatch):

@@ -1,5 +1,5 @@
-"""Print the wall time and the tracemalloc peak of each stage of one
-geodesic pass and one disc pass.
+"""Print the wall time, the tracemalloc peak and the peak RSS of each stage
+of one geodesic pass and one disc pass.
 
     python3 scripts/stage_peaks.py
 
@@ -15,9 +15,13 @@ is wrapped where `run_experiment` looks it up, and reports:
   * peak:  the largest MB traced as allocated while it runs;
   * above: peak - live, what the stage itself holds at its worst.
 
-Each pass runs twice: first untraced, for each stage's wall time ("s"),
-then under tracemalloc, which slows numpy's allocations, for the memory
-columns and the traced wall time ("traced s").  The last lines of each pass
+Each pass runs twice: first untraced, for each stage's wall time ("s") and
+this process's peak RSS when the stage returns ("RSS MB", `ru_maxrss` of
+RUSAGE_SELF: it never falls, so a stage that raises it holds the new
+high-water mark, and it counts what tracemalloc cannot see, such as the
+shared mapping a forked stage writes its output into), then under
+tracemalloc, which slows numpy's allocations, for the memory columns and
+the traced wall time ("traced s").  The last lines of each pass
 are the peak of the whole traced pass and the peak RSS of the workers
 forked so far, which tracemalloc cannot see: RUSAGE_CHILDREN, the largest
 child reaped, as this script starts no other child process.  The disc pass
@@ -47,8 +51,9 @@ MB = 1e6
 
 
 def timed(name: str, fn, rows: list):
-    """fn, recording its wall time into `rows`, and when tracemalloc traces,
-    its live memory at entry and its peak."""
+    """fn, recording its wall time and the peak RSS when it returns into
+    `rows`, and when tracemalloc traces, its live memory at entry and its
+    peak."""
     @functools.wraps(fn)
     def wrapper(*args, **kwargs):
         tracing = tracemalloc.is_tracing()
@@ -61,8 +66,13 @@ def timed(name: str, fn, rows: list):
         finally:
             seconds = time.perf_counter() - start
             peak = tracemalloc.get_traced_memory()[1] if tracing else None
-            rows.append((name, seconds, live, peak))
+            rows.append((name, seconds, live, peak, own_peak()))
     return wrapper
+
+
+def own_peak() -> int:
+    """This process's peak RSS in bytes so far."""
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024
 
 
 def children_peak() -> int:
@@ -85,7 +95,7 @@ def main() -> int:
     for label, cfg in (("geodesic", acceptance.GEODESIC), ("disc", acceptance.DISC)):
         rows.clear()
         run_pass(cfg, hcma)
-        untraced = [seconds for _, seconds, *_ in rows]
+        untraced = [(seconds, rss) for _, seconds, _, _, rss in rows]
         rows.clear()
         tracemalloc.start()
         try:
@@ -93,11 +103,11 @@ def main() -> int:
         finally:
             tracemalloc.stop()
         print(f"{label + ' stage':<20} {'s':>7} {'traced s':>9} {'live MB':>9} "
-              f"{'peak MB':>9} {'above MB':>9}")
-        for (name, seconds, live, peak), plain in zip(rows, untraced):
+              f"{'peak MB':>9} {'above MB':>9} {'RSS MB':>8}")
+        for (name, seconds, live, peak, _), (plain, rss) in zip(rows, untraced):
             print(f"{name:<20} {plain:7.3f} {seconds:9.3f} {live / MB:9.1f} "
-                  f"{peak / MB:9.1f} {(peak - live) / MB:9.1f}")
-        print(f"{label} pass peak: {max(peak for *_, peak in rows) / MB:.1f} MB")
+                  f"{peak / MB:9.1f} {(peak - live) / MB:9.1f} {rss / MB:8.1f}")
+        print(f"{label} pass peak: {max(row[3] for row in rows) / MB:.1f} MB")
         print(f"{label} workers' peak RSS so far: {children_peak() / MB:.1f} MB")
     return 0
 

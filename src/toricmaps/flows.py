@@ -37,6 +37,12 @@ components of its gradient and its `interior(margin)` window (see
 every non-periodic grid edge.  On the disc the window lies in the uniform
 radial block radii[:-1], radii max(margin, 1) .. n_r - 2 - margin: the exact
 boundary ring at r = 1 has its own spacing, and the centre is excluded.
+The operator is built in blocks of rho columns, and a report reduces each
+block as it is made, so neither a full-grid nor a window-sized field is
+held: its sup is a running max of |res|, and its mean is the sum of one
+|res| sum per window column (each over that column's nodes alone, from a
+contiguous copy), in column order, over the count, so no block layout
+changes a bit of it.
 """
 
 from __future__ import annotations
@@ -131,29 +137,34 @@ def _fiber_terms(phi, domain, nodes, h_rho, hcma: bool):
         return (lap * phi_rr - cross if hcma else lap - cross / phi_rr), phi_rr
 
 
-def _fiber_window(phi, domain, rho_axis, margin: int, hcma: bool):
-    """(field, keep, fiber Hessian min): the `_fiber_terms` operator on the
-    window `keep` of admissible interior nodes, and the least phi_rhorho there.
+def _fiber_window(phi, domain, rho_axis, margin: int, hcma: bool, take):
+    """(keep, fiber Hessian min): the `_fiber_terms` operator on the window
+    `keep` of admissible interior nodes, handed to `take` block by block, and
+    the least phi_rhorho there.
 
     The window's rho columns go in `_blocks` of at most LSE_BLOCK node x
-    column values, their halo columns counted, each written into one
-    window-sized field as it is built, and the fiber Hessian's minimum is a
-    running one.  No full-grid temporary is held, and every value is bitwise
-    the whole-grid operator's.  The Eells-Sampson operator raises a
-    ConvexityError naming the first worst node, in the window's C order,
-    where phi_rhorho is not positive; a ValueError when `margin` < 1, the
-    window is empty or the rho axis is not uniform (`_uniform_axis`).
+    column values, their halo columns counted, and `take(index, res)` gets
+    each block's operator `res` with its full-grid `index`, the window's
+    nodes and the block's columns; the fiber Hessian's minimum is a running
+    one.  Neither a full-grid nor a window-sized temporary is held, and every
+    value is bitwise the whole-grid operator's.  The Eells-Sampson operator
+    raises a ConvexityError naming the first worst node, in the window's C
+    order, where phi_rhorho is not positive; a ValueError when the rho axis
+    is not uniform (`_uniform_axis`) or its length is not phi's last axis's,
+    when `margin` < 1, or when the window is empty.
     """
     phi, rho_axis = np.asarray(phi, dtype=float), _uniform_axis(rho_axis, "rho axis")
+    n_rho, h_rho = phi.shape[-1], rho_axis[1] - rho_axis[0]
+    if rho_axis.size != n_rho:
+        raise ValueError(f"the rho axis has {rho_axis.size} nodes, the field's last "
+                         f"axis {n_rho}")
     if margin < 1:
         raise ValueError(f"margin = {margin}: the rho differences wrap around at the "
                          "grid's end columns, so the residual window needs margin >= 1")
-    n_rho, h_rho = phi.shape[-1], rho_axis[1] - rho_axis[0]
     keep = domain.interior(margin) + (slice(margin, n_rho - margin),)
     nodes = keep[:-1]
     offsets = [s.indices(n)[0] for s, n in zip(nodes, phi.shape)]
-    field = np.empty(phi[keep].shape)
-    if not field.size:
+    if not phi[keep].size:
         raise ValueError(f"{type(domain).__name__} of shape {domain.shape}, {n_rho} rho: "
                          f"the residual window {keep} at margin {margin} is empty")
     hess_min, worst = math.inf, (math.inf, ())
@@ -161,7 +172,7 @@ def _fiber_window(phi, domain, rho_axis, margin: int, hcma: bool):
     for cols in _blocks(margin, n_rho - margin, n_nodes, LSE_BLOCK - 2 * n_nodes):
         res, phi_rr = _fiber_terms(phi[..., cols.start - 1:cols.stop + 1], domain, nodes,
                                    h_rho, hcma)
-        field[..., cols.start - margin:cols.stop - margin] = res
+        take(nodes + (cols,), res)
         # the block's first minimum in C order, at its place in the full grid
         j = np.unravel_index(np.argmin(phi_rr), phi_rr.shape)
         value = phi_rr[j]
@@ -174,28 +185,37 @@ def _fiber_window(phi, domain, rho_axis, margin: int, hcma: bool):
         raise ConvexityError(
             f"fiber Hessian is not positive on the residual window: phi_rhorho = "
             f"{value:.3g} at domain node {index[:-1]}, rho = {rho_axis[index[-1]]:.6g}")
-    return field, keep, float(hess_min)
+    return keep, float(hess_min)
 
 
 def _fiber_operator(phi, domain, rho_axis, margin: int, hcma: bool):
-    """(field, keep): the `_fiber_window` operator on the full grid, NaN off
-    the window `keep`."""
-    window, keep, _ = _fiber_window(phi, domain, rho_axis, margin, hcma)
+    """(field, keep): the `_fiber_window` operator on the full grid, each
+    block written in place, NaN off the window `keep`."""
     field = np.full(np.shape(phi), np.nan)
-    field[keep] = window
+    keep, _ = _fiber_window(phi, domain, rho_axis, margin, hcma, field.__setitem__)
     return field, keep
 
 
 def _fiber_residual(phi, domain, rho_axis, margin: int, hcma: bool):
-    """The ResidualReport of the `_fiber_window` operator: |res| in the
-    window's field, reduced once (so the mean sums in the order of the whole
-    window)."""
-    absres, _, hess_min = _fiber_window(phi, domain, rho_axis, margin, hcma)
-    np.abs(absres, out=absres)
+    """The ResidualReport of the `_fiber_window` operator, reduced block by
+    block: a running sup of |res|, the count, and one |res| sum per window
+    column, each summed alone from a contiguous copy of its node values.  The
+    mean is the sum of the column sums, in column order, over the count, so
+    no block layout (`LSE_BLOCK`) changes a bit of it."""
+    sup, count, col_sums = 0.0, 0, []
+
+    def take(_, res):
+        nonlocal sup, count
+        np.abs(res, out=res)
+        sup, count = np.maximum(sup, np.max(res)), count + res.size
+        columns = np.ascontiguousarray(np.moveaxis(res, -1, 0)).reshape(res.shape[-1], -1)
+        col_sums.extend(np.sum(column) for column in columns)
+
+    _, hess_min = _fiber_window(phi, domain, rho_axis, margin, hcma, take)
     h_rho = float(rho_axis[1] - rho_axis[0])
-    return ResidualReport(sup=float(np.max(absres)), mean=float(np.mean(absres)),
+    return ResidualReport(sup=float(sup), mean=float(np.sum(col_sums) / count),
                           spacings={**domain.spacings, "h_rho": h_rho},
-                          count=int(absres.size), fiber_hessian_min=hess_min)
+                          count=count, fiber_hessian_min=hess_min)
 
 
 def eells_sampson_operator(phi: np.ndarray, domain, rho_axis: np.ndarray,
@@ -205,8 +225,9 @@ def eells_sampson_operator(phi: np.ndarray, domain, rho_axis: np.ndarray,
     Returns (field, keep) where `field` is the operator on the full grid,
     NaN off the slices `keep` of admissible interior nodes.
     Raises ConvexityError when the fiber Hessian is not strictly positive on
-    the admissible window, and a ValueError when `margin` < 1 or the window
-    is empty.
+    the admissible window, and a ValueError when `margin` < 1, the window
+    is empty, or the rho axis is not uniform or not of phi's last axis's
+    length.
     """
     return _fiber_operator(phi, domain, rho_axis, margin, False)
 
@@ -217,10 +238,13 @@ def eells_sampson_residual(phi: np.ndarray, domain, rho_axis: np.ndarray,
 
     phi has shape (*domain.shape, n_rho).  Flat parameter domains only, so no
     Christoffel correction enters.  The rho columns of the window go in
-    blocks (see `_fiber_window`), so no full-grid derivative array is
-    held.  Raises ConvexityError, naming the worst node and rho, when the
-    fiber Hessian is not strictly positive on the window, and a ValueError
-    when `margin` < 1 or the window is empty.
+    blocks, each reduced as it is built (see `_fiber_residual`), so no
+    full-grid derivative array and no window-sized field is held; the mean
+    sums one |res| sum per window column, in column order.  Raises
+    ConvexityError, naming the worst node and rho, when the fiber Hessian is
+    not strictly positive on the window, and a ValueError when `margin` < 1,
+    the window is empty, or the rho axis is not uniform or not of phi's
+    last axis's length.
     """
     return _fiber_residual(phi, domain, rho_axis, margin, False)
 
@@ -244,8 +268,11 @@ def hcma_residual(phi: np.ndarray, domain, rho_axis: np.ndarray,
     interior window, along with the minimum of the fiber Hessian; a
     nonpositive minimum signals a fiberwise-positivity violation (reported,
     not raised, so the caller can see both numbers).  The rho columns of the
-    window go in blocks (see `_fiber_window`), so no full-grid derivative
-    array is held.  A ValueError when `margin` < 1 or the window is empty.
+    window go in blocks, each reduced as it is built (see `_fiber_residual`),
+    so no full-grid derivative array and no window-sized field is held; the
+    mean sums one |res| sum per window column, in column order.  A
+    ValueError when `margin` < 1, the window is empty, or the rho axis is
+    not uniform or not of phi's last axis's length.
     """
     return _fiber_residual(phi, domain, rho_axis, margin, True)
 

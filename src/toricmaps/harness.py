@@ -682,11 +682,15 @@ def error_report(family: PotentialFamily, phi_field: KahlerFamilyField,
     reference row and its sups, and the parent merges them level by level.
     Each level's `BergmanFamily` weights are built before any fork.  Every
     norm is bitwise the one `error_norms` gives on the whole window.  A
-    non-finite norm is a ValueError naming its column and level, and a rho
-    axis that is not uniformly spaced is one too (`_uniform_axis`).
+    non-finite norm is a ValueError naming its column and level, and so is a
+    rho axis that is not uniformly spaced (`_uniform_axis`) or whose length
+    is not the field's last axis's, before any level is evaluated.
     """
     _require_c2_nodes(family.domain)
     rho_axis = _uniform_axis(phi_field.rho_axis, "rho axis")
+    if rho_axis.size != phi_field.values.shape[-1]:
+        raise ValueError(f"the rho axis has {rho_axis.size} nodes, the field's last "
+                         f"axis {phi_field.values.shape[-1]}")
     bounds = window_rho_bounds(family.boundary_potentials[0], window)
     rho_mask = _rho_window_mask(rho_axis, bounds)
     if not rho_mask.any():

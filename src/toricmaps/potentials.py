@@ -134,7 +134,14 @@ class _TensorGrid:
         return tuple(a.size for a in self.axes)
 
     def nodes(self) -> np.ndarray:
-        return np.stack(np.meshgrid(*self.axes, indexing="ij"), axis=-1)
+        """Read-only; computed once per grid."""
+        return self._nodes
+
+    @cached_property
+    def _nodes(self) -> np.ndarray:
+        nodes = np.stack(np.meshgrid(*self.axes, indexing="ij"), axis=-1)
+        nodes.setflags(write=False)
+        return nodes
 
 
 @dataclass(frozen=True)
@@ -187,6 +194,14 @@ class PolytopeGrid(_TensorGrid):
         mask = ell.min(axis=-1) >= self.margin * (1.0 - 1e-9)
         mask.setflags(write=False)
         return mask
+
+    @cached_property
+    def u0_hess(self) -> np.ndarray:
+        """hess u0 at the in-mask nodes, (n_in, dim, dim); read-only, computed
+        once per grid."""
+        hess = guillemin_hessian(self.polytope, self.nodes()[self.mask])
+        hess.setflags(write=False)
+        return hess
 
 
 def make_polytope_grid(P: DelzantPolytope, n, margin: float) -> PolytopeGrid:
@@ -380,7 +395,8 @@ class SymplecticPotential:
 
     def _check_convexity(self):
         pts = self.grid.nodes()[self.grid.mask]
-        _positive_det(self.hess(pts), "symplectic potential not strictly convex at x", pts)
+        H = self.grid.u0_hess + _closed_at(self.f_hess, pts, 2)   # bitwise self.hess(pts)
+        _positive_det(H, "symplectic potential not strictly convex at x", pts)
 
     # smooth part -------------------------------------------------------------
 

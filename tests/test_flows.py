@@ -388,14 +388,17 @@ def test_eells_sampson_convexity_error_names_the_worst_node():
 
 def one_shot_residual(phi, dom, rho, margin, hcma):
     """Reference: (sup, mean, count, fiber Hessian min) from full-grid
-    derivative arrays of phi."""
+    derivative arrays of phi.  The mean is summed in the residuals' fixed
+    order: each window column's |res| alone, from a contiguous copy, then
+    those column sums in column order."""
     h, ax = rho[1] - rho[0], phi.ndim - 1
     cross = sum(_d1(g, h, ax) ** 2 for g in dom.gradient(phi))
     lap, phi_rr = dom.laplacian(phi), _d2(phi, h, ax)
     field = lap * phi_rr - cross if hcma else lap - cross / phi_rr
     keep = dom.interior(margin) + (slice(margin, rho.size - margin),)
     res = np.abs(field[keep])
-    return np.max(res), np.mean(res), res.size, np.min(phi_rr[keep])
+    col_sums = [np.sum(np.ascontiguousarray(res[..., j])) for j in range(res.shape[-1])]
+    return np.max(res), np.sum(col_sums) / res.size, res.size, np.min(phi_rr[keep])
 
 
 def counting_blocks(monkeypatch, n_nodes, n_columns):
@@ -488,6 +491,23 @@ def test_residuals_reject_a_non_uniform_rho_axis(fn):
         fn(phi, family.domain, rho)
 
 
+@pytest.mark.parametrize("n_axis", [21, 801])
+@pytest.mark.parametrize("fn", [hcma_residual, eells_sampson_residual,
+                                hcma_operator, eells_sampson_operator])
+def test_residuals_reject_a_rho_axis_of_another_length(monkeypatch, fn, n_axis):
+    # the step comes from the axis and the columns from phi: on this 401-rho
+    # field, hcma_residual read 4.3e-11 with 21 axis nodes and 6.9e-8 with
+    # 801, against 1.7e-8 with its own axis
+    family = geodesic_family(a=0.1, n_t=9, n_x=201, k_max=16)
+    phi = kahler_field(family, np.linspace(-4.0, 4.0, 401)).values
+    stencils = []
+    monkeypatch.setattr(flows, "_fiber_terms", lambda *a: stencils.append(a))
+    with pytest.raises(ValueError, match=rf"^the rho axis has {n_axis} nodes, the "
+                       r"field's last axis 401$"):
+        fn(phi, family.domain, np.linspace(-4.0, 4.0, n_axis))
+    assert not stencils
+
+
 def test_residual_window_needs_a_margin_off_the_rho_ends_and_a_node():
     rho = np.linspace(-2, 2, 41)
     dom = make_disc(7, 64)
@@ -502,24 +522,25 @@ def test_residual_window_needs_a_margin_off_the_rho_ends_and_a_node():
             residual(phi, dom, rho, margin=4)
 
 
-def test_hcma_residual_peak_memory_is_the_window_and_a_few_blocks():
-    # a 9 x 256 disc with 601 rho, the bench disc's shape: the whole-grid
-    # operator held ~74 MB above its input here, six full-grid arrays
+@pytest.mark.parametrize("residual", [hcma_residual, eells_sampson_residual])
+def test_residual_peak_memory_is_a_few_blocks(residual):
+    # a 9 x 256 disc with 601 rho, the bench disc's shape, 26 column blocks:
+    # the whole-grid operator held ~74 MB above its input here, and |res| on
+    # the whole window (5 x 256 x 597) is 11.7 blocks by itself
     dom = make_disc(9, 256)
     rho = np.linspace(-4.0, 4.0, 601)
     r, g = dom.radii[:, None, None], dom.angles[None, :, None]
     phi = 0.7 * r * np.cos(g) + 0.3 * r * np.sin(g) + np.logaddexp(0, rho)
     tracemalloc.start()
     try:
-        rep = hcma_residual(phi, dom, rho)
+        residual(phi, dom, rho)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # |res| on the window (5 x 256 x 597) and the operator's stencil
-    # temporaries on one block of at most LSE_BLOCK values (measured: 8
-    # blocks); one full-grid array (10 x 256 x 601) is 23.5 blocks
-    window = 8 * rep.count
-    assert peak <= window + 12 * 8 * LSE_BLOCK + 1024 * 1024
+    # the operator's stencil temporaries and the column copy of one block of
+    # at most LSE_BLOCK values (measured: 4.2 blocks, against 15.8 with the
+    # window's |res|)
+    assert peak <= 6 * 8 * LSE_BLOCK + 1024 * 1024
 
 
 @pytest.mark.parametrize("margin", [2, 4])

@@ -488,6 +488,20 @@ def test_error_report_rejects_a_non_uniform_rho_axis():
         error_report(family, field, build_approximants(family, (4, 8, 16)))
 
 
+def test_error_report_rejects_a_rho_axis_of_another_length(monkeypatch):
+    # a 201-node axis on the 401-rho field read C0 ~ 1.22 at every level
+    family = geodesic_family(a=0.1, n_t=9, n_x=201, k_max=16)
+    field = kahler_field(family, np.linspace(-4.0, 4.0, 401))
+    approx = build_approximants(family, (4, 8, 16))
+    solved = []
+    monkeypatch.setattr(harness, "_solve_blocks", lambda *a: solved.append(a))
+    with pytest.raises(ValueError, match="^the rho axis has 201 nodes, the field's "
+                       "last axis 401$"):
+        error_report(family, harness.KahlerFamilyField(
+            family.domain, np.linspace(-4.0, 4.0, 201), field.values), approx)
+    assert not solved
+
+
 @pytest.mark.parametrize("shape", [(2, 2), ()], ids=["2x2", "0-d"])
 def test_kahler_field_rejects_a_rho_that_is_not_1d(shape):
     family = geodesic_family(a=0.1, n_t=9, n_x=201, k_max=16)

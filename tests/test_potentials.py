@@ -249,6 +249,40 @@ def test_polytope_grid_margin_and_flags():
     assert default_margin(64) == pytest.approx(1.0 / 256.0)
 
 
+def test_polytope_grid_nodes_and_u0_hessian_are_built_once(monkeypatch):
+    # every SymplecticPotential on a grid shares its nodes and the u0 Hessian
+    # at its in-mask nodes, each read-only and bitwise what it replaces
+    calls = []
+    hessian = potentials.guillemin_hessian
+    monkeypatch.setattr(potentials, "guillemin_hessian",
+                        lambda *a: calls.append(1) or hessian(*a))
+    for name in ("interval", "square", "simplex2"):
+        S = preset_polytope(name)
+        g = make_polytope_grid(S, 21, 0.02)
+        calls.clear()
+        us = [product_potential(S, a, g) for a in (0.0, 0.01, 0.02)]
+        nodes, hess = g.nodes(), g.u0_hess
+        assert len(calls) == 1      # one per grid, however many potentials
+        assert nodes is g.nodes() and hess is g.u0_hess
+        assert not nodes.flags.writeable and not hess.flags.writeable
+        assert np.array_equal(nodes, np.stack(np.meshgrid(*g.axes, indexing="ij"), axis=-1))
+        pts = nodes[g.mask]
+        assert hess.shape == (len(pts), S.dim, S.dim)
+        assert np.array_equal(hess, hessian(S, pts))
+        for u in us:
+            assert np.array_equal(hess + potentials._closed_at(u.f_hess, pts, 2), u.hess(pts))
+    # a non-convex f: the text of the potential's own Hessian's ConvexityError
+    xg = make_polytope_grid(P, 101, 0.01)
+    f = -5.0 * xg.axes[0] ** 2
+    pts = xg.nodes()[xg.mask]
+    with pytest.raises(ConvexityError) as expected:
+        potentials._positive_det(SymplecticPotential(P, xg, f, check=False).hess(pts),
+                                 "symplectic potential not strictly convex at x", pts)
+    with pytest.raises(ConvexityError) as raised:
+        SymplecticPotential(P, xg, f)
+    assert str(raised.value) == str(expected.value)
+
+
 def test_serialization_round_trip(tmp_path):
     u = product_potential(P, 0.05, make_polytope_grid(P, 101, 0.01))
     path = tmp_path / "u.txt"

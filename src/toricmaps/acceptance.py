@@ -4,7 +4,9 @@ Self-checking experiment suite.
 Each check runs one verifiable claim of the library end to end at desk scale
 and returns a CheckResult with the measured numbers in `detail`.  The pytest
 acceptance module and the command-line interface both consume these, so the
-shell exit code and the test suite can never disagree.
+shell exit code and the test suite can never disagree.  The six checks that
+gate a rate of convergence share one gate on its observed order,
+`order_gate`, and print the orders they measured next to their bounds.
 
 The two convergence experiments are `run_experiment` at the module configs
 GEODESIC and DISC.  The interval run is cached per process and shared
@@ -35,9 +37,8 @@ __all__ = ["CheckResult", "ALL_CHECKS", "run_checks", "GEODESIC", "DISC",
            "geodesic_run", "flow_start",
            "check_legendre_involution", "check_gradient_hessian_duality",
            "check_norming_oracle", "check_duality_identity",
-           "check_szego_normalization", "C0Gate", "c0_gate", "check_geodesic_c0",
-           "C1C2Gate", "c1_c2_gate",
-           "check_geodesic_c1_c2", "check_disc_c0_crosscheck",
+           "check_szego_normalization", "OrderGate", "order_gate",
+           "check_geodesic_c0", "check_geodesic_c1_c2", "check_disc_c0_crosscheck",
            "check_hcma_residual", "check_flow_duality",
            "check_ratio_bounds", "check_peak_asymptotics",
            "check_localization"]
@@ -77,6 +78,53 @@ def _fs_table(k: int) -> NormingTable:
         grid = make_polytope_grid(P, 801, default_margin(max(64, k)))
         _CACHE[key] = norming_constants(product_potential(P, grid=grid), k)
     return _CACHE[key]
+
+
+# -- the observed-order gate of every rate check ----------------------------------------
+
+@dataclass(frozen=True)
+class OrderGate:
+    """Observed orders of an error sequence and their verdict against an order bound."""
+
+    orders: tuple[float, ...]           # p_i = log(e_i/e_{i+1}) / log(s_{i+1}/s_i)
+    passed: bool
+    bound: str                          # the order bound, e.g. ">= 1"
+
+    def __str__(self) -> str:
+        return f"p = [{', '.join(f'{p:.3f}' for p in self.orders)}] (need {self.bound})"
+
+
+def order_gate(scales, errors, at_least, at_most=None) -> OrderGate:
+    """Gate the observed order of convergence of `errors` under refinement.
+
+    `scales` grow strictly under refinement (the level k, or 1/h).  Each step
+    passes when its ratio e_{i+1}/e_i lies in
+    [(s_i/s_{i+1})^at_most, (s_i/s_{i+1})^at_least], that is when the observed
+    order p_i = log(e_i/e_{i+1}) / log(s_{i+1}/s_i) (Roache 1998) lies in
+    [at_least, at_most]; `at_most=None` sets no upper bound.  A zero after a
+    positive error is order +inf, and a zero that does not fall (0 then 0)
+    has no order and fails.  A NaN, infinite or negative error is a
+    ValueError naming its scale.
+    """
+    s = np.asarray(scales, dtype=float)
+    e = np.asarray(errors, dtype=float)
+    if s.ndim != 1 or s.size < 2 or s.shape != e.shape or s[0] <= 0 or np.any(np.diff(s) <= 0):
+        raise ValueError("need at least two strictly increasing positive scales, "
+                         "one error per scale")
+    bad = ~np.isfinite(e) | (e < 0)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ValueError(f"the order gate needs finite non-negative errors: "
+                         f"scale {s[i]:g} has error {e[i]}")
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratios = (e[1:] / e[:-1]).tolist()
+        orders = np.log(e[:-1] / e[1:]) / np.log(s[1:] / s[:-1])
+    steps = (s[:-1] / s[1:]).tolist()
+    # a NaN ratio (0 then 0) fails both comparisons
+    passed = all(r <= q ** at_least and (at_most is None or r >= q ** at_most)
+                 for r, q in zip(ratios, steps))
+    bound = f">= {at_least:.4g}" if at_most is None else f"in [{at_least:.4g}, {at_most:.4g}]"
+    return OrderGate(tuple(orders.tolist()), passed, bound)
 
 
 # -- Legendre machinery -----------------------------------------------------------
@@ -168,134 +216,65 @@ def check_duality_identity() -> CheckResult:
 
 
 def check_szego_normalization() -> CheckResult:
-    """Interior deviation |sum_alpha P(alpha,.) - 1| drops by >= 3x from k=16 to 64."""
+    """Interior deviation |sum_alpha P(alpha,.) - 1| drops by >= 3x from k=16 to 64:
+    observed order >= log 3 / log 4 in k."""
     grid = make_radial_grid([-4.0], [4.0], [401])
     phi = fubini_study(grid)
     u = product_potential(preset_polytope("interval"))
     lo, hi = window_rho_bounds(u, 0.1)
     rho = np.linspace(lo, hi, 7)
-    devs = {}
-    for k in (16, 64):
-        table = _fs_table(k)
-        devs[k] = float(np.max(np.abs(szego_sum(table, phi, rho) - 1.0)))
-    ratio = devs[16] / devs[64]
-    passed = ratio >= 3.0
-    return CheckResult("szego normalization", passed,
-                       f"|sum - 1|: k=16 -> {devs[16]:.3e}, k=64 -> {devs[64]:.3e}, "
-                       f"improvement {ratio:.2f}x (need >= 3)")
+    devs = [float(np.max(np.abs(szego_sum(_fs_table(k), phi, rho) - 1.0)))
+            for k in (16, 64)]
+    gate = order_gate((16, 64), devs, math.log(3) / math.log(4))
+    return CheckResult("szego normalization", gate.passed,
+                       f"|sum - 1|: k=16 -> {devs[0]:.3e}, k=64 -> {devs[1]:.3e}, "
+                       f"order in k: {gate}")
 
 
 # -- main convergence experiments ------------------------------------------------------
 
-@dataclass(frozen=True)
-class C0Gate:
-    """Verdict of the C0 gate on one error sequence."""
-
-    errors: tuple[float, ...]           # eps_k at each level
-    k_eps: tuple[float, ...]            # k * eps_k at each level
-    ratios: tuple[float, ...]           # eps_k' / eps_k between consecutive levels
-    decreasing: bool                    # eps_k strictly decreasing
-    within_envelope: bool               # k * eps_k never grows
-
-    @property
-    def passed(self) -> bool:
-        return self.decreasing and self.within_envelope
-
-    @property
-    def summary(self) -> str:
-        """The errors and the verdict, as the C0 checks report them."""
-        e, ke = (", ".join(f"{v:.3e}" for v in vals) for vals in (self.errors, self.k_eps))
-        return (f"C0 = [{e}] decreasing={self.decreasing}; k*eps = [{ke}] "
-                f"non-increasing={self.within_envelope}")
-
-
-def c0_gate(levels, errors) -> C0Gate:
-    """Gate a mean-adjusted C0 sequence against the c/k envelope.
-
-    The errors must decrease strictly, and `k * eps_k` must never grow from
-    one level to the next, so every level stays inside the `c/k` envelope
-    fixed at the first level.  This implies the Song-Zelditch
-    `O(log k / k)` bound.  The y-independent constant that the mean
-    adjustment removes behaves like `log(k+1)/k`; an error still carrying it
-    has `k * eps_k` growing like `log k` and fails.
-    """
-    k = np.asarray(levels, dtype=float)
-    eps = np.asarray(errors, dtype=float)
-    if k.size < 2 or k.shape != eps.shape or np.any(np.diff(k) <= 0):
-        raise ValueError("need at least two strictly increasing levels, "
-                         "one error per level")
-    k_eps = k * eps
-    return C0Gate(errors=tuple(float(v) for v in eps), k_eps=tuple(float(v) for v in k_eps),
-                  ratios=tuple(float(v) for v in eps[1:] / eps[:-1]),
-                  decreasing=bool(np.all(np.diff(eps) < 0)),
-                  within_envelope=bool(np.all(np.diff(k_eps) <= 0)))
-
-
 def check_geodesic_c0() -> CheckResult:
-    """Interval experiment: mean-adjusted C0 strictly decreasing, k*eps_k never
-    growing (every level inside the c/k envelope fixed at k=8), within 60 s.
+    """Interval experiment: the mean-adjusted C0 error has observed order >= 1
+    in k at every doubling, within 60 s.
 
-    `eps*k/log k` is reported as a diagnostic only: it stays flat on an error
-    that still carries the removed normalization, so it cannot gate.
+    Order >= 1 keeps every level inside the c/k envelope fixed at k=8, which
+    implies the Song-Zelditch `O(log k / k)` bound.  The y-independent
+    constant that the mean adjustment removes behaves like `log(k+1)/k`; an
+    error still carrying it has `k * eps_k` growing like `log k`, order
+    below 1, and fails.  `eps*k/log k` is reported as a diagnostic only: it
+    stays flat on an error that still carries the removed normalization, so
+    it cannot gate.
     """
     result, elapsed = geodesic_run()
-    levels = GEODESIC.levels
     c0 = result.report.column("C0")
-    gate = c0_gate(levels, c0)
-    fit = rate_fit(levels, c0)
-    timed = elapsed < 60.0
-    passed = gate.passed and timed
-    bounds = ", ".join(f"{a / b:g}" for a, b in zip(levels, levels[1:]))
-    return CheckResult("geodesic C0 convergence", passed,
-                       f"{gate.summary}; ratios eps_k'/eps_k = "
-                       f"[{', '.join(f'{r:.3f}' for r in gate.ratios)}] "
-                       f"(need <= k/k' = {bounds}); "
+    gate = order_gate(GEODESIC.levels, c0, 1.0)
+    fit = rate_fit(GEODESIC.levels, c0)
+    return CheckResult("geodesic C0 convergence", gate.passed and elapsed < 60.0,
+                       f"C0 = [{', '.join(f'{v:.3e}' for v in c0)}], order in k: {gate}; "
                        f"diagnostic eps*k/log k = "
                        f"[{', '.join(f'{v:.3e}' for v in fit.statistic)}]; "
-                       f"pipeline {elapsed:.1f}s (limit 60s)")
-
-
-@dataclass(frozen=True)
-class C1C2Gate:
-    """Verdict of the C1/C2 gate on the derivative columns of an error report."""
-
-    ratios: dict                        # column -> eps_k' / eps_k between levels
-    failing: tuple[str, ...]            # columns not strictly decreasing or above 0.9
-
-    @property
-    def passed(self) -> bool:
-        return not self.failing
-
-
-def c1_c2_gate(levels, report) -> C1C2Gate:
-    """Gate every derivative column (C1 and C2) of an ErrorReport at `levels`:
-    it must decrease strictly, with every doubling ratio eps_k' / eps_k <= 0.9."""
-    if len(levels) < 2 or report.levels != tuple(levels):
-        raise ValueError(f"the report's levels {report.levels} are not the gated "
-                         f"levels {tuple(levels)}, or fewer than two")
-    ratios, failing = {}, []
-    for col in ERROR_COLUMNS[1:]:
-        e = report.column(col)
-        ratios[col] = e[1:] / e[:-1]
-        if not (np.all(np.diff(e) < 0) and np.all(ratios[col] <= 0.9)):
-            failing.append(col)
-    return C1C2Gate(ratios=ratios, failing=tuple(failing))
+                       f"pipeline {elapsed:.3g}s (limit 60s)")
 
 
 def check_geodesic_c1_c2() -> CheckResult:
-    """All derivative sup norms strictly decreasing with doubling ratio <= 0.9."""
-    gate = c1_c2_gate(GEODESIC.levels, geodesic_run()[0].report)
-    msg = "; ".join(f"{col}: max ratio {r.max():.3f}" for col, r in gate.ratios.items())
-    if gate.failing:
-        msg += f"; failing: {list(gate.failing)}"
-    return CheckResult("geodesic C1/C2 convergence", gate.passed, msg)
+    """Every derivative sup norm (C1 and C2) falls by a doubling ratio <= 0.9:
+    observed order >= log2(1/0.9) in k, written so that 0.5 ** order is 0.9."""
+    report = geodesic_run()[0].report
+    gates = {col: order_gate(report.levels, report.column(col), math.log(0.9) / math.log(0.5))
+             for col in ERROR_COLUMNS[1:]}
+    failing = [col for col, gate in gates.items() if not gate.passed]
+    msg = "order in k: " + "; ".join(f"{col} {gate}" for col, gate in gates.items())
+    if failing:
+        msg += f"; failing: {failing}"
+    return CheckResult("geodesic C1/C2 convergence", not failing, msg)
 
 
 def check_disc_c0_crosscheck() -> CheckResult:
-    """Disc experiment: C0 passes `c0_gate`; the two boundary-integral paths agree."""
+    """Disc experiment: C0 has observed order >= 1 in k, as on the interval; the
+    two boundary-integral paths agree."""
     result = run_experiment(DISC)
     c0 = result.report.column("C0")
-    gate = c0_gate(DISC.levels, c0)
+    gate = order_gate(DISC.levels, c0, 1.0)
     # two independent quadrature paths for the harmonic norming exponents:
     # Poisson-integral weights vs Fourier damping, from identical boundary data
     norming = result.approximants[max(DISC.levels)].norming
@@ -305,11 +284,13 @@ def check_disc_c0_crosscheck() -> CheckResult:
     cross = float(np.max(np.abs(poisson - fourier)))
     passed = gate.passed and cross < 1e-8
     return CheckResult("disc C0 + kernel cross-check", passed,
-                       f"{gate.summary}; two-path exponent agreement {cross:.3e} (tol 1e-8)")
+                       f"C0 = [{', '.join(f'{v:.3e}' for v in c0)}], order in k: {gate}; "
+                       f"two-path exponent agreement {cross:.3e} (tol 1e-8)")
 
 
 def check_hcma_residual() -> CheckResult:
-    """Degenerate complex-Hessian residual decreases at second order; positivity."""
+    """Degenerate complex-Hessian residual falls about 4x under halving (observed
+    order in [log2 2.5, log2 6] in 1/h, around second order); positivity."""
     sups = []
     hess_min = math.inf
     # margin doubles with the resolution so both sups run over the same
@@ -321,24 +302,22 @@ def check_hcma_residual() -> CheckResult:
         rep = hcma_residual(phi_field.values, family.domain, rho, margin=margin)
         sups.append(rep.sup)
         hess_min = min(hess_min, rep.fiber_hessian_min)
-    ratio = sups[0] / sups[1]
-    passed = 2.5 <= ratio <= 6.0 and hess_min > 0
-    return CheckResult("degenerate complex-Hessian residual", passed,
+    gate = order_gate((1, 2), sups, math.log2(2.5), math.log2(6.0))
+    return CheckResult("degenerate complex-Hessian residual", gate.passed and hess_min > 0,
                        f"sup residual {sups[0]:.3e} -> {sups[1]:.3e} under halving, "
-                       f"ratio {ratio:.2f} (need in [2.5, 6]); "
+                       f"order in 1/h: {gate}; "
                        f"min fiber Hessian {hess_min:.3e} (> 0)")
 
 
 def check_flow_duality() -> CheckResult:
-    """Heat-flow snapshots' Legendre duals satisfy the harmonic-map-flow equation."""
-    sups = []
-    for n_t, n_x, n_rho, refine in ((33, 161, 401, 1), (65, 321, 801, 4)):
-        sups.append(_flow_residual(n_t, n_x, n_rho, refine))
-    ratio = sups[0] / sups[1]
-    passed = ratio >= 3.0
-    return CheckResult("flow duality", passed,
+    """Heat-flow snapshots' Legendre duals satisfy the harmonic-map-flow equation:
+    the residual falls >= 3x under halving, observed order >= log2 3 in 1/h."""
+    sups = [_flow_residual(n_t, n_x, n_rho, refine)
+            for n_t, n_x, n_rho, refine in ((33, 161, 401, 1), (65, 321, 801, 4))]
+    gate = order_gate((1, 2), sups, math.log2(3.0))
+    return CheckResult("flow duality", gate.passed,
                        f"sup |d_tau Phi - ES(Phi)| {sups[0]:.3e} -> {sups[1]:.3e} "
-                       f"(h halved, dtau quartered), ratio {ratio:.2f} (need >= 3)")
+                       f"(h halved, dtau quartered), order in 1/h: {gate}")
 
 
 def flow_start(n_t: int, n_x: int):
@@ -423,7 +402,8 @@ def check_peak_asymptotics() -> CheckResult:
 
 
 def check_localization() -> CheckResult:
-    """Lattice tail outside the k^(delta-1/2) window shrinks >= 10x from k=8 to 64.
+    """Lattice tail outside the k^(delta-1/2) window shrinks >= 10x from k=8 to 64:
+    observed order >= log 10 / log 8 in k.
 
     Evaluated at a moment image of 0.15: at the exact center the k=8 window
     already covers the whole polytope and the tail is identically zero, which
@@ -432,14 +412,12 @@ def check_localization() -> CheckResult:
     grid = make_radial_grid([-4.0], [4.0], [401])
     phi = fubini_study(grid)
     rho = math.log(0.15 / 0.85)
-    gaps = {}
-    for k in (8, 64):
-        gaps[k] = localization_gap(_fs_table(k), phi, rho, delta=0.25)
-    ratio = gaps[8] / gaps[64] if gaps[64] > 0 else math.inf
-    passed = gaps[8] > 0 and ratio >= 10.0
-    return CheckResult("lattice-sum localization", passed,
-                       f"tail mass: k=8 -> {gaps[8]:.3e}, k=64 -> {gaps[64]:.3e}, "
-                       f"reduction {ratio:.1f}x (need >= 10)")
+    gaps = [localization_gap(_fs_table(k), phi, rho, delta=0.25) for k in (8, 64)]
+    # a zero tail at k=8 has no order (0 then 0) or a negative one, and fails
+    gate = order_gate((8, 64), gaps, math.log(10) / math.log(8))
+    return CheckResult("lattice-sum localization", gate.passed,
+                       f"tail mass: k=8 -> {gaps[0]:.3e}, k=64 -> {gaps[1]:.3e}, "
+                       f"order in k: {gate}")
 
 
 ALL_CHECKS = (

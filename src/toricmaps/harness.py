@@ -784,7 +784,7 @@ class RateFit:
     `statistic` (eps_k * k / log k) and its spread are reported diagnostics,
     not a gate: they stay flat on an error still dominated by a log(k)/k
     normalization term, so flatness cannot tell convergence from it.  The
-    geodesic C0 gate is `acceptance.c0_gate`.
+    geodesic C0 gate is `acceptance.order_gate` at observed order >= 1.
     """
 
     levels: tuple[int, ...]

@@ -58,7 +58,7 @@ C0_ORDER = 1.0                                  # the c/k envelope
 C1_C2_ORDER = math.log(0.9) / math.log(0.5)     # doubling ratio <= 0.9
 
 
-def test_order_gate_bites():
+def test_c0_gate_bites():
     ks = (8, 16, 32, 64)
     # the measured C0 without the mean adjustment: decreasing, but k * eps_k
     # grows like log(k+1) because the removed normalization is still in it
@@ -74,7 +74,10 @@ def test_order_gate_bites():
     with pytest.raises(ValueError):
         acceptance.order_gate((16, 8), [1e-3, 5e-4], C0_ORDER)
 
-    # C1/C2: every derivative column of the measured run passes
+
+def test_c1_c2_gate_bites():
+    ks = (8, 16, 32, 64)
+    # every derivative column of the measured run passes
     report = acceptance.geodesic_run()[0].report
     assert all(acceptance.order_gate(ks, report.column(c), C1_C2_ORDER).passed
                for c in ERROR_COLUMNS[1:])
@@ -87,6 +90,9 @@ def test_order_gate_bites():
     # three levels against four errors
     with pytest.raises(ValueError):
         acceptance.order_gate((8, 16, 32), [1e-2 * 0.3**i for i in range(4)], C1_C2_ORDER)
+
+
+def test_order_gate_window_bites():
     # a window of orders, as the complex-Hessian check uses it
     window = (math.log2(2.5), math.log2(6.0))
     assert acceptance.order_gate((1, 2), [1.0, 0.25], *window).passed

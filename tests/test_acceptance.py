@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from toricmaps import acceptance
-from toricmaps.harness import ERROR_COLUMNS
+from toricmaps.harness import ERROR_COLUMNS, ErrorReport
 
 
 def _run(check):
@@ -75,21 +75,37 @@ def test_c0_gate_bites():
         acceptance.order_gate((16, 8), [1e-3, 5e-4], C0_ORDER)
 
 
-def test_c1_c2_gate_bites():
+def test_c1_c2_gate_bites(monkeypatch):
     ks = (8, 16, 32, 64)
     # every derivative column of the measured run passes
     report = acceptance.geodesic_run()[0].report
     assert all(acceptance.order_gate(ks, report.column(c), C1_C2_ORDER).passed
                for c in ERROR_COLUMNS[1:])
-    assert acceptance.order_gate(ks, [1e-2 * 0.3**i for i in range(4)], C1_C2_ORDER).passed
+    fast = [1e-2 * 0.3**i for i in range(4)]
+    assert acceptance.order_gate(ks, fast, C1_C2_ORDER).passed
     slow = acceptance.order_gate(ks, [1e-2 * 0.95**i for i in range(4)], C1_C2_ORDER)
     assert not slow.passed
     assert min(slow.orders) == pytest.approx(math.log2(1 / 0.95))
-    stalled = acceptance.order_gate(ks, [1e-2, 3e-3, 9e-4, 9e-4], C1_C2_ORDER)
-    assert not stalled.passed
+
+    # the check gates every derivative column of the run, fails on one bad
+    # column and names it
+    def check(levels=ks, **columns):
+        run = SimpleNamespace(report=ErrorReport(
+            levels=levels, norms={c: np.array(columns.get(c, fast)) for c in ERROR_COLUMNS}))
+        monkeypatch.setattr(acceptance, "geodesic_run", lambda: (run, 0.0))
+        return acceptance.check_geodesic_c1_c2()
+
+    assert check().passed
+    slow = check(C2_yy=[1e-2 * 0.95**i for i in range(4)])
+    assert not slow.passed and "failing: ['C2_yy']" in slow.detail
+    stalled = check(C1_rho=[1e-2, 3e-3, 9e-4, 9e-4])
+    assert not stalled.passed and "failing: ['C1_rho']" in stalled.detail
+    for col in ERROR_COLUMNS[1:]:
+        res = check(**{col: [1e-2 * 0.95**i for i in range(4)]})
+        assert not res.passed and f"failing: [{col!r}]" in res.detail
     # three levels against four errors
     with pytest.raises(ValueError):
-        acceptance.order_gate((8, 16, 32), [1e-2 * 0.3**i for i in range(4)], C1_C2_ORDER)
+        check(levels=(8, 16, 32))
 
 
 def test_order_gate_window_bites():

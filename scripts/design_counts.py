@@ -1,5 +1,6 @@
-"""Print the five design counts that ROADMAP.md tracks for `src/`, and the
-lines, `dim` branches and scipy imports of each module.
+"""Print the five design counts that ROADMAP.md tracks for `src/`, the
+options a user can set, and the lines, `dim` branches and scipy imports of
+each module.
 
     python3 scripts/design_counts.py
 
@@ -11,7 +12,9 @@ lines, `dim` branches and scipy imports of each module.
     `dim\\b.*==|ndim ?==|\\.dim ?[<>=]|m ?== ?1\\b`, in all and per module;
   * `isinstance(..., *Domain)` dispatch branches;
   * scipy imports: `import scipy...` and `from scipy...` lines, in all and
-    per module (ROADMAP item 16: scipy out of the solver paths).
+    per module (ROADMAP item 16: scipy out of the solver paths);
+  * CLI flags: the union of the flags the suites take (`cli._SUITE_FLAGS`);
+  * config fields: the fields of `harness.ExperimentConfig`.
 
 It only prints; it gates nothing.
 """
@@ -37,6 +40,19 @@ def settable_parameters(tree: ast.AST) -> int:
                                      *filter(None, (a.vararg, a.kwarg)))]
             count += sum(name not in ("self", "cls") for name in names)
     return count
+
+
+def option_counts(src: Path) -> dict[str, int]:
+    """The CLI's flags and ExperimentConfig's fields, read from the source."""
+    cli = ast.parse((src / "toricmaps" / "cli.py").read_text())
+    suite_flags = next(ast.literal_eval(node.value) for node in cli.body
+                       if isinstance(node, ast.Assign)
+                       and any(getattr(t, "id", None) == "_SUITE_FLAGS" for t in node.targets))
+    harness = ast.parse((src / "toricmaps" / "harness.py").read_text())
+    config = next(node for node in harness.body
+                  if isinstance(node, ast.ClassDef) and node.name == "ExperimentConfig")
+    return {"CLI flags": len(set().union(*suite_flags.values())),
+            "config fields": sum(isinstance(node, ast.AnnAssign) for node in config.body)}
 
 
 def design_counts(src: Path) -> tuple[dict[str, int], dict[str, int], dict[str, int],
@@ -68,7 +84,7 @@ def design_counts(src: Path) -> tuple[dict[str, int], dict[str, int], dict[str, 
 def main() -> int:
     src = Path(__file__).resolve().parents[1] / "src"
     counts, module_lines, per_module, scipy_per_module = design_counts(src)
-    for name, value in counts.items():
+    for name, value in (counts | option_counts(src)).items():
         print(f"{name}: {value:,}")
     for module, value in module_lines.items():
         print(f"  lines in {module}: {value:,}")

@@ -189,6 +189,19 @@ def test_checks_give_a_verdict_on_a_zero_finer_error(monkeypatch):
     assert res.passed and "p = [inf]" in res.detail
 
 
+def test_run_checks_reports_a_check_that_raises(capsys):
+    def raising():
+        raise ValueError("scale 8 has error nan")
+
+    def passing():
+        return acceptance.CheckResult("passing", True, "ok")
+
+    results = acceptance.run_checks((raising, passing))
+    assert [r.passed for r in results] == [False, True]
+    assert capsys.readouterr().out.splitlines() == [
+        "FAIL  raising: raised ValueError: scale 8 has error nan", "PASS  passing: ok"]
+
+
 def test_disc_c0_and_kernel_crosscheck():
     _run(acceptance.check_disc_c0_crosscheck)
 

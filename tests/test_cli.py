@@ -63,9 +63,9 @@ def test_config_file_round_trip(tmp_path, capsys):
 def test_flow_config_is_not_held_to_the_levels(tmp_path, capsys):
     # n_x = 41 is too coarse for the default levels, which the flow never uses
     path = tmp_path / "cfg.json"
-    path.write_text(json.dumps({"n_x": 41}))
+    path.write_text(json.dumps({"n_x": 41, "n_y": 5}))
     out = tmp_path / "snaps"
-    assert main(["flow-duality", "--config", str(path), "--resolution", "n_y=5",
+    assert main(["flow-duality", "--config", str(path),
                  "--out", str(out), "--snapshot-every", "1"]) == 0
     snaps = sorted(out.glob("flow_*.txt"))
     assert load_snapshot(snaps[-1], make_interval(5)).f.shape == (5, 41)
@@ -74,8 +74,10 @@ def test_flow_config_is_not_held_to_the_levels(tmp_path, capsys):
 def test_flow_snapshots_are_named_by_index(tmp_path, capsys):
     # dtau = h^2 / 4 = 3.9e-7 on 801 nodes: six decimals of tau cannot tell
     # consecutive snapshots apart
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"n_y": 801, "n_x": 41}))
     out = tmp_path / "snaps"
-    assert main(["flow-duality", "--resolution", "n_y=801,n_x=41", "--out", str(out),
+    assert main(["flow-duality", "--config", str(path), "--out", str(out),
                  "--snapshot-every", "1"]) == 0
     assert f"wrote 11 snapshots to {out}" in capsys.readouterr().out
     snaps = sorted(out.iterdir())
@@ -94,11 +96,11 @@ FLOW = ["flow-duality", "--snapshot-every", "2"]
     (FLOW, {"window": 0.2}, "window"),
     (FLOW, {"n_radii": 9, "n_angles": 64}, "n_angles, n_radii"),
     (FLOW, {"a": 0.3}, "a"),
-    (FLOW + ["--resolution", "n_y=9,n_rho=401"], {}, "n_rho"),
+    (FLOW, {"n_y": 9, "n_rho": 401}, "n_rho"),
     (["geodesic"], {"n_angles": 64}, "n_angles"),
     (["geodesic"], {"domain": "interval"}, "domain"),
     (FLOW, {"domain": "interval"}, "domain"),
-    (["geodesic", "--resolution", "domain=disc"], {}, "domain"),
+    (["geodesic"], {"domain": "disc"}, "domain"),
 ])
 def test_suites_reject_config_keys_they_do_not_read(tmp_path, capsys, argv, doc, key):
     path = tmp_path / "cfg.json"
@@ -108,14 +110,25 @@ def test_suites_reject_config_keys_they_do_not_read(tmp_path, capsys, argv, doc,
 
 
 def test_suites_reject_flags_they_do_not_read(capsys):
-    assert "--levels" in usage_error(["disc", "--levels", "8"], capsys)
-    assert "--window" in usage_error(["all", "--window", "0.3"], capsys)
-    assert "--levels" in usage_error(["flow-duality", "--levels", "8"], capsys)
+    assert "--config" in usage_error(["disc", "--config", "cfg.json"], capsys)
+    assert "--config" in usage_error(["all", "--config", "cfg.json"], capsys)
+    assert "--snapshot-every" in usage_error(["geodesic", "--snapshot-every", "8"], capsys)
+
+
+@pytest.mark.parametrize("suite", ["geodesic", "flow-duality"])
+@pytest.mark.parametrize("flag,value", [
+    ("--levels", "8,16"), ("--resolution", "n_x=401"), ("--window", "0.2")])
+def test_config_keys_have_no_flags(capsys, suite, flag, value):
+    # a config key is set in the --config file only
+    with pytest.raises(SystemExit) as info:
+        main([suite, flag, value])
+    assert info.value.code == 2
+    assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
 
 
 def test_flags_name_the_missing_partner(tmp_path, capsys):
-    err = usage_error(["geodesic", "--levels", "8,16,32,64"], capsys)
-    assert "--levels given without --out" in err
+    err = usage_error(["geodesic", "--config", str(tmp_path / "cfg.json")], capsys)
+    assert "--config given without --out" in err
     err = usage_error(["flow-duality", "--out", str(tmp_path)], capsys)
     assert "--out given without --snapshot-every" in err
     err = usage_error(["flow-duality", "--snapshot-every", "5"], capsys)
@@ -170,12 +183,13 @@ def test_untyped_config_values_are_usage_errors_before_any_check(
     (["geodesic"], {"window": 0.5}, "window = 0.5: the interior window"),
     (["geodesic"], {"rho_span": 0}, "rho_span = 0: the rho grid"),
     (["geodesic"], {"rho_span": -4.0}, "rho_span = -4.0: the rho grid"),
-    (["geodesic", "--resolution", "rho_span=nan"], {}, "rho_span = nan: the rho grid"),
-    (["geodesic", "--resolution", "rho_span=inf"], {}, "rho_span = inf: the rho grid"),
+    # json.dumps writes the JSON literals NaN and Infinity
+    (["geodesic"], {"rho_span": math.nan}, "rho_span = nan: the rho grid"),
+    (["geodesic"], {"rho_span": math.inf}, "rho_span = inf: the rho grid"),
     (["geodesic"], {"rho_span": 1e-200}, "rho_span = 1e-200, n_rho = 801: the rho step"),
-    (["geodesic", "--levels", "8,x"], {}, "--levels: '8,x' is not a comma-separated"),
-    (["geodesic", "--levels", "0,8"], {}, "levels = [0, 8]: every level k must be >= 1"),
-    (["geodesic", "--resolution", "n_rho=3"], {}, "n_rho = 3, rho_span = 4.0: no rho node"),
+    (["geodesic"], {"levels": [8, "x"]}, "levels: [8, 'x'] is not a non-empty list of ints"),
+    (["geodesic"], {"levels": [0, 8]}, "levels = [0, 8]: every level k must be >= 1"),
+    (["geodesic"], {"n_rho": 3}, "n_rho = 3, rho_span = 4.0: no rho node"),
     (["geodesic"], {"a": 2.1}, "a = 2.1: the boundary potential u0 + c prod ell"),
     (["geodesic"], {"a": 5}, "a = 5: the boundary potential u0 + c prod ell"),
     (["geodesic"], {"a": -20.0}, "rho_span = 4.0, a = -20.0: the Legendre inversion"),
@@ -233,10 +247,10 @@ def test_unread_flag_fails_in_a_subprocess():
     src = str(Path(toricmaps.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    proc = subprocess.run([sys.executable, "-m", "toricmaps.cli", "disc", "--levels", "8"],
+    proc = subprocess.run([sys.executable, "-m", "toricmaps.cli", "disc", "--config", "cfg.json"],
                           capture_output=True, text=True, env=env, timeout=120)
-    assert proc.returncode != 0
-    assert "--levels" in proc.stderr
+    assert proc.returncode == 2
+    assert "unrecognized arguments: --config" in proc.stderr
 
 
 def test_geodesic_config_writes_one_row_per_level(tmp_path, capsys):
@@ -270,17 +284,23 @@ def test_resolution_values_take_their_field_types(tmp_path, monkeypatch, capsys)
         return harness.run_experiment(cfg)
 
     monkeypatch.setattr(cli, "run_experiment", recorded)
-    assert main(["geodesic", "--levels", "4,8,16,32", "--resolution",
-                 "n_y=9,n_x=401,n_rho=401,rho_span=3.5", "--out", str(tmp_path)]) == 0
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"levels": [4, 8, 16, 32], "n_y": 9, "n_x": 401,
+                                "n_rho": 401, "rho_span": 3.5}))
+    assert main(["geodesic", "--config", str(path), "--out", str(tmp_path)]) == 0
     assert [(c.n_y, c.n_x, c.n_rho, c.rho_span) for c in configs] == [(9, 401, 401, 3.5)]
+    assert "C0 order in k: p = [" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("pair,message", [
-    ("n_x", "--resolution: 'n_x' is not a key=value pair of a scalar config field"),
-    ("n_x=801.5", "--resolution: n_x=801.5 is not a valid int"),
-    ("levels=8", "--resolution: 'levels=8' is not a key=value pair of a scalar"),
-    ("n_q=9", "--resolution: 'n_q=9' is not a key=value pair of a scalar"),
-], ids=["no-equals", "non-integer", "tuple-field", "unknown-key"])
-def test_resolution_rejects_a_malformed_pair(tmp_path, capsys, pair, message):
-    err = usage_error(["geodesic", "--resolution", pair, "--out", str(tmp_path)], capsys)
-    assert message in err
+def test_a_check_that_raises_fails_and_the_rest_still_run(monkeypatch, capsys):
+    def raising():
+        raise ValueError("the order gate needs finite non-negative errors")
+
+    monkeypatch.setattr(acceptance, "ALL_CHECKS",
+                        (raising, *acceptance.ALL_CHECKS[1:]))
+    assert main(["all"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 13
+    assert [line.split()[0] for line in lines] == ["FAIL"] + ["PASS"] * 12
+    assert lines[0] == ("FAIL  raising: raised ValueError: "
+                        "the order gate needs finite non-negative errors")

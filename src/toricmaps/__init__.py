@@ -17,9 +17,9 @@ Heat-flow duality and degenerate complex-Hessian residuals live in `flows`;
 `acceptance` bundles the self-checking experiment suite behind the CLI.
 """
 
-from .polytope import (DelzantPolytope, Facet, LatticeSet, facet_value,
-                       lattice_points, near_facets, polytope_from_json,
-                       polytope_to_json, preset_polytope)
+from .polytope import (DelzantPolytope, Facet, facet_value, lattice_points,
+                       near_facets, polytope_from_json, polytope_to_json,
+                       preset_polytope)
 from .potentials import (ClosedForm, ConvexityError, KahlerPotential,
                          NewtonError, PolytopeGrid, PotentialFamily, RadialGrid,
                          abreu_delta, default_margin, fubini_study,

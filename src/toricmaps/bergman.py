@@ -27,10 +27,16 @@ The normalized monomial and its peak value are
 
 which satisfy the duality log Q(alpha) + log P(alpha) = k u(alpha/k).
 
-The Szego-type sum over all normalized monomials carries the k^m volume
-factor of the level-k inner product that the raw tables drop, so that its
-normalized value tends to 1; the localization tail is normalized the same
-way.
+The Szego-type sum over all normalized monomials is the Bergman density of
+the table's own potential Phi = (1/k) log sum_alpha e^{<alpha,rho>}/Q(alpha),
+the approximant below at a node whose lambda is the table:
+
+    sum_alpha P(alpha, rho) / k^m = e^{k (Phi - phi)(rho)} / k^m,
+
+the k^m restoring the volume factor of the level-k inner product that the
+raw tables drop, so that it tends to 1.  The localization tail is the same
+density of the alphas outside a window, and every sum over kP cap Z^m is
+`_log_sum_exp`.
 
 Approximant construction: per alpha, the boundary values log Q at the
 boundary of the parameter domain N are extended harmonically to
@@ -55,7 +61,7 @@ import numpy as np
 
 from .dirichlet import (BoundaryData, HarmonicField, MaxPrincipleError,
                         boundary_weights, harmonic_extend)
-from .polytope import _check_level, _float_if_0d, _read_only, lattice_points, near_facets
+from .polytope import _as_points, _check_level, _float_if_0d, _read_only, lattice_points
 from .potentials import (KahlerPotential, SymplecticPotential, _closed_at, _positive_det,
                          abreu_delta, guillemin_gradient, guillemin_potential)
 
@@ -94,8 +100,8 @@ class QuadratureError(RuntimeError):
 
 
 def delta_k(k: int) -> float:
-    """Near-facet scale 1/(sqrt(k) log k)."""
-    return 1.0 / (math.sqrt(k) * math.log(k))
+    """Near-facet scale 1/(sqrt(k) log k); infinite at k = 1."""
+    return 1.0 / (math.sqrt(k) * math.log(k)) if k > 1 else math.inf
 
 
 @dataclass(frozen=True)
@@ -210,7 +216,7 @@ def norming_constants(u: SymplecticPotential, k: int, alphas=None) -> NormingTab
     before any quadrature.
     """
     _check_level(k)
-    lattice = lattice_points(u.polytope, k).points
+    lattice = lattice_points(u.polytope, k)
     if alphas is None:
         alphas = lattice
     else:
@@ -298,11 +304,13 @@ def _pairing(alphas: np.ndarray, rho: np.ndarray) -> np.ndarray:
     return np.tensordot(a, np.moveaxis(rho, -1, 0), axes=(1, 0))
 
 
-def _log_monomial_matrix(table: NormingTable, phi: KahlerPotential, rho):
-    """log P(alpha, rho) for all alphas; shape (n_alpha, *shape(rho))."""
+def _density(table: NormingTable, phi: KahlerPotential, rho, rows=slice(None)):
+    """sum_{alpha in rows} P(alpha, rho) / k^m = e^{k (Phi_A - phi)(rho)} / k^m,
+    Phi_A the one-node `_log_sum_exp` of the table's log Q over those alphas."""
     r = np.asarray(rho, dtype=float)
-    expo = _pairing(table.alphas, r) - table.level * np.asarray(phi.value(r))[None, ...]
-    return expo - table.log_q[(slice(None),) + (None,) * (expo.ndim - 1)]
+    k, log_q = table.level, table.log_q[rows]
+    phi_a = _log_sum_exp(table.alphas[rows], _node_weights(log_q[:, None]), r, k)[0]
+    return np.exp(k * (phi_a - np.asarray(phi.value(r)))) / k ** table.dim
 
 
 def szego_sum(table: NormingTable, phi: KahlerPotential, rho):
@@ -311,30 +319,29 @@ def szego_sum(table: NormingTable, phi: KahlerPotential, rho):
     The k^m factor restores the level-k volume normalization dropped from
     the raw tables, so the value tends to 1 (+ O(1/k)) in the interior.
     """
-    logp = _log_monomial_matrix(table, phi, rho)
-    peak = np.max(logp, axis=0)
-    total = np.exp(peak) * np.sum(np.exp(logp - peak[None, ...]), axis=0)
-    return _float_if_0d(total / table.level ** table.dim)
+    return _float_if_0d(_density(table, phi, rho))
 
 
 def localization_gap(table: NormingTable, phi: KahlerPotential, rho,
                      delta: float) -> float:
     """Mass of sum_alpha P(alpha, rho)/k^m outside |alpha/k - mu(rho)| <= k^(delta-1/2).
 
-    mu(rho) is the moment-map image of rho.  Normalized like `szego_sum`, so
-    the gap is directly comparable to (and bounded by) the full sum.
+    mu(rho) is the moment-map image of rho, one point: a scalar for m = 1, an
+    (m,) vector otherwise (a ValueError naming rho's shape).  Normalized like
+    `szego_sum`, so the gap is directly comparable to (and bounded by) the
+    full sum.
     """
     if not 0.0 < delta < 0.5:
         raise ValueError("delta must lie in (0, 1/2)")
+    if _as_points(table.dim, rho)[0].shape != (table.dim,):
+        raise ValueError(f"rho must be one point of R^{table.dim}, got shape {np.shape(rho)}")
     k = table.level
     mu = np.atleast_1d(np.asarray(phi.grad(rho), dtype=float))
     dist = np.linalg.norm(table.alphas / k - mu[None, :], axis=1)
     outside = dist > k ** (delta - 0.5)
     if not np.any(outside):
         return 0.0
-    logp = _log_monomial_matrix(table, phi, np.asarray(rho, dtype=float))[outside]
-    peak = float(np.max(logp))
-    return float(np.exp(peak) * np.sum(np.exp(logp - peak)) / k ** table.dim)
+    return _density(table, phi, rho, outside).item()
 
 
 # -- harmonic norming constants and the approximants -------------------------------
@@ -392,9 +399,8 @@ class BergmanFamily:
 
     Convex in rho at every y (log-sum-exp of linear forms).  The sum is
     weights in y times monomials in rho (see `_log_sum_exp`): the weights
-    are built once per family, the monomials on each call.  A node's row, a
-    subset of rho columns and a scalar rho are all bitwise the full field's
-    values.
+    are built once per family, the monomials on each call.  A subset of rho
+    columns and a scalar rho are both bitwise the full field's values.
     """
 
     norming: HarmonicNorming
@@ -408,17 +414,6 @@ class BergmanFamily:
         """`_node_weights` of every node, built at the first `field`."""
         lam = self.norming.lam
         return _node_weights(lam.reshape(lam.shape[0], -1))
-
-    def potential(self, y_index, rho):
-        """Phi_k at one domain node; rho scalar or array (a float for scalar rho).
-
-        Bitwise `field(rho)[y_index]`: the node goes with the reference row.
-        """
-        lam = self.norming.lam
-        lam_y = lam[(slice(None),) + _as_index(y_index)]
-        pair = np.stack([lam.reshape(lam.shape[0], -1)[:, 0], lam_y], axis=1)
-        return _float_if_0d(_log_sum_exp(self.norming.alphas, _node_weights(pair), rho,
-                                         self.level)[1])
 
     def field(self, rho) -> np.ndarray:
         """Phi_k over all domain nodes; shape (*domain.shape, n_rho)."""
@@ -577,27 +572,23 @@ def peak_asymptotics_check(table: NormingTable, u: SymplecticPotential) -> PeakA
     lattice point of the table.
 
     Only lattice points with no facet closer than delta_k = 1/(sqrt(k) log k)
-    are admitted (the flat-model crossover region is excluded); for those,
+    are admitted (the flat-model crossover region is excluded; delta_1 is
+    infinite): a ValueError names the first alpha that is not.  For those,
     C_alpha = P(alpha) k^{-m/2} / sqrt(det hess u(alpha/k)) should be flat in
     alpha up to the expansion remainder.
     """
     k = table.level
     dk = delta_k(k)
-    consts = []
-    kept = []
-    for a in table.alphas:
-        x = a.astype(float) / k
-        _, n_near = near_facets(u.polytope, x, dk)
-        if n_near > 0:
-            raise ValueError(
-                f"alpha={tuple(a)} is within delta_k={dk:.4g} of a facet; "
-                "the interior peak law does not apply")
-        det = float(_positive_det(u.hess(x), "Hessian of u is not positive definite at x", x))
-        c = peak_value(table, u, a) * k ** (-u.dim / 2.0) / math.sqrt(det)
-        consts.append(c)
-        kept.append(a)
-    return PeakAsymptotics(level=k, alphas=np.array(kept),
-                           constants=np.array(consts))
+    x = table.alphas / k
+    near = np.any(u.polytope.ell(x) < dk, axis=-1)
+    if np.any(near):
+        raise ValueError(
+            f"alpha={tuple(table.alphas[near][0].tolist())} is within delta_k={dk:.4g} "
+            "of a facet; the interior peak law does not apply")
+    det = _positive_det(u.hess(x), "Hessian of u is not positive definite at x", x)
+    peak = np.exp(k * np.asarray(u.value(x)) - table.log_q)
+    return PeakAsymptotics(level=k, alphas=table.alphas,
+                           constants=peak * k ** (-u.dim / 2.0) / np.sqrt(det))
 
 
 # -- CSV caching ---------------------------------------------------------------------

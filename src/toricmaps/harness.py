@@ -514,7 +514,7 @@ def build_approximants(family: PotentialFamily, levels) -> dict[int, BergmanFami
     bps = family.boundary_potentials
     levels = tuple(levels)
     # the lattice every table shares (`harmonic_norming` checks it)
-    alphas = {k: lattice_points(bps[0].polytope, k).points for k in levels}
+    alphas = {k: lattice_points(bps[0].polytope, k) for k in levels}
     # a node's row: its log Q_k at each level in turn
     ends = np.cumsum([0] + [len(alphas[k]) for k in levels])
 

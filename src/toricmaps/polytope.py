@@ -31,7 +31,6 @@ import numpy as np
 __all__ = [
     "Facet",
     "DelzantPolytope",
-    "LatticeSet",
     "facet_value",
     "lattice_points",
     "near_facets",
@@ -156,7 +155,7 @@ class DelzantPolytope:
         v = self.vertex_array()
         object.__setattr__(self, "_bbox", (_read_only(v.min(axis=0)),
                                            _read_only(v.max(axis=0))))
-        # level k -> LatticeSet, filled by lattice_points on first use
+        # level k -> kP's lattice points, filled by lattice_points on first use
         object.__setattr__(self, "_lattices", {})
         # n_panels -> masked tensor Gauss rule (points, weights, and u0 and
         # grad u0 at the points), one per panel count, filled by bergman._quad_rule
@@ -243,22 +242,6 @@ class DelzantPolytope:
                 np.array([np.outer(normals[r], normals[s]).ravel() for r, s in pairs]))
 
 
-@dataclass(frozen=True)
-class LatticeSet:
-    """Integer points of the dilate kP, each exactly once."""
-
-    level: int
-    points: np.ndarray  # shape (n, m), dtype int64, lexicographically sorted
-
-    def __post_init__(self):
-        pts = np.atleast_2d(np.asarray(self.points, dtype=np.int64))
-        object.__setattr__(self, "points", pts)
-
-    @property
-    def count(self) -> int:
-        return self.points.shape[0]
-
-
 def facet_value(P: DelzantPolytope, r: int, x) -> float:
     """ell_r(x) at one point x; nonnegative iff x lies on the inner side of
     facet r (0-based r)."""
@@ -275,14 +258,13 @@ def _check_level(k) -> None:
         raise ValueError(f"level k must be >= 1, got {k}")
 
 
-def lattice_points(P: DelzantPolytope, k: int) -> LatticeSet:
-    """kP ∩ Z^m, enumerated once per polytope and level k (`_check_level`);
-    the points are read-only."""
+def lattice_points(P: DelzantPolytope, k: int) -> np.ndarray:
+    """kP ∩ Z^m, each point once: a read-only, lexicographically sorted (n, m)
+    int64 array, enumerated once per polytope and level k (`_check_level`)."""
     _check_level(k)
     cached = P._lattices.get(k)
     if cached is None:
-        cached = LatticeSet(level=k, points=_read_only(_enumerate_lattice(P, k)))
-        P._lattices[k] = cached
+        cached = P._lattices[k] = _read_only(_enumerate_lattice(P, k))
     return cached
 
 

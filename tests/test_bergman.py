@@ -15,10 +15,10 @@ from toricmaps.bergman import (BergmanFamily, NormingTable, QuadratureError,
                                peak_value, ratio_report, save_norming_table,
                                szego_sum)
 from toricmaps.dirichlet import make_disc, make_interval, make_rectangle
-from toricmaps.polytope import lattice_points, preset_polytope
-from toricmaps.potentials import (_closed_at, default_margin, fubini_study,
-                                  make_polytope_grid, make_radial_grid, product_potential,
-                                  to_kahler)
+from toricmaps.polytope import lattice_points, near_facets, preset_polytope
+from toricmaps.potentials import (ClosedForm, KahlerPotential, _closed_at, _positive_det,
+                                  default_margin, fubini_study, make_polytope_grid,
+                                  make_radial_grid, product_potential, to_kahler)
 
 P = preset_polytope("interval")
 XG = make_polytope_grid(P, 801, default_margin(64))
@@ -158,7 +158,7 @@ def test_norming_quadrature_is_bitwise_the_allocating_formula(name, a, k, n_pane
     # the square (m = 2) accumulates its pairing through the second buffer
     Q = preset_polytope(name)
     u = product_potential(Q, a, XG if name == "interval" else make_polytope_grid(Q, 9, 0.05))
-    alphas = lattice_points(Q, k).points
+    alphas = lattice_points(Q, k)
     got = bergman._log_q_quadrature(u, k, alphas, n_panels)
     expected = allocating_quadrature(u, k, alphas, n_panels)
     np.testing.assert_array_equal(got, expected)
@@ -346,6 +346,56 @@ def test_localization_gap_vacuous_and_bounded():
         localization_gap(t8, PHI_FS, np.asarray(0.0), 0.6)
 
 
+def test_szego_sum_is_the_balanced_fubini_study_density():
+    # Fubini-Study is balanced: sum_alpha P(alpha, rho) / k = (k + 1) / k at every rho,
+    # and the tail outside any window is a part of that sum
+    rho = np.linspace(-6.0, 6.0, 121)
+    for k in range(1, 33):
+        t = norming_constants(U0, k)
+        np.testing.assert_allclose(szego_sum(t, PHI_FS, rho), (k + 1) / k, rtol=1e-12, atol=0)
+        for r in rho:
+            gap = localization_gap(t, PHI_FS, r, 0.25)
+            assert 0.0 <= gap <= szego_sum(t, PHI_FS, r) * (1 + 1e-12), (k, r)
+
+
+def test_szego_sum_on_the_square_is_the_product_density():
+    # u0 of the square is the sum of two interval ones and phi the sum of two
+    # Fubini-Study potentials, so the density is ((k + 1) / k)^2 at every rho
+    S = preset_polytope("square")
+    u0 = product_potential(S, 0.0, make_polytope_grid(S, 9, 0.05))
+    sig = PHI_FS.grad
+    phi = KahlerPotential(make_radial_grid([-4.0, -4.0], [4.0, 4.0], [21, 21]), closed=ClosedForm(
+        value=lambda r: np.sum(np.logaddexp(0.0, r), axis=-1), grad=sig,
+        hess=lambda r: np.eye(2) * (sig(r) * sig(-np.asarray(r)))[..., None]))
+    rho = np.stack(np.meshgrid(np.linspace(-3, 3, 7), np.linspace(-3, 3, 5), indexing="ij"), -1)
+    for k in (1, 2, 4, 8):
+        t = norming_constants(u0, k)
+        density = szego_sum(t, phi, rho)
+        assert density.shape == (7, 5)
+        np.testing.assert_allclose(density, ((k + 1) / k) ** 2, rtol=1e-12, atol=0)
+        gap = localization_gap(t, phi, rho[1, 2], 0.25)
+        assert 0.0 < gap <= szego_sum(t, phi, rho[1, 2])
+
+
+def test_localization_gap_takes_one_rho():
+    t8 = norming_constants(U0, 8)
+    rho0 = math.log(0.15 / 0.85)
+    gap = localization_gap(t8, PHI_FS, rho0, 0.25)
+    # the direct sum of the normalized monomials outside the window
+    outside = np.abs(t8.alphas[:, 0] / 8 - 0.15) > 8 ** -0.25
+    direct = sum(normalized_monomial(t8, PHI_FS, a, rho0) for a in t8.alphas[outside]) / 8
+    assert gap == pytest.approx(direct, rel=1e-12)
+    assert gap == pytest.approx(2.726e-4, rel=1e-3)
+    for rho in ([rho0, rho0], [rho0, 0.0], [[rho0]]):
+        with pytest.raises(ValueError, match=re.escape(f"got shape {np.shape(rho)}")):
+            localization_gap(t8, PHI_FS, np.array(rho), 0.25)
+    square = NormingTable(level=2, alphas=lattice_points(preset_polytope("square"), 2),
+                          log_q=np.zeros(9))
+    for rho in (0.0, np.zeros((2, 2)), np.zeros(3)):
+        with pytest.raises(ValueError, match=re.escape(f"got shape {np.shape(rho)}")):
+            localization_gap(square, PHI_FS, rho, 0.25)
+
+
 def test_harmonic_norming_interval():
     dom = make_interval(9)
     t2 = norming_constants(U0, 2)
@@ -398,16 +448,16 @@ def test_bergman_potential_values(table_k2):
     dom = make_interval(9)
     hn = harmonic_norming(dom, [table_k2, table_k2])
     # log-sum-exp of the Beta values at rho = 0: (1/2) log(3 + 6 + 3)
-    val = BergmanFamily(hn).potential((0,), np.asarray(0.0))
+    val = BergmanFamily(hn).field(np.asarray(0.0))[0]
     assert val == pytest.approx(0.5 * math.log(12.0), abs=1e-12)
     # equal endpoint tables: independent of t
-    v_mid = BergmanFamily(hn).potential((4,), np.asarray(0.0))
+    v_mid = BergmanFamily(hn).field(np.asarray(0.0))[4]
     assert v_mid == val
     # boundary consistency: identical floating-point expression
     rho = np.linspace(-2, 2, 17)
     direct = np.max(np.stack([t2a * rho - lq for t2a, lq in
                               zip(table_k2.alphas[:, 0], table_k2.log_q)]), axis=0)
-    lse = BergmanFamily(hn).potential((0,), rho)
+    lse = BergmanFamily(hn).field(rho)[0]
     terms = np.stack([a * rho - lq for a, lq in
                       zip(table_k2.alphas[:, 0].astype(float), table_k2.log_q)])
     peak = terms.max(axis=0)
@@ -420,7 +470,7 @@ def test_bergman_potential_single_alpha_affine():
     t = NormingTable(level=3, alphas=np.array([[2]]), log_q=np.array([0.7]))
     hn = harmonic_norming(dom, [t, t])
     rho = np.linspace(-1, 1, 9)
-    vals = np.asarray(BergmanFamily(hn).potential((2,), rho))
+    vals = BergmanFamily(hn).field(rho)[2]
     np.testing.assert_allclose(vals, (2 * rho - 0.7) / 3, atol=1e-14)
 
 
@@ -428,7 +478,7 @@ def test_bergman_convexity_in_rho(table_k2):
     dom = make_interval(5)
     hn = harmonic_norming(dom, [table_k2, table_k2])
     rho = np.linspace(-3, 3, 101)
-    vals = np.asarray(BergmanFamily(hn).potential((2,), rho))
+    vals = BergmanFamily(hn).field(rho)[2]
     assert np.min(np.diff(vals, 2)) > -1e-12
 
 
@@ -487,13 +537,10 @@ def test_field_is_the_log_sum_exp_to_4_ulp(domain, k, n_rho):
 
 
 def assert_field_invariances(fam, rho, field):
-    """A node's row, a column subset and a scalar rho are bitwise the full field."""
-    nodes = field[..., 0].size
-    for idx in (np.unravel_index(i, field.shape[:-1]) for i in (0, nodes // 2, nodes - 1)):
-        np.testing.assert_array_equal(fam.potential(idx, rho), field[idx])
-        value = fam.potential(idx, rho[rho.size // 3])
-        assert isinstance(value, float)
-        assert value == field[idx][rho.size // 3]
+    """A column subset and a scalar rho are bitwise the full field."""
+    scalar = fam.field(rho[rho.size // 3])
+    assert scalar.shape == field.shape[:-1]
+    np.testing.assert_array_equal(scalar, field[..., rho.size // 3])
     for cols in (slice(rho.size // 3, rho.size // 3 + 7), slice(1, None, 5), slice(-1, None)):
         np.testing.assert_array_equal(fam.field(rho[cols]), field[..., cols])
 
@@ -563,6 +610,33 @@ def test_peak_asymptotics_fit():
     assert delta_k(64) == pytest.approx(1 / (8 * math.log(64)))
 
 
+@pytest.mark.parametrize("name,a,k", [("interval", 0.0, 48), ("interval", 0.1, 200),
+                                      ("square", 0.05, 12)])
+def test_peak_asymptotics_is_bitwise_the_loop_over_alphas(name, a, k):
+    Q = preset_polytope(name)
+    u = product_potential(Q, a, XG if name == "interval" else make_polytope_grid(Q, 9, 0.05))
+    inner = lattice_points(Q, k)
+    inner = inner[np.all((inner >= 3 * k // 8) & (inner <= 5 * k // 8), axis=1)]
+    table = norming_constants(u, k, alphas=inner)
+    fit = peak_asymptotics_check(table, u)
+    # the loop it replaced: one near-facet test, Hessian and peak value per alpha
+    loop = []
+    for alpha in table.alphas:
+        x = alpha.astype(float) / k
+        assert near_facets(Q, x, delta_k(k))[1] == 0
+        det = float(_positive_det(u.hess(x), "not convex", x))
+        loop.append(peak_value(table, u, alpha) * k ** (-u.dim / 2.0) / math.sqrt(det))
+    np.testing.assert_array_equal(fit.alphas, table.alphas)
+    np.testing.assert_array_equal(fit.constants, loop)
+
+
+def test_peak_asymptotics_at_level_one_names_an_alpha():
+    # delta_1 is infinite, so every alpha of a level-1 table is near a facet
+    assert delta_k(1) == math.inf
+    with pytest.raises(ValueError, match=re.escape("alpha=(0,) is within delta_k=inf")):
+        peak_asymptotics_check(norming_constants(U0, 1), U0)
+
+
 def test_peak_constant_metric_independent():
     k = 64
     alphas = np.arange(24, 41)
@@ -602,7 +676,7 @@ def test_csv_loader_skips_blank_rows_and_names_a_bad_row(tmp_path, table_k2):
 
 def test_csv_round_trip_2d(tmp_path):
     S = preset_polytope("simplex2")
-    alphas = lattice_points(S, 2).points
+    alphas = lattice_points(S, 2)
     t = NormingTable(level=2, alphas=alphas, log_q=np.linspace(-1, 1, len(alphas)))
     path = tmp_path / "t2.csv"
     save_norming_table(t, path)

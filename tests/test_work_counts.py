@@ -114,8 +114,8 @@ def test_lattice_enumerated_once_per_polytope_and_level(monkeypatch):
     for _ in range(3):
         build_approximants(family, (4, 8))
     assert [k for _, k in calls] == [4, 8]
-    points = polytope.lattice_points(P, 8).points
-    assert points is polytope.lattice_points(P, 8).points
+    points = polytope.lattice_points(P, 8)
+    assert points is polytope.lattice_points(P, 8)
     assert not points.flags.writeable
     # another polytope object with the same facets keeps its own cache
     polytope.lattice_points(polytope.preset_polytope("interval"), 8)

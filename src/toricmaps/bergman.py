@@ -604,12 +604,13 @@ def save_norming_table(table: NormingTable, path):
 
 def load_norming_table(path) -> NormingTable:
     """Inverse of `save_norming_table`.  Blank rows are skipped; any other row
-    that cannot be read is a ValueError naming the file and the line."""
+    that cannot be read, or whose alpha has another length than the first
+    row's, is a ValueError naming the file and the line."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, [])
         if header[:3] != ["k", "alpha", "log_q"]:
-            raise ValueError(f"unrecognized norming-table header: {header}")
+            raise ValueError(f"{path}, line 1: unrecognized norming-table header: {header}")
         levels, alphas, log_q = set(), [], []
         for row in reader:
             if not "".join(row).strip():
@@ -618,6 +619,9 @@ def load_norming_table(path) -> NormingTable:
                 k, alpha, lq = row[:3]
                 levels.add(int(k))
                 alphas.append([int(v) for v in alpha.split(",")])
+                if len(alphas[-1]) != len(alphas[0]):
+                    raise ValueError(f"alpha has {len(alphas[-1])} coordinates, "
+                                     f"the first row's {len(alphas[0])}")
                 log_q.append(float(lq))
             except ValueError as exc:
                 raise ValueError(f"{path}, line {reader.line_num}: cannot read "
@@ -625,6 +629,6 @@ def load_norming_table(path) -> NormingTable:
     if not levels:
         raise ValueError(f"norming-table file {path} has no rows")
     if len(levels) != 1:
-        raise ValueError(f"norming-table file mixes levels: {sorted(levels)}")
+        raise ValueError(f"norming-table file {path} mixes levels: {sorted(levels)}")
     return NormingTable(level=levels.pop(), alphas=np.array(alphas, dtype=np.int64),
                         log_q=np.array(log_q), provenance=f"loaded from {path}")

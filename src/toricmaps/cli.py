@@ -25,6 +25,7 @@ check runs.
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 from pathlib import Path
 
@@ -63,29 +64,29 @@ _SUITE_FLAGS = {
 
 # the config keys each suite's output files read; any other key is a usage
 # error.  Both suites run on the interval domain; the flow's start data is
-# fixed (acceptance.flow_start), so it reads only its grid.
+# fixed (acceptance.flow_start), so it reads only its own grid (n_x is no
+# config field): its f is sampled, so unlike the families' x-grid, n_x counts.
+_FLOW_GRID = {"n_y": ExperimentConfig.n_y, "n_x": 801}
 _SUITE_KEYS = {
-    "geodesic": ("a", "levels", "n_y", "n_x", "n_rho", "rho_span", "window"),
-    "flow-duality": ("n_y", "n_x"),
+    "geodesic": ("a", "levels", "n_y", "n_rho", "rho_span", "window"),
+    "flow-duality": tuple(_FLOW_GRID),
 }
 
 
 def _load_config(args):
     """The geodesic suite's ExperimentConfig, or the flow's (n_y, n_x)."""
-    doc = {}
-    if args.config is not None:
-        doc = ExperimentConfig.json_fields(args.config.read_text())
-    unread = sorted(set(doc) - set(_SUITE_KEYS[args.command]))
+    doc = {} if args.config is None else json.loads(args.config.read_text())
+    flow = args.command == "flow-duality" and isinstance(doc, dict)
+    grid = {key: doc.pop(key, n) for key, n in _FLOW_GRID.items()} if flow else {}
+    unread = sorted(set(ExperimentConfig.json_fields(doc)) - set(_SUITE_KEYS[args.command]))
     if unread:
         raise ValueError(f"{', '.join(unread)}: not read by the {args.command} suite")
-    if args.command == "flow-duality":
-        ExperimentConfig.check_types(doc)      # no config: the flow has no levels
-        grid = doc.get("n_y", ExperimentConfig.n_y), doc.get("n_x", ExperimentConfig.n_x)
-        for key, n in zip(("n_y", "n_x"), grid):
-            if n < 3:
-                raise ValueError(f"{key} = {n}: the flow's grids need at least 3 nodes")
-        return grid
-    return ExperimentConfig(**doc)
+    for key, n in grid.items():
+        if type(n) is not int:          # nor a bool, as in ExperimentConfig.check_types
+            raise ValueError(f"{key}: {n!r} is not an int")
+        if n < 3:
+            raise ValueError(f"{key} = {n}: the flow's grids need at least 3 nodes")
+    return tuple(grid.values()) if flow else ExperimentConfig(**doc)
 
 
 def _checked_config(p: argparse.ArgumentParser, args):

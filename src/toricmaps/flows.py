@@ -290,7 +290,7 @@ def save_snapshot(state: PotentialFamily, path):
 def load_snapshot(path, domain) -> PotentialFamily:
     """The flow state `save_snapshot` wrote to `path`, on `domain`: a
     ValueError names the file if a line is unreadable or the shape differs."""
-    (tau_line, shape_line), grid, blocks = _read_text(path, 2)
+    (tau_line, shape_line), grid, blocks = _read_text(path, (("flow",), ("domain_shape",)))
     try:
         tau = float(tau_line.split()[2])
     except (IndexError, ValueError) as exc:
@@ -301,4 +301,7 @@ def load_snapshot(path, domain) -> PotentialFamily:
         raise ValueError(f"{path}: cannot read the domain_shape line {shape_line!r}: {exc}") from exc
     if shape != domain.shape:
         raise ValueError(f"{path}: the snapshot's domain shape is {shape}, the domain's {domain.shape}")
+    if blocks["values"].shape != shape + grid.shape:
+        raise ValueError(f"{path}: the values block's shape is {blocks['values'].shape}, "
+                         f"the snapshot's {shape + grid.shape}")
     return PotentialFamily(domain=domain, xgrid=grid, f=blocks["values"], tau=tau)

@@ -35,7 +35,9 @@ approximants -> error report, for one `ExperimentConfig`.  Both experiment
 families live on the interval polytope, so a config holds only what varies:
 its `domain` picks the family ("interval": the geodesic between u0 and
 u0 + a prod ell; "disc": the loop u0 + a (1 + cos theta) prod ell), `a` is
-the amplitude, and the rest are levels and resolutions.  Each field has one
+the amplitude, and the rest are levels, node counts and the rho window;
+the x-grid is none of them, as the families sample f on one fixed grid
+(`_product_family`) that moves no reported bit.  Each field has one
 spelling and is type-checked and range-checked where the config is built,
 so a run the pipeline cannot honour fails there, naming its key.
 Both families are u0 + c_b prod ell on the boundary, so each node's closed
@@ -68,7 +70,7 @@ from .polytope import lattice_points, preset_polytope
 from .potentials import (LSE_BLOCK, NewtonError, PolytopeGrid, PotentialFamily,
                          SymplecticPotential, _blocks, _canonical_inverse_guess, _closed_at,
                          _evaluator, _invert_monotone_1d, _product_ell_closed, _x_bracket,
-                         default_margin, guillemin_gradient, guillemin_hessian,
+                         guillemin_gradient, guillemin_hessian,
                          guillemin_potential, make_polytope_grid, product_potential)
 
 __all__ = [
@@ -105,7 +107,7 @@ RHO_REACH = -math.log(np.finfo(float).eps)
 class ExperimentConfig:
     """Knobs of one experiment (see `run_experiment`); defaults reproduce the
     geodesic suite.  Every value is type-checked (`check_types`) when the
-    config is built."""
+    config is built; no field sets the x-grid (see `_product_family`)."""
 
     domain: str = "interval"      # "interval" (geodesic family) or "disc" (loop family)
     a: float = 0.1                # amplitude of the family's boundary perturbation
@@ -113,7 +115,6 @@ class ExperimentConfig:
     n_y: int = 17                 # interval nodes
     n_radii: int = 9              # disc interior radii (plus the boundary ring)
     n_angles: int = 256           # disc angular nodes = boundary quadrature
-    n_x: int = 801                # polytope-grid nodes per axis
     n_rho: int = 801              # rho-grid nodes
     rho_span: float = 4.0         # rho-grid on [-span, span]
     window: float = 0.1           # interior window {ell_r >= window}
@@ -136,11 +137,6 @@ class ExperimentConfig:
         if not 0 < self.rho_span < math.inf:
             raise ValueError(f"rho_span = {self.rho_span}: the rho grid "
                              "[-rho_span, rho_span] needs a finite rho_span > 0")
-        # the polytope grid must resolve the boundary margin 1/(4 k_max)
-        if self.n_x < 2 * max(ks):
-            raise ValueError(
-                f"n_x = {self.n_x} too coarse for k_max = {max(ks)} "
-                "(need at least 2 nodes per 1/k cell)")
         # C2_yy is read two nodes inside the boundary (interior(2) not empty)
         size = _FAMILIES[self.domain][0]
         if getattr(self, size) < 5:
@@ -196,11 +192,14 @@ class ExperimentConfig:
 
     @classmethod
     def json_fields(cls, doc) -> dict:
-        """The field values a JSON config (a mapping or its text) sets;
-        unknown keys are a ValueError naming them."""
+        """The field values a JSON config (a dict or its text) sets; a
+        document that is not a JSON object is a ValueError naming its JSON
+        type, and unknown keys are one naming them."""
         if isinstance(doc, (str, bytes)):
             doc = json.loads(doc)
-        doc = dict(doc)
+        if not isinstance(doc, dict):
+            kind = _JSON_TYPES.get(type(doc), type(doc).__name__)
+            raise ValueError(f"a config is a JSON object, not {kind}")
         unknown = set(doc) - set(cls.__dataclass_fields__)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
@@ -215,6 +214,8 @@ def _is_a(kind: type, value) -> bool:
 
 _TYPE_NAMES = {int: "an int", float: "a number", str: "a string",
                tuple: "a non-empty list of ints"}
+_JSON_TYPES = {list: "an array", str: "a string", int: "a number", float: "a number",
+               bool: "a boolean", type(None): "null"}
 # each domain's experiment family: the node count its C2_yy window needs, and
 # its boundary coefficients c_b (of u0 + c_b prod ell, per unit of `a`) at the
 # reference node and at the other extreme: the geodesic's 0 and 1, the loop's
@@ -467,30 +468,29 @@ def _worker_cpus(n_blocks: int) -> list[int]:
 
 # -- preset experiment families ---------------------------------------------------
 
-def geodesic_family(a: float = 0.1, n_t: int = 17, n_x: int = 801,
-                    k_max: int = 64):
-    """Interval family between u0 and u0 + a prod ell (Legendre-linear path)."""
-    return _product_family(make_interval(n_t), [0.0, a], n_x, k_max)
+def geodesic_family(a: float = 0.1, n_t: int = 17):
+    """Interval family u0 + t a prod ell (Legendre-linear), f on 801 x-nodes at margin 1/256."""
+    return _product_family(make_interval(n_t), [0.0, a])
 
 
-def loop_family(a: float = 0.05, n_radii: int = 9, n_angles: int = 256,
-                n_x: int = 801, k_max: int = 32):
-    """Disc family u_theta = u0 + a (1 + cos theta) prod ell on the boundary."""
+def loop_family(a: float = 0.05, n_radii: int = 9, n_angles: int = 256):
+    """Disc family u_theta = u0 + a (1 + cos theta) prod ell on the boundary,
+    f on 801 x-nodes at margin 1/256 (`_product_family`)."""
     domain = make_disc(n_radii, n_angles)
-    return _product_family(domain, [a * (1.0 + math.cos(th)) for th in domain.angles],
-                           n_x, k_max)
+    return _product_family(domain, [a * (1.0 + math.cos(th)) for th in domain.angles])
 
 
-def _product_family(domain, c_boundary, n_x: int, k_max: int) -> PotentialFamily:
+def _product_family(domain, c_boundary) -> PotentialFamily:
     """The harmonic family with boundary data u0 + c_b prod ell on the interval
     polytope.  Extension is linear, so each node's smooth part is
     (domain.extend c)(y) prod ell: its closed form takes that coefficient
-    from the operator that extends the sampled f."""
+    from the operator that extends the sampled f.  Every stage reads the
+    closed forms, so f's grid, built once here (`product_potential`'s: 801
+    nodes at margin 1/256), feeds only checks and the Newton bracket."""
     P = preset_polytope("interval")
-    xgrid = make_polytope_grid(P, n_x, default_margin(k_max))
     c_boundary = np.asarray(c_boundary, dtype=float)
-    bps = [SymplecticPotential(P, xgrid, f_closed=_product_ell_closed(P, c))
-           for c in c_boundary]
+    xgrid = product_potential(P).grid
+    bps = [product_potential(P, c, xgrid) for c in c_boundary]
     coeff = domain.extend(c_boundary)
     return solve_harmonic_map(domain, xgrid, bps,
                               lambda idx: _product_ell_closed(P, coeff[idx]))
@@ -759,12 +759,10 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     nodes, "disc" runs `loop_family` on `n_radii` x `n_angles`; both take the
     amplitude `cfg.a`.
     """
-    k_max = max(cfg.levels)
     if cfg.domain == "interval":
-        family = geodesic_family(cfg.a, n_t=cfg.n_y, n_x=cfg.n_x, k_max=k_max)
+        family = geodesic_family(cfg.a, n_t=cfg.n_y)
     else:
-        family = loop_family(cfg.a, n_radii=cfg.n_radii, n_angles=cfg.n_angles,
-                             n_x=cfg.n_x, k_max=k_max)
+        family = loop_family(cfg.a, n_radii=cfg.n_radii, n_angles=cfg.n_angles)
     phi_field = kahler_field(family, cfg.rho_axis())
     approx = build_approximants(family, cfg.levels)
     report = error_report(family, phi_field, approx, window=cfg.window)

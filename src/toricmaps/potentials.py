@@ -826,7 +826,7 @@ def save_potential(obj, path):
 
 def load_potential(path):
     """Inverse of `save_potential`; older symplectic files' `grad` block is unread."""
-    (head,), grid, blocks = _read_text(path, 1)
+    (head,), grid, blocks = _read_text(path, (("kahler", "symplectic"),))
     if head.split()[0] == "kahler":
         return KahlerPotential(grid, blocks["values"], blocks.get("grad"))
     return SymplecticPotential(grid.polytope, grid, blocks["values"])
@@ -855,15 +855,27 @@ def _write_text(path, header, grid, blocks):
         fh.write(buf.getvalue())
 
 
-def _read_text(path, n_header: int):
-    """Inverse of `_write_text`: (header lines, grid, {tag: array}).  Blank
-    lines are skipped; any other line that cannot be read is a ValueError
-    naming the file and the line, and so is a file without a `values` block."""
+def _read_text(path, heads):
+    """Inverse of `_write_text`: (header lines, grid, {tag: array}).  The file
+    opens with one header line per entry of `heads`, whose first word is one
+    of that entry's words.  The grid of a "kahler" file may be a RadialGrid
+    (no `polytope` line); any other file's is a PolytopeGrid, from its
+    `polytope` and `margin` lines.  Blank lines are skipped.  Any line that
+    cannot be read is a ValueError naming the file and the line, and so is a
+    header line with another first word and a `values` block whose last axes
+    are not the grid's shape; a file without a `values` block or a line its
+    grid needs is one naming the file."""
     with open(path) as fh:
         lines = [(no, line) for no, line in enumerate(fh.read().splitlines(), 1)
                  if line.strip()]
-    polytope, margin, axes, blocks = None, None, [], {}
-    i = n_header
+    if len(lines) < len(heads):
+        raise ValueError(f"{path}: the file ends inside its {len(heads)}-line header")
+    for (no, line), words in zip(lines, heads):
+        if line.split()[0] not in words:
+            raise ValueError(f"{path}, line {no}: expected a line starting with "
+                             f"{' or '.join(words)}, got {line!r}")
+    polytope, margin, axes, blocks, values_no = None, None, [], {}, None
+    i = len(heads)
     while i < len(lines):
         no, line = lines[i]
         head, *rest = line.split()
@@ -881,6 +893,8 @@ def _read_text(path, n_header: int):
                 if len(lines) - i < values.size:
                     raise ValueError(f"the block ends after {len(lines) - i} of "
                                      f"{values.size} values")
+                if head == "values":
+                    values_no = no
                 # a loop, not a comprehension: a bad value leaves its own no, line
                 for j, (no, line) in enumerate(lines[i: i + values.size]):
                     values[j] = float(line)
@@ -892,8 +906,17 @@ def _read_text(path, n_header: int):
             raise ValueError(f"{path}, line {no}: cannot read {line!r}: {exc}") from exc
     if "values" not in blocks:
         raise ValueError(f"{path}: no values block")
-    if polytope is None:
-        grid = RadialGrid(tuple(axes))
-    else:
-        grid = PolytopeGrid(polytope=polytope, axes=tuple(axes), margin=margin)
-    return [line for _, line in lines[:n_header]], grid, blocks
+    try:
+        if polytope is None and lines[0][1].split()[0] == "kahler":
+            grid = RadialGrid(tuple(axes))
+        elif polytope is None or margin is None:
+            raise ValueError(f"no {'margin' if polytope else 'polytope'} line")
+        else:
+            grid = PolytopeGrid(polytope=polytope, axes=tuple(axes), margin=margin)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+    shape = blocks["values"].shape
+    if shape[len(shape) - grid.dim:] != grid.shape:
+        raise ValueError(f"{path}, line {values_no}: the values block's shape {shape} "
+                         f"does not end in the grid's shape {grid.shape}")
+    return [line for _, line in lines[:len(heads)]], grid, blocks

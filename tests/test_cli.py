@@ -61,7 +61,7 @@ def test_config_file_round_trip(tmp_path, capsys):
 
 
 def test_flow_config_is_not_held_to_the_levels(tmp_path, capsys):
-    # n_x = 41 is too coarse for the default levels, which the flow never uses
+    # the flow's n_x is its own key: no level of an ExperimentConfig bounds it
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"n_x": 41, "n_y": 5}))
     out = tmp_path / "snaps"
@@ -158,11 +158,11 @@ def test_suites_reject_a_config_they_cannot_run(tmp_path, capsys, argv, doc, fie
 
 @pytest.mark.parametrize("argv,doc,message", [
     (["geodesic"], {"levels": 8}, "levels: 8 is not a non-empty list of ints"),
-    (["geodesic"], {"n_x": "801"}, "n_x: '801' is not an int"),
+    (["geodesic"], {"n_rho": "801"}, "n_rho: '801' is not an int"),
     (["geodesic"], {"n_y": 9.0}, "n_y: 9.0 is not an int"),
     (["geodesic"], {"window": "0.1"}, "window: '0.1' is not a number"),
     (FLOW, {"n_x": "161"}, "n_x: '161' is not an int"),
-], ids=["levels-int", "n_x-string", "n_y-float", "window-string", "flow-n_x-string"])
+], ids=["levels-int", "n_rho-string", "n_y-float", "window-string", "flow-n_x-string"])
 def test_untyped_config_values_are_usage_errors_before_any_check(
         tmp_path, monkeypatch, capsys, argv, doc, message):
     ran = []
@@ -173,6 +173,36 @@ def test_untyped_config_values_are_usage_errors_before_any_check(
         main(argv + ["--config", str(path), "--out", str(tmp_path)])
     assert info.value.code == 2
     assert message in capsys.readouterr().err
+    assert ran == []
+
+
+@pytest.mark.parametrize("argv", [["geodesic"], FLOW], ids=["geodesic", "flow"])
+@pytest.mark.parametrize("text,kind", [
+    ("[]", "an array"), ('[["a", 0.2]]', "an array"), ("3", "a number"), ("null", "null"),
+], ids=["empty-array", "pair-array", "number", "null"])
+def test_a_config_that_is_not_a_json_object_is_a_usage_error_before_any_check(
+        tmp_path, monkeypatch, capsys, argv, text, kind):
+    ran = []
+    monkeypatch.setattr(acceptance, "run_checks", lambda *args: ran.append(args) or [])
+    path = tmp_path / "cfg.json"
+    path.write_text(text)
+    with pytest.raises(SystemExit) as info:
+        main(argv + ["--config", str(path), "--out", str(tmp_path)])
+    assert info.value.code == 2
+    assert f"a config is a JSON object, not {kind}" in capsys.readouterr().err
+    assert ran == []
+
+
+def test_the_geodesic_suite_rejects_the_removed_x_grid_key(tmp_path, monkeypatch, capsys):
+    # the families sample f on one fixed grid, so n_x is no longer a setting
+    ran = []
+    monkeypatch.setattr(acceptance, "run_checks", lambda *args: ran.append(args) or [])
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"n_x": 401}))
+    with pytest.raises(SystemExit) as info:
+        main(["geodesic", "--config", str(path), "--out", str(tmp_path)])
+    assert info.value.code == 2
+    assert "unknown config keys: ['n_x']" in capsys.readouterr().err
     assert ran == []
 
 
@@ -217,7 +247,6 @@ _OUT_OF_RANGE = {
     "a": st.one_of(st.floats(2.0, 1e6), st.floats(-1e6, -17.0), st.just(math.nan)),
     "levels": st.lists(st.integers(-8, 0), min_size=1, max_size=2, unique=True).map(sorted),
     "n_y": st.integers(-3, 4),
-    "n_x": st.integers(0, 15),
     "n_rho": st.integers(-2, 3),
     "rho_span": st.one_of(st.floats(-1e3, 0.0), st.floats(5e-324, 1e-160),
                           st.floats(34.0, 1e300),
@@ -231,7 +260,7 @@ _OUT_OF_RANGE = {
     lambda key: st.tuples(st.just(key), _OUT_OF_RANGE[key])))
 def test_drawn_out_of_range_values_exit_2_naming_their_key(pair):
     key, value = pair
-    doc = {"levels": [4, 8], "n_x": 16, key: value}
+    doc = {"levels": [4, 8], key: value}
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "cfg.json"
         path.write_text(json.dumps(doc))
@@ -254,7 +283,7 @@ def test_unread_flag_fails_in_a_subprocess():
 
 
 def test_geodesic_config_writes_one_row_per_level(tmp_path, capsys):
-    cfg = {"n_y": 9, "levels": [4, 8, 16, 32], "n_x": 401, "n_rho": 401, "rho_span": 3.0}
+    cfg = {"n_y": 9, "levels": [4, 8, 16, 32], "n_rho": 401, "rho_span": 3.0}
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
     assert main(["geodesic", "--config", str(path), "--out", str(tmp_path)]) == 0
@@ -285,10 +314,10 @@ def test_resolution_values_take_their_field_types(tmp_path, monkeypatch, capsys)
 
     monkeypatch.setattr(cli, "run_experiment", recorded)
     path = tmp_path / "cfg.json"
-    path.write_text(json.dumps({"levels": [4, 8, 16, 32], "n_y": 9, "n_x": 401,
-                                "n_rho": 401, "rho_span": 3.5}))
+    path.write_text(json.dumps({"levels": [4, 8, 16, 32], "n_y": 9, "n_rho": 401,
+                                "rho_span": 3.5}))
     assert main(["geodesic", "--config", str(path), "--out", str(tmp_path)]) == 0
-    assert [(c.n_y, c.n_x, c.n_rho, c.rho_span) for c in configs] == [(9, 401, 401, 3.5)]
+    assert [(c.n_y, c.n_rho, c.rho_span) for c in configs] == [(9, 401, 3.5)]
     assert "C0 order in k: p = [" in capsys.readouterr().out
 
 

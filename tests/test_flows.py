@@ -217,14 +217,14 @@ def test_hcma_zero_for_affine_in_disc_coordinates():
 
 def rectangle_family(n):
     """u0 + q(y) prod ell on the n x n rectangle, q harmonic and quadratic, on
-    201 x nodes (the shape of test_harness.rectangle_family at n = 9)."""
+    the experiment families' x-grid."""
     dom = make_rectangle(n, n)
     y1, y2 = np.meshgrid(dom.x_nodes, dom.y_nodes, indexing="ij")
     q = 0.1 * (0.8 + 0.3 * y1 - 0.2 * y2 + 0.4 * (y1 * y1 - y2 * y2) - 0.3 * y1 * y2)
-    return _product_family(dom, q[dom.boundary_mask()], 201, 8)
+    return _product_family(dom, q[dom.boundary_mask()])
 
 
-@pytest.mark.parametrize("family", [lambda: geodesic_family(n_t=9, n_x=401, k_max=8),
+@pytest.mark.parametrize("family", [lambda: geodesic_family(n_t=9),
                                     lambda: rectangle_family(7)],
                          ids=["interval", "rectangle"])
 def test_hcma_is_the_harmonic_map_residual_times_phi_rhorho_on_every_domain(family):
@@ -262,7 +262,7 @@ def test_hcma_on_another_domain_names_the_function_and_the_domain(fn, dom):
 
 
 @pytest.mark.parametrize("family,n,span,n_rho", [
-    (lambda n: geodesic_family(a=0.1, n_t=n, n_x=801, k_max=64), 17, 4.0, 401),
+    (lambda n: geodesic_family(a=0.1, n_t=n), 17, 4.0, 401),
     (rectangle_family, 9, 3.0, 201),
 ], ids=["geodesic", "rectangle"])
 def test_hcma_residual_second_order_off_the_disc(family, n, span, n_rho):
@@ -280,7 +280,7 @@ def test_hcma_residual_second_order_off_the_disc(family, n, span, n_rho):
 
 def test_hcma_agrees_with_harmonic_map_residual_pointwise():
     from toricmaps.flows import _d2, eells_sampson_operator, hcma_operator
-    fam = loop_family(a=0.05, n_radii=7, n_angles=64, n_x=401, k_max=8)
+    fam = loop_family(a=0.05, n_radii=7, n_angles=64)
     rho = np.linspace(-2.5, 2.5, 101)
     field = kahler_field(fam, rho)
     es, keep = eells_sampson_operator(field.values, fam.domain, rho)
@@ -418,7 +418,7 @@ def counting_blocks(monkeypatch, n_nodes, n_columns):
 def disc_fields():
     """A disc Kahler field, and a convex one with noise: its residuals spread
     over orders of magnitude, so a mean summed in another order shows."""
-    fam = loop_family(a=0.05, n_radii=7, n_angles=64, n_x=401, k_max=8)
+    fam = loop_family(a=0.05, n_radii=7, n_angles=64)
     rho = np.linspace(-2.5, 2.5, 101)
     noise = np.random.default_rng(0).standard_normal(fam.domain.shape + rho.shape)
     return fam.domain, rho, {"kahler": kahler_field(fam, rho).values,
@@ -484,7 +484,7 @@ def test_eells_sampson_convexity_error_in_blocks_names_the_first_worst_node(monk
                                 hcma_operator, eells_sampson_operator])
 def test_residuals_reject_a_non_uniform_rho_axis(fn):
     # rho = 4 t^3: the stencils would read rho[1] - rho[0] as the step
-    family = geodesic_family(a=0.1, n_t=9, n_x=201, k_max=16)
+    family = geodesic_family(a=0.1, n_t=9)
     rho = 4.0 * np.linspace(-1.0, 1.0, 401) ** 3
     phi = kahler_field(family, rho).values
     with pytest.raises(ValueError, match="^rho axis must be uniformly spaced$"):
@@ -498,7 +498,7 @@ def test_residuals_reject_a_rho_axis_of_another_length(monkeypatch, fn, n_axis):
     # the step comes from the axis and the columns from phi: on this 401-rho
     # field, hcma_residual read 4.3e-11 with 21 axis nodes and 6.9e-8 with
     # 801, against 1.7e-8 with its own axis
-    family = geodesic_family(a=0.1, n_t=9, n_x=201, k_max=16)
+    family = geodesic_family(a=0.1, n_t=9)
     phi = kahler_field(family, np.linspace(-4.0, 4.0, 401)).values
     stencils = []
     monkeypatch.setattr(flows, "_fiber_terms", lambda *a: stencils.append(a))

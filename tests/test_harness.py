@@ -45,7 +45,7 @@ def from_json(doc) -> ExperimentConfig:
 
 @pytest.fixture(scope="module")
 def geo():
-    family = geodesic_family(a=0.1, n_t=9, n_x=401, k_max=32)
+    family = geodesic_family(a=0.1, n_t=9)
     rho = np.linspace(-3.0, 3.0, 401)
     field = kahler_field(family, rho)
     approx = build_approximants(family, (4, 8, 16, 32))
@@ -65,7 +65,7 @@ def test_geodesic_cross_check(geo):
 
 
 def test_disc_family_closed_form():
-    family = loop_family(a=0.05, n_radii=7, n_angles=256, n_x=201, k_max=8)
+    family = loop_family(a=0.05, n_radii=7, n_angles=256)
     dom = family.domain
     x = family.xgrid.axes[0]
     r = dom.radii[:, None, None]
@@ -75,9 +75,9 @@ def test_disc_family_closed_form():
 
 
 @pytest.mark.parametrize("build", [
-    lambda: geodesic_family(a=0.1, n_t=9, n_x=201, k_max=8),
-    lambda: loop_family(a=0.05, n_radii=9, n_angles=64, n_x=201, k_max=8),
-    lambda: loop_family(a=0.05, n_radii=9, n_angles=256, n_x=201, k_max=8),
+    lambda: geodesic_family(a=0.1, n_t=9),
+    lambda: loop_family(a=0.05, n_radii=9, n_angles=64),
+    lambda: loop_family(a=0.05, n_radii=9, n_angles=256),
 ], ids=["geodesic", "loop-9x64", "loop-9x256"])
 def test_a_family_closed_forms_are_its_extension(build):
     # each node's closed form is read in place of the extended samples f, so
@@ -163,8 +163,8 @@ def test_extension_convexity_guard():
 
 
 def test_solved_family_rejects_a_wrongly_shaped_f():
-    fam = geodesic_family(a=0.1, n_t=5, n_x=101, k_max=8)
-    with pytest.raises(ValueError, match=r"shape \(5, 100\), expected \(5, 101\)"):
+    fam = geodesic_family(a=0.1, n_t=5)
+    with pytest.raises(ValueError, match=r"shape \(5, 800\), expected \(5, 801\)"):
         replace(fam, f=fam.f[:, 1:])
 
 
@@ -222,7 +222,7 @@ def test_error_norms_of_a_linear_field_use_the_orthonormal_frame(domain):
 
 def test_empty_c2_interior_fails_before_any_phi_k(monkeypatch):
     # 4 radii and the boundary ring leave no node two steps inside the disc
-    family = loop_family(a=0.05, n_radii=4, n_angles=64, n_x=201, k_max=8)
+    family = loop_family(a=0.05, n_radii=4, n_angles=64)
     rho = np.linspace(-3.0, 3.0, 61)
     field = kahler_field(family, rho)
     approx = build_approximants(family, (4, 8))
@@ -253,7 +253,7 @@ def test_a_non_finite_norm_names_its_column_and_level(geo, monkeypatch):
 def test_config_rejects_a_domain_without_c2_nodes():
     with pytest.raises(ValueError, match="^n_radii = 4 on domain 'disc'"):
         ExperimentConfig(domain="disc", a=0.03, levels=(4, 8),
-                         n_radii=4, n_angles=64, n_x=201, n_rho=121)
+                         n_radii=4, n_angles=64, n_rho=121)
     with pytest.raises(ValueError, match="^n_y = 4 on domain 'interval'"):
         from_json({"n_y": 4})
     assert ExperimentConfig(n_y=5).n_y == 5
@@ -299,7 +299,7 @@ def test_measured_rate_slope(geo):
 def test_pipeline_determinism(tmp_path):
     outputs = []
     for run in range(2):
-        family = geodesic_family(a=0.1, n_t=5, n_x=201, k_max=8)
+        family = geodesic_family(a=0.1, n_t=5)
         rho = np.linspace(-2.0, 2.0, 201)
         field = kahler_field(family, rho)
         approx = build_approximants(family, (4, 8))
@@ -325,21 +325,24 @@ def test_output_files(tmp_path, geo):
 
 def test_config_parsing():
     cfg = from_json(json.dumps(
-        {"levels": [8, 16, 32, 64], "n_x": 801, "window": 0.12}))
+        {"levels": [8, 16, 32, 64], "window": 0.12}))
     assert cfg.levels == (8, 16, 32, 64)
     assert cfg.window == 0.12
     with pytest.raises(ValueError, match="unknown config"):
         from_json(json.dumps({"bogus": 1}))
+    with pytest.raises(ValueError, match="^a config is a JSON object, not an array$"):
+        from_json('[["a", 0.2]]')
     with pytest.raises(ValueError, match="strictly increasing"):
         ExperimentConfig(levels=(8, 8))
-    with pytest.raises(ValueError, match="coarse"):
-        ExperimentConfig(levels=(8, 16, 32, 64), n_x=100)
+    # the x-grid is no setting: the families sample f on one fixed grid
+    with pytest.raises(ValueError, match=r"^unknown config keys: \['n_x'\]$"):
+        from_json({"n_x": 801})
 
 
 def test_config_has_one_spelling_per_field():
     assert [f for f in ExperimentConfig.__dataclass_fields__] == [
-        "domain", "a", "levels", "n_y", "n_radii", "n_angles", "n_x", "n_rho",
-        "rho_span", "window"]
+        "domain", "a", "levels", "n_y", "n_radii", "n_angles", "n_rho", "rho_span",
+        "window"]
     # a disc config without `a` runs the loop family at the default amplitude
     assert ExperimentConfig(domain="disc").a == 0.1
 
@@ -378,7 +381,7 @@ def test_run_experiment_rejects_what_no_family_runs():
     ("levels", [], "a non-empty list of ints"),
     ("levels", [8, 16.0], "a non-empty list of ints"),
     ("levels", [True, 2], "a non-empty list of ints"),
-    ("n_x", "801", "an int"),
+    ("n_angles", "64", "an int"),
     ("n_y", 9.0, "an int"),
     ("n_rho", True, "an int"),
     ("window", "0.1", "a number"),
@@ -440,7 +443,6 @@ _SIZES = {       # the tiny pipeline's resolutions, and values no run can honour
     "n_y": st.integers(5, 9) | st.sampled_from([4, 0, 9.0, True]),
     "n_radii": st.integers(5, 6) | st.sampled_from([4, "5"]),
     "n_angles": st.just(64) | st.sampled_from([32, 65, 0, 64.0]),
-    "n_x": st.integers(16, 48) | st.sampled_from([8, "16"]),
     "n_rho": st.integers(5, 81) | st.sampled_from([3, 2, -1]),
 }
 _KNOBS = {       # the rest, drawn or left at their defaults
@@ -452,7 +454,7 @@ _KNOBS = {       # the rest, drawn or left at their defaults
 }
 
 
-_TINY = {"levels": [4, 8], "n_y": 5, "n_radii": 5, "n_angles": 64, "n_x": 16, "n_rho": 41}
+_TINY = {"levels": [4, 8], "n_y": 5, "n_radii": 5, "n_angles": 64, "n_rho": 41}
 
 
 # the examples sit at the edge of each range check, so dropping any check fails here
@@ -490,7 +492,7 @@ def test_config_rejects_a_non_finite_amplitude(a):
 
 def test_error_report_rejects_a_non_uniform_rho_axis():
     # rho = 4 t^3: the differences would read rho[1] - rho[0] as the step
-    family = geodesic_family(a=0.1, n_t=9, n_x=201, k_max=16)
+    family = geodesic_family(a=0.1, n_t=9)
     field = kahler_field(family, 4.0 * np.linspace(-1.0, 1.0, 401) ** 3)
     with pytest.raises(ValueError, match="^rho axis must be uniformly spaced$"):
         error_report(family, field, build_approximants(family, (4, 8, 16)))
@@ -498,7 +500,7 @@ def test_error_report_rejects_a_non_uniform_rho_axis():
 
 def test_error_report_rejects_a_rho_axis_of_another_length(monkeypatch):
     # a 201-node axis on the 401-rho field read C0 ~ 1.22 at every level
-    family = geodesic_family(a=0.1, n_t=9, n_x=201, k_max=16)
+    family = geodesic_family(a=0.1, n_t=9)
     field = kahler_field(family, np.linspace(-4.0, 4.0, 401))
     approx = build_approximants(family, (4, 8, 16))
     solved = []
@@ -512,7 +514,7 @@ def test_error_report_rejects_a_rho_axis_of_another_length(monkeypatch):
 
 @pytest.mark.parametrize("shape", [(2, 2), ()], ids=["2x2", "0-d"])
 def test_kahler_field_rejects_a_rho_that_is_not_1d(shape):
-    family = geodesic_family(a=0.1, n_t=9, n_x=201, k_max=16)
+    family = geodesic_family(a=0.1, n_t=9)
     rho = np.linspace(-1.0, 1.0, math.prod(shape)).reshape(shape)
     with pytest.raises(ValueError, match=rf"^rho axis must be 1-D, got shape "
                        rf"{re.escape(str(shape))}$"):
@@ -534,8 +536,8 @@ def test_rate_fit_rejects_an_error_without_a_finite_log(errors, k, bad):
 
 def test_run_experiment_is_the_hand_built_pipeline(geo):
     family, rho, field, approx = geo
-    res = run_experiment(ExperimentConfig(levels=(4, 8, 16, 32), n_y=9, n_x=401,
-                                          n_rho=401, rho_span=3.0))
+    res = run_experiment(ExperimentConfig(levels=(4, 8, 16, 32), n_y=9, n_rho=401,
+                                          rho_span=3.0))
     assert np.array_equal(res.field.values, field.values)
     assert sorted(res.approximants) == [4, 8, 16, 32]
     rep = error_report(family, field, approx, window=0.1)
@@ -546,12 +548,47 @@ def test_run_experiment_is_the_hand_built_pipeline(geo):
 def test_run_experiment_builds_the_disc_family_of_its_config():
     # the config once spelled boundary_family="loop(0.03)"
     cfg = ExperimentConfig(domain="disc", a=0.03, levels=(4, 8),
-                           n_radii=5, n_angles=64, n_x=201, n_rho=121)
+                           n_radii=5, n_angles=64, n_rho=121)
     res = run_experiment(cfg)
-    family = loop_family(a=0.03, n_radii=5, n_angles=64, n_x=201, k_max=8)
+    family = loop_family(a=0.03, n_radii=5, n_angles=64)
     assert res.family.domain.shape == family.domain.shape
     assert np.array_equal(res.family.f, family.f)
     assert res.report.levels == (4, 8)
+
+
+def closed_family_on(domain, c_boundary, n_x, margin):
+    """u0 + c prod ell with boundary coefficients `c_boundary`, each node's
+    closed form taken from the extended coefficients as `_product_family`
+    does, sampled on n_x x-nodes at `margin`."""
+    xg = make_polytope_grid(P, n_x, margin)
+    c = np.asarray(c_boundary, dtype=float)
+    coeff = domain.extend(c)
+    return solve_harmonic_map(domain, xg, [product_potential(P, b, xg) for b in c],
+                              lambda idx: _product_ell_closed(P, coeff[idx]))
+
+
+@pytest.mark.parametrize("domain,c_boundary,levels", [
+    (make_interval(17), [0.0, 0.1], (8, 16, 32, 64)),
+    (make_disc(9, 64), 0.05 * (1.0 + np.cos(make_disc(9, 64).angles)), (8, 16)),
+], ids=["interval", "disc-9x64"])
+def test_the_x_grid_of_a_closed_form_family_moves_no_reported_bit(domain, c_boundary, levels):
+    # every stage reads the closed forms, so the sampled f (17 nodes at margin
+    # 1/32 against 801 at 1/256) feeds only checks: were f read anywhere,
+    # the Kahler field, the norming exponents or the error norms would move
+    rho = np.linspace(-4.0, 4.0, 401)
+    runs = []
+    for n_x, margin in ((17, 1 / 32), (801, 1 / 256)):
+        family = closed_family_on(domain, c_boundary, n_x, margin)
+        field = kahler_field(family, rho)
+        approx = build_approximants(family, levels)
+        runs.append((field.values, [approx[k].norming.lam for k in levels],
+                     error_report(family, field, approx).norms))
+    (field_a, lams_a, norms_a), (field_b, lams_b, norms_b) = runs
+    assert np.array_equal(field_a, field_b)
+    for lam_a, lam_b in zip(lams_a, lams_b):
+        assert np.array_equal(lam_a, lam_b)
+    for col in ERROR_COLUMNS:
+        assert np.array_equal(norms_a[col], norms_b[col]), col
 
 
 def test_window_rho_bounds():
@@ -602,7 +639,7 @@ def sampled_interval_family(steps=0):
 
 
 def small_disc_family():
-    return loop_family(a=0.05, n_radii=4, n_angles=64, n_x=201, k_max=8)
+    return loop_family(a=0.05, n_radii=4, n_angles=64)
 
 
 @pytest.mark.parametrize("make_family,n_rho", [
@@ -668,9 +705,9 @@ def assert_report_is_the_full_axis_one(family, rho, levels, window=0.1):
 
 
 @pytest.mark.parametrize("make_family,levels,rho", [
-    (lambda: geodesic_family(a=0.1, n_t=9, n_x=201, k_max=16), (4, 8, 16),
+    (lambda: geodesic_family(a=0.1, n_t=9), (4, 8, 16),
      np.linspace(-4.0, 4.0, 801)),
-    (lambda: loop_family(a=0.05, n_radii=9, n_angles=64, n_x=201, k_max=8), (4, 8),
+    (lambda: loop_family(a=0.05, n_radii=9, n_angles=64), (4, 8),
      np.linspace(-4.0, 4.0, 401)),
     (lambda: rectangle_family()[0], (4, 8), np.linspace(-3.0, 3.0, 201)),
 ], ids=["interval", "disc", "rectangle"])
@@ -683,7 +720,7 @@ def test_error_report_span_starts_at_column_one_when_the_window_covers_the_axis(
     # the window bounds (-log 9, log 9) contain the whole axis, so the first
     # masked column is the guard column 2
     rho = np.linspace(-2.0, 2.0, 161)
-    family = geodesic_family(a=0.1, n_t=5, n_x=201, k_max=8)
+    family = geodesic_family(a=0.1, n_t=5)
     report = assert_report_is_the_full_axis_one(family, rho, (4, 8))
     assert report.meta["rho_eval_start"] == 1
     assert report.meta["n_rho_eval"] == rho.size - 2
@@ -751,9 +788,9 @@ def tail_block_budget(n_nodes, n_columns):
 
 
 @pytest.mark.parametrize("make_family,levels,rho", [
-    (lambda: geodesic_family(a=0.1, n_t=9, n_x=201, k_max=16), (4, 8, 16),
+    (lambda: geodesic_family(a=0.1, n_t=9), (4, 8, 16),
      np.linspace(-4.0, 4.0, 201)),
-    (lambda: loop_family(a=0.05, n_radii=5, n_angles=64, n_x=201, k_max=8), (4, 8),
+    (lambda: loop_family(a=0.05, n_radii=5, n_angles=64), (4, 8),
      np.linspace(-4.0, 4.0, 121)),
 ], ids=["interval", "disc"])
 def test_error_report_in_blocks_is_bitwise_the_one_shot_report(monkeypatch, logged_calls,
@@ -784,7 +821,7 @@ def test_error_report_in_blocks_is_bitwise_the_one_shot_report(monkeypatch, logg
 
 @pytest.fixture(scope="module")
 def blocked_disc():
-    family = loop_family(a=0.05, n_radii=5, n_angles=64, n_x=201, k_max=8)
+    family = loop_family(a=0.05, n_radii=5, n_angles=64)
     rho = np.linspace(-4.0, 4.0, 121)
     return family, kahler_field(family, rho), build_approximants(family, (4, 8))
 
@@ -826,7 +863,7 @@ def test_error_report_in_blocks_is_bitwise_error_norms_with_no_potential_call(
 def error_report_peak():
     """The tracemalloc peak of the error report of a 9 x 256 disc with 601
     rho, the bench disc's shape, 28 column blocks over two levels."""
-    family = loop_family(a=0.05, n_radii=9, n_angles=256, n_x=201, k_max=8)
+    family = loop_family(a=0.05, n_radii=9, n_angles=256)
     rho = np.linspace(-4.0, 4.0, 601)
     approx = build_approximants(family, (4, 8))
     values = np.broadcast_to(np.logaddexp(0.0, rho), family.domain.shape + rho.shape).copy()
@@ -1207,7 +1244,7 @@ def test_the_fork_rule_keeps_every_geodesic_stage_in_process(logged_calls):
     # the real `_worker_cpus` on the bench geodesic's shape: one block of 17
     # node rows, two boundary nodes and one column block in the report, so no
     # stage forks; four levels, so a report also split by level would fork
-    family = geodesic_family(a=0.1, n_t=17, n_x=801, k_max=64)
+    family = geodesic_family(a=0.1, n_t=17)
     rho = np.linspace(-4.0, 4.0, 801)
     logs = [logged_calls(harness, "_invert_monotone_1d", lambda *args, **kwargs: ()),
             logged_calls(harness, "norming_constants", lambda bp, k: (k,)),
@@ -1247,7 +1284,7 @@ def test_the_fork_rule_splits_a_report_of_four_column_blocks(logged_calls,
 def test_kahler_field_past_the_reach_of_doubles_names_the_rho(rho, side):
     # the widened target |rho| + 2 (max|f'| + 1) has no double x strictly
     # inside [0, 1] whose gradient reaches it: halving stops before the facet
-    family = geodesic_family(a=0.1, n_t=5, n_x=201, k_max=8)
+    family = geodesic_family(a=0.1, n_t=5)
     with pytest.raises(NewtonError, match=f"^could not bracket rho = .* from {side}$"):
         kahler_field(family, rho)
 
@@ -1261,7 +1298,7 @@ def test_x_bracket_is_the_halving_sequence():
 def test_boundary_quadrature_failure_names_node_and_level(monkeypatch):
     # a tolerance that no panel doubling meets, at k = 32 only, fails that
     # level's first table after k = 16 has passed
-    family = geodesic_family(a=0.1, n_t=5, n_x=201, k_max=32)
+    family = geodesic_family(a=0.1, n_t=5)
 
     def failing_at_32(bp, k):
         with pytest.MonkeyPatch.context() as patch:

@@ -16,9 +16,9 @@ SRC = str(Path(toricmaps.__file__).resolve().parents[1])
 PIPELINES = """
 import json, sys
 from toricmaps import dirichlet, flows, harness
-harness.run_experiment(harness.ExperimentConfig(levels=(4, 8), n_y=9, n_x=201, n_rho=201))
+harness.run_experiment(harness.ExperimentConfig(levels=(4, 8), n_y=9, n_rho=201))
 cfg = harness.ExperimentConfig(domain="disc", a=0.05, levels=(4, 8), n_radii=5,
-                               n_angles=64, n_x=201, n_rho=201)
+                               n_angles=64, n_rho=201)
 result = harness.run_experiment(cfg)
 flows.hcma_residual(result.field.values, result.family.domain, cfg.rho_axis())
 lam = result.approximants[8].norming.lam[0, -1, :]

@@ -32,7 +32,7 @@ def counting(monkeypatch, module, name):
 
 
 def test_kahler_field_is_one_newton_solve(monkeypatch):
-    family = loop_family(a=0.05, n_radii=4, n_angles=64, n_x=201, k_max=8)
+    family = loop_family(a=0.05, n_radii=4, n_angles=64)
     calls = counting(monkeypatch, harness, "_invert_monotone_1d")
     kahler_field(family, np.linspace(-3.0, 3.0, 41))
     assert len(calls) == 1
@@ -40,7 +40,7 @@ def test_kahler_field_is_one_newton_solve(monkeypatch):
 
 
 def test_kahler_field_is_one_newton_solve_per_block(newton_solves):
-    family = loop_family(a=0.05, n_radii=4, n_angles=64, n_x=201, k_max=8)
+    family = loop_family(a=0.05, n_radii=4, n_angles=64)
     kahler_field(family, np.linspace(-4.0, 4.0, 2049))
     # 320 nodes in blocks of LSE_BLOCK // 2049 = 31 rows, each with every rho,
     # counted in every process that solves a share of the blocks
@@ -70,7 +70,7 @@ def test_each_node_closed_form_is_built_once_per_family():
 
 
 def test_error_report_evaluates_phi_k_on_the_window_and_two_stencil_columns(monkeypatch):
-    family = geodesic_family(a=0.1, n_t=5, n_x=201, k_max=8)
+    family = geodesic_family(a=0.1, n_t=5)
     rho = np.linspace(-4.0, 4.0, 161)
     field = kahler_field(family, rho)
     approx = build_approximants(family, (4, 8))
@@ -82,7 +82,7 @@ def test_error_report_evaluates_phi_k_on_the_window_and_two_stencil_columns(monk
 
 
 def test_kahler_field_reads_each_node_evaluator_directly(monkeypatch):
-    family = loop_family(a=0.05, n_radii=4, n_angles=64, n_x=201, k_max=8)
+    family = loop_family(a=0.05, n_radii=4, n_angles=64)
     evaluators = counting(monkeypatch, harness, "_evaluator")
     wrappers = counting(monkeypatch, potentials.PotentialFamily, "potential_at")
     kahler_field(family, np.linspace(-3.0, 3.0, 41))
@@ -92,7 +92,7 @@ def test_kahler_field_reads_each_node_evaluator_directly(monkeypatch):
 
 
 def test_bergman_weights_built_once_per_level(monkeypatch, logged_calls):
-    family = loop_family(a=0.05, n_radii=5, n_angles=64, n_x=201, k_max=8)
+    family = loop_family(a=0.05, n_radii=5, n_angles=64)
     rho = np.linspace(-4.0, 4.0, 161)
     field = kahler_field(family, rho)
     approx = build_approximants(family, (4, 8))
@@ -109,7 +109,7 @@ def test_bergman_weights_built_once_per_level(monkeypatch, logged_calls):
 
 def test_lattice_enumerated_once_per_polytope_and_level(monkeypatch):
     calls = counting(monkeypatch, polytope, "_enumerate_lattice")
-    family = geodesic_family(a=0.1, n_t=5, n_x=201, k_max=8)
+    family = geodesic_family(a=0.1, n_t=5)
     P = family.xgrid.polytope
     for _ in range(3):
         build_approximants(family, (4, 8))
@@ -124,7 +124,7 @@ def test_lattice_enumerated_once_per_polytope_and_level(monkeypatch):
 
 def test_disc_weights_built_once_per_domain(monkeypatch):
     calls = counting(monkeypatch, dirichlet, "_disc_weight_matrix")
-    family = loop_family(a=0.05, n_radii=4, n_angles=64, n_x=201, k_max=8)
+    family = loop_family(a=0.05, n_radii=4, n_angles=64)
     domain = family.domain
     table = norming_constants(family.boundary_potentials[0], 4)
     harmonic_norming(domain, [table] * domain.angles.size)
@@ -163,7 +163,7 @@ def test_disc_fourier_modes_built_once_per_domain():
 
 def test_legendre_rule_built_once_per_masked_rule(monkeypatch):
     calls = counting(monkeypatch, np.polynomial.legendre, "leggauss")
-    family = geodesic_family(a=0.1, n_t=5, n_x=201, k_max=8)
+    family = geodesic_family(a=0.1, n_t=5)
     for _ in range(2):
         norming_constants(family.boundary_potentials[1], 8)
     # the first call builds the validation's coarse and doubled rules (6 and
@@ -173,7 +173,7 @@ def test_legendre_rule_built_once_per_masked_rule(monkeypatch):
 
 
 def test_gauss_panel_rule_built_once_per_key(monkeypatch):
-    family = loop_family(a=0.05, n_radii=4, n_angles=64, n_x=201, k_max=8)
+    family = loop_family(a=0.05, n_radii=4, n_angles=64)
     built = counting(monkeypatch, np.polynomial.legendre, "leggauss")
     build_approximants(family, (8,))
     # the 64 boundary tables share the polytope's masked rules, keyed by panel
@@ -188,7 +188,7 @@ def test_gauss_panel_rule_built_once_per_key(monkeypatch):
 
 
 def test_field_peak_memory_is_the_output_plus_a_block():
-    family = loop_family(a=0.05, n_radii=4, n_angles=64, n_x=201, k_max=8)
+    family = loop_family(a=0.05, n_radii=4, n_angles=64)
     fam = build_approximants(family, (8,))[8]
     rho = np.linspace(-4.0, 4.0, 801)
     tracemalloc.start()
@@ -227,7 +227,7 @@ def test_norming_quadrature_peak_memory_is_one_fine_rule_array():
 
 def kahler_field_peak():
     """The field of an 11-block disc family and its tracemalloc peak."""
-    family = loop_family(a=0.05, n_radii=4, n_angles=64, n_x=201, k_max=8)
+    family = loop_family(a=0.05, n_radii=4, n_angles=64)
     rho = np.linspace(-4.0, 4.0, 2049)
     tracemalloc.start()
     try:
@@ -302,7 +302,7 @@ def test_one_harmonic_extension_per_solve_and_per_level(monkeypatch):
     levels = counting(monkeypatch, bergman, "harmonic_extend")
     for make, kwargs in ((geodesic_family, {"n_t": 5}),
                          (loop_family, {"n_radii": 4, "n_angles": 64})):
-        family = make(n_x=201, k_max=8, **kwargs)
+        family = make(**kwargs)
         assert len(solves) == 1
         build_approximants(family, (4, 8))
         assert len(levels) == 2

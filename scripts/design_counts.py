@@ -1,10 +1,17 @@
 """Print the five design counts that ROADMAP.md tracks for `src/`, the
-options a user can set, and the lines, `dim` branches and scipy imports of
-each module.
+split of its lines into code and prose, its public names, the options a
+user can set, and the lines, `dim` branches and scipy imports of each
+module.
 
     python3 scripts/design_counts.py
 
   * lines: all lines of the Python files under `src/`, in all and per module;
+  * code, docstring, comment and blank lines: the lines split by one `ast`
+    pass, so that deleted prose or denser formatting shows apart from deleted
+    code.  Every line of a docstring's span is a docstring line (its blank
+    lines too); outside docstrings a line is blank, a comment when it starts
+    with `#`, and code otherwise;
+  * public names: the entries of every module's `__all__`;
   * settable parameters: one `ast` walk over every function, method and
     lambda, counting each parameter (positional, keyword-only, *args and
     **kwargs) except `self` and `cls`;
@@ -42,6 +49,31 @@ def settable_parameters(tree: ast.AST) -> int:
     return count
 
 
+def line_kinds(tree: ast.Module, lines: list[str]) -> dict[str, int]:
+    """The code, docstring, comment and blank lines of one module."""
+    docstring = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                             ast.AsyncFunctionDef)) and ast.get_docstring(node, False) is not None:
+            doc = node.body[0]
+            docstring.update(range(doc.lineno, doc.end_lineno + 1))
+    kinds = {"code lines": 0, "docstring lines": len(docstring), "comment lines": 0,
+             "blank lines": 0}
+    for no, line in enumerate(lines, 1):
+        if no not in docstring:
+            stripped = line.strip()
+            kinds["blank lines" if not stripped else
+                  "comment lines" if stripped.startswith("#") else "code lines"] += 1
+    return kinds
+
+
+def public_names(tree: ast.Module) -> int:
+    """The entries of the module's `__all__` (0 without one)."""
+    return sum(len(ast.literal_eval(node.value)) for node in tree.body
+               if isinstance(node, ast.Assign)
+               and any(getattr(t, "id", None) == "__all__" for t in node.targets))
+
+
 def option_counts(src: Path) -> dict[str, int]:
     """The CLI's flags and ExperimentConfig's fields, read from the source."""
     cli = ast.parse((src / "toricmaps" / "cli.py").read_text())
@@ -57,19 +89,24 @@ def option_counts(src: Path) -> dict[str, int]:
 
 def design_counts(src: Path) -> tuple[dict[str, int], dict[str, int], dict[str, int],
                                       dict[str, int]]:
-    """The five counts, the lines of each module, and the dim branches and the
+    """The counts of `src/`, the lines of each module, and the dim branches and the
     scipy imports of each module that has any."""
-    counts = {"lines": 0, "settable parameters": 0, "dim branches": 0,
-              "isinstance(..., *Domain) branches": 0, "scipy imports": 0}
+    counts = {"lines": 0, "code lines": 0, "docstring lines": 0, "comment lines": 0,
+              "blank lines": 0, "public names": 0, "settable parameters": 0,
+              "dim branches": 0, "isinstance(..., *Domain) branches": 0, "scipy imports": 0}
     module_lines, per_module, scipy_per_module = {}, {}, {}
     for path in sorted(src.rglob("*.py")):
         text = path.read_text()
         lines = text.splitlines()
         branches = sum(bool(DIM_BRANCH.search(s)) for s in lines)
         scipy_imports = sum(bool(SCIPY_IMPORT.search(s)) for s in lines)
+        tree = ast.parse(text)
         counts["lines"] += len(lines)
         module_lines[path.stem] = len(lines)
-        counts["settable parameters"] += settable_parameters(ast.parse(text))
+        for kind, n in line_kinds(tree, lines).items():
+            counts[kind] += n
+        counts["public names"] += public_names(tree)
+        counts["settable parameters"] += settable_parameters(tree)
         counts["dim branches"] += branches
         counts["isinstance(..., *Domain) branches"] += sum(
             bool(DOMAIN_DISPATCH.search(s)) for s in lines)

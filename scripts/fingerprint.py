@@ -17,6 +17,9 @@ The numbers, each a list of floats under a flat key:
   * the two sups of the flow-duality acceptance check
     (`flow_duality.sup_n<n_t>`, `acceptance._flow_residual` at both of its
     resolutions);
+  * the sha256 of the bytes `flows.save_snapshot` writes for
+    `acceptance.flow_start(9, 41)` after 50 heat steps
+    (`flow.snapshot.sha256`), the one file format the CLI writes;
   * the first-pass records of the benchmark's default seed for every
     workload (`bench.<workload>.<key>`), read by importing
     `perfbench/workloads.py`;
@@ -42,6 +45,7 @@ import argparse
 import hashlib
 import json
 import sys
+import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -101,6 +105,12 @@ def fingerprint() -> dict:
     for n_t, n_x, n_rho, refine in ((33, 161, 401, 1), (65, 321, 801, 4)):
         numbers[f"flow_duality.sup_n{n_t}"] = [
             acceptance._flow_residual(n_t, n_x, n_rho, refine)]
+    # the one file format the CLI writes (flow-duality --snapshot-every)
+    state, dtau = acceptance.flow_start(9, 41)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "flow.txt"
+        flows.save_snapshot(flows.heat_evolve(state, dtau, 50), path)
+        numbers["flow.snapshot.sha256"] = hashlib.sha256(path.read_bytes()).hexdigest()
 
     import workloads
     for name, cls in workloads.WORKLOADS.items():

@@ -18,13 +18,12 @@ Heat-flow duality and degenerate complex-Hessian residuals live in `flows`;
 """
 
 from .polytope import (DelzantPolytope, Facet, facet_value, lattice_points,
-                       near_facets, polytope_from_json, polytope_to_json,
-                       preset_polytope)
+                       near_facets, polytope_to_json, preset_polytope)
 from .potentials import (ClosedForm, ConvexityError, KahlerPotential,
                          NewtonError, PolytopeGrid, PotentialFamily, RadialGrid,
                          abreu_delta, default_margin, fubini_study,
-                         guillemin_potential, load_potential, make_polytope_grid,
-                         make_radial_grid, product_potential, save_potential,
+                         guillemin_potential, make_polytope_grid,
+                         make_radial_grid, product_potential,
                          SymplecticPotential, to_kahler, to_symplectic)
 from .dirichlet import (BoundaryData, DiscDomain, HarmonicField,
                         IntervalDomain, RectangleDomain, harmonic_extend,
@@ -32,10 +31,9 @@ from .dirichlet import (BoundaryData, DiscDomain, HarmonicField,
                         make_rectangle, poisson_kernel)
 from .bergman import (BergmanFamily, HarmonicNorming, NormingTable,
                       QuadratureError, bargmann_fock_peak, harmonic_norming,
-                      load_norming_table, localization_gap,
-                      normalized_monomial, norming_constants,
-                      peak_asymptotics_check, peak_value, ratio_report,
-                      save_norming_table, szego_sum)
+                      localization_gap, normalized_monomial,
+                      norming_constants, peak_asymptotics_check, peak_value,
+                      ratio_report, szego_sum)
 from .flows import (ResidualReport, eells_sampson_residual, hcma_residual,
                     heat_evolve, make_flow_state)
 from .harness import (ErrorReport, ExperimentConfig, ExperimentResult, RateFit,

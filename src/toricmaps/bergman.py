@@ -52,7 +52,6 @@ only on its own node and rho.
 
 from __future__ import annotations
 
-import csv
 import functools
 import math
 from dataclasses import dataclass
@@ -83,8 +82,6 @@ __all__ = [
     "PeakAsymptotics",
     "peak_asymptotics_check",
     "delta_k",
-    "save_norming_table",
-    "load_norming_table",
 ]
 
 GAUSS_ORDER = 12
@@ -590,45 +587,3 @@ def peak_asymptotics_check(table: NormingTable, u: SymplecticPotential) -> PeakA
     return PeakAsymptotics(level=k, alphas=table.alphas,
                            constants=peak * k ** (-u.dim / 2.0) / np.sqrt(det))
 
-
-# -- CSV caching ---------------------------------------------------------------------
-
-def save_norming_table(table: NormingTable, path):
-    """CSV columns: k, alpha (comma-joined coordinates), log Q."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["k", "alpha", "log_q"])
-        for a, lq in zip(table.alphas, table.log_q):
-            writer.writerow([table.level, ",".join(str(int(v)) for v in a), repr(float(lq))])
-
-
-def load_norming_table(path) -> NormingTable:
-    """Inverse of `save_norming_table`.  Blank rows are skipped; any other row
-    that cannot be read, or whose alpha has another length than the first
-    row's, is a ValueError naming the file and the line."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, [])
-        if header[:3] != ["k", "alpha", "log_q"]:
-            raise ValueError(f"{path}, line 1: unrecognized norming-table header: {header}")
-        levels, alphas, log_q = set(), [], []
-        for row in reader:
-            if not "".join(row).strip():
-                continue
-            try:
-                k, alpha, lq = row[:3]
-                levels.add(int(k))
-                alphas.append([int(v) for v in alpha.split(",")])
-                if len(alphas[-1]) != len(alphas[0]):
-                    raise ValueError(f"alpha has {len(alphas[-1])} coordinates, "
-                                     f"the first row's {len(alphas[0])}")
-                log_q.append(float(lq))
-            except ValueError as exc:
-                raise ValueError(f"{path}, line {reader.line_num}: cannot read "
-                                 f"{row}: {exc}") from exc
-    if not levels:
-        raise ValueError(f"norming-table file {path} has no rows")
-    if len(levels) != 1:
-        raise ValueError(f"norming-table file {path} mixes levels: {sorted(levels)}")
-    return NormingTable(level=levels.pop(), alphas=np.array(alphas, dtype=np.int64),
-                        log_q=np.array(log_q), provenance=f"loaded from {path}")

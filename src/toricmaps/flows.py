@@ -53,8 +53,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .dirichlet import Window, _d1, _d2, _uniform_axis
+from .polytope import polytope_to_json
 from .potentials import (LSE_BLOCK, ConvexityError, PolytopeGrid, PotentialFamily,
-                         _blocks, _convex_slices, _read_text, _write_text)
+                         _blocks, _convex_slices)
 
 __all__ = [
     "ResidualReport",
@@ -63,7 +64,6 @@ __all__ = [
     "eells_sampson_residual",
     "hcma_residual",
     "save_snapshot",
-    "load_snapshot",
 ]
 
 
@@ -280,28 +280,17 @@ def hcma_residual(phi: np.ndarray, domain, rho_axis: np.ndarray,
 # -- snapshot export -------------------------------------------------------------
 
 def save_snapshot(state: PotentialFamily, path):
-    """Write a flow snapshot: the potentials text format of f on the state's
-    grid, after a `flow tau` and a `domain_shape` line."""
-    _write_text(path, [f"flow tau {repr(float(state.tau))}",
-                       "domain_shape " + " ".join(str(s) for s in state.domain.shape)],
-                state.xgrid, {"values": state.f})
-
-
-def load_snapshot(path, domain) -> PotentialFamily:
-    """The flow state `save_snapshot` wrote to `path`, on `domain`: a
-    ValueError names the file if a line is unreadable or the shape differs."""
-    (tau_line, shape_line), grid, blocks = _read_text(path, (("flow",), ("domain_shape",)))
-    try:
-        tau = float(tau_line.split()[2])
-    except (IndexError, ValueError) as exc:
-        raise ValueError(f"{path}: cannot read the flow line {tau_line!r}: {exc}") from exc
-    try:
-        shape = tuple(int(s) for s in shape_line.split()[1:])
-    except ValueError as exc:
-        raise ValueError(f"{path}: cannot read the domain_shape line {shape_line!r}: {exc}") from exc
-    if shape != domain.shape:
-        raise ValueError(f"{path}: the snapshot's domain shape is {shape}, the domain's {domain.shape}")
-    if blocks["values"].shape != shape + grid.shape:
-        raise ValueError(f"{path}: the values block's shape is {blocks['values'].shape}, "
-                         f"the snapshot's {shape + grid.shape}")
-    return PotentialFamily(domain=domain, xgrid=grid, f=blocks["values"], tau=tau)
+    """Write a flow snapshot as text: a `flow tau` and a `domain_shape` line,
+    the state's x-grid (`polytope`, `margin`, one `axis i` line per axis),
+    then a `values shape` line followed by f, one value per line."""
+    grid = state.xgrid
+    lines = [f"flow tau {repr(float(state.tau))}",
+             "domain_shape " + " ".join(str(s) for s in state.domain.shape),
+             "polytope " + polytope_to_json(grid.polytope),
+             f"margin {repr(float(grid.margin))}"]
+    lines += [f"axis {i} " + " ".join(repr(float(v)) for v in ax)
+              for i, ax in enumerate(grid.axes)]
+    lines.append("values shape " + " ".join(str(s) for s in state.f.shape))
+    lines += [repr(float(v)) for v in state.f.reshape(-1)]
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")

@@ -34,7 +34,6 @@ __all__ = [
     "facet_value",
     "lattice_points",
     "near_facets",
-    "polytope_from_json",
     "polytope_to_json",
     "preset_polytope",
 ]
@@ -49,7 +48,7 @@ def _as_fraction(q) -> Fraction:
     if isinstance(q, str):
         return Fraction(q)
     if isinstance(q, float):
-        # JSON floats: accept only values with a short exact decimal form.
+        # floats: accept only values with a short exact decimal form.
         return Fraction(str(q))
     raise TypeError(f"cannot interpret offset {q!r} as a rational number")
 
@@ -314,49 +313,21 @@ def polytope_to_json(P: DelzantPolytope) -> str:
     return json.dumps(doc)
 
 
-def polytope_from_json(doc) -> DelzantPolytope:
-    """Build a polytope from {"dim": m, "facets": [{"normal": [...], "offset": q}]}."""
-    if isinstance(doc, (str, bytes)):
-        doc = json.loads(doc)
-    facets = tuple(
-        Facet(tuple(f["normal"]), _as_fraction(f["offset"])) for f in doc["facets"]
-    )
-    return DelzantPolytope(dim=int(doc["dim"]), facets=facets)
-
-
+# name -> (dim, facets as (inward normal, offset))
 _PRESETS = {
-    "interval": {
-        "dim": 1,
-        "facets": [
-            {"normal": [1], "offset": 0},   # ell_0 = x
-            {"normal": [-1], "offset": 1},  # ell_1 = 1 - x
-        ],
-    },
-    "simplex2": {
-        "dim": 2,
-        "facets": [
-            {"normal": [1, 0], "offset": 0},
-            {"normal": [0, 1], "offset": 0},
-            {"normal": [-1, -1], "offset": 1},
-        ],
-    },
-    "square": {
-        "dim": 2,
-        "facets": [
-            {"normal": [1, 0], "offset": 0},
-            {"normal": [0, 1], "offset": 0},
-            {"normal": [-1, 0], "offset": 1},
-            {"normal": [0, -1], "offset": 1},
-        ],
-    },
+    "interval": (1, [((1,), 0),        # ell_0 = x
+                     ((-1,), 1)]),     # ell_1 = 1 - x
+    "simplex2": (2, [((1, 0), 0), ((0, 1), 0), ((-1, -1), 1)]),
+    "square": (2, [((1, 0), 0), ((0, 1), 0), ((-1, 0), 1), ((0, -1), 1)]),
 }
 
 
 def preset_polytope(name: str) -> DelzantPolytope:
-    """Built-in polytopes: "interval" ([0,1]), "simplex2", "square"."""
+    """Built-in polytopes: "interval" ([0,1]), "simplex2", "square"; a new
+    instance on every call."""
     try:
-        doc = _PRESETS[name]
+        dim, facets = _PRESETS[name]
     except KeyError:
         raise KeyError(f"unknown polytope preset {name!r}; "
                        f"available: {sorted(_PRESETS)}") from None
-    return polytope_from_json(json.dumps(doc))
+    return DelzantPolytope(dim, tuple(Facet(normal, offset) for normal, offset in facets))

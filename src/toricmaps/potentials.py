@@ -51,7 +51,6 @@ phi = log(1 + e^rho) on [0, 1].
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable
@@ -59,8 +58,7 @@ from typing import Callable
 import numpy as np
 
 from .dirichlet import Window, _d2
-from .polytope import (DelzantPolytope, _as_given, _as_points, _float_if_0d,
-                       polytope_from_json, polytope_to_json)
+from .polytope import DelzantPolytope, _as_given, _as_points, _float_if_0d
 
 __all__ = [
     "RadialGrid",
@@ -82,8 +80,6 @@ __all__ = [
     "make_polytope_grid",
     "fubini_study",
     "product_potential",
-    "save_potential",
-    "load_potential",
 ]
 
 NEWTON_TOL = 1e-12
@@ -804,119 +800,3 @@ def product_potential(P: DelzantPolytope, a: float = 0.0,
         grid = make_polytope_grid(P, 801, default_margin(64))
     return SymplecticPotential(P, grid, f_closed=_product_ell_closed(P, a))
 
-
-# -- plain-text serialization -------------------------------------------------------
-
-def save_potential(obj, path):
-    """Write a potential in a lossless, binary-free text format.
-
-    Closed-form evaluators are not serialized; a reloaded potential falls
-    back to sampled (spline) evaluation, so a symplectic potential that would
-    have none (dim >= 2) is rejected by `_evaluator` before the file opens.
-    """
-    if isinstance(obj, KahlerPotential):
-        _write_text(path, [f"kahler dim {obj.dim}"], obj.grid,
-                   {"values": obj.values, "grad": obj.grad_values})
-    elif isinstance(obj, SymplecticPotential):
-        _evaluator(None, obj.grid, obj.f_values)
-        _write_text(path, [f"symplectic dim {obj.dim}"], obj.grid, {"values": obj.f_values})
-    else:
-        raise TypeError(f"cannot serialize {type(obj).__name__}")
-
-
-def load_potential(path):
-    """Inverse of `save_potential`; older symplectic files' `grad` block is unread."""
-    (head,), grid, blocks = _read_text(path, (("kahler", "symplectic"),))
-    if head.split()[0] == "kahler":
-        return KahlerPotential(grid, blocks["values"], blocks.get("grad"))
-    return SymplecticPotential(grid.polytope, grid, blocks["values"])
-
-
-def _write_text(path, header, grid, blocks):
-    """The text format: `header` lines, the grid (polytope and margin of a
-    PolytopeGrid, then every axis), then each block that is not None as a
-    `<tag> shape ...` line followed by one value per line."""
-    buf = io.StringIO()
-    for line in header:
-        buf.write(line + "\n")
-    if isinstance(grid, PolytopeGrid):
-        buf.write("polytope " + polytope_to_json(grid.polytope) + "\n")
-        buf.write(f"margin {repr(float(grid.margin))}\n")
-    for i, ax in enumerate(grid.axes):
-        buf.write(f"axis {i} " + " ".join(repr(float(v)) for v in ax) + "\n")
-    for tag, arr in blocks.items():
-        if arr is None:
-            continue
-        arr = np.asarray(arr)
-        buf.write(f"{tag} shape " + " ".join(str(s) for s in arr.shape) + "\n")
-        for v in arr.reshape(-1):
-            buf.write(repr(float(v)) + "\n")
-    with open(path, "w") as fh:
-        fh.write(buf.getvalue())
-
-
-def _read_text(path, heads):
-    """Inverse of `_write_text`: (header lines, grid, {tag: array}).  The file
-    opens with one header line per entry of `heads`, whose first word is one
-    of that entry's words.  The grid of a "kahler" file may be a RadialGrid
-    (no `polytope` line); any other file's is a PolytopeGrid, from its
-    `polytope` and `margin` lines.  Blank lines are skipped.  Any line that
-    cannot be read is a ValueError naming the file and the line, and so is a
-    header line with another first word and a `values` block whose last axes
-    are not the grid's shape; a file without a `values` block or a line its
-    grid needs is one naming the file."""
-    with open(path) as fh:
-        lines = [(no, line) for no, line in enumerate(fh.read().splitlines(), 1)
-                 if line.strip()]
-    if len(lines) < len(heads):
-        raise ValueError(f"{path}: the file ends inside its {len(heads)}-line header")
-    for (no, line), words in zip(lines, heads):
-        if line.split()[0] not in words:
-            raise ValueError(f"{path}, line {no}: expected a line starting with "
-                             f"{' or '.join(words)}, got {line!r}")
-    polytope, margin, axes, blocks, values_no = None, None, [], {}, None
-    i = len(heads)
-    while i < len(lines):
-        no, line = lines[i]
-        head, *rest = line.split()
-        i += 1
-        try:
-            if head == "polytope":
-                polytope = polytope_from_json(line.split(None, 1)[1])
-            elif head == "margin":
-                (margin,) = map(float, rest)
-            elif head == "axis":
-                axes.append(np.array([float(v) for v in rest[1:]]))
-            elif rest[:1] == ["shape"]:
-                shape = tuple(int(s) for s in rest[1:])
-                values = np.empty(int(np.prod(shape)))
-                if len(lines) - i < values.size:
-                    raise ValueError(f"the block ends after {len(lines) - i} of "
-                                     f"{values.size} values")
-                if head == "values":
-                    values_no = no
-                # a loop, not a comprehension: a bad value leaves its own no, line
-                for j, (no, line) in enumerate(lines[i: i + values.size]):
-                    values[j] = float(line)
-                blocks[head] = values.reshape(shape)
-                i += values.size
-            else:
-                raise ValueError("unrecognized line in potential file")
-        except (ValueError, IndexError, KeyError) as exc:
-            raise ValueError(f"{path}, line {no}: cannot read {line!r}: {exc}") from exc
-    if "values" not in blocks:
-        raise ValueError(f"{path}: no values block")
-    try:
-        if polytope is None and lines[0][1].split()[0] == "kahler":
-            grid = RadialGrid(tuple(axes))
-        elif polytope is None or margin is None:
-            raise ValueError(f"no {'margin' if polytope else 'polytope'} line")
-        else:
-            grid = PolytopeGrid(polytope=polytope, axes=tuple(axes), margin=margin)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from exc
-    shape = blocks["values"].shape
-    if shape[len(shape) - grid.dim:] != grid.shape:
-        raise ValueError(f"{path}, line {values_no}: the values block's shape {shape} "
-                         f"does not end in the grid's shape {grid.shape}")
-    return [line for _, line in lines[:len(heads)]], grid, blocks

@@ -1,11 +1,15 @@
 """Fixtures shared by the test modules."""
 
+import json
 import os
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from toricmaps import harness
+from toricmaps.polytope import DelzantPolytope, Facet
 
 
 @pytest.fixture
@@ -69,3 +73,29 @@ def force_workers(monkeypatch):
             cpus * n_workers)[:min(n_workers, n_blocks - 1)])
 
     return force
+
+
+@pytest.fixture
+def read_snapshot():
+    """A function reading the text `flows.save_snapshot` writes, the writer's
+    oracle: its `tau`, `domain_shape`, `polytope`, `margin`, `axes` and
+    `values` (shaped by its `values shape` line), from lines in the order
+    the writer puts them."""
+    def read(path):
+        lines = Path(path).read_text().splitlines()
+        n_axes = sum(line.startswith("axis ") for line in lines)
+        head = [line.split() for line in lines[:5 + n_axes]]
+        assert [words[0] for words in head] == [
+            "flow", "domain_shape", "polytope", "margin", *["axis"] * n_axes, "values"]
+        doc = json.loads(lines[2].split(None, 1)[1])
+        return SimpleNamespace(
+            tau=float(head[0][2]),
+            domain_shape=tuple(int(s) for s in head[1][1:]),
+            polytope=DelzantPolytope(doc["dim"], tuple(Facet(f["normal"], f["offset"])
+                                                       for f in doc["facets"])),
+            margin=float(head[3][1]),
+            axes=[np.array([float(v) for v in words[2:]]) for words in head[4:-1]],
+            values=np.array([float(v) for v in lines[5 + n_axes:]])
+            .reshape(tuple(int(s) for s in head[-1][2:])))
+
+    return read

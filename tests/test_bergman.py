@@ -9,10 +9,9 @@ from scipy.integrate import quad
 from toricmaps import bergman
 from toricmaps.bergman import (BergmanFamily, NormingTable, QuadratureError,
                                bargmann_fock_peak, harmonic_norming, delta_k,
-                               load_norming_table, localization_gap,
-                               log_normalized_monomial, normalized_monomial,
-                               norming_constants, peak_asymptotics_check,
-                               peak_value, ratio_report, save_norming_table,
+                               localization_gap, log_normalized_monomial,
+                               normalized_monomial, norming_constants,
+                               peak_asymptotics_check, peak_value, ratio_report,
                                szego_sum)
 from toricmaps.dirichlet import make_disc, make_interval, make_rectangle
 from toricmaps.polytope import lattice_points, near_facets, preset_polytope
@@ -644,45 +643,6 @@ def test_peak_constant_metric_independent():
     c_fs = peak_asymptotics_check(norming_constants(U0, k, alphas=alphas), U0).mean
     c_p = peak_asymptotics_check(norming_constants(u_p, k, alphas=alphas), u_p).mean
     assert c_p == pytest.approx(c_fs, rel=0.02)
-
-
-def test_csv_round_trip(tmp_path, table_k2):
-    path = tmp_path / "table.csv"
-    save_norming_table(table_k2, path)
-    back = load_norming_table(path)
-    assert back.level == table_k2.level
-    np.testing.assert_array_equal(back.alphas, table_k2.alphas)
-    np.testing.assert_array_equal(back.log_q, table_k2.log_q)
-
-
-def test_csv_loader_skips_blank_rows_and_names_a_bad_row(tmp_path, table_k2):
-    path = tmp_path / "table.csv"
-    save_norming_table(table_k2, path)
-    text = path.read_text()
-    header, *rows = text.splitlines()
-    path.write_text(header + "\n\n" + "\n".join(rows[:1] + [""] + rows[1:]) + "\n\n")
-    back = load_norming_table(path)
-    np.testing.assert_array_equal(back.alphas, table_k2.alphas)
-    np.testing.assert_array_equal(back.log_q, table_k2.log_q)
-    path.write_text(header + "\n")
-    with pytest.raises(ValueError, match=r"table\.csv has no rows"):
-        load_norming_table(path)
-    for bad, lineno in (([header] + rows[:1] + ["2,1,oops"] + rows[2:], 3),
-                        ([header] + rows[:2] + ["2"], 4)):
-        path.write_text("\n".join(bad) + "\n")
-        with pytest.raises(ValueError, match=rf"table\.csv, line {lineno}: cannot read"):
-            load_norming_table(path)
-
-
-def test_csv_round_trip_2d(tmp_path):
-    S = preset_polytope("simplex2")
-    alphas = lattice_points(S, 2)
-    t = NormingTable(level=2, alphas=alphas, log_q=np.linspace(-1, 1, len(alphas)))
-    path = tmp_path / "t2.csv"
-    save_norming_table(t, path)
-    back = load_norming_table(path)
-    np.testing.assert_array_equal(back.alphas, alphas)
-    np.testing.assert_array_equal(back.log_q, t.log_q)
 
 
 def test_family_constant_shift_equivariance():

@@ -15,8 +15,6 @@ from hypothesis import strategies as st
 import toricmaps
 from toricmaps import acceptance, cli, harness
 from toricmaps.cli import main
-from toricmaps.dirichlet import make_interval
-from toricmaps.flows import load_snapshot
 
 
 def usage_error(argv, capsys) -> str:
@@ -45,7 +43,7 @@ def test_geodesic_suite_writes_outputs(tmp_path, capsys):
     assert (tmp_path / "geodesic_errors.dat").exists()
 
 
-def test_config_file_round_trip(tmp_path, capsys):
+def test_config_file_round_trip(tmp_path, capsys, read_snapshot):
     cfg = {"n_y": 9, "n_x": 161}
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
@@ -57,10 +55,11 @@ def test_config_file_round_trip(tmp_path, capsys):
     snaps = sorted(out.glob("flow_*.txt"))
     assert len(snaps) == 11
     # the config's n_y and n_x shape every snapshot
-    assert load_snapshot(snaps[-1], make_interval(9)).f.shape == (9, 161)
+    snap = read_snapshot(snaps[-1])
+    assert (snap.domain_shape, snap.values.shape) == ((9,), (9, 161))
 
 
-def test_flow_config_is_not_held_to_the_levels(tmp_path, capsys):
+def test_flow_config_is_not_held_to_the_levels(tmp_path, capsys, read_snapshot):
     # the flow's n_x is its own key: no level of an ExperimentConfig bounds it
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"n_x": 41, "n_y": 5}))
@@ -68,10 +67,10 @@ def test_flow_config_is_not_held_to_the_levels(tmp_path, capsys):
     assert main(["flow-duality", "--config", str(path),
                  "--out", str(out), "--snapshot-every", "1"]) == 0
     snaps = sorted(out.glob("flow_*.txt"))
-    assert load_snapshot(snaps[-1], make_interval(5)).f.shape == (5, 41)
+    assert read_snapshot(snaps[-1]).values.shape == (5, 41)
 
 
-def test_flow_snapshots_are_named_by_index(tmp_path, capsys):
+def test_flow_snapshots_are_named_by_index(tmp_path, capsys, read_snapshot):
     # dtau = h^2 / 4 = 3.9e-7 on 801 nodes: six decimals of tau cannot tell
     # consecutive snapshots apart
     path = tmp_path / "cfg.json"
@@ -82,7 +81,7 @@ def test_flow_snapshots_are_named_by_index(tmp_path, capsys):
     assert f"wrote 11 snapshots to {out}" in capsys.readouterr().out
     snaps = sorted(out.iterdir())
     assert [p.name for p in snaps] == [f"flow_{i:02d}.txt" for i in range(11)]
-    taus = [load_snapshot(p, make_interval(801)).tau for p in snaps]
+    taus = [read_snapshot(p).tau for p in snaps]
     assert taus[0] == 0.0 and all(a < b for a, b in zip(taus, taus[1:]))
 
 

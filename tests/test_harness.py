@@ -591,6 +591,26 @@ def test_the_x_grid_of_a_closed_form_family_moves_no_reported_bit(domain, c_boun
         assert np.array_equal(norms_a[col], norms_b[col]), col
 
 
+@pytest.mark.parametrize("family,levels", [
+    (lambda: geodesic_family(0.1, 17), (8, 16, 32, 64)),
+    (lambda: loop_family(0.05, 9, 64), (8, 16, 32)),
+], ids=["geodesic", "disc"])
+def test_a_symmetric_family_reflects_in_rho(family, levels):
+    # u(1 - x) = u(x) for every u0 + c x(1 - x), so Phi(-rho) = Phi(rho) - rho,
+    # log Q_k(alpha) = log Q_k(k - alpha), and Phi_k reflects as Phi does:
+    # E_k = Phi_k - Phi is even in rho.  A one-sided error (a quadrature range
+    # cut at one end, an x-odd term) breaks it; an alpha <-> k - alpha slip
+    # does not, since both sides of the slip agree on a symmetric table
+    fam = family()
+    rho = np.linspace(-4.0, 4.0, 801)
+    phi = kahler_field(fam, rho).values
+    gate = 256 * np.finfo(float).eps * np.max(np.abs(phi))
+    assert np.max(np.abs(phi[..., ::-1] - (phi - rho))) <= gate
+    for k, phi_k in build_approximants(fam, levels).items():
+        E = phi_k.field(rho) - phi
+        assert np.max(np.abs(E[..., ::-1] - E)) <= gate, k
+
+
 def test_window_rho_bounds():
     u = product_potential(P)
     lo, hi = window_rho_bounds(u, 0.1)

@@ -8,8 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from toricmaps.polytope import (DelzantPolytope, Facet, facet_value, lattice_points,
-                                near_facets, polytope_from_json,
-                                polytope_to_json, preset_polytope)
+                                near_facets, polytope_to_json, preset_polytope)
 
 
 @pytest.fixture(scope="module")
@@ -117,22 +116,14 @@ def test_vertices_and_delzant(square, simplex):
 
 
 def test_non_delzant_rejected():
-    doc = {"dim": 2, "facets": [
-        {"normal": [1, 0], "offset": 0},
-        {"normal": [0, 1], "offset": 0},
-        {"normal": [-1, -2], "offset": 1},
-    ]}
+    facets = (Facet((1, 0), 0), Facet((0, 1), 0), Facet((-1, -2), 1))
     with pytest.raises(ValueError, match="Delzant|simple"):
-        polytope_from_json(json.dumps(doc))
+        DelzantPolytope(2, facets)
 
 
 def test_unbounded_rejected():
-    doc = {"dim": 1, "facets": [
-        {"normal": [1], "offset": 0},
-        {"normal": [1], "offset": 1},
-    ]}
     with pytest.raises(ValueError, match="unbounded"):
-        polytope_from_json(json.dumps(doc))
+        DelzantPolytope(1, (Facet((1,), 0), Facet((1,), 1)))
 
 
 @pytest.mark.parametrize("facets", [
@@ -146,12 +137,8 @@ def test_unbounded_rejected_2d(facets):
 
 
 def test_empty_interior_rejected():
-    doc = {"dim": 1, "facets": [
-        {"normal": [1], "offset": 0},
-        {"normal": [-1], "offset": 0},
-    ]}
     with pytest.raises(ValueError, match="empty interior"):
-        polytope_from_json(json.dumps(doc))
+        DelzantPolytope(1, (Facet((1,), 0), Facet((-1,), 0)))
 
 
 @pytest.mark.parametrize("dim,facets", [
@@ -232,19 +219,32 @@ def test_facet_value_is_affine(x, y, r):
 
 
 def test_json_round_trip(simplex):
-    doc = polytope_to_json(simplex)
-    back = polytope_from_json(doc)
-    assert back.dim == simplex.dim
-    assert [f.normal for f in back.facets] == [f.normal for f in simplex.facets]
-    assert [f.offset for f in back.facets] == [f.offset for f in simplex.facets]
+    # the document of a snapshot's `polytope` line: offsets as exact fractions
+    doc = json.loads(polytope_to_json(simplex))
+    assert doc == {"dim": 2, "facets": [{"normal": [1, 0], "offset": "0"},
+                                        {"normal": [0, 1], "offset": "0"},
+                                        {"normal": [-1, -1], "offset": "1"}]}
+    back = DelzantPolytope(doc["dim"], tuple(Facet(f["normal"], f["offset"])
+                                             for f in doc["facets"]))
+    assert back == simplex
+    third = DelzantPolytope(1, (Facet((1,), "1/3"), Facet((-1,), 0.5)))
+    assert [f["offset"] for f in json.loads(polytope_to_json(third))["facets"]] == ["1/3", "1/2"]
 
 
 def test_fractional_offsets():
-    doc = {"dim": 1, "facets": [
-        {"normal": [1], "offset": "1/3"},
-        {"normal": [-1], "offset": 0.5},
-    ]}
-    P = polytope_from_json(json.dumps(doc))
+    P = DelzantPolytope(1, (Facet((1,), "1/3"), Facet((-1,), 0.5)))
     # P = [-1/3, 1/2]; exact lattice membership at the boundary
     assert lattice_points(P, 3)[:, 0].tolist() == [-1, 0, 1]
     assert lattice_points(P, 2)[:, 0].tolist() == [0, 1]
+
+
+def test_each_preset_call_builds_a_new_polytope():
+    # lattice_points caches on the instance, so no caller shares another's cache
+    a, b = preset_polytope("square"), preset_polytope("square")
+    assert a is not b and a == b
+    assert [(f.normal, f.offset) for f in a.facets] == [
+        ((1, 0), 0), ((0, 1), 0), ((-1, 0), 1), ((0, -1), 1)]
+    assert list(preset_polytope("interval").vertices) == [(0,), (1,)]
+    with pytest.raises(KeyError, match="unknown polytope preset 'cube'; available: "
+                       r"\['interval', 'simplex2', 'square'\]"):
+        preset_polytope("cube")

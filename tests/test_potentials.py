@@ -1,5 +1,4 @@
 import math
-import re
 import tracemalloc
 
 import numpy as np
@@ -11,10 +10,8 @@ from toricmaps.potentials import (ClosedForm, ConvexityError, KahlerPotential,
                                   NewtonError, SymplecticPotential, _blocks, _convex_slices,
                                   _invert_monotone_1d, abreu_delta,
                                   default_margin, guillemin_hessian, guillemin_potential,
-                                  load_potential, make_polytope_grid,
-                                  fubini_study, make_radial_grid,
-                                  product_potential, save_potential, to_kahler,
-                                  to_symplectic)
+                                  make_polytope_grid, fubini_study, make_radial_grid,
+                                  product_potential, to_kahler, to_symplectic)
 
 P = preset_polytope("interval")
 
@@ -282,153 +279,6 @@ def test_polytope_grid_nodes_and_u0_hessian_are_built_once(monkeypatch):
     with pytest.raises(ConvexityError) as raised:
         SymplecticPotential(P, xg, f)
     assert str(raised.value) == str(expected.value)
-
-
-def test_serialization_round_trip(tmp_path):
-    u = product_potential(P, 0.05, make_polytope_grid(P, 101, 0.01))
-    path = tmp_path / "u.txt"
-    save_potential(u, path)
-    back = load_potential(path)
-    assert np.array_equal(back.f_values, u.f_values)
-    assert np.array_equal(back.grid.axes[0], u.grid.axes[0])
-    grid = make_radial_grid([-1.0], [1.0], [51])
-    phi = to_kahler(u, grid)
-    path2 = tmp_path / "phi.txt"
-    save_potential(phi, path2)
-    back2 = load_potential(path2)
-    assert np.array_equal(back2.values, phi.values)
-    assert np.array_equal(back2.grad_values, phi.grad_values)
-
-
-def test_text_loader_skips_blank_lines_and_names_a_bad_line(tmp_path):
-    u = product_potential(P, 0.05, make_polytope_grid(P, 21, 0.01))
-    path = tmp_path / "u.txt"
-    save_potential(u, path)
-    text = path.read_text()
-    lines = text.splitlines()
-    # an appended newline, and blank lines between and inside blocks
-    blanks = tmp_path / "blanks.txt"
-    blanks.write_text("\n" + "\n".join(lines[:3] + ["", "  "] + lines[3:6] + [""] + lines[6:])
-                      + "\n\n")
-    appended = tmp_path / "appended.txt"
-    appended.write_text(text + "\n")
-    for p in (appended, blanks):
-        back = load_potential(p)
-        np.testing.assert_array_equal(back.f_values, u.f_values)
-        np.testing.assert_array_equal(back.grid.axes[0], u.grid.axes[0])
-    # a value that is no number, a truncated block, an unknown line
-    value_at = lines.index("values shape 21") + 3
-    for bad, lineno, match in (
-            (lines[:value_at] + ["0.1x"] + lines[value_at + 1:], value_at + 1, "0.1x"),
-            (lines[:-1], lines.index("values shape 21") + 1, "ends after 20 of 21"),
-            (lines + ["extra stuff"], len(lines) + 1, "unrecognized")):
-        p = tmp_path / "bad.txt"
-        p.write_text("\n".join(bad) + "\n")
-        with pytest.raises(ValueError, match=rf"bad\.txt, line {lineno}: .*{match}"):
-            load_potential(p)
-    # a file cut before its values block
-    p.write_text("\n".join(lines[:lines.index("values shape 21")]) + "\n")
-    with pytest.raises(ValueError, match=r"bad\.txt: no values block"):
-        load_potential(p)
-
-
-def test_symplectic_file_has_no_grad_block_and_old_files_still_load(tmp_path):
-    u = to_symplectic(fubini_study(make_radial_grid([-6.0], [6.0], [121])), P,
-                      make_polytope_grid(P, 101, 0.01))
-    path = tmp_path / "u.txt"
-    save_potential(u, path)
-    text = path.read_text()
-    assert "values shape 101" in text.splitlines()
-    assert not any(line.startswith("grad ") for line in text.splitlines())
-    # the older format followed f with a block of the gradient samples rho = u'(x)
-    old = tmp_path / "old.txt"
-    rho = u.grad(u.grid.axes[0])
-    old.write_text(text + "grad shape 101 1\n" + "".join(f"{float(v)!r}\n" for v in rho))
-    back = load_potential(old)
-    assert np.array_equal(back.f_values, u.f_values)
-
-
-def saved_files(tmp_path) -> dict:
-    """A well-formed file of each text loader: kind -> (path, loader)."""
-    from toricmaps.acceptance import flow_start
-    from toricmaps.bergman import NormingTable, load_norming_table, save_norming_table
-    from toricmaps.dirichlet import make_interval
-    from toricmaps.flows import load_snapshot, save_snapshot
-    from toricmaps.polytope import lattice_points
-    u = product_potential(P, 0.05, make_polytope_grid(P, 21, 0.01))
-    files = {kind: tmp_path / f"{kind}.txt" for kind in ("symplectic", "kahler", "snapshot")}
-    files["norming"] = tmp_path / "norming.csv"
-    save_potential(u, files["symplectic"])
-    save_potential(to_kahler(u, make_radial_grid([-1.0], [1.0], [11])), files["kahler"])
-    save_snapshot(flow_start(5, 11)[0], files["snapshot"])
-    save_norming_table(NormingTable(2, lattice_points(P, 2), np.array([-1.5, -0.25, 0.125])),
-                       files["norming"])
-    loaders = {"symplectic": load_potential, "kahler": load_potential,
-               "snapshot": lambda path: load_snapshot(path, make_interval(5)),
-               "norming": load_norming_table}
-    return {kind: (path, loaders[kind]) for kind, path in files.items()}
-
-
-def _without(head):
-    return lambda lines: [line for line in lines if not line.startswith(head + " ")]
-
-
-def _values_one_short(axis):
-    """An edit that drops one index of the values block's `axis`, and the
-    values that go with it, so the block ends where its shape line says."""
-    def edit(lines):
-        at = next(i for i, line in enumerate(lines) if line.startswith("values shape "))
-        shape = [int(v) for v in lines[at].split()[2:]]
-        shape[axis] -= 1
-        return (lines[:at] + ["values shape " + " ".join(map(str, shape))]
-                + lines[at + 1: at + 1 + int(np.prod(shape))])
-    return edit
-
-
-@pytest.mark.parametrize("kind,edit,message", [
-    ("symplectic", lambda lines: [], r": the file ends inside its 1-line header$"),
-    ("symplectic", lambda lines: ["potato dim 1"] + lines[1:],
-     r", line 1: expected a line starting with kahler or symplectic, got 'potato dim 1'$"),
-    ("symplectic", _without("polytope"), r": no polytope line$"),
-    ("symplectic", _without("margin"), r": no margin line$"),
-    ("symplectic", _values_one_short(-1),
-     r", line 5: the values block's shape \(20,\) does not end in the grid's shape \(21,\)$"),
-    ("kahler", _values_one_short(-1),
-     r", line 3: the values block's shape \(10,\) does not end in the grid's shape \(11,\)$"),
-    ("snapshot", _without("polytope"), r": no polytope line$"),
-    ("snapshot", _without("margin"), r": no margin line$"),
-    ("snapshot", lambda lines: lines[1:],
-     r", line 1: expected a line starting with flow, got 'domain_shape 5'$"),
-    ("snapshot", _values_one_short(-1),
-     r", line 6: the values block's shape \(5, 10\) does not end in the grid's shape \(11,\)$"),
-    ("snapshot", _values_one_short(0),
-     r": the values block's shape is \(4, 11\), the snapshot's \(5, 11\)$"),
-    ("norming", lambda lines: ["k,alpha"] + lines[1:],
-     r", line 1: unrecognized norming-table header: \['k', 'alpha'\]$"),
-    ("norming", lambda lines: lines[:2] + ["2,\"1,0\",-0.25"] + lines[3:],
-     r", line 3: cannot read .*: alpha has 2 coordinates, the first row's 1$"),
-    ("norming", lambda lines: lines[:3] + ["4" + lines[3][1:]],
-     r" mixes levels: \[2, 4\]$"),
-], ids=["empty", "unknown-head", "symplectic-no-polytope", "symplectic-no-margin",
-        "symplectic-values-short", "kahler-values-short", "snapshot-no-polytope",
-        "snapshot-no-margin", "snapshot-no-flow-line", "snapshot-values-short",
-        "snapshot-values-of-another-domain", "norming-header", "norming-alpha-length",
-        "norming-mixed-levels"])
-def test_a_malformed_file_is_a_value_error_naming_the_file(tmp_path, kind, edit, message):
-    path, load = saved_files(tmp_path)[kind]
-    path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")
-    with pytest.raises(ValueError, match=re.escape(str(path)) + message):
-        load(path)
-
-
-def test_save_rejects_a_two_dimensional_symplectic_potential_before_writing(tmp_path):
-    # reloaded, its f would be sampled, and sampled f has no evaluator in dim 2
-    S = preset_polytope("square")
-    u = product_potential(S, 0.1, make_polytope_grid(S, 9, 0.1))
-    path = tmp_path / "u.txt"
-    with pytest.raises(NotImplementedError, match="in dim 2: .* for dim 1"):
-        save_potential(u, path)
-    assert not path.exists()
 
 
 def test_abreu_delta_reports_convexity_failure():

@@ -12,6 +12,11 @@ module.
     lines too); outside docstrings a line is blank, a comment when it starts
     with `#`, and code otherwise;
   * public names: the entries of every module's `__all__`;
+  * public names without a caller outside tests: the `__all__` entries that
+    no `ast` `Name` or `Attribute` read in `src/`, `perfbench/*.py` or
+    `scripts/*.py` (test files aside) references, listed by name.  A name's
+    own definition, the `__all__` lists and the `__init__` re-exports are
+    not references (a definition or an import is no `Name` read);
   * settable parameters: one `ast` walk over every function, method and
     lambda, counting each parameter (positional, keyword-only, *args and
     **kwargs) except `self` and `cls`;
@@ -67,11 +72,29 @@ def line_kinds(tree: ast.Module, lines: list[str]) -> dict[str, int]:
     return kinds
 
 
-def public_names(tree: ast.Module) -> int:
-    """The entries of the module's `__all__` (0 without one)."""
-    return sum(len(ast.literal_eval(node.value)) for node in tree.body
-               if isinstance(node, ast.Assign)
-               and any(getattr(t, "id", None) == "__all__" for t in node.targets))
+def public_names(tree: ast.Module) -> list[str]:
+    """The entries of the module's `__all__` (none without one)."""
+    return [name for node in tree.body if isinstance(node, ast.Assign)
+            and any(getattr(t, "id", None) == "__all__" for t in node.targets)
+            for name in ast.literal_eval(node.value)]
+
+
+def unreached_names(root: Path) -> list[str]:
+    """The public names of `src/` that no code outside tests reads."""
+    public = [name for path in sorted((root / "src").rglob("*.py"))
+              for name in public_names(ast.parse(path.read_text()))]
+    callers = [*(root / "src").rglob("*.py"), *(root / "perfbench").glob("*.py"),
+               *(root / "scripts").glob("*.py")]
+    read = set()
+    for path in callers:
+        if path.name.startswith("test_") or path.name == "conftest.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    return sorted(name for name in public if name not in read)
 
 
 def option_counts(src: Path) -> dict[str, int]:
@@ -105,7 +128,7 @@ def design_counts(src: Path) -> tuple[dict[str, int], dict[str, int], dict[str, 
         module_lines[path.stem] = len(lines)
         for kind, n in line_kinds(tree, lines).items():
             counts[kind] += n
-        counts["public names"] += public_names(tree)
+        counts["public names"] += len(public_names(tree))
         counts["settable parameters"] += settable_parameters(tree)
         counts["dim branches"] += branches
         counts["isinstance(..., *Domain) branches"] += sum(
@@ -123,6 +146,9 @@ def main() -> int:
     counts, module_lines, per_module, scipy_per_module = design_counts(src)
     for name, value in (counts | option_counts(src)).items():
         print(f"{name}: {value:,}")
+    unreached = unreached_names(src.parent)
+    print(f"public names without a caller outside tests: {len(unreached)}"
+          + "".join(f"\n  {name}" for name in unreached))
     for module, value in module_lines.items():
         print(f"  lines in {module}: {value:,}")
     for module, value in per_module.items():

@@ -17,8 +17,8 @@ Heat-flow duality and degenerate complex-Hessian residuals live in `flows`;
 `acceptance` bundles the self-checking experiment suite behind the CLI.
 """
 
-from .polytope import (DelzantPolytope, Facet, facet_value, lattice_points,
-                       near_facets, polytope_to_json, preset_polytope)
+from .polytope import (DelzantPolytope, Facet, lattice_points, polytope_to_json,
+                       preset_polytope)
 from .potentials import (ClosedForm, ConvexityError, KahlerPotential,
                          NewtonError, PolytopeGrid, PotentialFamily, RadialGrid,
                          abreu_delta, default_margin, fubini_study,
@@ -30,10 +30,9 @@ from .dirichlet import (BoundaryData, DiscDomain, HarmonicField,
                         laplace_residual, make_disc, make_interval,
                         make_rectangle, poisson_kernel)
 from .bergman import (BergmanFamily, HarmonicNorming, NormingTable,
-                      QuadratureError, bargmann_fock_peak, harmonic_norming,
-                      localization_gap, normalized_monomial,
-                      norming_constants, peak_asymptotics_check, peak_value,
-                      ratio_report, szego_sum)
+                      QuadratureError, harmonic_norming, localization_gap,
+                      norming_constants, peak_asymptotics_check, ratio_report,
+                      szego_sum)
 from .flows import (ResidualReport, eells_sampson_residual, hcma_residual,
                     heat_evolve, make_flow_state)
 from .harness import (ErrorReport, ExperimentConfig, ExperimentResult, RateFit,

@@ -58,8 +58,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dirichlet import (BoundaryData, HarmonicField, MaxPrincipleError,
-                        boundary_weights, harmonic_extend)
+from .dirichlet import BoundaryData, MaxPrincipleError, boundary_weights, harmonic_extend
 from .polytope import _as_points, _check_level, _float_if_0d, _read_only, lattice_points
 from .potentials import (KahlerPotential, SymplecticPotential, _closed_at, _positive_det,
                          abreu_delta, guillemin_gradient, guillemin_potential)
@@ -70,10 +69,6 @@ __all__ = [
     "BergmanFamily",
     "QuadratureError",
     "norming_constants",
-    "normalized_monomial",
-    "log_normalized_monomial",
-    "peak_value",
-    "bargmann_fock_peak",
     "szego_sum",
     "localization_gap",
     "harmonic_norming",
@@ -87,9 +82,6 @@ __all__ = [
 GAUSS_ORDER = 12
 # the largest change of a log Q under panel doubling that validates a table
 CHECK_TOL = 1e-9
-# alpha from which bargmann_fock_peak takes the Stirling series (its next term,
-# 1/(1188 a^9), is below 1e-18 there)
-STIRLING_FROM = 50.0
 
 
 class QuadratureError(RuntimeError):
@@ -120,11 +112,6 @@ class NormingTable:
         object.__setattr__(self, "alphas", alphas)
         object.__setattr__(self, "log_q", log_q)
 
-    @functools.cached_property
-    def _index(self) -> dict:
-        """alpha -> row, built at the first `log_q_of` (only diagnostics look up)."""
-        return {tuple(a): i for i, a in enumerate(self.alphas.tolist())}
-
     @property
     def dim(self) -> int:
         return self.alphas.shape[1]
@@ -132,13 +119,6 @@ class NormingTable:
     @property
     def count(self) -> int:
         return self.alphas.shape[0]
-
-    def log_q_of(self, alpha) -> float:
-        key = tuple(int(a) for a in np.atleast_1d(alpha))
-        try:
-            return float(self.log_q[self._index[key]])
-        except KeyError:
-            raise KeyError(f"alpha={key} not in level-{self.level} table") from None
 
 
 def _quad_rule(P, n_panels: int) -> tuple:
@@ -244,55 +224,6 @@ def norming_constants(u: SymplecticPotential, k: int, alphas=None) -> NormingTab
         f"by more than {CHECK_TOL:g}: {bad[:8]}{'...' if len(bad) > 8 else ''}")
 
 
-def log_normalized_monomial(table: NormingTable, phi: KahlerPotential, alpha, rho):
-    """log P(alpha, rho) = <alpha, rho> - k phi(rho) - log Q(alpha)."""
-    r = np.asarray(rho, dtype=float)
-    lin = _pairing(np.atleast_2d(alpha), r)[0]
-    return lin - table.level * np.asarray(phi.value(r)) - table.log_q_of(alpha)
-
-
-def normalized_monomial(table: NormingTable, phi: KahlerPotential, alpha, rho):
-    """P(alpha, rho); strictly positive."""
-    return np.exp(log_normalized_monomial(table, phi, alpha, rho))
-
-
-def peak_value(table: NormingTable, u: SymplecticPotential, alpha) -> float:
-    """Peak of P(alpha, .), attained at the moment-map preimage of alpha/k.
-
-    Computed through the duality log P(alpha) = k u(alpha/k) - log Q(alpha);
-    requires alpha/k strictly interior to P.
-    """
-    k = table.level
-    x = np.atleast_1d(np.asarray(alpha, dtype=float)) / k
-    if np.any(u.polytope.ell(x) <= 0):
-        raise ValueError(f"alpha/k = {tuple(x)} is not strictly interior to the polytope")
-    return float(np.exp(k * float(u.value(x)) - table.log_q_of(alpha)))
-
-
-def bargmann_fock_peak(k: int, alpha) -> np.ndarray | float:
-    """Flat-model peak value k e^{-alpha} alpha^alpha / alpha! (0^0 = 1).
-
-    Below STIRLING_FROM it is evaluated in the log domain through log-Gamma.
-    From there on alpha log alpha - alpha - log Gamma(alpha + 1) would cancel
-    to about one ulp of log Gamma, so the value is k e^{-s(alpha)} /
-    sqrt(2 pi alpha) with the Stirling series s = 1/(12 a) - 1/(360 a^3) +
-    1/(1260 a^5) - 1/(1680 a^7), exact to a few ulp.
-    """
-    if k < 1:
-        raise ValueError("level k must be >= 1")
-    a = np.asarray(alpha, dtype=float)
-    if np.any(a < 0):
-        raise ValueError("alpha must be nonnegative")
-    small = np.minimum(a, STIRLING_FROM)
-    term = small * np.log(np.where(small > 0, small, 1.0))
-    logval = math.log(k) - small + term - np.vectorize(math.lgamma, otypes=[float])(small + 1.0)
-    big = np.maximum(a, STIRLING_FROM)
-    inv = 1.0 / big
-    series = inv * (1 / 12 - inv**2 * (1 / 360 - inv**2 * (1 / 1260 - inv**2 / 1680)))
-    return _float_if_0d(np.where(a < STIRLING_FROM, np.exp(logval),
-                                 k * np.exp(-series) / np.sqrt(2 * math.pi * big)))
-
-
 def _pairing(alphas: np.ndarray, rho: np.ndarray) -> np.ndarray:
     """<alpha, rho> per alpha: (n_alpha, *shape(rho)), less rho's last axis if m > 1."""
     a = alphas.astype(float)
@@ -355,9 +286,6 @@ class HarmonicNorming:
     @property
     def count(self) -> int:
         return self.alphas.shape[0]
-
-    def field(self, i: int) -> HarmonicField:
-        return HarmonicField(self.domain, self.lam[i])
 
 
 def harmonic_norming(domain, boundary_tables) -> HarmonicNorming:
@@ -525,17 +453,21 @@ def ratio_report(norming: HarmonicNorming, table_at_y: NormingTable,
 
     with delta the Abreu boundary density and w the positive boundary
     kernel weights.  (The orientation is fixed so that R_k - R_inf -> 0;
-    at boundary y both are identically 1.)
+    at boundary y both are identically 1.)  `table_at_y` is read row by row
+    against the norming's alphas, so it must have their level and alphas (a
+    ValueError naming both levels).
     """
     k = norming.level
+    if table_at_y.level != k or not np.array_equal(table_at_y.alphas, norming.alphas):
+        raise ValueError(f"the table at y (level {table_at_y.level}) does not carry the "
+                         f"alphas of the level-{k} norming")
     x = norming.alphas / k
     idx = np.flatnonzero(np.all(u_at_y.polytope.ell(x) > 0, axis=-1))
     if not idx.size:
         raise ValueError("no strictly interior lattice points selected")
     al, x = norming.alphas[idx], x[idx]
     lam_y = norming.lam[(idx,) + _as_index(y_index)]
-    log_q_y = np.array([table_at_y.log_q_of(a) for a in al])
-    log_r_k = log_q_y - lam_y
+    log_r_k = table_at_y.log_q[idx] - lam_y
 
     w = boundary_weights(norming.domain, y_index)
     log_delta_y = np.log(abreu_delta(u_at_y, x))

@@ -31,9 +31,7 @@ import numpy as np
 __all__ = [
     "Facet",
     "DelzantPolytope",
-    "facet_value",
     "lattice_points",
-    "near_facets",
     "polytope_to_json",
     "preset_polytope",
 ]
@@ -241,14 +239,6 @@ class DelzantPolytope:
                 np.array([np.outer(normals[r], normals[s]).ravel() for r, s in pairs]))
 
 
-def facet_value(P: DelzantPolytope, r: int, x) -> float:
-    """ell_r(x) at one point x; nonnegative iff x lies on the inner side of
-    facet r (0-based r)."""
-    if not 0 <= r < P.n_facets:
-        raise IndexError(f"facet index {r} out of range [0, {P.n_facets})")
-    return float(P.ell(x)[..., r])
-
-
 def _check_level(k) -> None:
     """A level k is an int or numpy int >= 1: a bool or a float is a TypeError."""
     if isinstance(k, bool) or not isinstance(k, (int, np.integer)):
@@ -285,20 +275,6 @@ def _enumerate_lattice(P: DelzantPolytope, k: int) -> np.ndarray:
             pts.append(alpha)
     pts.sort()
     return np.array(pts, dtype=np.int64).reshape(len(pts), P.dim)
-
-
-def near_facets(P: DelzantPolytope, x, delta: float):
-    """Facets with ell_r(x) < delta, and how many there are.
-
-    Rejects x outside P by more than 1e-9.
-    """
-    if delta <= 0:
-        raise ValueError("delta must be positive")
-    ell = P.ell(x)
-    if np.any(ell < -1e-9):
-        raise ValueError(f"point {x} lies outside the polytope (min ell = {ell.min():.3g})")
-    idx = tuple(int(r) for r in np.nonzero(ell < delta)[0])
-    return idx, len(idx)
 
 
 # -- serialization and presets ---------------------------------------------

@@ -28,8 +28,8 @@ boundary, where u0 is singular.
 Array conventions.  Points x are (..., m) arrays in every dimension, and a
 function of x returns (...) values, (..., m) gradients, (..., m, m) Hessians.
 One rule, `polytope._as_points`, applied where an x enters (`DelzantPolytope.ell`,
-hence `guillemin_*`, `near_facets` and `facet_value`; `SymplecticPotential.value`,
-`.grad`, `.hess`; `abreu_delta`), lets a dim-1 caller pass plain x values:
+hence `guillemin_*`; `SymplecticPotential.value`, `.grad`, `.hess`;
+`abreu_delta`), lets a dim-1 caller pass plain x values:
 a scalar, or an array whose last axis is not of length 1, is the points
 x[..., None], and its results come back plain (`polytope._as_given`).  A
 dim-1 array whose last axis has length 1 is points: x of shape (2, 1) is two
@@ -38,11 +38,12 @@ points, giving (2,) values, (2, 1) gradients and (2, 1, 1) Hessians.
 shape; `_closed_at` reads them at points.  The rho side keeps plain rho
 values in dim 1 (`KahlerPotential`).
 
-Gradient inversions use a safeguarded Newton iteration (bisection fallback)
-with tolerance 1e-12 on the gradient mismatch and at most 100 iterations.
-A potential evaluates its smooth part through one `ClosedForm`: its closed
-form, or not-a-knot cubic splines of its samples (`_evaluator`, dim 1 only),
-so `to_symplectic`, whose result is sampled, is one-dimensional.
+Gradient inversions use one safeguarded Newton iteration (bisection fallback),
+one-dimensional, with tolerance 1e-12 on the gradient mismatch and at most
+100 iterations, so `to_kahler` is one-dimensional.  A potential evaluates its
+smooth part through one `ClosedForm`: its closed form, or not-a-knot cubic
+splines of its samples (`_evaluator`, dim 1 only), so `to_symplectic`, whose
+result is sampled, is one-dimensional.
 
 The closed-form potentials are `product_potential(P, a)`, u0 + a prod_r
 ell_r on any polytope (a = 0 is Guillemin's u0), and `fubini_study()`,
@@ -271,10 +272,6 @@ class ClosedForm:
     grad: Callable
     hess: Callable
 
-    def shift(self, c: float) -> "ClosedForm":
-        """value + c, with the same gradient and Hessian."""
-        return ClosedForm(lambda p: np.asarray(self.value(p)) + c, self.grad, self.hess)
-
 
 def _evaluator(closed: ClosedForm | None, grid: _TensorGrid, values: np.ndarray,
                grad_values: np.ndarray | None = None) -> ClosedForm:
@@ -322,7 +319,7 @@ class KahlerPotential:
 
     def __init__(self, grid: RadialGrid, values: np.ndarray | None = None,
                  grad_values: np.ndarray | None = None,
-                 closed: ClosedForm | None = None, check: bool = True):
+                 closed: ClosedForm | None = None):
         self.grid = grid
         self.closed = closed
         if values is None and closed is None:
@@ -331,8 +328,7 @@ class KahlerPotential:
         self.values = np.asarray(values, dtype=float).reshape(grid.shape)
         self.grad_values = None if grad_values is None else \
             np.asarray(grad_values, dtype=float).reshape(grid.shape + (grid.dim,))
-        if check:
-            self._check_convexity()
+        self._check_convexity()
 
     @property
     def dim(self) -> int:
@@ -354,12 +350,6 @@ class KahlerPotential:
 
     def hess(self, rho):
         return np.asarray(self._form.hess(rho), dtype=float)
-
-    def shift(self, c: float) -> "KahlerPotential":
-        """phi + c on the same grid; the closed form, if any, is shifted too."""
-        closed = None if self.closed is None else self.closed.shift(c)
-        return KahlerPotential(self.grid, self.values + c, self.grad_values,
-                               closed, check=False)
 
 
 class SymplecticPotential:
@@ -424,11 +414,6 @@ class SymplecticPotential:
         pts, plain = _as_points(self.dim, x)
         H = guillemin_hessian(self.polytope, pts) + _closed_at(self.f_hess, pts, 2)
         return _as_given(H, plain, 2)
-
-    def shift(self, c: float) -> "SymplecticPotential":
-        closed = None if self.f_closed is None else self.f_closed.shift(c)
-        return SymplecticPotential(self.polytope, self.grid, self.f_values + c,
-                                   closed, check=False)
 
 
 @dataclass(frozen=True)
@@ -536,50 +521,6 @@ def _invert_monotone_1d(grad_fn, hess_fn, targets, lo: float, hi: float,
     return s
 
 
-def _invert_gradient_nd(grad, hess, targets, x0):
-    """Damped Newton for grad F(s) = target to NEWTON_TOL, one point at a time
-    (F convex, at most NEWTON_MAX_ITER steps): `to_kahler`'s symplectic
-    gradient inversion beyond dim 1.
-
-    Trial steps that leave the domain of F (evaluation raises or returns
-    non-finite values) are treated as line-search failures and halved.
-    """
-    def try_grad(s):
-        try:
-            g = np.asarray(grad(s), dtype=float)
-        except ValueError:
-            return None
-        return g if np.all(np.isfinite(g)) else None
-
-    out = np.empty_like(targets)
-    for idx in np.ndindex(targets.shape[:-1]):
-        t = targets[idx]
-        s = np.array(x0[idx], dtype=float)
-        g = try_grad(s)
-        if g is None:
-            raise NewtonError(f"symplectic gradient inversion started outside the domain at {s}")
-        g = g - t
-        for _ in range(NEWTON_MAX_ITER):
-            if np.linalg.norm(g, ord=np.inf) < NEWTON_TOL:
-                break
-            step = np.linalg.solve(np.asarray(hess(s)), g)
-            lam = 1.0
-            n0 = np.linalg.norm(g)
-            while lam > 1e-12:
-                s_try = s - lam * step
-                g_try = try_grad(s_try)
-                if g_try is not None and np.linalg.norm(g_try - t) < n0:
-                    s, g = s_try, g_try - t
-                    break
-                lam *= 0.5
-            else:
-                break
-        if np.linalg.norm(g, ord=np.inf) >= NEWTON_TOL:
-            raise NewtonError(f"symplectic gradient inversion failed at target {t}")
-        out[idx] = s
-    return out
-
-
 # -- the Legendre transform -----------------------------------------------------
 
 def to_symplectic(phi: KahlerPotential, P: DelzantPolytope,
@@ -633,23 +574,24 @@ def _rho_bracket(phi: KahlerPotential, x_min: float, x_max: float):
 
 
 def to_kahler(u: SymplecticPotential, grid: RadialGrid) -> KahlerPotential:
-    """Inverse Legendre transform: phi(rho) = <x, rho> - u(x) with grad u(x) = rho."""
+    """Inverse Legendre transform of a one-dimensional symplectic potential:
+    phi(rho) = <x, rho> - u(x) with grad u(x) = rho, solved at every grid
+    node by safeguarded Newton.  Dimension >= 2 is rejected before any work:
+    the one gradient inverter, `_invert_monotone_1d`, is one-dimensional.
+    """
     if u.dim != grid.dim:
         raise ValueError("dimension mismatch between potential and grid")
-    if u.dim == 1:
-        rho = grid.axes[0]
-        a, b = _x_bracket(u, float(rho.min()), float(rho.max()))
-        guess = np.clip(_canonical_inverse_guess(u.polytope, rho), a, b)
-        x = _invert_monotone_1d(u.grad, u.hess, rho, a, b,
-                                what="symplectic gradient", s0=guess)
-        phi = x * rho - np.asarray(u.value(x))
-        return KahlerPotential(grid, values=phi, grad_values=x[..., None])
-    nodes = grid.nodes()
-    lo, hi = u.polytope.bounding_box()
-    x0 = np.broadcast_to(0.5 * (lo + hi), nodes.shape).copy()
-    x = _invert_gradient_nd(u.grad, u.hess, nodes, x0)
-    phi = np.einsum("...i,...i->...", x, nodes) - np.asarray(u.value(x))
-    return KahlerPotential(grid, values=phi, grad_values=x)
+    if u.dim > 1:
+        raise NotImplementedError(
+            f"to_kahler in dim {u.dim}: the symplectic gradient is inverted "
+            "(safeguarded Newton) only in dim 1")
+    rho = grid.axes[0]
+    a, b = _x_bracket(u, float(rho.min()), float(rho.max()))
+    guess = np.clip(_canonical_inverse_guess(u.polytope, rho), a, b)
+    x = _invert_monotone_1d(u.grad, u.hess, rho, a, b,
+                            what="symplectic gradient", s0=guess)
+    phi = x * rho - np.asarray(u.value(x))
+    return KahlerPotential(grid, values=phi, grad_values=x[..., None])
 
 
 def _canonical_inverse_guess(P: DelzantPolytope, rho) -> np.ndarray:

@@ -1,4 +1,3 @@
-import decimal
 import math
 import re
 
@@ -8,14 +7,13 @@ from scipy.integrate import quad
 
 from toricmaps import bergman
 from toricmaps.bergman import (BergmanFamily, NormingTable, QuadratureError,
-                               bargmann_fock_peak, harmonic_norming, delta_k,
-                               localization_gap, log_normalized_monomial,
-                               normalized_monomial, norming_constants,
-                               peak_asymptotics_check, peak_value, ratio_report,
+                               harmonic_norming, delta_k, localization_gap,
+                               norming_constants, peak_asymptotics_check, ratio_report,
                                szego_sum)
-from toricmaps.dirichlet import make_disc, make_interval, make_rectangle
-from toricmaps.polytope import lattice_points, near_facets, preset_polytope
-from toricmaps.potentials import (ClosedForm, KahlerPotential, _closed_at, _positive_det,
+from toricmaps.dirichlet import HarmonicField, make_disc, make_interval, make_rectangle
+from toricmaps.polytope import lattice_points, preset_polytope
+from toricmaps.potentials import (ClosedForm, KahlerPotential, SymplecticPotential,
+                                  _closed_at, _positive_det, _product_ell_closed,
                                   default_margin, fubini_study, make_polytope_grid,
                                   make_radial_grid, product_potential, to_kahler)
 
@@ -23,6 +21,14 @@ P = preset_polytope("interval")
 XG = make_polytope_grid(P, 801, default_margin(64))
 U0 = product_potential(P, grid=XG)
 PHI_FS = fubini_study(make_radial_grid([-6.0], [6.0], [601]))
+
+
+def shifted_product(a, c):
+    """u0 + a x(1 - x) + c on the interval: the product potential's closed
+    form with c added to its value."""
+    f = _product_ell_closed(P, a)
+    return SymplecticPotential(P, XG, f_closed=ClosedForm(
+        lambda x: np.asarray(f.value(x)) + c, f.grad, f.hess))
 
 
 @pytest.fixture(scope="module")
@@ -75,7 +81,8 @@ def beta_oracle(alpha: int, k: int) -> float:
 def test_norming_matches_independent_quadrature(k, alpha):
     table = norming_constants(U0, k)
     oracle = beta_oracle(alpha, k)
-    assert math.exp(table.log_q_of([alpha])) == pytest.approx(oracle, rel=1e-9)
+    # the interval's lattice points at level k are 0..k, row alpha
+    assert math.exp(table.log_q[alpha]) == pytest.approx(oracle, rel=1e-9)
     # and the closed Beta form agrees with the quadrature oracle
     closed = math.exp(math.lgamma(alpha + 1) + math.lgamma(k - alpha + 1)
                       - math.lgamma(k + 2))
@@ -110,7 +117,7 @@ def test_constant_shift_scales_norming():
     u = product_potential(P, 0.1, XG)
     k = 5
     base = norming_constants(u, k)
-    shifted = norming_constants(u.shift(0.37), k)
+    shifted = norming_constants(shifted_product(0.1, 0.37), k)
     np.testing.assert_allclose(shifted.log_q, base.log_q + k * 0.37, atol=1e-10)
 
 
@@ -202,90 +209,13 @@ def test_right_sizing_doubles_to_the_cap_then_raises(monkeypatch):
     assert panels == [6, 12, 24, 48, 96, 64, 128]
 
 
-def test_normalized_monomial_value(table_k2):
-    val = normalized_monomial(table_k2, PHI_FS, [1], np.asarray(0.0))
-    assert float(val) == pytest.approx(1.5, rel=1e-10)
-    assert np.all(normalized_monomial(table_k2, PHI_FS, [1],
-                                      np.linspace(-3, 3, 11)) > 0)
-
-
-def test_normalized_monomial_scaling(table_k2):
-    doubled = NormingTable(level=2, alphas=table_k2.alphas,
-                           log_q=table_k2.log_q + math.log(2))
-    a = normalized_monomial(table_k2, PHI_FS, [1], np.asarray(0.3))
-    b = normalized_monomial(doubled, PHI_FS, [1], np.asarray(0.3))
-    assert b == pytest.approx(a / 2, rel=1e-12)
-
-
-def test_peak_value_duality_and_brute_force(table_k2):
-    # duality route
-    assert peak_value(table_k2, U0, [1]) == pytest.approx(1.5, rel=1e-10)
-    # independent oracle: brute-force maximization over a fine rho grid
-    rho = np.linspace(-8, 8, 20001)
-    vals = normalized_monomial(table_k2, PHI_FS, [1], rho)
-    assert float(np.max(vals)) == pytest.approx(1.5, rel=1e-6)
-    # the grid argmax sits at the moment-map preimage of alpha/k
-    rho_star = float(np.asarray(U0.grad(np.asarray(0.5))))
-    assert abs(rho[np.argmax(vals)] - rho_star) <= rho[1] - rho[0]
-
-
-def test_peak_value_rejects_boundary(table_k2):
-    with pytest.raises(ValueError):
-        peak_value(table_k2, U0, [0])
-    with pytest.raises(ValueError):
-        peak_value(table_k2, U0, [2])
-
-
 def test_duality_identity_direct(table_k2):
     # log Q + log P = k u(alpha/k) with P evaluated directly at grad u(alpha/k)
     rho_star = float(np.asarray(U0.grad(np.asarray(0.5))))
-    log_p = log_normalized_monomial(table_k2, PHI_FS, [1], np.asarray(rho_star))
-    lhs = table_k2.log_q_of([1]) + float(log_p)
+    # log P(1, rho) = rho - k phi(rho) - log Q(1); alpha = 1 is row 1
+    log_p = rho_star - 2 * float(PHI_FS.value(np.asarray(rho_star))) - table_k2.log_q[1]
+    lhs = table_k2.log_q[1] + log_p
     assert lhs == pytest.approx(2 * float(U0.value(np.asarray(0.5))), abs=1e-10)
-
-
-def test_bargmann_fock_values():
-    assert bargmann_fock_peak(5, 0) == pytest.approx(5.0, rel=1e-14)
-    assert bargmann_fock_peak(5, 1) == pytest.approx(5 / math.e, rel=1e-14)
-    stirling = 5 / math.sqrt(2 * math.pi * 400)
-    assert bargmann_fock_peak(5, 400) == pytest.approx(stirling, rel=1e-3)
-    with pytest.raises(ValueError):
-        bargmann_fock_peak(0, 1)
-    with pytest.raises(ValueError):
-        bargmann_fock_peak(3, -1)
-
-
-def test_bargmann_fock_peak_is_the_log_gamma_formula():
-    from scipy.special import gammaln
-    alpha = np.array([0.0, 0.5, 1.0, 3.0, 17.25, 100.0, 400.0, 1e4])
-    k = 7
-    term = np.where(alpha > 0, alpha * np.log(np.where(alpha > 0, alpha, 1.0)), 0.0)
-    expected = np.exp(math.log(k) - alpha + term - gammaln(alpha + 1.0))
-    got = bargmann_fock_peak(k, alpha)
-    # from STIRLING_FROM on the value is the Stirling series, which the
-    # decimal oracle below checks; this formula's own rounding is larger there
-    small = alpha < bergman.STIRLING_FROM
-    np.testing.assert_allclose(got[small], expected[small], rtol=1e-14, atol=0)
-    # math.lgamma and gammaln may differ by one ulp of log Gamma(alpha + 1),
-    # which the cancellation against alpha log alpha turns into a relative error
-    ulp = np.spacing(gammaln(alpha + 1.0))
-    assert np.all(np.abs(np.log(got) - np.log(expected))[small] <= ulp[small] + 1e-15)
-    assert isinstance(bargmann_fock_peak(k, 3), float)
-    assert bargmann_fock_peak(k, np.zeros(0)).shape == (0,)
-
-
-@pytest.mark.parametrize("alpha", [50, 100, 400, 2000, 10000])
-def test_bargmann_fock_peak_is_exact_to_4_ulp(alpha):
-    # k e^{-alpha} alpha^alpha / alpha! in 50-digit decimal arithmetic
-    k = 7
-    with decimal.localcontext() as ctx:
-        ctx.prec = 50
-        a = decimal.Decimal(alpha)
-        exact = float((decimal.Decimal(k).ln() - a + a * a.ln()
-                       - decimal.Decimal(math.factorial(alpha)).ln()).exp())
-    got = bargmann_fock_peak(k, alpha)
-    assert abs(got - exact) <= 4 * np.spacing(exact)
-    assert bargmann_fock_peak(k, np.array([3.0, alpha]))[1] == got
 
 
 @pytest.mark.parametrize("n", range(1, 41))
@@ -326,9 +256,10 @@ def test_szego_shift_invariance():
     k = 8
     grid = make_radial_grid([-4.0], [4.0], [401])
     phi = to_kahler(u, grid)
-    phi_s = to_kahler(u.shift(0.2), grid)
+    u_s = shifted_product(0.1, 0.2)
+    phi_s = to_kahler(u_s, grid)
     t = norming_constants(u, k)
-    t_s = norming_constants(u.shift(0.2), k)
+    t_s = norming_constants(u_s, k)
     a = szego_sum(t, phi, np.asarray(0.4))
     b = szego_sum(t_s, phi_s, np.asarray(0.4))
     assert b == pytest.approx(a, rel=1e-9)
@@ -382,7 +313,8 @@ def test_localization_gap_takes_one_rho():
     gap = localization_gap(t8, PHI_FS, rho0, 0.25)
     # the direct sum of the normalized monomials outside the window
     outside = np.abs(t8.alphas[:, 0] / 8 - 0.15) > 8 ** -0.25
-    direct = sum(normalized_monomial(t8, PHI_FS, a, rho0) for a in t8.alphas[outside]) / 8
+    direct = np.sum(np.exp(t8.alphas[outside, 0] * rho0 - 8 * PHI_FS.value(rho0)
+                           - t8.log_q[outside])) / 8
     assert gap == pytest.approx(direct, rel=1e-12)
     assert gap == pytest.approx(2.726e-4, rel=1e-3)
     for rho in ([rho0, rho0], [rho0, 0.0], [[rho0]]):
@@ -422,7 +354,7 @@ def test_harmonic_norming_fields_are_discretely_harmonic():
     bumped = NormingTable(level=2, alphas=t2.alphas, log_q=t2.log_q + 1.3)
     hn = harmonic_norming(dom, [t2, bumped])
     for i in range(hn.count):
-        assert laplace_residual(dom, hn.field(i)) < 1e-10
+        assert laplace_residual(dom, HarmonicField(dom, hn.lam[i])) < 1e-10
 
 
 def test_harmonic_norming_disc_constant():
@@ -595,6 +527,18 @@ def test_ratio_report_boundary_and_constant(table_k2):
     assert rep_mid.bound_constant == pytest.approx(1.0, abs=1e-12)
 
 
+def test_ratio_report_rejects_a_table_of_another_level_or_lattice(table_k2):
+    # the table at y is read row by row against the norming's alphas, so a
+    # table of another level or lattice set is refused, naming both levels
+    hn = harmonic_norming(make_interval(9), [table_k2, table_k2])
+    t3 = norming_constants(U0, 3)
+    with pytest.raises(ValueError, match=r"table at y \(level 3\) .* level-2 norming"):
+        ratio_report(hn, t3, U0, [U0, U0], (4,))
+    sub = NormingTable(level=2, alphas=table_k2.alphas[:2], log_q=table_k2.log_q[:2])
+    with pytest.raises(ValueError, match=r"table at y \(level 2\) .* level-2 norming"):
+        ratio_report(hn, sub, U0, [U0, U0], (4,))
+
+
 def test_peak_asymptotics_fit():
     k = 64
     alphas = np.arange(24, 41)
@@ -619,12 +563,14 @@ def test_peak_asymptotics_is_bitwise_the_loop_over_alphas(name, a, k):
     table = norming_constants(u, k, alphas=inner)
     fit = peak_asymptotics_check(table, u)
     # the loop it replaced: one near-facet test, Hessian and peak value per alpha
+    # (the peak value P(alpha) = exp(k u(alpha/k) - log Q(alpha)), by duality)
     loop = []
-    for alpha in table.alphas:
+    for alpha, log_q in zip(table.alphas, table.log_q):
         x = alpha.astype(float) / k
-        assert near_facets(Q, x, delta_k(k))[1] == 0
+        assert not np.any(Q.ell(x) < delta_k(k))
         det = float(_positive_det(u.hess(x), "not convex", x))
-        loop.append(peak_value(table, u, alpha) * k ** (-u.dim / 2.0) / math.sqrt(det))
+        peak = float(np.exp(k * float(u.value(x)) - log_q))
+        loop.append(peak * k ** (-u.dim / 2.0) / math.sqrt(det))
     np.testing.assert_array_equal(fit.alphas, table.alphas)
     np.testing.assert_array_equal(fit.constants, loop)
 
@@ -655,7 +601,7 @@ def test_family_constant_shift_equivariance():
     u0 = product_potential(P, grid=XG)
     u1 = product_potential(P, 0.1, XG)
     fam = solve_harmonic_map(dom, XG, [u0, u1])
-    fam_s = solve_harmonic_map(dom, XG, [u0.shift(c), u1.shift(c)])
+    fam_s = solve_harmonic_map(dom, XG, [shifted_product(0.0, c), shifted_product(0.1, c)])
     rho = np.linspace(-2, 2, 101)
     phi = kahler_field(fam, rho)
     phi_s = kahler_field(fam_s, rho)

@@ -28,8 +28,9 @@ from toricmaps.harness import (ERROR_COLUMNS, ExperimentConfig,
                                window_rho_bounds,
                                write_error_csv, write_error_dat)
 from toricmaps.polytope import preset_polytope
-from toricmaps.potentials import (LSE_BLOCK, ConvexityError, NewtonError,
-                                  _canonical_inverse_guess, _product_ell_closed,
+from toricmaps.potentials import (LSE_BLOCK, ClosedForm, ConvexityError, NewtonError,
+                                  SymplecticPotential, _canonical_inverse_guess,
+                                  _product_ell_closed,
                                   _invert_monotone_1d, _x_bracket,
                                   default_margin, guillemin_potential,
                                   make_polytope_grid, product_potential)
@@ -609,6 +610,51 @@ def test_a_symmetric_family_reflects_in_rho(family, levels):
     for k, phi_k in build_approximants(fam, levels).items():
         E = phi_k.field(rho) - phi
         assert np.max(np.abs(E[..., ::-1] - E)) <= gate, k
+
+
+def gauged_geodesic_family(s, d):
+    """The geodesic family u0 + a t x(1 - x) (a = 0.1, 17 nodes) plus s x + d:
+    each node's closed form is `_product_ell_closed` plus the linear term."""
+    domain = make_interval(17)
+    xg = product_potential(P).grid
+    c = np.array([0.0, 0.1])
+    coeff = domain.extend(c)
+
+    def closed(a):
+        f = _product_ell_closed(P, a)
+        return ClosedForm(lambda x: np.asarray(f.value(x)) + s * np.asarray(x) + d,
+                          lambda x: np.asarray(f.grad(x)) + s, f.hess)
+
+    return solve_harmonic_map(domain, xg, [SymplecticPotential(P, xg, f_closed=closed(b))
+                                           for b in c], lambda idx: closed(coeff[idx]))
+
+
+@pytest.mark.parametrize("s,d", [(0.5, 0.3), (1.25, -0.7)])
+def test_a_linear_gauge_term_moves_the_approximants_as_it_moves_phi(s, d):
+    # u' = u + s x + d has phi'(rho) = phi(rho - s) - d, log Q'_k(alpha) =
+    # log Q_k(alpha) + s alpha + k d, hence lam' = lam + s alpha + k d and
+    # E'_k(rho) = E_k(rho - s).  The term is odd under x -> 1 - x, so an
+    # alpha <-> k - alpha slip in the norming rows breaks both relations.
+    # s is a whole number of rho steps, so the shifted columns are grid columns
+    levels = (8, 16, 32, 64)
+    rho = np.linspace(-4.0, 4.0, 801)
+    steps = round(s / (rho[1] - rho[0]))
+    assert steps * (rho[1] - rho[0]) == pytest.approx(s, abs=1e-12)
+    base, gauged = geodesic_family(0.1, 17), gauged_geodesic_family(s, d)
+    phi = kahler_field(base, rho).values
+    phi_g = kahler_field(gauged, rho).values
+    gate = 256 * np.finfo(float).eps * max(np.max(np.abs(phi)), np.max(np.abs(phi_g)))
+    approx, approx_g = build_approximants(base, levels), build_approximants(gauged, levels)
+    for k in levels:
+        norming, norming_g = approx[k].norming, approx_g[k].norming
+        assert np.array_equal(norming.alphas, norming_g.alphas)
+        alpha = norming.alphas[:, 0].astype(float)[:, None]
+        gap = norming_g.lam - norming.lam - s * alpha - k * d
+        assert np.max(np.abs(gap)) <= 256 * np.finfo(float).eps * np.max(
+            np.abs(norming_g.lam)), k
+        E = approx[k].field(rho) - phi
+        E_g = approx_g[k].field(rho) - phi_g
+        assert np.max(np.abs(E_g[..., steps:] - E[..., :-steps])) <= gate, k
 
 
 def test_window_rho_bounds():

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from toricmaps.polytope import (DelzantPolytope, Facet, facet_value, lattice_points,
-                                near_facets, polytope_to_json, preset_polytope)
+from toricmaps.polytope import (DelzantPolytope, Facet, lattice_points, polytope_to_json,
+                                preset_polytope)
 
 
 @pytest.fixture(scope="module")
@@ -26,22 +26,9 @@ def square():
     return preset_polytope("square")
 
 
-def test_facet_value_interval(interval):
-    # preset facet order: ell_0 = x, ell_1 = 1 - x
-    assert facet_value(interval, 0, 0.25) == pytest.approx(0.25, abs=1e-15)
-    assert facet_value(interval, 1, 1.0) == pytest.approx(0.0, abs=1e-15)
-
-
 def test_facet_value_simplex(simplex):
     r = next(i for i, f in enumerate(simplex.facets) if f.normal == (-1, -1))
-    assert facet_value(simplex, r, (0.2, 0.3)) == pytest.approx(0.5, abs=1e-14)
-
-
-def test_facet_value_index_range(interval):
-    with pytest.raises(IndexError):
-        facet_value(interval, 2, 0.5)
-    with pytest.raises(IndexError):
-        facet_value(interval, -1, 0.5)
+    assert simplex.ell((0.2, 0.3))[..., r] == pytest.approx(0.5, abs=1e-14)
 
 
 def test_lattice_points_interval(interval):
@@ -88,19 +75,6 @@ def test_lattice_count_matches_bounding_box_scan(name, k):
         if np.all(P.ell(np.array(alpha, dtype=float) / k) >= -1e-12):
             count += 1
     assert len(lattice_points(P, k)) == count
-
-
-def test_near_facets(interval, square):
-    assert near_facets(interval, 0.5, 0.1) == ((), 0)
-    idx, n = near_facets(interval, 0.05, 0.1)
-    assert n == 1 and interval.facets[idx[0]].normal == (1,)
-    _, n = near_facets(square, (0.01, 0.02), 0.05)
-    assert n == 2
-
-
-def test_near_facets_rejects_exterior(interval):
-    with pytest.raises(ValueError):
-        near_facets(interval, 1.5, 0.1)
 
 
 def test_vertices_and_delzant(square, simplex):
@@ -213,8 +187,8 @@ def test_facet_value_is_affine(x, y, r):
     P = preset_polytope("simplex2")
     a = np.array([x, y])
     b = np.array([y * 0.5, x * 0.25])
-    lhs = facet_value(P, r, a) + facet_value(P, r, b)
-    rhs = 2.0 * facet_value(P, r, (a + b) / 2.0)
+    lhs = P.ell(a)[..., r] + P.ell(b)[..., r]
+    rhs = 2.0 * P.ell((a + b) / 2.0)[..., r]
     assert abs(lhs - rhs) < 1e-12
 
 

@@ -13,10 +13,13 @@ module.
     with `#`, and code otherwise;
   * public names: the entries of every module's `__all__`;
   * public names without a caller outside tests: the `__all__` entries that
-    no `ast` `Name` or `Attribute` read in `src/`, `perfbench/*.py` or
-    `scripts/*.py` (test files aside) references, listed by name.  A name's
-    own definition, the `__all__` lists and the `__init__` re-exports are
-    not references (a definition or an import is no `Name` read);
+    nothing reaches, listed by name.  A name is reached when an `ast` `Name`
+    or `Attribute` read references it in `perfbench/*.py` or `scripts/*.py`
+    (test files aside), in module-level code of `src/`, or in a top-level
+    function or class of `src/` that is itself reached, followed to a
+    fixpoint: a name read only by unreached code is unreached.  A name's own
+    definition, the `__all__` lists and the `__init__` re-exports are not
+    references (a definition or an import is no `Name` read);
   * settable parameters: one `ast` walk over every function, method and
     lambda, counting each parameter (positional, keyword-only, *args and
     **kwargs) except `self` and `cls`;
@@ -79,22 +82,34 @@ def public_names(tree: ast.Module) -> list[str]:
             for name in ast.literal_eval(node.value)]
 
 
+def reads(tree: ast.AST) -> set[str]:
+    """The names `tree` reads: its `Name` loads and its `Attribute` names."""
+    return {node.id if isinstance(node, ast.Name) else node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            or isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+
+
 def unreached_names(root: Path) -> list[str]:
-    """The public names of `src/` that no code outside tests reads."""
-    public = [name for path in sorted((root / "src").rglob("*.py"))
-              for name in public_names(ast.parse(path.read_text()))]
-    callers = [*(root / "src").rglob("*.py"), *(root / "perfbench").glob("*.py"),
-               *(root / "scripts").glob("*.py")]
-    read = set()
-    for path in callers:
-        if path.name.startswith("test_") or path.name == "conftest.py":
-            continue
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                read.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                read.add(node.attr)
-    return sorted(name for name in public if name not in read)
+    """The public names of `src/` that no code outside tests reaches."""
+    public, reached, defs = [], set(), {}
+    for path in sorted((root / "src").rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        public += public_names(tree)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defs.setdefault(node.name, set()).update(reads(node))
+            else:
+                reached |= reads(node)
+    for path in [*(root / "perfbench").glob("*.py"), *(root / "scripts").glob("*.py")]:
+        if not (path.name.startswith("test_") or path.name == "conftest.py"):
+            reached |= reads(ast.parse(path.read_text()))
+    # the functions and classes reached so far add what they read, until none is new
+    frontier = reached & defs.keys()
+    while frontier:
+        new = set().union(*(defs.pop(name) for name in frontier)) - reached
+        reached |= new
+        frontier = new & defs.keys()
+    return sorted(name for name in public if name not in reached)
 
 
 def option_counts(src: Path) -> dict[str, int]:

@@ -91,12 +91,12 @@ def fingerprint() -> dict:
     einsum = np.einsum("ilj,j...->il...", domain.poisson_weights, f.values[-1])
     numbers["disc.family_f.max_abs_vs_einsum"] = [float(np.max(np.abs(f.values[:-1] - einsum)))]
     # the grids of acceptance.check_legendre_involution
-    grid = potentials.make_radial_grid([-12.0], [12.0], [2001])
+    rho = np.linspace(-12.0, 12.0, 2001)
     P = preset_polytope("interval")
-    u = potentials.to_symplectic(potentials.fubini_study(grid), P,
+    u = potentials.to_symplectic(potentials.fubini_study(rho), P,
                                  potentials.make_polytope_grid(P, 801, 1e-4))
     numbers["legendre.to_symplectic_f.sha256"] = digest(u.f_values)
-    numbers["legendre.to_kahler.sha256"] = digest(potentials.to_kahler(u, grid).values)
+    numbers["legendre.to_kahler.sha256"] = digest(potentials.to_kahler(u, rho).values)
     S = preset_polytope("square")
     u = potentials.product_potential(S, 0.05, potentials.make_polytope_grid(S, 9, 0.05))
     for k in (1, 2, 4, 8):

@@ -20,11 +20,11 @@ Heat-flow duality and degenerate complex-Hessian residuals live in `flows`;
 from .polytope import (DelzantPolytope, Facet, lattice_points, polytope_to_json,
                        preset_polytope)
 from .potentials import (ClosedForm, ConvexityError, KahlerPotential,
-                         NewtonError, PolytopeGrid, PotentialFamily, RadialGrid,
+                         NewtonError, PolytopeGrid, PotentialFamily,
                          abreu_delta, default_margin, fubini_study,
                          guillemin_potential, make_polytope_grid,
-                         make_radial_grid, product_potential,
-                         SymplecticPotential, to_kahler, to_symplectic)
+                         product_potential, SymplecticPotential, to_kahler,
+                         to_symplectic)
 from .dirichlet import (BoundaryData, DiscDomain, HarmonicField,
                         IntervalDomain, RectangleDomain, harmonic_extend,
                         laplace_residual, make_disc, make_interval,

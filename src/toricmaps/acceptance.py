@@ -31,8 +31,7 @@ from .harness import (ERROR_COLUMNS, ExperimentConfig, kahler_field,
                       loop_family, run_experiment, window_rho_bounds)
 from .polytope import preset_polytope
 from .potentials import (default_margin, fubini_study, make_polytope_grid,
-                         make_radial_grid, product_potential, to_kahler,
-                         to_symplectic)
+                         product_potential, to_kahler, to_symplectic)
 
 __all__ = ["CheckResult", "ALL_CHECKS", "run_checks", "GEODESIC", "DISC",
            "geodesic_run", "flow_start",
@@ -133,15 +132,15 @@ def order_gate(scales, errors, at_least, at_most=None) -> OrderGate:
 def check_legendre_involution() -> CheckResult:
     """Round trip phi -> u -> phi on a 2001-node rho grid, sup error < 1e-8."""
     t0 = time.perf_counter()
-    grid = make_radial_grid([-12.0], [12.0], [2001])
-    phi = fubini_study(grid)
+    rho = np.linspace(-12.0, 12.0, 2001)
+    phi = fubini_study(rho)
     P = preset_polytope("interval")
     xgrid = make_polytope_grid(P, 801, 1e-4)
     u = to_symplectic(phi, P, xgrid)
-    phi_back = to_kahler(u, grid)
+    phi_back = to_kahler(u, rho)
     interior = slice(5, -5)
     err = float(np.max(np.abs(phi_back.values[interior]
-                              - np.asarray(phi.value(grid.axes[0][interior])))))
+                              - np.asarray(phi.value(rho[interior])))))
     elapsed = time.perf_counter() - t0
     passed = err < 1e-8 and elapsed < 1.0
     return CheckResult("legendre involution",
@@ -153,13 +152,13 @@ def check_gradient_hessian_duality() -> CheckResult:
     """grad/inverse-Hessian duality at 100 interior pairs, both test metrics."""
     P = preset_polytope("interval")
     xgrid = make_polytope_grid(P, 801, default_margin(64))
-    rho_grid = make_radial_grid([-6.0], [6.0], [1201])
+    rho_axis = np.linspace(-6.0, 6.0, 1201)
     worst_grad = 0.0
     worst_hess = 0.0
     h = 3e-4
     for a in (0.0, 0.1):
         u = product_potential(P, a, xgrid)
-        phi = to_kahler(u, rho_grid)
+        phi = to_kahler(u, rho_axis)
         lo, hi = window_rho_bounds(u, 0.1)
         rho = np.linspace(lo, hi, 100)
         x = np.asarray(phi.grad(rho))
@@ -200,11 +199,11 @@ def check_duality_identity() -> CheckResult:
     against the Beta values by `check_norming_oracle`.
     """
     P = preset_polytope("interval")
-    rho_grid = make_radial_grid([-6.0], [6.0], [1201])
+    rho_axis = np.linspace(-6.0, 6.0, 1201)
     worst = 0.0
     for a in (0.0, 0.1):
         u = product_potential(P, a)
-        phi = fubini_study(rho_grid) if a == 0.0 else to_kahler(u, rho_grid)
+        phi = fubini_study(rho_axis) if a == 0.0 else to_kahler(u, rho_axis)
         for k in range(2, 65):
             alphas = np.arange(1, k)
             x = alphas / k
@@ -220,8 +219,7 @@ def check_duality_identity() -> CheckResult:
 def check_szego_normalization() -> CheckResult:
     """Interior deviation |sum_alpha P(alpha,.) - 1| drops by >= 3x from k=16 to 64:
     observed order >= log 3 / log 4 in k."""
-    grid = make_radial_grid([-4.0], [4.0], [401])
-    phi = fubini_study(grid)
+    phi = fubini_study(np.linspace(-4.0, 4.0, 401))
     u = product_potential(preset_polytope("interval"))
     lo, hi = window_rho_bounds(u, 0.1)
     rho = np.linspace(lo, hi, 7)
@@ -366,9 +364,7 @@ def check_ratio_bounds() -> CheckResult:
         gap = 0.0
         for iy in y_nodes:
             u_y = family.potential_at((iy,))
-            table_y = norming_constants(u_y, k)
-            rep = ratio_report(norming, table_y, u_y,
-                               family.boundary_potentials, (iy,))
+            rep = ratio_report(norming, u_y, family.boundary_potentials, (iy,))
             c_k = max(c_k, rep.bound_constant)
             gap = max(gap, rep.max_gap)
         bound_c[k] = c_k
@@ -411,8 +407,7 @@ def check_localization() -> CheckResult:
     already covers the whole polytope and the tail is identically zero, which
     would make the comparison vacuous.
     """
-    grid = make_radial_grid([-4.0], [4.0], [401])
-    phi = fubini_study(grid)
+    phi = fubini_study(np.linspace(-4.0, 4.0, 401))
     rho = math.log(0.15 / 0.85)
     gaps = [localization_gap(_fs_table(k), phi, rho, delta=0.25) for k in (8, 64)]
     # a zero tail at k=8 has no order (0 then 0) or a negative one, and fails

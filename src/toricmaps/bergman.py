@@ -27,13 +27,13 @@ The normalized monomial and its peak value are
 
 which satisfy the duality log Q(alpha) + log P(alpha) = k u(alpha/k).
 
-The Szego-type sum over all normalized monomials is the Bergman density of
-the table's own potential Phi = (1/k) log sum_alpha e^{<alpha,rho>}/Q(alpha),
-the approximant below at a node whose lambda is the table:
+The Szego-type sum of a one-dimensional table is the Bergman density of
+its own potential Phi = (1/k) log sum_alpha e^{alpha rho}/Q(alpha), the
+approximant below at a node whose lambda is the table:
 
-    sum_alpha P(alpha, rho) / k^m = e^{k (Phi - phi)(rho)} / k^m,
+    sum_alpha P(alpha, rho) / k = e^{k (Phi - phi)(rho)} / k,
 
-the k^m restoring the volume factor of the level-k inner product that the
+the 1/k restoring the volume factor of the level-k inner product that the
 raw tables drop, so that it tends to 1.  The localization tail is the same
 density of the alphas outside a window, and every sum over kP cap Z^m is
 `_log_sum_exp`.
@@ -233,40 +233,46 @@ def _pairing(alphas: np.ndarray, rho: np.ndarray) -> np.ndarray:
 
 
 def _density(table: NormingTable, phi: KahlerPotential, rho, rows=slice(None)):
-    """sum_{alpha in rows} P(alpha, rho) / k^m = e^{k (Phi_A - phi)(rho)} / k^m,
+    """sum_{alpha in rows} P(alpha, rho) / k = e^{k (Phi_A - phi)(rho)} / k,
     Phi_A the one-node `_log_sum_exp` of the table's log Q over those alphas."""
     r = np.asarray(rho, dtype=float)
     k, log_q = table.level, table.log_q[rows]
     phi_a = _log_sum_exp(table.alphas[rows], _node_weights(log_q[:, None]), r, k)[0]
-    return np.exp(k * (phi_a - np.asarray(phi.value(r)))) / k ** table.dim
+    return np.exp(k * (phi_a - np.asarray(phi.value(r)))) / k
+
+
+def _check_one_dimensional(table: NormingTable):
+    if table.dim != 1:
+        raise ValueError(f"the table's lattice has dimension {table.dim}: the Szego "
+                         "sum is taken over one-dimensional tables only")
 
 
 def szego_sum(table: NormingTable, phi: KahlerPotential, rho):
-    """Density-normalized Szego sum sum_alpha P(alpha, rho) / k^m.
+    """Density-normalized Szego sum sum_alpha P(alpha, rho) / k; 1-D tables only.
 
-    The k^m factor restores the level-k volume normalization dropped from
+    The factor 1/k restores the level-k volume normalization dropped from
     the raw tables, so the value tends to 1 (+ O(1/k)) in the interior.
     """
+    _check_one_dimensional(table)
     return _float_if_0d(_density(table, phi, rho))
 
 
 def localization_gap(table: NormingTable, phi: KahlerPotential, rho,
                      delta: float) -> float:
-    """Mass of sum_alpha P(alpha, rho)/k^m outside |alpha/k - mu(rho)| <= k^(delta-1/2).
+    """Mass of sum_alpha P(alpha, rho)/k outside |alpha/k - mu(rho)| <= k^(delta-1/2).
 
-    mu(rho) is the moment-map image of rho, one point: a scalar for m = 1, an
-    (m,) vector otherwise (a ValueError naming rho's shape).  Normalized like
-    `szego_sum`, so the gap is directly comparable to (and bounded by) the
-    full sum.
+    mu(rho) is the moment-map image of rho, one point (a ValueError naming
+    rho's shape otherwise).  Tables and normalization are `szego_sum`'s, so
+    the gap is directly comparable to (and bounded by) the full sum.
     """
     if not 0.0 < delta < 0.5:
         raise ValueError("delta must lie in (0, 1/2)")
-    if _as_points(table.dim, rho)[0].shape != (table.dim,):
-        raise ValueError(f"rho must be one point of R^{table.dim}, got shape {np.shape(rho)}")
+    _check_one_dimensional(table)
+    if _as_points(1, rho)[0].shape != (1,):
+        raise ValueError(f"rho must be one point of R^1, got shape {np.shape(rho)}")
     k = table.level
-    mu = np.atleast_1d(np.asarray(phi.grad(rho), dtype=float))
-    dist = np.linalg.norm(table.alphas / k - mu[None, :], axis=1)
-    outside = dist > k ** (delta - 0.5)
+    mu = np.asarray(phi.grad(rho), dtype=float)
+    outside = np.abs(table.alphas[:, 0] / k - mu) > k ** (delta - 0.5)
     if not np.any(outside):
         return 0.0
     return _density(table, phi, rho, outside).item()
@@ -288,34 +294,30 @@ class HarmonicNorming:
         return self.alphas.shape[0]
 
 
-def harmonic_norming(domain, boundary_tables) -> HarmonicNorming:
+def harmonic_norming(domain, level: int, alphas: np.ndarray,
+                     log_q: np.ndarray) -> HarmonicNorming:
     """Extend per-alpha boundary values log Q harmonically over the domain.
 
-    `boundary_tables` lists one NormingTable per boundary node in the
-    domain's canonical boundary order; all tables must share the level (the
-    result's level) and the lattice set.  All alphas go through one harmonic
-    extension; a maximum-principle failure names its alpha and the level.
+    `log_q` is the (n_boundary, n_alpha) block of the level's boundary
+    norming constants: row b holds log Q_k(alphas) at boundary node b, in the
+    domain's canonical boundary order (a ValueError naming the expected
+    shape otherwise).  All alphas go through one harmonic extension; a
+    maximum-principle failure names its alpha and the level.
     """
-    tables = list(boundary_tables)
-    if len(tables) != domain.n_boundary:
-        raise ValueError(
-            f"expected {domain.n_boundary} boundary tables, got {len(tables)}")
-    t0 = tables[0]
-    k = t0.level
-    for t in tables:
-        if t.level != k:
-            raise ValueError("boundary tables disagree on the level k")
-        if t.alphas.shape != t0.alphas.shape or np.any(t.alphas != t0.alphas):
-            raise ValueError("boundary tables carry different lattice sets")
-    G = np.stack([t.log_q for t in tables], axis=0)   # (n_boundary, n_alpha)
+    alphas = np.asarray(alphas)
+    # contiguous, so the extension sums every row in one order whatever the caller's layout
+    log_q = np.ascontiguousarray(log_q, dtype=float)
+    if log_q.shape != (domain.n_boundary, len(alphas)):
+        raise ValueError(f"log Q block of shape {log_q.shape}, expected "
+                         f"{(domain.n_boundary, len(alphas))} (boundary nodes, alphas)")
     try:
-        values = harmonic_extend(domain, BoundaryData(G)).values
+        values = harmonic_extend(domain, BoundaryData(log_q)).values
     except MaxPrincipleError as exc:
-        alpha = tuple(t0.alphas[exc.index[0]].tolist())
-        raise MaxPrincipleError(f"{exc} for alpha = {alpha} at level k = {k}",
+        alpha = tuple(alphas[exc.index[0]].tolist())
+        raise MaxPrincipleError(f"{exc} for alpha = {alpha} at level k = {level}",
                                 index=exc.index) from exc
     lam = np.ascontiguousarray(np.moveaxis(values, -1, 0))
-    return HarmonicNorming(level=k, alphas=t0.alphas, domain=domain, lam=lam)
+    return HarmonicNorming(level=level, alphas=alphas, domain=domain, lam=lam)
 
 
 @dataclass(frozen=True)
@@ -433,9 +435,8 @@ class RatioReport:
         return float(max(self.r_k.max(), 1.0 / self.r_k.min(), 1.0))
 
 
-def ratio_report(norming: HarmonicNorming, table_at_y: NormingTable,
-                 u_at_y: SymplecticPotential, boundary_potentials,
-                 y_index) -> RatioReport:
+def ratio_report(norming: HarmonicNorming, u_at_y: SymplecticPotential,
+                 boundary_potentials, y_index) -> RatioReport:
     """R_k and its limit R_inf at one interior domain node, over every
     strictly interior lattice point of the level.
 
@@ -444,7 +445,8 @@ def ratio_report(norming: HarmonicNorming, table_at_y: NormingTable,
         log R_k(y, alpha) = log Q_y(alpha) - lambda_alpha(y),
 
     i.e. the deviation of the actual norming constant of the harmonic-map
-    metric at y from the harmonic extension of the boundary norming data;
+    metric at y (`norming_constants` of `u_at_y` at the norming's level and
+    alphas) from the harmonic extension of the boundary norming data;
     this is the duality rearrangement of the kernel-integral form.  The
     limit is the metric volume ratio, computed through the boundary formula
     of the metric determinant:
@@ -453,21 +455,17 @@ def ratio_report(norming: HarmonicNorming, table_at_y: NormingTable,
 
     with delta the Abreu boundary density and w the positive boundary
     kernel weights.  (The orientation is fixed so that R_k - R_inf -> 0;
-    at boundary y both are identically 1.)  `table_at_y` is read row by row
-    against the norming's alphas, so it must have their level and alphas (a
-    ValueError naming both levels).
+    at boundary y both are identically 1.)
     """
     k = norming.level
-    if table_at_y.level != k or not np.array_equal(table_at_y.alphas, norming.alphas):
-        raise ValueError(f"the table at y (level {table_at_y.level}) does not carry the "
-                         f"alphas of the level-{k} norming")
+    log_q_y = norming_constants(u_at_y, k, alphas=norming.alphas).log_q
     x = norming.alphas / k
     idx = np.flatnonzero(np.all(u_at_y.polytope.ell(x) > 0, axis=-1))
     if not idx.size:
         raise ValueError("no strictly interior lattice points selected")
     al, x = norming.alphas[idx], x[idx]
     lam_y = norming.lam[(idx,) + _as_index(y_index)]
-    log_r_k = table_at_y.log_q[idx] - lam_y
+    log_r_k = log_q_y[idx] - lam_y
 
     w = boundary_weights(norming.domain, y_index)
     log_delta_y = np.log(abreu_delta(u_at_y, x))

@@ -319,8 +319,8 @@ def kahler_field(family: PotentialFamily, rho_axis: np.ndarray) -> KahlerFamilyF
         fgrad_sups.append(float(np.max(np.abs(np.gradient(f[rows], h, axis=-1)))))
     # each node's evaluator of its smooth part, read directly
     closed = family.closed_forms
-    forms = [_evaluator(None if closed is None else closed[idx], family.xgrid, family.f[idx])
-             for idx in nodes]
+    forms = [_evaluator(None if closed is None else closed[idx], family.xgrid.axes,
+                        family.f[idx]) for idx in nodes]
     # one x-bracket serves every slice: widen the target range by the |f'|
     # bound so the u0 log-divergence dominates at both ends
     fgrad_bound = max(fgrad_sups) + 1.0
@@ -504,16 +504,16 @@ def build_approximants(family: PotentialFamily, levels) -> dict[int, BergmanFami
     The boundary nodes are the blocks of `_solve_blocks`, so forked workers
     build a share of them where there are enough (the disc's 256, never the
     geodesic's 2).  A block builds its node's table at every level and
-    writes each level's log Q_k into its node's row; the tables
-    `harmonic_norming` reads are rebuilt from those rows, so each level's
-    norming is the serial loop's.  The lattices are enumerated before any
-    fork, as a worker's caches die with it.  A QuadratureError from a
+    writes each level's log Q_k into its node's row; `harmonic_norming`
+    reads each level's columns of those rows, the (n_boundary, n_alpha)
+    block the serial loop would stack.  The lattices are enumerated before
+    any fork, as a worker's caches die with it.  A QuadratureError from a
     boundary table names its boundary node and level, the first that fails
-    in level-major order.
+    in node-major order (node by node, each node's levels in turn).
     """
     bps = family.boundary_potentials
     levels = tuple(levels)
-    # the lattice every table shares (`harmonic_norming` checks it)
+    # the lattice every table is built on
     alphas = {k: lattice_points(bps[0].polytope, k) for k in levels}
     # a node's row: its log Q_k at each level in turn
     ends = np.cumsum([0] + [len(alphas[k]) for k in levels])
@@ -523,18 +523,10 @@ def build_approximants(family: PotentialFamily, levels) -> dict[int, BergmanFami
             for k, lo, hi in zip(levels, ends, ends[1:]):
                 out[i, lo:hi] = _boundary_table(bps[i], i, k).log_q
 
-    try:
-        rows = _solve_blocks(solve, [slice(i, i + 1) for i in range(len(bps))],
-                             (len(bps), ends[-1]))
-    except QuadratureError:
-        # the node-major blocks can meet another failure first
-        for k in levels:
-            for i, bp in enumerate(bps):
-                _boundary_table(bp, i, k)
-        raise
-    return {k: BergmanFamily(harmonic_norming(
-        family.domain, [NormingTable(k, alphas[k], row[lo:hi]) for row in rows]))
-        for k, lo, hi in zip(levels, ends, ends[1:])}
+    rows = _solve_blocks(solve, [slice(i, i + 1) for i in range(len(bps))],
+                         (len(bps), ends[-1]))
+    return {k: BergmanFamily(harmonic_norming(family.domain, k, alphas[k], rows[:, lo:hi]))
+            for k, lo, hi in zip(levels, ends, ends[1:])}
 
 
 def _boundary_table(bp: SymplecticPotential, i: int, k: int) -> NormingTable:

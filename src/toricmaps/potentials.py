@@ -35,8 +35,8 @@ x[..., None], and its results come back plain (`polytope._as_given`).  A
 dim-1 array whose last axis has length 1 is points: x of shape (2, 1) is two
 points, giving (2,) values, (2, 1) gradients and (2, 1, 1) Hessians.
 `ClosedForm` callbacks take and return plain arrays in dim 1, whatever their
-shape; `_closed_at` reads them at points.  The rho side keeps plain rho
-values in dim 1 (`KahlerPotential`).
+shape; `_closed_at` reads them at points.  The rho side is one-dimensional:
+`KahlerPotential`, `to_kahler` and `fubini_study` take a plain rho axis.
 
 Gradient inversions use one safeguarded Newton iteration (bisection fallback),
 one-dimensional, with tolerance 1e-12 on the gradient mismatch and at most
@@ -62,7 +62,6 @@ from .dirichlet import Window, _d2
 from .polytope import DelzantPolytope, _as_given, _as_points, _float_if_0d
 
 __all__ = [
-    "RadialGrid",
     "PolytopeGrid",
     "ClosedForm",
     "KahlerPotential",
@@ -77,7 +76,6 @@ __all__ = [
     "to_kahler",
     "abreu_delta",
     "default_margin",
-    "make_radial_grid",
     "make_polytope_grid",
     "fubini_study",
     "product_potential",
@@ -119,51 +117,8 @@ def default_margin(k_max: int) -> float:
 
 # -- grids ------------------------------------------------------------------
 
-class _TensorGrid:
-    """A grid's `axes`, its dimension, shape and (*shape, dim) node points."""
-
-    @property
-    def dim(self) -> int:
-        return len(self.axes)
-
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return tuple(a.size for a in self.axes)
-
-    def nodes(self) -> np.ndarray:
-        """Read-only; computed once per grid."""
-        return self._nodes
-
-    @cached_property
-    def _nodes(self) -> np.ndarray:
-        nodes = np.stack(np.meshgrid(*self.axes, indexing="ij"), axis=-1)
-        nodes.setflags(write=False)
-        return nodes
-
-
 @dataclass(frozen=True)
-class RadialGrid(_TensorGrid):
-    """Tensor-product grid in the log-radial coordinates rho."""
-
-    axes: tuple[np.ndarray, ...]
-
-    def __post_init__(self):
-        axes = tuple(np.asarray(a, dtype=float) for a in self.axes)
-        for a in axes:
-            if a.ndim != 1 or a.size < 4 or np.any(np.diff(a) <= 0):
-                raise ValueError("grid axes must be strictly increasing 1D arrays (>= 4 nodes)")
-        object.__setattr__(self, "axes", axes)
-
-
-def make_radial_grid(lo, hi, n) -> RadialGrid:
-    lo = np.atleast_1d(np.asarray(lo, dtype=float))
-    hi = np.atleast_1d(np.asarray(hi, dtype=float))
-    n = np.broadcast_to(np.atleast_1d(n), lo.shape)
-    return RadialGrid(tuple(np.linspace(l, h, int(k)) for l, h, k in zip(lo, hi, n)))
-
-
-@dataclass(frozen=True)
-class PolytopeGrid(_TensorGrid):
+class PolytopeGrid:
     """Tensor-product nodes strictly inside P, offset from the boundary.
 
     `mask` marks tensor nodes with ell_r >= margin for all r (all True for box
@@ -183,6 +138,24 @@ class PolytopeGrid(_TensorGrid):
             raise ValueError("margin must be positive")
         if not self.mask.any():
             raise ValueError("no grid node lies inside the polytope at this margin")
+
+    @property
+    def dim(self) -> int:
+        return len(self.axes)
+
+    @property
+    def shape(self) -> tuple[int, ...]:
+        return tuple(a.size for a in self.axes)
+
+    def nodes(self) -> np.ndarray:
+        """(*shape, dim) node points; read-only, computed once per grid."""
+        return self._nodes
+
+    @cached_property
+    def _nodes(self) -> np.ndarray:
+        nodes = np.stack(np.meshgrid(*self.axes, indexing="ij"), axis=-1)
+        nodes.setflags(write=False)
+        return nodes
 
     @cached_property
     def mask(self) -> np.ndarray:
@@ -273,21 +246,20 @@ class ClosedForm:
     hess: Callable
 
 
-def _evaluator(closed: ClosedForm | None, grid: _TensorGrid, values: np.ndarray,
+def _evaluator(closed: ClosedForm | None, axes: tuple[np.ndarray, ...], values: np.ndarray,
                grad_values: np.ndarray | None = None) -> ClosedForm:
     """A potential's one evaluator: its closed form, else not-a-knot cubic
-    splines of its samples on `grid` (of `grad_values`, when given, for the
-    gradient), built at first evaluation; only the splines load scipy."""
+    splines of its samples on the grid `axes` (of `grad_values`, when given,
+    for the gradient), built at first evaluation; only the splines load scipy."""
     if closed is not None:
         return closed
-    if grid.dim != 1:
+    if len(axes) != 1:
         raise NotImplementedError(
-            f"sampled evaluation in dim {grid.dim}: splines of samples are implemented "
+            f"sampled evaluation in dim {len(axes)}: splines of samples are implemented "
             "for dim 1; higher-dimensional potentials need a closed form")
     from scipy.interpolate import CubicSpline   # sampled potentials only
-    value = CubicSpline(grid.axes[0], values)
-    grad = value.derivative() if grad_values is None else \
-        CubicSpline(grid.axes[0], grad_values[..., 0])
+    value = CubicSpline(axes[0], values)
+    grad = value.derivative() if grad_values is None else CubicSpline(axes[0], grad_values)
     return ClosedForm(value, grad, grad.derivative())
 
 
@@ -300,47 +272,41 @@ def _closed_at(fn: Callable, pts: np.ndarray, point_axes: int = 0) -> np.ndarray
     return out[(...,) + (None,) * point_axes] if plain else out
 
 
-def _fd_hessians(values: np.ndarray, axes) -> np.ndarray:
-    """(*shape, m, m) finite-difference Hessians of values sampled on the
-    tensor grid `axes` (np.gradient twice, any spacing)."""
-    grads = [np.gradient(values, ax, axis=i) for i, ax in enumerate(axes)]
-    return np.stack([np.stack([np.gradient(g, ax, axis=j) for j, ax in enumerate(axes)],
-                              axis=-1) for g in grads], axis=-2)
-
-
 class KahlerPotential:
-    """Convex potential phi(rho) on the open orbit.
+    """Convex potential phi(rho) on the open orbit, rho one-dimensional.
 
-    Values are sampled on a RadialGrid.  The one evaluator is the closed form,
-    if present, else `_evaluator`'s splines of the samples; gradient samples
-    (moment-map values at the nodes), when available, are splined separately
-    so gradients keep the accuracy of the Newton solves that produced them.
+    Values are sampled on `rho`, a strictly increasing axis (>= 4 nodes).
+    The one evaluator is the closed form, if present, else `_evaluator`'s
+    splines of the samples; gradient samples (moment-map values at the
+    nodes), when given, are splined separately so gradients keep the
+    accuracy of the Newton solves that produced them.
     """
 
-    def __init__(self, grid: RadialGrid, values: np.ndarray | None = None,
+    def __init__(self, rho: np.ndarray, values: np.ndarray | None = None,
                  grad_values: np.ndarray | None = None,
                  closed: ClosedForm | None = None):
-        self.grid = grid
+        rho = np.asarray(rho, dtype=float)
+        if rho.ndim != 1 or rho.size < 4 or np.any(np.diff(rho) <= 0):
+            raise ValueError("rho must be a strictly increasing 1D array (>= 4 nodes)")
+        self.rho = rho
         self.closed = closed
         if values is None and closed is None:
             raise ValueError("need sampled values or a closed form")
-        values = _closed_at(closed.value, grid.nodes()) if values is None else values
-        self.values = np.asarray(values, dtype=float).reshape(grid.shape)
+        values = closed.value(rho) if values is None else values
+        self.values = np.asarray(values, dtype=float).reshape(rho.shape)
         self.grad_values = None if grad_values is None else \
-            np.asarray(grad_values, dtype=float).reshape(grid.shape + (grid.dim,))
+            np.asarray(grad_values, dtype=float).reshape(rho.shape)
         self._check_convexity()
 
-    @property
-    def dim(self) -> int:
-        return self.grid.dim
-
     def _check_convexity(self):
-        _positive_det(_fd_hessians(self.values, self.grid.axes),
-                      "potential is not discretely convex at rho", self.grid.nodes())
+        hess = np.gradient(np.gradient(self.values, self.rho), self.rho)
+        if np.any(hess <= 0):
+            raise ConvexityError("potential is not discretely convex at "
+                                 f"rho={self.rho[np.argmin(hess)]:.4g}")
 
     @cached_property
     def _form(self) -> ClosedForm:
-        return _evaluator(self.closed, self.grid, self.values, self.grad_values)
+        return _evaluator(self.closed, (self.rho,), self.values, self.grad_values)
 
     def value(self, rho):
         return self._form.value(rho)
@@ -388,7 +354,7 @@ class SymplecticPotential:
 
     @cached_property
     def _form(self) -> ClosedForm:
-        return _evaluator(self.f_closed, self.grid, self.f_values)
+        return _evaluator(self.f_closed, self.grid.axes, self.f_values)
 
     def f_value(self, x):
         return np.asarray(self._form.value(x), dtype=float)
@@ -533,12 +499,12 @@ def to_symplectic(phi: KahlerPotential, P: DelzantPolytope,
     sampled only, and sampled f has no evaluator beyond dim 1, so not even its
     convexity check could run.
     """
-    if phi.dim != P.dim or grid.dim != P.dim:
-        raise ValueError("dimension mismatch between potential, polytope, and grid")
     if P.dim > 1:
         raise NotImplementedError(
             f"to_symplectic in dim {P.dim}: the transform yields a sampled smooth "
             "part f, and sampled f is evaluated (splines) only in dim 1")
+    if grid.dim != P.dim:
+        raise ValueError("dimension mismatch between polytope and grid")
     x = grid.axes[0]
     lo, hi = _rho_bracket(phi, float(x.min()), float(x.max()))
     rho = _invert_monotone_1d(phi.grad, phi.hess, x, lo, hi, what="moment map")
@@ -550,7 +516,7 @@ def to_symplectic(phi: KahlerPotential, P: DelzantPolytope,
 def _rho_bracket(phi: KahlerPotential, x_min: float, x_max: float):
     """Expand a rho interval until grad phi straddles [x_min, x_max]."""
     if phi.closed is None:
-        a, b = float(phi.grid.axes[0][0]), float(phi.grid.axes[0][-1])
+        a, b = float(phi.rho[0]), float(phi.rho[-1])
         ga, gb = float(phi.grad(a)), float(phi.grad(b))
         if ga > x_min or gb < x_max:
             raise ValueError(
@@ -573,25 +539,23 @@ def _rho_bracket(phi: KahlerPotential, x_min: float, x_max: float):
     return a, b
 
 
-def to_kahler(u: SymplecticPotential, grid: RadialGrid) -> KahlerPotential:
+def to_kahler(u: SymplecticPotential, rho: np.ndarray) -> KahlerPotential:
     """Inverse Legendre transform of a one-dimensional symplectic potential:
-    phi(rho) = <x, rho> - u(x) with grad u(x) = rho, solved at every grid
-    node by safeguarded Newton.  Dimension >= 2 is rejected before any work:
-    the one gradient inverter, `_invert_monotone_1d`, is one-dimensional.
+    phi(rho) = <x, rho> - u(x) with grad u(x) = rho, solved at every node of
+    the axis `rho` by safeguarded Newton.  Dimension >= 2 is rejected before
+    any work: the one gradient inverter, `_invert_monotone_1d`, is 1-D.
     """
-    if u.dim != grid.dim:
-        raise ValueError("dimension mismatch between potential and grid")
     if u.dim > 1:
         raise NotImplementedError(
             f"to_kahler in dim {u.dim}: the symplectic gradient is inverted "
             "(safeguarded Newton) only in dim 1")
-    rho = grid.axes[0]
+    rho = np.asarray(rho, dtype=float)
     a, b = _x_bracket(u, float(rho.min()), float(rho.max()))
     guess = np.clip(_canonical_inverse_guess(u.polytope, rho), a, b)
     x = _invert_monotone_1d(u.grad, u.hess, rho, a, b,
                             what="symplectic gradient", s0=guess)
     phi = x * rho - np.asarray(u.value(x))
-    return KahlerPotential(grid, values=phi, grad_values=x[..., None])
+    return KahlerPotential(rho, values=phi, grad_values=x)
 
 
 def _canonical_inverse_guess(P: DelzantPolytope, rho) -> np.ndarray:
@@ -667,18 +631,16 @@ def _sigmoid(r):
     return out
 
 
-def fubini_study(grid: RadialGrid | None = None) -> KahlerPotential:
-    """The Fubini-Study potential phi = log(1 + e^rho), moment image [0, 1]."""
-    if grid is None:
-        grid = make_radial_grid([-12.0], [12.0], [2001])
-    if grid.dim != 1:
-        raise ValueError("the Fubini-Study potential is one-dimensional")
+def fubini_study(rho: np.ndarray | None = None) -> KahlerPotential:
+    """The Fubini-Study potential phi = log(1 + e^rho) on the axis `rho`, moment image [0, 1]."""
+    if rho is None:
+        rho = np.linspace(-12.0, 12.0, 2001)
     closed = ClosedForm(
         value=lambda r: np.logaddexp(0.0, np.asarray(r, dtype=float)),
         grad=_sigmoid,
         hess=lambda r: _sigmoid(r) * _sigmoid(-np.asarray(r, dtype=float)),
     )
-    return KahlerPotential(grid, closed=closed)
+    return KahlerPotential(rho, closed=closed)
 
 
 def _product_ell_closed(P: DelzantPolytope, a: float) -> ClosedForm:

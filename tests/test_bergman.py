@@ -12,15 +12,15 @@ from toricmaps.bergman import (BergmanFamily, NormingTable, QuadratureError,
                                szego_sum)
 from toricmaps.dirichlet import HarmonicField, make_disc, make_interval, make_rectangle
 from toricmaps.polytope import lattice_points, preset_polytope
-from toricmaps.potentials import (ClosedForm, KahlerPotential, SymplecticPotential,
+from toricmaps.potentials import (ClosedForm, SymplecticPotential,
                                   _closed_at, _positive_det, _product_ell_closed,
                                   default_margin, fubini_study, make_polytope_grid,
-                                  make_radial_grid, product_potential, to_kahler)
+                                  product_potential, to_kahler)
 
 P = preset_polytope("interval")
 XG = make_polytope_grid(P, 801, default_margin(64))
 U0 = product_potential(P, grid=XG)
-PHI_FS = fubini_study(make_radial_grid([-6.0], [6.0], [601]))
+PHI_FS = fubini_study(np.linspace(-6.0, 6.0, 601))
 
 
 def shifted_product(a, c):
@@ -29,6 +29,13 @@ def shifted_product(a, c):
     f = _product_ell_closed(P, a)
     return SymplecticPotential(P, XG, f_closed=ClosedForm(
         lambda x: np.asarray(f.value(x)) + c, f.grad, f.hess))
+
+
+def norming_of(domain, tables):
+    """`harmonic_norming` of one NormingTable per boundary node, their log Q
+    stacked into the (n_boundary, n_alpha) block."""
+    return harmonic_norming(domain, tables[0].level, tables[0].alphas,
+                            np.stack([t.log_q for t in tables]))
 
 
 @pytest.fixture(scope="module")
@@ -254,10 +261,10 @@ def test_szego_sum_small_levels():
 def test_szego_shift_invariance():
     u = product_potential(P, 0.1, XG)
     k = 8
-    grid = make_radial_grid([-4.0], [4.0], [401])
-    phi = to_kahler(u, grid)
+    rho = np.linspace(-4.0, 4.0, 401)
+    phi = to_kahler(u, rho)
     u_s = shifted_product(0.1, 0.2)
-    phi_s = to_kahler(u_s, grid)
+    phi_s = to_kahler(u_s, rho)
     t = norming_constants(u, k)
     t_s = norming_constants(u_s, k)
     a = szego_sum(t, phi, np.asarray(0.4))
@@ -288,23 +295,31 @@ def test_szego_sum_is_the_balanced_fubini_study_density():
             assert 0.0 <= gap <= szego_sum(t, PHI_FS, r) * (1 + 1e-12), (k, r)
 
 
-def test_szego_sum_on_the_square_is_the_product_density():
-    # u0 of the square is the sum of two interval ones and phi the sum of two
-    # Fubini-Study potentials, so the density is ((k + 1) / k)^2 at every rho
+def one_node_approximant(table, rho):
+    """The one-node `_log_sum_exp` of a table's log Q: the approximant whose
+    lambda is the table."""
+    weights = bergman._node_weights(table.log_q[:, None])
+    return bergman._log_sum_exp(table.alphas, weights, rho, table.level)[0]
+
+
+def test_square_approximant_is_the_sum_of_two_interval_ones():
+    # u0 of the square is the sum of two interval ones, so its norming
+    # constants are products, Q(a1, a2) = Q(a1) Q(a2), and the approximant at
+    # (rho1, rho2) is the sum of the interval's at rho1 and at rho2
     S = preset_polytope("square")
     u0 = product_potential(S, 0.0, make_polytope_grid(S, 9, 0.05))
-    sig = PHI_FS.grad
-    phi = KahlerPotential(make_radial_grid([-4.0, -4.0], [4.0, 4.0], [21, 21]), closed=ClosedForm(
-        value=lambda r: np.sum(np.logaddexp(0.0, r), axis=-1), grad=sig,
-        hess=lambda r: np.eye(2) * (sig(r) * sig(-np.asarray(r)))[..., None]))
-    rho = np.stack(np.meshgrid(np.linspace(-3, 3, 7), np.linspace(-3, 3, 5), indexing="ij"), -1)
+    r1, r2 = np.linspace(-3, 3, 7), np.linspace(-3, 3, 5)
+    rho = np.stack(np.meshgrid(r1, r2, indexing="ij"), -1)
     for k in (1, 2, 4, 8):
         t = norming_constants(u0, k)
-        density = szego_sum(t, phi, rho)
-        assert density.shape == (7, 5)
-        np.testing.assert_allclose(density, ((k + 1) / k) ** 2, rtol=1e-12, atol=0)
-        gap = localization_gap(t, phi, rho[1, 2], 0.25)
-        assert 0.0 < gap <= szego_sum(t, phi, rho[1, 2])
+        t1 = norming_constants(U0, k)
+        square = one_node_approximant(t, rho)
+        assert square.shape == (7, 5)
+        expected = one_node_approximant(t1, r1)[:, None] + one_node_approximant(t1, r2)[None, :]
+        np.testing.assert_allclose(square, expected, rtol=0, atol=1e-12)
+        # the Szego sum and its tail are one-dimensional
+        with pytest.raises(ValueError, match="lattice has dimension 2"):
+            szego_sum(t, PHI_FS, rho)
 
 
 def test_localization_gap_takes_one_rho():
@@ -322,20 +337,20 @@ def test_localization_gap_takes_one_rho():
             localization_gap(t8, PHI_FS, np.array(rho), 0.25)
     square = NormingTable(level=2, alphas=lattice_points(preset_polytope("square"), 2),
                           log_q=np.zeros(9))
-    for rho in (0.0, np.zeros((2, 2)), np.zeros(3)):
-        with pytest.raises(ValueError, match=re.escape(f"got shape {np.shape(rho)}")):
+    for rho in (0.0, np.zeros(2), np.zeros((2, 2))):
+        with pytest.raises(ValueError, match="lattice has dimension 2"):
             localization_gap(square, PHI_FS, rho, 0.25)
 
 
 def test_harmonic_norming_interval():
     dom = make_interval(9)
     t2 = norming_constants(U0, 2)
-    hn = harmonic_norming(dom, [t2, t2])
+    hn = norming_of(dom, [t2, t2])
     assert np.max(np.abs(hn.lam - hn.lam[:, :1])) == 0.0     # constant in t
     # synthetic linear exponents
     base = NormingTable(level=2, alphas=t2.alphas, log_q=t2.log_q)
     bumped = NormingTable(level=2, alphas=t2.alphas, log_q=t2.log_q + 2.0)
-    hn2 = harmonic_norming(dom, [base, bumped])
+    hn2 = norming_of(dom, [base, bumped])
     assert hn2.lam[1, 4] == pytest.approx(-math.log(6) + 1.0, abs=1e-12)
     # exponents are exactly linear in t (term-for-term reduction to the segment formula)
     t = dom.nodes
@@ -352,7 +367,7 @@ def test_harmonic_norming_fields_are_discretely_harmonic():
     dom = make_interval(9)
     t2 = norming_constants(U0, 2)
     bumped = NormingTable(level=2, alphas=t2.alphas, log_q=t2.log_q + 1.3)
-    hn = harmonic_norming(dom, [t2, bumped])
+    hn = norming_of(dom, [t2, bumped])
     for i in range(hn.count):
         assert laplace_residual(dom, HarmonicField(dom, hn.lam[i])) < 1e-10
 
@@ -360,24 +375,24 @@ def test_harmonic_norming_fields_are_discretely_harmonic():
 def test_harmonic_norming_disc_constant():
     dom = make_disc(5, 256)    # kernel aliasing ~ 2 * 0.9^n_angles
     t2 = norming_constants(U0, 2)
-    hn = harmonic_norming(dom, [t2] * 256)
+    hn = norming_of(dom, [t2] * 256)
     assert np.max(np.abs(hn.lam - hn.lam[:, :1, :1])) < 1e-9
 
 
 def test_harmonic_norming_rejects_mismatch():
+    # one row per boundary node, one column per alpha
     dom = make_interval(5)
     t2 = norming_constants(U0, 2)
-    t3 = norming_constants(U0, 3)
-    with pytest.raises(ValueError):
-        harmonic_norming(dom, [t2, t3])
-    sub = NormingTable(level=2, alphas=t2.alphas[:2], log_q=t2.log_q[:2])
-    with pytest.raises(ValueError):
-        harmonic_norming(dom, [t2, sub])
+    for log_q in (np.stack([t2.log_q] * 3), np.stack([t2.log_q[:2]] * 2), t2.log_q,
+                  np.stack([t2.log_q] * 2).T):
+        with pytest.raises(ValueError, match=re.escape(
+                f"log Q block of shape {log_q.shape}, expected (2, 3)")):
+            harmonic_norming(dom, 2, t2.alphas, log_q)
 
 
 def test_bergman_potential_values(table_k2):
     dom = make_interval(9)
-    hn = harmonic_norming(dom, [table_k2, table_k2])
+    hn = norming_of(dom, [table_k2, table_k2])
     # log-sum-exp of the Beta values at rho = 0: (1/2) log(3 + 6 + 3)
     val = BergmanFamily(hn).field(np.asarray(0.0))[0]
     assert val == pytest.approx(0.5 * math.log(12.0), abs=1e-12)
@@ -399,7 +414,7 @@ def test_bergman_potential_values(table_k2):
 def test_bergman_potential_single_alpha_affine():
     dom = make_interval(5)
     t = NormingTable(level=3, alphas=np.array([[2]]), log_q=np.array([0.7]))
-    hn = harmonic_norming(dom, [t, t])
+    hn = norming_of(dom, [t, t])
     rho = np.linspace(-1, 1, 9)
     vals = BergmanFamily(hn).field(rho)[2]
     np.testing.assert_allclose(vals, (2 * rho - 0.7) / 3, atol=1e-14)
@@ -407,7 +422,7 @@ def test_bergman_potential_single_alpha_affine():
 
 def test_bergman_convexity_in_rho(table_k2):
     dom = make_interval(5)
-    hn = harmonic_norming(dom, [table_k2, table_k2])
+    hn = norming_of(dom, [table_k2, table_k2])
     rho = np.linspace(-3, 3, 101)
     vals = BergmanFamily(hn).field(rho)[2]
     assert np.min(np.diff(vals, 2)) > -1e-12
@@ -454,7 +469,7 @@ FIELD_CASES = [
 
 def beta_family(domain, k):
     tables = [beta_table(k, 0.3 * math.cos(i)) for i in range(domain.n_boundary)]
-    return BergmanFamily(harmonic_norming(domain, tables))
+    return BergmanFamily(norming_of(domain, tables))
 
 
 @needs_long_double
@@ -504,7 +519,7 @@ SPREAD_BOUND = -0.5 * math.log(np.finfo(float).tiny)
 ])
 def test_field_rows_past_the_spread_bound_are_the_log_sum_exp(slope, own_rows):
     k = 64
-    norming = harmonic_norming(make_interval(5), [tilted_table(k, 0.0), tilted_table(k, slope)])
+    norming = norming_of(make_interval(5), [tilted_table(k, 0.0), tilted_table(k, slope)])
     gap = norming.lam[:, :1] - norming.lam
     assert np.flatnonzero(np.ptp(gap, axis=0) > SPREAD_BOUND).tolist() == own_rows
     fam = BergmanFamily(norming)
@@ -518,25 +533,13 @@ def test_field_rows_past_the_spread_bound_are_the_log_sum_exp(slope, own_rows):
 
 def test_ratio_report_boundary_and_constant(table_k2):
     dom = make_interval(9)
-    hn = harmonic_norming(dom, [table_k2, table_k2])
-    rep = ratio_report(hn, table_k2, U0, [U0, U0], (0,))
+    hn = norming_of(dom, [table_k2, table_k2])
+    rep = ratio_report(hn, U0, [U0, U0], (0,))
     np.testing.assert_array_equal(rep.r_k, 1.0)        # boundary node: exact
-    rep_mid = ratio_report(hn, table_k2, U0, [U0, U0], (4,))
+    rep_mid = ratio_report(hn, U0, [U0, U0], (4,))
     np.testing.assert_allclose(rep_mid.r_k, 1.0, atol=1e-12)
     np.testing.assert_allclose(rep_mid.r_inf, 1.0, atol=1e-12)
     assert rep_mid.bound_constant == pytest.approx(1.0, abs=1e-12)
-
-
-def test_ratio_report_rejects_a_table_of_another_level_or_lattice(table_k2):
-    # the table at y is read row by row against the norming's alphas, so a
-    # table of another level or lattice set is refused, naming both levels
-    hn = harmonic_norming(make_interval(9), [table_k2, table_k2])
-    t3 = norming_constants(U0, 3)
-    with pytest.raises(ValueError, match=r"table at y \(level 3\) .* level-2 norming"):
-        ratio_report(hn, t3, U0, [U0, U0], (4,))
-    sub = NormingTable(level=2, alphas=table_k2.alphas[:2], log_q=table_k2.log_q[:2])
-    with pytest.raises(ValueError, match=r"table at y \(level 2\) .* level-2 norming"):
-        ratio_report(hn, sub, U0, [U0, U0], (4,))
 
 
 def test_peak_asymptotics_fit():

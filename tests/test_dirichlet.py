@@ -307,19 +307,19 @@ def test_max_principle_failure_names_the_worst_column(monkeypatch):
 
 
 def test_max_principle_failure_names_alpha_level_and_fiber_node(monkeypatch):
-    from toricmaps.bergman import NormingTable, harmonic_norming
+    from toricmaps.bergman import harmonic_norming
     from toricmaps.harness import solve_harmonic_map
     from toricmaps.polytope import preset_polytope
     from toricmaps.potentials import make_polytope_grid, product_potential
     dom = make_interval(5)
-    table = NormingTable(level=4, alphas=np.arange(5)[:, None], log_q=-np.arange(5.0))
+    log_q = np.stack([-np.arange(5.0)] * 2)       # level 4, alphas 0..4 at both ends
     P = preset_polytope("interval")
     xg = make_polytope_grid(P, 21, 1e-2)
     u = product_potential(P, grid=xg)
     _forge_violation(monkeypatch, [(3,)])
     with pytest.raises(MaxPrincipleError,
                        match=r"column \(3,\).* alpha = \(3,\) at level k = 4"):
-        harmonic_norming(dom, [table, table])
+        harmonic_norming(dom, 4, np.arange(5)[:, None], log_q)
     with pytest.raises(MaxPrincipleError,
                        match=r"column \(3,\).* at fiber node \(3,\), x = 0.157$"):
         solve_harmonic_map(dom, xg, [u, u])

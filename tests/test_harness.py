@@ -592,10 +592,16 @@ def test_the_x_grid_of_a_closed_form_family_moves_no_reported_bit(domain, c_boun
         assert np.array_equal(norms_a[col], norms_b[col]), col
 
 
+# ROADMAP item 25's rectangle: u0 + c x(1 - x) with a boundary c of no symmetry
+RECTANGLE = make_rectangle(9, 7)
+RECTANGLE_C = np.random.default_rng(0).uniform(0.05, 0.15, RECTANGLE.n_boundary)
+
+
 @pytest.mark.parametrize("family,levels", [
     (lambda: geodesic_family(0.1, 17), (8, 16, 32, 64)),
     (lambda: loop_family(0.05, 9, 64), (8, 16, 32)),
-], ids=["geodesic", "disc"])
+    (lambda: closed_family_on(RECTANGLE, RECTANGLE_C, 801, 1 / 256), (8, 16, 32)),
+], ids=["geodesic", "disc", "rectangle"])
 def test_a_symmetric_family_reflects_in_rho(family, levels):
     # u(1 - x) = u(x) for every u0 + c x(1 - x), so Phi(-rho) = Phi(rho) - rho,
     # log Q_k(alpha) = log Q_k(k - alpha), and Phi_k reflects as Phi does:
@@ -612,12 +618,12 @@ def test_a_symmetric_family_reflects_in_rho(family, levels):
         assert np.max(np.abs(E[..., ::-1] - E)) <= gate, k
 
 
-def gauged_geodesic_family(s, d):
-    """The geodesic family u0 + a t x(1 - x) (a = 0.1, 17 nodes) plus s x + d:
-    each node's closed form is `_product_ell_closed` plus the linear term."""
-    domain = make_interval(17)
+def gauged_family(domain, c_boundary, s, d):
+    """u0 + c x(1 - x) with boundary coefficients `c_boundary`, plus s x + d,
+    on `product_potential`'s grid: each node's closed form is
+    `_product_ell_closed` of its extended coefficient plus the linear term."""
     xg = product_potential(P).grid
-    c = np.array([0.0, 0.1])
+    c = np.asarray(c_boundary, dtype=float)
     coeff = domain.extend(c)
 
     def closed(a):
@@ -629,18 +635,28 @@ def gauged_geodesic_family(s, d):
                                            for b in c], lambda idx: closed(coeff[idx]))
 
 
-@pytest.mark.parametrize("s,d", [(0.5, 0.3), (1.25, -0.7)])
-def test_a_linear_gauge_term_moves_the_approximants_as_it_moves_phi(s, d):
+GEODESIC_GAUGE = (make_interval(17), [0.0, 0.1], (8, 16, 32, 64))
+RECTANGLE_GAUGE = (RECTANGLE, RECTANGLE_C, (8, 16, 32))
+
+
+@pytest.mark.parametrize("case,s,d", [
+    pytest.param(GEODESIC_GAUGE, 0.5, 0.3, id="0.5-0.3"),
+    pytest.param(GEODESIC_GAUGE, 1.25, -0.7, id="1.25--0.7"),
+    pytest.param(RECTANGLE_GAUGE, 0.5, 0.3, id="rectangle-0.5-0.3"),
+    pytest.param(RECTANGLE_GAUGE, 1.25, -0.7, id="rectangle-1.25--0.7"),
+])
+def test_a_linear_gauge_term_moves_the_approximants_as_it_moves_phi(case, s, d):
     # u' = u + s x + d has phi'(rho) = phi(rho - s) - d, log Q'_k(alpha) =
     # log Q_k(alpha) + s alpha + k d, hence lam' = lam + s alpha + k d and
     # E'_k(rho) = E_k(rho - s).  The term is odd under x -> 1 - x, so an
     # alpha <-> k - alpha slip in the norming rows breaks both relations.
     # s is a whole number of rho steps, so the shifted columns are grid columns
-    levels = (8, 16, 32, 64)
+    domain, c, levels = case
     rho = np.linspace(-4.0, 4.0, 801)
     steps = round(s / (rho[1] - rho[0]))
     assert steps * (rho[1] - rho[0]) == pytest.approx(s, abs=1e-12)
-    base, gauged = geodesic_family(0.1, 17), gauged_geodesic_family(s, d)
+    base = closed_family_on(domain, c, 801, 1 / 256)
+    gauged = gauged_family(domain, c, s, d)
     phi = kahler_field(base, rho).values
     phi_g = kahler_field(gauged, rho).values
     gate = 256 * np.finfo(float).eps * max(np.max(np.abs(phi)), np.max(np.abs(phi_g)))
@@ -648,7 +664,7 @@ def test_a_linear_gauge_term_moves_the_approximants_as_it_moves_phi(s, d):
     for k in levels:
         norming, norming_g = approx[k].norming, approx_g[k].norming
         assert np.array_equal(norming.alphas, norming_g.alphas)
-        alpha = norming.alphas[:, 0].astype(float)[:, None]
+        alpha = norming.alphas[:, 0].astype(float).reshape((-1,) + (1,) * len(domain.shape))
         gap = norming_g.lam - norming.lam - s * alpha - k * d
         assert np.max(np.abs(gap)) <= 256 * np.finfo(float).eps * np.max(
             np.abs(norming_g.lam)), k
@@ -1188,10 +1204,10 @@ def test_build_approximants_with_workers_is_bitwise_the_serial_loop(monkeypatch,
     levels = (4, 8)
     family = small_disc_family()
     serial = [[norming_constants(bp, k) for bp in family.boundary_potentials] for k in levels]
-    tables = []
+    blocks = []
     extend = harness.harmonic_norming
-    monkeypatch.setattr(harness, "harmonic_norming",
-                        lambda domain, ts: tables.append(ts) or extend(domain, ts))
+    monkeypatch.setattr(harness, "harmonic_norming", lambda domain, k, alphas, log_q:
+                        blocks.append((k, alphas, log_q)) or extend(domain, k, alphas, log_q))
     built = logged_calls(harness, "norming_constants", lambda bp, k, **kwargs: (k,))
     lams = []
     for n_workers in (0, 1, 2):
@@ -1201,9 +1217,11 @@ def test_build_approximants_with_workers_is_bitwise_the_serial_loop(monkeypatch,
             approx = build_approximants(family, levels)
         assert_no_child_left()
         lams.append([approx[k].norming.lam.tobytes() for k in levels])
-        for got, want in zip(tables[-2:], serial):
-            assert [(t.level, t.alphas.tobytes(), t.log_q.tobytes()) for t in got] == [
-                (t.level, t.alphas.tobytes(), t.log_q.tobytes()) for t in want]
+        for (k, alphas, log_q), want in zip(blocks[-2:], serial):
+            assert len(log_q) == len(want)
+            for row, t in zip(log_q, want):
+                assert (k, alphas.tobytes(), row.tobytes()) == (
+                    t.level, t.alphas.tobytes(), t.log_q.tobytes())
         calls = built()[start:]
         assert sorted(k for _, (k,) in calls) == [4] * 64 + [8] * 64
         assert len({pid for pid, _ in calls}) == 1 + n_workers
@@ -1224,7 +1242,7 @@ def test_build_approximants_with_workers_enumerates_each_lattice_once(force_work
 def test_build_approximants_failure_with_workers_is_the_serial_failure(monkeypatch,
                                                                        force_workers):
     # node 1 fails at level 8, in the parent's share; node 60 at level 4, in
-    # the last worker's: the level-major loop meets node 60 first
+    # the last worker's: the node-major loop meets node 1 first
     family = small_disc_family()
     node = {id(bp): i for i, bp in enumerate(family.boundary_potentials)}
     inner = harness.norming_constants
@@ -1240,7 +1258,7 @@ def test_build_approximants_failure_with_workers_is_the_serial_failure(monkeypat
         with within(60), pytest.raises(QuadratureError) as info:
             build_approximants(family, (4, 8))
         assert_no_child_left()
-        assert str(info.value) == "no panel count passed for boundary node 60 at level k = 4"
+        assert str(info.value) == "no panel count passed for boundary node 1 at level k = 8"
         assert str(info.value.__cause__) == "no panel count passed"
 
 

@@ -28,9 +28,10 @@ print(json.dumps(sorted(m for m in sys.modules if m.startswith("scipy"))))
 
 SPLINES = """
 import json, sys
+import numpy as np
 from toricmaps import polytope, potentials
 P = polytope.preset_polytope("interval")
-phi = potentials.fubini_study(potentials.make_radial_grid([-6.0], [6.0], [121]))
+phi = potentials.fubini_study(np.linspace(-6.0, 6.0, 121))
 potentials.to_symplectic(phi, P, potentials.make_polytope_grid(P, 101, 0.01))
 print(json.dumps("scipy.interpolate" in sys.modules))
 """

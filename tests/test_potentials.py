@@ -10,7 +10,7 @@ from toricmaps.potentials import (ClosedForm, ConvexityError, KahlerPotential,
                                   NewtonError, SymplecticPotential, _blocks, _convex_slices,
                                   _invert_monotone_1d, abreu_delta,
                                   default_margin, guillemin_hessian, guillemin_potential,
-                                  make_polytope_grid, fubini_study, make_radial_grid,
+                                  make_polytope_grid, fubini_study,
                                   product_potential, to_kahler, to_symplectic)
 
 P = preset_polytope("interval")
@@ -65,11 +65,11 @@ def test_guillemin_rejects_boundary():
 # -- Legendre transform ----------------------------------------------------------
 
 def quad_phi():
-    grid = make_radial_grid([0.05], [0.95], [201])
+    rho = np.linspace(0.05, 0.95, 201)
     closed = ClosedForm(value=lambda r: np.asarray(r, dtype=float) ** 2 / 2.0,
                         grad=lambda r: np.asarray(r, dtype=float),
                         hess=lambda r: np.ones_like(np.asarray(r, dtype=float)))
-    return KahlerPotential(grid, closed=closed)
+    return KahlerPotential(rho, closed=closed)
 
 
 def test_to_symplectic_self_dual_quadratic():
@@ -100,7 +100,7 @@ def test_to_symplectic_constant_shift():
     phi = fubini_study()
     xg = make_polytope_grid(P, 201, 0.01)
     u = to_symplectic(phi, P, xg)
-    phi_shift = KahlerPotential(phi.grid, closed=ClosedForm(
+    phi_shift = KahlerPotential(phi.rho, closed=ClosedForm(
         lambda r: np.asarray(phi.closed.value(r)) + 2.0, phi.closed.grad, phi.closed.hess))
     u_shift = to_symplectic(phi_shift, P, xg)
     np.testing.assert_allclose(u_shift.f_values, u.f_values - 2.0, atol=1e-11)
@@ -108,10 +108,9 @@ def test_to_symplectic_constant_shift():
 
 def test_to_kahler_canonical_gives_fs():
     u = product_potential(P)
-    grid = make_radial_grid([-4.0], [4.0], [401])
-    phi = to_kahler(u, grid)
+    rho = np.linspace(-4.0, 4.0, 401)
+    phi = to_kahler(u, rho)
     assert float(phi.value(np.asarray(0.0))) == pytest.approx(math.log(2), abs=1e-12)
-    rho = grid.axes[0]
     np.testing.assert_allclose(phi.values, np.logaddexp(0.0, rho), atol=1e-11)
 
 
@@ -123,15 +122,14 @@ def test_to_kahler_quadratic():
     )
     xg = make_polytope_grid(P, 201, 0.02)
     u = SymplecticPotential(P, xg, f_closed=f)
-    grid = make_radial_grid([0.1], [0.9], [101])
-    phi = to_kahler(u, grid)
-    np.testing.assert_allclose(phi.values, grid.axes[0] ** 2 / 2.0, atol=1e-10)
+    rho = np.linspace(0.1, 0.9, 101)
+    phi = to_kahler(u, rho)
+    np.testing.assert_allclose(phi.values, rho ** 2 / 2.0, atol=1e-10)
 
 
 def test_involution_perturbed_round_trip():
     u = product_potential(P, 0.1)
-    grid = make_radial_grid([-6.0], [6.0], [801])
-    phi = to_kahler(u, grid)
+    phi = to_kahler(u, np.linspace(-6.0, 6.0, 801))
     xg = make_polytope_grid(P, 801, default_margin(64))
     u_back = to_symplectic(phi, P, xg)
     x = xg.axes[0][50:-50]
@@ -150,10 +148,9 @@ def test_moment_map():
 def test_gradient_and_hessian_duality_at_nodes():
     u = product_potential(P, 0.1)
     # fine grid: the value-spline second derivative carries O(h_grid^2) error
-    grid = make_radial_grid([-2.4], [2.4], [1001])
-    phi = to_kahler(u, grid)
-    rho = grid.axes[0][100:-100:10]
-    x = phi.grad_values[100:-100:10, 0]
+    phi = to_kahler(u, np.linspace(-2.4, 2.4, 1001))
+    rho = phi.rho[100:-100:10]
+    x = phi.grad_values[100:-100:10]
     # gradient duality at the solved pairs
     assert np.max(np.abs(np.asarray(u.grad(x)) - rho)) < 1e-6
     # Hessian duality through finite differences of the value evaluators
@@ -195,18 +192,26 @@ def test_abreu_delta_positive_everywhere():
 
 
 def test_convexity_rejected():
-    grid = make_radial_grid([-1.0], [1.0], [51])
-    with pytest.raises(ConvexityError):
-        KahlerPotential(grid, values=-grid.axes[0] ** 2)
+    rho = np.linspace(-1.0, 1.0, 51)
+    with pytest.raises(ConvexityError, match="potential is not discretely convex at rho="):
+        KahlerPotential(rho, values=-rho ** 2)
     xg = make_polytope_grid(P, 101, 0.01)
     with pytest.raises(ConvexityError):
         # f'' = -10 beats the canonical curvature (minimum 4) in the middle
         SymplecticPotential(P, xg, f_values=-5.0 * xg.axes[0] ** 2)
 
 
+@pytest.mark.parametrize("rho", [np.linspace(-1.0, 1.0, 3), np.linspace(1.0, -1.0, 51),
+                                 np.zeros((9, 2)), np.linspace(-1.0, 1.0, 50).reshape(5, 10)],
+                         ids=["3-nodes", "decreasing", "constant-2d", "2d"])
+def test_kahler_potential_takes_one_increasing_rho_axis(rho):
+    with pytest.raises(ValueError, match="rho must be a strictly increasing 1D array"):
+        KahlerPotential(rho, closed=fubini_study().closed)
+
+
 def test_sampled_grid_outside_moment_image_rejected():
-    grid = make_radial_grid([-2.0], [2.0], [101])
-    phi = KahlerPotential(grid, values=np.logaddexp(0, grid.axes[0]))  # sampled only
+    rho = np.linspace(-2.0, 2.0, 101)
+    phi = KahlerPotential(rho, values=np.logaddexp(0, rho))  # sampled only
     xg = make_polytope_grid(P, 101, 1e-3)   # wants x down to 1e-3, image stops at 0.119
     with pytest.raises(ValueError, match="moment image"):
         to_symplectic(phi, P, xg)
@@ -222,24 +227,16 @@ def test_to_kahler_rejects_dim_two_up_front(monkeypatch):
     monkeypatch.setattr(potentials, "_invert_monotone_1d", no_inversion)
     S = preset_polytope("square")
     u = product_potential(S, grid=make_polytope_grid(S, 33, 0.01))
-    grid = make_radial_grid([-2.0, -2.0], [2.0, 2.0], [9, 9])
     with pytest.raises(NotImplementedError, match="to_kahler in dim 2: .* only in dim 1"):
-        to_kahler(u, grid)
+        to_kahler(u, np.linspace(-2.0, 2.0, 9))
 
 
 def test_to_symplectic_rejects_dim_two_up_front():
-    # the square's Fubini-Study product potential has closed-form derivatives,
-    # but the transform's smooth part would be sampled only, and sampled f has
-    # no evaluator in dim 2
+    # the transform's smooth part would be sampled only, and sampled f has no
+    # evaluator in dim 2: the square is refused before any inversion
     S = preset_polytope("square")
-    grid = make_radial_grid([-2.0, -2.0], [2.0, 2.0], [9, 9])
-    phi = KahlerPotential(grid, closed=ClosedForm(
-        value=lambda r: np.logaddexp(0, r).sum(axis=-1),
-        grad=lambda r: 1.0 / (1.0 + np.exp(-r)),
-        hess=lambda r: np.einsum("...i,ij->...ij", np.exp(-r) / (1.0 + np.exp(-r)) ** 2,
-                                 np.eye(2))))
     with pytest.raises(NotImplementedError, match="to_symplectic in dim 2: .* only in dim 1"):
-        to_symplectic(phi, S, make_polytope_grid(S, 9, 0.1))
+        to_symplectic(fubini_study(), S, make_polytope_grid(S, 9, 0.1))
 
 
 def test_polytope_grid_margin_and_flags():
@@ -375,12 +372,11 @@ def test_sampled_symplectic_potential_is_its_splines_bitwise():
 @pytest.mark.parametrize("with_grad", [False, True], ids=["values", "values-and-grad"])
 def test_sampled_kahler_potential_is_its_splines_bitwise(with_grad):
     from scipy.interpolate import CubicSpline
-    grid = make_radial_grid([-3.0], [3.0], [121])
-    r = grid.axes[0]
-    grad_values = 1.0 / (1.0 + np.exp(-r[:, None])) if with_grad else None
-    phi = KahlerPotential(grid, np.logaddexp(0.0, r), grad_values)
+    r = np.linspace(-3.0, 3.0, 121)
+    grad_values = 1.0 / (1.0 + np.exp(-r)) if with_grad else None
+    phi = KahlerPotential(r, np.logaddexp(0.0, r), grad_values)
     value = CubicSpline(r, phi.values)
-    grad = CubicSpline(r, grad_values[:, 0]) if with_grad else value.derivative()
+    grad = CubicSpline(r, grad_values) if with_grad else value.derivative()
     pts = random_points(r[0], r[-1])
     assert np.array_equal(phi.value(pts), value(pts))
     assert np.array_equal(phi.grad(pts), grad(pts))

@@ -127,7 +127,7 @@ def test_disc_weights_built_once_per_domain(monkeypatch):
     family = loop_family(a=0.05, n_radii=4, n_angles=64)
     domain = family.domain
     table = norming_constants(family.boundary_potentials[0], 4)
-    harmonic_norming(domain, [table] * domain.angles.size)
+    harmonic_norming(domain, 4, table.alphas, np.stack([table.log_q] * domain.angles.size))
     for _ in range(3):
         harmonic_extend(domain, BoundaryData(np.cos(domain.angles)))
     assert len(calls) == 1
